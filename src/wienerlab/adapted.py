@@ -1,9 +1,10 @@
 """Coordinate filtration, strict-past predictability, adapted projections.
 
 The filtration is generated coordinate by coordinate: stage k knows
-eta_1 .. eta_k.  An HField u is *predictable* when coordinate u_i depends
-only on the strict past eta_1 .. eta_{i-1}; in the Hermite representation
-that is a pure term-support condition, so membership is decidable exactly.
+eta_1 .. eta_k, and conditioning on it is conditional_expectation(p, k).
+An HField u is *predictable* when coordinate u_i depends only on the
+strict past eta_1 .. eta_{i-1}; in the Hermite representation that is a
+pure term-support condition, so membership is decidable exactly.
 
 Strict past (rather than "up to and including i") is the convention that
 makes the discrete divergence of a predictable field equal the plain
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import (
-    ChaosPoly,
     DimensionMismatch,
     conditional_expectation,
     evaluate,
@@ -37,18 +37,6 @@ from .malliavin import HField, OperatorField, VField, divergence_h, divergence_o
 
 class NotPredictable(ValueError):
     """A field failed the strict-past support condition."""
-
-
-@dataclass(frozen=True)
-class Filtration:
-    """Stage-indexed conditioning: stage k = functionals of eta_1 .. eta_k."""
-
-    n: int
-
-    def condition(self, p: ChaosPoly, k: int) -> ChaosPoly:
-        if p.dim != self.n:
-            raise DimensionMismatch(f"functional over {p.dim} coordinates, filtration n={self.n}")
-        return conditional_expectation(p, k)
 
 
 def is_predictable(u: HField) -> bool:

@@ -43,7 +43,7 @@ from .rotations import (
     isometry_check,
     measure_preservation_battery,
 )
-from .space import GENERATOR_ID, sample_batch
+from .space import GENERATOR_ID, check, sample_batch
 from .suites import run_suites, suite_names
 
 DEFAULTS = {
@@ -270,26 +270,11 @@ def _cmd_rotate(args) -> int:
     spec = {"kind": "constant"} if construction == "constant" else construction
     R = build_sequential_isometry(n, seed, spec)
 
-    tests = []
     probe = sample_batch(n, 1000, seed + 7)
-    deviation = isometry_check(R, probe)
-    tests.append(
-        {
-            "name": "pathwise_isometry",
-            "statistic": deviation,
-            "threshold": ISOMETRY_TOL,
-            "pass": deviation <= ISOMETRY_TOL,
-        }
-    )
-    certificate = check_strict_past_measurability(R, probe)
-    tests.append(
-        {
-            "name": "strict_past_measurability",
-            "statistic": certificate,
-            "threshold": 0.0,
-            "pass": certificate == 0.0,
-        }
-    )
+    tests = [
+        check("pathwise_isometry", isometry_check(R, probe), ISOMETRY_TOL),
+        check("strict_past_measurability", check_strict_past_measurability(R, probe), 0.0),
+    ]
     h = np.ones(n) / math.sqrt(n)
     for t in gaussianity_battery(R, h, N, seed + 11).tests:
         tests.append({**t, "name": f"output_law_{t['name']}"})

@@ -259,17 +259,6 @@ class OperatorField:
         )
 
 
-def identity_operator(n: int) -> OperatorField:
-    """The constant identity on R^n as an n x n OperatorField."""
-    return OperatorField.constant(np.eye(n))
-
-
-def rank_one(alpha: HField, y) -> OperatorField:
-    """alpha tensor y: entry (a, i) = y_a alpha_i."""
-    y = np.asarray(y, dtype=float)
-    return OperatorField(tuple(alpha.scale(float(v)) for v in y))
-
-
 def skew_symmetric_field(A) -> HField:
     """The linear field u_i = sum_j A_{ij} eta_j for skew-symmetric A.
 

@@ -136,8 +136,3 @@ def random_orthogonal(rng, n: int) -> np.ndarray:
     M = rng.standard_normal((n, n))
     Q, R = np.linalg.qr(M)
     return Q * np.sign(np.diag(R))
-
-
-def random_unit_vector(rng, n: int) -> np.ndarray:
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)

@@ -42,7 +42,7 @@ from .chaos import ChaosPoly, evaluate_batch, l2_inner, refine
 from .clark import clark_integrand
 from .malliavin import VField, divergence_op, gradient_scalar
 from .randgen import make_rng
-from .space import SampleBatch, ks_normal, moment_normality, sample_batch
+from .space import SampleBatch, check, ks_normal, moment_normality, sample_batch
 
 #: Pathwise orthonormality contract for constructed isometries.
 ISOMETRY_TOL = 1e-9
@@ -327,14 +327,6 @@ def _as_draws(samples, n: int, default_seed: int = 1618) -> np.ndarray:
     return np.asarray(samples, dtype=float)
 
 
-def apply_rotation(R: AdaptedIsometry, sample) -> np.ndarray:
-    """Rotate one sample: the vector of pathwise Ito sums, matrix @ sample."""
-    sample = np.asarray(sample, dtype=float)
-    if sample.shape != (R.n,):
-        raise RotationError(f"sample of shape {sample.shape} for n={R.n}")
-    return R.apply_batch(sample[None, :])[0]
-
-
 def isometry_check(R: AdaptedIsometry, samples) -> float:
     """Worst pathwise deviation of the matrix Gram from the identity.
 
@@ -358,13 +350,13 @@ def check_strict_past_measurability(R: AdaptedIsometry, samples, seed: int = 271
     draws = _as_draws(samples, R.n)
     fresh = sample_batch(R.n, draws.shape[0], seed=seed).draws
     base = R.matrices(draws)
-    worst = 0.0
+    gaps = []
     for j in range(1, R.n + 1):
         hybrid = draws.copy()
         hybrid[:, j - 1 :] = fresh[:, j - 1 :]
         other = R.matrices(hybrid)
-        worst = max(worst, float(np.max(np.abs(other[:, :, :j] - base[:, :, :j]))))
-    return worst
+        gaps.append(np.max(np.abs(other[:, :, :j] - base[:, :, :j])))
+    return float(np.max(gaps, initial=0.0))
 
 
 def basis_invariance_check(R: AdaptedIsometry, onb_pair, samples) -> float:
@@ -415,12 +407,14 @@ def _battery_report(name, tests, seed, N) -> RotationReport:
 
 
 def _normality_tests(prefix: str, values: np.ndarray) -> list[dict]:
-    tests = []
-    ks = ks_normal(values)
-    tests.append({"name": f"{prefix}ks", **ks})
-    for stat_name, row in moment_normality(values).items():
-        tests.append({"name": f"{prefix}{stat_name}", **row})
-    return tests
+    rows = [ks_normal(values), *moment_normality(values).values()]
+    return [{**row, "name": prefix + row["name"]} for row in rows]
+
+
+def _correlation_check(name: str, x: np.ndarray, y: np.ndarray) -> dict:
+    """Sample correlation of two N-vectors against the 4/sqrt(N) gate."""
+    rho = np.corrcoef(x, y)[0, 1]
+    return check(name, rho, 4.0 / math.sqrt(x.size))
 
 
 def gaussianity_battery(R: AdaptedIsometry, h, N: int, seed: int) -> RotationReport:
@@ -455,16 +449,7 @@ def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> Rotat
     tw = R.apply_batch(batch.draws)
     x = tw @ h1 / np.linalg.norm(h1)
     y = tw @ h2 / np.linalg.norm(h2)
-    tests = []
-    rho = float(np.corrcoef(x, y)[0, 1])
-    tests.append(
-        {
-            "name": "correlation",
-            "statistic": rho,
-            "threshold": 4.0 / math.sqrt(N),
-            "pass": abs(rho) <= 4.0 / math.sqrt(N),
-        }
-    )
+    tests = [_correlation_check("correlation", x, y)]
     feats = {
         "x": lambda v: v,
         "x2m1": lambda v: v * v - 1.0,
@@ -477,14 +462,7 @@ def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> Rotat
             prod = fx * gy
             gap = float(prod.mean() - fx.mean() * gy.mean())
             se = float(prod.std(ddof=1) / math.sqrt(N))
-            tests.append(
-                {
-                    "name": f"factorization_{fname}_{gname}",
-                    "statistic": gap,
-                    "threshold": 4.0 * se,
-                    "pass": abs(gap) <= 4.0 * se,
-                }
-            )
+            tests.append(check(f"factorization_{fname}_{gname}", gap, 4.0 * se))
     return _battery_report("independence", tests, seed, N)
 
 
@@ -502,29 +480,13 @@ def measure_preservation_battery(R: AdaptedIsometry, N: int, seed: int) -> Rotat
         cov = np.cov(tw.T, ddof=1)
     else:
         cov = np.array([[float(np.var(tw[:, 0], ddof=1))]])
-    cov_err = float(np.max(np.abs(cov - np.eye(d))))
-    cov_thr = 4.0 * math.sqrt(2.0 / N)
-    tests.append(
-        {
-            "name": "covariance_identity",
-            "statistic": cov_err,
-            "threshold": cov_thr,
-            "pass": cov_err <= cov_thr,
-        }
-    )
+    cov_err = np.max(np.abs(cov - np.eye(d)))
+    tests.append(check("covariance_identity", cov_err, 4.0 * math.sqrt(2.0 / N)))
     for a in range(1, d + 1):
-        ks = ks_normal(tw[:, a - 1])
-        tests.append({"name": f"ks_coordinate_{a}", **ks})
-    corr_thr = 4.0 / math.sqrt(N)
+        tests.append({**ks_normal(tw[:, a - 1]), "name": f"ks_coordinate_{a}"})
     for a, b in list(combinations(range(1, d + 1), 2))[:10]:
-        rho = float(np.corrcoef(tw[:, a - 1], tw[:, b - 1])[0, 1])
         tests.append(
-            {
-                "name": f"independence_pair_{a}_{b}",
-                "statistic": rho,
-                "threshold": corr_thr,
-                "pass": abs(rho) <= corr_thr,
-            }
+            _correlation_check(f"independence_pair_{a}_{b}", tw[:, a - 1], tw[:, b - 1])
         )
     return _battery_report("measure_preservation", tests, seed, N)
 
@@ -559,17 +521,8 @@ def extract_rotation(T, grid: int = 1, *, N: int = 50_000, seed: int = 314159,
     tests = []
     for i, p in enumerate(T, start=1):
         tests.extend(_normality_tests(f"component_{i}_", vals[:, i - 1]))
-    corr_thr = 4.0 / math.sqrt(N)
     for a, b in combinations(range(1, len(T) + 1), 2):
-        rho = float(np.corrcoef(vals[:, a - 1], vals[:, b - 1])[0, 1])
-        tests.append(
-            {
-                "name": f"correlation_{a}_{b}",
-                "statistic": rho,
-                "threshold": corr_thr,
-                "pass": abs(rho) <= corr_thr,
-            }
-        )
+        tests.append(_correlation_check(f"correlation_{a}_{b}", vals[:, a - 1], vals[:, b - 1]))
     if strict and not all(t["pass"] for t in tests):
         failed = [t["name"] for t in tests if not t["pass"]]
         raise RotationError(f"input battery failed: {', '.join(failed)}")
@@ -591,14 +544,7 @@ def extract_rotation(T, grid: int = 1, *, N: int = 50_000, seed: int = 314159,
         params={"grid": m, "seed": int(seed)}, isometric=False,
     )
     deviation = isometry_check(iso, sample_batch(K.n, 1000, seed=seed + 1))
-    iso.isometric = deviation <= ISOMETRY_TOL
-    tests.append(
-        {
-            "name": "assembled_isometry_deviation",
-            "statistic": deviation,
-            "threshold": ISOMETRY_TOL,
-            "pass": deviation <= ISOMETRY_TOL,
-        }
-    )
+    tests.append(check("assembled_isometry_deviation", deviation, ISOMETRY_TOL))
+    iso.isometric = tests[-1]["pass"]
     report = _battery_report("extract_rotation", tests, seed, N)
     return iso, report

@@ -1,9 +1,7 @@
-"""Discretized Gaussian space: grid, projections, sampling, Monte Carlo.
+"""Discretized Gaussian space: sampling, Monte Carlo, and the check verdict.
 
 The ambient space is R^n carrying n i.i.d. standard Gaussian increment
-coordinates eta_1 .. eta_n attached to the uniform grid theta_k = k/n.  The
-resolution of identity is the family of coordinate truncations pi_k (zero
-out all coordinates past k), with pi_0 = 0 and pi_n = the identity.
+coordinates eta_1 .. eta_n attached to the uniform grid theta_k = k/n.
 
 Sampling is reproducible bit-for-bit: a batch is generated in fixed blocks
 of BLOCK_ROWS rows, each block from its own Philox substream keyed by
@@ -11,6 +9,11 @@ of BLOCK_ROWS rows, each block from its own Philox substream keyed by
 parallel and the concatenated result is identical to a serial run.  Monte
 Carlo reductions go through numpy's fixed-shape pairwise summation, so a
 repeated estimate is bit-stable.
+
+Every check in the package (the normality tests here, the rotation
+batteries, the CLI certificates and the verify suites) gets its verdict
+from ``check``: it passes when |statistic| <= threshold, so a NaN or
+infinite statistic fails.
 """
 
 from __future__ import annotations
@@ -30,54 +33,6 @@ BLOCK_ROWS = 8192
 
 #: Name recorded in batches; identifies the bit-exact generation scheme.
 GENERATOR_ID = f"philox2x64-block{BLOCK_ROWS}"
-
-
-@dataclass(frozen=True)
-class DiscreteWienerSpace:
-    """n-coordinate discretization with the uniform grid theta_k = k/n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one coordinate, got n={self.n}")
-
-    def grid(self) -> np.ndarray:
-        """theta_1 .. theta_n."""
-        return np.arange(1, self.n + 1) / self.n
-
-    def resolution(self) -> "ResolutionOfIdentity":
-        return ResolutionOfIdentity(self.n)
-
-
-@dataclass(frozen=True)
-class ResolutionOfIdentity:
-    """Coordinate truncations pi_0 = 0 <= pi_1 <= ... <= pi_n = identity."""
-
-    n: int
-
-    def apply(self, k: int, h: np.ndarray) -> np.ndarray:
-        """pi_k h: zero out coordinates k+1 .. n."""
-        if not 0 <= k <= self.n:
-            raise ValueError(f"projection stage {k} outside 0..{self.n}")
-        h = np.asarray(h, dtype=float)
-        if h.shape != (self.n,):
-            raise ValueError(f"vector of shape {h.shape} for n={self.n}")
-        out = h.copy()
-        out[k:] = 0.0
-        return out
-
-    def matrix(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.n:
-            raise ValueError(f"projection stage {k} outside 0..{self.n}")
-        d = np.zeros(self.n)
-        d[:k] = 1.0
-        return np.diag(d)
-
-
-def apply_pi(n: int, k: int, h: np.ndarray) -> np.ndarray:
-    """Convenience wrapper for ResolutionOfIdentity(n).apply(k, h)."""
-    return ResolutionOfIdentity(n).apply(k, h)
 
 
 @dataclass(frozen=True)
@@ -105,13 +60,13 @@ class SampleBatch:
                 writer.writerow([repr(float(v)) for v in row])
 
 
-def sample_batch(space: DiscreteWienerSpace | int, n_samples: int, seed: int) -> SampleBatch:
+def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
     """Draw a reproducible batch; (seed, generator, N, n) pin the bits.
 
     Blocks of BLOCK_ROWS rows come from independent Philox streams keyed by
     (seed, block index), so any worker can regenerate any block alone.
     """
-    n = space.n if isinstance(space, DiscreteWienerSpace) else int(space)
+    n = int(n)
     if n < 1:
         raise ValueError(f"need at least one coordinate, got n={n}")
     if n_samples < 1:
@@ -128,22 +83,6 @@ def sample_batch(space: DiscreteWienerSpace | int, n_samples: int, seed: int) ->
     draws = np.vstack(blocks)
     draws.setflags(write=False)
     return SampleBatch(draws=draws, seed=seed, generator=GENERATOR_ID)
-
-
-def delta_h(h: np.ndarray, sample: np.ndarray) -> float:
-    """Divergence of the constant field h at one sample: sum_i h_i eta_i."""
-    h = np.asarray(h, dtype=float)
-    sample = np.asarray(sample, dtype=float)
-    if h.shape != sample.shape:
-        raise ValueError(f"shape mismatch {h.shape} vs {sample.shape}")
-    return float(h @ sample)
-
-
-def delta_h_batch(h: np.ndarray, batch: SampleBatch) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.shape != (batch.dim,):
-        raise ValueError(f"vector of shape {h.shape} for n={batch.dim}")
-    return batch.draws @ h
 
 
 @dataclass(frozen=True)
@@ -210,7 +149,22 @@ def identity_divergence_growth(ns) -> list[tuple[int, float]]:
 
 
 # ---------------------------------------------------------------------------
-# Normality diagnostics shared with the rotation batteries.
+# Check verdicts and the normality tests shared with the rotation batteries.
+
+
+def check(name: str, statistic: float, threshold: float, ok: bool = True) -> dict:
+    """One check record; it passes iff |statistic| <= threshold and ``ok``.
+
+    NaN compares false, so a NaN statistic or threshold fails the check.
+    """
+    statistic = float(statistic)
+    threshold = float(threshold)
+    return {
+        "name": name,
+        "statistic": statistic,
+        "threshold": threshold,
+        "pass": bool(abs(statistic) <= threshold and ok),
+    }
 
 
 def moment_normality(samples: np.ndarray) -> dict:
@@ -234,19 +188,12 @@ def moment_normality(samples: np.ndarray) -> dict:
         "skewness": (skew, 4.0 * math.sqrt(6.0 / n)),
         "excess_kurtosis": (kurt, 4.0 * math.sqrt(24.0 / n)),
     }
-    return {
-        name: {"statistic": stat, "threshold": thr, "pass": abs(stat) <= thr}
-        for name, (stat, thr) in checks.items()
-    }
+    return {name: check(name, stat, thr) for name, (stat, thr) in checks.items()}
 
 
 def ks_normal(samples: np.ndarray, alpha: float = 0.01) -> dict:
     """Kolmogorov-Smirnov against N(0,1) at the given level."""
     x = np.asarray(samples, dtype=float)
     result = _scipy_stats.kstest(x, "norm")
-    critical = float(_scipy_stats.kstwo.ppf(1.0 - alpha, x.size))
-    return {
-        "statistic": float(result.statistic),
-        "threshold": critical,
-        "pass": float(result.statistic) <= critical,
-    }
+    critical = _scipy_stats.kstwo.ppf(1.0 - alpha, x.size)
+    return check("ks", result.statistic, critical)

@@ -62,7 +62,7 @@ from .rotations import (
     mix_outputs,
     scale_output,
 )
-from .space import identity_divergence_growth, mc_estimate, sample_batch
+from .space import check, identity_divergence_growth, mc_estimate, sample_batch
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,14 @@ class SuiteResult:
         }
 
 
-def _result(name, worst, threshold, details, extra_ok=True) -> SuiteResult:
+def _result(name, gaps, threshold, details, extra_ok=True) -> SuiteResult:
+    """Fold the suite's gaps into its worst one; a NaN gap makes it NaN."""
+    verdict = check(name, np.max(gaps, initial=0.0), threshold, extra_ok)
     return SuiteResult(
         name=name,
-        passed=bool(worst <= threshold and extra_ok),
-        statistic=float(worst),
-        threshold=float(threshold),
+        passed=verdict["pass"],
+        statistic=verdict["statistic"],
+        threshold=verdict["threshold"],
         details=details,
     )
 
@@ -108,7 +110,7 @@ def _result(name, worst, threshold, details, extra_ok=True) -> SuiteResult:
 def suite_duality_pairing(seed: int = 1001) -> SuiteResult:
     """Divergence is adjoint to the gradient under the pairings."""
     rng = make_rng(seed)
-    worst = 0.0
+    gaps = []
     count = 200
     for _ in range(count):
         n = int(rng.integers(2, 7))
@@ -116,34 +118,34 @@ def suite_duality_pairing(seed: int = 1001) -> SuiteResult:
         degree = int(rng.integers(1, 5))
         K = random_operator(rng, n, d, degree)
         F = random_vfield(rng, n, d, min(degree, 3))
-        worst = max(worst, check_duality(K, F))
+        gaps.append(check_duality(K, F))
     return _result(
-        "duality_pairing", worst, 1e-10, f"{count} random operator/field pairs"
+        "duality_pairing", gaps, 1e-10, f"{count} random operator/field pairs"
     )
 
 
 def suite_weak_pairing(seed: int = 1002) -> SuiteResult:
     """Componentwise and rowwise forms of the duality agree."""
     rng = make_rng(seed)
-    worst = 0.0
+    gaps = []
     count = 100
     for _ in range(count):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
         K = random_operator(rng, n, d, 3)
         F = random_vfield(rng, n, d, 3)
-        worst = max(worst, check_weakb(K, F))
+        gaps.append(check_weakb(K, F))
         y = rng.standard_normal(d)
-        worst = max(worst, check_rowwise_divergence(K, y))
+        gaps.append(check_rowwise_divergence(K, y))
     return _result(
-        "weak_pairing", worst, 1e-10, f"{count} instances, both pairing forms"
+        "weak_pairing", gaps, 1e-10, f"{count} instances, both pairing forms"
     )
 
 
 def suite_structure_constants(seed: int = 1003) -> SuiteResult:
     """Exact divergence values: skew fields, constants, identity growth."""
     rng = make_rng(seed)
-    worst = 0.0
+    gaps = []
     ok = True
     for n in range(2, 9):
         A = random_skew_matrix(rng, n)
@@ -154,13 +156,12 @@ def suite_structure_constants(seed: int = 1003) -> SuiteResult:
             (ChaosPoly.hermite(n, i + 1, 1, h[i]) for i in range(n)),
             ChaosPoly.zero(n),
         )
-        gap = (divergence_h(const) - expected).norm_l2()
-        worst = max(worst, gap)
+        gaps.append((divergence_h(const) - expected).norm_l2())
     for n, value in identity_divergence_growth(range(1, 9)):
-        worst = max(worst, abs(value - math.sqrt(2.0 * n)))
+        gaps.append(abs(value - math.sqrt(2.0 * n)))
     return _result(
         "structure_constants",
-        worst,
+        gaps,
         1e-12,
         "skew fields, constant fields, identity divergence growth, n <= 8",
         extra_ok=ok,
@@ -170,42 +171,42 @@ def suite_structure_constants(seed: int = 1003) -> SuiteResult:
 def suite_ito_isometry(seed: int = 1004) -> SuiteResult:
     """Energy identities for predictable fields and adapted operators."""
     rng = make_rng(seed)
-    worst = 0.0
+    gaps = []
     count = 200
     for _ in range(count):
         n = int(rng.integers(2, 6))
         u = random_predictable_field(rng, n, 3)
         v = random_predictable_field(rng, n, 3)
-        worst = max(worst, check_ito_isometry(u, v))
+        gaps.append(check_ito_isometry(u, v))
     for _ in range(count):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
         K = random_weakly_adapted(rng, n, d, 3)
         D = random_finite_rank_adapted(rng, n, d)
-        worst = max(worst, check_operator_isometry(K, D))
+        gaps.append(check_operator_isometry(K, D))
     return _result(
-        "ito_isometry", worst, 1e-10, f"{count} field pairs and {count} operator pairs"
+        "ito_isometry", gaps, 1e-10, f"{count} field pairs and {count} operator pairs"
     )
 
 
 def suite_weak_orthogonality(seed: int = 1005) -> SuiteResult:
     """Anticipating remainders pair to zero against adapted test operators."""
     rng = make_rng(seed)
-    worst = 0.0
+    gaps = []
     count = 100
     for _ in range(count):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
         K = random_operator(rng, n, d, 3)
         Q = random_finite_rank_adapted(rng, n, d)
-        worst = max(worst, check_weak_orthogonality(K, Q))
-    return _result("weak_orthogonality", worst, 1e-10, f"{count} instances")
+        gaps.append(check_weak_orthogonality(K, Q))
+    return _result("weak_orthogonality", gaps, 1e-10, f"{count} instances")
 
 
 def suite_clark_exactness(seed: int = 1006) -> SuiteResult:
     """The adapted representation is exact on the representable class."""
     rng = make_rng(seed)
-    worst = 0.0
+    gaps = []
     ok = True
     count = 100
     for _ in range(count):
@@ -213,8 +214,8 @@ def suite_clark_exactness(seed: int = 1006) -> SuiteResult:
         d = int(rng.integers(1, 4))
         v = random_representable_vfield(rng, n, d, 3)
         res = reconstruct(v)
-        worst = max(worst, res.residual_l2)
-        worst = max(worst, math.sqrt(res.reconstruction.sub(v).energy()))
+        gaps.append(res.residual_l2)
+        gaps.append(math.sqrt(res.reconstruction.sub(v).energy()))
     for _ in range(30):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
@@ -222,7 +223,7 @@ def suite_clark_exactness(seed: int = 1006) -> SuiteResult:
         ok = ok and check_divergence_free_uniqueness(K)
     return _result(
         "clark_exactness",
-        worst,
+        gaps,
         1e-10,
         f"{count} representable fields plus 30 injectivity checks",
         extra_ok=ok,
@@ -232,11 +233,11 @@ def suite_clark_exactness(seed: int = 1006) -> SuiteResult:
 def suite_refinement_convergence(seed: int = 1007) -> SuiteResult:
     """Residuals shrink under grid refinement at the predicted rate."""
     rng = make_rng(seed)
-    worst = 0.0
+    gaps = []
     ok = True
     he2 = VField((ChaosPoly.hermite(1, 1, 2),))
     for m, residual in refine_and_reconstruct(he2, range(1, 17)):
-        worst = max(worst, abs(residual - math.sqrt(2.0 / m)))
+        gaps.append(abs(residual - math.sqrt(2.0 / m)))
     for _ in range(20):
         n = int(rng.integers(1, 4))
         v = VField((random_poly(rng, n, 3),))
@@ -249,7 +250,7 @@ def suite_refinement_convergence(seed: int = 1007) -> SuiteResult:
             ok = ok and residuals[0] ** 2 >= 3.0 * residuals[-1] ** 2
     return _result(
         "refinement_convergence",
-        worst,
+        gaps,
         1e-12,
         "closed form m=1..16 plus 20 random monotonicity and energy-ratio checks",
         extra_ok=ok,
@@ -259,7 +260,7 @@ def suite_refinement_convergence(seed: int = 1007) -> SuiteResult:
 def suite_minimal_energy(seed: int = 1008) -> SuiteResult:
     """The gradient-of-inverse-generator field represents every functional."""
     rng = make_rng(seed)
-    worst = 0.0
+    gaps = []
     ok = True
     count = 100
     for _ in range(count):
@@ -267,7 +268,7 @@ def suite_minimal_energy(seed: int = 1008) -> SuiteResult:
         p = random_poly(rng, n, 4)
         centered = p - ChaosPoly.constant(n, p.expectation())
         bar = minimal_energy_integrand(centered)
-        worst = max(worst, (divergence_h(bar) - centered).norm_l2())
+        gaps.append((divergence_h(bar) - centered).norm_l2())
     for _ in range(40):
         n = int(rng.integers(2, 6))
         phi = random_representable_poly(rng, n, 3)
@@ -283,7 +284,7 @@ def suite_minimal_energy(seed: int = 1008) -> SuiteResult:
     ok = ok and compare_energies(first).coincide
     return _result(
         "minimal_energy",
-        worst,
+        gaps,
         1e-10,
         f"{count} centered functionals, 40 energy comparisons, worked pair",
         extra_ok=ok,
@@ -293,20 +294,19 @@ def suite_minimal_energy(seed: int = 1008) -> SuiteResult:
 def suite_number_operator(seed: int = 1009) -> SuiteResult:
     """Divergence after gradient acts as grade scaling."""
     rng = make_rng(seed)
-    worst = 0.0
+    gaps = []
     count = 100
     for _ in range(count):
         n = int(rng.integers(1, 6))
         p = random_poly(rng, n, 4)
-        gap = (divergence_h(gradient_scalar(p)) - ou_apply(p)).norm_l2()
-        worst = max(worst, gap)
-    return _result("number_operator", worst, 1e-10, f"{count} random functionals")
+        gaps.append((divergence_h(gradient_scalar(p)) - ou_apply(p)).norm_l2())
+    return _result("number_operator", gaps, 1e-10, f"{count} random functionals")
 
 
 def suite_operator_bound(seed: int = 1010) -> SuiteResult:
     """The sharp constant bounds the pairing over the unit sphere."""
     rng = make_rng(seed)
-    worst = 0.0
+    gaps = []
     count = 40
     for _ in range(count):
         n = int(rng.integers(2, 5))
@@ -320,25 +320,24 @@ def suite_operator_bound(seed: int = 1010) -> SuiteResult:
                 continue
             y = y / norm
             value = divergence_h(K.transpose_apply(y)).norm_l2()
-            worst = max(worst, value - c)
+            gaps.append(value - c)
     return _result(
-        "operator_bound", worst, 1e-9, f"{count} operators, 20 directions each"
+        "operator_bound", gaps, 1e-9, f"{count} operators, 20 directions each"
     )
 
 
 def suite_rotation_invariants(seed: int = 1011) -> SuiteResult:
     """Adapted rotations: pathwise isometry, strict-past certificates, defects."""
-    worst = 0.0
+    gaps = []
     ok = True
     n = 6
     probe = sample_batch(n, 1000, seed)
     for spec in ("zero", "sign", "givens"):
         R = build_sequential_isometry(n, seed, spec)
-        worst = max(worst, isometry_check(R, probe))
-        worst = max(worst, check_strict_past_measurability(R, probe))
+        gaps.append(isometry_check(R, probe))
+        gaps.append(check_strict_past_measurability(R, probe))
     base = build_sequential_isometry(n, seed, "zero")
-    cov_gap = float(np.max(np.abs(exact_output_covariance(base) - np.eye(n))))
-    worst = max(worst, cov_gap)
+    gaps.append(np.max(np.abs(exact_output_covariance(base) - np.eye(n))))
     scaled = scale_output(base, 1, 2.0)
     ok = ok and abs(isometry_check(scaled, probe) - 3.0) <= 1e-12
     mixed = mix_outputs(build_sequential_isometry(n, seed, "givens"), 1, n)
@@ -352,7 +351,7 @@ def suite_rotation_invariants(seed: int = 1011) -> SuiteResult:
     ok = ok and report.passed
     return _result(
         "rotation_invariants",
-        worst,
+        gaps,
         1e-9,
         "three constructions, exact covariance, planted defects, output law",
         extra_ok=ok,
@@ -362,7 +361,7 @@ def suite_rotation_invariants(seed: int = 1011) -> SuiteResult:
 def suite_monte_carlo_consistency(seed: int = 1012) -> SuiteResult:
     """Sampling means agree with algebraic expectations within 4 sigma."""
     rng = make_rng(seed)
-    worst = 0.0
+    gaps = []
     count = 50
     n = 4
     batch = sample_batch(n, 100_000, seed)
@@ -370,10 +369,10 @@ def suite_monte_carlo_consistency(seed: int = 1012) -> SuiteResult:
         p = random_poly(rng, n, 3)
         est = mc_estimate(p, batch)
         tolerance = max(4.0 * est.stderr, 1e-12)
-        worst = max(worst, abs(est.mean - p.expectation()) / tolerance)
+        gaps.append(abs(est.mean - p.expectation()) / tolerance)
     return _result(
         "monte_carlo_consistency",
-        worst,
+        gaps,
         1.0,
         f"{count} functionals at 100000 samples, gap over 4 sigma",
     )

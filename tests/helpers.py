@@ -74,10 +74,19 @@ def quad_poly_expectation(p: ChaosPoly) -> float:
 
 
 def mc_poly_mean(p: ChaosPoly, n_samples: int, seed: int) -> tuple[float, float]:
-    """(mean, stderr) of the polynomial under plain Monte Carlo."""
+    """(mean, stderr) of the polynomial under plain Monte Carlo.
+
+    Evaluates whole columns in the term and factor order of eval_poly_indep,
+    so every sample value equals the row-by-row evaluation bit for bit.
+    """
     rng = make_rng(seed)
     draws = rng.standard_normal((n_samples, p.dim))
-    vals = np.array([eval_poly_indep(p, row) for row in draws])
+    vals = np.zeros(n_samples)
+    for idx, c in p.terms.items():
+        v = np.full(n_samples, c)
+        for i, k in idx.pairs:
+            v *= he_value(k, draws[:, i - 1])
+        vals += v
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
 
 

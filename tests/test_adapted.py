@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import make_rng
-from wienerlab.chaos import ChaosPoly, conditional_expectation, l2_inner
+from wienerlab.chaos import ChaosPoly, l2_inner
 from wienerlab.adapted import (
     FiniteRankAdapted,
-    Filtration,
     NotPredictable,
     PredictableHField,
     RankOneAdapted,
@@ -70,12 +69,6 @@ def test_weakly_adapted_operator_validates():
         WeaklyAdaptedOperator((good_row, bad_row))
     K = WeaklyAdaptedOperator((good_row, good_row))
     assert K.shape == (2, 2)
-
-
-def test_filtration_condition_delegates():
-    f = Filtration(3)
-    p = he(2, 2, 3) + eta(1, 3)
-    assert f.condition(p, 1) == conditional_expectation(p, 1)
 
 
 # --------------------------------------------------------------- projection

@@ -141,6 +141,17 @@ def test_product_he2_he2_frozen():
     assert abs(quad_poly_expectation(prod) - 2.0) < 1e-12
 
 
+def test_mc_poly_mean_matches_row_loop_exactly():
+    # the column-wise oracle must reproduce the row-by-row evaluation bit for bit
+    rng = make_rng(108)
+    for _ in range(5):
+        p = random_poly(rng, 3, 4)
+        draws = make_rng(77).standard_normal((500, 3))
+        vals = np.array([eval_poly_indep(p, row) for row in draws])
+        expected = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(500)))
+        assert mc_poly_mean(p, 500, seed=77) == expected
+
+
 def test_product_pointwise_oracle():
     rng = make_rng(101)
     for _ in range(25):

@@ -69,6 +69,16 @@ def test_verify_reports_failure_with_exit_one(tmp_path, monkeypatch, capsys):
     assert out.strip().endswith("verify: FAIL")
 
 
+def test_verify_nan_gap_exits_one(tmp_path, monkeypatch, capsys):
+    # a check that returns NaN must fail its suite, not vanish in the fold
+    monkeypatch.setattr(wienerlab.suites, "check_duality", lambda K, F: math.nan)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["verify", "--suite", "duality_pairing"], capsys)
+    assert code == 1
+    assert "FAIL duality_pairing: worst nan" in out
+    assert out.strip().endswith("verify: FAIL")
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, err = run(["verify", "--suite", "nope"], capsys)
     assert code == 2

@@ -26,8 +26,6 @@ from wienerlab.malliavin import (
     dual_pairing_expectation,
     gradient_scalar,
     gradient_vector,
-    identity_operator,
-    rank_one,
     skew_symmetric_field,
     trace_pairing,
     trace_pairing_expectation,
@@ -132,7 +130,7 @@ def test_divergence_mc_oracle():
 
 
 def test_divergence_op_identity_recovers_coordinates():
-    w = divergence_op(identity_operator(3))
+    w = divergence_op(OperatorField.constant(np.eye(3)))
     assert w.components == tuple(eta(i, 3) for i in range(1, 4))
 
 
@@ -140,7 +138,7 @@ def test_rank_one_divergence_factorizes():
     rng = make_rng(313)
     alpha = random_hfield(rng, 3, 2)
     y = np.array([2.0, -1.0, 0.5])
-    K = rank_one(alpha, y)
+    K = OperatorField(tuple(alpha.scale(v) for v in y))
     d = divergence_op(K)
     base = divergence_h(alpha)
     for a, ya in enumerate(y, start=1):
@@ -181,7 +179,7 @@ def test_dual_pairing_expectation_route():
 
 
 def test_transpose_apply_and_apply_field():
-    K = identity_operator(2)
+    K = OperatorField.constant(np.eye(2))
     y = np.array([3.0, -1.0])
     u = K.transpose_apply(y)
     assert u.coords == (ChaosPoly.constant(2, 3.0), ChaosPoly.constant(2, -1.0))
@@ -206,7 +204,7 @@ def test_duality_random_instances():
 def test_duality_hand_example():
     # K = identity on R^2, F = (He_2(eta_1), eta_1 eta_2); both sides
     # reduce to expectations of odd-degree terms, hence vanish
-    K = identity_operator(2)
+    K = OperatorField.constant(np.eye(2))
     F = VField((he(2, 1, 2), hermite_product(eta(1, 2), eta(2, 2))))
     lhs = trace_pairing_expectation(K, gradient_vector(F))
     rhs = dual_pairing_expectation(F, divergence_op(K))
@@ -226,7 +224,7 @@ def test_weakb_random_instances():
 
 def test_weakb_hand_example():
     # identity operator with F = (eta_1, 0): K^T F = (eta_1, 0)
-    K = identity_operator(2)
+    K = OperatorField.constant(np.eye(2))
     F = VField((eta(1, 2), ChaosPoly.zero(2)))
     lhs = divergence_h(K.apply_field(F))
     rhs = dual_pairing(F, divergence_op(K)) - trace_pairing(K, gradient_vector(F))
@@ -250,7 +248,7 @@ def test_rowwise_divergence_random():
 
 def test_cbound_constant_identity():
     # each row of 1_H diverges to the orthonormal family (eta_a): C = 1
-    assert check_cbound(identity_operator(4)) == pytest.approx(1.0, abs=1e-12)
+    assert check_cbound(OperatorField.constant(np.eye(4))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cbound_diagonal_coordinate_operator():
@@ -274,7 +272,7 @@ def test_cbound_rank_one_closed_form():
     rng = make_rng(319)
     alpha = random_hfield(rng, 3, 2)
     y = np.array([1.0, -2.0, 2.0])
-    K = rank_one(alpha, y)
+    K = OperatorField(tuple(alpha.scale(v) for v in y))
     expected = np.linalg.norm(y) * divergence_h(alpha).norm_l2()
     assert check_cbound(K) == pytest.approx(expected, rel=1e-12)
 

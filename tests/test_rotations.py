@@ -12,7 +12,6 @@ from wienerlab.randgen import random_orthogonal
 from wienerlab.rotations import (
     AdaptedIsometry,
     RotationError,
-    apply_rotation,
     basis_invariance_check,
     build_sequential_isometry,
     check_strict_past_measurability,
@@ -41,16 +40,16 @@ def draws_for(n, count=1000, seed=777):
 def test_zero_spec_is_identity():
     R = build_sequential_isometry(3, seed=1, angle_spec="zero")
     x = np.array([0.3, -1.2, 0.8])
-    assert np.array_equal(apply_rotation(R, x), x)
+    assert np.array_equal(R.apply_batch(x[None])[0], x)
     assert isometry_check(R, draws_for(3)) == 0.0
 
 
 def test_sign_spec_hand_values():
     R = build_sequential_isometry(2, seed=1, angle_spec="sign")
-    assert np.allclose(apply_rotation(R, np.array([0.5, 2.0])), [0.5, 2.0])
-    assert np.allclose(apply_rotation(R, np.array([-0.5, 2.0])), [-0.5, -2.0])
+    assert np.allclose(R.apply_batch(np.array([0.5, 2.0])[None])[0], [0.5, 2.0])
+    assert np.allclose(R.apply_batch(np.array([-0.5, 2.0])[None])[0], [-0.5, -2.0])
     # sign of zero counts as positive so the matrix stays orthogonal
-    assert np.allclose(apply_rotation(R, np.array([0.0, 2.0])), [0.0, 2.0])
+    assert np.allclose(R.apply_batch(np.array([0.0, 2.0])[None])[0], [0.0, 2.0])
 
 
 def test_constant_spec_applies_transpose():
@@ -58,7 +57,7 @@ def test_constant_spec_applies_transpose():
     Q = random_orthogonal(rng, 3)
     R = build_sequential_isometry(3, seed=1, angle_spec={"kind": "constant", "matrix": Q})
     x = rng.standard_normal(3)
-    assert np.allclose(apply_rotation(R, x), Q.T @ x, atol=1e-12)
+    assert np.allclose(R.apply_batch(x[None])[0], Q.T @ x, atol=1e-12)
 
 
 def test_constant_spec_rejects_non_orthogonal():
@@ -94,6 +93,17 @@ def test_strict_past_measurability_certificate():
         assert check_strict_past_measurability(R, draws_for(4, count=256)) == 0.0
 
 
+def test_strict_past_certificate_keeps_nan():
+    # a NaN entry in the last column must not vanish in the fold over columns
+    def fn(draws):
+        M = np.broadcast_to(np.eye(3), (draws.shape[0], 3, 3)).copy()
+        M[:, 0, 2] = np.nan
+        return M
+
+    R = AdaptedIsometry(3, 3, "nan", fn)
+    assert math.isnan(check_strict_past_measurability(R, draws_for(3)))
+
+
 def test_construction_reproducible():
     a = build_sequential_isometry(5, seed=123, angle_spec="givens")
     b = build_sequential_isometry(5, seed=123, angle_spec="givens")
@@ -107,7 +117,7 @@ def test_construction_reproducible():
 
 
 def test_pathwise_rotation_matches_divergence():
-    # for polynomial-entry rotations apply_rotation is the evaluated
+    # for polynomial-entry rotations the rotated sample is the evaluated
     # divergence of the operator rows at every sample
     rng = make_rng(43)
     Q = random_orthogonal(rng, 3)
@@ -115,7 +125,7 @@ def test_pathwise_rotation_matches_divergence():
     comps = divergence_op(R.operator()).components
     for _ in range(20):
         x = rng.standard_normal(3)
-        tw = apply_rotation(R, x)
+        tw = R.apply_batch(x[None])[0]
         alg = np.array([p.evaluate(x) for p in comps])
         assert np.max(np.abs(tw - alg)) <= 1e-10
 

@@ -1,4 +1,4 @@
-"""Discretized space: grid, projections, reproducible sampling, Monte Carlo."""
+"""Discretized space: reproducible sampling, Monte Carlo, check verdicts."""
 
 import json
 import math
@@ -9,12 +9,8 @@ import pytest
 from wienerlab.chaos import ChaosPoly, expectation
 from wienerlab.space import (
     BLOCK_ROWS,
-    DiscreteWienerSpace,
     MonteCarloEstimate,
-    ResolutionOfIdentity,
-    apply_pi,
-    delta_h,
-    delta_h_batch,
+    check,
     identity_divergence_growth,
     ks_normal,
     mc_estimate,
@@ -23,34 +19,9 @@ from wienerlab.space import (
 )
 
 
-def test_grid_and_bounds():
-    space = DiscreteWienerSpace(4)
-    assert np.allclose(space.grid(), [0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ValueError):
-        DiscreteWienerSpace(0)
-
-
-def test_resolution_of_identity_chain():
-    res = ResolutionOfIdentity(3)
-    h = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(res.apply(0, h), [0.0, 0.0, 0.0])
-    assert np.array_equal(res.apply(3, h), h)
-    assert np.array_equal(res.apply(2, h), [1.0, 2.0, 0.0])
-    # nesting: pi_j pi_k = pi_min(j,k)
-    for j in range(4):
-        for k in range(4):
-            a = res.apply(j, res.apply(k, h))
-            b = res.apply(min(j, k), h)
-            assert np.array_equal(a, b)
-    assert np.array_equal(res.matrix(2) @ h, res.apply(2, h))
-    assert np.array_equal(apply_pi(3, 1, h), [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        res.apply(4, h)
-
-
 def test_sample_batch_reproducible():
     a = sample_batch(3, 1000, seed=42)
-    b = sample_batch(DiscreteWienerSpace(3), 1000, seed=42)
+    b = sample_batch(3, 1000, seed=42)
     assert np.array_equal(a.draws, b.draws)
     assert a.generator == b.generator
     c = sample_batch(3, 1000, seed=43)
@@ -62,6 +33,8 @@ def test_sample_batch_block_substreams():
     long = sample_batch(2, BLOCK_ROWS + 17, seed=7)
     short = sample_batch(2, BLOCK_ROWS, seed=7)
     assert np.array_equal(long.draws[:BLOCK_ROWS], short.draws)
+    with pytest.raises(ValueError):
+        sample_batch(0, 10, seed=1)
     with pytest.raises(ValueError):
         sample_batch(2, 0, seed=1)
     with pytest.raises(ValueError):
@@ -84,15 +57,30 @@ def test_sample_batch_gaussian_stats():
 def test_delta_h_distribution():
     batch = sample_batch(3, 200_000, seed=99991)
     h = np.array([0.5, -1.0, 2.0])
-    vals = delta_h_batch(h, batch) / np.linalg.norm(h)
+    # the divergence of the constant field h is sum_i h_i eta_i
+    vals = batch.draws @ h / np.linalg.norm(h)
     ks = ks_normal(vals)
     assert ks["pass"], ks
     moments = moment_normality(vals)
     for name, row in moments.items():
         assert row["pass"], (name, row)
-    assert delta_h(h, np.array([1.0, 1.0, 1.0])) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        delta_h(h, np.array([1.0, 1.0]))
+
+
+def test_check_verdict_rule():
+    assert check("demo", -0.5, 1.0) == {
+        "name": "demo",
+        "statistic": -0.5,
+        "threshold": 1.0,
+        "pass": True,
+    }
+    assert not check("demo", 0.5, 1.0, ok=False)["pass"]
+    assert not check("demo", 1.5, 1.0)["pass"]
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not check("demo", bad, 1.0)["pass"]
+    assert not check("demo", 0.5, math.nan)["pass"]
+    # the strict-past certificate: exactly zero passes, anything else fails
+    assert check("demo", 0.0, 0.0)["pass"]
+    assert not check("demo", 1e-300, 0.0)["pass"]
 
 
 def test_mc_estimate_matches_algebra():

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+import wienerlab.suites
 from wienerlab.suites import SuiteResult, run_suites, suite_names
 
 
@@ -56,3 +58,11 @@ def test_suites_are_deterministic():
     a = run_suites(["refinement_convergence", "clark_exactness"])
     b = run_suites(["refinement_convergence", "clark_exactness"])
     assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+
+
+def test_nan_gap_fails_the_suite(monkeypatch):
+    monkeypatch.setattr(wienerlab.suites, "check_duality", lambda K, F: math.nan)
+    result = wienerlab.suites.suite_duality_pairing()
+    assert not result.passed
+    assert math.isnan(result.statistic)
+    assert result.line().startswith("FAIL duality_pairing: worst nan")
