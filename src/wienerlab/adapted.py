@@ -32,7 +32,14 @@ from .chaos import (
     l2_inner,
     linear_combine,
 )
-from .malliavin import HField, OperatorField, VField, divergence_h, divergence_op
+from .malliavin import (
+    HField,
+    OperatorField,
+    VField,
+    divergence_h,
+    divergence_op,
+    dual_pairing_expectation,
+)
 
 
 class NotPredictable(ValueError):
@@ -164,41 +171,30 @@ def check_ito_isometry(u: HField, v: HField) -> float:
     return abs(l2_inner(divergence_h(u), divergence_h(v)) - u.inner(v))
 
 
-def check_weak_orthogonality(K: OperatorField, Q: FiniteRankAdapted) -> float:
-    """|E<<K, Q>> - E<<projected K, Q>>| over the structural rank-one form."""
+def _finite_rank_pairing(K: OperatorField, Q: FiniteRankAdapted) -> float:
+    """E<<K, Q>> = sum over terms, outputs a and inputs i of y_a E[K_{a,i} q_i]."""
     if (Q.d, Q.n) != K.shape:
         raise DimensionMismatch(f"operator {K.shape} vs finite-rank {(Q.d, Q.n)}")
-    projected = project_operator(K)
-    lhs = rhs = 0.0
+    total = 0.0
     for t in Q.terms:
-        for a in range(K.d):
-            ya = t.functional[a]
+        for ya, row in zip(t.functional, K.rows):
             if ya == 0.0:
                 continue
-            for i in range(K.n):
-                qi = t.field.coords[i]
-                lhs += ya * l2_inner(K.rows[a].coords[i], qi)
-                rhs += ya * l2_inner(projected.rows[a].coords[i], qi)
-    return abs(lhs - rhs)
+            for k, q in zip(row.coords, t.field.coords):
+                total += ya * l2_inner(k, q)
+    return total
+
+
+def check_weak_orthogonality(K: OperatorField, Q: FiniteRankAdapted) -> float:
+    """|E<<K, Q>> - E<<projected K, Q>>| over the structural rank-one form."""
+    lhs = _finite_rank_pairing(K, Q)  # checks the shapes before projecting
+    return abs(lhs - _finite_rank_pairing(project_operator(K), Q))
 
 
 def check_operator_isometry(K: WeaklyAdaptedOperator, D: FiniteRankAdapted) -> float:
     """|E<div D, div K> - E<<K, D>>| with D in structural finite-rank form."""
-    if (D.d, D.n) != K.shape:
-        raise DimensionMismatch(f"operator {K.shape} vs finite-rank {(D.d, D.n)}")
-    delta_K = divergence_op(K)
-    delta_D = D.divergence()
-    lhs = sum(
-        l2_inner(delta_D.components[a], delta_K.components[a]) for a in range(K.d)
-    )
-    rhs = 0.0
-    for t in D.terms:
-        for a in range(K.d):
-            ya = t.functional[a]
-            if ya == 0.0:
-                continue
-            for i in range(K.n):
-                rhs += ya * l2_inner(K.rows[a].coords[i], t.field.coords[i])
+    rhs = _finite_rank_pairing(K, D)
+    lhs = dual_pairing_expectation(D.divergence(), divergence_op(K))
     return abs(lhs - rhs)
 
 

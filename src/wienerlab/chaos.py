@@ -16,7 +16,9 @@ product, product (Hermite linearization), coordinate derivative, conditional
 expectation with respect to the coordinate filtration, chaos-grade
 projection, number-operator scaling and its inverse, grid refinement, and
 pointwise evaluation.  Coefficients at or below ``PRUNE_EPS`` are pruned
-after every operation so a stored coefficient is never an exact zero.
+after every operation so a stored coefficient is never an exact zero, and a
+NaN or infinite coefficient raises :class:`AlgebraError` instead of being
+stored or dropped.
 
 Values are immutable and operations are pure functions, so they are safe to
 share across threads or workers without locking.
@@ -111,10 +113,6 @@ class MultiIndex:
         return self._factorial
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self._pairs)
-
-    @property
     def max_coordinate(self) -> int:
         """Largest coordinate carrying a positive order; 0 for the constant."""
         return self._pairs[-1][0] if self._pairs else 0
@@ -168,6 +166,9 @@ def _canonical_terms(
         if idx.total_degree > cap:
             raise DegreeCapExceeded(idx.total_degree, cap)
         acc[idx] = acc.get(idx, 0.0) + coeff
+    if not all(map(math.isfinite, acc.values())):
+        bad = next(c for c in acc.values() if not math.isfinite(c))
+        raise AlgebraError(f"non-finite coefficient {bad!r}")
     return {idx: c for idx, c in acc.items() if abs(c) > PRUNE_EPS}
 
 
@@ -209,10 +210,6 @@ class ChaosPoly:
         if not 1 <= i <= dim:
             raise AlgebraError(f"coordinate {i} outside 1..{dim}")
         return cls(dim, {MultiIndex({i: k}): coeff})
-
-    @classmethod
-    def monomial(cls, dim: int, index: MultiIndex, coeff: float = 1.0) -> "ChaosPoly":
-        return cls(dim, {index: coeff})
 
     # ---- basic views ---------------------------------------------------
 
@@ -552,32 +549,14 @@ def refine(p: ChaosPoly, m: int, *, cap: int | None = None) -> ChaosPoly:
     return ChaosPoly(new_dim, acc, cap=cap)
 
 
-def _hermite_values(x: float, kmax: int) -> list[float]:
-    vals = [1.0, x]
-    for k in range(1, kmax):
-        vals.append(x * vals[k] - k * vals[k - 1])
-    return vals[: kmax + 1]
-
-
 def evaluate(p: ChaosPoly, sample: Sequence[float]) -> float:
-    """Evaluate at one sample point (length ``dim``) via the recurrence."""
+    """Evaluate at one sample point (length ``dim``) as a one-row batch."""
     sample = np.asarray(sample, dtype=float)
     if sample.shape != (p.dim,):
         raise DimensionMismatch(
             f"sample of shape {sample.shape} for ambient dimension {p.dim}"
         )
-    needed: dict[int, int] = {}
-    for idx in p._terms:
-        for i, k in idx.pairs:
-            needed[i] = max(needed.get(i, 0), k)
-    tables = {i: _hermite_values(float(sample[i - 1]), k) for i, k in needed.items()}
-    total = 0.0
-    for idx, c in p._terms.items():
-        v = c
-        for i, k in idx.pairs:
-            v *= tables[i][k]
-        total += v
-    return total
+    return float(evaluate_batch(p, sample[None])[0])
 
 
 def evaluate_batch(p: ChaosPoly, samples: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ cap, and violations carry the source span of the offending node.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -342,6 +343,8 @@ def lower(node, n: int, *, cap: int | None = None):
 
 def _lower_scalar(node, n: int, cap: int) -> ChaosPoly:
     if isinstance(node, Literal):
+        if not math.isfinite(node.value):
+            raise DslSemanticError(f"literal {node.value!r} is not a finite number", *node.span)
         return ChaosPoly.constant(n, node.value)
     if isinstance(node, Variable):
         _check_index(node.index, n, node.span)

@@ -9,6 +9,10 @@ Three field types over an ambient dimension n:
   is the pairing of output direction a with input direction i, so row a is
   the HField obtained by composing with the a-th output functional.
 
+All three share one arithmetic (``add``, ``sub``, ``energy``, ``norm``) over
+their stored tuple, and every pairing below is one sum of products or one
+sum of inner products.
+
 The gradient of a scalar is the HField of coordinate derivatives; the
 gradient of a VField stacks those rows into an OperatorField.  The
 divergence of an HField is the adjoint of the scalar gradient::
@@ -30,6 +34,7 @@ import numpy as np
 from .chaos import (
     ChaosPoly,
     DimensionMismatch,
+    _require_same_dim,
     hermite_product,
     l2_inner,
     linear_combine,
@@ -38,24 +43,92 @@ from .chaos import (
 )
 
 
-def _shared_dim(polys) -> int:
-    dims = {p.dim for p in polys}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"mixed ambient dimensions {sorted(dims)}")
-    return dims.pop()
+class _Field:
+    """Arithmetic shared by the field containers over their stored tuple.
+
+    A container names its tuple with ``class X(_Field, parts="...")``.  The
+    results of ``add`` and ``sub`` take that declaring class, so a checked
+    subclass such as ``PredictableHField`` gives a plain, unchecked field.
+    """
+
+    def __init_subclass__(cls, parts: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if parts is not None:
+            cls._parts_name = parts
+            cls._plain = cls
+
+    def __post_init__(self):
+        parts = tuple(getattr(self, self._parts_name))
+        if not parts:
+            raise ValueError(f"{self._plain.__name__} needs at least one entry")
+        object.__setattr__(self, self._parts_name, parts)
+
+    @property
+    def _parts(self) -> tuple:
+        return getattr(self, self._parts_name)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Lengths of the nested tuples: (n,), (d,) or (d, n)."""
+        head = self._parts[0]
+        return (len(self._parts),) + (head.shape if isinstance(head, _Field) else ())
+
+    def _matched(self, other) -> zip:
+        """The two stored tuples zipped, after checking that the shapes agree."""
+        if self.shape != other.shape:
+            raise DimensionMismatch(
+                f"{self._plain.__name__} shapes {self.shape} vs {other.shape}"
+            )
+        return zip(self._parts, other._parts)
+
+    def add(self, other):
+        return self._plain(tuple(p + q for p, q in self._matched(other)))
+
+    def sub(self, other):
+        return self._plain(tuple(p - q for p, q in self._matched(other)))
+
+    # operator rows are fields themselves, so ``p + q`` above must work on them
+    __add__ = add
+    __sub__ = sub
+
+    def energy(self) -> float:
+        """Sum of the second moments of the stored polynomials."""
+        return _sum_of_inner((p, p) for p in self._parts)
+
+    def norm(self) -> float:
+        return math.sqrt(self.energy())
+
+
+def _sum_of_products(pairs) -> ChaosPoly:
+    """sum_j p_j q_j over (p_j, q_j) pairs, as one linear combination."""
+    parts = [hermite_product(p, q) for p, q in pairs]
+    return linear_combine([1.0] * len(parts), parts)
+
+
+def _sum_of_inner(pairs) -> float:
+    """sum_j E[p_j q_j] over (p_j, q_j) pairs, without forming products."""
+    return sum(l2_inner(p, q) for p, q in pairs)
+
+
+def gram(polys) -> np.ndarray:
+    """Gram matrix G_ab = E[p_a p_b]; each pair a <= b is computed once."""
+    d = len(polys)
+    G = np.empty((d, d))
+    for a in range(d):
+        for b in range(a, d):
+            G[a, b] = G[b, a] = l2_inner(polys[a], polys[b])
+    return G
 
 
 @dataclass(frozen=True)
-class HField:
+class HField(_Field, parts="coords"):
     """Coordinate fields (u_1, .., u_n); the length equals the ambient dim."""
 
     coords: tuple[ChaosPoly, ...]
 
     def __post_init__(self):
-        if not self.coords:
-            raise ValueError("HField needs at least one coordinate")
-        object.__setattr__(self, "coords", tuple(self.coords))
-        n = _shared_dim(self.coords)
+        super().__post_init__()
+        n = _require_same_dim(*self.coords)
         if len(self.coords) != n:
             raise DimensionMismatch(
                 f"{len(self.coords)} coordinate fields over ambient dimension {n}"
@@ -69,28 +142,9 @@ class HField:
         """1-based coordinate access."""
         return self.coords[i - 1]
 
-    def energy(self) -> float:
-        """E|u|^2 = sum_i E[u_i^2]."""
-        return sum(l2_inner(u, u) for u in self.coords)
-
-    def norm(self) -> float:
-        return math.sqrt(self.energy())
-
     def inner(self, other: "HField") -> float:
         """E(u, v) = sum_i E[u_i v_i]."""
-        if self.n != other.n:
-            raise DimensionMismatch(f"HField lengths {self.n} vs {other.n}")
-        return sum(l2_inner(u, v) for u, v in zip(self.coords, other.coords))
-
-    def add(self, other: "HField") -> "HField":
-        if self.n != other.n:
-            raise DimensionMismatch(f"HField lengths {self.n} vs {other.n}")
-        return HField(tuple(u + v for u, v in zip(self.coords, other.coords)))
-
-    def sub(self, other: "HField") -> "HField":
-        if self.n != other.n:
-            raise DimensionMismatch(f"HField lengths {self.n} vs {other.n}")
-        return HField(tuple(u - v for u, v in zip(self.coords, other.coords)))
+        return _sum_of_inner(self._matched(other))
 
     def scale(self, c: float) -> "HField":
         return HField(tuple(linear_combine([float(c)], [u]) for u in self.coords))
@@ -108,16 +162,14 @@ class HField:
 
 
 @dataclass(frozen=True)
-class VField:
+class VField(_Field, parts="components"):
     """Random vector in R^d with chaos-polynomial components."""
 
     components: tuple[ChaosPoly, ...]
 
     def __post_init__(self):
-        if not self.components:
-            raise ValueError("VField needs at least one component")
-        object.__setattr__(self, "components", tuple(self.components))
-        _shared_dim(self.components)
+        super().__post_init__()
+        _require_same_dim(*self.components)
 
     @property
     def d(self) -> int:
@@ -130,22 +182,6 @@ class VField:
     def component(self, a: int) -> ChaosPoly:
         return self.components[a - 1]
 
-    def energy(self) -> float:
-        return sum(l2_inner(f, f) for f in self.components)
-
-    def norm(self) -> float:
-        return math.sqrt(self.energy())
-
-    def sub(self, other: "VField") -> "VField":
-        if self.d != other.d:
-            raise DimensionMismatch(f"component counts {self.d} vs {other.d}")
-        return VField(tuple(f - g for f, g in zip(self.components, other.components)))
-
-    def add(self, other: "VField") -> "VField":
-        if self.d != other.d:
-            raise DimensionMismatch(f"component counts {self.d} vs {other.d}")
-        return VField(tuple(f + g for f, g in zip(self.components, other.components)))
-
     def expectation(self) -> np.ndarray:
         return np.array([f.expectation() for f in self.components])
 
@@ -156,15 +192,13 @@ class VField:
 
 
 @dataclass(frozen=True)
-class OperatorField:
+class OperatorField(_Field, parts="rows"):
     """d x n matrix of chaos polynomials, stored as d HField rows."""
 
     rows: tuple[HField, ...]
 
     def __post_init__(self):
-        if not self.rows:
-            raise ValueError("OperatorField needs at least one row")
-        object.__setattr__(self, "rows", tuple(self.rows))
+        super().__post_init__()
         ns = {row.n for row in self.rows}
         if len(ns) != 1:
             raise DimensionMismatch(f"rows of mixed length {sorted(ns)}")
@@ -177,19 +211,12 @@ class OperatorField:
     def n(self) -> int:
         return self.rows[0].n
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.d, self.n)
-
     def entry(self, a: int, i: int) -> ChaosPoly:
         """1-based entry (output direction a, input direction i)."""
         return self.rows[a - 1].coords[i - 1]
 
     def row(self, a: int) -> HField:
         return self.rows[a - 1]
-
-    def column(self, i: int) -> VField:
-        return VField(tuple(row.coords[i - 1] for row in self.rows))
 
     def transpose_apply(self, y) -> HField:
         """K^T y for a constant output functional y in R^d."""
@@ -207,27 +234,15 @@ class OperatorField:
         """K^T F with a random F: coordinate i is sum_a K_{a,i} F_a."""
         if F.d != self.d:
             raise DimensionMismatch(f"field with {F.d} components for d={self.d}")
-        coords = []
-        for i in range(self.n):
-            parts = [
-                hermite_product(row.coords[i], F.components[a])
-                for a, row in enumerate(self.rows)
-            ]
-            coords.append(linear_combine([1.0] * len(parts), parts))
-        return HField(tuple(coords))
-
-    def sub(self, other: "OperatorField") -> "OperatorField":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shapes {self.shape} vs {other.shape}")
-        return OperatorField(tuple(r.sub(s) for r, s in zip(self.rows, other.rows)))
-
-    def add(self, other: "OperatorField") -> "OperatorField":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"shapes {self.shape} vs {other.shape}")
-        return OperatorField(tuple(r.add(s) for r, s in zip(self.rows, other.rows)))
+        return HField(
+            tuple(
+                _sum_of_products(zip(column, F.components))
+                for column in zip(*(row.coords for row in self.rows))
+            )
+        )
 
     def energy(self) -> float:
-        """E of the squared Hilbert-Schmidt norm."""
+        """E of the squared Hilbert-Schmidt norm, summed row by row."""
         return sum(row.energy() for row in self.rows)
 
     def max_entry_norm(self) -> float:
@@ -250,13 +265,9 @@ class OperatorField:
     def constant(cls, matrix) -> "OperatorField":
         """Deterministic operator from a d x n matrix."""
         matrix = np.asarray(matrix, dtype=float)
-        d, n = matrix.shape
-        return cls(
-            tuple(
-                HField(tuple(ChaosPoly.constant(n, float(matrix[a, i])) for i in range(n)))
-                for a in range(d)
-            )
-        )
+        if matrix.ndim != 2:
+            raise ValueError(f"matrix of shape {matrix.shape}")
+        return cls(tuple(HField.constant(row) for row in matrix))
 
 
 def skew_symmetric_field(A) -> HField:
@@ -307,41 +318,28 @@ def divergence_op(K: OperatorField) -> VField:
     return VField(tuple(divergence_h(row) for row in K.rows))
 
 
+def _entry_pairs(K: OperatorField, D: OperatorField):
+    """Matching entries of two operators of one shape, row by row."""
+    return (pair for kr, dr in K._matched(D) for pair in zip(kr.coords, dr.coords))
+
+
 def trace_pairing(K: OperatorField, D: OperatorField) -> ChaosPoly:
     """The random trace pairing sum_{a,i} K_{a,i} D_{a,i} as a ChaosPoly."""
-    if K.shape != D.shape:
-        raise DimensionMismatch(f"shapes {K.shape} vs {D.shape}")
-    parts = [
-        hermite_product(kr.coords[i], dr.coords[i])
-        for kr, dr in zip(K.rows, D.rows)
-        for i in range(K.n)
-    ]
-    return linear_combine([1.0] * len(parts), parts)
+    return _sum_of_products(_entry_pairs(K, D))
 
 
 def trace_pairing_expectation(K: OperatorField, D: OperatorField) -> float:
     """E of the trace pairing, summed term-by-term without forming products."""
-    if K.shape != D.shape:
-        raise DimensionMismatch(f"shapes {K.shape} vs {D.shape}")
-    return sum(
-        l2_inner(kr.coords[i], dr.coords[i])
-        for kr, dr in zip(K.rows, D.rows)
-        for i in range(K.n)
-    )
+    return _sum_of_inner(_entry_pairs(K, D))
 
 
 def dual_pairing(F: VField, G: VField) -> ChaosPoly:
     """The random scalar sum_a F_a G_a."""
-    if F.d != G.d:
-        raise DimensionMismatch(f"component counts {F.d} vs {G.d}")
-    parts = [hermite_product(f, g) for f, g in zip(F.components, G.components)]
-    return linear_combine([1.0] * len(parts), parts)
+    return _sum_of_products(F._matched(G))
 
 
 def dual_pairing_expectation(F: VField, G: VField) -> float:
-    if F.d != G.d:
-        raise DimensionMismatch(f"component counts {F.d} vs {G.d}")
-    return sum(l2_inner(f, g) for f, g in zip(F.components, G.components))
+    return _sum_of_inner(F._matched(G))
 
 
 # ------------------------------------------------------------------- checks
@@ -376,11 +374,5 @@ def check_cbound(K: OperatorField) -> float:
     G_{ab} = E[div(row_a) div(row_b)], so C is the square root of the top
     eigenvalue of G.
     """
-    divs = [divergence_h(row) for row in K.rows]
-    d = len(divs)
-    gram = np.empty((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            gram[a, b] = gram[b, a] = l2_inner(divs[a], divs[b])
-    top = float(np.linalg.eigvalsh(gram)[-1])
+    top = float(np.linalg.eigvalsh(gram([divergence_h(row) for row in K.rows]))[-1])
     return math.sqrt(max(top, 0.0))

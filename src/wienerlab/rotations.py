@@ -38,9 +38,9 @@ from itertools import combinations
 import numpy as np
 
 from .adapted import PredictableHField, WeaklyAdaptedOperator
-from .chaos import ChaosPoly, evaluate_batch, l2_inner, refine
+from .chaos import evaluate_batch, refine
 from .clark import clark_integrand
-from .malliavin import VField, divergence_op, gradient_scalar
+from .malliavin import VField, divergence_op, gram
 from .randgen import make_rng
 from .space import SampleBatch, check, ks_normal, moment_normality, sample_batch
 
@@ -92,15 +92,12 @@ class AdaptedIsometry:
     entries also expose the exact operator form for chaos-level checks.
     """
 
-    def __init__(self, n, d, kind, matrix_fn, operator=None, params=None,
-                 isometric=True):
+    def __init__(self, n, d, kind, matrix_fn, operator=None):
         self.n = int(n)
         self.d = int(d)
         self.kind = str(kind)
         self._matrix_fn = matrix_fn
         self._operator = operator
-        self.params = dict(params) if params else {}
-        self.isometric = bool(isometric)
 
     def matrices(self, draws: np.ndarray) -> np.ndarray:
         """Row-form matrices, shape (N, d, n), at the given (N, n) samples."""
@@ -124,9 +121,6 @@ class AdaptedIsometry:
         """Exact chaos-polynomial form of the rows, when the entries are polynomial."""
         return self._operator
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "d": self.d, **self.params}
-
 
 # ------------------------------------------------------------- constructors
 
@@ -136,15 +130,6 @@ def _constant_fn(M: np.ndarray):
         return np.broadcast_to(M, (draws.shape[0],) + M.shape)
 
     return fn
-
-
-def _operator_from_matrix(M: np.ndarray) -> WeaklyAdaptedOperator:
-    d, n = M.shape
-    rows = tuple(
-        PredictableHField(tuple(ChaosPoly.constant(n, float(M[a, j])) for j in range(n)))
-        for a in range(d)
-    )
-    return WeaklyAdaptedOperator(rows)
 
 
 def _sign_fn(n: int):
@@ -223,23 +208,18 @@ def build_sequential_isometry(n: int, seed: int, angle_spec) -> AdaptedIsometry:
     if kind == "zero":
         M = np.eye(n)
         return AdaptedIsometry(
-            n, n, "zero", _constant_fn(M), operator=_operator_from_matrix(M),
-            params={"seed": int(seed)},
+            n, n, "zero", _constant_fn(M), operator=WeaklyAdaptedOperator.constant(M)
         )
 
     if kind == "sign":
-        return AdaptedIsometry(n, n, "sign", _sign_fn(n), params={"seed": int(seed)})
+        return AdaptedIsometry(n, n, "sign", _sign_fn(n))
 
     if kind == "givens":
         rng = make_rng(int(seed))
         weights = {
             c: 0.7 * rng.standard_normal((n - c + 1, c - 1)) for c in range(2, n + 1)
         }
-        params = {
-            "seed": int(seed),
-            "stage_weights": {str(c): w.tolist() for c, w in weights.items()},
-        }
-        return AdaptedIsometry(n, n, "givens", _sequential_fn(n, weights), params=params)
+        return AdaptedIsometry(n, n, "givens", _sequential_fn(n, weights))
 
     if kind == "constant":
         if "matrix" in spec:
@@ -255,8 +235,7 @@ def build_sequential_isometry(n: int, seed: int, angle_spec) -> AdaptedIsometry:
             raise RotationError(f"constant matrix is not orthogonal (gap {gap:.3e})")
         M = Q.T.copy()
         return AdaptedIsometry(
-            n, n, "constant", _constant_fn(M), operator=_operator_from_matrix(M),
-            params={"seed": int(seed), "matrix": Q.tolist()},
+            n, n, "constant", _constant_fn(M), operator=WeaklyAdaptedOperator.constant(M)
         )
 
     raise RotationError(f"unknown angle spec {kind!r}")
@@ -283,11 +262,7 @@ def scale_output(base: AdaptedIsometry, index: int, factor: float) -> AdaptedIso
             tuple(p * factor for p in rows[index - 1].coords)
         )
         op = WeaklyAdaptedOperator(tuple(rows))
-    params = {**base.params, "defect": {"scale_output": [index, factor]}}
-    return AdaptedIsometry(
-        base.n, base.d, base.kind + "+scaled", fn, operator=op, params=params,
-        isometric=False,
-    )
+    return AdaptedIsometry(base.n, base.d, base.kind + "+scaled", fn, operator=op)
 
 
 def mix_outputs(base: AdaptedIsometry, a: int, b: int) -> AdaptedIsometry:
@@ -309,11 +284,7 @@ def mix_outputs(base: AdaptedIsometry, a: int, b: int) -> AdaptedIsometry:
         )
         rows[b - 1] = PredictableHField(mixed)
         op = WeaklyAdaptedOperator(tuple(rows))
-    params = {**base.params, "defect": {"mix_outputs": [a, b]}}
-    return AdaptedIsometry(
-        base.n, base.d, base.kind + "+mixed", fn, operator=op, params=params,
-        isometric=False,
-    )
+    return AdaptedIsometry(base.n, base.d, base.kind + "+mixed", fn, operator=op)
 
 
 # ------------------------------------------------------------------- checks
@@ -390,13 +361,7 @@ def exact_output_covariance(R: AdaptedIsometry) -> np.ndarray:
     op = R.operator()
     if op is None:
         raise RotationError(f"{R.kind} rotation has no polynomial operator form")
-    comps = divergence_op(op).components
-    d = len(comps)
-    cov = np.empty((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            cov[a, b] = cov[b, a] = l2_inner(comps[a], comps[b])
-    return cov
+    return gram(divergence_op(op).components)
 
 
 # ---------------------------------------------------------------- batteries
@@ -539,12 +504,8 @@ def extract_rotation(T, grid: int = 1, *, N: int = 50_000, seed: int = 314159,
                 M[:, a, j] = evaluate_batch(entries[a][j], draws)
         return M
 
-    iso = AdaptedIsometry(
-        K.n, K.d, "extracted", fn, operator=K,
-        params={"grid": m, "seed": int(seed)}, isometric=False,
-    )
+    iso = AdaptedIsometry(K.n, K.d, "extracted", fn, operator=K)
     deviation = isometry_check(iso, sample_batch(K.n, 1000, seed=seed + 1))
     tests.append(check("assembled_isometry_deviation", deviation, ISOMETRY_TOL))
-    iso.isometric = tests[-1]["pass"]
     report = _battery_report("extract_rotation", tests, seed, N)
     return iso, report

@@ -23,7 +23,6 @@ from .adapted import (
 )
 from .chaos import ChaosPoly, ou_apply
 from .clark import (
-    clark_integrand,
     compare_energies,
     minimal_energy_integrand,
     reconstruct,
@@ -43,7 +42,6 @@ from .malliavin import (
 from .randgen import (
     make_rng,
     random_finite_rank_adapted,
-    random_hfield,
     random_operator,
     random_poly,
     random_predictable_field,

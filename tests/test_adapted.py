@@ -291,3 +291,14 @@ def test_zero_operator_passes_uniqueness():
     )
     K = WeaklyAdaptedOperator(rows)
     assert check_divergence_free_uniqueness(K)
+
+
+def test_predictable_sub_returns_plain_hfield():
+    n = 2
+    u = PredictableHField((ChaosPoly.constant(n, 1.0), eta(1, n)))
+    v = HField((eta(1, n), eta(2, n)))  # reaches into its own present
+    assert not is_predictable(v)
+    for w in (u.sub(v), u.add(v)):
+        assert type(w) is HField
+        assert not is_predictable(w)
+    assert u.sub(v).coords == (ChaosPoly.constant(n, 1.0) - eta(1, n), eta(1, n) - eta(2, n))

@@ -465,6 +465,31 @@ def test_evaluate_batch_matches_scalar():
         evaluate_batch(p, xs[:, :2])
 
 
+
+def _evaluate_by_recurrence(p, point):
+    """Scalar three-term recurrence per factor, terms summed in stored order."""
+    total = 0.0
+    for idx, c in p.terms.items():
+        v = c
+        for i, k in idx.pairs:
+            x = float(point[i - 1])
+            vals = [1.0, x]
+            for j in range(1, k):
+                vals.append(x * vals[j] - j * vals[j - 1])
+            v *= vals[k]
+        total += v
+    return total
+
+
+def test_evaluate_matches_scalar_recurrence_exactly():
+    # evaluate runs as a one-row batch; the arithmetic must be the same
+    rng = make_rng(667)
+    for _ in range(20):
+        p = random_poly(rng, 4, 6, n_terms=8)
+        x = 2.0 * rng.standard_normal(4)
+        assert evaluate(p, x) == _evaluate_by_recurrence(p, x)
+
+
 # ------------------------------------------------------------------ caps, text
 
 
@@ -502,3 +527,19 @@ def test_embed():
     assert q.dim == 5 and q.terms == p.terms
     with pytest.raises(DimensionMismatch):
         q.embed(2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_raise(bad):
+    with pytest.raises(AlgebraError, match="non-finite"):
+        ChaosPoly(2, {(): bad, ((1, 1),): 1.0})
+    with pytest.raises(AlgebraError, match="non-finite"):
+        linear_combine([bad], [ChaosPoly.coordinate(2, 1)])
+
+
+def test_overflowing_product_raises():
+    big = ChaosPoly.constant(1, 1e200)
+    with pytest.raises(AlgebraError, match="non-finite"):
+        hermite_product(big, big)
+    with pytest.raises(AlgebraError, match="non-finite"):
+        linear_combine([1e200], [big])

@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+import wienerlab.cli
 import wienerlab.suites
 from wienerlab.cli import main
 from wienerlab.suites import SuiteResult
@@ -174,6 +176,15 @@ def test_represent_semantic_error_exit_code(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_represent_non_finite_literal_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["represent", "--functional", "1e400*x1", "--n", "1"], capsys)
+    assert code == 2
+    assert "column 1" in err and "finite" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_represent_bad_refine_list(capsys):
     code, _, err = run(
         ["represent", "--functional", "x1", "--n", "1", "--refine", "2,zero"], capsys
@@ -286,8 +297,16 @@ def test_rotate_rejects_bad_dimension(capsys):
 # ------------------------------------------------------------------ misc
 
 
+def _time_once(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
 def test_bench_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    # the rows are checked, not the timings: run each kernel once
+    monkeypatch.setattr(wienerlab.cli, "_time_call", _time_once)
     code, out, _ = run(["bench", "--seed", "7", "--output", "bench.json"], capsys)
     assert code == 0
     assert "hermite_product" in out

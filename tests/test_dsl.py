@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from wienerlab.chaos import ChaosPoly, hermite_product
+from wienerlab.chaos import AlgebraError, ChaosPoly, hermite_product
 from wienerlab.dsl import (
     Binary,
+    DslError,
     DslSemanticError,
     DslSyntaxError,
     Hermite,
@@ -265,3 +266,16 @@ def test_printed_form_lowers_identically():
         except DslSemanticError:
             continue
         assert lower(parse_functional(printed), 4, cap=8) == p
+
+
+def test_semantic_error_non_finite_literal():
+    with pytest.raises(DslSemanticError) as err:
+        lower(parse_functional("x1 + 1e400*x1"), 1)
+    assert (err.value.line, err.value.col) == (1, 6)
+    assert "finite" in str(err.value)
+
+
+def test_overflow_from_finite_literals_stays_an_algebra_error():
+    with pytest.raises(AlgebraError) as err:
+        lower(parse_functional("1e200 * 1e200 * x1"), 1)
+    assert not isinstance(err.value, DslError)

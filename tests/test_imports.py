@@ -1,0 +1,39 @@
+"""Source hygiene: every name a module imports is read somewhere in it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "wienerlab"
+MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never loaded."""
+    tree = ast.parse(source)
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_scanner_finds_an_unused_import():
+    assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
+        "math (line 1)",
+        "path (line 2)",
+    ]
+    assert unused_imports("from __future__ import annotations\nimport a.b\na.b.c()\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

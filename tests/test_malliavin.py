@@ -326,3 +326,31 @@ def test_field_arithmetic_and_energy():
     assert u.norm() == pytest.approx(math.sqrt(3.0), abs=1e-12)
     assert u.inner(v) == pytest.approx(0.0, abs=1e-14)
     assert u.scale(2.0).energy() == pytest.approx(12.0, abs=1e-12)
+
+
+def _pair_of_shapes(kind):
+    if kind == "HField":
+        return HField((eta(1, 2), eta(2, 2))), HField((eta(1, 3), eta(2, 3), eta(3, 3)))
+    if kind == "VField":
+        return VField((eta(1, 2), eta(2, 2))), VField((eta(1, 2), eta(2, 2), eta(1, 2)))
+    row = HField((eta(1, 2), eta(2, 2)))
+    return OperatorField((row, row)), OperatorField((row, row, row))
+
+
+@pytest.mark.parametrize("kind", ["HField", "VField", "OperatorField"])
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_field_arithmetic_rejects_mismatched_shapes(kind, op):
+    # zip would silently truncate the longer operand; the shape check must not
+    a, b = _pair_of_shapes(kind)
+    with pytest.raises(DimensionMismatch):
+        getattr(a, op)(b)
+    with pytest.raises(DimensionMismatch):
+        getattr(b, op)(a)
+
+
+def test_operator_energy_sums_row_energies_exactly():
+    K = random_operator(make_rng(0), 3, 3, 3, n_terms=4)
+    assert K.energy() == sum(row.energy() for row in K.rows)
+    # this seed tells the row-by-row order apart from one flat sum over entries
+    flat = sum(l2_inner(p, p) for row in K.rows for p in row.coords)
+    assert flat != K.energy()
