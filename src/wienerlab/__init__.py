@@ -1,5 +1,7 @@
 """Desk-scale exact laboratory for Malliavin calculus on a discretized Gaussian space."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .chaos import (
@@ -111,110 +113,9 @@ from .dsl import (
 )
 from .suites import SuiteResult, run_suites, suite_names
 
+#: Every public name bound above, in import order; submodules are not exports.
 __all__ = [
-    "__version__",
-    # chaos algebra
-    "DEGREE_CAP",
-    "DIM_CAP",
-    "AlgebraError",
-    "ChaosPoly",
-    "DegreeCapExceeded",
-    "DimensionMismatch",
-    "MultiIndex",
-    "NotCentered",
-    "chaos_projection",
-    "conditional_expectation",
-    "evaluate",
-    "evaluate_batch",
-    "expectation",
-    "hermite_product",
-    "l2_inner",
-    "linear_combine",
-    "multiply_by_coordinate",
-    "norm_l2",
-    "ou_apply",
-    "ou_inverse",
-    "partial_derivative",
-    "refine",
-    # discretized space and sampling
-    "BLOCK_ROWS",
-    "GENERATOR_ID",
-    "MonteCarloEstimate",
-    "SampleBatch",
-    "identity_divergence_growth",
-    "ks_normal",
-    "mc_estimate",
-    "moment_normality",
-    "sample_batch",
-    # gradient, divergence, pairings
-    "HField",
-    "OperatorField",
-    "VField",
-    "check_cbound",
-    "check_duality",
-    "check_rowwise_divergence",
-    "check_weakb",
-    "divergence_h",
-    "divergence_op",
-    "dual_pairing",
-    "dual_pairing_expectation",
-    "gradient_scalar",
-    "gradient_vector",
-    "skew_symmetric_field",
-    "trace_pairing",
-    "trace_pairing_expectation",
-    # filtration and adapted structures
-    "FiniteRankAdapted",
-    "NotPredictable",
-    "PredictableHField",
-    "RankOneAdapted",
-    "WeaklyAdaptedOperator",
-    "check_divergence_free_uniqueness",
-    "check_ito_isometry",
-    "check_operator_isometry",
-    "check_weak_orthogonality",
-    "is_predictable",
-    "ito_integral",
-    "project_adapted",
-    "project_operator",
-    # adapted representation
-    "ClarkResult",
-    "EnergyComparison",
-    "RepresentationError",
-    "check_uniqueness",
-    "clark_integrand",
-    "compare_energies",
-    "is_representable",
-    "minimal_energy_integrand",
-    "reconstruct",
-    "refine_and_reconstruct",
-    "representation_residual",
-    "residual_mass_oracle",
-    # adapted rotations
-    "ISOMETRY_TOL",
-    "AdaptedIsometry",
-    "RotationError",
-    "RotationReport",
-    "basis_invariance_check",
-    "build_sequential_isometry",
-    "check_strict_past_measurability",
-    "exact_output_covariance",
-    "extract_rotation",
-    "gaussianity_battery",
-    "independence_battery",
-    "isometry_check",
-    "measure_preservation_battery",
-    "mix_outputs",
-    "scale_output",
-    # expression language
-    "DslError",
-    "DslSemanticError",
-    "DslSyntaxError",
-    "lower",
-    "parse_functional",
-    "print_functional",
-    # verification suites
-    "SuiteResult",
-    "run_suites",
-    "suite_names",
+    name
+    for name, value in globals().items()
+    if name == "__version__" or not (name.startswith("_") or isinstance(value, _ModuleType))
 ]

@@ -15,10 +15,13 @@ Every operation here is exact up to double rounding: expectation, inner
 product, product (Hermite linearization), coordinate derivative, conditional
 expectation with respect to the coordinate filtration, chaos-grade
 projection, number-operator scaling and its inverse, grid refinement, and
-pointwise evaluation.  Coefficients at or below ``PRUNE_EPS`` are pruned
-after every operation so a stored coefficient is never an exact zero, and a
-NaN or infinite coefficient raises :class:`AlgebraError` instead of being
-stored or dropped.
+pointwise evaluation.  Every operation passes its ``(index, coefficient)``
+pairs to the :class:`ChaosPoly` constructor, whose one term gate sums them,
+checks each summed index against the ambient dimension and the degree cap,
+rejects a NaN or infinite coefficient with :class:`AlgebraError` instead of
+storing or dropping it, and prunes coefficients at or below ``PRUNE_EPS``, so
+a stored coefficient is never an exact zero.  The degree cap has a single
+override, ``hermite_product(cap=)``.
 
 Values are immutable and operations are pure functions, so they are safe to
 share across threads or workers without locking.
@@ -28,15 +31,15 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as _cartesian
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-#: Largest total degree a stored term may have unless a caller passes a
-#: larger explicit cap to a degree-raising operation.
+#: Largest total degree a stored term may have.  The only override is an
+#: explicit ``cap`` passed to :func:`hermite_product`.
 DEGREE_CAP = 8
 
 #: Hard upper bound on the ambient Gaussian dimension.
@@ -79,9 +82,8 @@ class MultiIndex:
     __slots__ = ("_pairs", "_degree", "_factorial")
 
     def __init__(self, orders: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = orders.items() if isinstance(orders, Mapping) else orders
         pairs = []
-        for coord, order in items:
+        for coord, order in orders.items() if hasattr(orders, "items") else orders:
             coord = int(coord)
             order = int(order)
             if order == 0:
@@ -150,22 +152,25 @@ class MultiIndex:
 EMPTY_INDEX = MultiIndex()
 
 
-def _canonical_terms(
-    terms, dim: int, cap: int
-) -> dict[MultiIndex, float]:
+def _canonical_terms(terms, dim: int, cap: int) -> dict[MultiIndex, float]:
+    """The term gate: sum, check and prune ``(index, coefficient)`` pairs.
+
+    Pairs are summed in arrival order.  Every summed index, also one whose
+    coefficients cancel to zero, is checked against ``dim`` and ``cap``
+    before any coefficient is checked for finiteness.
+    """
     acc: dict[MultiIndex, float] = {}
-    items = terms.items() if isinstance(terms, Mapping) else terms
-    for idx, coeff in items:
+    for idx, coeff in terms.items() if hasattr(terms, "items") else terms:
         if not isinstance(idx, MultiIndex):
             idx = MultiIndex(idx)
-        coeff = float(coeff)
+        acc[idx] = acc.get(idx, 0.0) + float(coeff)
+    for idx in acc:
         if idx.max_coordinate > dim:
             raise DimensionMismatch(
                 f"coordinate {idx.max_coordinate} outside ambient dimension {dim}"
             )
         if idx.total_degree > cap:
             raise DegreeCapExceeded(idx.total_degree, cap)
-        acc[idx] = acc.get(idx, 0.0) + coeff
     if not all(map(math.isfinite, acc.values())):
         bad = next(c for c in acc.values() if not math.isfinite(c))
         raise AlgebraError(f"non-finite coefficient {bad!r}")
@@ -301,7 +306,7 @@ class ChaosPoly:
         return "\n".join(lines)
 
     @classmethod
-    def from_text(cls, dim: int, text: str, *, cap: int | None = None) -> "ChaosPoly":
+    def from_text(cls, dim: int, text: str) -> "ChaosPoly":
         terms: list[tuple[MultiIndex, float]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -319,7 +324,7 @@ class ChaosPoly:
                     raise AlgebraError(f"line {lineno}: bad order field {field!r}")
                 pairs.append((int(m.group(1)), int(m.group(2))))
             terms.append((MultiIndex(pairs), coeff))
-        return cls(dim, terms, cap=cap)
+        return cls(dim, terms)
 
 
 def _require_same_dim(*polys: ChaosPoly) -> int:
@@ -338,14 +343,15 @@ def linear_combine(coeffs: Sequence[float], polys: Sequence[ChaosPoly]) -> Chaos
     if not polys:
         raise AlgebraError("empty linear combination has no ambient dimension")
     dim = _require_same_dim(*polys)
-    acc: dict[MultiIndex, float] = {}
-    for c, p in zip(coeffs, polys):
-        c = float(c)
-        if c == 0.0:
-            continue
-        for idx, pc in p._terms.items():
-            acc[idx] = acc.get(idx, 0.0) + c * pc
-    return ChaosPoly(dim, acc)
+    return ChaosPoly(
+        dim,
+        (
+            (idx, c * pc)
+            for c, p in zip(map(float, coeffs), polys)
+            if c != 0.0
+            for idx, pc in p._terms.items()
+        ),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -385,16 +391,20 @@ def hermite_product(p: ChaosPoly, q: ChaosPoly, *, cap: int | None = None) -> Ch
     """Exact product in the algebra via Hermite linearization.
 
     Raises :class:`DegreeCapExceeded` rather than silently producing terms
-    past the cap.
+    past the cap.  ``cap`` (default :data:`DEGREE_CAP`) is the one override
+    of the degree cap in the algebra.
     """
     dim = _require_same_dim(p, q)
-    acc: dict[MultiIndex, float] = {}
-    for ia, ca in p._terms.items():
-        for ib, cb in q._terms.items():
-            scale = ca * cb
-            for idx, w in _monomial_product(ia, ib):
-                acc[idx] = acc.get(idx, 0.0) + scale * w
-    return ChaosPoly(dim, acc, cap=cap)
+    return ChaosPoly(
+        dim,
+        (
+            (idx, ca * cb * w)
+            for ia, ca in p._terms.items()
+            for ib, cb in q._terms.items()
+            for idx, w in _monomial_product(ia, ib)
+        ),
+        cap=cap,
+    )
 
 
 def expectation(p: ChaosPoly) -> float:
@@ -422,29 +432,25 @@ def partial_derivative(p: ChaosPoly, i: int) -> ChaosPoly:
     """Coordinate derivative: ``He_k(eta_i) -> k He_{k-1}(eta_i)`` per term."""
     if not 1 <= i <= p.dim:
         raise AlgebraError(f"coordinate {i} outside 1..{p.dim}")
-    acc: dict[MultiIndex, float] = {}
-    for idx, c in p._terms.items():
-        k = idx.order(i)
-        if k == 0:
-            continue
-        new = idx.shifted(i, -1)
-        acc[new] = acc.get(new, 0.0) + k * c
-    return ChaosPoly(p.dim, acc)
+    return ChaosPoly(
+        p.dim,
+        ((idx.shifted(i, -1), k * c) for idx, c in p._terms.items() if (k := idx.order(i))),
+    )
 
 
-def multiply_by_coordinate(p: ChaosPoly, i: int, *, cap: int | None = None) -> ChaosPoly:
+def multiply_by_coordinate(p: ChaosPoly, i: int) -> ChaosPoly:
     """Exact product with ``eta_i``: ``He_1 He_k = He_{k+1} + k He_{k-1}``."""
     if not 1 <= i <= p.dim:
         raise AlgebraError(f"coordinate {i} outside 1..{p.dim}")
-    acc: dict[MultiIndex, float] = {}
-    for idx, c in p._terms.items():
-        k = idx.order(i)
-        up = idx.shifted(i, 1)
-        acc[up] = acc.get(up, 0.0) + c
-        if k >= 1:
-            down = idx.shifted(i, -1)
-            acc[down] = acc.get(down, 0.0) + k * c
-    return ChaosPoly(p.dim, acc, cap=cap)
+
+    def pairs():
+        for idx, c in p._terms.items():
+            yield idx.shifted(i, 1), c
+            k = idx.order(i)
+            if k:
+                yield idx.shifted(i, -1), k * c
+
+    return ChaosPoly(p.dim, pairs())
 
 
 def conditional_expectation(p: ChaosPoly, k: int) -> ChaosPoly:
@@ -492,7 +498,7 @@ def ou_inverse(p: ChaosPoly, *, tol: float = 1e-12) -> ChaosPoly:
     return ChaosPoly(p.dim, acc)
 
 
-def refine(p: ChaosPoly, m: int, *, cap: int | None = None) -> ChaosPoly:
+def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     """Replace each coordinate by the mean of ``m`` finer coordinates.
 
     Coordinate ``i`` of the coarse grid becomes
@@ -500,7 +506,8 @@ def refine(p: ChaosPoly, m: int, *, cap: int | None = None) -> ChaosPoly:
     ``dim * m``.  Because that block average is again standard Gaussian the
     substitution preserves the law, grade, expectation, and every L2 inner
     product.  Each ``He_k`` of a block average is expanded exactly through
-    the three-term recurrence and :func:`hermite_product`.
+    the three-term recurrence and :func:`hermite_product`.  ``m = 1``
+    returns ``p`` itself.
     """
     m = int(m)
     if m < 1:
@@ -511,7 +518,7 @@ def refine(p: ChaosPoly, m: int, *, cap: int | None = None) -> ChaosPoly:
             f"refined dimension {new_dim} exceeds the dimension cap {DIM_CAP}"
         )
     if m == 1:
-        return ChaosPoly(p.dim, p._terms, cap=cap)
+        return p
 
     inv_root = 1.0 / math.sqrt(m)
     one = ChaosPoly.constant(new_dim, 1.0)
@@ -534,19 +541,22 @@ def refine(p: ChaosPoly, m: int, *, cap: int | None = None) -> ChaosPoly:
             table.append(
                 linear_combine(
                     [1.0, -float(j)],
-                    [hermite_product(z, table[j], cap=cap), table[j - 1]],
+                    [hermite_product(z, table[j]), table[j - 1]],
                 )
             )
         return table[k]
 
-    acc: dict[MultiIndex, float] = {}
-    for idx, c in p._terms.items():
-        piece = one
-        for i, k in idx.pairs:
-            piece = hermite_product(piece, he_of_block(i, k), cap=cap)
-        for pidx, pc in piece._terms.items():
-            acc[pidx] = acc.get(pidx, 0.0) + c * pc
-    return ChaosPoly(new_dim, acc, cap=cap)
+    def block_monomial(idx: MultiIndex) -> ChaosPoly:
+        return reduce(hermite_product, (he_of_block(i, k) for i, k in idx.pairs), one)
+
+    return ChaosPoly(
+        new_dim,
+        (
+            (pidx, c * pc)
+            for idx, c in p._terms.items()
+            for pidx, pc in block_monomial(idx)._terms.items()
+        ),
+    )
 
 
 def evaluate(p: ChaosPoly, sample: Sequence[float]) -> float:

@@ -29,7 +29,7 @@ import traceback
 import numpy as np
 
 from . import __version__
-from .chaos import ChaosPoly, hermite_product, refine
+from .chaos import AlgebraError, ChaosPoly, hermite_product, refine
 from .clark import compare_energies, reconstruct, refine_and_reconstruct
 from .dsl import DslError, lower, parse_functional
 from .malliavin import VField, divergence_h, gradient_scalar
@@ -203,7 +203,12 @@ def _cmd_represent(args) -> int:
     n = _positive_int(_pick(args, config, "n"), "n")
     factors = _parse_refine(_pick(args, config, "refine"))
     source = _read_functional(_pick(args, config, "functional"))
-    lowered = lower(parse_functional(source), n)
+    tree = parse_functional(source)
+    try:
+        lowered = lower(tree, n)
+    except AlgebraError as exc:
+        # e.g. a product of finite literals that overflows: an input error
+        raise UsageError(f"functional {source!r}: {exc}") from exc
     v = lowered if isinstance(lowered, VField) else VField((lowered,))
 
     result = reconstruct(v)

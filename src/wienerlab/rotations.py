@@ -38,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .adapted import PredictableHField, WeaklyAdaptedOperator
-from .chaos import evaluate_batch, refine
+from .chaos import evaluate_batch, linear_combine, refine
 from .clark import clark_integrand
 from .malliavin import VField, divergence_op, gram
 from .randgen import make_rng
@@ -244,57 +244,54 @@ def build_sequential_isometry(n: int, seed: int, angle_spec) -> AdaptedIsometry:
 # ---------------------------------------------------------- planted defects
 
 
+def _recombine_outputs(base: AdaptedIsometry, L: np.ndarray, tag: str) -> AdaptedIsometry:
+    """Replace the output rows by ``L @ rows`` for a constant d x d matrix ``L``.
+
+    Applied to the matrix stack and, when there is one, to the operator form.
+    """
+
+    def fn(draws):
+        # the output keeps the base stack's memory layout, and with it the
+        # summation order of every reduction downstream
+        M = base.matrices(draws)
+        return np.matmul(L, M, out=np.empty_like(M))
+
+    op = base.operator()
+    if op is not None:
+        columns = list(zip(*(row.coords for row in op.rows)))
+        op = WeaklyAdaptedOperator(
+            tuple(
+                PredictableHField(tuple(linear_combine(w, col) for col in columns))
+                for w in L
+            )
+        )
+    return AdaptedIsometry(base.n, base.d, base.kind + tag, fn, operator=op)
+
+
 def scale_output(base: AdaptedIsometry, index: int, factor: float) -> AdaptedIsometry:
     """Break the isometry by scaling one output row of the matrix."""
     if not 1 <= index <= base.d:
         raise RotationError(f"output index {index} outside 1..{base.d}")
-    factor = float(factor)
-
-    def fn(draws):
-        M = np.array(base.matrices(draws))
-        M[:, index - 1, :] *= factor
-        return M
-
-    op = base.operator()
-    if op is not None:
-        rows = list(op.rows)
-        rows[index - 1] = PredictableHField(
-            tuple(p * factor for p in rows[index - 1].coords)
-        )
-        op = WeaklyAdaptedOperator(tuple(rows))
-    return AdaptedIsometry(base.n, base.d, base.kind + "+scaled", fn, operator=op)
+    L = np.eye(base.d)
+    L[index - 1, index - 1] = float(factor)
+    return _recombine_outputs(base, L, "+scaled")
 
 
 def mix_outputs(base: AdaptedIsometry, a: int, b: int) -> AdaptedIsometry:
     """Break independence by replacing output b with (output a + output b)/sqrt2."""
     if a == b or not (1 <= a <= base.d and 1 <= b <= base.d):
         raise RotationError(f"need two distinct output indices in 1..{base.d}")
-    c = 1.0 / math.sqrt(2.0)
-
-    def fn(draws):
-        M = np.array(base.matrices(draws))
-        M[:, b - 1, :] = c * (M[:, a - 1, :] + M[:, b - 1, :])
-        return M
-
-    op = base.operator()
-    if op is not None:
-        rows = list(op.rows)
-        mixed = tuple(
-            (p + q) * c for p, q in zip(rows[a - 1].coords, rows[b - 1].coords)
-        )
-        rows[b - 1] = PredictableHField(mixed)
-        op = WeaklyAdaptedOperator(tuple(rows))
-    return AdaptedIsometry(base.n, base.d, base.kind + "+mixed", fn, operator=op)
+    L = np.eye(base.d)
+    L[b - 1, [a - 1, b - 1]] = 1.0 / math.sqrt(2.0)
+    return _recombine_outputs(base, L, "+mixed")
 
 
 # ------------------------------------------------------------------- checks
 
 
-def _as_draws(samples, n: int, default_seed: int = 1618) -> np.ndarray:
+def _as_draws(samples) -> np.ndarray:
     if isinstance(samples, SampleBatch):
         return samples.draws
-    if isinstance(samples, (int, np.integer)):
-        return sample_batch(n, int(samples), seed=default_seed).draws
     return np.asarray(samples, dtype=float)
 
 
@@ -304,7 +301,7 @@ def isometry_check(R: AdaptedIsometry, samples) -> float:
     Per sample this is the largest absolute eigenvalue of M M^T - I, i.e.
     the spectral distance of the rows from exact orthonormality.
     """
-    draws = _as_draws(samples, R.n)
+    draws = _as_draws(samples)
     mats = R.matrices(draws)
     gram = np.einsum("sij,skj->sik", mats, mats)
     gram -= np.eye(R.d)
@@ -318,7 +315,7 @@ def check_strict_past_measurability(R: AdaptedIsometry, samples, seed: int = 271
     Replaces all coordinates from j onward with fresh noise and measures the
     change in columns 1..j; the contract is exact zero.
     """
-    draws = _as_draws(samples, R.n)
+    draws = _as_draws(samples)
     fresh = sample_batch(R.n, draws.shape[0], seed=seed).draws
     base = R.matrices(draws)
     gaps = []
@@ -345,7 +342,7 @@ def basis_invariance_check(R: AdaptedIsometry, onb_pair, samples) -> float:
         gap = float(np.max(np.abs(H @ H.T - np.eye(R.d))))
         if gap > ISOMETRY_TOL:
             raise ValueError(f"basis is not orthonormal (gap {gap:.3e})")
-    draws = _as_draws(samples, R.n)
+    draws = _as_draws(samples)
     tw = R.apply_batch(draws)
     first = (tw @ H1.T) @ H1
     second = (tw @ H2.T) @ H2

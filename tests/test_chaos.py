@@ -36,6 +36,7 @@ from wienerlab.chaos import (
     ou_inverse,
     partial_derivative,
     refine,
+    _monomial_product,
 )
 
 
@@ -543,3 +544,129 @@ def test_overflowing_product_raises():
         hermite_product(big, big)
     with pytest.raises(AlgebraError, match="non-finite"):
         linear_combine([1e200], [big])
+
+
+# ------------------------------------------------------------------ term gate
+# Each kernel streams its (index, coefficient) pairs into the constructor's
+# one term gate.  The references below sum the same pairs into a local dict
+# first and construct from that, so the output must match term by term, in
+# the same order and to the last bit.
+
+
+def _accumulated(dim, pairs, cap=None):
+    acc = {}
+    for idx, c in pairs:
+        acc[idx] = acc.get(idx, 0.0) + c
+    return ChaosPoly(dim, acc, cap=cap)
+
+
+def _product_ref(p, q, cap=None):
+    pairs = []
+    for ia, ca in p.terms.items():
+        for ib, cb in q.terms.items():
+            scale = ca * cb
+            pairs += [(idx, scale * w) for idx, w in _monomial_product(ia, ib)]
+    return _accumulated(p.dim, pairs, cap)
+
+
+def _combine_ref(coeffs, polys):
+    pairs = [
+        (idx, float(c) * pc)
+        for c, p in zip(coeffs, polys)
+        if float(c) != 0.0
+        for idx, pc in p.terms.items()
+    ]
+    return _accumulated(polys[0].dim, pairs)
+
+
+def _derivative_ref(p, i):
+    pairs = [
+        (idx.shifted(i, -1), idx.order(i) * c)
+        for idx, c in p.terms.items()
+        if idx.order(i)
+    ]
+    return _accumulated(p.dim, pairs)
+
+
+def _coordinate_ref(p, i):
+    pairs = []
+    for idx, c in p.terms.items():
+        pairs.append((idx.shifted(i, 1), c))
+        if idx.order(i):
+            pairs.append((idx.shifted(i, -1), idx.order(i) * c))
+    return _accumulated(p.dim, pairs)
+
+
+def _refine_ref(p, m):
+    one = ChaosPoly.constant(p.dim * m, 1.0)
+    pairs = []
+    for idx, c in p.terms.items():
+        piece = one
+        for i, k in idx.pairs:
+            piece = hermite_product(piece, refine(ChaosPoly.hermite(p.dim, i, k), m))
+        pairs += [(pidx, c * pc) for pidx, pc in piece.terms.items()]
+    return _accumulated(p.dim * m, pairs)
+
+
+def _same_terms(got, want):
+    return got.dim == want.dim and list(got.terms.items()) == list(want.terms.items())
+
+
+def test_streaming_kernels_match_accumulating_references():
+    rng = make_rng(4242)
+    for _ in range(25):
+        p = random_poly(rng, 3, 4, n_terms=8)
+        q = random_poly(rng, 3, 3, n_terms=8)
+        r = random_poly(rng, 3, 2, n_terms=6)
+        i = int(rng.integers(1, 4))
+        coeffs = [float(rng.uniform(-2, 2)), 0.0, float(rng.uniform(-2, 2))]
+        assert _same_terms(hermite_product(p, q), _product_ref(p, q))
+        assert _same_terms(hermite_product(p, p, cap=8), _product_ref(p, p, cap=8))
+        assert _same_terms(linear_combine(coeffs, [p, q, r]), _combine_ref(coeffs, [p, q, r]))
+        assert _same_terms(partial_derivative(p, i), _derivative_ref(p, i))
+        assert _same_terms(multiply_by_coordinate(q, i), _coordinate_ref(q, i))
+        assert _same_terms(refine(q, 2), _refine_ref(q, 2))
+    p = random_poly(rng, 2, 3, n_terms=6)
+    assert _same_terms(refine(p, 3), _refine_ref(p, 3))
+
+
+def test_gate_checks_keys_that_cancel_to_zero():
+    out_of_dim = MultiIndex({3: 1})
+    with pytest.raises(DimensionMismatch):
+        ChaosPoly(2, [(out_of_dim, 1.0), (out_of_dim, -1.0)])
+    over_cap = MultiIndex({1: DEGREE_CAP + 1})
+    with pytest.raises(DegreeCapExceeded):
+        ChaosPoly(1, [(over_cap, 0.5), (over_cap, -0.5)])
+    h5 = ChaosPoly.hermite(1, 1, 5)
+    big = hermite_product(h5, h5, cap=10)
+    with pytest.raises(DegreeCapExceeded):
+        big - big
+
+
+def test_gate_prefers_the_cap_error_over_non_finite():
+    with pytest.raises(DegreeCapExceeded):
+        ChaosPoly(1, {MultiIndex({1: DEGREE_CAP + 1}): math.nan})
+    huge = ChaosPoly.hermite(1, 1, 5, 1e200)
+    with pytest.raises(DegreeCapExceeded):
+        hermite_product(huge, huge)
+
+
+def test_refine_above_the_degree_cap_raises():
+    h5 = ChaosPoly.hermite(1, 1, 5)
+    big = hermite_product(h5, h5, cap=10)
+    with pytest.raises(DegreeCapExceeded):
+        refine(big, 2)
+    assert refine(big, 1) is big
+
+
+def test_gate_reads_any_object_with_items():
+    class Pairs:
+        def __init__(self, data):
+            self.data = data
+
+        def items(self):
+            return self.data.items()
+
+    assert MultiIndex(Pairs({2: 1, 1: 3})) == MultiIndex({1: 3, 2: 1})
+    p = ChaosPoly(2, Pairs({MultiIndex({1: 1}): 2.0, (): 1.0}))
+    assert p == ChaosPoly(2, {MultiIndex({1: 1}): 2.0, MultiIndex(): 1.0})

@@ -185,6 +185,16 @@ def test_represent_non_finite_literal_exits_two(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_represent_overflowing_product_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["represent", "--functional", "1e200*1e200*x1", "--n", "1"], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "non-finite" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_represent_bad_refine_list(capsys):
     code, _, err = run(
         ["represent", "--functional", "x1", "--n", "1", "--refine", "2,zero"], capsys

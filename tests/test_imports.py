@@ -1,9 +1,13 @@
-"""Source hygiene: every name a module imports is read somewhere in it."""
+"""Source hygiene: every name a module imports is read somewhere in it, and
+the package exports each public name it binds exactly once."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import wienerlab
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "wienerlab"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
@@ -37,3 +41,19 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_exports_every_public_binding_once():
+    exported = wienerlab.__all__
+    assert len(exported) == len(set(exported))
+    for name in exported:
+        value = getattr(wienerlab, name)
+        assert not isinstance(value, types.ModuleType), name
+        assert name == "__version__" or not name.startswith("_"), name
+    public = {
+        name
+        for name, value in vars(wienerlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(exported) == public | {"__version__"}
+    assert {"ChaosPoly", "hermite_product", "reconstruct", "run_suites"} <= public
