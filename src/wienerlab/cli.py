@@ -1,14 +1,17 @@
 """Command line front end.
 
-Four subcommands: ``verify`` runs the deterministic identity suites,
+Three subcommands: ``verify`` runs the deterministic identity suites,
 ``represent`` computes the adapted representation of a functional written
 in the expression language, ``rotate`` builds an adapted rotation and runs
-its statistical batteries, ``bench`` times the algebra kernels.
+its statistical batteries.  Timings come from the benchmark harness
+(``python3 perfbench/run.py --trace 1``), not from this front end.
 
-Configuration can come from a JSON file via ``--config``; explicit flags
-always win over file values.  Reports are written atomically (to a
-temporary file, then renamed) and contain no timestamps, so repeated runs
-with the same inputs produce byte-identical output.
+Settings are resolved once, before any command runs: each comes from its
+flag, else from the JSON file given by ``--config``, else from
+``DEFAULTS``, and one converter per setting checks flag and file values
+alike.  Reports are written atomically (to a temporary file, then renamed)
+and contain no timestamps, so repeated runs with the same inputs produce
+byte-identical output.
 
 Exit codes: 0 all checks passed, 1 a verification or battery failed,
 2 usage or input error, 3 internal error.
@@ -23,17 +26,15 @@ import json
 import math
 import os
 import sys
-import time
 import traceback
 
 import numpy as np
 
 from . import __version__
-from .chaos import AlgebraError, ChaosPoly, hermite_product, refine
+from .chaos import AlgebraError
 from .clark import compare_energies, reconstruct, refine_and_reconstruct
 from .dsl import DslError, lower, parse_functional
-from .malliavin import VField, divergence_h, gradient_scalar
-from .randgen import make_rng, random_poly
+from .malliavin import VField
 from .rotations import (
     ISOMETRY_TOL,
     build_sequential_isometry,
@@ -54,7 +55,8 @@ DEFAULTS = {
     "construction": "givens",
 }
 
-CONFIG_KEYS = {
+# every setting a flag or a config file can give, in resolution order
+CONFIG_KEYS = (
     "n",
     "seed",
     "n_samples",
@@ -63,7 +65,11 @@ CONFIG_KEYS = {
     "functional",
     "suites",
     "output",
-}
+)
+
+# rotate samples with seeds seed + 7, 11, 13 and 17, and every sampling
+# seed must stay below 2**64
+_SEED_MAX = 2**64 - 1 - 17
 
 
 class UsageError(Exception):
@@ -94,9 +100,24 @@ def _write_atomic(path: str, text: str) -> None:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise UsageError(f"cannot write report {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _finish(args, passed: bool, payload: dict) -> int:
+    """Write the report of ``verify`` or ``rotate`` and print the verdict."""
+    if args.output:
+        stamp = {"command": args.command, "environment": _environment_stamp(), "passed": passed}
+        _write_atomic(args.output, _json_text({**payload, **stamp}))
+        print(f"report written to {args.output}")
+    print(f"{args.command}:", "PASS" if passed else "FAIL")
+    return 0 if passed else 1
+
+
+# --------------------------------------------------------------- settings
 
 
 def _load_config(path: str | None) -> dict:
@@ -111,7 +132,7 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - CONFIG_KEYS)
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
     if unknown:
         raise UsageError(
             f"unknown config key(s) {', '.join(unknown)};"
@@ -120,99 +141,111 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _pick(args, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return DEFAULTS.get(key, default)
-
-
-def _parse_refine(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    else:
-        parts = list(value)
+def _integer(value, name: str, low: int = 1, high: int | None = None) -> int:
     try:
-        factors = tuple(int(p) for p in parts)
-    except (TypeError, ValueError) as exc:
+        out = int(value)
+        if isinstance(value, float) and out != value:
+            raise ValueError(value)  # int() would truncate a config value like 2.5
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from exc
+    if out < low or (high is not None and out > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise UsageError(f"{name} must be {bound}, got {out}")
+    return out
+
+
+def _comma_list(value) -> list[str]:
+    # a flag gives "a,b" (or a list of such strings), a config file either form
+    entries = value if isinstance(value, (list, tuple)) else [value]
+    return [p.strip() for entry in entries for p in str(entry).split(",") if p.strip()]
+
+
+def _refine(value) -> tuple[int, ...]:
+    try:
+        factors = tuple(int(p) for p in _comma_list(value))
+    except ValueError as exc:
         raise UsageError(f"refinement factors must be integers, got {value!r}") from exc
     if not factors or any(m < 1 for m in factors):
         raise UsageError("refinement factors must be a nonempty list of integers >= 1")
     return factors
 
 
-def _positive_int(value, name: str) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from exc
-    if out < 1:
-        raise UsageError(f"{name} must be >= 1, got {out}")
-    return out
+def _construction(value) -> str:
+    if value not in ("zero", "sign", "givens", "constant"):
+        raise UsageError(
+            f"unknown construction {value!r}; choose zero, sign, givens, or constant"
+        )
+    return value
+
+
+def _suites(value) -> list[str]:
+    names = _comma_list(value)
+    if not names:
+        raise UsageError(f"suites must name at least one suite, got {value!r}")
+    return names
+
+
+_CONVERTERS = {
+    "n": lambda v: _integer(v, "n"),
+    "seed": lambda v: _integer(v, "seed", 0, _SEED_MAX),
+    "n_samples": lambda v: _integer(v, "n_samples"),
+    "refine": _refine,
+    "construction": _construction,
+    "suites": _suites,
+}
+
+
+def _resolve_settings(args) -> None:
+    """Fill each setting of the command: flag, else config file, else default."""
+    config = _load_config(args.config)
+    for key in CONFIG_KEYS:
+        if not hasattr(args, key):
+            continue  # the command has no such flag and ignores the key
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, DEFAULTS.get(key))
+        if value is not None and key in _CONVERTERS:
+            value = _CONVERTERS[key](value)
+        setattr(args, key, value)
 
 
 def _read_functional(spec) -> str:
     if spec is None:
         raise UsageError("represent needs --functional <file or expression>")
     if isinstance(spec, str) and os.path.isfile(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return fh.read().strip()
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                return fh.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read functional file {spec}: {exc}") from exc
     return str(spec).strip()
 
 
-# ----------------------------------------------------------------- verify
+# --------------------------------------------------------------- commands
 
 
 def _cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    wanted = args.suite if args.suite else config.get("suites")
-    if wanted is not None:
-        names = []
-        for entry in wanted:
-            names.extend(p for p in str(entry).split(",") if p)
-        try:
-            results = run_suites(names)
-        except KeyError as exc:
-            raise UsageError(str(exc.args[0])) from exc
-    else:
-        results = run_suites()
+    try:
+        results = run_suites(args.suites)
+    except KeyError as exc:
+        raise UsageError(str(exc.args[0])) from exc
     for r in results:
         print(r.line())
     passed = all(r.passed for r in results)
-    output = _pick(args, config, "output")
-    if output:
-        payload = {
-            "command": "verify",
-            "environment": _environment_stamp(),
-            "passed": passed,
-            "results": [r.to_json_dict() for r in results],
-        }
-        _write_atomic(output, _json_text(payload))
-        print(f"report written to {output}")
-    print("verify:", "PASS" if passed else "FAIL")
-    return 0 if passed else 1
-
-
-# -------------------------------------------------------------- represent
+    return _finish(args, passed, {"results": [r.to_json_dict() for r in results]})
 
 
 def _cmd_represent(args) -> int:
-    config = _load_config(args.config)
-    n = _positive_int(_pick(args, config, "n"), "n")
-    factors = _parse_refine(_pick(args, config, "refine"))
-    source = _read_functional(_pick(args, config, "functional"))
+    source = _read_functional(args.functional)
     tree = parse_functional(source)
     try:
-        lowered = lower(tree, n)
+        # overflow, the dimension cap, a refinement past it: input errors
+        lowered = lower(tree, args.n)
+        v = lowered if isinstance(lowered, VField) else VField((lowered,))
+        result = reconstruct(v)
+        table = refine_and_reconstruct(v, args.refine)
     except AlgebraError as exc:
-        # e.g. a product of finite literals that overflows: an input error
         raise UsageError(f"functional {source!r}: {exc}") from exc
-    v = lowered if isinstance(lowered, VField) else VField((lowered,))
-
-    result = reconstruct(v)
-    table = refine_and_reconstruct(v, factors)
     energies = []
     for a in range(1, v.d + 1):
         comp = compare_energies(v.component(a))
@@ -226,7 +259,7 @@ def _cmd_represent(args) -> int:
         )
 
     print(f"functional: {source}")
-    print(f"n = {n}, components = {v.d}")
+    print(f"n = {args.n}, components = {v.d}")
     print(f"residual_l2 = {result.residual_l2:.12g}")
     for m, residual in table:
         print(f"  refine m={m:<3d} residual = {residual:.12g}")
@@ -238,7 +271,7 @@ def _cmd_represent(args) -> int:
             f" coincide {row['coincide']}"
         )
 
-    output = _pick(args, config, "output") or "clark_report"
+    output = args.output or "clark_report"
     payload = {
         "command": "represent",
         "environment": _environment_stamp(),
@@ -258,21 +291,9 @@ def _cmd_represent(args) -> int:
     return 0
 
 
-# ----------------------------------------------------------------- rotate
-
-
 def _cmd_rotate(args) -> int:
-    config = _load_config(args.config)
-    n = _positive_int(_pick(args, config, "n"), "n")
-    seed = int(_pick(args, config, "seed"))
-    N = _positive_int(_pick(args, config, "n_samples"), "n_samples")
-    construction = str(_pick(args, config, "construction"))
-    if construction not in ("zero", "sign", "givens", "constant"):
-        raise UsageError(
-            f"unknown construction {construction!r};"
-            " choose zero, sign, givens, or constant"
-        )
-    spec = {"kind": "constant"} if construction == "constant" else construction
+    n, seed, N = args.n, args.seed, args.n_samples
+    spec = {"kind": "constant"} if args.construction == "constant" else args.construction
     R = build_sequential_isometry(n, seed, spec)
 
     probe = sample_batch(n, 1000, seed + 7)
@@ -280,84 +301,25 @@ def _cmd_rotate(args) -> int:
         check("pathwise_isometry", isometry_check(R, probe), ISOMETRY_TOL),
         check("strict_past_measurability", check_strict_past_measurability(R, probe), 0.0),
     ]
-    h = np.ones(n) / math.sqrt(n)
-    for t in gaussianity_battery(R, h, N, seed + 11).tests:
-        tests.append({**t, "name": f"output_law_{t['name']}"})
+    batteries = [("output_law_", gaussianity_battery(R, np.ones(n) / math.sqrt(n), N, seed + 11))]
     if n >= 2:
-        e1 = np.eye(n)[0]
-        e2 = np.eye(n)[1]
-        for t in independence_battery(R, e1, e2, N, seed + 13).tests:
-            tests.append({**t, "name": f"independence_{t['name']}"})
-    for t in measure_preservation_battery(R, N, seed + 17).tests:
-        tests.append({**t, "name": f"measure_{t['name']}"})
+        e1, e2 = np.eye(n)[:2]
+        batteries.append(("independence_", independence_battery(R, e1, e2, N, seed + 13)))
+    batteries.append(("measure_", measure_preservation_battery(R, N, seed + 17)))
+    for prefix, report in batteries:
+        tests.extend({**t, "name": prefix + t["name"]} for t in report.tests)
 
-    passed = all(t["pass"] for t in tests)
     for t in tests:
         status = "PASS" if t["pass"] else "FAIL"
         print(f"{status} {t['name']}: {t['statistic']:.4e} (threshold {t['threshold']:.4e})")
-    output = _pick(args, config, "output")
-    if output:
-        payload = {
-            "command": "rotate",
-            "construction": construction,
-            "environment": _environment_stamp(),
-            "n": n,
-            "n_samples": N,
-            "passed": passed,
-            "seed": seed,
-            "tests": tests,
-        }
-        _write_atomic(output, _json_text(payload))
-        print(f"report written to {output}")
-    print("rotate:", "PASS" if passed else "FAIL")
-    return 0 if passed else 1
-
-
-# ------------------------------------------------------------------ bench
-
-
-def _time_call(fn, repeats: int = 5) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _cmd_bench(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_pick(args, config, "seed"))
-    rng = make_rng(seed)
-    rows = []
-
-    p = random_poly(rng, 8, 4, n_terms=40)
-    q = random_poly(rng, 8, 4, n_terms=40)
-    rows.append(("hermite_product_40x40_terms", _time_call(lambda: hermite_product(p, q))))
-
-    he2 = ChaosPoly.hermite(2, 1, 2) + ChaosPoly.hermite(2, 2, 2)
-    rows.append(("refine_he2_m16", _time_call(lambda: refine(he2, 16))))
-
-    big = random_poly(rng, 16, 4, n_terms=60)
-    rows.append(("gradient_divergence_n16", _time_call(lambda: divergence_h(gradient_scalar(big)))))
-
-    batch = sample_batch(8, 200_000, seed)
-    rows.append(("sample_batch_200k_n8", _time_call(lambda: sample_batch(8, 200_000, seed))))
-    R = build_sequential_isometry(8, seed, "givens")
-    rows.append(("rotation_apply_200k_n8", _time_call(lambda: R.apply_batch(batch.draws))))
-
-    for name, seconds in rows:
-        print(f"{name:<32s} {seconds * 1e3:10.3f} ms")
-    output = _pick(args, config, "output")
-    if output:
-        payload = {
-            "command": "bench",
-            "environment": _environment_stamp(),
-            "timings_ms": {name: seconds * 1e3 for name, seconds in rows},
-        }
-        _write_atomic(output, _json_text(payload))
-        print(f"report written to {output}")
-    return 0
+    payload = {
+        "construction": args.construction,
+        "n": n,
+        "n_samples": N,
+        "seed": seed,
+        "tests": tests,
+    }
+    return _finish(args, all(t["pass"] for t in tests), payload)
 
 
 # ------------------------------------------------------------------- main
@@ -375,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--config", help="JSON config file; flags win over it")
     p_verify.add_argument(
         "--suite",
+        dest="suites",
         action="append",
         help=f"suite name (repeatable, comma lists ok); known: {', '.join(suite_names())}",
     )
@@ -384,28 +347,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("represent", help="adapted representation of a functional")
     p_rep.add_argument("--config", help="JSON config file; flags win over it")
     p_rep.add_argument("--functional", help="expression text or a file holding one")
-    p_rep.add_argument("--n", type=int, help="ambient dimension")
+    p_rep.add_argument("--n", help="ambient dimension")
     p_rep.add_argument("--refine", help="comma list of refinement factors, e.g. 1,2,4,8")
     p_rep.add_argument("--output", help="report path prefix (writes .json and .csv)")
     p_rep.set_defaults(fn=_cmd_represent)
 
     p_rot = sub.add_parser("rotate", help="build an adapted rotation and test it")
     p_rot.add_argument("--config", help="JSON config file; flags win over it")
-    p_rot.add_argument("--n", type=int, help="ambient dimension")
-    p_rot.add_argument(
-        "--construction",
-        help="zero, sign, givens, or constant",
-    )
-    p_rot.add_argument("--seed", type=int, help="construction and battery seed")
-    p_rot.add_argument("--n-samples", dest="n_samples", type=int, help="battery sample count")
+    p_rot.add_argument("--n", help="ambient dimension")
+    p_rot.add_argument("--construction", help="zero, sign, givens, or constant")
+    p_rot.add_argument("--seed", help="construction and battery seed")
+    p_rot.add_argument("--n-samples", dest="n_samples", help="battery sample count")
     p_rot.add_argument("--output", help="write a JSON report here")
     p_rot.set_defaults(fn=_cmd_rotate)
-
-    p_bench = sub.add_parser("bench", help="time the algebra kernels")
-    p_bench.add_argument("--config", help="JSON config file; flags win over it")
-    p_bench.add_argument("--seed", type=int, help="instance seed")
-    p_bench.add_argument("--output", help="write a JSON report here")
-    p_bench.set_defaults(fn=_cmd_bench)
     return parser
 
 
@@ -415,11 +369,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "fn", None) is None:
             raise UsageError(parser.format_usage().rstrip())
+        _resolve_settings(args)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DslError as exc:
+    except (UsageError, DslError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -1,11 +1,9 @@
 import json
 import math
-import time
 
 import numpy as np
 import pytest
 
-import wienerlab.cli
 import wienerlab.suites
 from wienerlab.cli import main
 from wienerlab.suites import SuiteResult
@@ -87,6 +85,31 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert "unknown suite" in err
 
 
+def assert_input_error(code, err, tmp_path, expected):
+    # exit 2, one error line, no traceback, and nothing written
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert expected in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_empty_suite_list_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["verify", "--suite", ","], capsys)
+    assert out == ""
+    assert_input_error(code, err, tmp_path, "at least one suite")
+
+
+def test_verify_unwritable_output_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "missing" / "r.json"
+    code, _, err = run(
+        ["verify", "--suite", "structure_constants", "--output", str(missing)], capsys
+    )
+    assert_input_error(code, err, tmp_path, "cannot write report")
+
+
 # -------------------------------------------------------------- represent
 
 
@@ -160,6 +183,17 @@ def test_represent_reads_functional_from_file(tmp_path, monkeypatch, capsys):
     assert len(payload["energy"]) == 2
 
 
+def test_represent_undecodable_functional_file_exits_two(tmp_path, monkeypatch, capsys):
+    source = tmp_path / "fn.txt"
+    source.write_bytes(b"\xff\xfe x1")
+    workdir = tmp_path / "run"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    code, out, err = run(["represent", "--functional", str(source), "--n", "1"], capsys)
+    assert out == ""
+    assert_input_error(code, err, workdir, "cannot read functional file")
+
+
 def test_represent_syntax_error_leaves_no_files(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(["represent", "--functional", "x1*(", "--n", "2"], capsys)
@@ -201,6 +235,25 @@ def test_represent_bad_refine_list(capsys):
     )
     assert code == 2
     assert "refinement factors" in err
+
+
+def test_represent_refinement_past_dimension_cap_exits_two(tmp_path, monkeypatch, capsys):
+    # n = 4 refined by 64 is dimension 256, over DIM_CAP = 128
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        ["represent", "--n", "4", "--functional", "x1*x2", "--refine", "64"], capsys
+    )
+    assert out == ""
+    assert_input_error(code, err, tmp_path, "dimension cap")
+
+
+def test_represent_unwritable_output_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    prefix = tmp_path / "missing" / "r"
+    code, _, err = run(
+        ["represent", "--n", "2", "--functional", "x1*x2", "--output", str(prefix)], capsys
+    )
+    assert_input_error(code, err, tmp_path, "cannot write report")
 
 
 # ----------------------------------------------------------------- config
@@ -256,6 +309,76 @@ def test_config_invalid_json_rejected(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_config_suites_string_is_a_comma_list(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": "structure_constants,number_operator"}))
+    code, out, err = run(["verify", "--config", str(cfg)], capsys)
+    assert code == 0, err
+    assert "PASS structure_constants" in out
+    assert "PASS number_operator" in out
+
+
+@pytest.mark.parametrize(
+    "command, config, expected",
+    [
+        ("rotate", {"seed": "seven"}, "seed must be an integer"),
+        ("rotate", {"n": math.inf}, "n must be an integer"),
+        ("verify", {"suites": 5}, "unknown suite(s) 5"),
+        ("represent", {"n": 2.5, "functional": "x1"}, "n must be an integer"),
+    ],
+    ids=["seed_not_integer", "n_infinite", "suites_not_a_list", "n_fractional"],
+)
+def test_config_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, command,
+                                              config, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    workdir = tmp_path / "run"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    assert out == ""
+    assert_input_error(code, err, workdir, expected)
+
+
+@pytest.mark.parametrize(
+    "flags, config, reports",
+    [
+        (
+            ["verify", "--suite", "structure_constants,number_operator", "--output", "v.json"],
+            {"suites": ["structure_constants", "number_operator"], "output": "v.json"},
+            ["v.json"],
+        ),
+        (
+            ["represent", "--functional", "[x1*x2, h2(x1)]", "--n", "2",
+             "--refine", "1,2", "--output", "rep"],
+            {"functional": "[x1*x2, h2(x1)]", "n": 2, "refine": [1, 2], "output": "rep"},
+            ["rep.json", "rep.csv"],
+        ),
+        (
+            ["rotate", "--n", "3", "--construction", "sign", "--seed", "5",
+             "--n-samples", "2000", "--output", "rot.json"],
+            {"n": 3, "construction": "sign", "seed": 5, "n_samples": 2000,
+             "output": "rot.json"},
+            ["rot.json"],
+        ),
+    ],
+    ids=["verify", "represent", "rotate"],
+)
+def test_config_file_matches_flags(tmp_path, monkeypatch, capsys, flags, config, reports):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    runs = {}
+    for name, argv in (("flags", flags), ("config", [flags[0], "--config", str(cfg)])):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        code, out, err = run(argv, capsys)
+        blobs = [(workdir / report).read_bytes() for report in reports]
+        runs[name] = (code, out, err, blobs)
+    assert runs["flags"] == runs["config"]
+
+
 # ----------------------------------------------------------------- rotate
 
 
@@ -304,24 +427,30 @@ def test_rotate_rejects_bad_dimension(capsys):
     assert "n must be >= 1" in err
 
 
-# ------------------------------------------------------------------ misc
-
-
-def _time_once(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
-
-
-def test_bench_runs(tmp_path, monkeypatch, capsys):
+# rotate samples with seed + 7 up to seed + 17, and sampling seeds are < 2**64
+@pytest.mark.parametrize("seed", [-1, 2**64 - 17], ids=["negative", "derived_past_2_64"])
+def test_rotate_seed_out_of_range_exits_two(tmp_path, monkeypatch, capsys, seed):
     monkeypatch.chdir(tmp_path)
-    # the rows are checked, not the timings: run each kernel once
-    monkeypatch.setattr(wienerlab.cli, "_time_call", _time_once)
-    code, out, _ = run(["bench", "--seed", "7", "--output", "bench.json"], capsys)
-    assert code == 0
-    assert "hermite_product" in out
-    payload = json.loads((tmp_path / "bench.json").read_text())
-    assert set(payload["timings_ms"]) >= {"hermite_product_40x40_terms", "refine_he2_m16"}
+    code, out, err = run(
+        ["rotate", "--n", "2", "--n-samples", "100", "--seed", str(seed), "--output", "r.json"],
+        capsys,
+    )
+    assert out == ""
+    assert_input_error(code, err, tmp_path, "seed must be in")
+
+
+def test_rotate_accepts_the_largest_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(
+        ["rotate", "--n", "2", "--n-samples", "100", "--seed", str(2**64 - 18),
+         "--output", "r.json"],
+        capsys,
+    )
+    assert code in (0, 1), err
+    assert json.loads((tmp_path / "r.json").read_text())["seed"] == 2**64 - 18
+
+
+# ------------------------------------------------------------------ misc
 
 
 def test_no_command_is_usage_error(capsys):
