@@ -58,10 +58,8 @@ from .malliavin import (
     trace_pairing_expectation,
 )
 from .adapted import (
-    FiniteRankAdapted,
     NotPredictable,
     PredictableHField,
-    RankOneAdapted,
     WeaklyAdaptedOperator,
     check_divergence_free_uniqueness,
     check_ito_isometry,

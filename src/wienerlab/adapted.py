@@ -17,28 +17,26 @@ entry (a, i) depends only on eta_1 .. eta_{i-1}.  The projection of an
 HField applies the stage-(i-1) conditional expectation to coordinate i;
 the operator projection applies that rowwise.  Both are exact orthogonal
 projections here.
+
+The test operators of the operator-level checks are weakly adapted
+operators too: a finite-rank adapted operator sum_t y_t (x) q_t, with
+predictable q_t and constant y_t in R^d, is the WeaklyAdaptedOperator with
+entries (a, i) = sum_t y_{t,a} q_{t,i}, and it pairs and diverges like any
+other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chaos import (
-    DimensionMismatch,
-    conditional_expectation,
-    evaluate,
-    l2_inner,
-    linear_combine,
-)
+from .chaos import DimensionMismatch, conditional_expectation, evaluate, l2_inner
 from .malliavin import (
     HField,
     OperatorField,
-    VField,
     divergence_h,
     divergence_op,
     dual_pairing_expectation,
+    trace_pairing_expectation,
 )
 
 
@@ -91,63 +89,6 @@ def project_operator(K: OperatorField) -> WeaklyAdaptedOperator:
     return WeaklyAdaptedOperator(tuple(project_adapted(row) for row in K.rows))
 
 
-@dataclass(frozen=True)
-class RankOneAdapted:
-    """q tensor y with a predictable q: entry (a, i) = y_a q_i."""
-
-    field: PredictableHField
-    functional: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "functional", tuple(float(v) for v in self.functional))
-        if not self.functional:
-            raise ValueError("empty output functional")
-
-
-@dataclass(frozen=True)
-class FiniteRankAdapted:
-    """Finite sum of predictable rank-one operators, kept in structural form."""
-
-    terms: tuple[RankOneAdapted, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
-            raise ValueError("finite-rank operator needs at least one term")
-        ds = {len(t.functional) for t in self.terms}
-        ns = {t.field.n for t in self.terms}
-        if len(ds) != 1 or len(ns) != 1:
-            raise DimensionMismatch("mixed shapes across rank-one terms")
-
-    @property
-    def d(self) -> int:
-        return len(self.terms[0].functional)
-
-    @property
-    def n(self) -> int:
-        return self.terms[0].field.n
-
-    def to_operator(self) -> WeaklyAdaptedOperator:
-        rows = []
-        for a in range(self.d):
-            parts = [t.field.scale(t.functional[a]) for t in self.terms]
-            row = parts[0]
-            for other in parts[1:]:
-                row = row.add(other)
-            rows.append(PredictableHField(row.coords))
-        return WeaklyAdaptedOperator(tuple(rows))
-
-    def divergence(self) -> VField:
-        """div(sum_j q_j tensor y_j) = sum_j div(q_j) y_j, componentwise."""
-        divs = [divergence_h(t.field) for t in self.terms]
-        comps = []
-        for a in range(self.d):
-            comps.append(
-                linear_combine([t.functional[a] for t in self.terms], divs)
-            )
-        return VField(tuple(comps))
-
-
 def ito_integral(u: HField, sample) -> float:
     """Pathwise sum_i u_i(eta) eta_i for a predictable field.
 
@@ -171,39 +112,25 @@ def check_ito_isometry(u: HField, v: HField) -> float:
     return abs(l2_inner(divergence_h(u), divergence_h(v)) - u.inner(v))
 
 
-def _finite_rank_pairing(K: OperatorField, Q: FiniteRankAdapted) -> float:
-    """E<<K, Q>> = sum over terms, outputs a and inputs i of y_a E[K_{a,i} q_i]."""
-    if (Q.d, Q.n) != K.shape:
-        raise DimensionMismatch(f"operator {K.shape} vs finite-rank {(Q.d, Q.n)}")
-    total = 0.0
-    for t in Q.terms:
-        for ya, row in zip(t.functional, K.rows):
-            if ya == 0.0:
-                continue
-            for k, q in zip(row.coords, t.field.coords):
-                total += ya * l2_inner(k, q)
-    return total
+def check_weak_orthogonality(K: OperatorField, Q: WeaklyAdaptedOperator) -> float:
+    """|E<<K, Q>> - E<<projected K, Q>>|: only the adapted part of K pairs with Q."""
+    lhs = trace_pairing_expectation(K, Q)  # checks the shapes before projecting
+    return abs(lhs - trace_pairing_expectation(project_operator(K), Q))
 
 
-def check_weak_orthogonality(K: OperatorField, Q: FiniteRankAdapted) -> float:
-    """|E<<K, Q>> - E<<projected K, Q>>| over the structural rank-one form."""
-    lhs = _finite_rank_pairing(K, Q)  # checks the shapes before projecting
-    return abs(lhs - _finite_rank_pairing(project_operator(K), Q))
-
-
-def check_operator_isometry(K: WeaklyAdaptedOperator, D: FiniteRankAdapted) -> float:
-    """|E<div D, div K> - E<<K, D>>| with D in structural finite-rank form."""
-    rhs = _finite_rank_pairing(K, D)
-    lhs = dual_pairing_expectation(D.divergence(), divergence_op(K))
+def check_operator_isometry(K: WeaklyAdaptedOperator, D: WeaklyAdaptedOperator) -> float:
+    """|E<div D, div K> - E<<K, D>>| for two weakly adapted operators."""
+    rhs = trace_pairing_expectation(K, D)
+    lhs = dual_pairing_expectation(divergence_op(D), divergence_op(K))
     return abs(lhs - rhs)
 
 
-def check_divergence_free_uniqueness(K: WeaklyAdaptedOperator, tol: float = 1e-12) -> bool:
+def check_divergence_free_uniqueness(K: WeaklyAdaptedOperator) -> bool:
     """div K = 0 forces K = 0 on weakly adapted operators.
 
     Returns True iff the implication holds for this K: either the divergence
-    is visibly nonzero, or every entry vanishes within tol.
+    is visibly nonzero, or every entry vanishes within 1e-12.
     """
-    if divergence_op(K).norm() > tol:
+    if divergence_op(K).norm() > 1e-12:
         return True
-    return K.max_entry_norm() <= tol
+    return K.max_entry_norm() <= 1e-12

@@ -485,11 +485,14 @@ def ou_apply(p: ChaosPoly) -> ChaosPoly:
     return ChaosPoly(p.dim, acc)
 
 
-def ou_inverse(p: ChaosPoly, *, tol: float = 1e-12) -> ChaosPoly:
-    """Inverse number operator on centered functionals (grade-m term / m)."""
+def ou_inverse(p: ChaosPoly) -> ChaosPoly:
+    """Inverse number operator on centered functionals (grade-m term / m).
+
+    The expectation must be within 1e-12 of zero.
+    """
     mean = expectation(p)
-    if abs(mean) > tol:
-        raise NotCentered(f"expectation {mean!r} exceeds centering tolerance {tol!r}")
+    if abs(mean) > 1e-12:
+        raise NotCentered(f"expectation {mean!r} exceeds centering tolerance 1e-12")
     acc = {
         idx: c / idx.total_degree
         for idx, c in p._terms.items()

@@ -127,21 +127,22 @@ def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
     return rows
 
 
-def check_uniqueness(v: VField, K_alt: WeaklyAdaptedOperator, tol: float = 1e-10) -> bool:
+def check_uniqueness(v: VField, K_alt: WeaklyAdaptedOperator) -> bool:
     """Any weakly adapted integrand representing v equals the projected gradient.
 
-    Precondition: div K_alt must reproduce v - E[v]; violations raise
-    :class:`RepresentationError` rather than returning False.
+    Precondition: div K_alt must reproduce v - E[v] to 1e-10 in L2; violations
+    raise :class:`RepresentationError` rather than returning False.  The two
+    integrands must then agree entry by entry to 1e-10.
     """
     mean = VField.constant(v.ambient_dim, v.expectation())
     gap = divergence_op(K_alt).sub(v.sub(mean)).norm()
-    if gap > tol:
+    if gap > 1e-10:
         raise RepresentationError(
             f"claimed integrand misses the target by {gap:.3e} in L2"
         )
     K = clark_integrand(v)
     diff = K.sub(K_alt)
-    return all(p.norm_l2() <= tol for row in diff.rows for p in row.coords)
+    return all(p.norm_l2() <= 1e-10 for row in diff.rows for p in row.coords)
 
 
 def minimal_energy_integrand(phi: ChaosPoly) -> HField:

@@ -9,8 +9,9 @@ its statistical batteries.  Timings come from the benchmark harness
 Settings are resolved once, before any command runs: each comes from its
 flag, else from the JSON file given by ``--config``, else from
 ``DEFAULTS``, and one converter per setting checks flag and file values
-alike.  Reports are written atomically (to a temporary file, then renamed)
-and contain no timestamps, so repeated runs with the same inputs produce
+alike.  Reports are written atomically (every temporary file first, then
+the renames, so ``represent`` leaves both of its files or neither) and
+contain no timestamps, so repeated runs with the same inputs produce
 byte-identical output.
 
 Exit codes: 0 all checks passed, 1 a verification or battery failed,
@@ -94,24 +95,37 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
+def _write_atomic(*reports: tuple[str, str]) -> None:
+    """Write every (path, text) report or none of them.
+
+    All temporary files are written before any is renamed into place; if a
+    step fails, the reports already renamed and every temporary are removed.
+    """
+    temps, renamed = [], []
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in reports:
+            tmp = f"{path}.tmp"
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                temps.append(tmp)
+                fh.write(text)
+        for path, _ in reports:
+            os.replace(f"{path}.tmp", path)
+            renamed.append(path)
     except OSError as exc:
+        for done in renamed:
+            os.unlink(done)
         raise UsageError(f"cannot write report {path}: {exc}") from exc
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _finish(args, passed: bool, payload: dict) -> int:
     """Write the report of ``verify`` or ``rotate`` and print the verdict."""
     if args.output:
         stamp = {"command": args.command, "environment": _environment_stamp(), "passed": passed}
-        _write_atomic(args.output, _json_text({**payload, **stamp}))
+        _write_atomic((args.output, _json_text({**payload, **stamp})))
         print(f"report written to {args.output}")
     print(f"{args.command}:", "PASS" if passed else "FAIL")
     return 0 if passed else 1
@@ -258,19 +272,6 @@ def _cmd_represent(args) -> int:
             }
         )
 
-    print(f"functional: {source}")
-    print(f"n = {args.n}, components = {v.d}")
-    print(f"residual_l2 = {result.residual_l2:.12g}")
-    for m, residual in table:
-        print(f"  refine m={m:<3d} residual = {residual:.12g}")
-    for row in energies:
-        print(
-            f"  component {row['component']}:"
-            f" adapted energy {row['adapted_energy']:.12g},"
-            f" minimal energy {row['exact_energy']:.12g},"
-            f" coincide {row['coincide']}"
-        )
-
     output = args.output or "clark_report"
     payload = {
         "command": "represent",
@@ -285,16 +286,28 @@ def _cmd_represent(args) -> int:
     writer.writerow(["m", "residual"])
     for m, residual in table:
         writer.writerow([m, repr(residual)])
-    _write_atomic(f"{output}.json", _json_text(payload))
-    _write_atomic(f"{output}.csv", buf.getvalue())
+    # both reports are in place before anything is printed
+    _write_atomic((f"{output}.json", _json_text(payload)), (f"{output}.csv", buf.getvalue()))
+
+    print(f"functional: {source}")
+    print(f"n = {args.n}, components = {v.d}")
+    print(f"residual_l2 = {result.residual_l2:.12g}")
+    for m, residual in table:
+        print(f"  refine m={m:<3d} residual = {residual:.12g}")
+    for row in energies:
+        print(
+            f"  component {row['component']}:"
+            f" adapted energy {row['adapted_energy']:.12g},"
+            f" minimal energy {row['exact_energy']:.12g},"
+            f" coincide {row['coincide']}"
+        )
     print(f"wrote {output}.json and {output}.csv")
     return 0
 
 
 def _cmd_rotate(args) -> int:
     n, seed, N = args.n, args.seed, args.n_samples
-    spec = {"kind": "constant"} if args.construction == "constant" else args.construction
-    R = build_sequential_isometry(n, seed, spec)
+    R = build_sequential_isometry(n, seed, args.construction)
 
     probe = sample_batch(n, 1000, seed + 7)
     tests = [

@@ -17,6 +17,11 @@ Parsing reports syntax errors with line, column, and the expected token
 set; groups left unclosed are reported at the opening bracket.  Lowering
 into the algebra happens against a configured ambient dimension and degree
 cap, and violations carry the source span of the offending node.
+
+Parsing, printing and lowering recurse over the input's nesting, but on an
+explicit stack (:func:`_descend`), so no input depth reaches Python's
+recursion limit: any text either succeeds or raises :class:`DslError` or
+the algebra's ``AlgebraError``.
 """
 
 from __future__ import annotations
@@ -48,6 +53,30 @@ class DslSyntaxError(DslError):
 
 class DslSemanticError(DslError):
     """The expression parsed but violates the configured dimension or cap."""
+
+
+# ----------------------------------------------------------------- stack
+
+
+def _descend(step):
+    """Run a recursion written as generators on an explicit stack.
+
+    A step is a generator that yields the generator of each sub-step and is
+    sent that sub-step's result back; its return value is the step's result.
+    Nesting depth then costs heap memory instead of interpreter frames.
+    """
+    stack, value = [step], None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
 
 
 # ----------------------------------------------------------------- tokens
@@ -154,6 +183,8 @@ FunctionalExpr = (Literal, Variable, Hermite, Unary, Binary, Vector)
 
 
 class _Parser:
+    """Recursive descent; every ``parse_*`` method is a :func:`_descend` step."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -185,20 +216,20 @@ class _Parser:
 
     def parse_input(self):
         if self.peek().kind == "[":
-            node = self.parse_vector()
+            node = yield self.parse_vector()
         else:
-            node = self.parse_expr()
+            node = yield self.parse_expr()
         if self.peek().kind != "end":
             self.fail(("operator", "end of input"))
         return node
 
-    def parse_vector(self) -> Vector:
+    def parse_vector(self):
         opener = self.advance()
         self.open_groups.append(opener)
-        items = [self.parse_expr()]
+        items = [(yield self.parse_expr())]
         while self.peek().kind == ",":
             self.advance()
-            items.append(self.parse_expr())
+            items.append((yield self.parse_expr()))
         if self.peek().kind != "]":
             self.fail(("','", "']'"))
         self.advance()
@@ -206,26 +237,26 @@ class _Parser:
         return Vector(tuple(items), span=(opener.line, opener.col))
 
     def parse_expr(self):
-        node = self.parse_term()
+        node = yield self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            right = self.parse_term()
+            right = yield self.parse_term()
             node = Binary(op.kind, node, right, span=(op.line, op.col))
         return node
 
     def parse_term(self):
-        node = self.parse_factor()
+        node = yield self.parse_factor()
         while self.peek().kind == "*":
             op = self.advance()
-            right = self.parse_factor()
+            right = yield self.parse_factor()
             node = Binary("*", node, right, span=(op.line, op.col))
         return node
 
     def parse_factor(self):
         if self.peek().kind == "-":
             op = self.advance()
-            return Unary(self.parse_factor(), span=(op.line, op.col))
-        return self.parse_atom()
+            return Unary((yield self.parse_factor()), span=(op.line, op.col))
+        return (yield self.parse_atom())
 
     def parse_atom(self):
         tok = self.peek()
@@ -234,7 +265,7 @@ class _Parser:
             return Literal(float(tok.text), span=(tok.line, tok.col))
         if tok.kind == "var":
             self.advance()
-            return Variable(int(tok.text[1:]), span=(tok.line, tok.col))
+            return Variable(_suffix(tok), span=(tok.line, tok.col))
         if tok.kind == "herm":
             self.advance()
             self.expect("(", ("'('",))
@@ -247,11 +278,11 @@ class _Parser:
                 self.fail(("')'",))
             self.advance()
             self.open_groups.pop()
-            return Hermite(int(tok.text[1:]), int(var.text[1:]), span=(tok.line, tok.col))
+            return Hermite(_suffix(tok), _suffix(var), span=(tok.line, tok.col))
         if tok.kind == "(":
             self.advance()
             self.open_groups.append(tok)
-            node = self.parse_expr()
+            node = yield self.parse_expr()
             if self.peek().kind != ")":
                 self.fail(("')'", "operator"))
             self.advance()
@@ -260,9 +291,19 @@ class _Parser:
         self.fail(("number", "x<i>", "h<k>(x<i>)", "'('", "'-'"))
 
 
+def _suffix(tok: Token) -> int:
+    """The integer after the letter of an ``x<i>`` or ``h<k>`` token."""
+    try:
+        return int(tok.text[1:])
+    except ValueError:  # more digits than the interpreter converts
+        raise DslSemanticError(
+            f"{tok.text[:8]}... has too many digits", tok.line, tok.col
+        ) from None
+
+
 def parse_functional(text: str):
     """Parse source text into a functional expression tree."""
-    return _Parser(_tokenize(text)).parse_input()
+    return _descend(_Parser(_tokenize(text)).parse_input())
 
 
 # ----------------------------------------------------------------- printer
@@ -282,37 +323,50 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def _print_node(node) -> str:
+def _finite_value(node: Literal) -> float:
+    if not math.isfinite(node.value):
+        raise DslSemanticError(f"literal {node.value!r} is not a finite number", *node.span)
+    return node.value
+
+
+def _print_node(node):
     if isinstance(node, Literal):
-        if node.value < 0:
-            return f"-{_format_value(-node.value)}"
-        return _format_value(node.value)
+        value = _finite_value(node)
+        if value < 0:
+            return f"-{_format_value(-value)}"
+        return _format_value(value)
     if isinstance(node, Variable):
         return f"x{node.index}"
     if isinstance(node, Hermite):
         return f"h{node.order}(x{node.index})"
     if isinstance(node, Unary):
-        inner = _print_node(node.operand)
+        inner = yield _print_node(node.operand)
         if _precedence(node.operand) < 3:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(node, Binary):
         prec = _precedence(node)
-        left = _print_node(node.left)
+        left = yield _print_node(node.left)
         if _precedence(node.left) < prec:
             left = f"({left})"
-        right = _print_node(node.right)
+        right = yield _print_node(node.right)
         if _precedence(node.right) <= prec:
             right = f"({right})"
         return f"{left} {node.op} {right}"
     if isinstance(node, Vector):
-        return "[" + ", ".join(_print_node(item) for item in node.items) + "]"
+        items = []
+        for item in node.items:
+            items.append((yield _print_node(item)))
+        return "[" + ", ".join(items) + "]"
     raise TypeError(f"not a functional node: {node!r}")
 
 
 def print_functional(node) -> str:
-    """Canonical text form; parsing it reproduces the tree structurally."""
-    return _print_node(node)
+    """Canonical text form; parsing it reproduces the tree structurally.
+
+    A non-finite literal has no such form and raises :class:`DslSemanticError`.
+    """
+    return _descend(_print_node(node))
 
 
 # ---------------------------------------------------------------- lowering
@@ -337,15 +391,13 @@ def lower(node, n: int, *, cap: int | None = None):
     """
     limit = DEGREE_CAP if cap is None else min(int(cap), DEGREE_CAP)
     if isinstance(node, Vector):
-        return VField(tuple(_lower_scalar(item, n, limit) for item in node.items))
-    return _lower_scalar(node, n, limit)
+        return VField(tuple(_descend(_lower_scalar(item, n, limit)) for item in node.items))
+    return _descend(_lower_scalar(node, n, limit))
 
 
-def _lower_scalar(node, n: int, cap: int) -> ChaosPoly:
+def _lower_scalar(node, n: int, cap: int):
     if isinstance(node, Literal):
-        if not math.isfinite(node.value):
-            raise DslSemanticError(f"literal {node.value!r} is not a finite number", *node.span)
-        return ChaosPoly.constant(n, node.value)
+        return ChaosPoly.constant(n, _finite_value(node))
     if isinstance(node, Variable):
         _check_index(node.index, n, node.span)
         return ChaosPoly.coordinate(n, node.index)
@@ -357,10 +409,10 @@ def _lower_scalar(node, n: int, cap: int) -> ChaosPoly:
             )
         return ChaosPoly.hermite(n, node.index, node.order)
     if isinstance(node, Unary):
-        return _lower_scalar(node.operand, n, cap) * -1.0
+        return (yield _lower_scalar(node.operand, n, cap)) * -1.0
     if isinstance(node, Binary):
-        left = _lower_scalar(node.left, n, cap)
-        right = _lower_scalar(node.right, n, cap)
+        left = yield _lower_scalar(node.left, n, cap)
+        right = yield _lower_scalar(node.right, n, cap)
         if node.op == "+":
             return left + right
         if node.op == "-":

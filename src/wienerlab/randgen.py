@@ -8,12 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adapted import (
-    FiniteRankAdapted,
-    PredictableHField,
-    RankOneAdapted,
-    WeaklyAdaptedOperator,
-)
+from .adapted import PredictableHField, WeaklyAdaptedOperator
 from .chaos import ChaosPoly, MultiIndex
 from .malliavin import HField, OperatorField, VField
 
@@ -44,13 +39,11 @@ def random_multiindex(rng: np.random.Generator, n: int, degree: int,
 
 
 def random_poly(rng: np.random.Generator, n: int, degree: int,
-                n_terms: int = 4, coords=None, centered: bool = False) -> ChaosPoly:
+                n_terms: int = 4, coords=None) -> ChaosPoly:
     terms: dict[MultiIndex, float] = {}
     for _ in range(n_terms):
         idx = random_multiindex(rng, n, degree, coords)
         terms[idx] = terms.get(idx, 0.0) + float(rng.uniform(-1, 1))
-    if centered:
-        terms.pop(MultiIndex(), None)
     return ChaosPoly(n, terms)
 
 
@@ -87,16 +80,14 @@ def random_weakly_adapted(rng, n: int, d: int, degree: int,
     )
 
 
-def random_finite_rank_adapted(rng, n: int, d: int, rank: int = 2,
-                               degree: int = 2) -> FiniteRankAdapted:
-    terms = tuple(
-        RankOneAdapted(
-            field=random_predictable_field(rng, n, degree),
-            functional=tuple(rng.uniform(-1, 1, size=d)),
-        )
-        for _ in range(rank)
-    )
-    return FiniteRankAdapted(terms)
+def random_finite_rank_adapted(rng, n: int, d: int) -> WeaklyAdaptedOperator:
+    """sum_t y_t (x) q_t over two terms: predictable q_t, y_t uniform in [-1, 1]^d."""
+    fields, functionals = [], []
+    for _ in range(2):
+        fields.append(random_predictable_field(rng, n, 2))
+        functionals.append(rng.uniform(-1, 1, size=d))
+    Q, Y = OperatorField(tuple(fields)), np.array(functionals)
+    return WeaklyAdaptedOperator(tuple(Q.transpose_apply(Y[:, a]) for a in range(d)))
 
 
 def random_representable_poly(rng, n: int, degree: int, n_terms: int = 4) -> ChaosPoly:

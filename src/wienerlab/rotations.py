@@ -37,8 +37,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .adapted import PredictableHField, WeaklyAdaptedOperator
-from .chaos import evaluate_batch, linear_combine, refine
+from .adapted import WeaklyAdaptedOperator
+from .chaos import evaluate_batch, refine
 from .clark import clark_integrand
 from .malliavin import VField, divergence_op, gram
 from .randgen import make_rng
@@ -258,13 +258,8 @@ def _recombine_outputs(base: AdaptedIsometry, L: np.ndarray, tag: str) -> Adapte
 
     op = base.operator()
     if op is not None:
-        columns = list(zip(*(row.coords for row in op.rows)))
-        op = WeaklyAdaptedOperator(
-            tuple(
-                PredictableHField(tuple(linear_combine(w, col) for col in columns))
-                for w in L
-            )
-        )
+        # row b of L K is K^T applied to row b of L
+        op = WeaklyAdaptedOperator(tuple(op.transpose_apply(w) for w in L))
     return AdaptedIsometry(base.n, base.d, base.kind + tag, fn, operator=op)
 
 
@@ -309,14 +304,14 @@ def isometry_check(R: AdaptedIsometry, samples) -> float:
     return float(np.max(np.abs(eigs)))
 
 
-def check_strict_past_measurability(R: AdaptedIsometry, samples, seed: int = 271828) -> float:
+def check_strict_past_measurability(R: AdaptedIsometry, samples) -> float:
     """Certify that matrix column j only reads eta_1 .. eta_{j-1}.
 
     Replaces all coordinates from j onward with fresh noise and measures the
     change in columns 1..j; the contract is exact zero.
     """
     draws = _as_draws(samples)
-    fresh = sample_batch(R.n, draws.shape[0], seed=seed).draws
+    fresh = sample_batch(R.n, draws.shape[0], seed=271828).draws
     base = R.matrices(draws)
     gaps = []
     for j in range(1, R.n + 1):

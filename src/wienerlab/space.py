@@ -191,9 +191,9 @@ def moment_normality(samples: np.ndarray) -> dict:
     return {name: check(name, stat, thr) for name, (stat, thr) in checks.items()}
 
 
-def ks_normal(samples: np.ndarray, alpha: float = 0.01) -> dict:
-    """Kolmogorov-Smirnov against N(0,1) at the given level."""
+def ks_normal(samples: np.ndarray) -> dict:
+    """Kolmogorov-Smirnov against N(0,1) at level 0.01."""
     x = np.asarray(samples, dtype=float)
     result = _scipy_stats.kstest(x, "norm")
-    critical = _scipy_stats.kstwo.ppf(1.0 - alpha, x.size)
+    critical = _scipy_stats.kstwo.ppf(0.99, x.size)
     return check("ks", result.statistic, critical)

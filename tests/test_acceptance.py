@@ -24,7 +24,6 @@ from wienerlab.adapted import (
 from wienerlab.chaos import ChaosPoly, ou_apply
 from wienerlab.clark import (
     check_uniqueness,
-    clark_integrand,
     compare_energies,
     minimal_energy_integrand,
     reconstruct,

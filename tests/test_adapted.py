@@ -1,17 +1,13 @@
 """Strict-past predictability, adapted projection, and discrete Ito calculus."""
 
-import math
-
 import numpy as np
 import pytest
 
 from helpers import make_rng
-from wienerlab.chaos import ChaosPoly, l2_inner
+from wienerlab.chaos import ChaosPoly, l2_inner, linear_combine
 from wienerlab.adapted import (
-    FiniteRankAdapted,
     NotPredictable,
     PredictableHField,
-    RankOneAdapted,
     WeaklyAdaptedOperator,
     check_divergence_free_uniqueness,
     check_ito_isometry,
@@ -232,7 +228,7 @@ def test_weak_orthogonality_hand_example():
 
     Kop = OperatorField((K,))
     q = PredictableHField((ChaosPoly.constant(n, 1.0), eta(1, n)))
-    Q = FiniteRankAdapted((RankOneAdapted(q, (1.0,)),))
+    Q = WeaklyAdaptedOperator((q,))
     assert check_weak_orthogonality(Kop, Q) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -240,25 +236,26 @@ def test_weak_orthogonality_hand_example():
 
 
 def test_finite_rank_divergence_matches_densified():
+    # div(sum_t y_t (x) q_t) = sum_t y_t div(q_t), component by component
     rng = make_rng(411)
     for _ in range(8):
         n = int(rng.integers(2, 5))
         d = int(rng.integers(1, 4))
-        D = random_finite_rank_adapted(rng, n, d)
-        dense = D.to_operator()
-        assert isinstance(dense, WeaklyAdaptedOperator)
-        structural = D.divergence()
-        direct = divergence_op(dense)
-        assert structural.sub(direct).norm() <= 1e-12
-
-
-def test_finite_rank_shape_accessors():
-    q = PredictableHField((ChaosPoly.constant(3, 2.0), eta(1, 3), he(2, 2, 3)))
-    D = FiniteRankAdapted((RankOneAdapted(q, (1.0, 0.0)),))
-    assert (D.d, D.n) == (2, 3)
-    dense = D.to_operator()
-    assert dense.entry(1, 2) == eta(1, 3)
-    assert dense.entry(2, 2).is_zero()
+        terms = [
+            (random_predictable_field(rng, n, 2), rng.uniform(-1, 1, size=d))
+            for _ in range(3)
+        ]
+        rows = []
+        for a in range(d):
+            row = HField.zero(n)
+            for q, y in terms:
+                row = row.add(q.scale(y[a]))
+            rows.append(row)
+        D = WeaklyAdaptedOperator(tuple(rows))
+        divs = [divergence_h(q) for q, _ in terms]
+        for a, component in enumerate(divergence_op(D).components):
+            expected = linear_combine([y[a] for _, y in terms], divs)
+            assert (component - expected).norm_l2() <= 1e-12
 
 
 # -------------------------------------------------------------- uniqueness

@@ -9,14 +9,12 @@ from wienerlab.chaos import (
     ChaosPoly,
     MultiIndex,
     hermite_product,
-    l2_inner,
     ou_apply,
     ou_inverse,
     refine,
 )
 from wienerlab.adapted import PredictableHField, WeaklyAdaptedOperator
 from wienerlab.clark import (
-    ClarkResult,
     RepresentationError,
     check_uniqueness,
     clark_integrand,
@@ -32,7 +30,6 @@ from wienerlab.malliavin import (
     HField,
     VField,
     divergence_h,
-    divergence_op,
     gradient_scalar,
 )
 from wienerlab.randgen import (

@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 import wienerlab.suites
@@ -210,6 +209,18 @@ def test_represent_semantic_error_exit_code(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_represent_deeply_nested_functional(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    nested = "(" * 400 + "x1" + ")" * 400
+    code, out, _ = run(["represent", "--functional", nested, "--n", "1"], capsys)
+    assert code == 0
+    assert "residual_l2 = 0\n" in out
+    # at the same depth, a group left open is an input error at its opener
+    code, out, err = run(["represent", "--functional", nested[:-1], "--n", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1, column 1: unclosed '('") and "Traceback" not in err
+
+
 def test_represent_non_finite_literal_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(["represent", "--functional", "1e400*x1", "--n", "1"], capsys)
@@ -250,10 +261,25 @@ def test_represent_refinement_past_dimension_cap_exits_two(tmp_path, monkeypatch
 def test_represent_unwritable_output_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     prefix = tmp_path / "missing" / "r"
-    code, _, err = run(
+    code, out, err = run(
         ["represent", "--n", "2", "--functional", "x1*x2", "--output", str(prefix)], capsys
     )
+    assert out == ""  # the reports are written before the table is printed
     assert_input_error(code, err, tmp_path, "cannot write report")
+
+
+def test_represent_failed_csv_leaves_no_json(tmp_path, monkeypatch, capsys):
+    # r.csv is a directory, so its rename fails after r.json could be renamed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.csv").mkdir()
+    code, out, err = run(
+        ["represent", "--n", "2", "--functional", "x1*x2", "--output", "r"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot write report r.csv" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+    assert list((tmp_path / "r.csv").iterdir()) == []
 
 
 # ----------------------------------------------------------------- config

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wienerlab.chaos import AlgebraError, ChaosPoly, hermite_product
 from wienerlab.dsl import (
@@ -279,3 +281,82 @@ def test_overflow_from_finite_literals_stays_an_algebra_error():
     with pytest.raises(AlgebraError) as err:
         lower(parse_functional("1e200 * 1e200 * x1"), 1)
     assert not isinstance(err.value, DslError)
+
+
+# ------------------------------------------------------------ deep inputs
+# Trees this deep are compared through lowering and printing: dataclass
+# equality and repr of them would recurse once per level.
+
+
+def test_deeply_nested_parentheses_parse_and_lower():
+    text = "(" * 400 + "x1" + ")" * 400
+    node = parse_functional(text)
+    assert isinstance(node, Variable) and node.span == (1, 401)
+    assert lower(node, 1) == ChaosPoly.coordinate(1, 1)
+    right_nested = "(x1 + " * 400 + "x1" + ")" * 400
+    assert lower(parse_functional(right_nested), 1) == ChaosPoly.hermite(1, 1, 1, 401.0)
+
+
+def test_long_unary_chains_parse_lower_and_print():
+    for count in (1000, 1001):
+        node = parse_functional("-" * count + "x1")
+        sign = -1.0 if count % 2 else 1.0
+        assert lower(node, 1) == ChaosPoly.hermite(1, 1, 1, sign)
+        assert print_functional(node) == "-" * count + "x1"
+
+
+def test_long_flat_sums_lower_and_print():
+    for count in (1000, 2000):
+        text = " + ".join(["x1"] * count)
+        node = parse_functional(text)
+        assert lower(node, 1) == ChaosPoly.hermite(1, 1, 1, float(count))
+        assert print_functional(node) == text
+
+
+def test_deep_input_errors_carry_their_span():
+    with pytest.raises(DslSyntaxError) as err:
+        parse_functional("(" * 400 + "x1 +" + ")" * 400)
+    assert (err.value.line, err.value.col) == (1, 405)
+    with pytest.raises(DslSyntaxError) as err:
+        parse_functional("(" * 400 + "x1")
+    assert (err.value.line, err.value.col) == (1, 400)
+    assert "unclosed" in str(err.value)
+    with pytest.raises(DslSemanticError) as err:
+        lower(parse_functional("(" * 400 + "x2" + ")" * 400), 1)
+    assert (err.value.line, err.value.col) == (1, 401)
+
+
+def test_index_with_too_many_digits_is_a_semantic_error():
+    with pytest.raises(DslSemanticError) as err:
+        parse_functional("x1 + x" + "9" * 5000)
+    assert (err.value.line, err.value.col) == (1, 6)
+    with pytest.raises(DslSemanticError):
+        parse_functional("h" + "2" * 5000 + "(x1)")
+
+
+def test_printing_a_non_finite_literal_is_a_semantic_error():
+    with pytest.raises(DslSemanticError) as err:
+        print_functional(parse_functional("x1 + 1e400"))
+    assert (err.value.line, err.value.col) == (1, 6)
+    assert "finite" in str(err.value)
+
+
+_DSL_ALPHABET = "x1h2093()+-*[],.e \n"
+_DSL_TEXT = st.text(alphabet=_DSL_ALPHABET, max_size=40)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        _DSL_TEXT,
+        # a fragment repeated into deep nesting, long chains or long sums
+        st.builds(lambda part, count: part * count, _DSL_TEXT, st.integers(1, 1500)),
+    )
+)
+def test_only_dsl_and_algebra_errors_escape(text):
+    try:
+        tree = parse_functional(text)
+        print_functional(tree)
+        lower(tree, 3)
+    except (DslError, AlgebraError):
+        pass

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is read somewhere in it, and
-the package exports each public name it binds exactly once."""
+"""Source hygiene: every name a module imports is read somewhere in it (package,
+tests and benchmark harness alike), and the package exports each public name
+it binds exactly once."""
 
 import ast
 import types
@@ -9,8 +10,11 @@ import pytest
 
 import wienerlab
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "wienerlab"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "wienerlab"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+# the test modules and the benchmark harness are held to the same rule
+MODULES += sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,7 +42,9 @@ def test_scanner_finds_an_unused_import():
     assert unused_imports("from __future__ import annotations\nimport a.b\na.b.c()\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda p: p.name if p.parent == SOURCE else f"{p.parent.name}/{p.name}"
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -33,7 +33,6 @@ from wienerlab.malliavin import (
 from wienerlab.randgen import (
     random_hfield,
     random_operator,
-    random_poly,
     random_skew_matrix,
     random_vfield,
 )
