@@ -72,6 +72,13 @@ CONFIG_KEYS = (
 # seed must stay below 2**64
 _SEED_MAX = 2**64 - 1 - 17
 
+#: Largest (n_samples, n) float64 block ``rotate`` accepts, in bytes.  A run
+#: peaks at about six such blocks (samples, rotated samples, kernel and
+#: battery temporaries; measured at n = 8 with 10**6 samples), 200000
+#: samples fit at the dimension cap n = 128, and a request past the budget
+#: exits 2 before anything is allocated.
+ROTATE_BLOCK_BUDGET = 256 * 2**20
+
 
 class UsageError(Exception):
     """Bad flags, bad config, or unparseable input."""
@@ -121,11 +128,14 @@ def _write_atomic(*reports: tuple[str, str]) -> None:
                 os.unlink(tmp)
 
 
-def _finish(args, passed: bool, payload: dict) -> int:
-    """Write the report of ``verify`` or ``rotate`` and print the verdict."""
+def _finish(args, passed: bool, payload: dict, lines: list[str]) -> int:
+    """Write the report of ``verify`` or ``rotate``, then print its lines and verdict."""
     if args.output:
         stamp = {"command": args.command, "environment": _environment_stamp(), "passed": passed}
         _write_atomic((args.output, _json_text({**payload, **stamp})))
+    for line in lines:
+        print(line)
+    if args.output:
         print(f"report written to {args.output}")
     print(f"{args.command}:", "PASS" if passed else "FAIL")
     return 0 if passed else 1
@@ -221,6 +231,11 @@ def _resolve_settings(args) -> None:
         if value is not None and key in _CONVERTERS:
             value = _CONVERTERS[key](value)
         setattr(args, key, value)
+    if args.command == "rotate" and args.n_samples * args.n * 8 > ROTATE_BLOCK_BUDGET:
+        raise UsageError(
+            f"n_samples * n = {args.n_samples * args.n} float64 values exceed the"
+            f" {ROTATE_BLOCK_BUDGET // 2**20} MiB block budget of rotate"
+        )
 
 
 def _read_functional(spec) -> str:
@@ -243,10 +258,9 @@ def _cmd_verify(args) -> int:
         results = run_suites(args.suites)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
-    for r in results:
-        print(r.line())
     passed = all(r.passed for r in results)
-    return _finish(args, passed, {"results": [r.to_json_dict() for r in results]})
+    payload = {"results": [r.to_json_dict() for r in results]}
+    return _finish(args, passed, payload, [r.line() for r in results])
 
 
 def _cmd_represent(args) -> int:
@@ -322,9 +336,11 @@ def _cmd_rotate(args) -> int:
     for prefix, report in batteries:
         tests.extend({**t, "name": prefix + t["name"]} for t in report.tests)
 
-    for t in tests:
-        status = "PASS" if t["pass"] else "FAIL"
-        print(f"{status} {t['name']}: {t['statistic']:.4e} (threshold {t['threshold']:.4e})")
+    lines = [
+        f"{'PASS' if t['pass'] else 'FAIL'} {t['name']}:"
+        f" {t['statistic']:.4e} (threshold {t['threshold']:.4e})"
+        for t in tests
+    ]
     payload = {
         "construction": args.construction,
         "n": n,
@@ -332,7 +348,7 @@ def _cmd_rotate(args) -> int:
         "seed": seed,
         "tests": tests,
     }
-    return _finish(args, all(t["pass"] for t in tests), payload)
+    return _finish(args, all(t["pass"] for t in tests), payload, lines)
 
 
 # ------------------------------------------------------------------- main

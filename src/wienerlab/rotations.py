@@ -26,6 +26,13 @@ inside the pathwise orthogonal complement of columns 1 .. j-1 by a bounded
 measurable rule of the prefix eta_1 .. eta_{j-1} (arctan of seeded linear
 statistics), then normalized.  Columns built this way are automatically
 measurable with respect to the strict past of their own index.
+
+Each construction is evaluated through one kernel, the product M(eta) U
+with a block U of shape (N, n, k).  Rotating samples is the kernel at
+U = the samples: for ``givens`` it costs O(N n^2) in reflector work plus
+O(N n^3 / 6) in the seeded feature products, and no (N, n, n) stack is
+formed.  The stack itself is the kernel at U = I; only the isometry and
+strict-past certificates ask for it.
 """
 
 from __future__ import annotations
@@ -87,35 +94,46 @@ class RotationReport:
 class AdaptedIsometry:
     """Random rotation with strict-past-measurable matrix columns.
 
-    ``matrices`` evaluates the row-form matrix at a batch of samples; the
-    rotation of a sample is matrix @ sample.  Constructions with polynomial
-    entries also expose the exact operator form for chaos-level checks.
+    A construction is one kernel ``apply_fn(draws, U)`` that returns the
+    product M(draws) @ U of the row-form matrices with a block ``U`` of shape
+    (N, n, k), without storing the (N, d, n) stack unless U asks for it.
+    ``apply_batch`` is the kernel at the samples themselves (k = 1), and
+    ``matrices`` is the kernel at the identity, for the certificates that
+    need whole matrices.  Constructions with polynomial entries also expose
+    the exact operator form for chaos-level checks.
     """
 
-    def __init__(self, n, d, kind, matrix_fn, operator=None):
+    def __init__(self, n, d, kind, apply_fn, operator=None):
         self.n = int(n)
         self.d = int(d)
         self.kind = str(kind)
-        self._matrix_fn = matrix_fn
+        self._apply_fn = apply_fn
         self._operator = operator
 
-    def matrices(self, draws: np.ndarray) -> np.ndarray:
-        """Row-form matrices, shape (N, d, n), at the given (N, n) samples."""
+    def _apply(self, draws, U: np.ndarray) -> np.ndarray:
+        out = self._apply_fn(draws, U)
+        if out.shape != (draws.shape[0], self.d, U.shape[2]):
+            raise RotationError(f"construction produced shape {out.shape}")
+        return out
+
+    def _draws(self, draws) -> np.ndarray:
         draws = np.asarray(draws, dtype=float)
         if draws.ndim != 2 or draws.shape[1] != self.n:
             raise RotationError(
                 f"sample block of shape {draws.shape} for input dimension {self.n}"
             )
-        out = self._matrix_fn(draws)
-        if out.shape != (draws.shape[0], self.d, self.n):
-            raise RotationError(f"construction produced shape {out.shape}")
-        return out
+        return draws
+
+    def matrices(self, draws: np.ndarray) -> np.ndarray:
+        """Row-form matrices, shape (N, d, n), at the given (N, n) samples."""
+        draws = self._draws(draws)
+        eye = np.broadcast_to(np.eye(self.n), (draws.shape[0], self.n, self.n))
+        return self._apply(draws, eye)
 
     def apply_batch(self, draws: np.ndarray) -> np.ndarray:
-        """Rotated samples, shape (N, d)."""
-        draws = np.asarray(draws, dtype=float)
-        mats = self.matrices(draws)
-        return np.einsum("sij,sj->si", mats, draws)
+        """Rotated samples M(draws) @ draws, shape (N, d)."""
+        draws = self._draws(draws)
+        return self._apply(draws, draws[:, :, None])[:, :, 0]
 
     def operator(self) -> WeaklyAdaptedOperator | None:
         """Exact chaos-polynomial form of the rows, when the entries are polynomial."""
@@ -126,56 +144,57 @@ class AdaptedIsometry:
 
 
 def _constant_fn(M: np.ndarray):
-    def fn(draws):
-        return np.broadcast_to(M, (draws.shape[0],) + M.shape)
+    def fn(draws, U):
+        return np.matmul(M, U)
 
     return fn
 
 
 def _sign_fn(n: int):
     # output a flips with the sign of the previous increment; row 1 fixed
-    def fn(draws):
-        N = draws.shape[0]
-        M = np.zeros((N, n, n))
-        M[:, 0, 0] = 1.0
-        for a in range(2, n + 1):
-            M[:, a - 1, a - 1] = np.where(draws[:, a - 2] < 0.0, -1.0, 1.0)
-        return M
+    def fn(draws, U):
+        signs = np.ones((draws.shape[0], n))
+        signs[:, 1:] = np.where(draws[:, :-1] < 0.0, -1.0, 1.0)
+        return signs[:, :, None] * U
 
     return fn
 
 
 def _sequential_fn(n: int, weights: dict):
-    def fn(draws):
-        N = draws.shape[0]
-        M = np.zeros((N, n, n))
-        M[:, 0, 0] = 1.0
-        if n == 1:
-            return M
-        # complement of column 1 = e_1 is the constant span of e_2..e_n
-        B = np.broadcast_to(np.eye(n)[:, 1:], (N, n, n - 1)).copy()
-        for c in range(2, n + 1):
-            m = n - c + 1
-            W = weights[c]  # (m, c-1) fixed by the seed
-            feats = np.arctan(draws[:, : c - 1] @ W.T)
-            g = feats.copy()
+    """Kernel of the ``givens`` chain, one Householder reflector per stage.
+
+    Stage c picks the unit direction g_c (length n - c + 1) in the running
+    complement, and the next complement is the reflector
+    H_c = I - 2 v v^T / |v|^2, v = g_c + e_1, without its first column.  So
+    rows 2..n of M @ U are y_2 for the backward recursion y_n = g_n u_n,
+    y_c = g_c u_c + H_c [0; y_{c+1}] over the rows u_c of U, and row 1 is
+    u_1.  Each g_c reads only draws[:, :c-1], and y_c is kept in place in
+    rows c..n of the output, so no stage's complement basis is stored.
+    """
+
+    def fn(draws, U):
+        out = np.empty((draws.shape[0], n, U.shape[2]))
+        out[:, 0] = U[:, 0]
+        for c in range(n, 1, -1):
+            W = weights[c]  # (n-c+1, c-1) fixed by the seed
+            g = np.arctan(draws[:, : c - 1] @ W.T)
             g[:, 0] += 2.0  # keeps the first coefficient positive and |g| > 0
-            norms = np.linalg.norm(g, axis=1, keepdims=True)
+            norms = np.sqrt(np.einsum("si,si->s", g, g))
             if np.any(norms < 1e-12):
                 raise RotationError(f"complement collapse at stage {c}")
-            ghat = g / norms
-            col = np.einsum("sik,sk->si", B, ghat)
-            M[:, :, c - 1] = col
-            if m > 1:
-                # Householder sending ghat to -e_1; its trailing columns
-                # re-span the complement of the chosen direction
-                v = ghat.copy()
-                v[:, 0] += 1.0
-                vnorm2 = np.sum(v * v, axis=1)
-                Bv = np.einsum("sik,sk->si", B, v)
-                B = B - 2.0 * Bv[:, :, None] * v[:, None, :] / vnorm2[:, None, None]
-                B = B[:, :, 1:]
-        return M
+            ghat = g / norms[:, None]
+            y = out[:, c - 1 :]
+            u = U[:, c - 1]
+            if c < n:
+                # v = g + e_1 and |g| = 1 give |v|^2 = 2 (1 + g_1), so
+                # H [0; y'] = [0; y'] - (g_{2..} . y') (g + e_1) / (1 + g_1)
+                coef = np.einsum("si,sik->sk", ghat[:, 1:], y[:, 1:]) / (1.0 + ghat[:, :1])
+                y[:, 0] = -coef
+                u = u - coef
+            else:
+                y[:] = 0.0
+            y += ghat[:, :, None] * u[:, None, :]
+        return out
 
     return fn
 
@@ -247,14 +266,12 @@ def build_sequential_isometry(n: int, seed: int, angle_spec) -> AdaptedIsometry:
 def _recombine_outputs(base: AdaptedIsometry, L: np.ndarray, tag: str) -> AdaptedIsometry:
     """Replace the output rows by ``L @ rows`` for a constant d x d matrix ``L``.
 
-    Applied to the matrix stack and, when there is one, to the operator form.
+    Applied to the base kernel's output and, when there is one, to the
+    operator form.
     """
 
-    def fn(draws):
-        # the output keeps the base stack's memory layout, and with it the
-        # summation order of every reduction downstream
-        M = base.matrices(draws)
-        return np.matmul(L, M, out=np.empty_like(M))
+    def fn(draws, U):
+        return np.matmul(L, base._apply(draws, U))
 
     op = base.operator()
     if op is not None:
@@ -488,13 +505,12 @@ def extract_rotation(T, grid: int = 1, *, N: int = 50_000, seed: int = 314159,
     K = clark_integrand(VField(tuple(refined)))
     entries = [[K.entry(a, j) for j in range(1, K.n + 1)] for a in range(1, K.d + 1)]
 
-    def fn(draws):
-        N_rows = draws.shape[0]
-        M = np.empty((N_rows, K.d, K.n))
+    def fn(draws, U):
+        M = np.empty((draws.shape[0], K.d, K.n))
         for a in range(K.d):
             for j in range(K.n):
                 M[:, a, j] = evaluate_batch(entries[a][j], draws)
-        return M
+        return M @ U
 
     iso = AdaptedIsometry(K.n, K.d, "extracted", fn, operator=K)
     deviation = isometry_check(iso, sample_batch(K.n, 1000, seed=seed + 1))

@@ -101,11 +101,13 @@ def test_verify_empty_suite_list_exits_two(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_unwritable_output_exits_two(tmp_path, monkeypatch, capsys):
+    # the report is written before any suite line is printed
     monkeypatch.chdir(tmp_path)
     missing = tmp_path / "missing" / "r.json"
-    code, _, err = run(
+    code, out, err = run(
         ["verify", "--suite", "structure_constants", "--output", str(missing)], capsys
     )
+    assert out == ""
     assert_input_error(code, err, tmp_path, "cannot write report")
 
 
@@ -463,6 +465,27 @@ def test_rotate_seed_out_of_range_exits_two(tmp_path, monkeypatch, capsys, seed)
     )
     assert out == ""
     assert_input_error(code, err, tmp_path, "seed must be in")
+
+
+def test_rotate_unwritable_output_exits_two(tmp_path, monkeypatch, capsys):
+    # the report is written before any battery line is printed
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "missing" / "r.json"
+    code, out, err = run(
+        ["rotate", "--n", "2", "--n-samples", "1000", "--output", str(missing)], capsys
+    )
+    assert out == ""
+    assert_input_error(code, err, tmp_path, "cannot write report")
+
+
+def test_rotate_working_set_past_budget_exits_two(tmp_path, monkeypatch, capsys):
+    # 10**12 samples would need 8 TB per coordinate: refused before any allocation
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        ["rotate", "--n", "2", "--n-samples", "1000000000000", "--output", "r.json"], capsys
+    )
+    assert out == ""
+    assert_input_error(code, err, tmp_path, "block budget")
 
 
 def test_rotate_accepts_the_largest_seed(tmp_path, monkeypatch, capsys):

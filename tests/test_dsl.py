@@ -284,8 +284,34 @@ def test_overflow_from_finite_literals_stays_an_algebra_error():
 
 
 # ------------------------------------------------------------ deep inputs
-# Trees this deep are compared through lowering and printing: dataclass
-# equality and repr of them would recurse once per level.
+
+
+def test_deep_trees_compare_hash_and_print():
+    chain = "-" * 1000 + "x1"
+    nested = "(x1 + " * 400 + "x1" + ")" * 400
+    for text, other in ((chain, "-" + chain), (nested, nested.replace("x1)", "x2)", 1))):
+        node = parse_functional(text)
+        # spans differ under a leading space and take no part in equality
+        same = parse_functional(" " + text)
+        assert node == same and hash(node) == hash(same)
+        assert node != parse_functional(other)
+        assert repr(node).count("span=") == repr(same).count("span=")
+    deep = parse_functional(chain)
+    assert repr(deep) == "Unary(operand=" * 1000 + "Variable(index=1, span=(1, 1001))" + "".join(
+        f", span=(1, {col}))" for col in range(1000, 0, -1)
+    )
+    assert {deep, parse_functional(chain)} == {deep}
+
+
+def test_structural_equality_matches_the_dataclass_rules():
+    x1, x2 = Variable(1), Variable(2, span=(3, 4))
+    assert Binary("+", x1, x2) == Binary("+", x1, Variable(2), span=(9, 9))
+    assert Binary("+", x1, x2) != Binary("-", x1, x2)
+    assert Binary("+", x1, x2) != Binary("+", x2, x1)
+    assert Unary(x1) != x1 and Unary(Unary(x1)) != Unary(x1)
+    assert Vector((x1, Unary(x2))) == Vector((x1, Unary(x2)))
+    assert Vector((x1,)) != Vector((x1, x1))
+    assert repr(Vector((x1,))) == "Vector(items=(Variable(index=1, span=(0, 0)),), span=(0, 0))"
 
 
 def test_deeply_nested_parentheses_parse_and_lower():

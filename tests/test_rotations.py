@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_rng
 from wienerlab.chaos import ChaosPoly, hermite_product, refine
@@ -32,6 +34,34 @@ SEED = 20240815
 
 def draws_for(n, count=1000, seed=777):
     return sample_batch(n, count, seed=seed).draws
+
+
+def householder_reference(n, seed, draws):
+    """The ``givens`` matrix stack built column by column, shape (N, n, n).
+
+    Independent of the package kernel: it stores the complement basis B of
+    the columns chosen so far, takes column c as B g_c, and re-spans the
+    complement with the Householder reflector sending g_c to -e_1, dropping
+    its first column.  The seeded weights are drawn as the construction
+    draws them.
+    """
+    rng = make_rng(seed)
+    weights = {c: 0.7 * rng.standard_normal((n - c + 1, c - 1)) for c in range(2, n + 1)}
+    N = draws.shape[0]
+    M = np.zeros((N, n, n))
+    M[:, 0, 0] = 1.0
+    B = np.broadcast_to(np.eye(n)[:, 1:], (N, n, n - 1)).copy()
+    for c in range(2, n + 1):
+        g = np.arctan(draws[:, : c - 1] @ weights[c].T)
+        g[:, 0] += 2.0
+        ghat = g / np.linalg.norm(g, axis=1, keepdims=True)
+        M[:, :, c - 1] = np.einsum("sik,sk->si", B, ghat)
+        v = ghat.copy()
+        v[:, 0] += 1.0
+        Bv = np.einsum("sik,sk->si", B, v)
+        B = B - 2.0 * Bv[:, :, None] * v[:, None, :] / np.sum(v * v, axis=1)[:, None, None]
+        B = B[:, :, 1:]
+    return M
 
 
 # ------------------------------------------------------------- construction
@@ -95,10 +125,12 @@ def test_strict_past_measurability_certificate():
 
 def test_strict_past_certificate_keeps_nan():
     # a NaN entry in the last column must not vanish in the fold over columns
-    def fn(draws):
-        M = np.broadcast_to(np.eye(3), (draws.shape[0], 3, 3)).copy()
-        M[:, 0, 2] = np.nan
-        return M
+    def fn(draws, U):
+        # M = I with a NaN at entry (1, 3): the NaN reaches output row 1
+        # wherever the third input row of U has weight
+        out = np.array(U, dtype=float)
+        out[:, 0] += np.where(U[:, 2] != 0.0, np.nan, 0.0)
+        return out
 
     R = AdaptedIsometry(3, 3, "nan", fn)
     assert math.isnan(check_strict_past_measurability(R, draws_for(3)))
@@ -111,6 +143,56 @@ def test_construction_reproducible():
     assert np.array_equal(a.matrices(d), b.matrices(d))
     c = build_sequential_isometry(5, seed=124, angle_spec="givens")
     assert not np.array_equal(a.matrices(d), c.matrices(d))
+
+
+# ----------------------------------------------------------- rotation kernel
+
+
+def test_givens_kernel_matches_householder_reference():
+    for n in range(1, 9):
+        R = build_sequential_isometry(n, seed=17, angle_spec="givens")
+        x = draws_for(n, count=500)
+        ref = householder_reference(n, 17, x)
+        assert np.max(np.abs(R.matrices(x) - ref)) <= 1e-12
+        applied = np.einsum("sij,sj->si", ref, x)
+        assert np.max(np.abs(R.apply_batch(x) - applied)) <= 1e-12
+        if n < 2:
+            continue
+        scaled, mixed = np.eye(n), np.eye(n)
+        scaled[n - 1, n - 1] = 2.0
+        mixed[n - 1, [0, n - 1]] = 1.0 / math.sqrt(2.0)
+        for bad, L in ((scale_output(R, n, 2.0), scaled), (mix_outputs(R, 1, n), mixed)):
+            assert np.max(np.abs(bad.matrices(x) - L @ ref)) <= 1e-12
+            assert np.max(np.abs(bad.apply_batch(x) - applied @ L.T)) <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    spec=st.sampled_from(["zero", "sign", "givens", "constant"]),
+)
+def test_apply_batch_is_the_matrix_stack_applied(n, seed, spec):
+    R = build_sequential_isometry(n, seed=seed, angle_spec=spec)
+    x = draws_for(n, count=64, seed=seed)
+    applied = R.apply_batch(x)
+    assert np.max(np.abs(applied - np.einsum("sij,sj->si", R.matrices(x), x))) <= 1e-12
+    gap = np.abs(np.linalg.norm(applied, axis=1) - np.linalg.norm(x, axis=1))
+    assert np.max(gap) <= 1e-12
+    assert check_strict_past_measurability(R, x) == 0.0
+
+
+def test_givens_apply_at_dimension_64():
+    n = 64
+    R = build_sequential_isometry(n, seed=23, angle_spec="givens")
+    x = draws_for(n, count=2000)
+    applied = R.apply_batch(x)
+    assert applied.shape == (2000, n)
+    gap = np.abs(np.linalg.norm(applied, axis=1) - np.linalg.norm(x, axis=1))
+    assert np.max(gap) <= 1e-12
+    head = x[:200]
+    ref = np.einsum("sij,sj->si", householder_reference(n, 23, head), head)
+    assert np.max(np.abs(applied[:200] - ref)) <= 1e-12
 
 
 # --------------------------------------------------------- exact invariants
