@@ -46,11 +46,7 @@ class NotPredictable(ValueError):
 
 def is_predictable(u: HField) -> bool:
     """True iff coordinate i has no positive order at any coordinate >= i."""
-    for i, ui in enumerate(u.coords, start=1):
-        for idx in ui.terms:
-            if idx.max_coordinate >= i:
-                return False
-    return True
+    return all(ui.max_coordinate() < i for i, ui in enumerate(u.coords, start=1))
 
 
 class PredictableHField(HField):

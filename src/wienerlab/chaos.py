@@ -2,8 +2,8 @@
 
 A square-integrable polynomial functional of n independent standard Gaussian
 coordinates ``eta_1 .. eta_n`` is stored as a sparse linear combination of
-Hermite monomials ``prod_i He_{k_i}(eta_i)``, keyed by sparse multi-indices.
-The probabilists' convention is used throughout::
+Hermite monomials ``prod_i He_{k_i}(eta_i)``.  The probabilists' convention
+is used throughout::
 
     He_0 = 1,   He_1 = x,   He_{k+1}(x) = x * He_k(x) - k * He_{k-1}(x)
 
@@ -11,11 +11,22 @@ so that ``E[He_j(eta) He_k(eta)] = k! * [j == k]`` and the L2 inner product
 of two chaos polynomials is ``sum_alpha alpha! * p_alpha * q_alpha`` with
 ``alpha! = prod_i k_i!``.
 
+Each stored term is keyed by one packed multi-index: the ``bytes`` string of
+the index's coordinate occurrences, sorted ascending, one byte per
+occurrence.  ``{1: 2, 3: 1}`` is ``b"\x01\x01\x03"`` and the constant is
+``b""``; a byte holds any coordinate up to :data:`DIM_CAP`.  Every index
+property is one byte operation: the total degree is ``len(key)``, the
+largest coordinate ``key[-1]``, the order at ``i`` ``key.count(i)``, a
+derivative drops one occurrence of ``i`` and a coordinate product inserts
+one.  :class:`MultiIndex` is the public view of a key: ``ChaosPoly.terms``
+builds the views on demand in stored order, and the text form sorts them by
+:meth:`MultiIndex.sort_key` (degree, then coordinates, then orders).
+
 Every operation here is exact up to double rounding: expectation, inner
 product, product (Hermite linearization), coordinate derivative, conditional
 expectation with respect to the coordinate filtration, chaos-grade
 projection, number-operator scaling and its inverse, grid refinement, and
-pointwise evaluation.  Every operation passes its ``(index, coefficient)``
+pointwise evaluation.  Every operation passes its ``(key, coefficient)``
 pairs to the :class:`ChaosPoly` constructor, whose one term gate sums them,
 checks each summed index against the ambient dimension and the degree cap,
 rejects a NaN or infinite coefficient with :class:`AlgebraError` instead of
@@ -31,10 +42,12 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
+from collections.abc import Mapping
 from functools import lru_cache, reduce
 from itertools import product as _cartesian
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,8 +88,9 @@ class NotCentered(AlgebraError):
 class MultiIndex:
     """Sparse exponent vector: 1-based coordinate index -> positive order.
 
-    Canonical form stores only nonzero orders, sorted by coordinate.  The
-    empty multi-index denotes the constant monomial ``He_0 = 1``.
+    The public view of a packed key.  Canonical form stores only nonzero
+    orders, sorted by coordinate.  The empty multi-index denotes the
+    constant monomial ``He_0 = 1``.
     """
 
     __slots__ = ("_pairs", "_degree", "_factorial")
@@ -119,21 +133,6 @@ class MultiIndex:
         """Largest coordinate carrying a positive order; 0 for the constant."""
         return self._pairs[-1][0] if self._pairs else 0
 
-    def order(self, coord: int) -> int:
-        for i, k in self._pairs:
-            if i == coord:
-                return k
-        return 0
-
-    def shifted(self, coord: int, delta: int) -> "MultiIndex":
-        """New index with the order at ``coord`` changed by ``delta``."""
-        new = dict(self._pairs)
-        new[coord] = new.get(coord, 0) + delta
-        return MultiIndex(new)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._pairs)
-
     def sort_key(self) -> tuple:
         # deterministic serialization order: degree, then coordinates, then orders
         return (self._degree, tuple(i for i, _ in self._pairs), tuple(k for _, k in self._pairs))
@@ -148,41 +147,119 @@ class MultiIndex:
         return f"MultiIndex({dict(self._pairs)!r})"
 
 
-#: The constant monomial's index.
-EMPTY_INDEX = MultiIndex()
+# ---- packed keys ---------------------------------------------------------
 
 
-def _canonical_terms(terms, dim: int, cap: int) -> dict[MultiIndex, float]:
+def _pack(pairs) -> bytes:
+    """Key of canonical ``(coordinate, order)`` pairs, coordinates <= 255."""
+    return b"".join(bytes((i,)) * k for i, k in pairs)
+
+
+def _pairs_of(key: bytes) -> list[tuple[int, int]]:
+    """``(coordinate, order)`` pairs of a key, by ascending coordinate."""
+    return [(i, key.count(i)) for i in dict.fromkeys(key)]
+
+
+def _factorial(key: bytes) -> int:
+    """``alpha!`` of a key: the factorials of its run lengths, multiplied."""
+    f = run = 1
+    prev = -1
+    for c in key:
+        if c == prev:
+            run += 1
+            f *= run
+        else:
+            run = 1
+            prev = c
+    return f
+
+
+def _top_order_above_one(key: bytes) -> bool:
+    """Whether the largest coordinate of a key carries Hermite order >= 2."""
+    return len(key) > 1 and key[-1] == key[-2]
+
+
+def _entry_key(idx, dim: int) -> bytes:
+    """Key of a :class:`MultiIndex`, a mapping or a pair list entering the gate.
+
+    A coordinate past :data:`DIM_CAP` lies outside every ambient dimension
+    and has no one-byte digit, so it is refused here, on entry.
+    """
+    if not isinstance(idx, MultiIndex):
+        idx = MultiIndex(idx)
+    if idx.max_coordinate > DIM_CAP:
+        raise DimensionMismatch(
+            f"coordinate {idx.max_coordinate} outside ambient dimension {dim}"
+        )
+    return _pack(idx.pairs)
+
+
+def _canonical_terms(terms, dim: int, cap: int) -> dict[bytes, float]:
     """The term gate: sum, check and prune ``(index, coefficient)`` pairs.
 
-    Pairs are summed in arrival order.  Every summed index, also one whose
-    coefficients cancel to zero, is checked against ``dim`` and ``cap``
-    before any coefficient is checked for finiteness.
+    An index is a packed key, or a :class:`MultiIndex`, mapping or pair list
+    that is packed on entry.  Pairs are summed in arrival order.  Every
+    summed index, also one whose coefficients cancel to zero, is checked
+    against ``dim`` and ``cap`` before any coefficient is checked for
+    finiteness.
     """
-    acc: dict[MultiIndex, float] = {}
-    for idx, coeff in terms.items() if hasattr(terms, "items") else terms:
-        if not isinstance(idx, MultiIndex):
-            idx = MultiIndex(idx)
-        acc[idx] = acc.get(idx, 0.0) + float(coeff)
-    for idx in acc:
-        if idx.max_coordinate > dim:
-            raise DimensionMismatch(
-                f"coordinate {idx.max_coordinate} outside ambient dimension {dim}"
-            )
-        if idx.total_degree > cap:
-            raise DegreeCapExceeded(idx.total_degree, cap)
+    acc: dict[bytes, float] = {}
+    get = acc.get
+    for key, coeff in terms.items() if hasattr(terms, "items") else terms:
+        if key.__class__ is not bytes:
+            key = _entry_key(key, dim)
+        acc[key] = get(key, 0.0) + float(coeff)
+    for key in acc:
+        if key and key[-1] > dim:
+            raise DimensionMismatch(f"coordinate {key[-1]} outside ambient dimension {dim}")
+        if len(key) > cap:
+            raise DegreeCapExceeded(len(key), cap)
     if not all(map(math.isfinite, acc.values())):
         bad = next(c for c in acc.values() if not math.isfinite(c))
         raise AlgebraError(f"non-finite coefficient {bad!r}")
-    return {idx: c for idx, c in acc.items() if abs(c) > PRUNE_EPS}
+    return {key: c for key, c in acc.items() if abs(c) > PRUNE_EPS}
+
+
+def _view(key: bytes) -> MultiIndex:
+    return MultiIndex(_pairs_of(key))
+
+
+class _TermsView(Mapping):
+    """Read-only ``MultiIndex -> coefficient`` view of a key store.
+
+    Iterates in stored order and builds each :class:`MultiIndex` on demand;
+    ``len`` reads the store without building any.
+    """
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: dict[bytes, float]):
+        self._store = store
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def __iter__(self):
+        return map(_view, self._store)
+
+    def __getitem__(self, idx: MultiIndex) -> float:
+        if isinstance(idx, MultiIndex) and idx.max_coordinate <= DIM_CAP:
+            key = _pack(idx.pairs)
+            if key in self._store:
+                return self._store[key]
+        raise KeyError(idx)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 class ChaosPoly:
     """Immutable polynomial functional in its Hermite-monomial expansion.
 
-    ``dim`` is the ambient number of Gaussian coordinates; ``terms`` maps
-    :class:`MultiIndex` to a float coefficient.  The empty index carries the
-    expectation.
+    ``dim`` is the ambient number of Gaussian coordinates.  The terms are
+    stored by packed key (see the module docstring); ``terms`` views them
+    as :class:`MultiIndex` -> float coefficient.  The empty index carries
+    the expectation.
     """
 
     __slots__ = ("_dim", "_terms")
@@ -202,7 +279,7 @@ class ChaosPoly:
 
     @classmethod
     def constant(cls, dim: int, value: float) -> "ChaosPoly":
-        return cls(dim, {EMPTY_INDEX: value})
+        return cls(dim, {b"": value})
 
     @classmethod
     def coordinate(cls, dim: int, i: int) -> "ChaosPoly":
@@ -214,7 +291,10 @@ class ChaosPoly:
         """The single monomial ``coeff * He_k(eta_i)``."""
         if not 1 <= i <= dim:
             raise AlgebraError(f"coordinate {i} outside 1..{dim}")
-        return cls(dim, {MultiIndex({i: k}): coeff})
+        i, k = int(i), int(k)
+        if k < 0:
+            raise AlgebraError(f"negative Hermite order {k} at coordinate {i}")
+        return cls(dim, {bytes((i,)) * k: coeff})
 
     # ---- basic views ---------------------------------------------------
 
@@ -224,17 +304,29 @@ class ChaosPoly:
 
     @property
     def terms(self) -> Mapping[MultiIndex, float]:
+        return _TermsView(self._terms)
+
+    @property
+    def packed_terms(self) -> Mapping[bytes, float]:
+        """Read-only packed key -> coefficient store, in stored order."""
         return MappingProxyType(self._terms)
 
     def degree(self) -> int:
         """Largest total degree present (0 for constants and the zero poly)."""
-        return max((idx.total_degree for idx in self._terms), default=0)
+        return max(map(len, self._terms), default=0)
+
+    def max_coordinate(self) -> int:
+        """Largest coordinate any term depends on (0 for constants and zero)."""
+        return max(b"".join(self._terms), default=0)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def sorted_terms(self) -> list[tuple[MultiIndex, float]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(
+            ((_view(key), c) for key, c in self._terms.items()),
+            key=lambda kv: kv[0].sort_key(),
+        )
 
     # ---- arithmetic sugar (delegates to the module-level operations) ---
 
@@ -346,10 +438,10 @@ def linear_combine(coeffs: Sequence[float], polys: Sequence[ChaosPoly]) -> Chaos
     return ChaosPoly(
         dim,
         (
-            (idx, c * pc)
+            (key, c * pc)
             for c, p in zip(map(float, coeffs), polys)
             if c != 0.0
-            for idx, pc in p._terms.items()
+            for key, pc in p._terms.items()
         ),
     )
 
@@ -363,28 +455,42 @@ def _linearization(m: int, n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _monomial_product(a: MultiIndex, b: MultiIndex):
-    """Yield ``(index, coeff)`` for ``He_a * He_b`` coordinatewise."""
-    a_orders = a.as_dict()
-    b_orders = b.as_dict()
-    shared = sorted(set(a_orders) & set(b_orders))
-    base = [(i, k) for i, k in a_orders.items() if i not in b_orders]
-    base += [(i, k) for i, k in b_orders.items() if i not in a_orders]
+def _shared_product(a: bytes, b: bytes):
+    """Yield ``(key, weight)`` for ``He_a * He_b`` when the supports overlap.
+
+    Each shared coordinate expands through :func:`_linearization`; the
+    shared coordinates vary in ascending order, the first one slowest.
+    """
+    shared = sorted(set(a).intersection(b))
     if not shared:
-        yield MultiIndex(base), 1.0
+        yield bytes(sorted(a + b)), 1.0
         return
+    base = bytes(c for c in sorted(a + b) if c not in shared)
     options = [
-        [(i, order, weight) for order, weight in _linearization(a_orders[i], b_orders[i])]
+        [(bytes((i,)) * order, weight) for order, weight in _linearization(a.count(i), b.count(i))]
         for i in shared
     ]
     for combo in _cartesian(*options):
         coeff = 1.0
-        pairs = list(base)
-        for i, order, weight in combo:
+        extra = b""
+        for piece, weight in combo:
             coeff *= weight
-            if order:
-                pairs.append((i, order))
-        yield MultiIndex(pairs), coeff
+            extra += piece
+        yield bytes(sorted(base + extra)), coeff
+
+
+def _product_terms(p: dict[bytes, float], q: dict[bytes, float]):
+    """``(key, coefficient)`` pairs of ``p * q``, monomial pair by pair."""
+    for ka, ca in p.items():
+        for kb, cb in q.items():
+            if not ka or not kb or ka[-1] < kb[0]:
+                yield ka + kb, ca * cb
+            elif kb[-1] < ka[0]:
+                yield kb + ka, ca * cb
+            else:
+                scale = ca * cb
+                for key, w in _shared_product(ka, kb):
+                    yield key, scale * w
 
 
 def hermite_product(p: ChaosPoly, q: ChaosPoly, *, cap: int | None = None) -> ChaosPoly:
@@ -395,21 +501,12 @@ def hermite_product(p: ChaosPoly, q: ChaosPoly, *, cap: int | None = None) -> Ch
     of the degree cap in the algebra.
     """
     dim = _require_same_dim(p, q)
-    return ChaosPoly(
-        dim,
-        (
-            (idx, ca * cb * w)
-            for ia, ca in p._terms.items()
-            for ib, cb in q._terms.items()
-            for idx, w in _monomial_product(ia, ib)
-        ),
-        cap=cap,
-    )
+    return ChaosPoly(dim, _product_terms(p._terms, q._terms), cap=cap)
 
 
 def expectation(p: ChaosPoly) -> float:
     """``E[p]``: the coefficient of the empty index."""
-    return p._terms.get(EMPTY_INDEX, 0.0)
+    return p._terms.get(b"", 0.0)
 
 
 def l2_inner(p: ChaosPoly, q: ChaosPoly) -> float:
@@ -417,10 +514,10 @@ def l2_inner(p: ChaosPoly, q: ChaosPoly) -> float:
     _require_same_dim(p, q)
     small, large = (p._terms, q._terms) if len(p._terms) <= len(q._terms) else (q._terms, p._terms)
     total = 0.0
-    for idx, c in small.items():
-        other = large.get(idx)
+    for key, c in small.items():
+        other = large.get(key)
         if other is not None:
-            total += idx.factorial * c * other
+            total += _factorial(key) * c * other
     return total
 
 
@@ -432,9 +529,14 @@ def partial_derivative(p: ChaosPoly, i: int) -> ChaosPoly:
     """Coordinate derivative: ``He_k(eta_i) -> k He_{k-1}(eta_i)`` per term."""
     if not 1 <= i <= p.dim:
         raise AlgebraError(f"coordinate {i} outside 1..{p.dim}")
+    digit = bytes((i,))
     return ChaosPoly(
         p.dim,
-        ((idx.shifted(i, -1), k * c) for idx, c in p._terms.items() if (k := idx.order(i))),
+        (
+            (key.replace(digit, b"", 1), k * c)
+            for key, c in p._terms.items()
+            if (k := key.count(digit))
+        ),
     )
 
 
@@ -442,13 +544,15 @@ def multiply_by_coordinate(p: ChaosPoly, i: int) -> ChaosPoly:
     """Exact product with ``eta_i``: ``He_1 He_k = He_{k+1} + k He_{k-1}``."""
     if not 1 <= i <= p.dim:
         raise AlgebraError(f"coordinate {i} outside 1..{p.dim}")
+    digit = bytes((i,))
 
     def pairs():
-        for idx, c in p._terms.items():
-            yield idx.shifted(i, 1), c
-            k = idx.order(i)
+        for key, c in p._terms.items():
+            at = bisect_right(key, i)
+            yield key[:at] + digit + key[at:], c
+            k = key.count(digit)
             if k:
-                yield idx.shifted(i, -1), k * c
+                yield key.replace(digit, b"", 1), k * c
 
     return ChaosPoly(p.dim, pairs())
 
@@ -463,7 +567,7 @@ def conditional_expectation(p: ChaosPoly, k: int) -> ChaosPoly:
     """
     if not 0 <= k <= p.dim:
         raise AlgebraError(f"stage {k} outside 0..{p.dim}")
-    kept = {idx: c for idx, c in p._terms.items() if idx.max_coordinate <= k}
+    kept = {key: c for key, c in p._terms.items() if not key or key[-1] <= k}
     return ChaosPoly(p.dim, kept)
 
 
@@ -471,18 +575,13 @@ def chaos_projection(p: ChaosPoly, m: int) -> ChaosPoly:
     """Grade projection: keep terms of total degree exactly ``m``."""
     if m < 0:
         raise AlgebraError(f"chaos grade {m} is negative")
-    kept = {idx: c for idx, c in p._terms.items() if idx.total_degree == m}
+    kept = {key: c for key, c in p._terms.items() if len(key) == m}
     return ChaosPoly(p.dim, kept)
 
 
 def ou_apply(p: ChaosPoly) -> ChaosPoly:
     """Number operator: scale each grade-m term by m (constants vanish)."""
-    acc = {
-        idx: idx.total_degree * c
-        for idx, c in p._terms.items()
-        if idx.total_degree > 0
-    }
-    return ChaosPoly(p.dim, acc)
+    return ChaosPoly(p.dim, {key: len(key) * c for key, c in p._terms.items() if key})
 
 
 def ou_inverse(p: ChaosPoly) -> ChaosPoly:
@@ -493,12 +592,7 @@ def ou_inverse(p: ChaosPoly) -> ChaosPoly:
     mean = expectation(p)
     if abs(mean) > 1e-12:
         raise NotCentered(f"expectation {mean!r} exceeds centering tolerance 1e-12")
-    acc = {
-        idx: c / idx.total_degree
-        for idx, c in p._terms.items()
-        if idx.total_degree > 0
-    }
-    return ChaosPoly(p.dim, acc)
+    return ChaosPoly(p.dim, {key: c / len(key) for key, c in p._terms.items() if key})
 
 
 def refine(p: ChaosPoly, m: int) -> ChaosPoly:
@@ -534,7 +628,7 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
         if table is None:
             z = ChaosPoly(
                 new_dim,
-                {MultiIndex({(i - 1) * m + j: 1}): inv_root for j in range(1, m + 1)},
+                {bytes(((i - 1) * m + j,)): inv_root for j in range(1, m + 1)},
             )
             table = [one, z]
             tables[i] = table
@@ -549,15 +643,15 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
             )
         return table[k]
 
-    def block_monomial(idx: MultiIndex) -> ChaosPoly:
-        return reduce(hermite_product, (he_of_block(i, k) for i, k in idx.pairs), one)
+    def block_monomial(key: bytes) -> ChaosPoly:
+        return reduce(hermite_product, (he_of_block(i, k) for i, k in _pairs_of(key)), one)
 
     return ChaosPoly(
         new_dim,
         (
-            (pidx, c * pc)
-            for idx, c in p._terms.items()
-            for pidx, pc in block_monomial(idx)._terms.items()
+            (pkey, c * pc)
+            for key, c in p._terms.items()
+            for pkey, pc in block_monomial(key)._terms.items()
         ),
     )
 
@@ -580,9 +674,10 @@ def evaluate_batch(p: ChaosPoly, samples: np.ndarray) -> np.ndarray:
             f"batch of shape {samples.shape} for ambient dimension {p.dim}"
         )
     n_rows = samples.shape[0]
+    terms = [(_pairs_of(key), c) for key, c in p._terms.items()]
     needed: dict[int, int] = {}
-    for idx in p._terms:
-        for i, k in idx.pairs:
+    for pairs, _ in terms:
+        for i, k in pairs:
             needed[i] = max(needed.get(i, 0), k)
     tables: dict[int, np.ndarray] = {}
     for i, kmax in needed.items():
@@ -595,9 +690,9 @@ def evaluate_batch(p: ChaosPoly, samples: np.ndarray) -> np.ndarray:
             table[k + 1] = col * table[k] - k * table[k - 1]
         tables[i] = table
     out = np.zeros(n_rows)
-    for idx, c in p._terms.items():
+    for pairs, c in terms:
         v = np.full(n_rows, c)
-        for i, k in idx.pairs:
+        for i, k in pairs:
             v = v * tables[i][k]
         out += v
     return out

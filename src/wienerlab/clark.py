@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from .adapted import WeaklyAdaptedOperator, project_operator
 from .chaos import (
     ChaosPoly,
+    _factorial,
+    _top_order_above_one,
     chaos_projection,
     ou_inverse,
     refine,
@@ -100,20 +102,16 @@ def reconstruct(v: VField) -> ClarkResult:
 def is_representable(v: VField | ChaosPoly) -> bool:
     """True iff every monomial's top coordinate carries Hermite order 1."""
     polys = v.components if isinstance(v, VField) else (v,)
-    for p in polys:
-        for idx in p.terms:
-            if idx.pairs and idx.pairs[-1][1] != 1:
-                return False
-    return True
+    return not any(_top_order_above_one(key) for p in polys for key in p.packed_terms)
 
 
 def residual_mass_oracle(v: VField) -> float:
     """Exact residual predicted from the unrepresentable coefficient mass."""
     total = 0.0
     for p in v.components:
-        for idx, c in p.terms.items():
-            if idx.pairs and idx.pairs[-1][1] != 1:
-                total += idx.factorial * c * c
+        for key, c in p.packed_terms.items():
+            if _top_order_above_one(key):
+                total += _factorial(key) * c * c
     return math.sqrt(total)
 
 

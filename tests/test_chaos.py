@@ -1,9 +1,14 @@
 """Chaos algebra: frozen examples, independent oracles, randomized properties."""
 
+import hashlib
 import math
+from collections import Counter
+from itertools import product as cartesian
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     eval_poly_indep,
@@ -14,8 +19,10 @@ from helpers import (
     quad_poly_expectation,
     refine_monomial_oracle,
 )
+from wienerlab import clark, dsl
 from wienerlab.chaos import (
     DEGREE_CAP,
+    DIM_CAP,
     AlgebraError,
     ChaosPoly,
     DegreeCapExceeded,
@@ -36,8 +43,13 @@ from wienerlab.chaos import (
     ou_inverse,
     partial_derivative,
     refine,
-    _monomial_product,
+    _factorial,
+    _pack,
+    _pairs_of,
+    _product_terms,
+    _top_order_above_one,
 )
+from wienerlab.malliavin import VField
 
 
 def random_poly(rng, dim, degree, n_terms=4):
@@ -67,7 +79,7 @@ def test_multiindex_canonical_form():
     assert idx.total_degree == 3
     assert idx.factorial == 2
     assert idx.max_coordinate == 3
-    assert idx.order(1) == 2 and idx.order(2) == 0
+    assert _order(idx, 1) == 2 and _order(idx, 2) == 0
     assert MultiIndex({1: 2, 3: 1}) == idx
 
 
@@ -547,10 +559,54 @@ def test_overflowing_product_raises():
 
 
 # ------------------------------------------------------------------ term gate
-# Each kernel streams its (index, coefficient) pairs into the constructor's
-# one term gate.  The references below sum the same pairs into a local dict
-# first and construct from that, so the output must match term by term, in
-# the same order and to the last bit.
+# Each kernel streams its (key, coefficient) pairs into the constructor's one
+# term gate.  The references below keep the earlier representation: they
+# work on MultiIndex objects with dict arithmetic, sum the same pairs into a
+# local dict first and construct from that, so the output must match term by
+# term, in the same order and to the last bit.
+
+
+def _order(idx, coord):
+    return dict(idx.pairs).get(coord, 0)
+
+
+def _shifted(idx, coord, delta):
+    """New index with the order at ``coord`` changed by ``delta``."""
+    new = dict(idx.pairs)
+    new[coord] = new.get(coord, 0) + delta
+    return MultiIndex(new)
+
+
+def _linearization_ref(m, n):
+    # He_m * He_n = sum_k C(m,k) C(n,k) k! He_{m+n-2k}
+    return [
+        (m + n - 2 * k, math.comb(m, k) * math.comb(n, k) * math.factorial(k))
+        for k in range(min(m, n) + 1)
+    ]
+
+
+def _monomial_product(a, b):
+    """Yield ``(index, coeff)`` for ``He_a * He_b`` coordinatewise."""
+    a_orders = dict(a.pairs)
+    b_orders = dict(b.pairs)
+    shared = sorted(set(a_orders) & set(b_orders))
+    base = [(i, k) for i, k in a_orders.items() if i not in b_orders]
+    base += [(i, k) for i, k in b_orders.items() if i not in a_orders]
+    if not shared:
+        yield MultiIndex(base), 1.0
+        return
+    options = [
+        [(i, order, weight) for order, weight in _linearization_ref(a_orders[i], b_orders[i])]
+        for i in shared
+    ]
+    for combo in cartesian(*options):
+        coeff = 1.0
+        pairs = list(base)
+        for i, order, weight in combo:
+            coeff *= weight
+            if order:
+                pairs.append((i, order))
+        yield MultiIndex(pairs), coeff
 
 
 def _accumulated(dim, pairs, cap=None):
@@ -581,9 +637,9 @@ def _combine_ref(coeffs, polys):
 
 def _derivative_ref(p, i):
     pairs = [
-        (idx.shifted(i, -1), idx.order(i) * c)
+        (_shifted(idx, i, -1), _order(idx, i) * c)
         for idx, c in p.terms.items()
-        if idx.order(i)
+        if _order(idx, i)
     ]
     return _accumulated(p.dim, pairs)
 
@@ -591,21 +647,29 @@ def _derivative_ref(p, i):
 def _coordinate_ref(p, i):
     pairs = []
     for idx, c in p.terms.items():
-        pairs.append((idx.shifted(i, 1), c))
-        if idx.order(i):
-            pairs.append((idx.shifted(i, -1), idx.order(i) * c))
+        pairs.append((_shifted(idx, i, 1), c))
+        if _order(idx, i):
+            pairs.append((_shifted(idx, i, -1), _order(idx, i) * c))
     return _accumulated(p.dim, pairs)
 
 
 def _refine_ref(p, m):
-    one = ChaosPoly.constant(p.dim * m, 1.0)
+    """refine() on the references: block He tables by the recurrence, then products."""
+    new_dim = p.dim * m
+    one = ChaosPoly.constant(new_dim, 1.0)
     pairs = []
     for idx, c in p.terms.items():
         piece = one
         for i, k in idx.pairs:
-            piece = hermite_product(piece, refine(ChaosPoly.hermite(p.dim, i, k), m))
+            z = ChaosPoly(
+                new_dim, {MultiIndex({(i - 1) * m + j: 1}): 1.0 / math.sqrt(m) for j in range(1, m + 1)}
+            )
+            table = [one, z]
+            for j in range(1, k):
+                table.append(_combine_ref([1.0, -float(j)], [_product_ref(z, table[j]), table[j - 1]]))
+            piece = _product_ref(piece, table[k])
         pairs += [(pidx, c * pc) for pidx, pc in piece.terms.items()]
-    return _accumulated(p.dim * m, pairs)
+    return _accumulated(new_dim, pairs)
 
 
 def _same_terms(got, want):
@@ -670,3 +734,116 @@ def test_gate_reads_any_object_with_items():
     assert MultiIndex(Pairs({2: 1, 1: 3})) == MultiIndex({1: 3, 2: 1})
     p = ChaosPoly(2, Pairs({MultiIndex({1: 1}): 2.0, (): 1.0}))
     assert p == ChaosPoly(2, {MultiIndex({1: 1}): 2.0, MultiIndex(): 1.0})
+
+
+# ------------------------------------------------------------- packed keys
+
+
+# multisets of coordinate occurrences: the small range gives higher orders
+_OCCURRENCES = st.lists(
+    st.one_of(st.integers(1, 4), st.integers(1, DIM_CAP)), max_size=12
+)
+
+
+def _index(occurrences):
+    return MultiIndex(Counter(occurrences))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(a=_OCCURRENCES, b=_OCCURRENCES, coord=st.integers(1, DIM_CAP))
+def test_packed_key_matches_multiindex(a, b, coord):
+    ia, ib = _index(a), _index(b)
+    key = _pack(ia.pairs)
+    assert key == bytes(sorted(a))
+    assert MultiIndex(_pairs_of(key)) == ia
+    assert len(key) == ia.total_degree
+    assert (key[-1] if key else 0) == ia.max_coordinate
+    assert _factorial(key) == ia.factorial
+    assert key.count(coord) == _order(ia, coord)
+    digit = bytes((coord,))
+    at = len([c for c in key if c <= coord])
+    assert key[:at] + digit + key[at:] == _pack(_shifted(ia, coord, 1).pairs)
+    if _order(ia, coord):
+        assert key.replace(digit, b"", 1) == _pack(_shifted(ia, coord, -1).pairs)
+    assert _top_order_above_one(key) == bool(ia.pairs and ia.pairs[-1][1] > 1)
+    # the monomial product, pair by pair, in the reference's order and bits
+    got = list(_product_terms({key: 1.0}, {_pack(ib.pairs): 1.0}))
+    want = [(_pack(idx.pairs), w) for idx, w in _monomial_product(ia, ib)]
+    assert got == want
+    # the store keeps arrival order; the text form sorts by sort_key
+    p = ChaosPoly(DIM_CAP, [(ia, 1.0), (ib, 2.0)], cap=12)
+    stored = [ia] if ia == ib else [ia, ib]
+    assert list(p.terms) == stored
+    assert [idx for idx, _ in p.sorted_terms()] == sorted(stored, key=MultiIndex.sort_key)
+
+
+@pytest.mark.parametrize(
+    "build, coord",
+    [
+        (lambda: ChaosPoly(4, {MultiIndex({300: 1}): 1.0}), 300),
+        (lambda: ChaosPoly(4, {MultiIndex({1: 1, 129: 2}): 1.0}), 129),
+        (lambda: ChaosPoly(4, [(((255, 1),), 1.0)]), 255),
+        (lambda: ChaosPoly(4, {((256, 1), (2, 1)): 1.0}), 256),
+        (lambda: ChaosPoly.from_text(4, "1.0 200:1"), 200),
+        (lambda: ChaosPoly.from_text(4, "0.5 1:1 300:2"), 300),
+    ],
+)
+def test_coordinates_past_the_byte_range_raise_dimension_mismatch(build, coord):
+    with pytest.raises(DimensionMismatch, match=f"^coordinate {coord} outside ambient dimension 4$"):
+        build()
+
+
+def test_refine_reaches_coordinate_128_unchanged():
+    p = dsl.lower(dsl.parse_functional("x16*x15 + h2(x16) + 0.5*h3(x1)*x9 - 1.5*x8"), 16)
+    r = refine(p, 8)
+    assert r.dim == DIM_CAP and r.max_coordinate() == 128 and len(r.terms) == 1068
+    assert _same_terms(r, _refine_ref(p, 8))
+    # recorded from the implementation that keyed terms by MultiIndex
+    text = repr([(r.dim, r.to_text(), [idx.pairs for idx in r.terms])])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "2316a3ddaaaedbf345b9ec37f97ce7a30b4c5c16285911290fcc700b6d01bed3"
+
+
+def test_cap16_product_keys_longer_than_eight_bytes():
+    h8 = ChaosPoly.hermite(2, 1, 8) + ChaosPoly.hermite(2, 2, 3, 0.5)
+    g = ChaosPoly.hermite(2, 2, 8) - ChaosPoly.hermite(2, 1, 5, 0.25)
+    out = hermite_product(h8, g, cap=16)
+    assert _same_terms(out, _product_ref(h8, g, cap=16))
+    assert out.degree() == 16
+    assert out.terms[MultiIndex({1: 8, 2: 8})] == 1.0
+    sq = hermite_product(h8, h8, cap=16)
+    assert _same_terms(sq, _product_ref(h8, h8, cap=16))
+    assert sq.terms[MultiIndex({1: 16})] == 1.0
+
+
+def test_degree_cap_error_carries_the_summed_degree():
+    with pytest.raises(DegreeCapExceeded) as err:
+        hermite_product(ChaosPoly.hermite(3, 1, 5), ChaosPoly.hermite(3, 2, 4))
+    assert (err.value.degree, err.value.cap) == (9, DEGREE_CAP)
+    with pytest.raises(DegreeCapExceeded) as err:
+        hermite_product(ChaosPoly.hermite(3, 1, 7), ChaosPoly.hermite(3, 1, 6), cap=12)
+    assert (err.value.degree, err.value.cap) == (13, 12)
+    with pytest.raises(DegreeCapExceeded) as err:
+        multiply_by_coordinate(ChaosPoly.hermite(3, 2, DEGREE_CAP), 3)
+    assert err.value.degree == DEGREE_CAP + 1
+
+
+@pytest.mark.parametrize("build", ["h8", "h3h3"])
+def test_reconstruct_builds_no_multiindex(monkeypatch, build):
+    if build == "h8":
+        v = VField((ChaosPoly.hermite(1, 1, 8),))
+    else:
+        v = VField((hermite_product(ChaosPoly.hermite(2, 1, 3), ChaosPoly.hermite(2, 2, 3)),))
+    calls = []
+    init = MultiIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiIndex, "__init__", counting)
+    clark.reconstruct(v)
+    clark.refine_and_reconstruct(v, [1, 2, 4, 8])
+    assert len(calls) == 0
+    MultiIndex({1: 1})  # the wrapper is live, so the zero above is a real count
+    assert len(calls) == 1
