@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adapted import PredictableHField, WeaklyAdaptedOperator
-from .chaos import ChaosPoly, MultiIndex
+from .chaos import ChaosPoly, MultiIndex, _pack, _view
 from .malliavin import HField, OperatorField, VField
 
 
@@ -17,13 +17,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def random_multiindex(rng: np.random.Generator, n: int, degree: int,
-                      coords=None) -> MultiIndex:
-    """Sparse index over the allowed coordinates with total degree <= degree."""
+def _random_key(rng: np.random.Generator, n: int, degree: int, coords=None) -> bytes:
+    """Packed key of a sparse index over the allowed coordinates, total degree <= degree."""
     if coords is None:
         coords = list(range(1, n + 1))
     if not coords or degree == 0:
-        return MultiIndex()
+        return b""
     width = min(len(coords), int(rng.integers(1, 4)))
     support = rng.choice(coords, size=width, replace=False)
     orders = {}
@@ -35,16 +34,21 @@ def random_multiindex(rng: np.random.Generator, n: int, degree: int,
         if k:
             orders[int(c)] = k
             budget -= k
-    return MultiIndex(orders)
+    return _pack(sorted(orders.items()))
+
+
+def random_multiindex(rng: np.random.Generator, n: int, degree: int,
+                      coords=None) -> MultiIndex:
+    """Sparse index over the allowed coordinates with total degree <= degree."""
+    return _view(_random_key(rng, n, degree, coords))
 
 
 def random_poly(rng: np.random.Generator, n: int, degree: int,
                 n_terms: int = 4, coords=None) -> ChaosPoly:
-    terms: dict[MultiIndex, float] = {}
-    for _ in range(n_terms):
-        idx = random_multiindex(rng, n, degree, coords)
-        terms[idx] = terms.get(idx, 0.0) + float(rng.uniform(-1, 1))
-    return ChaosPoly(n, terms)
+    return ChaosPoly(n, [
+        (_random_key(rng, n, degree, coords), float(rng.uniform(-1, 1)))
+        for _ in range(n_terms)
+    ])
 
 
 def random_hfield(rng, n: int, degree: int, n_terms: int = 3) -> HField:
@@ -92,7 +96,7 @@ def random_finite_rank_adapted(rng, n: int, d: int) -> WeaklyAdaptedOperator:
 
 def random_representable_poly(rng, n: int, degree: int, n_terms: int = 4) -> ChaosPoly:
     """Every monomial's top coordinate carries order exactly 1."""
-    terms: dict[MultiIndex, float] = {}
+    terms = []
     for _ in range(n_terms):
         top = int(rng.integers(1, n + 1))
         orders = {top: 1}
@@ -106,8 +110,7 @@ def random_representable_poly(rng, n: int, degree: int, n_terms: int = 4) -> Cha
             if k:
                 orders[c] = k
                 budget -= k
-        idx = MultiIndex(orders)
-        terms[idx] = terms.get(idx, 0.0) + float(rng.uniform(-1, 1))
+        terms.append((_pack(sorted(orders.items())), float(rng.uniform(-1, 1))))
     return ChaosPoly(n, terms)
 
 

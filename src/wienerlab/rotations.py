@@ -31,8 +31,12 @@ Each construction is evaluated through one kernel, the product M(eta) U
 with a block U of shape (N, n, k).  Rotating samples is the kernel at
 U = the samples: for ``givens`` it costs O(N n^2) in reflector work plus
 O(N n^3 / 6) in the seeded feature products, and no (N, n, n) stack is
-formed.  The stack itself is the kernel at U = I; only the isometry and
-strict-past certificates ask for it.
+formed.  The ``givens`` kernel runs over row blocks of ``BLOCK_ROWS``
+samples held sample-last, (n, k, B), so its array operations run over
+contiguous samples, and each row's result is the same whichever block it
+falls in.  The stack itself is the kernel at U = I; only the isometry and
+strict-past certificates ask for it, the latter for the leading j columns
+only.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .chaos import evaluate_batch, refine
 from .clark import clark_integrand
 from .malliavin import VField, divergence_op, gram
 from .randgen import make_rng
-from .space import SampleBatch, check, ks_normal, moment_normality, sample_batch
+from .space import BLOCK_ROWS, SampleBatch, check, ks_normal, moment_normality, sample_batch
 
 #: Pathwise orthonormality contract for constructed isometries.
 ISOMETRY_TOL = 1e-9
@@ -168,32 +172,51 @@ def _sequential_fn(n: int, weights: dict):
     H_c = I - 2 v v^T / |v|^2, v = g_c + e_1, without its first column.  So
     rows 2..n of M @ U are y_2 for the backward recursion y_n = g_n u_n,
     y_c = g_c u_c + H_c [0; y_{c+1}] over the rows u_c of U, and row 1 is
-    u_1.  Each g_c reads only draws[:, :c-1], and y_c is kept in place in
-    rows c..n of the output, so no stage's complement basis is stored.
+    u_1.  Each g_c reads only the prefix eta_1 .. eta_{c-1}.
+
+    The samples are processed in blocks of ``BLOCK_ROWS`` rows, each held
+    sample-last: the block of U is copied to Y of shape (n, k, B) and the
+    draws to X of shape (n, B), so every ufunc and contraction runs over B
+    contiguous samples.  Row c of Y holds u_c until stage c overwrites rows
+    c..n with y_c, so no stage's complement basis is stored, and each
+    finished block is written back into the (N, n, k) output.
+
+    Every sum runs per sample in a fixed order, so a row's result does not
+    depend on the rows around it: a row slice gives the bits of the same
+    slice of the whole batch.  That is why the features
+    ``weights[c] @ X[:c-1]`` go through ``einsum`` and not BLAS, whose edge
+    kernels round the last columns of a product differently, and why a
+    block of one sample runs doubled: a single column collapses the
+    contractions onto other loops.
     """
 
     def fn(draws, U):
-        out = np.empty((draws.shape[0], n, U.shape[2]))
-        out[:, 0] = U[:, 0]
-        for c in range(n, 1, -1):
-            W = weights[c]  # (n-c+1, c-1) fixed by the seed
-            g = np.arctan(draws[:, : c - 1] @ W.T)
-            g[:, 0] += 2.0  # keeps the first coefficient positive and |g| > 0
-            norms = np.sqrt(np.einsum("si,si->s", g, g))
-            if np.any(norms < 1e-12):
-                raise RotationError(f"complement collapse at stage {c}")
-            ghat = g / norms[:, None]
-            y = out[:, c - 1 :]
-            u = U[:, c - 1]
-            if c < n:
-                # v = g + e_1 and |g| = 1 give |v|^2 = 2 (1 + g_1), so
-                # H [0; y'] = [0; y'] - (g_{2..} . y') (g + e_1) / (1 + g_1)
-                coef = np.einsum("si,sik->sk", ghat[:, 1:], y[:, 1:]) / (1.0 + ghat[:, :1])
-                y[:, 0] = -coef
-                u = u - coef
-            else:
-                y[:] = 0.0
-            y += ghat[:, :, None] * u[:, None, :]
+        N = draws.shape[0]
+        out = np.empty((N, n, U.shape[2]))
+        for s in range(0, N, BLOCK_ROWS):
+            block = [s, s] if s == N - 1 else slice(s, s + BLOCK_ROWS)
+            X = np.ascontiguousarray(draws[block].T)
+            Y = U[block].transpose(1, 2, 0).copy()
+            for c in range(n, 1, -1):
+                # weights[c] is (n-c+1, c-1), fixed by the seed
+                g = np.arctan(np.einsum("ij,jb->ib", weights[c], X[: c - 1]))
+                g[0] += 2.0  # keeps the first coefficient positive and |g| > 0
+                norms = np.sqrt(np.einsum("ib,ib->b", g, g))
+                if np.any(norms < 1e-12):
+                    raise RotationError(f"complement collapse at stage {c}")
+                g /= norms
+                y = Y[c - 1 :]
+                if c < n:
+                    # v = g + e_1 and |g| = 1 give |v|^2 = 2 (1 + g_1), so
+                    # H [0; y'] = [0; y'] - (g_{2..} . y') (g + e_1) / (1 + g_1)
+                    coef = np.einsum("ib,ikb->kb", g[1:], y[1:]) / (1.0 + g[0])
+                    u = y[0] - coef
+                    y[0] = -coef
+                else:
+                    u = y[0].copy()
+                    y[0] = 0.0
+                y += g[:, None, :] * u
+            out[s : s + BLOCK_ROWS] = Y.transpose(2, 0, 1)[: N - s]
         return out
 
     return fn
@@ -325,17 +348,19 @@ def check_strict_past_measurability(R: AdaptedIsometry, samples) -> float:
     """Certify that matrix column j only reads eta_1 .. eta_{j-1}.
 
     Replaces all coordinates from j onward with fresh noise and measures the
-    change in columns 1..j; the contract is exact zero.
+    change in columns 1..j, asking the kernel for those j columns only
+    (U = the first j columns of I); the contract is exact zero.
     """
     draws = _as_draws(samples)
     fresh = sample_batch(R.n, draws.shape[0], seed=271828).draws
     base = R.matrices(draws)
+    eye = np.broadcast_to(np.eye(R.n), (draws.shape[0], R.n, R.n))
     gaps = []
     for j in range(1, R.n + 1):
         hybrid = draws.copy()
         hybrid[:, j - 1 :] = fresh[:, j - 1 :]
-        other = R.matrices(hybrid)
-        gaps.append(np.max(np.abs(other[:, :, :j] - base[:, :, :j])))
+        other = R._apply(hybrid, eye[:, :, :j])
+        gaps.append(np.max(np.abs(other - base[:, :, :j])))
     return float(np.max(gaps, initial=0.0))
 
 
@@ -429,10 +454,10 @@ def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> Rotat
         "x2m1": lambda v: v * v - 1.0,
         "sign": lambda v: np.where(v < 0.0, -1.0, 1.0),
     }
-    for fname, f in feats.items():
-        fx = f(x)
-        for gname, g in feats.items():
-            gy = g(y)
+    fxs = {name: f(x) for name, f in feats.items()}
+    fys = {name: f(y) for name, f in feats.items()}
+    for fname, fx in fxs.items():
+        for gname, gy in fys.items():
             prod = fx * gy
             gap = float(prod.mean() - fx.mean() * gy.mean())
             se = float(prod.std(ddof=1) / math.sqrt(N))

@@ -1,0 +1,117 @@
+"""Seeded instance generators: packed keys drawn directly, same draws as before."""
+
+import pytest
+
+from helpers import make_rng
+from wienerlab import randgen
+from wienerlab.chaos import ChaosPoly, MultiIndex
+
+
+# --- the generators as they were written over MultiIndex, kept as oracles
+
+
+def _reference_multiindex(rng, n, degree, coords=None):
+    if coords is None:
+        coords = list(range(1, n + 1))
+    if not coords or degree == 0:
+        return MultiIndex()
+    width = min(len(coords), int(rng.integers(1, 4)))
+    support = rng.choice(coords, size=width, replace=False)
+    orders = {}
+    budget = degree
+    for c in support:
+        if budget == 0:
+            break
+        k = int(rng.integers(0, budget + 1))
+        if k:
+            orders[int(c)] = k
+            budget -= k
+    return MultiIndex(orders)
+
+
+def _reference_poly(rng, n, degree, n_terms=4, coords=None):
+    terms = {}
+    for _ in range(n_terms):
+        idx = _reference_multiindex(rng, n, degree, coords)
+        terms[idx] = terms.get(idx, 0.0) + float(rng.uniform(-1, 1))
+    return ChaosPoly(n, terms)
+
+
+def _reference_representable_poly(rng, n, degree, n_terms=4):
+    terms = {}
+    for _ in range(n_terms):
+        top = int(rng.integers(1, n + 1))
+        orders = {top: 1}
+        budget = degree - 1
+        below = list(range(1, top))
+        rng.shuffle(below)
+        for c in below:
+            if budget == 0:
+                break
+            k = int(rng.integers(0, budget + 1))
+            if k:
+                orders[c] = k
+                budget -= k
+        idx = MultiIndex(orders)
+        terms[idx] = terms.get(idx, 0.0) + float(rng.uniform(-1, 1))
+    return ChaosPoly(n, terms)
+
+
+CASES = [(1, 3, None), (3, 2, None), (4, 4, None), (6, 5, [2, 3, 5]), (3, 0, None), (5, 2, [])]
+
+
+def _same_draws(make, reference, seed):
+    # same terms in the same order, same coefficients, and the stream left
+    # where the reference leaves it
+    a, b = make_rng(seed), make_rng(seed)
+    for _ in range(5):
+        p, q = make(a), reference(b)
+        assert list(p.packed_terms.items()) == list(q.packed_terms.items())
+    assert a.random(4).tolist() == b.random(4).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 104729])
+def test_generators_match_the_multiindex_reference(seed):
+    for n, degree, coords in CASES:
+        _same_draws(
+            lambda rng: randgen.random_poly(rng, n, degree, n_terms=8, coords=coords),
+            lambda rng: _reference_poly(rng, n, degree, n_terms=8, coords=coords),
+            seed,
+        )
+        if degree:
+            _same_draws(
+                lambda rng: randgen.random_representable_poly(rng, n, degree, n_terms=8),
+                lambda rng: _reference_representable_poly(rng, n, degree, n_terms=8),
+                seed,
+            )
+        a, b = make_rng(seed), make_rng(seed)
+        assert randgen.random_multiindex(a, n, degree, coords) == _reference_multiindex(
+            b, n, degree, coords
+        )
+        assert a.random(4).tolist() == b.random(4).tolist()
+
+
+def test_generators_build_no_multiindex(monkeypatch):
+    calls = []
+    init = MultiIndex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiIndex, "__init__", counting_init)
+    rng = make_rng(5)
+    randgen.random_poly(rng, 4, 4)
+    randgen.random_poly(rng, 4, 3, coords=[1, 2])
+    randgen.random_representable_poly(rng, 4, 3)
+    randgen.random_hfield(rng, 3, 2)
+    randgen.random_vfield(rng, 3, 2, 2)
+    randgen.random_operator(rng, 3, 2, 2)
+    randgen.random_predictable_field(rng, 4, 3)
+    randgen.random_weakly_adapted(rng, 4, 2, 3)
+    randgen.random_finite_rank_adapted(rng, 3, 2)
+    randgen.random_representable_vfield(rng, 4, 2, 3)
+    assert calls == []
+    # the public index drawer still returns a MultiIndex view
+    assert isinstance(randgen.random_multiindex(rng, 4, 3), MultiIndex)
+    assert len(calls) == 1

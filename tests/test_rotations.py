@@ -26,7 +26,7 @@ from wienerlab.rotations import (
     mix_outputs,
     scale_output,
 )
-from wienerlab.space import sample_batch
+from wienerlab.space import BLOCK_ROWS, sample_batch
 
 N_BATTERY = 200_000
 SEED = 20240815
@@ -195,6 +195,36 @@ def test_givens_apply_at_dimension_64():
     assert np.max(np.abs(applied[:200] - ref)) <= 1e-12
 
 
+def test_givens_kernel_across_block_boundaries():
+    # the kernel runs in row blocks of BLOCK_ROWS; three blocks, the last of 3 rows
+    n, N = 6, 2 * BLOCK_ROWS + 3
+    R = build_sequential_isometry(n, seed=29, angle_spec="givens")
+    x = draws_for(n, count=N, seed=31)
+    ref = householder_reference(n, 29, x)
+    assert np.max(np.abs(R.matrices(x) - ref)) <= 1e-12
+    applied = np.einsum("sij,sj->si", ref, x)
+    assert np.max(np.abs(R.apply_batch(x) - applied)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 7, 20])
+def test_row_slice_apply_is_the_slice_of_the_full_apply(n):
+    # a row's bits do not depend on the rows processed with it, also for a
+    # lone row, a block remainder and a slice straddling a block boundary
+    R = build_sequential_isometry(n, seed=37, angle_spec="givens")
+    x = draws_for(n, count=2 * BLOCK_ROWS + 3, seed=41).copy()
+    before = x.copy()
+    full = R.apply_batch(x)
+    for start, stop in [(0, 1), (7, 8), (3, 12), (5, 906), (BLOCK_ROWS - 2, BLOCK_ROWS + 5),
+                        (BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3), (2 * BLOCK_ROWS + 2, None)]:
+        assert np.array_equal(R.apply_batch(x[start:stop]), full[start:stop])
+    head = x[: BLOCK_ROWS + 5]
+    mats = R.matrices(head)
+    for start, stop in [(0, 1), (7, 8), (3, 12), (BLOCK_ROWS - 2, None)]:
+        assert np.array_equal(R.matrices(head[start:stop]), mats[start:stop])
+    # the kernel copies its blocks and never writes into the caller's samples
+    assert np.array_equal(x, before)
+
+
 # --------------------------------------------------------- exact invariants
 
 
@@ -300,6 +330,26 @@ def test_independence_battery_detects_mixed_outputs():
     )
     assert not rep.passed
     assert not rep.test("correlation")["pass"]
+
+
+def test_independence_factorization_statistics_are_the_direct_formula():
+    R = build_sequential_isometry(3, seed=19, angle_spec="givens")
+    h1, h2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
+    rep = independence_battery(R, h1, h2, 20_000, seed=5)
+    tw = R.apply_batch(sample_batch(3, 20_000, seed=5).draws)
+    x = tw @ h1 / np.linalg.norm(h1)
+    y = tw @ h2 / np.linalg.norm(h2)
+    feats = {
+        "x": lambda v: v,
+        "x2m1": lambda v: v * v - 1.0,
+        "sign": lambda v: np.where(v < 0.0, -1.0, 1.0),
+    }
+    for fname, f in feats.items():
+        for gname, g in feats.items():
+            prod = f(x) * g(y)
+            row = rep.test(f"factorization_{fname}_{gname}")
+            assert row["statistic"] == float(prod.mean() - f(x).mean() * g(y).mean())
+            assert row["threshold"] == 4.0 * float(prod.std(ddof=1) / math.sqrt(20_000))
 
 
 def test_measure_preservation_battery():

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from wienerlab.chaos import ChaosPoly, expectation
 from wienerlab.space import (
@@ -121,3 +124,50 @@ def test_batch_csv_round_trip(tmp_path):
     assert header == "eta_1,eta_2,eta_3"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data, batch.draws)
+
+
+# values with ties (a few repeated points) and heavy tails (up to 1e300 and inf)
+_KS_VALUES = st.one_of(
+    st.sampled_from([-1.5, -0.25, 0.0, 0.25, 1.5]),
+    st.floats(-8.0, 8.0),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(values=st.lists(_KS_VALUES, min_size=1, max_size=300))
+def test_ks_statistic_is_scipys(values):
+    x = np.array(values)
+    assert ks_normal(x)["statistic"] == stats.kstest(x, "norm").statistic
+
+
+def test_ks_statistic_is_scipys_at_battery_size():
+    rng = np.random.default_rng(3)
+    for x in (rng.standard_normal(200_000), rng.standard_t(2, 200_000)):
+        row = ks_normal(x)
+        assert row["statistic"] == stats.kstest(x, "norm").statistic
+        assert row["threshold"] == stats.kstwo.ppf(0.99, x.size)
+
+
+def test_ks_nan_sample_fails():
+    row = ks_normal(np.array([0.1, np.nan, -0.3]))
+    assert math.isnan(row["statistic"])
+    assert not row["pass"]
+
+
+def test_moment_normality_matches_fsum_oracle():
+    rng = np.random.default_rng(11)
+    samples = (rng.standard_normal(5_000), 2.0 + 3.0 * rng.standard_normal(20_000),
+               rng.exponential(size=10_000), rng.standard_t(4, 50_000))
+    for x in samples:
+        n = x.size
+        mean = math.fsum(x) / n
+        var = math.fsum((v - mean) ** 2 for v in x) / (n - 1)
+        z = [(v - mean) / math.sqrt(var) for v in x]
+        skew = math.fsum(v**3 for v in z) / n
+        kurt = math.fsum(v**4 for v in z) / n - 3.0
+        rows = moment_normality(x)
+        assert abs(rows["mean"]["statistic"] - mean) <= 1e-12
+        assert abs(rows["variance"]["statistic"] - (var - 1.0)) <= 1e-12
+        assert abs(rows["skewness"]["statistic"] - skew) <= 1e-12
+        assert abs(rows["excess_kurtosis"]["statistic"] - kurt) <= 1e-12
