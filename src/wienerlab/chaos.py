@@ -31,8 +31,8 @@ pairs to the :class:`ChaosPoly` constructor, whose one term gate sums them,
 checks each summed index against the ambient dimension and the degree cap,
 rejects a NaN or infinite coefficient with :class:`AlgebraError` instead of
 storing or dropping it, and prunes coefficients at or below ``PRUNE_EPS``, so
-a stored coefficient is never an exact zero.  The degree cap has a single
-override, ``hermite_product(cap=)``.
+a stored coefficient is never an exact zero.  The degree cap is fixed: no
+operation can build a term past it.
 
 Values are immutable and operations are pure functions, so they are safe to
 share across threads or workers without locking.
@@ -51,8 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Largest total degree a stored term may have.  The only override is an
-#: explicit ``cap`` passed to :func:`hermite_product`.
+#: Largest total degree a stored term may have.  Fixed: nothing overrides it.
 DEGREE_CAP = 8
 
 #: Hard upper bound on the ambient Gaussian dimension.
@@ -71,14 +70,13 @@ class DimensionMismatch(AlgebraError):
 
 
 class DegreeCapExceeded(AlgebraError):
-    """A term's total degree went past the active cap."""
+    """A term's total degree went past :data:`DEGREE_CAP`."""
 
-    def __init__(self, degree: int, cap: int):
+    def __init__(self, degree: int):
         super().__init__(
-            f"term of total degree {degree} exceeds the degree cap {cap}"
+            f"term of total degree {degree} exceeds the degree cap {DEGREE_CAP}"
         )
         self.degree = degree
-        self.cap = cap
 
 
 class NotCentered(AlgebraError):
@@ -194,14 +192,14 @@ def _entry_key(idx, dim: int) -> bytes:
     return _pack(idx.pairs)
 
 
-def _canonical_terms(terms, dim: int, cap: int) -> dict[bytes, float]:
+def _canonical_terms(terms, dim: int) -> dict[bytes, float]:
     """The term gate: sum, check and prune ``(index, coefficient)`` pairs.
 
     An index is a packed key, or a :class:`MultiIndex`, mapping or pair list
     that is packed on entry.  Pairs are summed in arrival order.  Every
     summed index, also one whose coefficients cancel to zero, is checked
-    against ``dim`` and ``cap`` before any coefficient is checked for
-    finiteness.
+    against ``dim`` and :data:`DEGREE_CAP` before any coefficient is checked
+    for finiteness.
     """
     acc: dict[bytes, float] = {}
     get = acc.get
@@ -212,8 +210,8 @@ def _canonical_terms(terms, dim: int, cap: int) -> dict[bytes, float]:
     for key in acc:
         if key and key[-1] > dim:
             raise DimensionMismatch(f"coordinate {key[-1]} outside ambient dimension {dim}")
-        if len(key) > cap:
-            raise DegreeCapExceeded(len(key), cap)
+        if len(key) > DEGREE_CAP:
+            raise DegreeCapExceeded(len(key))
     if not all(map(math.isfinite, acc.values())):
         bad = next(c for c in acc.values() if not math.isfinite(c))
         raise AlgebraError(f"non-finite coefficient {bad!r}")
@@ -264,12 +262,12 @@ class ChaosPoly:
 
     __slots__ = ("_dim", "_terms")
 
-    def __init__(self, dim: int, terms=(), *, cap: int | None = None):
+    def __init__(self, dim: int, terms=()):
         dim = int(dim)
         if not 1 <= dim <= DIM_CAP:
             raise AlgebraError(f"ambient dimension {dim} outside 1..{DIM_CAP}")
         self._dim = dim
-        self._terms = _canonical_terms(terms, dim, DEGREE_CAP if cap is None else cap)
+        self._terms = _canonical_terms(terms, dim)
 
     # ---- constructors -------------------------------------------------
 
@@ -493,15 +491,14 @@ def _product_terms(p: dict[bytes, float], q: dict[bytes, float]):
                     yield key, scale * w
 
 
-def hermite_product(p: ChaosPoly, q: ChaosPoly, *, cap: int | None = None) -> ChaosPoly:
+def hermite_product(p: ChaosPoly, q: ChaosPoly) -> ChaosPoly:
     """Exact product in the algebra via Hermite linearization.
 
     Raises :class:`DegreeCapExceeded` rather than silently producing terms
-    past the cap.  ``cap`` (default :data:`DEGREE_CAP`) is the one override
-    of the degree cap in the algebra.
+    past the cap.
     """
     dim = _require_same_dim(p, q)
-    return ChaosPoly(dim, _product_terms(p._terms, q._terms), cap=cap)
+    return ChaosPoly(dim, _product_terms(p._terms, q._terms))
 
 
 def expectation(p: ChaosPoly) -> float:

@@ -40,6 +40,7 @@ from .chaos import (
 from .malliavin import (
     HField,
     VField,
+    divergence_h,
     divergence_op,
     gradient_scalar,
     gradient_vector,
@@ -170,7 +171,5 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
 
 def representation_residual(phi: ChaosPoly, field: HField) -> float:
     """L2 gap between div(field) and phi - E phi."""
-    from .malliavin import divergence_h
-
     centered = phi - ChaosPoly.constant(phi.dim, phi.expectation())
     return (divergence_h(field) - centered).norm_l2()

@@ -285,6 +285,11 @@ def _cmd_represent(args) -> int:
                 "coincide": comp.coincide,
             }
         )
+    # finite coefficients whose second moment overflows: an input error too
+    moments = [result.residual_l2, *(residual for _, residual in table)]
+    moments += [row[key] for row in energies for key in ("adapted_energy", "exact_energy")]
+    if not all(map(math.isfinite, moments)):
+        raise UsageError(f"functional {source!r}: residual or energy overflows a float")
 
     output = args.output or "clark_report"
     payload = {

@@ -15,8 +15,9 @@ chaos algebra expands through the Hermite linearization.
 
 Parsing reports syntax errors with line, column, and the expected token
 set; groups left unclosed are reported at the opening bracket.  Lowering
-into the algebra happens against a configured ambient dimension and degree
-cap, and violations carry the source span of the offending node.
+into the algebra happens against a configured ambient dimension and the
+algebra's fixed degree cap, and violations carry the source span of the
+offending node.
 
 Parsing, printing and lowering recurse over the input's nesting, but on an
 explicit stack (:func:`_descend`), so no input depth reaches Python's
@@ -54,7 +55,7 @@ class DslSyntaxError(DslError):
 
 
 class DslSemanticError(DslError):
-    """The expression parsed but violates the configured dimension or cap."""
+    """The expression parsed but violates the dimension or the degree cap."""
 
 
 # ----------------------------------------------------------------- stack
@@ -451,21 +452,20 @@ def _check_index(index: int, n: int, span) -> None:
         )
 
 
-def lower(node, n: int, *, cap: int | None = None):
+def lower(node, n: int):
     """Evaluate the tree in the chaos algebra over n coordinates.
 
     Scalar expressions produce a ChaosPoly, vector literals a VField.
     Dimension and degree-cap violations raise :class:`DslSemanticError`
-    pointing at the offending source span.  The cap can only tighten the
-    algebra's hard degree cap, never exceed it.
+    pointing at the offending source span; the cap is the algebra's fixed
+    :data:`~wienerlab.chaos.DEGREE_CAP`.
     """
-    limit = DEGREE_CAP if cap is None else min(int(cap), DEGREE_CAP)
     if isinstance(node, Vector):
-        return VField(tuple(_descend(_lower_scalar(item, n, limit)) for item in node.items))
-    return _descend(_lower_scalar(node, n, limit))
+        return VField(tuple(_descend(_lower_scalar(item, n)) for item in node.items))
+    return _descend(_lower_scalar(node, n))
 
 
-def _lower_scalar(node, n: int, cap: int):
+def _lower_scalar(node, n: int):
     if isinstance(node, Literal):
         return ChaosPoly.constant(n, _finite_value(node))
     if isinstance(node, Variable):
@@ -473,25 +473,25 @@ def _lower_scalar(node, n: int, cap: int):
         return ChaosPoly.coordinate(n, node.index)
     if isinstance(node, Hermite):
         _check_index(node.index, n, node.span)
-        if node.order > cap:
+        if node.order > DEGREE_CAP:
             raise DslSemanticError(
-                f"Hermite order {node.order} exceeds the degree cap {cap}", *node.span
+                f"Hermite order {node.order} exceeds the degree cap {DEGREE_CAP}", *node.span
             )
         return ChaosPoly.hermite(n, node.index, node.order)
     if isinstance(node, Unary):
-        return (yield _lower_scalar(node.operand, n, cap)) * -1.0
+        return (yield _lower_scalar(node.operand, n)) * -1.0
     if isinstance(node, Binary):
-        left = yield _lower_scalar(node.left, n, cap)
-        right = yield _lower_scalar(node.right, n, cap)
+        left = yield _lower_scalar(node.left, n)
+        right = yield _lower_scalar(node.right, n)
         if node.op == "+":
             return left + right
         if node.op == "-":
             return left - right
         try:
-            return hermite_product(left, right, cap=cap)
+            return hermite_product(left, right)
         except DegreeCapExceeded as exc:
             raise DslSemanticError(
-                f"product exceeds the degree cap {cap} (degree {exc.degree})",
+                f"product exceeds the degree cap {DEGREE_CAP} (degree {exc.degree})",
                 *node.span,
             ) from exc
     if isinstance(node, Vector):

@@ -28,6 +28,7 @@ from scipy import stats as _scipy_stats
 from scipy.special import ndtr as _ndtr
 
 from .chaos import ChaosPoly, DimensionMismatch, evaluate_batch
+from .malliavin import HField, divergence_h
 
 #: Rows per Philox substream; fixed so that parallel == serial.
 BLOCK_ROWS = 8192
@@ -139,8 +140,6 @@ def identity_divergence_growth(ns) -> list[tuple[int, float]]:
     squared norm 2n.  Computed through the operator machinery, not the
     closed form; callers compare against sqrt(2n).
     """
-    from .malliavin import HField, divergence_h
-
     rows = []
     for n in ns:
         n = int(n)

@@ -67,20 +67,34 @@ from wienerlab.rotations import (
 from wienerlab.space import identity_divergence_growth, mc_estimate, sample_batch
 
 
+def _worst(gaps) -> float:
+    """The largest gap, NaN if any gap is NaN (``max(0.0, nan)`` is 0.0)."""
+    return float(np.max(gaps, initial=0.0))
+
+
+def test_gap_fold_fails_on_nan():
+    assert max(0.0, math.nan) == 0.0  # the fold this replaces hides a NaN
+    worst = _worst([1e-13, math.nan, 0.0])
+    assert math.isnan(worst)
+    assert not worst <= 1e-10
+    assert _worst([]) == 0.0 and _worst([2e-11, 1e-12]) == 2e-11
+
+
 def test_acceptance_01_duality_adjointness():
     # E[<K, grad F>] = E[(div K, F)] for 200 random pairs, within 1e-10,
     # inside a 30 second budget
     t0 = time.monotonic()
     rng = make_rng(70101)
-    worst = 0.0
+    gaps = []
     for _ in range(200):
         n = int(rng.integers(2, 7))
         d = int(rng.integers(1, 4))
         degree = int(rng.integers(1, 5))
         K = random_operator(rng, n, d, degree)
         F = random_vfield(rng, n, d, min(degree, 3))
-        worst = max(worst, check_duality(K, F))
+        gaps.append(check_duality(K, F))
     elapsed = time.monotonic() - t0
+    worst = _worst(gaps)
     assert worst <= 1e-10
     assert elapsed <= 30.0
     print(f"PASS duality adjointness: worst gap {worst:.3e} in {elapsed:.2f}s")
@@ -89,14 +103,15 @@ def test_acceptance_01_duality_adjointness():
 def test_acceptance_02_weak_pairing_forms():
     # componentwise pairing and rowwise divergence forms agree, 100 instances
     rng = make_rng(70202)
-    worst = 0.0
+    gaps = []
     for _ in range(100):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
         K = random_operator(rng, n, d, 3)
         F = random_vfield(rng, n, d, 3)
-        worst = max(worst, check_weakb(K, F))
-        worst = max(worst, check_rowwise_divergence(K, rng.standard_normal(d)))
+        gaps.append(check_weakb(K, F))
+        gaps.append(check_rowwise_divergence(K, rng.standard_normal(d)))
+    worst = _worst(gaps)
     assert worst <= 1e-10
     print(f"PASS weak pairing forms: worst gap {worst:.3e}")
 
@@ -105,7 +120,7 @@ def test_acceptance_03_exact_divergence_structure():
     # skew fields have divergence exactly zero; constant fields integrate to
     # first chaos; the identity field's divergence norm grows as sqrt(2n)
     rng = make_rng(70303)
-    worst = 0.0
+    gaps = []
     for n in range(2, 9):
         A = random_skew_matrix(rng, n)
         assert divergence_h(skew_symmetric_field(A)).is_zero()
@@ -115,14 +130,15 @@ def test_acceptance_03_exact_divergence_structure():
             (ChaosPoly.hermite(n, i + 1, 1, h[i]) for i in range(n)),
             ChaosPoly.zero(n),
         )
-        worst = max(worst, (divergence_h(const) - expected).norm_l2())
+        gaps.append((divergence_h(const) - expected).norm_l2())
     ones = HField(tuple(ChaosPoly.constant(4, 1.0) for _ in range(4)))
     target = sum(
         (ChaosPoly.hermite(4, i, 1) for i in range(1, 5)), ChaosPoly.zero(4)
     )
-    worst = max(worst, (divergence_h(ones) - target).norm_l2())
+    gaps.append((divergence_h(ones) - target).norm_l2())
     for n, value in identity_divergence_growth(range(1, 9)):
-        worst = max(worst, abs(value - math.sqrt(2.0 * n)))
+        gaps.append(abs(value - math.sqrt(2.0 * n)))
+    worst = _worst(gaps)
     assert worst <= 1e-12
     print(f"PASS exact divergence structure: worst gap {worst:.3e}")
 
@@ -131,18 +147,19 @@ def test_acceptance_04_adapted_isometries():
     # polarized energy identity for 200 predictable pairs and 200 weakly
     # adapted operator pairs
     rng = make_rng(70404)
-    worst = 0.0
+    gaps = []
     for _ in range(200):
         n = int(rng.integers(2, 6))
         u = random_predictable_field(rng, n, 3)
         v = random_predictable_field(rng, n, 3)
-        worst = max(worst, check_ito_isometry(u, v))
+        gaps.append(check_ito_isometry(u, v))
     for _ in range(200):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
         K = random_weakly_adapted(rng, n, d, 3)
         D = random_finite_rank_adapted(rng, n, d)
-        worst = max(worst, check_operator_isometry(K, D))
+        gaps.append(check_operator_isometry(K, D))
+    worst = _worst(gaps)
     assert worst <= 1e-10
     print(f"PASS adapted isometries: worst gap {worst:.3e}")
 
@@ -150,13 +167,14 @@ def test_acceptance_04_adapted_isometries():
 def test_acceptance_05_weak_orthogonality():
     # anticipating remainder pairs to zero against adapted test operators
     rng = make_rng(70505)
-    worst = 0.0
+    gaps = []
     for _ in range(100):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
         K = random_operator(rng, n, d, 3)
         Q = random_finite_rank_adapted(rng, n, d)
-        worst = max(worst, check_weak_orthogonality(K, Q))
+        gaps.append(check_weak_orthogonality(K, Q))
+    worst = _worst(gaps)
     assert worst <= 1e-10
     print(f"PASS weak orthogonality: worst gap {worst:.3e}")
 
@@ -166,14 +184,14 @@ def test_acceptance_06_clark_representable_exactness():
     # unique weakly adapted one: independently split integrands must agree,
     # and the divergence is injective on weakly adapted operators
     rng = make_rng(70606)
-    worst = 0.0
+    gaps = []
     for _ in range(100):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
         v = random_representable_vfield(rng, n, d, 3)
         res = reconstruct(v)
-        worst = max(worst, res.residual_l2)
-        worst = max(worst, math.sqrt(res.reconstruction.sub(v).energy()))
+        gaps.append(res.residual_l2)
+        gaps.append(math.sqrt(res.reconstruction.sub(v).energy()))
     for _ in range(30):
         n = int(rng.integers(2, 6))
         p = random_representable_poly(rng, n, 3)
@@ -184,6 +202,7 @@ def test_acceptance_06_clark_representable_exactness():
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
         assert check_divergence_free_uniqueness(random_weakly_adapted(rng, n, d, 3))
+    worst = _worst(gaps)
     assert worst <= 1e-10
     print(f"PASS representable exactness and uniqueness: worst residual {worst:.3e}")
 
@@ -191,10 +210,11 @@ def test_acceptance_06_clark_representable_exactness():
 def test_acceptance_07_refinement_convergence():
     # closed-form sqrt(2/m) decay for the quadratic cell functional, residual
     # monotone under refinement, and refined energy at least 3x smaller
-    worst = 0.0
+    gaps = []
     he2 = VField((ChaosPoly.hermite(1, 1, 2),))
     for m, residual in refine_and_reconstruct(he2, range(1, 17)):
-        worst = max(worst, abs(residual - math.sqrt(2.0 / m)))
+        gaps.append(abs(residual - math.sqrt(2.0 / m)))
+    worst = _worst(gaps)
     assert worst <= 1e-12
     rng = make_rng(70707)
     for _ in range(20):
@@ -213,13 +233,14 @@ def test_acceptance_08_minimal_energy_representation():
     # functional, never beats the adapted integrand on the representable
     # class, and coincides with it exactly on first chaos
     rng = make_rng(70808)
-    worst = 0.0
+    gaps = []
     for _ in range(100):
         n = int(rng.integers(1, 6))
         p = random_poly(rng, n, 4)
         centered = p - ChaosPoly.constant(n, p.expectation())
         bar = minimal_energy_integrand(centered)
-        worst = max(worst, (divergence_h(bar) - centered).norm_l2())
+        gaps.append((divergence_h(bar) - centered).norm_l2())
+    worst = _worst(gaps)
     assert worst <= 1e-12
     for _ in range(40):
         n = int(rng.integers(2, 6))
@@ -241,11 +262,12 @@ def test_acceptance_08_minimal_energy_representation():
 def test_acceptance_09_number_operator_identity():
     # divergence after gradient equals grade scaling, 100 random functionals
     rng = make_rng(70909)
-    worst = 0.0
+    gaps = []
     for _ in range(100):
         n = int(rng.integers(1, 6))
         p = random_poly(rng, n, 4)
-        worst = max(worst, (divergence_h(gradient_scalar(p)) - ou_apply(p)).norm_l2())
+        gaps.append((divergence_h(gradient_scalar(p)) - ou_apply(p)).norm_l2())
+    worst = _worst(gaps)
     assert worst <= 1e-10
     print(f"PASS number operator identity: worst gap {worst:.3e}")
 
@@ -272,7 +294,7 @@ def test_acceptance_10_rotation_batteries():
         assert gaussianity_battery(R, h_mixed, N, seed + 1).passed
         assert independence_battery(R, e1, e2, N, seed + 2).passed
         assert measure_preservation_battery(R, N, seed + 3).passed
-    Rc = build_sequential_isometry(n, seed, {"kind": "constant"})
+    Rc = build_sequential_isometry(n, seed, "constant")
     assert np.max(np.abs(exact_output_covariance(Rc) - np.eye(n))) <= 1e-12
     assert measure_preservation_battery(Rc, N, seed + 4).passed
 
@@ -300,12 +322,13 @@ def test_acceptance_11_monte_carlo_agreement():
     rng = make_rng(71111)
     n = 4
     batch = sample_batch(n, 100_000, 71112)
-    worst = 0.0
+    gaps = []
     for _ in range(50):
         p = random_poly(rng, n, 3)
         est = mc_estimate(p, batch)
         tolerance = max(4.0 * est.stderr, 1e-12)
-        worst = max(worst, abs(est.mean - p.expectation()) / tolerance)
+        gaps.append(abs(est.mean - p.expectation()) / tolerance)
+    worst = _worst(gaps)
     assert worst <= 1.0
     print(f"PASS Monte Carlo agreement: worst normalized gap {worst:.3f}")
 

@@ -16,6 +16,7 @@ from helpers import (
     he_value,
     make_rng,
     mc_poly_mean,
+    quad_expectation,
     quad_poly_expectation,
     refine_monomial_oracle,
 )
@@ -205,7 +206,8 @@ def test_product_neutral_element():
 
 
 def test_l2_inner_orthonormality_table():
-    # <He_j, He_k> = k! [j == k], checked against quadrature for j,k <= 6
+    # <He_j, He_k> = k! [j == k], checked against quadrature for j,k <= 6:
+    # of the pointwise product always, of the algebra product within the cap
     dim = 1
     for j in range(7):
         for k in range(7):
@@ -214,8 +216,15 @@ def test_l2_inner_orthonormality_table():
             got = l2_inner(pj, pk)
             want = float(math.factorial(k)) if j == k else 0.0
             assert got == want
-            prod = hermite_product(pj, pk, cap=12)
-            assert abs(quad_poly_expectation(prod) - want) < 1e-9
+            pointwise = quad_expectation(
+                lambda x: eval_poly_indep(pj, x) * eval_poly_indep(pk, x), [1], dim
+            )
+            assert abs(pointwise - want) < 1e-9
+            if j + k > DEGREE_CAP:
+                with pytest.raises(DegreeCapExceeded):
+                    hermite_product(pj, pk)
+            else:
+                assert abs(quad_poly_expectation(hermite_product(pj, pk)) - want) < 1e-9
 
 
 def test_l2_inner_vs_quadrature_random():
@@ -511,9 +520,7 @@ def test_degree_cap_enforcement():
     with pytest.raises(DegreeCapExceeded) as err:
         hermite_product(p, p)
     assert err.value.degree == 10
-    # explicit cap unlocks the same product
-    big = hermite_product(p, p, cap=10)
-    assert big.degree() == 10
+    assert str(err.value) == "term of total degree 10 exceeds the degree cap 8"
     with pytest.raises(AlgebraError):
         ChaosPoly(0)
     with pytest.raises(AlgebraError):
@@ -609,20 +616,20 @@ def _monomial_product(a, b):
         yield MultiIndex(pairs), coeff
 
 
-def _accumulated(dim, pairs, cap=None):
+def _accumulated(dim, pairs):
     acc = {}
     for idx, c in pairs:
         acc[idx] = acc.get(idx, 0.0) + c
-    return ChaosPoly(dim, acc, cap=cap)
+    return ChaosPoly(dim, acc)
 
 
-def _product_ref(p, q, cap=None):
+def _product_ref(p, q):
     pairs = []
     for ia, ca in p.terms.items():
         for ib, cb in q.terms.items():
             scale = ca * cb
             pairs += [(idx, scale * w) for idx, w in _monomial_product(ia, ib)]
-    return _accumulated(p.dim, pairs, cap)
+    return _accumulated(p.dim, pairs)
 
 
 def _combine_ref(coeffs, polys):
@@ -685,7 +692,7 @@ def test_streaming_kernels_match_accumulating_references():
         i = int(rng.integers(1, 4))
         coeffs = [float(rng.uniform(-2, 2)), 0.0, float(rng.uniform(-2, 2))]
         assert _same_terms(hermite_product(p, q), _product_ref(p, q))
-        assert _same_terms(hermite_product(p, p, cap=8), _product_ref(p, p, cap=8))
+        assert _same_terms(hermite_product(p, p), _product_ref(p, p))
         assert _same_terms(linear_combine(coeffs, [p, q, r]), _combine_ref(coeffs, [p, q, r]))
         assert _same_terms(partial_derivative(p, i), _derivative_ref(p, i))
         assert _same_terms(multiply_by_coordinate(q, i), _coordinate_ref(q, i))
@@ -702,9 +709,8 @@ def test_gate_checks_keys_that_cancel_to_zero():
     with pytest.raises(DegreeCapExceeded):
         ChaosPoly(1, [(over_cap, 0.5), (over_cap, -0.5)])
     h5 = ChaosPoly.hermite(1, 1, 5)
-    big = hermite_product(h5, h5, cap=10)
     with pytest.raises(DegreeCapExceeded):
-        big - big
+        hermite_product(h5, h5)
 
 
 def test_gate_prefers_the_cap_error_over_non_finite():
@@ -716,11 +722,14 @@ def test_gate_prefers_the_cap_error_over_non_finite():
 
 
 def test_refine_above_the_degree_cap_raises():
+    # no polynomial past the cap can be built, so none reaches refine;
+    # refinement keeps each term's degree, so a polynomial at the cap refines
     h5 = ChaosPoly.hermite(1, 1, 5)
-    big = hermite_product(h5, h5, cap=10)
     with pytest.raises(DegreeCapExceeded):
-        refine(big, 2)
-    assert refine(big, 1) is big
+        hermite_product(h5, h5)
+    h8 = ChaosPoly.hermite(1, 1, DEGREE_CAP)
+    assert refine(h8, 2).degree() == DEGREE_CAP
+    assert refine(h8, 1) is h8
 
 
 def test_gate_reads_any_object_with_items():
@@ -771,7 +780,11 @@ def test_packed_key_matches_multiindex(a, b, coord):
     want = [(_pack(idx.pairs), w) for idx, w in _monomial_product(ia, ib)]
     assert got == want
     # the store keeps arrival order; the text form sorts by sort_key
-    p = ChaosPoly(DIM_CAP, [(ia, 1.0), (ib, 2.0)], cap=12)
+    if max(len(a), len(b)) > DEGREE_CAP:
+        with pytest.raises(DegreeCapExceeded):
+            ChaosPoly(DIM_CAP, [(ia, 1.0), (ib, 2.0)])
+        return
+    p = ChaosPoly(DIM_CAP, [(ia, 1.0), (ib, 2.0)])
     stored = [ia] if ia == ib else [ia, ib]
     assert list(p.terms) == stored
     assert [idx for idx, _ in p.sorted_terms()] == sorted(stored, key=MultiIndex.sort_key)
@@ -804,25 +817,13 @@ def test_refine_reaches_coordinate_128_unchanged():
     assert digest == "2316a3ddaaaedbf345b9ec37f97ce7a30b4c5c16285911290fcc700b6d01bed3"
 
 
-def test_cap16_product_keys_longer_than_eight_bytes():
-    h8 = ChaosPoly.hermite(2, 1, 8) + ChaosPoly.hermite(2, 2, 3, 0.5)
-    g = ChaosPoly.hermite(2, 2, 8) - ChaosPoly.hermite(2, 1, 5, 0.25)
-    out = hermite_product(h8, g, cap=16)
-    assert _same_terms(out, _product_ref(h8, g, cap=16))
-    assert out.degree() == 16
-    assert out.terms[MultiIndex({1: 8, 2: 8})] == 1.0
-    sq = hermite_product(h8, h8, cap=16)
-    assert _same_terms(sq, _product_ref(h8, h8, cap=16))
-    assert sq.terms[MultiIndex({1: 16})] == 1.0
-
-
 def test_degree_cap_error_carries_the_summed_degree():
     with pytest.raises(DegreeCapExceeded) as err:
         hermite_product(ChaosPoly.hermite(3, 1, 5), ChaosPoly.hermite(3, 2, 4))
-    assert (err.value.degree, err.value.cap) == (9, DEGREE_CAP)
+    assert err.value.degree == 9
     with pytest.raises(DegreeCapExceeded) as err:
-        hermite_product(ChaosPoly.hermite(3, 1, 7), ChaosPoly.hermite(3, 1, 6), cap=12)
-    assert (err.value.degree, err.value.cap) == (13, 12)
+        hermite_product(ChaosPoly.hermite(3, 1, 7), ChaosPoly.hermite(3, 1, 6))
+    assert err.value.degree == 13
     with pytest.raises(DegreeCapExceeded) as err:
         multiply_by_coordinate(ChaosPoly.hermite(3, 2, DEGREE_CAP), 3)
     assert err.value.degree == DEGREE_CAP + 1

@@ -242,6 +242,17 @@ def test_represent_overflowing_product_exits_two(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("functional", ["1e200*x1", "1e200*h2(x1)"])
+def test_represent_overflowing_moment_exits_two(tmp_path, monkeypatch, capsys, functional):
+    # finite coefficients whose energy or residual overflows to inf
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["represent", "--functional", functional, "--n", "1"], capsys)
+    assert code == 2
+    assert err == f"error: functional {functional!r}: residual or energy overflows a float\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_represent_bad_refine_list(capsys):
     code, _, err = run(
         ["represent", "--functional", "x1", "--n", "1", "--refine", "2,zero"], capsys

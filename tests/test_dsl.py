@@ -173,10 +173,8 @@ def test_semantic_error_hermite_order_cap():
         lower(parse_functional("h9(x1)"), 1)
     assert (err.value.line, err.value.col) == (1, 1)
     assert "degree cap 8" in str(err.value)
-    # a tighter configured cap applies
-    with pytest.raises(DslSemanticError):
-        lower(parse_functional("h4(x1)"), 1, cap=3)
-    assert lower(parse_functional("h4(x1)"), 1, cap=4) == ChaosPoly.hermite(1, 1, 4)
+    # the cap is the algebra's: an order at the cap lowers
+    assert lower(parse_functional("h8(x1)"), 1) == ChaosPoly.hermite(1, 1, 8)
 
 
 def test_semantic_error_variable_out_of_range():
@@ -264,10 +262,10 @@ def test_printed_form_lowers_identically():
         tree = _random_tree(rng, depth=3, vector_ok=False)
         printed = print_functional(tree)
         try:
-            p = lower(tree, 4, cap=8)
+            p = lower(tree, 4)
         except DslSemanticError:
             continue
-        assert lower(parse_functional(printed), 4, cap=8) == p
+        assert lower(parse_functional(printed), 4) == p
 
 
 def test_semantic_error_non_finite_literal():

@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from wienerlab import dsl
-from wienerlab.chaos import ChaosPoly, hermite_product, refine
+from wienerlab.chaos import ChaosPoly, DegreeCapExceeded, hermite_product, refine
 from wienerlab.clark import reconstruct, refine_and_reconstruct
 from wienerlab.malliavin import VField, gradient_vector
 
@@ -45,7 +45,7 @@ PINNED_REFINE = {
     "h8_by_8": "c24932b70b36dd9f97a16fcd8195f3f876e4bb824ce1715db3caf54aecee6039",
 }
 
-PINNED_PRODUCT_CAP12 = "1ca396a1175aa1c32e8a19d5ccc943ed5b963fa338bacc24a084ee537a82bb3b"
+PINNED_PRODUCT_DEGREE8 = "7c5a8b58b7662a7b0c2f898eaf4230dd2dec53a1672a56040134287270b8f9c0"
 
 PINNED_GRADIENT = {
     "cubic4": "54fa6714734e33fe903703bed5de4f8dd81d72c42cea9e1d8ce051bcf2837ec2",
@@ -86,28 +86,26 @@ def test_refine_bits_and_order_pinned():
     assert _digest([refine(ChaosPoly.hermite(1, 1, 8), 8)]) == PINNED_REFINE["h8_by_8"]
 
 
-def test_cap12_product_bits_and_order_pinned():
-    p = ChaosPoly(
-        3,
-        {
-            ((1, 3), (2, 3)): 1.0,
-            ((2, 2), (3, 1)): 0.5,
-            ((1, 1),): -1.25,
-            (): 0.3,
-        },
-    )
+def test_degree8_product_bits_and_order_pinned():
+    p = ChaosPoly(3, {((1, 2), (2, 2)): 1.0, ((2, 2), (3, 1)): 0.5, ((1, 1),): -1.25, (): 0.3})
     q = ChaosPoly(
         3,
         {
-            ((1, 4), (3, 2)): 1.0,
+            ((1, 3), (3, 1)): 1.0,
             ((2, 3),): 0.75,
             ((1, 1), (2, 1), (3, 1)): -0.4,
             (): 2.0,
         },
     )
-    out = hermite_product(p, q, cap=12)
-    assert out.degree() == 12
-    assert _digest([out]) == PINNED_PRODUCT_CAP12
+    out = hermite_product(p, q)
+    assert out.degree() == 8
+    assert _digest([out]) == PINNED_PRODUCT_DEGREE8
+    # past the cap the product raises instead of storing degree-12 terms
+    p6 = ChaosPoly(3, {((1, 3), (2, 3)): 1.0, ((2, 2), (3, 1)): 0.5})
+    q6 = ChaosPoly(3, {((1, 4), (3, 2)): 1.0, ((2, 3),): 0.75})
+    with pytest.raises(DegreeCapExceeded) as err:
+        hermite_product(p6, q6)
+    assert err.value.degree == 12
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONALS))
