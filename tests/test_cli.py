@@ -454,6 +454,58 @@ def test_rotate_runs_batteries(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "rot.json").read_bytes() == blob1
 
 
+_ROTATE_NAMES_N1 = [
+    "pathwise_isometry",
+    "strict_past_measurability",
+    "output_law_ks",
+    "output_law_mean",
+    "output_law_variance",
+    "output_law_skewness",
+    "output_law_excess_kurtosis",
+    "measure_covariance_identity",
+    "measure_ks_coordinate_1",
+]
+
+_ROTATE_NAMES_N3 = [
+    *_ROTATE_NAMES_N1[:7],
+    "independence_correlation",
+    *(
+        f"independence_factorization_{f}_{g}"
+        for f in ("x", "x2m1", "sign")
+        for g in ("x", "x2m1", "sign")
+    ),
+    "measure_covariance_identity",
+    "measure_ks_coordinate_1",
+    "measure_ks_coordinate_2",
+    "measure_ks_coordinate_3",
+    "measure_independence_pair_1_2",
+    "measure_independence_pair_1_3",
+    "measure_independence_pair_2_3",
+]
+
+
+def test_report_records_have_exact_keys(tmp_path, monkeypatch, capsys):
+    # the two report writers: verify results[] and rotate tests[], key for key
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(
+        ["verify", "--suite", "structure_constants,number_operator", "--output", "v.json"],
+        capsys,
+    )
+    assert code == 0
+    results = json.loads((tmp_path / "v.json").read_text())["results"]
+    assert len(results) == 2
+    for r in results:
+        assert set(r) == {"name", "passed", "statistic", "threshold", "details"}
+    for n, expected in ((1, _ROTATE_NAMES_N1), (3, _ROTATE_NAMES_N3)):
+        argv = ["rotate", "--n", str(n), "--n-samples", "20000", "--output", "r.json"]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        tests = json.loads((tmp_path / "r.json").read_text())["tests"]
+        assert [t["name"] for t in tests] == expected
+        for t in tests:
+            assert set(t) == {"name", "statistic", "threshold", "pass"}
+
+
 def test_rotate_unknown_construction(capsys):
     code, _, err = run(["rotate", "--n", "3", "--construction", "spin"], capsys)
     assert code == 2

@@ -386,8 +386,6 @@ def test_report_json_shape():
     assert payload["seed"] == 5
     assert payload["N"] == 10_000
     assert payload["passed"] is True
-    for t in payload["tests"]:
-        assert set(t) >= {"name", "statistic", "threshold", "pass"}
 
 
 # ------------------------------------------------------------------ recovery
