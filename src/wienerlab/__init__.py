@@ -31,6 +31,7 @@ from .chaos import (
 from .space import (
     BLOCK_ROWS,
     GENERATOR_ID,
+    Check,
     MonteCarloEstimate,
     SampleBatch,
     identity_divergence_growth,
@@ -109,7 +110,7 @@ from .dsl import (
     parse_functional,
     print_functional,
 )
-from .suites import SuiteResult, run_suites, suite_names
+from .suites import run_suites, suite_names
 
 #: Every public name bound above, in import order; submodules are not exports.
 __all__ = [

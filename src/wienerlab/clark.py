@@ -24,7 +24,6 @@ chaos grade.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -72,9 +71,6 @@ class ClarkResult:
             "integrand": self.integrand.to_json_rows(),
             "reconstruction": [p.to_text() for p in self.reconstruction.components],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 @dataclass(frozen=True)

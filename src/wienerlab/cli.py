@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
@@ -258,9 +259,13 @@ def _cmd_verify(args) -> int:
         results = run_suites(args.suites)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
-    passed = all(r.passed for r in results)
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.name}: worst {r.statistic:.3e}"
+        f" (threshold {r.threshold:.1e}; {r.details})"
+        for r in results
+    ]
     payload = {"results": [r.to_json_dict() for r in results]}
-    return _finish(args, passed, payload, [r.line() for r in results])
+    return _finish(args, all(r.passed for r in results), payload, lines)
 
 
 def _cmd_represent(args) -> int:
@@ -339,11 +344,15 @@ def _cmd_rotate(args) -> int:
         batteries.append(("independence_", independence_battery(R, e1, e2, N, seed + 13)))
     batteries.append(("measure_", measure_preservation_battery(R, N, seed + 17)))
     for prefix, report in batteries:
-        tests.extend({**t, "name": prefix + t["name"]} for t in report.tests)
+        tests.extend(replace(t, name=prefix + t.name) for t in report.tests)
 
     lines = [
-        f"{'PASS' if t['pass'] else 'FAIL'} {t['name']}:"
-        f" {t['statistic']:.4e} (threshold {t['threshold']:.4e})"
+        f"{'PASS' if t.passed else 'FAIL'} {t.name}:"
+        f" {t.statistic:.4e} (threshold {t.threshold:.4e})"
+        for t in tests
+    ]
+    rows = [
+        {"name": t.name, "statistic": t.statistic, "threshold": t.threshold, "pass": t.passed}
         for t in tests
     ]
     payload = {
@@ -351,9 +360,9 @@ def _cmd_rotate(args) -> int:
         "n": n,
         "n_samples": N,
         "seed": seed,
-        "tests": tests,
+        "tests": rows,
     }
-    return _finish(args, all(t["pass"] for t in tests), payload, lines)
+    return _finish(args, all(t.passed for t in tests), payload, lines)
 
 
 # ------------------------------------------------------------------- main

@@ -41,9 +41,8 @@ only.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -53,7 +52,7 @@ from .chaos import evaluate_batch, refine
 from .clark import clark_integrand
 from .malliavin import VField, divergence_op, gram
 from .randgen import make_rng, random_orthogonal
-from .space import BLOCK_ROWS, SampleBatch, check, ks_normal, moment_normality, sample_batch
+from .space import BLOCK_ROWS, Check, SampleBatch, check, ks_normal, moment_normality, sample_batch
 
 #: Pathwise orthonormality contract for constructed isometries.
 ISOMETRY_TOL = 1e-9
@@ -68,34 +67,14 @@ class RotationError(ValueError):
 
 @dataclass(frozen=True)
 class RotationReport:
-    """Battery outcome: per-test statistic, threshold, and flag; seeded."""
+    """Battery outcome: one ``Check`` per test, in the battery's order."""
 
     name: str
-    tests: tuple[dict, ...]
-    seed: int
-    n_samples: int
+    tests: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
-        return all(t["pass"] for t in self.tests)
-
-    def test(self, name: str) -> dict:
-        for t in self.tests:
-            if t["name"] == name:
-                return t
-        raise KeyError(name)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tests": list(self.tests),
-            "seed": self.seed,
-            "N": self.n_samples,
-            "passed": self.passed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return all(t.passed for t in self.tests)
 
 
 class AdaptedIsometry:
@@ -388,16 +367,30 @@ def exact_output_covariance(R: AdaptedIsometry) -> np.ndarray:
 # ---------------------------------------------------------------- batteries
 
 
-def _battery_report(name, tests, seed, N) -> RotationReport:
-    return RotationReport(name=name, tests=tuple(tests), seed=int(seed), n_samples=int(N))
+def _normality_tests(prefix: str, values: np.ndarray) -> list[Check]:
+    checks = (ks_normal(values), *moment_normality(values))
+    return [replace(c, name=prefix + c.name) for c in checks]
 
 
-def _normality_tests(prefix: str, values: np.ndarray) -> list[dict]:
-    rows = [ks_normal(values), *moment_normality(values).values()]
-    return [{**row, "name": prefix + row["name"]} for row in rows]
+def _output_functional(R: AdaptedIsometry, h) -> tuple[np.ndarray, float]:
+    """Check an output functional and return it with its norm.
+
+    It must have shape (d,) and a finite, nonzero norm: a NaN or infinite
+    entry, or finite entries whose norm overflows, is refused like zero.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.shape != (R.d,):
+        raise RotationError(f"functional of shape {h.shape} for d={R.d}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(h))
+    if not math.isfinite(norm):
+        raise RotationError(f"output functional with non-finite norm {norm}")
+    if norm <= 0.0:
+        raise RotationError("zero output functional")
+    return h, norm
 
 
-def _correlation_check(name: str, x: np.ndarray, y: np.ndarray) -> dict:
+def _correlation_check(name: str, x: np.ndarray, y: np.ndarray) -> Check:
     """Sample correlation of two N-vectors against the 4/sqrt(N) gate."""
     rho = np.corrcoef(x, y)[0, 1]
     return check(name, rho, 4.0 / math.sqrt(x.size))
@@ -405,15 +398,10 @@ def _correlation_check(name: str, x: np.ndarray, y: np.ndarray) -> dict:
 
 def gaussianity_battery(R: AdaptedIsometry, h, N: int, seed: int) -> RotationReport:
     """Is h . Tw exactly N(0, |h|^2)?  KS plus four moment z-tests."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (R.d,):
-        raise RotationError(f"functional of shape {h.shape} for d={R.d}")
-    scale = float(np.linalg.norm(h))
-    if scale <= 0.0:
-        raise RotationError("zero output functional")
+    h, scale = _output_functional(R, h)
     batch = sample_batch(R.n, N, seed=seed)
     vals = R.apply_batch(batch.draws) @ h / scale
-    return _battery_report("gaussianity", _normality_tests("", vals), seed, N)
+    return RotationReport("gaussianity", tuple(_normality_tests("", vals)))
 
 
 def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> RotationReport:
@@ -422,19 +410,15 @@ def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> Rotat
     Correlation test plus the nine factorization checks E[f(X)g(Y)] =
     E[f(X)] E[g(Y)] over f, g in {x, x^2-1, sign}.
     """
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    for h in (h1, h2):
-        if h.shape != (R.d,):
-            raise RotationError(f"functional of shape {h.shape} for d={R.d}")
-        if np.linalg.norm(h) <= 0.0:
-            raise RotationError("zero output functional")
-    if abs(float(h1 @ h2)) > 1e-12:
+    h1, norm1 = _output_functional(R, h1)
+    h2, norm2 = _output_functional(R, h2)
+    # relative to the lengths, so tiny functionals are held to the same cosine
+    if abs(float(h1 @ h2)) > 1e-12 * norm1 * norm2:
         raise RotationError("output functionals are not orthogonal")
     batch = sample_batch(R.n, N, seed=seed)
     tw = R.apply_batch(batch.draws)
-    x = tw @ h1 / np.linalg.norm(h1)
-    y = tw @ h2 / np.linalg.norm(h2)
+    x = tw @ h1 / norm1
+    y = tw @ h2 / norm2
     tests = [_correlation_check("correlation", x, y)]
     feats = {
         "x": lambda v: v,
@@ -449,7 +433,7 @@ def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> Rotat
             gap = float(prod.mean() - fx.mean() * gy.mean())
             se = float(prod.std(ddof=1) / math.sqrt(N))
             tests.append(check(f"factorization_{fname}_{gname}", gap, 4.0 * se))
-    return _battery_report("independence", tests, seed, N)
+    return RotationReport("independence", tuple(tests))
 
 
 def measure_preservation_battery(R: AdaptedIsometry, N: int, seed: int) -> RotationReport:
@@ -469,12 +453,12 @@ def measure_preservation_battery(R: AdaptedIsometry, N: int, seed: int) -> Rotat
     cov_err = np.max(np.abs(cov - np.eye(d)))
     tests.append(check("covariance_identity", cov_err, 4.0 * math.sqrt(2.0 / N)))
     for a in range(1, d + 1):
-        tests.append({**ks_normal(tw[:, a - 1]), "name": f"ks_coordinate_{a}"})
+        tests.append(replace(ks_normal(tw[:, a - 1]), name=f"ks_coordinate_{a}"))
     for a, b in list(combinations(range(1, d + 1), 2))[:10]:
         tests.append(
             _correlation_check(f"independence_pair_{a}_{b}", tw[:, a - 1], tw[:, b - 1])
         )
-    return _battery_report("measure_preservation", tests, seed, N)
+    return RotationReport("measure_preservation", tuple(tests))
 
 
 # ---------------------------------------------------------------- recovery
@@ -523,5 +507,4 @@ def extract_rotation(T, grid: int = 1, *, N: int = 50_000, seed: int = 314159):
     iso = AdaptedIsometry(K.n, K.d, "extracted", fn, operator=K)
     deviation = isometry_check(iso, sample_batch(K.n, 1000, seed=seed + 1))
     tests.append(check("assembled_isometry_deviation", deviation, ISOMETRY_TOL))
-    report = _battery_report("extract_rotation", tests, seed, N)
-    return iso, report
+    return iso, RotationReport("extract_rotation", tuple(tests))

@@ -10,18 +10,18 @@ parallel and the concatenated result is identical to a serial run.  Monte
 Carlo reductions go through numpy's fixed-shape pairwise summation, so a
 repeated estimate is bit-stable.
 
-Every check in the package (the normality tests here, the rotation
-batteries, the CLI certificates and the verify suites) gets its verdict
-from ``check``: it passes when |statistic| <= threshold, so a NaN or
-infinite statistic fails.
+Every verdict in the package is one frozen ``Check`` record built by
+``check``: the normality tests here, each row of a rotation battery, the
+CLI certificates and each verify suite.  A check passes when
+|statistic| <= threshold, so a NaN or infinite statistic fails.  The
+command line writes the records out; nothing here formats a report.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -89,31 +89,12 @@ def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Sample mean with its standard error and a 95% normal interval."""
+    """Sample mean with its standard error."""
 
     mean: float
     stderr: float
     n_samples: int
     seed: int
-
-    @property
-    def ci95(self) -> tuple[float, float]:
-        half = 1.96 * self.stderr
-        return (self.mean - half, self.mean + half)
-
-    def to_json_dict(self) -> dict:
-        lo, hi = self.ci95
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "ci95_lo": lo,
-            "ci95_hi": hi,
-            "seed": self.seed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def mc_estimate(p: ChaosPoly, batch: SampleBatch) -> MonteCarloEstimate:
@@ -152,25 +133,41 @@ def identity_divergence_growth(ns) -> list[tuple[int, float]]:
 # Check verdicts and the normality tests shared with the rotation batteries.
 
 
-def check(name: str, statistic: float, threshold: float, ok: bool = True) -> dict:
-    """One check record; it passes iff |statistic| <= threshold and ``ok``.
+@dataclass(frozen=True)
+class Check:
+    """One verdict: a named statistic against its threshold.
+
+    ``details`` says what a verify suite covered; battery rows leave it empty.
+    """
+
+    name: str
+    statistic: float
+    threshold: float
+    passed: bool
+    details: str = ""
+
+    def to_json_dict(self) -> dict:
+        """The five fields by name, the form of a ``verify`` report entry."""
+        return asdict(self)
+
+
+def check(
+    name: str, statistic: float, threshold: float, ok: bool = True, details: str = ""
+) -> Check:
+    """The verdict record; it passes iff |statistic| <= threshold and ``ok``.
 
     NaN compares false, so a NaN statistic or threshold fails the check.
     """
     statistic = float(statistic)
     threshold = float(threshold)
-    return {
-        "name": name,
-        "statistic": statistic,
-        "threshold": threshold,
-        "pass": bool(abs(statistic) <= threshold and ok),
-    }
+    return Check(name, statistic, threshold, bool(abs(statistic) <= threshold and ok), details)
 
 
-def moment_normality(samples: np.ndarray) -> dict:
+def moment_normality(samples: np.ndarray) -> tuple[Check, ...]:
     """Moment tests for standard normality at the 4-sigma level.
 
-    Thresholds use the null standard errors sqrt(6/N) for skewness and
+    Returns the mean, variance, skewness and excess kurtosis checks, in that
+    order.  Thresholds use the null standard errors sqrt(6/N) for skewness and
     sqrt(24/N) for excess kurtosis, and sqrt(1/N), sqrt(2/N) for mean and
     variance.
     """
@@ -183,16 +180,15 @@ def moment_normality(samples: np.ndarray) -> dict:
     z2 = z * z
     skew = float((z2 * z).mean())
     kurt = float((z2 * z2).mean() - 3.0)
-    checks = {
-        "mean": (mean, 4.0 * math.sqrt(1.0 / n)),
-        "variance": (var - 1.0, 4.0 * math.sqrt(2.0 / n)),
-        "skewness": (skew, 4.0 * math.sqrt(6.0 / n)),
-        "excess_kurtosis": (kurt, 4.0 * math.sqrt(24.0 / n)),
-    }
-    return {name: check(name, stat, thr) for name, (stat, thr) in checks.items()}
+    return (
+        check("mean", mean, 4.0 * math.sqrt(1.0 / n)),
+        check("variance", var - 1.0, 4.0 * math.sqrt(2.0 / n)),
+        check("skewness", skew, 4.0 * math.sqrt(6.0 / n)),
+        check("excess_kurtosis", kurt, 4.0 * math.sqrt(24.0 / n)),
+    )
 
 
-def ks_normal(samples: np.ndarray) -> dict:
+def ks_normal(samples: np.ndarray) -> Check:
     """Kolmogorov-Smirnov against N(0,1) at level 0.01.
 
     Computes only the two-sided statistic D = max(D+, D-) of the sorted

@@ -3,15 +3,15 @@
 Each suite stresses one structural identity of the calculus: adjointness of
 gradient and divergence, isometry of adapted integrals, exactness of the
 adapted representation on its natural class, refinement convergence, the
-minimal-energy representation, and the rotation invariants.  Random
-instances come from fixed seeds, so two runs produce identical results
-byte for byte.
+minimal-energy representation, and the rotation invariants.  Each suite
+returns one ``Check``: its worst gap against its threshold, with a
+``details`` line naming what it covered.  Random instances come from fixed
+seeds, so two runs produce identical results byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,52 +60,18 @@ from .rotations import (
     mix_outputs,
     scale_output,
 )
-from .space import check, identity_divergence_growth, mc_estimate, sample_batch
+from .space import Check, check, identity_divergence_growth, mc_estimate, sample_batch
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    """Outcome of one verification suite."""
-
-    name: str
-    passed: bool
-    statistic: float
-    threshold: float
-    details: str
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} {self.name}: worst {self.statistic:.3e}"
-            f" (threshold {self.threshold:.1e}; {self.details})"
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "details": self.details,
-        }
-
-
-def _result(name, gaps, threshold, details, extra_ok=True) -> SuiteResult:
+def _result(name, gaps, threshold, details, extra_ok=True) -> Check:
     """Fold the suite's gaps into its worst one; a NaN gap makes it NaN."""
-    verdict = check(name, np.max(gaps, initial=0.0), threshold, extra_ok)
-    return SuiteResult(
-        name=name,
-        passed=verdict["pass"],
-        statistic=verdict["statistic"],
-        threshold=verdict["threshold"],
-        details=details,
-    )
+    return check(name, np.max(gaps, initial=0.0), threshold, extra_ok, details)
 
 
 # ------------------------------------------------------------------ suites
 
 
-def suite_duality_pairing(seed: int = 1001) -> SuiteResult:
+def suite_duality_pairing(seed: int = 1001) -> Check:
     """Divergence is adjoint to the gradient under the pairings."""
     rng = make_rng(seed)
     gaps = []
@@ -122,7 +88,7 @@ def suite_duality_pairing(seed: int = 1001) -> SuiteResult:
     )
 
 
-def suite_weak_pairing(seed: int = 1002) -> SuiteResult:
+def suite_weak_pairing(seed: int = 1002) -> Check:
     """Componentwise and rowwise forms of the duality agree."""
     rng = make_rng(seed)
     gaps = []
@@ -140,7 +106,7 @@ def suite_weak_pairing(seed: int = 1002) -> SuiteResult:
     )
 
 
-def suite_structure_constants(seed: int = 1003) -> SuiteResult:
+def suite_structure_constants(seed: int = 1003) -> Check:
     """Exact divergence values: skew fields, constants, identity growth."""
     rng = make_rng(seed)
     gaps = []
@@ -166,7 +132,7 @@ def suite_structure_constants(seed: int = 1003) -> SuiteResult:
     )
 
 
-def suite_ito_isometry(seed: int = 1004) -> SuiteResult:
+def suite_ito_isometry(seed: int = 1004) -> Check:
     """Energy identities for predictable fields and adapted operators."""
     rng = make_rng(seed)
     gaps = []
@@ -187,7 +153,7 @@ def suite_ito_isometry(seed: int = 1004) -> SuiteResult:
     )
 
 
-def suite_weak_orthogonality(seed: int = 1005) -> SuiteResult:
+def suite_weak_orthogonality(seed: int = 1005) -> Check:
     """Anticipating remainders pair to zero against adapted test operators."""
     rng = make_rng(seed)
     gaps = []
@@ -201,7 +167,7 @@ def suite_weak_orthogonality(seed: int = 1005) -> SuiteResult:
     return _result("weak_orthogonality", gaps, 1e-10, f"{count} instances")
 
 
-def suite_clark_exactness(seed: int = 1006) -> SuiteResult:
+def suite_clark_exactness(seed: int = 1006) -> Check:
     """The adapted representation is exact on the representable class."""
     rng = make_rng(seed)
     gaps = []
@@ -228,7 +194,7 @@ def suite_clark_exactness(seed: int = 1006) -> SuiteResult:
     )
 
 
-def suite_refinement_convergence(seed: int = 1007) -> SuiteResult:
+def suite_refinement_convergence(seed: int = 1007) -> Check:
     """Residuals shrink under grid refinement at the predicted rate."""
     rng = make_rng(seed)
     gaps = []
@@ -255,7 +221,7 @@ def suite_refinement_convergence(seed: int = 1007) -> SuiteResult:
     )
 
 
-def suite_minimal_energy(seed: int = 1008) -> SuiteResult:
+def suite_minimal_energy(seed: int = 1008) -> Check:
     """The gradient-of-inverse-generator field represents every functional."""
     rng = make_rng(seed)
     gaps = []
@@ -289,7 +255,7 @@ def suite_minimal_energy(seed: int = 1008) -> SuiteResult:
     )
 
 
-def suite_number_operator(seed: int = 1009) -> SuiteResult:
+def suite_number_operator(seed: int = 1009) -> Check:
     """Divergence after gradient acts as grade scaling."""
     rng = make_rng(seed)
     gaps = []
@@ -301,7 +267,7 @@ def suite_number_operator(seed: int = 1009) -> SuiteResult:
     return _result("number_operator", gaps, 1e-10, f"{count} random functionals")
 
 
-def suite_operator_bound(seed: int = 1010) -> SuiteResult:
+def suite_operator_bound(seed: int = 1010) -> Check:
     """The sharp constant bounds the pairing over the unit sphere."""
     rng = make_rng(seed)
     gaps = []
@@ -324,7 +290,7 @@ def suite_operator_bound(seed: int = 1010) -> SuiteResult:
     )
 
 
-def suite_rotation_invariants(seed: int = 1011) -> SuiteResult:
+def suite_rotation_invariants(seed: int = 1011) -> Check:
     """Adapted rotations: pathwise isometry, strict-past certificates, defects."""
     gaps = []
     ok = True
@@ -356,7 +322,7 @@ def suite_rotation_invariants(seed: int = 1011) -> SuiteResult:
     )
 
 
-def suite_monte_carlo_consistency(seed: int = 1012) -> SuiteResult:
+def suite_monte_carlo_consistency(seed: int = 1012) -> Check:
     """Sampling means agree with algebraic expectations within 4 sigma."""
     rng = make_rng(seed)
     gaps = []
@@ -396,7 +362,7 @@ def suite_names() -> list[str]:
     return [fn.__name__.removeprefix("suite_") for fn in ALL_SUITES]
 
 
-def run_suites(names=None) -> list[SuiteResult]:
+def run_suites(names=None) -> list[Check]:
     """Run the named suites (all by default) in declaration order."""
     table = {fn.__name__.removeprefix("suite_"): fn for fn in ALL_SUITES}
     if names is None:

@@ -5,7 +5,7 @@ import pytest
 
 import wienerlab.suites
 from wienerlab.cli import main
-from wienerlab.suites import SuiteResult
+from wienerlab.space import Check
 
 
 def run(argv, capsys):
@@ -55,16 +55,14 @@ def test_verify_runs_are_byte_identical(tmp_path, monkeypatch, capsys):
 
 def test_verify_reports_failure_with_exit_one(tmp_path, monkeypatch, capsys):
     def broken_suite():
-        return SuiteResult(
-            name="broken", passed=False, statistic=1.0, threshold=0.0, details="stub"
-        )
+        return Check(name="broken", statistic=1.0, threshold=0.0, passed=False, details="stub")
 
     broken_suite.__name__ = "suite_broken"
     monkeypatch.setattr(wienerlab.suites, "ALL_SUITES", (broken_suite,))
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(["verify"], capsys)
     assert code == 1
-    assert "FAIL broken" in out
+    assert "FAIL broken: worst 1.000e+00 (threshold 0.0e+00; stub)" in out
     assert out.strip().endswith("verify: FAIL")
 
 

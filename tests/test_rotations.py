@@ -26,7 +26,7 @@ from wienerlab.rotations import (
     mix_outputs,
     scale_output,
 )
-from wienerlab.space import BLOCK_ROWS, sample_batch
+from wienerlab.space import BLOCK_ROWS, Check, sample_batch
 
 N_BATTERY = 200_000
 SEED = 20240815
@@ -34,6 +34,10 @@ SEED = 20240815
 
 def draws_for(n, count=1000, seed=777):
     return sample_batch(n, count, seed=seed).draws
+
+
+def by_name(report, name):
+    return next(t for t in report.tests if t.name == name)
 
 
 def householder_reference(n, seed, draws):
@@ -269,17 +273,17 @@ def test_basis_invariance_pathwise():
 def test_gaussianity_battery_identity_and_sign():
     R = build_sequential_isometry(2, seed=5, angle_spec="zero")
     rep = gaussianity_battery(R, np.array([1.0, 0.0]), N_BATTERY, seed=SEED)
-    assert rep.passed, rep.to_json()
+    assert rep.passed, rep
     R = build_sequential_isometry(2, seed=5, angle_spec="sign")
     rep = gaussianity_battery(R, np.array([0.0, 1.0]), N_BATTERY, seed=SEED)
-    assert rep.passed, rep.to_json()
+    assert rep.passed, rep
 
 
 def test_gaussianity_battery_sequential_mixed_functional():
     R = build_sequential_isometry(4, seed=6, angle_spec="givens")
     h = np.array([0.5, -1.0, 0.25, 2.0])
     rep = gaussianity_battery(R, h, N_BATTERY, seed=SEED + 1)
-    assert rep.passed, rep.to_json()
+    assert rep.passed, rep
 
 
 def test_gaussianity_battery_detects_scaled_output():
@@ -287,10 +291,10 @@ def test_gaussianity_battery_detects_scaled_output():
     bad = scale_output(base, 2, 2.0)
     rep = gaussianity_battery(bad, np.array([0.0, 1.0, 0.0]), N_BATTERY, seed=SEED)
     assert not rep.passed
-    var_test = rep.test("variance")
-    assert not var_test["pass"]
+    var_test = by_name(rep, "variance")
+    assert not var_test.passed
     # variance 4 against null variance 1: z-score far beyond 4 sigma
-    assert abs(var_test["statistic"]) > 10.0 * var_test["threshold"] / 4.0
+    assert abs(var_test.statistic) > 10.0 * var_test.threshold / 4.0
 
 
 def test_gaussianity_battery_guards():
@@ -301,19 +305,46 @@ def test_gaussianity_battery_guards():
         gaussianity_battery(R, np.ones(3), 1000, seed=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300], ids=["nan", "inf", "overflow"])
+def test_batteries_refuse_non_finite_functionals(bad):
+    # raised like a zero functional, not reported as a failed battery; at
+    # 1e300 the entries are finite but the norm overflows
+    R = build_sequential_isometry(3, seed=8, angle_spec="givens")
+    h = np.array([1.0, bad, bad])
+    e1 = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(RotationError, match="non-finite"):
+        gaussianity_battery(R, h, 1000, seed=1)
+    with pytest.raises(RotationError, match="non-finite"):
+        independence_battery(R, e1, np.array([0.0, 0.0, bad]), 1000, seed=1)
+    with pytest.raises(RotationError, match="non-finite"):
+        independence_battery(R, h, e1, 1000, seed=1)
+
+
 def test_independence_battery_passes_for_isometries():
     for spec in ("zero", "sign", "givens"):
         R = build_sequential_isometry(3, seed=9, angle_spec=spec)
         rep = independence_battery(
             R, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), N_BATTERY, seed=SEED
         )
-        assert rep.passed, (spec, rep.to_json())
+        assert rep.passed, (spec, rep)
 
 
 def test_independence_battery_rejects_non_orthogonal_inputs():
     R = build_sequential_isometry(2, seed=10, angle_spec="zero")
     with pytest.raises(RotationError):
         independence_battery(R, np.array([1.0, 0.0]), np.array([1.0, 1.0]), 1000, seed=1)
+
+
+def test_independence_orthogonality_gate_is_relative():
+    # cosine 0.707 at length 1e-7: the dot product 1e-14 is tiny in absolute
+    # terms, but the pair is far from orthogonal
+    R = build_sequential_isometry(3, seed=10, angle_spec="givens")
+    h1, h2 = np.array([1e-7, 1e-7, 0.0]), np.array([1e-7, 0.0, 0.0])
+    with pytest.raises(RotationError, match="not orthogonal"):
+        independence_battery(R, h1, h2, 1000, seed=1)
+    # an orthogonal pair of the same lengths runs
+    rep = independence_battery(R, h1, np.array([1e-7, -1e-7, 0.0]), 1000, seed=1)
+    assert len(rep.tests) == 10
 
 
 def test_independence_battery_detects_mixed_outputs():
@@ -323,7 +354,7 @@ def test_independence_battery_detects_mixed_outputs():
         bad, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), N_BATTERY, seed=SEED
     )
     assert not rep.passed
-    assert not rep.test("correlation")["pass"]
+    assert not by_name(rep, "correlation").passed
 
 
 def test_independence_factorization_statistics_are_the_direct_formula():
@@ -341,26 +372,26 @@ def test_independence_factorization_statistics_are_the_direct_formula():
     for fname, f in feats.items():
         for gname, g in feats.items():
             prod = f(x) * g(y)
-            row = rep.test(f"factorization_{fname}_{gname}")
-            assert row["statistic"] == float(prod.mean() - f(x).mean() * g(y).mean())
-            assert row["threshold"] == 4.0 * float(prod.std(ddof=1) / math.sqrt(20_000))
+            row = by_name(rep, f"factorization_{fname}_{gname}")
+            assert row.statistic == float(prod.mean() - f(x).mean() * g(y).mean())
+            assert row.threshold == 4.0 * float(prod.std(ddof=1) / math.sqrt(20_000))
 
 
 def test_measure_preservation_battery():
     for spec in ("zero", "sign", "givens", "constant"):
         R = build_sequential_isometry(4, seed=12, angle_spec=spec)
         rep = measure_preservation_battery(R, N_BATTERY, seed=SEED + 2)
-        assert rep.passed, (spec, rep.to_json())
+        assert rep.passed, (spec, rep)
 
 
 def test_measure_preservation_detects_defects():
     base = build_sequential_isometry(4, seed=13, angle_spec="givens")
     rep = measure_preservation_battery(scale_output(base, 3, 2.0), N_BATTERY, seed=SEED)
     assert not rep.passed
-    assert not rep.test("covariance_identity")["pass"]
+    assert not by_name(rep, "covariance_identity").passed
     rep = measure_preservation_battery(mix_outputs(base, 1, 4), N_BATTERY, seed=SEED)
     assert not rep.passed
-    assert not rep.test("independence_pair_1_4")["pass"]
+    assert not by_name(rep, "independence_pair_1_4").passed
 
 
 def test_isometry_check_deviation_of_scaled_output():
@@ -374,18 +405,19 @@ def test_battery_reports_deterministic():
     R = build_sequential_isometry(3, seed=15, angle_spec="givens")
     rep1 = measure_preservation_battery(R, 20_000, seed=999)
     rep2 = measure_preservation_battery(R, 20_000, seed=999)
-    assert rep1.to_json() == rep2.to_json()
+    assert rep1 == rep2
     rep3 = measure_preservation_battery(R, 20_000, seed=998)
-    assert rep3.to_json() != rep1.to_json()
+    assert rep3 != rep1
 
 
 def test_report_json_shape():
     R = build_sequential_isometry(2, seed=16, angle_spec="zero")
     rep = gaussianity_battery(R, np.array([1.0, 0.0]), 10_000, seed=5)
-    payload = rep.to_json_dict()
-    assert payload["seed"] == 5
-    assert payload["N"] == 10_000
-    assert payload["passed"] is True
+    # one Check per test; the CLI writes them out (tests/test_cli.py pins the keys)
+    assert rep.name == "gaussianity"
+    assert rep.passed is True
+    assert all(type(t) is Check for t in rep.tests)
+    assert [t.name for t in rep.tests] == ["ks", "mean", "variance", "skewness", "excess_kurtosis"]
 
 
 # ------------------------------------------------------------------ recovery
@@ -396,8 +428,8 @@ def test_extract_rotation_permutation():
     perm = [2, 3, 1]
     T = [ChaosPoly.coordinate(n, j) for j in perm]
     iso, rep = extract_rotation(T, grid=1, N=20_000, seed=101)
-    assert rep.passed, rep.to_json()
-    assert rep.test("assembled_isometry_deviation")["statistic"] <= 1e-12
+    assert rep.passed, rep
+    assert by_name(rep, "assembled_isometry_deviation").statistic <= 1e-12
     mats = iso.matrices(draws_for(n, count=8))
     expected = np.zeros((n, n))
     for i, j in enumerate(perm):
@@ -429,7 +461,7 @@ def test_extract_rotation_reports_failed_screening():
     bad = (ChaosPoly.hermite(n, 1, 2) * math.sqrt(0.5), ChaosPoly.coordinate(n, 2))
     iso, rep = extract_rotation(bad, grid=1, N=20_000, seed=103)
     assert not rep.passed
-    failed = {t["name"] for t in rep.tests if not t["pass"]}
+    failed = {t.name for t in rep.tests if not t.passed}
     assert "component_1_ks" in failed
     assert not any(name.startswith("component_2_") for name in failed)
 
@@ -451,9 +483,9 @@ def test_extract_rotation_surrogate_reports_honest_deviation():
     results = {}
     for m in (1, 2):
         iso, rep = extract_rotation(T, grid=m, N=20_000, seed=104)
-        dev = rep.test("assembled_isometry_deviation")
-        assert not dev["pass"]
-        assert dev["statistic"] > 0.5
+        dev = by_name(rep, "assembled_isometry_deviation")
+        assert not dev.passed
+        assert dev.statistic > 0.5
         results[m] = rep
     # the integrand row still reproduces the component exactly
     refined = refine(T[1], 2)

@@ -1,6 +1,5 @@
 """Discretized space: reproducible sampling, Monte Carlo, check verdicts."""
 
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,7 @@ from scipy import stats
 from wienerlab.chaos import ChaosPoly, expectation
 from wienerlab.space import (
     BLOCK_ROWS,
-    MonteCarloEstimate,
+    Check,
     check,
     identity_divergence_growth,
     ks_normal,
@@ -63,27 +62,28 @@ def test_delta_h_distribution():
     # the divergence of the constant field h is sum_i h_i eta_i
     vals = batch.draws @ h / np.linalg.norm(h)
     ks = ks_normal(vals)
-    assert ks["pass"], ks
+    assert ks.passed, ks
     moments = moment_normality(vals)
-    for name, row in moments.items():
-        assert row["pass"], (name, row)
+    assert [c.name for c in moments] == ["mean", "variance", "skewness", "excess_kurtosis"]
+    for c in moments:
+        assert c.passed, c
 
 
 def test_check_verdict_rule():
-    assert check("demo", -0.5, 1.0) == {
-        "name": "demo",
-        "statistic": -0.5,
-        "threshold": 1.0,
-        "pass": True,
-    }
-    assert not check("demo", 0.5, 1.0, ok=False)["pass"]
-    assert not check("demo", 1.5, 1.0)["pass"]
+    assert check("demo", -0.5, 1.0) == Check("demo", -0.5, 1.0, True)
+    assert check("demo", -0.5, 1.0, details="3 cases").details == "3 cases"
+    assert not check("demo", 0.5, 1.0, ok=False).passed
+    assert not check("demo", 1.5, 1.0).passed
     for bad in (math.nan, math.inf, -math.inf):
-        assert not check("demo", bad, 1.0)["pass"]
-    assert not check("demo", 0.5, math.nan)["pass"]
+        assert not check("demo", bad, 1.0).passed
+    assert not check("demo", 0.5, math.nan).passed
     # the strict-past certificate: exactly zero passes, anything else fails
-    assert check("demo", 0.0, 0.0)["pass"]
-    assert not check("demo", 1e-300, 0.0)["pass"]
+    assert check("demo", 0.0, 0.0).passed
+    assert not check("demo", 1e-300, 0.0).passed
+    # numpy scalars are stored as Python floats and bools
+    c = check("demo", np.float64(0.25), np.float32(0.5))
+    assert type(c.statistic) is float and type(c.threshold) is float
+    assert type(c.passed) is bool
 
 
 def test_mc_estimate_matches_algebra():
@@ -94,16 +94,6 @@ def test_mc_estimate_matches_algebra():
     assert abs(est.mean - expectation(p)) <= 4.0 * est.stderr
     again = mc_estimate(p, batch)
     assert again == est  # bit-stable reduction
-
-
-def test_mc_estimate_json_contract():
-    est = MonteCarloEstimate(mean=1.0, stderr=0.1, n_samples=100, seed=5)
-    payload = json.loads(est.to_json())
-    assert set(payload) == {"mean", "stderr", "n_samples", "ci95_lo", "ci95_hi", "seed"}
-    assert payload["ci95_lo"] == pytest.approx(1.0 - 0.196)
-    assert payload["ci95_hi"] == pytest.approx(1.0 + 0.196)
-    lo, hi = est.ci95
-    assert (lo, hi) == (payload["ci95_lo"], payload["ci95_hi"])
 
 
 def test_identity_divergence_growth_closed_form():
@@ -138,21 +128,21 @@ _KS_VALUES = st.one_of(
 @given(values=st.lists(_KS_VALUES, min_size=1, max_size=300))
 def test_ks_statistic_is_scipys(values):
     x = np.array(values)
-    assert ks_normal(x)["statistic"] == stats.kstest(x, "norm").statistic
+    assert ks_normal(x).statistic == stats.kstest(x, "norm").statistic
 
 
 def test_ks_statistic_is_scipys_at_battery_size():
     rng = np.random.default_rng(3)
     for x in (rng.standard_normal(200_000), rng.standard_t(2, 200_000)):
-        row = ks_normal(x)
-        assert row["statistic"] == stats.kstest(x, "norm").statistic
-        assert row["threshold"] == stats.kstwo.ppf(0.99, x.size)
+        ks = ks_normal(x)
+        assert ks.statistic == stats.kstest(x, "norm").statistic
+        assert ks.threshold == stats.kstwo.ppf(0.99, x.size)
 
 
 def test_ks_nan_sample_fails():
-    row = ks_normal(np.array([0.1, np.nan, -0.3]))
-    assert math.isnan(row["statistic"])
-    assert not row["pass"]
+    ks = ks_normal(np.array([0.1, np.nan, -0.3]))
+    assert math.isnan(ks.statistic)
+    assert not ks.passed
 
 
 def test_moment_normality_matches_fsum_oracle():
@@ -166,8 +156,6 @@ def test_moment_normality_matches_fsum_oracle():
         z = [(v - mean) / math.sqrt(var) for v in x]
         skew = math.fsum(v**3 for v in z) / n
         kurt = math.fsum(v**4 for v in z) / n - 3.0
-        rows = moment_normality(x)
-        assert abs(rows["mean"]["statistic"] - mean) <= 1e-12
-        assert abs(rows["variance"]["statistic"] - (var - 1.0)) <= 1e-12
-        assert abs(rows["skewness"]["statistic"] - skew) <= 1e-12
-        assert abs(rows["excess_kurtosis"]["statistic"] - kurt) <= 1e-12
+        got = [c.statistic for c in moment_normality(x)]
+        for value, oracle in zip(got, (mean, var - 1.0, skew, kurt)):
+            assert abs(value - oracle) <= 1e-12

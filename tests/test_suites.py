@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+import wienerlab.cli
 import wienerlab.suites
-from wienerlab.suites import SuiteResult, run_suites, suite_names
+from wienerlab.cli import main
+from wienerlab.space import Check
+from wienerlab.suites import run_suites, suite_names
 
 
 def test_suite_registry_names_and_order():
@@ -36,11 +39,8 @@ def test_run_suites_unknown_name():
         run_suites(["no_such_suite"])
 
 
-def test_suite_result_line_and_json():
-    r = SuiteResult(
-        name="demo", passed=True, statistic=1.5e-12, threshold=1e-10, details="3 cases"
-    )
-    assert r.line() == "PASS demo: worst 1.500e-12 (threshold 1.0e-10; 3 cases)"
+def test_suite_result_line_and_json(monkeypatch, capsys):
+    r = Check(name="demo", statistic=1.5e-12, threshold=1e-10, passed=True, details="3 cases")
     assert json.loads(json.dumps(r.to_json_dict())) == {
         "name": "demo",
         "passed": True,
@@ -48,10 +48,14 @@ def test_suite_result_line_and_json():
         "threshold": 1e-10,
         "details": "3 cases",
     }
-    bad = SuiteResult(
-        name="demo", passed=False, statistic=2.0, threshold=1e-10, details="1 case"
-    )
-    assert bad.line().startswith("FAIL demo")
+    bad = Check(name="bad", statistic=2.0, threshold=1e-10, passed=False, details="1 case")
+    # the verify command prints one line per suite result
+    monkeypatch.setattr(wienerlab.cli, "run_suites", lambda names: [r, bad])
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "PASS demo: worst 1.500e-12 (threshold 1.0e-10; 3 cases)",
+        "FAIL bad: worst 2.000e+00 (threshold 1.0e-10; 1 case)",
+    ]
 
 
 def test_suites_are_deterministic():
@@ -65,4 +69,4 @@ def test_nan_gap_fails_the_suite(monkeypatch):
     result = wienerlab.suites.suite_duality_pairing()
     assert not result.passed
     assert math.isnan(result.statistic)
-    assert result.line().startswith("FAIL duality_pairing: worst nan")
+    assert result.details == "200 random operator/field pairs"
