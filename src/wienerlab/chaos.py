@@ -26,12 +26,21 @@ Every operation here is exact up to double rounding: expectation, inner
 product, product (Hermite linearization), coordinate derivative, conditional
 expectation with respect to the coordinate filtration, chaos-grade
 projection, number-operator scaling and its inverse, grid refinement, and
-pointwise evaluation.  Every operation passes its ``(key, coefficient)``
-pairs to the :class:`ChaosPoly` constructor, whose one term gate sums them,
-checks each summed index against the ambient dimension and the degree cap,
-rejects a NaN or infinite coefficient with :class:`AlgebraError` instead of
-storing or dropping it, and prunes coefficients at or below ``PRUNE_EPS``, so
-a stored coefficient is never an exact zero.  The degree cap is fixed: no
+pointwise evaluation.
+
+A product is expanded monomial pair by monomial pair.  A left monomial of
+degree 1, ``eta_i``, applies the three-term rule
+``eta_i He_beta = He_{beta+e_i} + beta_i He_{beta-e_i}`` directly: insert
+one ``i`` into the key and, when ``i`` occurs, also remove one with weight
+``beta_i``.  That yields the pairs of the general Hermite linearization, in
+the same order and with the same floats.
+
+Every operation passes its ``(key, coefficient)`` pairs to the
+:class:`ChaosPoly` constructor, whose one term gate sums them, checks each
+summed index against the ambient dimension and the degree cap, rejects a
+NaN or infinite coefficient with :class:`AlgebraError` instead of storing
+or dropping it, and prunes coefficients at or below ``PRUNE_EPS``, so a
+stored coefficient is never an exact zero.  The degree cap is fixed: no
 operation can build a term past it.
 
 Values are immutable and operations are pure functions, so they are safe to
@@ -369,7 +378,7 @@ class ChaosPoly:
         return expectation(self)
 
     def norm_l2(self) -> float:
-        return math.sqrt(l2_inner(self, self))
+        return norm_l2(self)
 
     def evaluate(self, sample: Sequence[float]) -> float:
         return evaluate(self, sample)
@@ -477,9 +486,29 @@ def _shared_product(a: bytes, b: bytes):
         yield bytes(sorted(base + extra)), coeff
 
 
+def _coordinate_terms(digit: bytes, ca: float, q: dict[bytes, float]):
+    """``(key, coefficient)`` pairs of ``ca * eta_i * q`` for ``digit = bytes((i,))``.
+
+    ``He_1 He_k = He_{k+1} + k He_{k-1}`` at coordinate ``i``: each term
+    yields its key with one ``i`` inserted, then, when ``i`` occurs in it,
+    its key with one ``i`` removed and weight ``k``.  These are the pairs,
+    order and float products of the generic linearization.
+    """
+    i = digit[0]
+    for kb, cb in q.items():
+        c = ca * cb
+        at = bisect_right(kb, i)
+        yield kb[:at] + digit + kb[at:], c
+        if at and kb[at - 1] == i:
+            yield kb.replace(digit, b"", 1), c * kb.count(i)
+
+
 def _product_terms(p: dict[bytes, float], q: dict[bytes, float]):
     """``(key, coefficient)`` pairs of ``p * q``, monomial pair by pair."""
     for ka, ca in p.items():
+        if len(ka) == 1:
+            yield from _coordinate_terms(ka, ca, q)
+            continue
         for kb, cb in q.items():
             if not ka or not kb or ka[-1] < kb[0]:
                 yield ka + kb, ca * cb
@@ -519,7 +548,17 @@ def l2_inner(p: ChaosPoly, q: ChaosPoly) -> float:
 
 
 def norm_l2(p: ChaosPoly) -> float:
-    return math.sqrt(l2_inner(p, p))
+    """``sqrt(E[p^2])``, finite whenever the norm is a finite double.
+
+    The plain sum of squares is used when it is finite and nonzero; when it
+    overflows (or underflows) the coefficients are first divided by the
+    largest of them, as ``math.hypot`` does.
+    """
+    square = l2_inner(p, p)
+    if 0.0 < square < math.inf or not p._terms:
+        return math.sqrt(square)
+    big = max(map(abs, p._terms.values()))
+    return big * math.sqrt(sum(_factorial(key) * (c / big) ** 2 for key, c in p._terms.items()))
 
 
 def partial_derivative(p: ChaosPoly, i: int) -> ChaosPoly:
@@ -541,17 +580,7 @@ def multiply_by_coordinate(p: ChaosPoly, i: int) -> ChaosPoly:
     """Exact product with ``eta_i``: ``He_1 He_k = He_{k+1} + k He_{k-1}``."""
     if not 1 <= i <= p.dim:
         raise AlgebraError(f"coordinate {i} outside 1..{p.dim}")
-    digit = bytes((i,))
-
-    def pairs():
-        for key, c in p._terms.items():
-            at = bisect_right(key, i)
-            yield key[:at] + digit + key[at:], c
-            k = key.count(digit)
-            if k:
-                yield key.replace(digit, b"", 1), k * c
-
-    return ChaosPoly(p.dim, pairs())
+    return ChaosPoly(p.dim, _coordinate_terms(bytes((i,)), 1.0, p._terms))
 
 
 def conditional_expectation(p: ChaosPoly, k: int) -> ChaosPoly:

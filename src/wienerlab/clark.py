@@ -2,13 +2,17 @@
 
 A vector functional v is reconstructed from its adapted derivative data as
 
-    v  ~  E[v] + div( project_operator( grad v ) )
+    v  ~  E[v] + div( K ),   K_{a,i} = E[ d_i v_a | eta_1 .. eta_{i-1} ]
 
 which is exact precisely when every Hermite monomial of every component has
 order 1 at its highest-index coordinate: conditioning at stage j-1 kills a
-derivative He_{k-1}(eta_j) unless k = 1.  Monomials violating that are lost
-entirely, so the squared residual is their exact coefficient mass.  Grid
-refinement spreads that mass over finer cells and shrinks the residual.
+derivative He_{k-1}(eta_j) unless k = 1.  In the Hermite basis the
+integrand K is one map over terms (the top-order-1 rule): a monomial whose
+top coordinate j has order 1 moves to entry (a, j) with that factor removed
+and the same coefficient, and every other monomial is dropped.  The dropped
+monomials are lost entirely, so the squared residual is their exact
+coefficient mass.  Grid refinement spreads that mass over finer cells and
+shrinks the residual.
 
 Separately, any centered square-integrable scalar phi has the exact
 divergence representation with integrand
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .adapted import WeaklyAdaptedOperator, project_operator
+from .adapted import PredictableHField, WeaklyAdaptedOperator
 from .chaos import (
     ChaosPoly,
     _factorial,
@@ -42,7 +46,6 @@ from .malliavin import (
     divergence_h,
     divergence_op,
     gradient_scalar,
-    gradient_vector,
 )
 
 
@@ -83,8 +86,24 @@ class EnergyComparison:
 
 
 def clark_integrand(v: VField) -> WeaklyAdaptedOperator:
-    """Adapted projection of the gradient operator of v."""
-    return project_operator(gradient_vector(v))
+    """Adapted projection of the gradient operator of v, by the top-order-1 rule.
+
+    One scan over each component's terms: a key whose top coordinate i has
+    order 1 goes to entry (a, i) as ``key[:-1]``, with the same coefficient.
+    Every other nonzero derivative ``d_i`` of a term still depends on a
+    coordinate at or past i, so the stage-(i-1) projection removes it.
+    Keys, coefficients and stored order equal those of
+    ``project_operator(gradient_vector(v))``.
+    """
+    n = v.ambient_dim
+    rows = []
+    for p in v.components:
+        entries = [{} for _ in range(n)]
+        for key, c in p.packed_terms.items():
+            if key and not _top_order_above_one(key):
+                entries[key[-1] - 1][key[:-1]] = c
+        rows.append(PredictableHField(tuple(ChaosPoly(n, e) for e in entries)))
+    return WeaklyAdaptedOperator(tuple(rows))
 
 
 def reconstruct(v: VField) -> ClarkResult:

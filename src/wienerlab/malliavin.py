@@ -19,7 +19,12 @@ divergence of an HField is the adjoint of the scalar gradient::
 
     div(u) = sum_i (eta_i * u_i - d_i u_i)
 
-and the divergence of an OperatorField acts row by row, producing a VField.
+In the Hermite basis this is the creation operator, one map over terms:
+``eta_i He_beta = He_{beta+e_i} + beta_i He_{beta-e_i}`` and
+``d_i He_beta = beta_i He_{beta-e_i}``, so the lowering parts cancel
+exactly and each term ``c He_beta`` of ``u_i`` contributes
+``c He_{beta+e_i}`` alone: its key with one ``i`` inserted.  The
+divergence of an OperatorField acts row by row, producing a VField.
 The residual checks at the bottom verify the defining integration-by-parts
 identities exactly in the algebra.
 """
@@ -27,6 +32,7 @@ identities exactly in the algebra.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +44,6 @@ from .chaos import (
     hermite_product,
     l2_inner,
     linear_combine,
-    multiply_by_coordinate,
     partial_derivative,
 )
 
@@ -304,13 +309,22 @@ def gradient_vector(v: VField) -> OperatorField:
 
 
 def divergence_h(u: HField) -> ChaosPoly:
-    """Adjoint of the scalar gradient: sum_i (eta_i u_i - d_i u_i)."""
-    parts = []
-    for i, ui in enumerate(u.coords, start=1):
-        parts.append(multiply_by_coordinate(ui, i))
-        parts.append(partial_derivative(ui, i))
-    coeffs = [1.0, -1.0] * u.n
-    return linear_combine(coeffs, parts)
+    """Adjoint of the scalar gradient: sum_i (eta_i u_i - d_i u_i).
+
+    Computed in its creation form, one gate pass over the terms: each term
+    ``c He_beta`` of ``u_i`` becomes ``c He_{beta+e_i}``.  The
+    ``beta_i He_{beta-e_i}`` parts of ``eta_i u_i`` and ``d_i u_i`` cancel
+    in exact arithmetic, so they are never built.
+    """
+
+    def raised():
+        for i, ui in enumerate(u.coords, start=1):
+            digit = bytes((i,))
+            for key, c in ui.packed_terms.items():
+                at = bisect_right(key, i)
+                yield key[:at] + digit + key[at:], c
+
+    return ChaosPoly(u.n, raised())
 
 
 def divergence_op(K: OperatorField) -> VField:

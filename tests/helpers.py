@@ -10,6 +10,7 @@ package against these.
 from __future__ import annotations
 
 import math
+from itertools import product as cartesian
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -106,8 +107,6 @@ def refine_monomial_oracle(dim: int, i: int, k: int, m: int) -> ChaosPoly:
     produce for a single-coordinate monomial:
     He_k(sum_j c eta'_j) = sum_{|beta|=k} k!/prod(beta!) c^k prod He_{beta_j}.
     """
-    from itertools import product as cartesian
-
     block = list(range((i - 1) * m + 1, i * m + 1))
     scale = m ** (-k / 2.0)
     terms = {}
@@ -137,3 +136,43 @@ def split_integrand(p: ChaosPoly) -> HField:
         lowered = MultiIndex(idx.pairs[:-1])
         rows[j - 1] = rows[j - 1] + ChaosPoly(p.dim, {lowered: c})
     return HField(tuple(rows))
+
+
+def _linearization(m: int, n: int):
+    # He_m * He_n = sum_k C(m,k) C(n,k) k! He_{m+n-2k}, exact integers
+    return [
+        (m + n - 2 * k, math.comb(m, k) * math.comb(n, k) * math.factorial(k))
+        for k in range(min(m, n) + 1)
+    ]
+
+
+def generic_product_pairs(p: ChaosPoly, q: ChaosPoly):
+    """``(packed key, coefficient)`` pairs of ``p * q`` by the generic linearization.
+
+    A copy of the product kernel without its degree-1 shortcut: disjoint
+    monomials concatenate, and overlapping ones expand every shared
+    coordinate through the linearization, the first one slowest, with the
+    weight accumulated as a float product scaled by ``ca * cb``.
+    """
+    for ka, ca in p.packed_terms.items():
+        for kb, cb in q.packed_terms.items():
+            if not ka or not kb or ka[-1] < kb[0]:
+                yield ka + kb, ca * cb
+                continue
+            if kb[-1] < ka[0]:
+                yield kb + ka, ca * cb
+                continue
+            scale = ca * cb
+            shared = sorted(set(ka) & set(kb))
+            base = bytes(c for c in sorted(ka + kb) if c not in shared)
+            options = [
+                [(bytes((i,)) * order, weight) for order, weight in _linearization(ka.count(i), kb.count(i))]
+                for i in shared
+            ]
+            for combo in cartesian(*options):
+                weight = 1.0
+                extra = b""
+                for piece, w in combo:
+                    weight *= w
+                    extra += piece
+                yield bytes(sorted(base + extra)), scale * weight

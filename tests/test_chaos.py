@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     eval_poly_indep,
     fd_partial,
+    generic_product_pairs,
     he_value,
     make_rng,
     mc_poly_mean,
@@ -299,6 +300,43 @@ def test_multiply_by_coordinate_matches_product():
         assert norm_l2(direct - via_product) <= 1e-12
 
 
+def test_degree_one_left_factor_matches_generic_linearization():
+    # at coordinate 3, q has a constant term, orders 0 and 1, and orders 2..4,
+    # with other coordinates below and above 3
+    q = ChaosPoly(
+        5,
+        {
+            b"": 0.7,
+            b"\x01\x02": -1.3,
+            b"\x03": 0.9,
+            b"\x02\x03\x05": 1.1,
+            b"\x03\x03": -0.4,
+            b"\x01\x03\x03\x03": 2.5,
+            b"\x03\x03\x03\x03\x04": 0.35,
+            b"\x04\x05": -0.8,
+        },
+    )
+    lefts = [
+        ChaosPoly.coordinate(5, 3),
+        ChaosPoly(5, {b"\x03": -0.6}),
+        ChaosPoly(5, {b"": 1.5, b"\x03": 0.25}),
+        ChaosPoly(5, {b"\x01": 0.3, b"": -2.0, b"\x03": 0.7, b"\x05": 1.9}),
+        # a block average, as refine builds it
+        ChaosPoly(5, {b"\x03": 0.5, b"\x04": 0.5, b"\x05": 0.5}),
+    ]
+    rng = make_rng(919)
+    rights = [q, ChaosPoly.constant(5, 2.0)] + [random_poly(rng, 5, 4, n_terms=8) for _ in range(10)]
+    for z in lefts:
+        for r in rights:
+            want = list(generic_product_pairs(z, r))
+            assert list(_product_terms(z.packed_terms, r.packed_terms)) == want
+            assert _same_terms(hermite_product(z, r), ChaosPoly(5, want))
+    for r in rights:
+        for i in range(1, 6):
+            want = ChaosPoly(5, generic_product_pairs(ChaosPoly.coordinate(5, i), r))
+            assert _same_terms(multiply_by_coordinate(r, i), want)
+
+
 # ------------------------------------------------------ conditional expectation
 
 
@@ -555,6 +593,29 @@ def test_non_finite_coefficients_raise(bad):
         ChaosPoly(2, {(): bad, ((1, 1),): 1.0})
     with pytest.raises(AlgebraError, match="non-finite"):
         linear_combine([bad], [ChaosPoly.coordinate(2, 1)])
+
+
+@pytest.mark.parametrize("c", [1e200, -1e200, 1e155])
+def test_norm_l2_scales_a_sum_of_squares_that_overflows(c):
+    p = ChaosPoly.hermite(1, 1, 2, c)
+    assert l2_inner(p, p) == math.inf
+    want = math.sqrt(2.0) * abs(c)
+    assert abs(norm_l2(p) - want) <= 1e-15 * want
+    assert p.norm_l2() == norm_l2(p)
+    pair = ChaosPoly(2, {b"\x01": 3e200, b"\x02": -4e200})
+    assert abs(norm_l2(pair) - 5e200) <= 1e-15 * 5e200
+
+
+def test_norm_l2_keeps_the_plain_sum_when_it_is_finite():
+    rng = make_rng(977)
+    for _ in range(20):
+        p = random_poly(rng, 3, 4, n_terms=6)
+        assert norm_l2(p) == math.sqrt(l2_inner(p, p)) == p.norm_l2()
+    assert norm_l2(ChaosPoly.zero(2)) == 0.0
+    # a coefficient of 1e-200 lies below PRUNE_EPS, so the gate drops it: no
+    # stored polynomial has a sum of squares that underflows to zero
+    tiny = ChaosPoly.hermite(1, 1, 2, 1e-200)
+    assert tiny.is_zero() and norm_l2(tiny) == 0.0
 
 
 def test_overflowing_product_raises():

@@ -13,7 +13,7 @@ from wienerlab.chaos import (
     ou_inverse,
     refine,
 )
-from wienerlab.adapted import PredictableHField, WeaklyAdaptedOperator
+from wienerlab.adapted import PredictableHField, WeaklyAdaptedOperator, project_operator
 from wienerlab.clark import (
     RepresentationError,
     check_uniqueness,
@@ -31,6 +31,7 @@ from wienerlab.malliavin import (
     VField,
     divergence_h,
     gradient_scalar,
+    gradient_vector,
 )
 from wienerlab.randgen import (
     random_hfield,
@@ -79,6 +80,27 @@ def split_integrand(p: ChaosPoly) -> HField:
 
 
 # ----------------------------------------------------------- reconstruction
+
+
+def test_clark_integrand_equals_projected_gradient_term_by_term():
+    # the oracle is the definition: the adapted projection of the gradient
+    rng = make_rng(511)
+    fields = []
+    for n in (1, 2, 3, 4):
+        fields.append(random_representable_vfield(rng, n, 2, 3))
+        fields.append(random_vfield(rng, n, 2, 3, n_terms=5))
+    # components with a constant term, representable or not
+    fields.append(VField((hermite_product(eta(1, 2), eta(2, 2)) + ChaosPoly.constant(2, -0.75),
+                          he(2, 2, 2) + eta(1, 2) + ChaosPoly.constant(2, 1.5))))
+    for v in fields:
+        for m in (1, 2, 4, 8):
+            refined = VField(tuple(refine(p, m) for p in v.components))
+            K = clark_integrand(refined)
+            want = project_operator(gradient_vector(refined))
+            assert K == want
+            for row, want_row in zip(K.rows, want.rows):
+                for p, q in zip(row.coords, want_row.coords):
+                    assert list(p.packed_terms.items()) == list(q.packed_terms.items())
 
 
 def test_clark_product_functional_exact():

@@ -7,11 +7,17 @@ import pytest
 
 from helpers import make_rng, mc_poly_mean
 from wienerlab.chaos import (
+    DEGREE_CAP,
     ChaosPoly,
+    DegreeCapExceeded,
     DimensionMismatch,
     hermite_product,
     l2_inner,
+    linear_combine,
+    multiply_by_coordinate,
+    partial_derivative,
 )
+from wienerlab.clark import clark_integrand
 from wienerlab.malliavin import (
     HField,
     OperatorField,
@@ -33,6 +39,7 @@ from wienerlab.malliavin import (
 from wienerlab.randgen import (
     random_hfield,
     random_operator,
+    random_predictable_field,
     random_skew_matrix,
     random_vfield,
 )
@@ -126,6 +133,55 @@ def test_divergence_mc_oracle():
     mean, stderr = mc_poly_mean(lhs, 200_000, seed=90210)
     exact = u.inner(gradient_scalar(p))
     assert abs(mean - exact) <= 4.0 * stderr
+
+
+def _divergence_ref(u):
+    """The sum form: sum_i (eta_i u_i - d_i u_i) as one linear combination."""
+    parts = []
+    for i, ui in enumerate(u.coords, start=1):
+        parts += [multiply_by_coordinate(ui, i), partial_derivative(ui, i)]
+    return linear_combine([1.0, -1.0] * u.n, parts)
+
+
+def _stored(p):
+    return list(p.packed_terms.items())
+
+
+def test_divergence_of_predictable_fields_is_bit_identical_to_the_sum_form():
+    # on a predictable field d_i u_i = 0 and eta_i u_i only raises orders
+    rng = make_rng(331)
+    for n in (1, 2, 3, 5):
+        for _ in range(10):
+            u = random_predictable_field(rng, n, 3, n_terms=3)
+            assert _stored(divergence_h(u)) == _stored(_divergence_ref(u))
+        K = clark_integrand(random_vfield(rng, n, 2, 4, n_terms=6))
+        for row in K.rows:
+            assert _stored(divergence_h(row)) == _stored(_divergence_ref(row))
+
+
+def test_divergence_matches_the_sum_form_to_roundoff_on_general_fields():
+    rng = make_rng(332)
+    differing = 0
+    for _ in range(300):
+        u = random_hfield(rng, int(rng.integers(1, 4)), 4, n_terms=5)
+        got, want = divergence_h(u).packed_terms, _divergence_ref(u).packed_terms
+        scale = max((abs(c) for ui in u.coords for c in ui.packed_terms.values()), default=0.0)
+        gap = max((abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in got.keys() | want.keys()), default=0.0)
+        assert gap <= 1e-15 * scale
+        differing += gap > 0.0
+    # the sum form rounds where the lowering parts of eta_i u_i and d_i u_i meet
+    assert differing > 0
+
+
+def test_divergence_past_the_degree_cap_raises():
+    message = f"^term of total degree {DEGREE_CAP + 1} exceeds the degree cap {DEGREE_CAP}$"
+    for u in (
+        HField((eta(1, 2), he(DEGREE_CAP, 1, 2))),
+        HField((he(DEGREE_CAP, 1, 2), ChaosPoly.zero(2))),
+    ):
+        for div in (divergence_h, _divergence_ref):
+            with pytest.raises(DegreeCapExceeded, match=message):
+                div(u)
 
 
 def test_divergence_op_identity_recovers_coordinates():
