@@ -15,7 +15,6 @@ from .chaos import (
     NotCentered,
     chaos_projection,
     conditional_expectation,
-    evaluate,
     evaluate_batch,
     expectation,
     hermite_product,
@@ -67,7 +66,6 @@ from .adapted import (
     check_operator_isometry,
     check_weak_orthogonality,
     is_predictable,
-    ito_integral,
     project_adapted,
     project_operator,
 )
@@ -75,14 +73,12 @@ from .clark import (
     ClarkResult,
     EnergyComparison,
     RepresentationError,
-    check_uniqueness,
     clark_integrand,
     compare_energies,
     is_representable,
     minimal_energy_integrand,
     reconstruct,
     refine_and_reconstruct,
-    representation_residual,
     residual_mass_oracle,
 )
 from .rotations import (
@@ -90,11 +86,9 @@ from .rotations import (
     AdaptedIsometry,
     RotationError,
     RotationReport,
-    basis_invariance_check,
     build_sequential_isometry,
     check_strict_past_measurability,
     exact_output_covariance,
-    extract_rotation,
     gaussianity_battery,
     independence_battery,
     isometry_check,
@@ -108,7 +102,6 @@ from .dsl import (
     DslSyntaxError,
     lower,
     parse_functional,
-    print_functional,
 )
 from .suites import run_suites, suite_names
 

@@ -27,9 +27,7 @@ other.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .chaos import DimensionMismatch, conditional_expectation, evaluate, l2_inner
+from .chaos import conditional_expectation, l2_inner
 from .malliavin import (
     HField,
     OperatorField,
@@ -83,22 +81,6 @@ def project_adapted(u: HField) -> PredictableHField:
 def project_operator(K: OperatorField) -> WeaklyAdaptedOperator:
     """Rowwise adapted projection of an OperatorField."""
     return WeaklyAdaptedOperator(tuple(project_adapted(row) for row in K.rows))
-
-
-def ito_integral(u: HField, sample) -> float:
-    """Pathwise sum_i u_i(eta) eta_i for a predictable field.
-
-    For predictable u this equals the divergence evaluated at the sample,
-    because every correction term d_i u_i vanishes.
-    """
-    if not is_predictable(u):
-        raise NotPredictable("pathwise integral requires a predictable integrand")
-    sample = np.asarray(sample, dtype=float)
-    if sample.shape != (u.n,):
-        raise DimensionMismatch(f"sample of shape {sample.shape} for n={u.n}")
-    return float(
-        sum(evaluate(ui, sample) * sample[i] for i, ui in enumerate(u.coords))
-    )
 
 
 def check_ito_isometry(u: HField, v: HField) -> float:

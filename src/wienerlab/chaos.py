@@ -26,7 +26,7 @@ Every operation here is exact up to double rounding: expectation, inner
 product, product (Hermite linearization), coordinate derivative, conditional
 expectation with respect to the coordinate filtration, chaos-grade
 projection, number-operator scaling and its inverse, grid refinement, and
-pointwise evaluation.
+evaluation on a batch of samples.
 
 A product is expanded monomial pair by monomial pair.  A left monomial of
 degree 1, ``eta_i``, applies the three-term rule
@@ -50,7 +50,6 @@ share across threads or workers without locking.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_right
 from collections.abc import Mapping
 from functools import lru_cache, reduce
@@ -380,50 +379,20 @@ class ChaosPoly:
     def norm_l2(self) -> float:
         return norm_l2(self)
 
-    def evaluate(self, sample: Sequence[float]) -> float:
-        return evaluate(self, sample)
-
-    def embed(self, dim: int) -> "ChaosPoly":
-        """The same functional viewed over a larger ambient dimension."""
-        if dim < self._dim:
-            raise DimensionMismatch(f"cannot shrink dimension {self._dim} -> {dim}")
-        return ChaosPoly(dim, self._terms)
-
     # ---- canonical text form --------------------------------------------
 
     def to_text(self) -> str:
         """One line per term: ``coeff i1:k1 i2:k2 ...`` in canonical order.
 
         The zero polynomial serializes to the empty string; a constant term
-        serializes as the bare coefficient.  Coefficients use ``repr`` so the
-        round trip is bit exact.
+        serializes as the bare coefficient.  Coefficients use ``repr``, so the
+        text holds every bit of each coefficient.
         """
         lines = []
         for idx, coeff in self.sorted_terms():
             parts = [repr(coeff)] + [f"{i}:{k}" for i, k in idx.pairs]
             lines.append(" ".join(parts))
         return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, dim: int, text: str) -> "ChaosPoly":
-        terms: list[tuple[MultiIndex, float]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split()
-            try:
-                coeff = float(fields[0])
-            except ValueError as exc:
-                raise AlgebraError(f"line {lineno}: bad coefficient {fields[0]!r}") from exc
-            pairs = []
-            for field in fields[1:]:
-                m = re.fullmatch(r"(\d+):(\d+)", field)
-                if m is None:
-                    raise AlgebraError(f"line {lineno}: bad order field {field!r}")
-                pairs.append((int(m.group(1)), int(m.group(2))))
-            terms.append((MultiIndex(pairs), coeff))
-        return cls(dim, terms)
 
 
 def _require_same_dim(*polys: ChaosPoly) -> int:
@@ -548,17 +517,24 @@ def l2_inner(p: ChaosPoly, q: ChaosPoly) -> float:
 
 
 def norm_l2(p: ChaosPoly) -> float:
-    """``sqrt(E[p^2])``, finite whenever the norm is a finite double.
+    """``sqrt(E[p^2])``, finite whenever the norm is a finite double."""
+    return _root_of_squares(l2_inner(p, p), (p,))
+
+
+def _root_of_squares(square: float, polys: Iterable[ChaosPoly]) -> float:
+    """``sqrt(square)``, where ``square`` is the sum of ``E[p^2]`` over ``polys``.
 
     The plain sum of squares is used when it is finite and nonzero; when it
     overflows (or underflows) the coefficients are first divided by the
     largest of them, as ``math.hypot`` does.
     """
-    square = l2_inner(p, p)
-    if 0.0 < square < math.inf or not p._terms:
+    if 0.0 < square < math.inf:
         return math.sqrt(square)
-    big = max(map(abs, p._terms.values()))
-    return big * math.sqrt(sum(_factorial(key) * (c / big) ** 2 for key, c in p._terms.items()))
+    terms = [(key, c) for p in polys for key, c in p._terms.items()]
+    if not terms:
+        return 0.0
+    big = max(abs(c) for _, c in terms)
+    return big * math.sqrt(sum(_factorial(key) * (c / big) ** 2 for key, c in terms))
 
 
 def partial_derivative(p: ChaosPoly, i: int) -> ChaosPoly:
@@ -680,16 +656,6 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
             for pkey, pc in block_monomial(key)._terms.items()
         ),
     )
-
-
-def evaluate(p: ChaosPoly, sample: Sequence[float]) -> float:
-    """Evaluate at one sample point (length ``dim``) as a one-row batch."""
-    sample = np.asarray(sample, dtype=float)
-    if sample.shape != (p.dim,):
-        raise DimensionMismatch(
-            f"sample of shape {sample.shape} for ambient dimension {p.dim}"
-        )
-    return float(evaluate_batch(p, sample[None])[0])
 
 
 def evaluate_batch(p: ChaosPoly, samples: np.ndarray) -> np.ndarray:

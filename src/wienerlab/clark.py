@@ -43,7 +43,6 @@ from .chaos import (
 from .malliavin import (
     HField,
     VField,
-    divergence_h,
     divergence_op,
     gradient_scalar,
 )
@@ -141,24 +140,6 @@ def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
     return rows
 
 
-def check_uniqueness(v: VField, K_alt: WeaklyAdaptedOperator) -> bool:
-    """Any weakly adapted integrand representing v equals the projected gradient.
-
-    Precondition: div K_alt must reproduce v - E[v] to 1e-10 in L2; violations
-    raise :class:`RepresentationError` rather than returning False.  The two
-    integrands must then agree entry by entry to 1e-10.
-    """
-    mean = VField.constant(v.ambient_dim, v.expectation())
-    gap = divergence_op(K_alt).sub(v.sub(mean)).norm()
-    if gap > 1e-10:
-        raise RepresentationError(
-            f"claimed integrand misses the target by {gap:.3e} in L2"
-        )
-    K = clark_integrand(v)
-    diff = K.sub(K_alt)
-    return all(p.norm_l2() <= 1e-10 for row in diff.rows for p in row.coords)
-
-
 def minimal_energy_integrand(phi: ChaosPoly) -> HField:
     """grad(Linv(phi - E phi)): the exact minimal-energy representing field."""
     centered = phi - ChaosPoly.constant(phi.dim, phi.expectation())
@@ -183,8 +164,3 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
         coincide=pure_first,
     )
 
-
-def representation_residual(phi: ChaosPoly, field: HField) -> float:
-    """L2 gap between div(field) and phi - E phi."""
-    centered = phi - ChaosPoly.constant(phi.dim, phi.expectation())
-    return (divergence_h(field) - centered).norm_l2()

@@ -19,7 +19,7 @@ into the algebra happens against a configured ambient dimension and the
 algebra's fixed degree cap, and violations carry the source span of the
 offending node.
 
-Parsing, printing and lowering recurse over the input's nesting, but on an
+Parsing and lowering recurse over the input's nesting, but on an
 explicit stack (:func:`_descend`), so no input depth reaches Python's
 recursion limit: any text either succeeds or raises :class:`DslError` or
 the algebra's ``AlgebraError``.  The trees' ``==``, ``hash`` and ``repr``
@@ -377,70 +377,13 @@ def parse_functional(text: str):
     return _descend(_Parser(_tokenize(text)).parse_input())
 
 
-# ----------------------------------------------------------------- printer
-
-
-def _precedence(node) -> int:
-    if isinstance(node, Binary):
-        return 1 if node.op in ("+", "-") else 2
-    if isinstance(node, Unary):
-        return 3
-    return 4
-
-
-def _format_value(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
+# ---------------------------------------------------------------- lowering
 
 
 def _finite_value(node: Literal) -> float:
     if not math.isfinite(node.value):
         raise DslSemanticError(f"literal {node.value!r} is not a finite number", *node.span)
     return node.value
-
-
-def _print_node(node):
-    if isinstance(node, Literal):
-        value = _finite_value(node)
-        if value < 0:
-            return f"-{_format_value(-value)}"
-        return _format_value(value)
-    if isinstance(node, Variable):
-        return f"x{node.index}"
-    if isinstance(node, Hermite):
-        return f"h{node.order}(x{node.index})"
-    if isinstance(node, Unary):
-        inner = yield _print_node(node.operand)
-        if _precedence(node.operand) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Binary):
-        prec = _precedence(node)
-        left = yield _print_node(node.left)
-        if _precedence(node.left) < prec:
-            left = f"({left})"
-        right = yield _print_node(node.right)
-        if _precedence(node.right) <= prec:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
-    if isinstance(node, Vector):
-        items = []
-        for item in node.items:
-            items.append((yield _print_node(item)))
-        return "[" + ", ".join(items) + "]"
-    raise TypeError(f"not a functional node: {node!r}")
-
-
-def print_functional(node) -> str:
-    """Canonical text form; parsing it reproduces the tree structurally.
-
-    A non-finite literal has no such form and raises :class:`DslSemanticError`.
-    """
-    return _descend(_print_node(node))
-
-
-# ---------------------------------------------------------------- lowering
 
 
 def _check_index(index: int, n: int, span) -> None:

@@ -41,6 +41,7 @@ from .chaos import (
     ChaosPoly,
     DimensionMismatch,
     _require_same_dim,
+    _root_of_squares,
     hermite_product,
     l2_inner,
     linear_combine,
@@ -101,7 +102,9 @@ class _Field:
         return _sum_of_inner((p, p) for p in self._parts)
 
     def norm(self) -> float:
-        return math.sqrt(self.energy())
+        """``sqrt(energy())``, rescaled as in ``chaos.norm_l2`` when the energy overflows."""
+        rows = (part._parts if isinstance(part, _Field) else (part,) for part in self._parts)
+        return _root_of_squares(self.energy(), (p for row in rows for p in row))
 
 
 def _sum_of_products(pairs) -> ChaosPoly:
@@ -151,19 +154,12 @@ class HField(_Field, parts="coords"):
         """E(u, v) = sum_i E[u_i v_i]."""
         return _sum_of_inner(self._matched(other))
 
-    def scale(self, c: float) -> "HField":
-        return HField(tuple(linear_combine([float(c)], [u]) for u in self.coords))
-
     @classmethod
     def constant(cls, h) -> "HField":
         """The deterministic field with value h in R^n."""
         h = np.asarray(h, dtype=float)
         n = h.size
         return cls(tuple(ChaosPoly.constant(n, float(v)) for v in h))
-
-    @classmethod
-    def zero(cls, n: int) -> "HField":
-        return cls(tuple(ChaosPoly.zero(n) for _ in range(n)))
 
 
 @dataclass(frozen=True)
@@ -256,15 +252,6 @@ class OperatorField(_Field, parts="rows"):
     def to_json_rows(self) -> list[list[str]]:
         """Array-of-rows of the canonical text form, for JSON payloads."""
         return [[p.to_text() for p in row.coords] for row in self.rows]
-
-    @classmethod
-    def from_json_rows(cls, dim: int, rows: list[list[str]]) -> "OperatorField":
-        return cls(
-            tuple(
-                HField(tuple(ChaosPoly.from_text(dim, cell) for cell in row))
-                for row in rows
-            )
-        )
 
     @classmethod
     def constant(cls, matrix) -> "OperatorField":

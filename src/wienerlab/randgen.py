@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adapted import PredictableHField, WeaklyAdaptedOperator
-from .chaos import ChaosPoly, MultiIndex, _pack, _view
+from .chaos import ChaosPoly, _pack
 from .malliavin import HField, OperatorField, VField
 
 
@@ -35,12 +35,6 @@ def _random_key(rng: np.random.Generator, n: int, degree: int, coords=None) -> b
             orders[int(c)] = k
             budget -= k
     return _pack(sorted(orders.items()))
-
-
-def random_multiindex(rng: np.random.Generator, n: int, degree: int,
-                      coords=None) -> MultiIndex:
-    """Sparse index over the allowed coordinates with total degree <= degree."""
-    return _view(_random_key(rng, n, degree, coords))
 
 
 def random_poly(rng: np.random.Generator, n: int, degree: int,

@@ -48,9 +48,7 @@ from itertools import combinations
 import numpy as np
 
 from .adapted import WeaklyAdaptedOperator
-from .chaos import evaluate_batch, refine
-from .clark import clark_integrand
-from .malliavin import VField, divergence_op, gram
+from .malliavin import divergence_op, gram
 from .randgen import make_rng, random_orthogonal
 from .space import BLOCK_ROWS, Check, SampleBatch, check, ks_normal, moment_normality, sample_batch
 
@@ -330,28 +328,6 @@ def check_strict_past_measurability(R: AdaptedIsometry, samples) -> float:
     return float(np.max(gaps, initial=0.0))
 
 
-def basis_invariance_check(R: AdaptedIsometry, onb_pair, samples) -> float:
-    """Pathwise gap between the rotation resolved in two orthonormal bases.
-
-    Resolving Tw over a basis (h_i) means summing (h_i . Tw) h_i; for exact
-    orthonormal bases both resolutions reproduce Tw, so the gap is float
-    noise only.
-    """
-    H1 = np.asarray(onb_pair[0], dtype=float)
-    H2 = np.asarray(onb_pair[1], dtype=float)
-    for H in (H1, H2):
-        if H.shape != (R.d, R.d):
-            raise ValueError(f"basis of shape {H.shape} for d={R.d}")
-        gap = float(np.max(np.abs(H @ H.T - np.eye(R.d))))
-        if gap > ISOMETRY_TOL:
-            raise ValueError(f"basis is not orthonormal (gap {gap:.3e})")
-    draws = _as_draws(samples)
-    tw = R.apply_batch(draws)
-    first = (tw @ H1.T) @ H1
-    second = (tw @ H2.T) @ H2
-    return float(np.max(np.linalg.norm(first - second, axis=1), initial=0.0))
-
-
 def exact_output_covariance(R: AdaptedIsometry) -> np.ndarray:
     """Chaos-level covariance of the rotated coordinates, computed exactly.
 
@@ -367,26 +343,26 @@ def exact_output_covariance(R: AdaptedIsometry) -> np.ndarray:
 # ---------------------------------------------------------------- batteries
 
 
-def _normality_tests(prefix: str, values: np.ndarray) -> list[Check]:
-    checks = (ks_normal(values), *moment_normality(values))
-    return [replace(c, name=prefix + c.name) for c in checks]
-
-
 def _output_functional(R: AdaptedIsometry, h) -> tuple[np.ndarray, float]:
     """Check an output functional and return it with its norm.
 
-    It must have shape (d,) and a finite, nonzero norm: a NaN or infinite
-    entry, or finite entries whose norm overflows, is refused like zero.
+    It must have shape (d,), finite entries and a nonzero entry.  The
+    plain ``np.linalg.norm`` is used when it is finite and nonzero; when it
+    overflows (or underflows) the entries are first divided by the largest
+    of them, as ``chaos.norm_l2`` does.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (R.d,):
         raise RotationError(f"functional of shape {h.shape} for d={R.d}")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(h))
-    if not math.isfinite(norm):
-        raise RotationError(f"output functional with non-finite norm {norm}")
-    if norm <= 0.0:
+    if not np.all(np.isfinite(h)):
+        raise RotationError("output functional with a non-finite entry")
+    big = float(np.max(np.abs(h)))
+    if big == 0.0:
         raise RotationError("zero output functional")
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(h))
+    if not 0.0 < norm < math.inf:
+        norm = big * float(np.linalg.norm(h / big))
     return h, norm
 
 
@@ -401,7 +377,7 @@ def gaussianity_battery(R: AdaptedIsometry, h, N: int, seed: int) -> RotationRep
     h, scale = _output_functional(R, h)
     batch = sample_batch(R.n, N, seed=seed)
     vals = R.apply_batch(batch.draws) @ h / scale
-    return RotationReport("gaussianity", tuple(_normality_tests("", vals)))
+    return RotationReport("gaussianity", (ks_normal(vals), *moment_normality(vals)))
 
 
 def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> RotationReport:
@@ -412,8 +388,9 @@ def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> Rotat
     """
     h1, norm1 = _output_functional(R, h1)
     h2, norm2 = _output_functional(R, h2)
-    # relative to the lengths, so tiny functionals are held to the same cosine
-    if abs(float(h1 @ h2)) > 1e-12 * norm1 * norm2:
+    # the cosine of the unit functionals, so a tiny or huge pair cannot
+    # underflow or overflow to a false zero
+    if abs(float((h1 / norm1) @ (h2 / norm2))) > 1e-12:
         raise RotationError("output functionals are not orthogonal")
     batch = sample_batch(R.n, N, seed=seed)
     tw = R.apply_batch(batch.draws)
@@ -460,51 +437,3 @@ def measure_preservation_battery(R: AdaptedIsometry, N: int, seed: int) -> Rotat
         )
     return RotationReport("measure_preservation", tuple(tests))
 
-
-# ---------------------------------------------------------------- recovery
-
-
-def extract_rotation(T, grid: int = 1, *, N: int = 50_000, seed: int = 314159):
-    """Recover the adapted rotation carrying given Gaussian coordinates.
-
-    ``T`` lists chaos polynomials representing the rotated coordinates; each
-    row of the recovered matrix is the adapted integrand of the matching
-    component on the ``grid``-fold refined coordinate system.  Returns
-    ``(iso, report)``.  The report carries the input screening battery (each
-    component must look N(0,1) and pairwise uncorrelated) and the pathwise
-    orthonormality deviation of the assembled matrix, each reported as
-    found: a failed screening marks the report failed and raises nothing.
-    """
-    T = tuple(T)
-    if not T:
-        raise RotationError("need at least one component")
-    n = T[0].dim
-    if any(p.dim != n for p in T):
-        raise RotationError("components over mixed ambient dimensions")
-    m = int(grid)
-    if m < 1:
-        raise RotationError(f"refinement factor must be positive, got {m}")
-
-    batch = sample_batch(n, N, seed=seed)
-    vals = np.column_stack([evaluate_batch(p, batch.draws) for p in T])
-    tests = []
-    for i, p in enumerate(T, start=1):
-        tests.extend(_normality_tests(f"component_{i}_", vals[:, i - 1]))
-    for a, b in combinations(range(1, len(T) + 1), 2):
-        tests.append(_correlation_check(f"correlation_{a}_{b}", vals[:, a - 1], vals[:, b - 1]))
-
-    refined = [refine(p, m) for p in T]
-    K = clark_integrand(VField(tuple(refined)))
-    entries = [[K.entry(a, j) for j in range(1, K.n + 1)] for a in range(1, K.d + 1)]
-
-    def fn(draws, U):
-        M = np.empty((draws.shape[0], K.d, K.n))
-        for a in range(K.d):
-            for j in range(K.n):
-                M[:, a, j] = evaluate_batch(entries[a][j], draws)
-        return M @ U
-
-    iso = AdaptedIsometry(K.n, K.d, "extracted", fn, operator=K)
-    deviation = isometry_check(iso, sample_batch(K.n, 1000, seed=seed + 1))
-    tests.append(check("assembled_isometry_deviation", deviation, ISOMETRY_TOL))
-    return iso, RotationReport("extract_rotation", tuple(tests))

@@ -19,7 +19,6 @@ command line writes the records out; nothing here formats a report.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 
@@ -52,14 +51,6 @@ class SampleBatch:
     @property
     def dim(self) -> int:
         return self.draws.shape[1]
-
-    def to_csv(self, path) -> None:
-        """Header eta_1..eta_n, one row per sample, repr-exact floats."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"eta_{i}" for i in range(1, self.dim + 1)])
-            for row in self.draws:
-                writer.writerow([repr(float(v)) for v in row])
 
 
 def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:

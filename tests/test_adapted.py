@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_rng
-from wienerlab.chaos import ChaosPoly, l2_inner, linear_combine
+from wienerlab.chaos import ChaosPoly, evaluate_batch, l2_inner, linear_combine
 from wienerlab.adapted import (
     NotPredictable,
     PredictableHField,
@@ -14,7 +14,6 @@ from wienerlab.adapted import (
     check_operator_isometry,
     check_weak_orthogonality,
     is_predictable,
-    ito_integral,
     project_adapted,
     project_operator,
 )
@@ -121,29 +120,35 @@ def test_project_operator_rowwise():
 # ------------------------------------------------------------- Ito integral
 
 
+def _pathwise_sum(u, x):
+    """sum_i u_i(x) x_i at one sample x."""
+    values = [evaluate_batch(ui, x[None])[0] for ui in u.coords]
+    return float(sum(v * xi for v, xi in zip(values, x)))
+
+
 def test_ito_integral_frozen_values():
     n = 2
     # constant field (1, 0): integral is eta_1 evaluated at the sample
     u = PredictableHField((ChaosPoly.constant(n, 1.0), ChaosPoly.zero(n)))
-    assert ito_integral(u, np.array([0.7, -0.3])) == pytest.approx(0.7)
+    x = np.array([0.7, -0.3])
+    assert _pathwise_sum(u, x) == pytest.approx(0.7)
+    assert evaluate_batch(divergence_h(u), x[None])[0] == pytest.approx(0.7)
     # u = eta_1 e_2: integral is eta_1 * eta_2
     v = PredictableHField((ChaosPoly.zero(n), eta(1, n)))
-    assert ito_integral(v, np.array([2.0, 3.0])) == pytest.approx(6.0)
+    x = np.array([2.0, 3.0])
+    assert _pathwise_sum(v, x) == pytest.approx(6.0)
+    assert evaluate_batch(divergence_h(v), x[None])[0] == pytest.approx(6.0)
 
 
 def test_ito_integral_matches_divergence_pathwise():
+    # on predictable fields the pathwise sum is the divergence at the sample
     rng = make_rng(405)
     for _ in range(10):
         u = random_predictable_field(rng, 4, 3)
         d = divergence_h(u)
         x = rng.standard_normal(4)
-        assert ito_integral(u, x) == pytest.approx(d.evaluate(x), rel=1e-9, abs=1e-9)
-
-
-def test_ito_integral_rejects_anticipating_field():
-    u = HField((eta(1, 2), ChaosPoly.zero(2)))
-    with pytest.raises(NotPredictable):
-        ito_integral(u, np.array([1.0, 1.0]))
+        expected = evaluate_batch(d, x[None])[0]
+        assert _pathwise_sum(u, x) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 def test_divergence_of_predictable_has_zero_mean():
@@ -247,10 +252,11 @@ def test_finite_rank_divergence_matches_densified():
         ]
         rows = []
         for a in range(d):
-            row = HField.zero(n)
-            for q, y in terms:
-                row = row.add(q.scale(y[a]))
-            rows.append(row)
+            coords = [
+                linear_combine([y[a] for _, y in terms], [q.coord(i) for q, _ in terms])
+                for i in range(1, n + 1)
+            ]
+            rows.append(HField(tuple(coords)))
         D = WeaklyAdaptedOperator(tuple(rows))
         divs = [divergence_h(q) for q, _ in terms]
         for a, component in enumerate(divergence_op(D).components):

@@ -106,16 +106,6 @@ def test_identity_divergence_growth_closed_form():
     assert table[8] / table[2] == pytest.approx(2.0, abs=1e-12)
 
 
-def test_batch_csv_round_trip(tmp_path):
-    batch = sample_batch(3, 50, seed=77)
-    path = tmp_path / "batch.csv"
-    batch.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "eta_1,eta_2,eta_3"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data, batch.draws)
-
-
 # values with ties (a few repeated points) and heavy tails (up to 1e300 and inf)
 _KS_VALUES = st.one_of(
     st.sampled_from([-1.5, -0.25, 0.0, 0.25, 1.5]),
