@@ -72,7 +72,6 @@ from .adapted import (
 from .clark import (
     ClarkResult,
     EnergyComparison,
-    RepresentationError,
     clark_integrand,
     compare_energies,
     is_representable,

@@ -35,6 +35,15 @@ one ``i`` into the key and, when ``i`` occurs, also remove one with weight
 ``beta_i``.  That yields the pairs of the general Hermite linearization, in
 the same order and with the same floats.
 
+Two kernels build a table once and read it many times.  :func:`refine`
+builds the Hermite expansions of one block average per call and relabels
+them for every block.  :func:`evaluate_batch` reads the columns
+``He_k(eta_i)`` from a :class:`HermiteColumns`: a ``space.SampleBatch``
+owns one for its draws, and a call on a plain array builds its own and drops
+it.  Neither table outlives its call or its batch, and both give the bits
+of the unshared computation, because each float is formed by the same
+operations in the same order.
+
 Every operation passes its ``(key, coefficient)`` pairs to the
 :class:`ChaosPoly` constructor, whose one term gate sums them, checks each
 summed index against the ambient dimension and the degree cap, rejects a
@@ -52,7 +61,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Mapping
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product as _cartesian
 from types import MappingProxyType
 from typing import Iterable, Sequence
@@ -220,6 +229,11 @@ def _canonical_terms(terms, dim: int) -> dict[bytes, float]:
             raise DimensionMismatch(f"coordinate {key[-1]} outside ambient dimension {dim}")
         if len(key) > DEGREE_CAP:
             raise DegreeCapExceeded(len(key))
+    return _finite_pruned(acc)
+
+
+def _finite_pruned(acc: dict[bytes, float]) -> dict[bytes, float]:
+    """The last two steps of the term gate: refuse a non-finite sum, then prune."""
     if not all(map(math.isfinite, acc.values())):
         bad = next(c for c in acc.values() if not math.isfinite(c))
         raise AlgebraError(f"non-finite coefficient {bad!r}")
@@ -597,6 +611,32 @@ def ou_inverse(p: ChaosPoly) -> ChaosPoly:
     return ChaosPoly(p.dim, {key: c / len(key) for key, c in p._terms.items() if key})
 
 
+def _block_average_tables(m: int, top: int) -> list[dict[bytes, float]]:
+    """Term stores of ``He_0 .. He_top`` of ``(eta_1 + ... + eta_m) / sqrt(m)``.
+
+    ``He_{j+1} = z He_j - j He_{j-1}`` is summed the way
+    ``linear_combine([1, -j], [hermite_product(z, He_j), He_{j-1}])`` sums
+    it: the product's pairs in arrival order, then its finiteness check and
+    pruning, then the combination's pairs, check and pruning.  No key can
+    leave the block or pass the degree cap, so those checks are skipped.
+    """
+    inv_root = 1.0 / math.sqrt(m)
+    digits = [bytes((j,)) for j in range(1, m + 1)]
+    tables = [{b"": 1.0}, dict.fromkeys(digits, inv_root)]
+    for j in range(1, top):
+        acc: dict[bytes, float] = {}
+        get = acc.get
+        for digit in digits:
+            for key, c in _coordinate_terms(digit, inv_root, tables[j]):
+                acc[key] = get(key, 0.0) + c
+        acc = _finite_pruned(acc)
+        get = acc.get
+        for key, c in tables[j - 1].items():
+            acc[key] = get(key, 0.0) + -j * c
+        tables.append(_finite_pruned(acc))
+    return tables[: top + 1]
+
+
 def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     """Replace each coordinate by the mean of ``m`` finer coordinates.
 
@@ -604,9 +644,18 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     ``(eta'_{(i-1)m+1} + ... + eta'_{im}) / sqrt(m)`` on a grid of dimension
     ``dim * m``.  Because that block average is again standard Gaussian the
     substitution preserves the law, grade, expectation, and every L2 inner
-    product.  Each ``He_k`` of a block average is expanded exactly through
-    the three-term recurrence and :func:`hermite_product`.  ``m = 1``
-    returns ``p`` itself.
+    product.  ``m = 1`` returns ``p`` itself.
+
+    Each call builds ``He_0 .. He_K`` of the average of fine coordinates
+    ``1 .. m`` once, by the three-term recurrence, where ``K`` is the largest
+    order any coordinate of ``p`` carries, and drops the tables when it
+    returns.  Block ``i`` reads them relabeled by ``bytes.translate``; the
+    shift is monotone, so every ``bisect`` position and insertion order, and
+    with them every float, is the one the block's own recurrence gives.  A
+    coarse monomial expands as the cartesian product of its blocks' tables
+    with coefficient ``((1.0 * c1) * c2) * ...``, a partial product at or
+    below ``PRUNE_EPS`` dropped as the gate of ``hermite_product`` drops it,
+    so the result is bit for bit the product-and-combine expansion.
     """
     m = int(m)
     if m < 1:
@@ -619,72 +668,93 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     if m == 1:
         return p
 
-    inv_root = 1.0 / math.sqrt(m)
-    one = ChaosPoly.constant(new_dim, 1.0)
+    orders = [_pairs_of(key) for key in p._terms]
+    base = _block_average_tables(m, max((k for pairs in orders for _, k in pairs), default=0))
+    blocks: dict[tuple[int, int], list[tuple[bytes, float]]] = {}
 
-    # per-coordinate expansions He_k(block average), built on demand
-    tables: dict[int, list[ChaosPoly]] = {}
+    def block_terms(i: int, k: int) -> list[tuple[bytes, float]]:
+        terms = blocks.get((i, k))
+        if terms is None:
+            shift = bytes.maketrans(bytes(range(1, m + 1)), bytes(range((i - 1) * m + 1, i * m + 1)))
+            terms = blocks[i, k] = [(key.translate(shift), c) for key, c in base[k].items()]
+        return terms
 
-    def he_of_block(i: int, k: int) -> ChaosPoly:
-        table = tables.get(i)
-        if table is None:
-            z = ChaosPoly(
-                new_dim,
-                {bytes(((i - 1) * m + j,)): inv_root for j in range(1, m + 1)},
-            )
-            table = [one, z]
-            tables[i] = table
-        z = table[1]
-        while len(table) <= k:
-            j = len(table) - 1  # He_{j+1} = z He_j - j He_{j-1}
-            table.append(
-                linear_combine(
-                    [1.0, -float(j)],
-                    [hermite_product(z, table[j]), table[j - 1]],
-                )
-            )
-        return table[k]
-
-    def block_monomial(key: bytes) -> ChaosPoly:
-        return reduce(hermite_product, (he_of_block(i, k) for i, k in _pairs_of(key)), one)
+    def block_monomial(pairs) -> list[tuple[bytes, float]]:
+        partial = [(b"", 1.0)]
+        for i, k in pairs:
+            partial = [
+                (ka + kb, c)
+                for ka, ca in partial
+                for kb, cb in block_terms(i, k)
+                if abs(c := ca * cb) > PRUNE_EPS
+            ]
+        return partial
 
     return ChaosPoly(
         new_dim,
         (
             (pkey, c * pc)
-            for key, c in p._terms.items()
-            for pkey, pc in block_monomial(key)._terms.items()
+            for pairs, c in zip(orders, p._terms.values())
+            for pkey, pc in block_monomial(pairs)
         ),
     )
 
 
-def evaluate_batch(p: ChaosPoly, samples: np.ndarray) -> np.ndarray:
-    """Evaluate at an ``(N, dim)`` batch of samples, vectorized per term."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != p.dim:
-        raise DimensionMismatch(
-            f"batch of shape {samples.shape} for ambient dimension {p.dim}"
-        )
-    n_rows = samples.shape[0]
-    terms = [(_pairs_of(key), c) for key, c in p._terms.items()]
-    needed: dict[int, int] = {}
-    for pairs, _ in terms:
-        for i, k in pairs:
-            needed[i] = max(needed.get(i, 0), k)
-    tables: dict[int, np.ndarray] = {}
-    for i, kmax in needed.items():
-        col = samples[:, i - 1]
-        table = np.empty((kmax + 1, n_rows))
-        table[0] = 1.0
-        if kmax >= 1:
-            table[1] = col
-        for k in range(1, kmax):
-            table[k + 1] = col * table[k] - k * table[k - 1]
-        tables[i] = table
-    out = np.zeros(n_rows)
-    for pairs, c in terms:
-        v = np.full(n_rows, c)
-        for i, k in pairs:
-            v = v * tables[i][k]
-        out += v
+class HermiteColumns:
+    """The columns ``He_k(eta_i)`` of one ``(N, dim)`` sample array.
+
+    Coordinate ``i``'s columns are built on first use by the recurrence
+    ``He_{k+1} = x He_k - k He_{k-1}`` (``He_0`` is the scalar 1.0, never a
+    row) and kept, read-only, for as long as this object lives, so
+    ``evaluate_batch`` reads each column once however many polynomials it
+    evaluates.  The values do not depend on which calls asked for them.
+    A longer list of columns replaces the shorter one whole and is never
+    changed once stored, so threads may share the object without a lock.
+    """
+
+    __slots__ = ("samples", "_rows")
+
+    def __init__(self, samples):
+        self.samples = np.asarray(samples, dtype=float)
+        self._rows: dict[int, list] = {}
+
+    def column(self, i: int, k: int) -> np.ndarray:
+        """``He_k`` of coordinate ``i`` (1-based) at every row, for ``k >= 1``."""
+        rows = self._rows.get(i, [])
+        if len(rows) <= k:
+            rows = rows[:] or [1.0, np.array(self.samples[:, i - 1])]
+            x = rows[1]
+            while len(rows) <= k:
+                j = len(rows) - 1
+                rows.append(x * rows[j] - j * rows[j - 1])
+            for row in rows[1:]:
+                row.setflags(write=False)
+            self._rows[i] = rows
+        return rows[k]
+
+
+def evaluate_batch(p: ChaosPoly, samples) -> np.ndarray:
+    """Evaluate at an ``(N, dim)`` batch of samples, vectorized per term.
+
+    ``samples`` is the array, or the :class:`HermiteColumns` of one, which a
+    caller keeps to share the columns across polynomials.  Each term is
+    ``((c * He_k1) * He_k2) * ...`` formed in one reused buffer and added to
+    the running sum in stored order; the floats do not depend on whether
+    the columns were shared.
+    """
+    columns = samples if isinstance(samples, HermiteColumns) else HermiteColumns(samples)
+    shape = columns.samples.shape
+    if len(shape) != 2 or shape[1] != p.dim:
+        raise DimensionMismatch(f"batch of shape {shape} for ambient dimension {p.dim}")
+    out = np.zeros(shape[0])
+    buf = np.empty(shape[0])
+    for key, c in p._terms.items():
+        if not key:
+            out += c
+            continue
+        (i, k), *rest = _pairs_of(key)
+        np.multiply(columns.column(i, k), c, out=buf)
+        for i, k in rest:
+            np.multiply(buf, columns.column(i, k), out=buf)
+        out += buf
     return out

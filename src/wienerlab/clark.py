@@ -48,10 +48,6 @@ from .malliavin import (
 )
 
 
-class RepresentationError(ValueError):
-    """A claimed integrand fails its representation precondition."""
-
-
 @dataclass(frozen=True)
 class ClarkResult:
     """Adapted integrand, reconstruction, and the exact L2 residual."""

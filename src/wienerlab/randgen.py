@@ -17,6 +17,35 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _uniform(rng: np.random.Generator) -> float:
+    """``float(rng.uniform(-1, 1))``: numpy forms ``-1 + 2 * u`` from one double ``u``.
+
+    Doubling is exact, so a fused multiply-add gives the same bits.
+    """
+    return -1.0 + 2.0 * rng.random()
+
+
+def _sample(rng: np.random.Generator, coords, width: int) -> list:
+    """``rng.choice(coords, size=width, replace=False)`` by numpy's own sampler.
+
+    Floyd's algorithm picks ``width`` positions of ``P = len(coords)``: for
+    ``j = P - width .. P - 1`` it draws ``v`` in ``0..j`` and takes ``j``
+    instead when ``v`` was already picked.  A Fisher-Yates pass then swaps
+    position ``i = width - 1 .. 1`` with one drawn in ``0..i``.  The draws,
+    the picks and the stream left behind are those of ``Generator.choice``,
+    without its per-call array set-up.  A bound of one draws nothing.
+    """
+    size = len(coords)
+    picked: list[int] = []
+    for j in range(size - width, size):
+        v = int(rng.integers(0, j + 1))
+        picked.append(j if v in picked else v)
+    for i in range(width - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        picked[i], picked[j] = picked[j], picked[i]
+    return [coords[k] for k in picked]
+
+
 def _random_key(rng: np.random.Generator, n: int, degree: int, coords=None) -> bytes:
     """Packed key of a sparse index over the allowed coordinates, total degree <= degree."""
     if coords is None:
@@ -24,7 +53,7 @@ def _random_key(rng: np.random.Generator, n: int, degree: int, coords=None) -> b
     if not coords or degree == 0:
         return b""
     width = min(len(coords), int(rng.integers(1, 4)))
-    support = rng.choice(coords, size=width, replace=False)
+    support = _sample(rng, coords, width)
     orders = {}
     budget = degree
     for c in support:
@@ -40,7 +69,7 @@ def _random_key(rng: np.random.Generator, n: int, degree: int, coords=None) -> b
 def random_poly(rng: np.random.Generator, n: int, degree: int,
                 n_terms: int = 4, coords=None) -> ChaosPoly:
     return ChaosPoly(n, [
-        (_random_key(rng, n, degree, coords), float(rng.uniform(-1, 1)))
+        (_random_key(rng, n, degree, coords), _uniform(rng))
         for _ in range(n_terms)
     ])
 
@@ -67,7 +96,7 @@ def random_predictable_field(rng, n: int, degree: int, n_terms: int = 2) -> Pred
         if allowed:
             coords.append(random_poly(rng, n, degree, n_terms, coords=allowed))
         else:
-            coords.append(ChaosPoly.constant(n, float(rng.uniform(-1, 1))))
+            coords.append(ChaosPoly.constant(n, _uniform(rng)))
     return PredictableHField(tuple(coords))
 
 
@@ -104,7 +133,7 @@ def random_representable_poly(rng, n: int, degree: int, n_terms: int = 4) -> Cha
             if k:
                 orders[c] = k
                 budget -= k
-        terms.append((_pack(sorted(orders.items())), float(rng.uniform(-1, 1))))
+        terms.append((_pack(sorted(orders.items())), _uniform(rng)))
     return ChaosPoly(n, terms)
 
 

@@ -10,6 +10,13 @@ parallel and the concatenated result is identical to a serial run.  Monte
 Carlo reductions go through numpy's fixed-shape pairwise summation, so a
 repeated estimate is bit-stable.
 
+A batch owns the Hermite columns He_k(eta_i) of its draws
+(``SampleBatch.columns``): ``mc_estimate`` evaluates every polynomial
+through them, so the columns are built once per batch, when a polynomial
+first needs them, and are freed with the batch.  Each column is the same
+recurrence over the same draws whichever polynomial asked first, so an
+estimate has the bits of one made on a fresh batch.
+
 Every verdict in the package is one frozen ``Check`` record built by
 ``check``: the normality tests here, each row of a rotation battery, the
 CLI certificates and each verify suite.  A check passes when
@@ -21,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import stats as _scipy_stats
 from scipy.special import ndtr as _ndtr
 
-from .chaos import ChaosPoly, DimensionMismatch, evaluate_batch
+from .chaos import ChaosPoly, DimensionMismatch, HermiteColumns, evaluate_batch
 from .malliavin import HField, divergence_h
 
 #: Rows per Philox substream; fixed so that parallel == serial.
@@ -51,6 +59,11 @@ class SampleBatch:
     @property
     def dim(self) -> int:
         return self.draws.shape[1]
+
+    @cached_property
+    def columns(self) -> HermiteColumns:
+        """The batch's own read-only ``He_k(eta_i)`` columns, built on first use."""
+        return HermiteColumns(self.draws)
 
 
 def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
@@ -94,7 +107,7 @@ def mc_estimate(p: ChaosPoly, batch: SampleBatch) -> MonteCarloEstimate:
         raise DimensionMismatch(
             f"batch over {batch.dim} coordinates for polynomial of dimension {p.dim}"
         )
-    vals = evaluate_batch(p, batch.draws)
+    vals = evaluate_batch(p, batch.columns)
     mean = float(vals.mean())
     if batch.n_samples > 1:
         stderr = float(vals.std(ddof=1) / math.sqrt(batch.n_samples))

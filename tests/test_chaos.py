@@ -718,18 +718,25 @@ def _coordinate_ref(p, i):
 
 
 def _refine_ref(p, m):
-    """refine() on the references: block He tables by the recurrence, then products."""
+    """refine() on the references: block He tables by the recurrence, then products.
+
+    Each block's table is built in its own coordinates, once per call.
+    """
     new_dim = p.dim * m
     one = ChaosPoly.constant(new_dim, 1.0)
+    tables = {}
     pairs = []
     for idx, c in p.terms.items():
         piece = one
         for i, k in idx.pairs:
-            z = ChaosPoly(
-                new_dim, {MultiIndex({(i - 1) * m + j: 1}): 1.0 / math.sqrt(m) for j in range(1, m + 1)}
-            )
-            table = [one, z]
-            for j in range(1, k):
+            if i not in tables:
+                z = ChaosPoly(
+                    new_dim, {MultiIndex({(i - 1) * m + j: 1}): 1.0 / math.sqrt(m) for j in range(1, m + 1)}
+                )
+                tables[i] = [one, z]
+            table = tables[i]
+            z = table[1]
+            for j in range(len(table) - 1, k):
                 table.append(_combine_ref([1.0, -float(j)], [_product_ref(z, table[j]), table[j - 1]]))
             piece = _product_ref(piece, table[k])
         pairs += [(pidx, c * pc) for pidx, pc in piece.terms.items()]
@@ -756,6 +763,22 @@ def test_streaming_kernels_match_accumulating_references():
         assert _same_terms(refine(q, 2), _refine_ref(q, 2))
     p = random_poly(rng, 2, 3, n_terms=6)
     assert _same_terms(refine(p, 3), _refine_ref(p, 3))
+    # per-coordinate orders up to the cap: every block reads one table, relabeled
+    # (the reference takes seconds for mixed high orders at m = 8)
+    for m, dim, degree in ((2, 3, DEGREE_CAP), (3, 3, DEGREE_CAP), (5, 2, DEGREE_CAP), (8, 2, 3)):
+        top = ChaosPoly.hermite(dim, dim, DEGREE_CAP, float(rng.uniform(-2, 2)))
+        p = linear_combine([1.0, 1.0], [top, random_poly(rng, dim, degree, n_terms=6)])
+        assert _same_terms(refine(p, m), _refine_ref(p, m))
+
+
+def test_refine_keeps_the_roundoff_term_of_the_lowering_steps():
+    # He_8 of the average of three coordinates carries no (2, 2, 2) term in
+    # exact arithmetic; the recurrence's lowering terms leave this much
+    # roundoff, above the pruning cutoff, and refinement keeps it bit for bit
+    r = refine(ChaosPoly.hermite(1, 1, 8), 3)
+    key = _pack([(1, 2), (2, 2), (3, 2)])
+    assert r.packed_terms[key].hex() == (1.0658141036401503e-14).hex()
+    assert [k for k, c in r.packed_terms.items() if len(k) < 8 and abs(c) < 1e-6] == [key]
 
 
 def test_gate_checks_keys_that_cancel_to_zero():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from wienerlab.chaos import ChaosPoly, expectation
+from wienerlab.chaos import ChaosPoly, _pairs_of, evaluate_batch, expectation
 from wienerlab.space import (
     BLOCK_ROWS,
     Check,
@@ -94,6 +94,69 @@ def test_mc_estimate_matches_algebra():
     assert abs(est.mean - expectation(p)) <= 4.0 * est.stderr
     again = mc_estimate(p, batch)
     assert again == est  # bit-stable reduction
+
+
+def _evaluate_fresh(p, draws):
+    """The evaluator without shared columns: full tables per call, a fresh array per product."""
+    tables = {}
+    for key in p.packed_terms:
+        for i, k in _pairs_of(key):
+            col = draws[:, i - 1]
+            table = tables.setdefault(i, [np.ones(len(draws)), col.copy()])
+            while len(table) <= k:
+                j = len(table) - 1
+                table.append(col * table[j] - j * table[j - 1])
+    out = np.zeros(len(draws))
+    for key, c in p.packed_terms.items():
+        v = np.full(len(draws), c)
+        for i, k in _pairs_of(key):
+            v = v * tables[i][k]
+        out += v
+    return out
+
+
+def _bits(est):
+    return est.mean.hex(), est.stderr.hex()
+
+
+def test_shared_columns_give_the_bits_of_a_fresh_batch():
+    # each polynomial needs more of the columns than the ones before it left
+    c = ChaosPoly.constant
+    h = ChaosPoly.hermite
+    polys = [
+        c(4, 0.75),
+        h(4, 1, 1, 0.5) + h(4, 3, 1, -0.25),
+        h(4, 1, 3) * h(4, 2, 1) - h(4, 4, 1, 0.3) + c(4, 0.1),
+        h(4, 3, 2) * h(4, 2, 2) + h(4, 1, 2) * h(4, 4, 2, -1.5),
+    ]
+    batch = sample_batch(4, 5000, seed=2718)
+    columns = batch.columns
+    for p in polys:
+        est = mc_estimate(p, batch)
+        assert _bits(est) == _bits(mc_estimate(p, sample_batch(4, 5000, seed=2718)))
+        shared = evaluate_batch(p, batch.columns)
+        assert shared.tobytes() == evaluate_batch(p, batch.draws).tobytes()
+        assert shared.tobytes() == _evaluate_fresh(p, batch.draws).tobytes()
+        assert float(shared.mean()).hex() == est.mean.hex()
+    assert batch.columns is columns
+
+
+def test_shared_columns_are_read_only_and_owned_by_one_batch():
+    p = ChaosPoly.hermite(3, 1, 3) * ChaosPoly.hermite(3, 3, 2)
+    a = sample_batch(3, 1000, seed=5)
+    b = sample_batch(3, 1000, seed=5)
+    mc_estimate(p, a)
+    mc_estimate(p, b)
+    assert a.columns is not b.columns
+    assert not a.draws.flags.writeable
+    for i, k in ((1, 1), (1, 2), (1, 3), (3, 1), (3, 2)):
+        col = a.columns.column(i, k)
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 0.0
+        other = b.columns.column(i, k)
+        assert not np.shares_memory(col, other) and not np.shares_memory(col, a.draws)
+        assert col.tobytes() == other.tobytes()
 
 
 def test_identity_divergence_growth_closed_form():
