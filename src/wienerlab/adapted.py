@@ -111,4 +111,4 @@ def check_divergence_free_uniqueness(K: WeaklyAdaptedOperator) -> bool:
     """
     if divergence_op(K).norm() > 1e-12:
         return True
-    return K.max_entry_norm() <= 1e-12
+    return max(p.norm_l2() for row in K.rows for p in row.coords) <= 1e-12

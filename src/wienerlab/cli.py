@@ -6,13 +6,17 @@ in the expression language, ``rotate`` builds an adapted rotation and runs
 its statistical batteries.  Timings come from the benchmark harness
 (``python3 perfbench/run.py --trace 1``), not from this front end.
 
-Settings are resolved once, before any command runs: each comes from its
-flag, else from the JSON file given by ``--config``, else from
-``DEFAULTS``, and one converter per setting checks flag and file values
-alike.  Reports are written atomically (every temporary file first, then
-the renames, so ``represent`` leaves both of its files or neither) and
-contain no timestamps, so repeated runs with the same inputs produce
-byte-identical output.
+Each setting has one source, its flag.  argparse fills a flag that is not
+given from ``DEFAULTS`` and converts a given one with the setting's
+converter, which raises :class:`UsageError` (argparse passes it through
+unwrapped), so a bad value exits 2 before any command runs.  The one check
+that spans two settings, the ``rotate`` block budget, runs first thing in
+that command.
+
+Reports are written atomically (every temporary file first, then the
+renames, so ``represent`` leaves both of its files or neither) and contain
+no timestamps, so repeated runs with the same inputs produce byte-identical
+output.
 
 Exit codes: 0 all checks passed, 1 a verification or battery failed,
 2 usage or input error, 3 internal error.
@@ -38,6 +42,7 @@ from .clark import compare_energies, reconstruct, refine_and_reconstruct
 from .dsl import DslError, lower, parse_functional
 from .malliavin import VField
 from .rotations import (
+    CONSTRUCTIONS,
     ISOMETRY_TOL,
     build_sequential_isometry,
     check_strict_past_measurability,
@@ -57,18 +62,6 @@ DEFAULTS = {
     "construction": "givens",
 }
 
-# every setting a flag or a config file can give, in resolution order
-CONFIG_KEYS = (
-    "n",
-    "seed",
-    "n_samples",
-    "refine",
-    "construction",
-    "functional",
-    "suites",
-    "output",
-)
-
 # rotate samples with seeds seed + 7, 11, 13 and 17, and every sampling
 # seed must stay below 2**64
 _SEED_MAX = 2**64 - 1 - 17
@@ -82,7 +75,7 @@ ROTATE_BLOCK_BUDGET = 256 * 2**20
 
 
 class UsageError(Exception):
-    """Bad flags, bad config, or unparseable input."""
+    """Bad flags or unparseable input."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,110 +138,63 @@ def _finish(args, passed: bool, payload: dict, lines: list[str]) -> int:
 # --------------------------------------------------------------- settings
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _integer(name: str, low: int = 1, high: int | None = None):
+    """Converter of an integer flag that must lie in ``[low, high]``."""
+
+    def convert(text: str) -> int:
+        try:
+            out = int(text)
+        except ValueError as exc:
+            raise UsageError(f"{name} must be an integer, got {text!r}") from exc
+        if out < low or (high is not None and out > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise UsageError(f"{name} must be {bound}, got {out}")
+        return out
+
+    return convert
+
+
+def _comma_list(text: str) -> list[str]:
+    return [p.strip() for p in text.split(",") if p.strip()]
+
+
+def _refine(text: str) -> tuple[int, ...]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(CONFIG_KEYS))
-    if unknown:
-        raise UsageError(
-            f"unknown config key(s) {', '.join(unknown)};"
-            f" known: {', '.join(sorted(CONFIG_KEYS))}"
-        )
-    return data
-
-
-def _integer(value, name: str, low: int = 1, high: int | None = None) -> int:
-    try:
-        out = int(value)
-        if isinstance(value, float) and out != value:
-            raise ValueError(value)  # int() would truncate a config value like 2.5
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from exc
-    if out < low or (high is not None and out > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise UsageError(f"{name} must be {bound}, got {out}")
-    return out
-
-
-def _comma_list(value) -> list[str]:
-    # a flag gives "a,b" (or a list of such strings), a config file either form
-    entries = value if isinstance(value, (list, tuple)) else [value]
-    return [p.strip() for entry in entries for p in str(entry).split(",") if p.strip()]
-
-
-def _refine(value) -> tuple[int, ...]:
-    try:
-        factors = tuple(int(p) for p in _comma_list(value))
+        factors = tuple(int(p) for p in _comma_list(text))
     except ValueError as exc:
-        raise UsageError(f"refinement factors must be integers, got {value!r}") from exc
+        raise UsageError(f"refinement factors must be integers, got {text!r}") from exc
     if not factors or any(m < 1 for m in factors):
         raise UsageError("refinement factors must be a nonempty list of integers >= 1")
     return factors
 
 
-def _construction(value) -> str:
-    if value not in ("zero", "sign", "givens", "constant"):
-        raise UsageError(
-            f"unknown construction {value!r}; choose zero, sign, givens, or constant"
-        )
-    return value
+def _choices(names) -> str:
+    return f"{', '.join(names[:-1])}, or {names[-1]}"
 
 
-def _suites(value) -> list[str]:
-    names = _comma_list(value)
+def _construction(text: str) -> str:
+    if text not in CONSTRUCTIONS:
+        raise UsageError(f"unknown construction {text!r}; choose {_choices(CONSTRUCTIONS)}")
+    return text
+
+
+def _suites(text: str) -> list[str]:
+    names = _comma_list(text)
     if not names:
-        raise UsageError(f"suites must name at least one suite, got {value!r}")
+        raise UsageError(f"suites must name at least one suite, got {text!r}")
     return names
 
 
-_CONVERTERS = {
-    "n": lambda v: _integer(v, "n"),
-    "seed": lambda v: _integer(v, "seed", 0, _SEED_MAX),
-    "n_samples": lambda v: _integer(v, "n_samples"),
-    "refine": _refine,
-    "construction": _construction,
-    "suites": _suites,
-}
-
-
-def _resolve_settings(args) -> None:
-    """Fill each setting of the command: flag, else config file, else default."""
-    config = _load_config(args.config)
-    for key in CONFIG_KEYS:
-        if not hasattr(args, key):
-            continue  # the command has no such flag and ignores the key
-        value = getattr(args, key)
-        if value is None:
-            value = config.get(key, DEFAULTS.get(key))
-        if value is not None and key in _CONVERTERS:
-            value = _CONVERTERS[key](value)
-        setattr(args, key, value)
-    if args.command == "rotate" and args.n_samples * args.n * 8 > ROTATE_BLOCK_BUDGET:
-        raise UsageError(
-            f"n_samples * n = {args.n_samples * args.n} float64 values exceed the"
-            f" {ROTATE_BLOCK_BUDGET // 2**20} MiB block budget of rotate"
-        )
-
-
-def _read_functional(spec) -> str:
+def _read_functional(spec: str | None) -> str:
     if spec is None:
         raise UsageError("represent needs --functional <file or expression>")
-    if isinstance(spec, str) and os.path.isfile(spec):
+    if os.path.isfile(spec):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 return fh.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read functional file {spec}: {exc}") from exc
-    return str(spec).strip()
+    return spec.strip()
 
 
 # --------------------------------------------------------------- commands
@@ -331,6 +277,11 @@ def _cmd_represent(args) -> int:
 
 def _cmd_rotate(args) -> int:
     n, seed, N = args.n, args.seed, args.n_samples
+    if N * n * 8 > ROTATE_BLOCK_BUDGET:
+        raise UsageError(
+            f"n_samples * n = {N * n} float64 values exceed the"
+            f" {ROTATE_BLOCK_BUDGET // 2**20} MiB block budget of rotate"
+        )
     R = build_sequential_isometry(n, seed, args.construction)
 
     probe = sample_batch(n, 1000, seed + 7)
@@ -377,30 +328,49 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p_verify = sub.add_parser("verify", help="run the deterministic identity suites")
-    p_verify.add_argument("--config", help="JSON config file; flags win over it")
     p_verify.add_argument(
         "--suite",
         dest="suites",
-        action="append",
+        action="extend",
+        type=_suites,
         help=f"suite name (repeatable, comma lists ok); known: {', '.join(suite_names())}",
     )
     p_verify.add_argument("--output", help="write a JSON report here")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_rep = sub.add_parser("represent", help="adapted representation of a functional")
-    p_rep.add_argument("--config", help="JSON config file; flags win over it")
     p_rep.add_argument("--functional", help="expression text or a file holding one")
-    p_rep.add_argument("--n", help="ambient dimension")
-    p_rep.add_argument("--refine", help="comma list of refinement factors, e.g. 1,2,4,8")
+    p_rep.add_argument("--n", type=_integer("n"), default=DEFAULTS["n"], help="ambient dimension")
+    p_rep.add_argument(
+        "--refine",
+        type=_refine,
+        default=DEFAULTS["refine"],
+        help="comma list of refinement factors, e.g. 1,2,4,8",
+    )
     p_rep.add_argument("--output", help="report path prefix (writes .json and .csv)")
     p_rep.set_defaults(fn=_cmd_represent)
 
     p_rot = sub.add_parser("rotate", help="build an adapted rotation and test it")
-    p_rot.add_argument("--config", help="JSON config file; flags win over it")
-    p_rot.add_argument("--n", help="ambient dimension")
-    p_rot.add_argument("--construction", help="zero, sign, givens, or constant")
-    p_rot.add_argument("--seed", help="construction and battery seed")
-    p_rot.add_argument("--n-samples", dest="n_samples", help="battery sample count")
+    p_rot.add_argument("--n", type=_integer("n"), default=DEFAULTS["n"], help="ambient dimension")
+    p_rot.add_argument(
+        "--construction",
+        type=_construction,
+        default=DEFAULTS["construction"],
+        help=_choices(CONSTRUCTIONS),
+    )
+    p_rot.add_argument(
+        "--seed",
+        type=_integer("seed", 0, _SEED_MAX),
+        default=DEFAULTS["seed"],
+        help="construction and battery seed",
+    )
+    p_rot.add_argument(
+        "--n-samples",
+        dest="n_samples",
+        type=_integer("n_samples"),
+        default=DEFAULTS["n_samples"],
+        help="battery sample count",
+    )
     p_rot.add_argument("--output", help="write a JSON report here")
     p_rot.set_defaults(fn=_cmd_rotate)
     return parser
@@ -412,7 +382,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "fn", None) is None:
             raise UsageError(parser.format_usage().rstrip())
-        _resolve_settings(args)
         return args.fn(args)
     except (UsageError, DslError) as exc:
         print(f"error: {exc}", file=sys.stderr)

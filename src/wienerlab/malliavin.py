@@ -146,10 +146,6 @@ class HField(_Field, parts="coords"):
     def n(self) -> int:
         return len(self.coords)
 
-    def coord(self, i: int) -> ChaosPoly:
-        """1-based coordinate access."""
-        return self.coords[i - 1]
-
     def inner(self, other: "HField") -> float:
         """E(u, v) = sum_i E[u_i v_i]."""
         return _sum_of_inner(self._matched(other))
@@ -212,13 +208,6 @@ class OperatorField(_Field, parts="rows"):
     def n(self) -> int:
         return self.rows[0].n
 
-    def entry(self, a: int, i: int) -> ChaosPoly:
-        """1-based entry (output direction a, input direction i)."""
-        return self.rows[a - 1].coords[i - 1]
-
-    def row(self, a: int) -> HField:
-        return self.rows[a - 1]
-
     def transpose_apply(self, y) -> HField:
         """K^T y for a constant output functional y in R^d."""
         y = np.asarray(y, dtype=float)
@@ -245,9 +234,6 @@ class OperatorField(_Field, parts="rows"):
     def energy(self) -> float:
         """E of the squared Hilbert-Schmidt norm, summed row by row."""
         return sum(row.energy() for row in self.rows)
-
-    def max_entry_norm(self) -> float:
-        return max(p.norm_l2() for row in self.rows for p in row.coords)
 
     def to_json_rows(self) -> list[list[str]]:
         """Array-of-rows of the canonical text form, for JSON payloads."""

@@ -55,6 +55,9 @@ from .space import BLOCK_ROWS, Check, SampleBatch, check, ks_normal, moment_norm
 #: Pathwise orthonormality contract for constructed isometries.
 ISOMETRY_TOL = 1e-9
 
+#: The names ``build_sequential_isometry`` accepts, in documentation order.
+CONSTRUCTIONS = ("zero", "sign", "givens", "constant")
+
 
 class RotationError(ValueError):
     """Unknown construction name, degenerate matrix or malformed rotation input.
@@ -80,23 +83,22 @@ class AdaptedIsometry:
 
     A construction is one kernel ``apply_fn(draws, U)`` that returns the
     product M(draws) @ U of the row-form matrices with a block ``U`` of shape
-    (N, n, k), without storing the (N, d, n) stack unless U asks for it.
+    (N, n, k), without storing the (N, n, n) stack unless U asks for it.
     ``apply_batch`` is the kernel at the samples themselves (k = 1), and
     ``matrices`` is the kernel at the identity, for the certificates that
     need whole matrices.  Constructions with polynomial entries also expose
     the exact operator form for chaos-level checks.
     """
 
-    def __init__(self, n, d, kind, apply_fn, operator=None):
+    def __init__(self, n, kind, apply_fn, operator=None):
         self.n = int(n)
-        self.d = int(d)
         self.kind = str(kind)
         self._apply_fn = apply_fn
         self._operator = operator
 
     def _apply(self, draws, U: np.ndarray) -> np.ndarray:
         out = self._apply_fn(draws, U)
-        if out.shape != (draws.shape[0], self.d, U.shape[2]):
+        if out.shape != (draws.shape[0], self.n, U.shape[2]):
             raise RotationError(f"construction produced shape {out.shape}")
         return out
 
@@ -109,13 +111,13 @@ class AdaptedIsometry:
         return draws
 
     def matrices(self, draws: np.ndarray) -> np.ndarray:
-        """Row-form matrices, shape (N, d, n), at the given (N, n) samples."""
+        """Row-form matrices, shape (N, n, n), at the given (N, n) samples."""
         draws = self._draws(draws)
         eye = np.broadcast_to(np.eye(self.n), (draws.shape[0], self.n, self.n))
         return self._apply(draws, eye)
 
     def apply_batch(self, draws: np.ndarray) -> np.ndarray:
-        """Rotated samples M(draws) @ draws, shape (N, d)."""
+        """Rotated samples M(draws) @ draws, shape (N, n)."""
         draws = self._draws(draws)
         return self._apply(draws, draws[:, :, None])[:, :, 0]
 
@@ -205,8 +207,8 @@ def _sequential_fn(n: int, weights: dict):
 def build_sequential_isometry(n: int, seed: int, angle_spec: str) -> AdaptedIsometry:
     """Construct a pathwise-orthogonal matrix with strict-past columns.
 
-    ``angle_spec`` names the rule for each new column inside the running
-    orthogonal complement:
+    ``angle_spec``, one of :data:`CONSTRUCTIONS`, names the rule for each new
+    column inside the running orthogonal complement:
 
     * ``"zero"`` - no rotation at all: the identity matrix;
     * ``"sign"`` - diagonal sign flips driven by the previous increment;
@@ -221,37 +223,37 @@ def build_sequential_isometry(n: int, seed: int, angle_spec: str) -> AdaptedIsom
     n = int(n)
     if n < 1:
         raise RotationError(f"need at least one coordinate, got n={n}")
+    if angle_spec not in CONSTRUCTIONS:
+        raise RotationError(f"unknown angle spec {angle_spec!r}")
 
     if angle_spec == "zero":
         M = np.eye(n)
         return AdaptedIsometry(
-            n, n, "zero", _constant_fn(M), operator=WeaklyAdaptedOperator.constant(M)
+            n, "zero", _constant_fn(M), operator=WeaklyAdaptedOperator.constant(M)
         )
 
     if angle_spec == "sign":
-        return AdaptedIsometry(n, n, "sign", _sign_fn(n))
+        return AdaptedIsometry(n, "sign", _sign_fn(n))
 
     if angle_spec == "givens":
         rng = make_rng(int(seed))
         weights = {
             c: 0.7 * rng.standard_normal((n - c + 1, c - 1)) for c in range(2, n + 1)
         }
-        return AdaptedIsometry(n, n, "givens", _sequential_fn(n, weights))
+        return AdaptedIsometry(n, "givens", _sequential_fn(n, weights))
 
-    if angle_spec == "constant":
-        M = random_orthogonal(make_rng(int(seed)), n).T.copy()
-        return AdaptedIsometry(
-            n, n, "constant", _constant_fn(M), operator=WeaklyAdaptedOperator.constant(M)
-        )
-
-    raise RotationError(f"unknown angle spec {angle_spec!r}")
+    # "constant"
+    M = random_orthogonal(make_rng(int(seed)), n).T.copy()
+    return AdaptedIsometry(
+        n, "constant", _constant_fn(M), operator=WeaklyAdaptedOperator.constant(M)
+    )
 
 
 # ---------------------------------------------------------- planted defects
 
 
 def _recombine_outputs(base: AdaptedIsometry, L: np.ndarray, tag: str) -> AdaptedIsometry:
-    """Replace the output rows by ``L @ rows`` for a constant d x d matrix ``L``.
+    """Replace the output rows by ``L @ rows`` for a constant n x n matrix ``L``.
 
     Applied to the base kernel's output and, when there is one, to the
     operator form.
@@ -264,23 +266,23 @@ def _recombine_outputs(base: AdaptedIsometry, L: np.ndarray, tag: str) -> Adapte
     if op is not None:
         # row b of L K is K^T applied to row b of L
         op = WeaklyAdaptedOperator(tuple(op.transpose_apply(w) for w in L))
-    return AdaptedIsometry(base.n, base.d, base.kind + tag, fn, operator=op)
+    return AdaptedIsometry(base.n, base.kind + tag, fn, operator=op)
 
 
 def scale_output(base: AdaptedIsometry, index: int, factor: float) -> AdaptedIsometry:
     """Break the isometry by scaling one output row of the matrix."""
-    if not 1 <= index <= base.d:
-        raise RotationError(f"output index {index} outside 1..{base.d}")
-    L = np.eye(base.d)
+    if not 1 <= index <= base.n:
+        raise RotationError(f"output index {index} outside 1..{base.n}")
+    L = np.eye(base.n)
     L[index - 1, index - 1] = float(factor)
     return _recombine_outputs(base, L, "+scaled")
 
 
 def mix_outputs(base: AdaptedIsometry, a: int, b: int) -> AdaptedIsometry:
     """Break independence by replacing output b with (output a + output b)/sqrt2."""
-    if a == b or not (1 <= a <= base.d and 1 <= b <= base.d):
-        raise RotationError(f"need two distinct output indices in 1..{base.d}")
-    L = np.eye(base.d)
+    if a == b or not (1 <= a <= base.n and 1 <= b <= base.n):
+        raise RotationError(f"need two distinct output indices in 1..{base.n}")
+    L = np.eye(base.n)
     L[b - 1, [a - 1, b - 1]] = 1.0 / math.sqrt(2.0)
     return _recombine_outputs(base, L, "+mixed")
 
@@ -303,7 +305,7 @@ def isometry_check(R: AdaptedIsometry, samples) -> float:
     draws = _as_draws(samples)
     mats = R.matrices(draws)
     gram = np.einsum("sij,skj->sik", mats, mats)
-    gram -= np.eye(R.d)
+    gram -= np.eye(R.n)
     eigs = np.linalg.eigvalsh(gram)
     return float(np.max(np.abs(eigs)))
 
@@ -346,14 +348,14 @@ def exact_output_covariance(R: AdaptedIsometry) -> np.ndarray:
 def _output_functional(R: AdaptedIsometry, h) -> tuple[np.ndarray, float]:
     """Check an output functional and return it with its norm.
 
-    It must have shape (d,), finite entries and a nonzero entry.  The
+    It must have shape (n,), finite entries and a nonzero entry.  The
     plain ``np.linalg.norm`` is used when it is finite and nonzero; when it
     overflows (or underflows) the entries are first divided by the largest
     of them, as ``chaos.norm_l2`` does.
     """
     h = np.asarray(h, dtype=float)
-    if h.shape != (R.d,):
-        raise RotationError(f"functional of shape {h.shape} for d={R.d}")
+    if h.shape != (R.n,):
+        raise RotationError(f"functional of shape {h.shape} for d={R.n}")
     if not np.all(np.isfinite(h)):
         raise RotationError("output functional with a non-finite entry")
     big = float(np.max(np.abs(h)))
@@ -414,24 +416,23 @@ def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> Rotat
 
 
 def measure_preservation_battery(R: AdaptedIsometry, N: int, seed: int) -> RotationReport:
-    """Is the law of Tw standard Gaussian on R^d?
+    """Is the law of Tw standard Gaussian on R^n?
 
     Entrywise covariance against the identity, per-coordinate KS tests, and
     correlation checks on the first ten coordinate pairs.
     """
-    batch = sample_batch(R.n, N, seed=seed)
-    tw = R.apply_batch(batch.draws)
-    d = R.d
+    n = R.n
+    tw = R.apply_batch(sample_batch(n, N, seed=seed).draws)
     tests = []
-    if d > 1:
+    if n > 1:
         cov = np.cov(tw.T, ddof=1)
     else:
         cov = np.array([[float(np.var(tw[:, 0], ddof=1))]])
-    cov_err = np.max(np.abs(cov - np.eye(d)))
+    cov_err = np.max(np.abs(cov - np.eye(n)))
     tests.append(check("covariance_identity", cov_err, 4.0 * math.sqrt(2.0 / N)))
-    for a in range(1, d + 1):
+    for a in range(1, n + 1):
         tests.append(replace(ks_normal(tw[:, a - 1]), name=f"ks_coordinate_{a}"))
-    for a, b in list(combinations(range(1, d + 1), 2))[:10]:
+    for a, b in list(combinations(range(1, n + 1), 2))[:10]:
         tests.append(
             _correlation_check(f"independence_pair_{a}_{b}", tw[:, a - 1], tw[:, b - 1])
         )

@@ -197,9 +197,9 @@ def test_acceptance_06_clark_representable_exactness():
         p = p - ChaosPoly.constant(n, p.expectation())
         alt = WeaklyAdaptedOperator((split_integrand(p),))
         # alt represents the centered p, so it must be the projected gradient
-        assert (divergence_h(alt.row(1)) - p).norm_l2() <= 1e-10
+        assert (divergence_h(alt.rows[0]) - p).norm_l2() <= 1e-10
         diff = clark_integrand(VField((p,))).sub(alt)
-        assert all(q.norm_l2() <= 1e-10 for q in diff.row(1).coords)
+        assert all(q.norm_l2() <= 1e-10 for q in diff.rows[0].coords)
     for _ in range(30):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))

@@ -54,7 +54,7 @@ def test_predictable_field_constructor_validates():
     with pytest.raises(NotPredictable):
         PredictableHField((eta(1, 2), ChaosPoly.zero(2)))
     u = PredictableHField((ChaosPoly.constant(2, 1.0), he(2, 1, 2)))
-    assert u.coord(2) == he(2, 1, 2)
+    assert u.coords[1] == he(2, 1, 2)
 
 
 def test_weakly_adapted_operator_validates():
@@ -73,8 +73,8 @@ def test_project_adapted_frozen():
     # (eta_2, eta_1) projects to (0, eta_1): stage 0 kills eta_2, stage 1 keeps eta_1
     u = HField((eta(2, 2), eta(1, 2)))
     pu = project_adapted(u)
-    assert pu.coord(1).is_zero()
-    assert pu.coord(2) == eta(1, 2)
+    assert pu.coords[0].is_zero()
+    assert pu.coords[1] == eta(1, 2)
 
 
 def test_projection_idempotent_and_fixes_predictable():
@@ -114,7 +114,7 @@ def test_project_operator_rowwise():
     K = random_operator(rng, 3, 2, 3)
     P = project_operator(K)
     for a in range(1, 3):
-        assert P.row(a) == project_adapted(K.row(a))
+        assert P.rows[a - 1] == project_adapted(K.rows[a - 1])
 
 
 # ------------------------------------------------------------- Ito integral
@@ -253,7 +253,7 @@ def test_finite_rank_divergence_matches_densified():
         rows = []
         for a in range(d):
             coords = [
-                linear_combine([y[a] for _, y in terms], [q.coord(i) for q, _ in terms])
+                linear_combine([y[a] for _, y in terms], [q.coords[i - 1] for q, _ in terms])
                 for i in range(1, n + 1)
             ]
             rows.append(HField(tuple(coords)))

@@ -107,8 +107,8 @@ def test_clark_product_functional_exact():
     assert res.residual_l2 == pytest.approx(0.0, abs=1e-14)
     assert res.reconstruction.component(1) == v.component(1)
     K = res.integrand
-    assert K.entry(1, 1).is_zero()
-    assert K.entry(1, 2) == eta(1, n)
+    assert K.rows[0].coords[0].is_zero()
+    assert K.rows[0].coords[1] == eta(1, n)
 
 
 def test_clark_pure_second_order_residual():
@@ -116,7 +116,7 @@ def test_clark_pure_second_order_residual():
     # the integrand vanishes and the residual is the full norm sqrt(2)
     v = VField((he(2, 1, 1),))
     res = reconstruct(v)
-    assert res.integrand.max_entry_norm() == 0.0
+    assert max(p.norm_l2() for row in res.integrand.rows for p in row.coords) == 0.0
     assert res.residual_l2 == pytest.approx(math.sqrt(2.0), abs=1e-14)
     assert res.reconstruction.component(1).is_zero()
 
@@ -197,9 +197,9 @@ def test_uniqueness_accepts_independent_construction():
         p = random_representable_poly(rng, n, 3)
         centered = p - ChaosPoly.constant(n, p.expectation())
         alt = WeaklyAdaptedOperator((PredictableHField(split_integrand(centered).coords),))
-        assert (divergence_h(alt.row(1)) - centered).norm_l2() <= 1e-10
+        assert (divergence_h(alt.rows[0]) - centered).norm_l2() <= 1e-10
         diff = clark_integrand(VField((p,))).sub(alt)
-        assert all(q.norm_l2() <= 1e-10 for q in diff.row(1).coords)
+        assert all(q.norm_l2() <= 1e-10 for q in diff.rows[0].coords)
 
 
 # -------------------------------------------------------------- refinement
@@ -260,8 +260,8 @@ def test_minimal_energy_product_functional_frozen():
     n = 2
     phi = hermite_product(eta(1, n), eta(2, n))
     field = minimal_energy_integrand(phi)
-    assert field.coord(1) == eta(2, n) * 0.5
-    assert field.coord(2) == eta(1, n) * 0.5
+    assert field.coords[0] == eta(2, n) * 0.5
+    assert field.coords[1] == eta(1, n) * 0.5
     assert _representation_gap(phi, field) == pytest.approx(0.0, abs=1e-14)
     assert field.energy() == pytest.approx(0.5, abs=1e-14)
 
@@ -284,7 +284,7 @@ def test_energy_comparison_first_chaos_coincides():
     assert cmp.exact_energy == pytest.approx(13.0, abs=1e-12)
     field = minimal_energy_integrand(phi)
     adapted = clark_integrand(VField((phi,)))
-    assert adapted.row(1).sub(field).norm() <= 1e-12
+    assert adapted.rows[0].sub(field).norm() <= 1e-12
 
 
 def test_minimal_energy_represents_exactly():
@@ -372,8 +372,7 @@ def test_vector_reconstruction_decomposes_into_scalar_problems():
         for a in range(1, d + 1):
             part = reconstruct(VField((v.component(a),)))
             assert whole.reconstruction.component(a) == part.reconstruction.component(1)
-            for i in range(1, n + 1):
-                assert whole.integrand.entry(a, i) == part.integrand.entry(1, i)
+            assert whole.integrand.rows[a - 1] == part.integrand.rows[0]
         total = sum(
             reconstruct(VField((v.component(a),))).residual_l2 ** 2
             for a in range(1, d + 1)

@@ -293,127 +293,35 @@ def test_represent_failed_csv_leaves_no_json(tmp_path, monkeypatch, capsys):
     assert list((tmp_path / "r.csv").iterdir()) == []
 
 
-# ----------------------------------------------------------------- config
-
-
-def test_config_file_supplies_values(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 2, "functional": "x1*x2", "refine": [1, 2]}))
-    code, out, _ = run(
-        ["represent", "--config", str(cfg), "--output", "fromcfg"], capsys
-    )
-    assert code == 0
-    assert "functional: x1*x2" in out
-    assert "n = 2" in out
-
-
-def test_flags_override_config(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 2, "functional": "x1*x2"}))
-    code, out, _ = run(
-        [
-            "represent",
-            "--config",
-            str(cfg),
-            "--functional",
-            "h2(x1)",
-            "--output",
-            "flagwins",
-        ],
-        capsys,
-    )
-    assert code == 0
-    assert "functional: h2(x1)" in out
-    payload = json.loads((tmp_path / "flagwins.json").read_text())
-    assert payload["functional"] == "h2(x1)"
-
-
-def test_config_unknown_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    code, _, err = run(["verify", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "unknown config key" in err
-
-
-def test_config_invalid_json_rejected(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("{not json")
-    code, _, err = run(["verify", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "not valid JSON" in err
-
-
-def test_config_suites_string_is_a_comma_list(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"suites": "structure_constants,number_operator"}))
-    code, out, err = run(["verify", "--config", str(cfg)], capsys)
-    assert code == 0, err
-    assert "PASS structure_constants" in out
-    assert "PASS number_operator" in out
+# ------------------------------------------------------------------ flags
 
 
 @pytest.mark.parametrize(
-    "command, config, expected",
+    "argv, expected",
     [
-        ("rotate", {"seed": "seven"}, "seed must be an integer"),
-        ("rotate", {"n": math.inf}, "n must be an integer"),
-        ("verify", {"suites": 5}, "unknown suite(s) 5"),
-        ("represent", {"n": 2.5, "functional": "x1"}, "n must be an integer"),
+        (["rotate", "--seed", "seven"], "seed must be an integer, got 'seven'"),
+        (["rotate", "--n", "inf"], "n must be an integer, got 'inf'"),
+        (["verify", "--suite", ","], "suites must name at least one suite, got ','"),
+        (["represent", "--n", "2.5"], "n must be an integer, got '2.5'"),
     ],
-    ids=["seed_not_integer", "n_infinite", "suites_not_a_list", "n_fractional"],
+    ids=["seed_not_integer", "n_infinite", "suites_empty", "n_fractional"],
 )
-def test_config_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, command,
-                                              config, expected):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    workdir = tmp_path / "run"
-    workdir.mkdir()
-    monkeypatch.chdir(workdir)
-    code, out, err = run([command, "--config", str(cfg)], capsys)
+def test_flag_values_are_checked(tmp_path, monkeypatch, capsys, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv + ["--output", "r.json"], capsys)
     assert out == ""
-    assert_input_error(code, err, workdir, expected)
+    assert err == f"error: {expected}\n"
+    assert_input_error(code, err, tmp_path, expected)
 
 
-@pytest.mark.parametrize(
-    "flags, config, reports",
-    [
-        (
-            ["verify", "--suite", "structure_constants,number_operator", "--output", "v.json"],
-            {"suites": ["structure_constants", "number_operator"], "output": "v.json"},
-            ["v.json"],
-        ),
-        (
-            ["represent", "--functional", "[x1*x2, h2(x1)]", "--n", "2",
-             "--refine", "1,2", "--output", "rep"],
-            {"functional": "[x1*x2, h2(x1)]", "n": 2, "refine": [1, 2], "output": "rep"},
-            ["rep.json", "rep.csv"],
-        ),
-        (
-            ["rotate", "--n", "3", "--construction", "sign", "--seed", "5",
-             "--n-samples", "2000", "--output", "rot.json"],
-            {"n": 3, "construction": "sign", "seed": 5, "n_samples": 2000,
-             "output": "rot.json"},
-            ["rot.json"],
-        ),
-    ],
-    ids=["verify", "represent", "rotate"],
-)
-def test_config_file_matches_flags(tmp_path, monkeypatch, capsys, flags, config, reports):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    runs = {}
-    for name, argv in (("flags", flags), ("config", [flags[0], "--config", str(cfg)])):
-        workdir = tmp_path / name
-        workdir.mkdir()
-        monkeypatch.chdir(workdir)
-        code, out, err = run(argv, capsys)
-        blobs = [(workdir / report).read_bytes() for report in reports]
-        runs[name] = (code, out, err, blobs)
-    assert runs["flags"] == runs["config"]
+def test_config_option_is_unrecognized(tmp_path, monkeypatch, capsys):
+    # every setting has one source, its flag
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.json").write_text("{}")
+    code, out, err = run(["verify", "--config", "x.json"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: unrecognized arguments: --config x.json\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
 
 # ----------------------------------------------------------------- rotate

@@ -70,24 +70,24 @@ def _at(p, x):
 def test_gradient_scalar_frozen():
     # grad He_3(eta_1) = (3 He_2(eta_1), 0) in two coordinates
     g = gradient_scalar(he(3, 1, 2))
-    assert g.coord(1) == he(2, 1, 2) * 3.0
-    assert g.coord(2).is_zero()
+    assert g.coords[0] == he(2, 1, 2) * 3.0
+    assert g.coords[1].is_zero()
 
 
 def test_gradient_product_functional():
     # grad(eta_1 eta_2) = (eta_2, eta_1)
     g = gradient_scalar(hermite_product(eta(1, 2), eta(2, 2)))
-    assert g.coord(1) == eta(2, 2)
-    assert g.coord(2) == eta(1, 2)
+    assert g.coords[0] == eta(2, 2)
+    assert g.coords[1] == eta(1, 2)
 
 
 def test_gradient_vector_stacks_rows():
     v = VField((he(2, 1, 2), eta(2, 2)))
     K = gradient_vector(v)
     assert K.shape == (2, 2)
-    assert K.entry(1, 1) == eta(1, 2) * 2.0
-    assert K.entry(2, 2) == ChaosPoly.constant(2, 1.0)
-    assert K.entry(2, 1).is_zero()
+    assert K.rows[0].coords[0] == eta(1, 2) * 2.0
+    assert K.rows[1].coords[1] == ChaosPoly.constant(2, 1.0)
+    assert K.rows[1].coords[0].is_zero()
 
 
 # --------------------------------------------------------------- divergence
@@ -223,7 +223,7 @@ def test_trace_pairing_matches_pointwise_oracle():
         for _ in range(4):
             x = rng.standard_normal(3)
             direct = sum(
-                _at(K.entry(a, i), x) * _at(D.entry(a, i), x)
+                _at(K.rows[a - 1].coords[i - 1], x) * _at(D.rows[a - 1].coords[i - 1], x)
                 for a in range(1, 3)
                 for i in range(1, 4)
             )

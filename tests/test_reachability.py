@@ -1,17 +1,22 @@
-"""Every public function earns a caller.
+"""Every public function and method earns a caller.
 
-Each module-level function exported in ``wienerlab.__all__`` must be
-entered while the three commands run (``verify``, a vector ``represent`` and
-``rotate`` for every construction), or be named by the benchmark, whose
-workloads and tracer reach the package from outside
-(``perfbench/workloads.py`` and ``perfbench/tracing.py``, parsed, not
-imported).  A function that only its own tests call fails here.
+Six commands (``verify``, a vector ``represent`` and ``rotate`` for every
+construction) and the benchmark's three smoke workloads run in-process
+under one profile hook.  Each public method, property and classmethod of
+an exported class (exception classes and dunders aside) must be entered
+there.  So must each module-level function exported in
+``wienerlab.__all__``, unless the benchmark names it: its workloads and
+tracer reach the package from outside (``perfbench/workloads.py`` and
+``perfbench/tracing.py``, parsed, not imported).  A function or method
+that only its own tests call fails here.
 
 Frames are matched by code object identity (``fn.__code__``), which Python
 3.10 offers as well as later versions.
 """
 
 import ast
+import functools
+import importlib.util
 import inspect
 import sys
 import types
@@ -21,6 +26,7 @@ import wienerlab
 from wienerlab import cli
 
 WORKLOADS = TRACING.parent / "workloads.py"
+WORKLOAD_NAMES = ("verify-suites", "represent-refine", "rotate-batteries")
 
 COMMANDS = [
     ["verify"],
@@ -59,13 +65,59 @@ def benchmark_names() -> set[str]:
     return names
 
 
+def public_methods() -> dict[str, types.CodeType]:
+    """``Class.name`` -> code of every public method of the exported classes.
+
+    Inherited members count once, under the package class that defines them.
+    """
+    members = {}
+    for value in map(vars(wienerlab).get, wienerlab.__all__):
+        if not isinstance(value, type) or issubclass(value, BaseException):
+            continue
+        for klass in value.__mro__:
+            if not klass.__module__.startswith("wienerlab."):
+                continue
+            for name, member in vars(klass).items():
+                if name.startswith("_"):
+                    continue
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, functools.cached_property):
+                    member = member.func
+                if isinstance(member, types.FunctionType):
+                    members[f"{klass.__name__}.{name}"] = inspect.unwrap(member).__code__
+    return members
+
+
+def _load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_names_are_read_from_both_files():
     names = benchmark_names()
     assert {"is_representable", "residual_mass_oracle"} <= names  # workloads
     assert "multiply_by_coordinate" in names  # tracer ENTRIES
 
 
-def test_every_public_function_is_reached_by_a_command_or_the_benchmark(tmp_path, capsys):
+def test_public_methods_cover_members_of_every_kind():
+    methods = public_methods()
+    assert "ChaosPoly.to_text" in methods  # method
+    assert "VField.d" in methods  # property
+    assert "ChaosPoly.hermite" in methods  # classmethod
+    assert "_Field.norm" in methods  # inherited, under its defining class
+    assert not any(name.split(".")[1].startswith("_") for name in methods)
+
+
+def test_every_public_function_is_reached_by_a_command_or_the_benchmark(
+    tmp_path, monkeypatch, capsys
+):
+    workloads = _load_workloads(monkeypatch)
     entered = set()
 
     def hook(frame, event, arg):
@@ -78,6 +130,9 @@ def test_every_public_function_is_reached_by_a_command_or_the_benchmark(tmp_path
             cli.main(argv + ["--output", str(tmp_path / f"report_{i}")])
             for i, argv in enumerate(COMMANDS)
         ]
+        for name in WORKLOAD_NAMES:
+            workload = workloads.build(name, 0, True, str(tmp_path))
+            workload.check(workload.run())
     finally:
         sys.setprofile(None)
     capsys.readouterr()
@@ -95,4 +150,5 @@ def test_every_public_function_is_reached_by_a_command_or_the_benchmark(tmp_path
         for name, fn in functions.items()
         if fn.__code__ not in entered and name not in benchmark_names()
     )
+    unreached += sorted(name for name, code in public_methods().items() if code not in entered)
     assert unreached == []

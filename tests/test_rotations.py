@@ -131,7 +131,7 @@ def test_strict_past_certificate_keeps_nan():
         out[:, 0] += np.where(U[:, 2] != 0.0, np.nan, 0.0)
         return out
 
-    R = AdaptedIsometry(3, 3, "nan", fn)
+    R = AdaptedIsometry(3, "nan", fn)
     assert math.isnan(check_strict_past_measurability(R, draws_for(3)))
 
 
