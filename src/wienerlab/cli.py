@@ -7,7 +7,7 @@ its statistical batteries.  Timings come from the benchmark harness
 (``python3 perfbench/run.py --trace 1``), not from this front end.
 
 Each setting has one source, its flag.  argparse fills a flag that is not
-given from ``DEFAULTS`` and converts a given one with the setting's
+given with its default and converts a given one with the setting's
 converter, which raises :class:`UsageError` (argparse passes it through
 unwrapped), so a bad value exits 2 before any command runs.  The one check
 that spans two settings, the ``rotate`` block budget, runs first thing in
@@ -53,14 +53,6 @@ from .rotations import (
 )
 from .space import GENERATOR_ID, check, sample_batch
 from .suites import run_suites, suite_names
-
-DEFAULTS = {
-    "n": 4,
-    "seed": 20240601,
-    "n_samples": 200_000,
-    "refine": (1, 2, 4, 8),
-    "construction": "givens",
-}
 
 # rotate samples with seeds seed + 7, 11, 13 and 17, and every sampling
 # seed must stay below 2**64
@@ -340,35 +332,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("represent", help="adapted representation of a functional")
     p_rep.add_argument("--functional", help="expression text or a file holding one")
-    p_rep.add_argument("--n", type=_integer("n"), default=DEFAULTS["n"], help="ambient dimension")
+    p_rep.add_argument("--n", type=_integer("n"), default=4, help="ambient dimension")
     p_rep.add_argument(
         "--refine",
         type=_refine,
-        default=DEFAULTS["refine"],
+        default=(1, 2, 4, 8),
         help="comma list of refinement factors, e.g. 1,2,4,8",
     )
     p_rep.add_argument("--output", help="report path prefix (writes .json and .csv)")
     p_rep.set_defaults(fn=_cmd_represent)
 
     p_rot = sub.add_parser("rotate", help="build an adapted rotation and test it")
-    p_rot.add_argument("--n", type=_integer("n"), default=DEFAULTS["n"], help="ambient dimension")
+    p_rot.add_argument("--n", type=_integer("n"), default=4, help="ambient dimension")
     p_rot.add_argument(
         "--construction",
         type=_construction,
-        default=DEFAULTS["construction"],
+        default="givens",
         help=_choices(CONSTRUCTIONS),
     )
     p_rot.add_argument(
         "--seed",
         type=_integer("seed", 0, _SEED_MAX),
-        default=DEFAULTS["seed"],
+        default=20240601,
         help="construction and battery seed",
     )
     p_rot.add_argument(
         "--n-samples",
         dest="n_samples",
         type=_integer("n_samples"),
-        default=DEFAULTS["n_samples"],
+        default=200_000,
         help="battery sample count",
     )
     p_rot.add_argument("--output", help="write a JSON report here")
