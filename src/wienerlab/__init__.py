@@ -33,7 +33,6 @@ from .space import (
     Check,
     MonteCarloEstimate,
     SampleBatch,
-    identity_divergence_growth,
     ks_normal,
     mc_estimate,
     moment_normality,

@@ -55,20 +55,6 @@ class ClarkResult:
     integrand: WeaklyAdaptedOperator
     reconstruction: VField
     residual_l2: float
-    n: int
-
-    @property
-    def d(self) -> int:
-        return self.reconstruction.d
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "residual_l2": self.residual_l2,
-            "integrand": self.integrand.to_json_rows(),
-            "reconstruction": [p.to_text() for p in self.reconstruction.components],
-        }
 
 
 @dataclass(frozen=True)
@@ -107,7 +93,7 @@ def reconstruct(v: VField) -> ClarkResult:
     mean = VField.constant(v.ambient_dim, v.expectation())
     rec = mean.add(divergence_op(K))
     residual = v.sub(rec).norm()
-    return ClarkResult(integrand=K, reconstruction=rec, residual_l2=residual, n=v.ambient_dim)
+    return ClarkResult(integrand=K, reconstruction=rec, residual_l2=residual)
 
 
 def is_representable(v: VField | ChaosPoly) -> bool:

@@ -11,7 +11,13 @@ given with its default and converts a given one with the setting's
 converter, which raises :class:`UsageError` (argparse passes it through
 unwrapped), so a bad value exits 2 before any command runs.  The one check
 that spans two settings, the ``rotate`` block budget, runs first thing in
-that command.
+that command.  ``--n`` lies in ``[1, DIM_CAP]``, and ``represent`` reads
+``--functional @path`` from the file ``path`` and takes any other value as
+the expression itself.
+
+The report shapes are built here: ``represent`` writes its ``clark``
+block from the values ``reconstruct`` returns, ``rotate`` one row per
+battery test, and ``verify`` each suite's ``Check.to_json_dict()``.
 
 Reports are written atomically (every temporary file first, then the
 renames, so ``represent`` leaves both of its files or neither) and contain
@@ -37,7 +43,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .chaos import AlgebraError
+from .chaos import DIM_CAP, AlgebraError
 from .clark import compare_energies, reconstruct, refine_and_reconstruct
 from .dsl import DslError, lower, parse_functional
 from .malliavin import VField
@@ -179,13 +185,13 @@ def _suites(text: str) -> list[str]:
 
 def _read_functional(spec: str | None) -> str:
     if spec is None:
-        raise UsageError("represent needs --functional <file or expression>")
-    if os.path.isfile(spec):
+        raise UsageError("represent needs --functional <expression or @file>")
+    if spec.startswith("@"):
         try:
-            with open(spec, "r", encoding="utf-8") as fh:
+            with open(spec[1:], "r", encoding="utf-8") as fh:
                 return fh.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read functional file {spec}: {exc}") from exc
+            raise UsageError(f"cannot read functional file {spec[1:]}: {exc}") from exc
     return spec.strip()
 
 
@@ -239,7 +245,13 @@ def _cmd_represent(args) -> int:
         "command": "represent",
         "environment": _environment_stamp(),
         "functional": source,
-        "clark": result.to_json_dict(),
+        "clark": {
+            "n": args.n,
+            "d": v.d,
+            "residual_l2": result.residual_l2,
+            "integrand": [[p.to_text() for p in row.coords] for row in result.integrand.rows],
+            "reconstruction": [p.to_text() for p in result.reconstruction.components],
+        },
         "refinement": [[m, residual] for m, residual in table],
         "energy": energies,
     }
@@ -330,9 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--output", help="write a JSON report here")
     p_verify.set_defaults(fn=_cmd_verify)
 
+    n_flag = dict(type=_integer("n", 1, DIM_CAP), default=4, help=f"ambient dimension <= {DIM_CAP}")
+
     p_rep = sub.add_parser("represent", help="adapted representation of a functional")
-    p_rep.add_argument("--functional", help="expression text or a file holding one")
-    p_rep.add_argument("--n", type=_integer("n"), default=4, help="ambient dimension")
+    p_rep.add_argument("--functional", help="expression text, or @path to read it from a file")
+    p_rep.add_argument("--n", **n_flag)
     p_rep.add_argument(
         "--refine",
         type=_refine,
@@ -343,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(fn=_cmd_represent)
 
     p_rot = sub.add_parser("rotate", help="build an adapted rotation and test it")
-    p_rot.add_argument("--n", type=_integer("n"), default=4, help="ambient dimension")
+    p_rot.add_argument("--n", **n_flag)
     p_rot.add_argument(
         "--construction",
         type=_construction,

@@ -22,16 +22,16 @@ offending node.
 Parsing and lowering recurse over the input's nesting, but on an
 explicit stack (:func:`_descend`), so no input depth reaches Python's
 recursion limit: any text either succeeds or raises :class:`DslError` or
-the algebra's ``AlgebraError``.  The trees' ``==``, ``hash`` and ``repr``
-walk explicit stacks as well.
+the algebra's ``AlgebraError``.  The tree nodes are plain frozen
+dataclasses: their ``==``, ``hash`` and ``repr`` recurse once per level, so
+a tree several hundred levels deep can only be parsed and lowered.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
-from itertools import zip_longest
+from dataclasses import dataclass, field
 
 from .chaos import ChaosPoly, DEGREE_CAP, DegreeCapExceeded, hermite_product
 from .malliavin import VField
@@ -159,95 +159,24 @@ class Hermite:
     span: tuple[int, int] = field(compare=False, default=(0, 0))
 
 
-class _Inner:
-    """Structural ``==``, ``hash`` and ``repr`` of an inner node.
-
-    The dataclass versions recurse once per level of nesting; these walk the
-    tree on an explicit stack, so any tree the parser builds can be compared,
-    hashed and printed.  As for the leaves, the span takes no part in
-    equality or hashing.
-    """
-
-    def _parts(self) -> tuple[tuple, tuple]:
-        """(fields compared as they are, child nodes)."""
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        end = object()
-        pairs = zip_longest(_preorder(self), _preorder(other), fillvalue=end)
-        return all(a == b for a, b in pairs)
-
-    def __hash__(self):
-        return hash(tuple(_preorder(self)))
-
-    def __repr__(self):
-        return _descend(_repr_node(self))
-
-
-def _preorder(node):
-    """The tree's nodes, parents first, each inner node as (type, fields, arity).
-
-    With every arity given, the sequence determines the tree.
-    """
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _Inner):
-            scalars, children = node._parts()
-            yield (type(node), scalars, len(children))
-            stack.extend(reversed(children))
-        else:
-            yield node
-
-
-def _repr_node(value):
-    """The dataclass-style ``repr`` of a tree, as a :func:`_descend` step."""
-    if isinstance(value, tuple):
-        items = []
-        for item in value:
-            items.append((yield _repr_node(item)))
-        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
-    if not isinstance(value, _Inner):
-        return repr(value)
-    args = []
-    for f in fields(value):
-        text = yield _repr_node(getattr(value, f.name))
-        args.append(f"{f.name}={text}")
-    return f"{type(value).__qualname__}({', '.join(args)})"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Unary(_Inner):
+@dataclass(frozen=True)
+class Unary:
     operand: object
     span: tuple[int, int] = field(compare=False, default=(0, 0))
 
-    def _parts(self):
-        return (), (self.operand,)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Binary(_Inner):
+@dataclass(frozen=True)
+class Binary:
     op: str
     left: object
     right: object
     span: tuple[int, int] = field(compare=False, default=(0, 0))
 
-    def _parts(self):
-        return (self.op,), (self.left, self.right)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Vector(_Inner):
+@dataclass(frozen=True)
+class Vector:
     items: tuple
     span: tuple[int, int] = field(compare=False, default=(0, 0))
-
-    def _parts(self):
-        return (), self.items
-
-
-FunctionalExpr = (Literal, Variable, Hermite, Unary, Binary, Vector)
 
 
 # ------------------------------------------------------------------ parser

@@ -235,10 +235,6 @@ class OperatorField(_Field, parts="rows"):
         """E of the squared Hilbert-Schmidt norm, summed row by row."""
         return sum(row.energy() for row in self.rows)
 
-    def to_json_rows(self) -> list[list[str]]:
-        """Array-of-rows of the canonical text form, for JSON payloads."""
-        return [[p.to_text() for p in row.coords] for row in self.rows]
-
     @classmethod
     def constant(cls, matrix) -> "OperatorField":
         """Deterministic operator from a d x n matrix."""

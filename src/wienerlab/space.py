@@ -22,6 +22,9 @@ Every verdict in the package is one frozen ``Check`` record built by
 CLI certificates and each verify suite.  A check passes when
 |statistic| <= threshold, so a NaN or infinite statistic fails.  The
 command line writes the records out; nothing here formats a report.
+
+The module builds on the chaos algebra alone; the field operators of
+``malliavin`` are not needed to sample or to estimate.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from scipy import stats as _scipy_stats
 from scipy.special import ndtr as _ndtr
 
 from .chaos import ChaosPoly, DimensionMismatch, HermiteColumns, evaluate_batch
-from .malliavin import HField, divergence_h
 
 #: Rows per Philox substream; fixed so that parallel == serial.
 BLOCK_ROWS = 8192
@@ -116,21 +118,6 @@ def mc_estimate(p: ChaosPoly, batch: SampleBatch) -> MonteCarloEstimate:
     return MonteCarloEstimate(
         mean=mean, stderr=stderr, n_samples=batch.n_samples, seed=batch.seed
     )
-
-
-def identity_divergence_growth(ns) -> list[tuple[int, float]]:
-    """Exact L2 norm of the divergence of the identity field u(w) = w.
-
-    Coordinate i carries eta_i, so the divergence is sum_i He_2(eta_i) with
-    squared norm 2n.  Computed through the operator machinery, not the
-    closed form; callers compare against sqrt(2n).
-    """
-    rows = []
-    for n in ns:
-        n = int(n)
-        u = HField(tuple(ChaosPoly.coordinate(n, i) for i in range(1, n + 1)))
-        rows.append((n, divergence_h(u).norm_l2()))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from .rotations import (
     mix_outputs,
     scale_output,
 )
-from .space import Check, check, identity_divergence_growth, mc_estimate, sample_batch
+from .space import Check, check, mc_estimate, sample_batch
 
 
 def _result(name, gaps, threshold, details, extra_ok=True) -> Check:
@@ -121,8 +121,10 @@ def suite_structure_constants(seed: int = 1003) -> Check:
             ChaosPoly.zero(n),
         )
         gaps.append((divergence_h(const) - expected).norm_l2())
-    for n, value in identity_divergence_growth(range(1, 9)):
-        gaps.append(abs(value - math.sqrt(2.0 * n)))
+    for n in range(1, 9):
+        # the identity field u(w) = w: div u = sum_i He_2(eta_i), norm sqrt(2n)
+        identity = HField(tuple(ChaosPoly.coordinate(n, i) for i in range(1, n + 1)))
+        gaps.append(abs(divergence_h(identity).norm_l2() - math.sqrt(2.0 * n)))
     return _result(
         "structure_constants",
         gaps,

@@ -176,16 +176,6 @@ def test_is_representable_frozen():
     assert is_representable(hermite_product(he(2, 1, n), eta(2, n)))
 
 
-def test_clark_result_json_shape():
-    v = VField((hermite_product(eta(1, 2), eta(2, 2)),))
-    payload = reconstruct(v).to_json_dict()
-    assert payload["n"] == 2
-    assert payload["d"] == 1
-    assert payload["residual_l2"] == pytest.approx(0.0, abs=1e-14)
-    assert payload["integrand"] == [["", "1.0 1:1"]]
-    assert payload["reconstruction"] == ["1.0 1:1 2:1"]
-
-
 # ------------------------------------------------------------- uniqueness
 
 

@@ -4,7 +4,7 @@ import math
 import pytest
 
 import wienerlab.suites
-from wienerlab.cli import main
+from wienerlab.cli import build_parser, main
 from wienerlab.space import Check
 
 
@@ -130,7 +130,13 @@ def test_represent_product_functional(tmp_path, monkeypatch, capsys):
     )
     assert code == 0
     payload = json.loads((tmp_path / "pair.json").read_text())
-    assert payload["clark"]["residual_l2"] == 0.0
+    assert payload["clark"] == {
+        "n": 2,
+        "d": 1,
+        "residual_l2": 0.0,
+        "integrand": [["", "1.0 1:1"]],
+        "reconstruction": ["1.0 1:1 2:1"],
+    }
     assert payload["energy"] == [
         {
             "component": 1,
@@ -173,7 +179,7 @@ def test_represent_reads_functional_from_file(tmp_path, monkeypatch, capsys):
     source = tmp_path / "fn.txt"
     source.write_text("[x1, x1*x2]\n")
     code, out, _ = run(
-        ["represent", "--functional", str(source), "--n", "2", "--output", "vec"],
+        ["represent", "--functional", f"@{source}", "--n", "2", "--output", "vec"],
         capsys,
     )
     assert code == 0
@@ -188,9 +194,26 @@ def test_represent_undecodable_functional_file_exits_two(tmp_path, monkeypatch, 
     workdir = tmp_path / "run"
     workdir.mkdir()
     monkeypatch.chdir(workdir)
-    code, out, err = run(["represent", "--functional", str(source), "--n", "1"], capsys)
+    code, out, err = run(["represent", "--functional", f"@{source}", "--n", "1"], capsys)
     assert out == ""
     assert_input_error(code, err, workdir, "cannot read functional file")
+
+
+def test_represent_missing_functional_file_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["represent", "--functional", "@missing", "--n", "1"], capsys)
+    assert out == ""
+    assert_input_error(code, err, tmp_path, "cannot read functional file missing")
+
+
+def test_represent_file_in_cwd_does_not_shadow_the_expression(tmp_path, monkeypatch, capsys):
+    # only @path reads a file: a file named x1 leaves the expression x1 as it is
+    (tmp_path / "x1").write_text("h2(x1)\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["represent", "--functional", "x1", "--n", "1", "--output", "r"], capsys)
+    assert code == 0
+    assert out.startswith("functional: x1\n")
+    assert json.loads((tmp_path / "r.json").read_text())["functional"] == "x1"
 
 
 def test_represent_syntax_error_leaves_no_files(tmp_path, monkeypatch, capsys):
@@ -303,8 +326,19 @@ def test_represent_failed_csv_leaves_no_json(tmp_path, monkeypatch, capsys):
         (["rotate", "--n", "inf"], "n must be an integer, got 'inf'"),
         (["verify", "--suite", ","], "suites must name at least one suite, got ','"),
         (["represent", "--n", "2.5"], "n must be an integer, got '2.5'"),
+        (["rotate", "--n", "129"], "n must be in [1, 128], got 129"),
+        (["rotate", "--n", "200", "--construction", "zero"], "n must be in [1, 128], got 200"),
+        (["represent", "--n", "129"], "n must be in [1, 128], got 129"),
     ],
-    ids=["seed_not_integer", "n_infinite", "suites_empty", "n_fractional"],
+    ids=[
+        "seed_not_integer",
+        "n_infinite",
+        "suites_empty",
+        "n_fractional",
+        "rotate_n_past_cap",
+        "rotate_zero_n_past_cap",
+        "represent_n_past_cap",
+    ],
 )
 def test_flag_values_are_checked(tmp_path, monkeypatch, capsys, argv, expected):
     monkeypatch.chdir(tmp_path)
@@ -312,6 +346,11 @@ def test_flag_values_are_checked(tmp_path, monkeypatch, capsys, argv, expected):
     assert out == ""
     assert err == f"error: {expected}\n"
     assert_input_error(code, err, tmp_path, expected)
+
+
+@pytest.mark.parametrize("command", ["rotate", "represent"])
+def test_n_at_the_dimension_cap_is_accepted(command):
+    assert build_parser().parse_args([command, "--n", "128"]).n == 128
 
 
 def test_config_option_is_unrecognized(tmp_path, monkeypatch, capsys):
@@ -421,7 +460,7 @@ def test_rotate_unknown_construction(capsys):
 def test_rotate_rejects_bad_dimension(capsys):
     code, _, err = run(["rotate", "--n", "0"], capsys)
     assert code == 2
-    assert "n must be >= 1" in err
+    assert "n must be in [1, 128], got 0" in err
 
 
 # rotate samples with seed + 7 up to seed + 17, and sampling seeds are < 2**64

@@ -117,6 +117,17 @@ def test_divergence_identity_field_norm():
         assert d.norm_l2() == pytest.approx(math.sqrt(2.0 * n), abs=1e-12)
 
 
+def test_identity_divergence_growth_closed_form():
+    rows = {}
+    for n in range(1, 9):
+        u = HField(tuple(ChaosPoly.coordinate(n, i) for i in range(1, n + 1)))
+        rows[n] = divergence_h(u).norm_l2()
+        assert abs(rows[n] - math.sqrt(2.0 * n)) <= 1e-12
+    # quadrupling n doubles the norm
+    assert rows[4] / rows[1] == pytest.approx(2.0, abs=1e-12)
+    assert rows[8] / rows[2] == pytest.approx(2.0, abs=1e-12)
+
+
 def test_divergence_skew_field_is_exactly_zero():
     rng = make_rng(311)
     for n in (2, 3, 5):

@@ -13,7 +13,6 @@ from wienerlab.space import (
     BLOCK_ROWS,
     Check,
     check,
-    identity_divergence_growth,
     ks_normal,
     mc_estimate,
     moment_normality,
@@ -157,16 +156,6 @@ def test_shared_columns_are_read_only_and_owned_by_one_batch():
         other = b.columns.column(i, k)
         assert not np.shares_memory(col, other) and not np.shares_memory(col, a.draws)
         assert col.tobytes() == other.tobytes()
-
-
-def test_identity_divergence_growth_closed_form():
-    rows = identity_divergence_growth(range(1, 9))
-    for n, norm in rows:
-        assert abs(norm - math.sqrt(2.0 * n)) <= 1e-12
-    # quadrupling n doubles the norm
-    table = dict(rows)
-    assert table[4] / table[1] == pytest.approx(2.0, abs=1e-12)
-    assert table[8] / table[2] == pytest.approx(2.0, abs=1e-12)
 
 
 # values with ties (a few repeated points) and heavy tails (up to 1e300 and inf)
