@@ -44,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .chaos import DIM_CAP, AlgebraError
-from .clark import compare_energies, reconstruct, refine_and_reconstruct
+from .clark import ClarkResult, compare_energies, reconstruct, refine_and_reconstruct
 from .dsl import DslError, lower, parse_functional
 from .malliavin import VField
 from .rotations import (
@@ -212,6 +212,17 @@ def _cmd_verify(args) -> int:
     return _finish(args, all(r.passed for r in results), payload, lines)
 
 
+def clark_block(v: VField, result: ClarkResult) -> dict:
+    """The ``clark`` block of a ``represent`` report for ``result = reconstruct(v)``."""
+    return {
+        "n": v.ambient_dim,
+        "d": v.d,
+        "residual_l2": result.residual_l2,
+        "integrand": [[p.to_text() for p in row.coords] for row in result.integrand.rows],
+        "reconstruction": [p.to_text() for p in result.reconstruction.components],
+    }
+
+
 def _cmd_represent(args) -> int:
     source = _read_functional(args.functional)
     tree = parse_functional(source)
@@ -245,13 +256,7 @@ def _cmd_represent(args) -> int:
         "command": "represent",
         "environment": _environment_stamp(),
         "functional": source,
-        "clark": {
-            "n": args.n,
-            "d": v.d,
-            "residual_l2": result.residual_l2,
-            "integrand": [[p.to_text() for p in row.coords] for row in result.integrand.rows],
-            "reconstruction": [p.to_text() for p in result.reconstruction.components],
-        },
+        "clark": clark_block(v, result),
         "refinement": [[m, residual] for m, residual in table],
         "energy": energies,
     }

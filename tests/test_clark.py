@@ -23,6 +23,7 @@ from wienerlab.clark import (
     refine_and_reconstruct,
     residual_mass_oracle,
 )
+from wienerlab.cli import clark_block
 from wienerlab.malliavin import (
     HField,
     VField,
@@ -174,6 +175,16 @@ def test_is_representable_frozen():
     assert not is_representable(hermite_product(he(2, 1, n), eta(2, n)) + he(3, 2, n))
     # order 2 below the top coordinate is fine
     assert is_representable(hermite_product(he(2, 1, n), eta(2, n)))
+
+
+def test_clark_result_json_shape():
+    v = VField((hermite_product(eta(1, 2), eta(2, 2)),))
+    payload = clark_block(v, reconstruct(v))
+    assert payload["n"] == 2
+    assert payload["d"] == 1
+    assert payload["residual_l2"] == pytest.approx(0.0, abs=1e-14)
+    assert payload["integrand"] == [["", "1.0 1:1"]]
+    assert payload["reconstruction"] == ["1.0 1:1 2:1"]
 
 
 # ------------------------------------------------------------- uniqueness
