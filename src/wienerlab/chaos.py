@@ -18,9 +18,10 @@ occurrence.  ``{1: 2, 3: 1}`` is ``b"\x01\x01\x03"`` and the constant is
 property is one byte operation: the total degree is ``len(key)``, the
 largest coordinate ``key[-1]``, the order at ``i`` ``key.count(i)``, a
 derivative drops one occurrence of ``i`` and a coordinate product inserts
-one.  :class:`MultiIndex` is the public view of a key: ``ChaosPoly.terms``
-builds the views on demand in stored order, and the text form sorts them by
-:meth:`MultiIndex.sort_key` (degree, then coordinates, then orders).
+one.  Packed keys are the only index format: the constructor takes them and
+nothing else, and the text form sorts them by degree, then coordinates,
+then orders, read off each key.  :class:`MultiIndex` is a read-only view of
+one key, which ``ChaosPoly.terms`` builds on demand in stored order.
 
 Every operation here is exact up to double rounding: expectation, inner
 product, product (Hermite linearization), coordinate derivative, conditional
@@ -45,12 +46,12 @@ of the unshared computation, because each float is formed by the same
 operations in the same order.
 
 Every operation passes its ``(key, coefficient)`` pairs to the
-:class:`ChaosPoly` constructor, whose one term gate sums them, checks each
-summed index against the ambient dimension and the degree cap, rejects a
-NaN or infinite coefficient with :class:`AlgebraError` instead of storing
-or dropping it, and prunes coefficients at or below ``PRUNE_EPS``, so a
-stored coefficient is never an exact zero.  The degree cap is fixed: no
-operation can build a term past it.
+:class:`ChaosPoly` constructor, whose one term gate sums them, checks that
+each summed index is a ``bytes`` key inside the ambient dimension and the
+degree cap, rejects a NaN or infinite coefficient with :class:`AlgebraError`
+instead of storing or dropping it, and prunes coefficients at or below
+``PRUNE_EPS``, so a stored coefficient is never an exact zero.  The degree
+cap is fixed: no operation can build a term past it.
 
 Values are immutable and operations are pure functions, so they are safe to
 share across threads or workers without locking.
@@ -101,65 +102,39 @@ class NotCentered(AlgebraError):
 
 
 class MultiIndex:
-    """Sparse exponent vector: 1-based coordinate index -> positive order.
+    """Read-only view of one packed key: 1-based coordinate -> positive order.
 
-    The public view of a packed key.  Canonical form stores only nonzero
-    orders, sorted by coordinate.  The empty multi-index denotes the
-    constant monomial ``He_0 = 1``.
+    Holds the key alone and reads every property off it.  The empty key
+    denotes the constant monomial ``He_0 = 1``.
     """
 
-    __slots__ = ("_pairs", "_degree", "_factorial")
+    __slots__ = ("key",)
 
-    def __init__(self, orders: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        pairs = []
-        for coord, order in orders.items() if hasattr(orders, "items") else orders:
-            coord = int(coord)
-            order = int(order)
-            if order == 0:
-                continue
-            if coord < 1:
-                raise AlgebraError(f"coordinate index {coord} is not >= 1")
-            if order < 0:
-                raise AlgebraError(f"negative Hermite order {order} at coordinate {coord}")
-            pairs.append((coord, order))
-        pairs.sort()
-        for (i, _), (j, _) in zip(pairs, pairs[1:]):
-            if i == j:
-                raise AlgebraError(f"coordinate {i} appears more than once")
-        self._pairs = tuple(pairs)
-        self._degree = sum(k for _, k in pairs)
-        self._factorial = math.prod(math.factorial(k) for _, k in pairs)
+    def __init__(self, key: bytes):
+        self.key = key
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        return self._pairs
+        """``(coordinate, order)`` pairs by ascending coordinate."""
+        return tuple(_pairs_of(self.key))
 
     @property
     def total_degree(self) -> int:
-        return self._degree
+        return len(self.key)
 
     @property
     def factorial(self) -> int:
         """``prod_i k_i!`` for the stored orders."""
-        return self._factorial
-
-    @property
-    def max_coordinate(self) -> int:
-        """Largest coordinate carrying a positive order; 0 for the constant."""
-        return self._pairs[-1][0] if self._pairs else 0
-
-    def sort_key(self) -> tuple:
-        # deterministic serialization order: degree, then coordinates, then orders
-        return (self._degree, tuple(i for i, _ in self._pairs), tuple(k for _, k in self._pairs))
+        return _factorial(self.key)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiIndex) and self._pairs == other._pairs
+        return isinstance(other, MultiIndex) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self._pairs)
+        return hash(self.key)
 
     def __repr__(self) -> str:
-        return f"MultiIndex({dict(self._pairs)!r})"
+        return f"MultiIndex({dict(_pairs_of(self.key))!r})"
 
 
 # ---- packed keys ---------------------------------------------------------
@@ -194,37 +169,21 @@ def _top_order_above_one(key: bytes) -> bool:
     return len(key) > 1 and key[-1] == key[-2]
 
 
-def _entry_key(idx, dim: int) -> bytes:
-    """Key of a :class:`MultiIndex`, a mapping or a pair list entering the gate.
-
-    A coordinate past :data:`DIM_CAP` lies outside every ambient dimension
-    and has no one-byte digit, so it is refused here, on entry.
-    """
-    if not isinstance(idx, MultiIndex):
-        idx = MultiIndex(idx)
-    if idx.max_coordinate > DIM_CAP:
-        raise DimensionMismatch(
-            f"coordinate {idx.max_coordinate} outside ambient dimension {dim}"
-        )
-    return _pack(idx.pairs)
-
-
 def _canonical_terms(terms, dim: int) -> dict[bytes, float]:
-    """The term gate: sum, check and prune ``(index, coefficient)`` pairs.
+    """The term gate: sum, check and prune ``(key, coefficient)`` pairs.
 
-    An index is a packed key, or a :class:`MultiIndex`, mapping or pair list
-    that is packed on entry.  Pairs are summed in arrival order.  Every
-    summed index, also one whose coefficients cancel to zero, is checked
-    against ``dim`` and :data:`DEGREE_CAP` before any coefficient is checked
-    for finiteness.
+    Pairs are summed in arrival order.  Every summed index, also one whose
+    coefficients cancel to zero, must be a packed ``bytes`` key and is
+    checked against ``dim`` and :data:`DEGREE_CAP` before any coefficient is
+    checked for finiteness.
     """
     acc: dict[bytes, float] = {}
     get = acc.get
     for key, coeff in terms.items() if hasattr(terms, "items") else terms:
-        if key.__class__ is not bytes:
-            key = _entry_key(key, dim)
         acc[key] = get(key, 0.0) + float(coeff)
     for key in acc:
+        if key.__class__ is not bytes:
+            raise AlgebraError(f"term index {key!r} is not a packed bytes key")
         if key and key[-1] > dim:
             raise DimensionMismatch(f"coordinate {key[-1]} outside ambient dimension {dim}")
         if len(key) > DEGREE_CAP:
@@ -240,15 +199,18 @@ def _finite_pruned(acc: dict[bytes, float]) -> dict[bytes, float]:
     return {key: c for key, c in acc.items() if abs(c) > PRUNE_EPS}
 
 
-def _view(key: bytes) -> MultiIndex:
-    return MultiIndex(_pairs_of(key))
+def _text_order(item: tuple[bytes, float]) -> tuple:
+    """Text-form rank of a ``(key, coefficient)`` item: degree, coordinates, orders."""
+    pairs = _pairs_of(item[0])
+    return len(item[0]), [i for i, _ in pairs], [k for _, k in pairs]
 
 
 class _TermsView(Mapping):
     """Read-only ``MultiIndex -> coefficient`` view of a key store.
 
     Iterates in stored order and builds each :class:`MultiIndex` on demand;
-    ``len`` reads the store without building any.
+    ``len`` reads the store without building any, and a lookup reads the
+    view's key.
     """
 
     __slots__ = ("_store",)
@@ -260,13 +222,11 @@ class _TermsView(Mapping):
         return len(self._store)
 
     def __iter__(self):
-        return map(_view, self._store)
+        return map(MultiIndex, self._store)
 
     def __getitem__(self, idx: MultiIndex) -> float:
-        if isinstance(idx, MultiIndex) and idx.max_coordinate <= DIM_CAP:
-            key = _pack(idx.pairs)
-            if key in self._store:
-                return self._store[key]
+        if isinstance(idx, MultiIndex) and idx.key in self._store:
+            return self._store[idx.key]
         raise KeyError(idx)
 
     def __repr__(self) -> str:
@@ -276,10 +236,11 @@ class _TermsView(Mapping):
 class ChaosPoly:
     """Immutable polynomial functional in its Hermite-monomial expansion.
 
-    ``dim`` is the ambient number of Gaussian coordinates.  The terms are
-    stored by packed key (see the module docstring); ``terms`` views them
-    as :class:`MultiIndex` -> float coefficient.  The empty index carries
-    the expectation.
+    ``dim`` is the ambient number of Gaussian coordinates.  ``terms`` is a
+    mapping or an iterable of ``(packed key, coefficient)`` pairs (see the
+    module docstring); any other key raises :class:`AlgebraError`.  The
+    ``terms`` property views the store as :class:`MultiIndex` -> float
+    coefficient.  The empty key carries the expectation.
     """
 
     __slots__ = ("_dim", "_terms")
@@ -338,12 +299,6 @@ class ChaosPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def sorted_terms(self) -> list[tuple[MultiIndex, float]]:
-        return sorted(
-            ((_view(key), c) for key, c in self._terms.items()),
-            key=lambda kv: kv[0].sort_key(),
-        )
-
     # ---- arithmetic sugar (delegates to the module-level operations) ---
 
     def __add__(self, other: "ChaosPoly") -> "ChaosPoly":
@@ -377,7 +332,8 @@ class ChaosPoly:
         if self.is_zero():
             return f"ChaosPoly(dim={self._dim}, 0)"
         body = ", ".join(
-            f"{dict(idx.pairs)!r}: {c!r}" for idx, c in self.sorted_terms()
+            f"{dict(_pairs_of(key))!r}: {c!r}"
+            for key, c in sorted(self._terms.items(), key=_text_order)
         )
         return f"ChaosPoly(dim={self._dim}, {{{body}}})"
 
@@ -394,15 +350,17 @@ class ChaosPoly:
     def to_text(self) -> str:
         """One line per term: ``coeff i1:k1 i2:k2 ...`` in canonical order.
 
-        The zero polynomial serializes to the empty string; a constant term
-        serializes as the bare coefficient.  Coefficients use ``repr``, so the
-        text holds every bit of each coefficient.
+        Terms are ranked by total degree, then coordinates, then orders, read
+        off each key.  That is not the bytes order of the keys:
+        ``b"\\x01\\x01\\x03"`` sorts before ``b"\\x01\\x02\\x02"`` as bytes and
+        after it here.  The zero polynomial serializes to the empty string; a
+        constant term serializes as the bare coefficient.  Coefficients use
+        ``repr``, so the text holds every bit of each coefficient.
         """
-        lines = []
-        for idx, coeff in self.sorted_terms():
-            parts = [repr(coeff)] + [f"{i}:{k}" for i, k in idx.pairs]
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
+        return "\n".join(
+            " ".join([repr(coeff)] + [f"{i}:{k}" for i, k in _pairs_of(key)])
+            for key, coeff in sorted(self._terms.items(), key=_text_order)
+        )
 
 
 def _require_same_dim(*polys: ChaosPoly) -> int:

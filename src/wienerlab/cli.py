@@ -11,9 +11,10 @@ given with its default and converts a given one with the setting's
 converter, which raises :class:`UsageError` (argparse passes it through
 unwrapped), so a bad value exits 2 before any command runs.  The one check
 that spans two settings, the ``rotate`` block budget, runs first thing in
-that command.  ``--n`` lies in ``[1, DIM_CAP]``, and ``represent`` reads
-``--functional @path`` from the file ``path`` and takes any other value as
-the expression itself.
+that command; the ``represent`` term budget runs once the functional is
+read, before anything is refined.  ``--n`` lies in ``[1, DIM_CAP]``, and
+``represent`` reads ``--functional @path`` from the file ``path`` and takes
+any other value as the expression itself.
 
 The report shapes are built here: ``represent`` writes its ``clark``
 block from the values ``reconstruct`` returns, ``rotate`` one row per
@@ -43,7 +44,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .chaos import DIM_CAP, AlgebraError
+from .chaos import DIM_CAP, AlgebraError, _pairs_of
 from .clark import ClarkResult, compare_energies, reconstruct, refine_and_reconstruct
 from .dsl import DslError, lower, parse_functional
 from .malliavin import VField
@@ -70,6 +71,15 @@ _SEED_MAX = 2**64 - 1 - 17
 #: samples fit at the dimension cap n = 128, and a request past the budget
 #: exits 2 before anything is allocated.
 ROTATE_BLOCK_BUDGET = 256 * 2**20
+
+#: Most terms ``represent --refine`` may build.  ``refine`` spreads a coarse
+#: term's ``He_k(eta_i)`` over every degree-k monomial of block i's m fine
+#: coordinates, C(m + k - 1, k) of them, so the refined components hold
+#: sum over terms of prod_i C(m + k_i - 1, k_i) terms, apart from roundoff
+#: terms.  At about 480 B per term (measured on ``h8(x1)`` at m = 16) this is
+#: about 1 GB; a request past it at its largest factor inside the dimension
+#: cap exits 2 before anything is refined.
+REFINE_TERM_BUDGET = 2_000_000
 
 
 class UsageError(Exception):
@@ -223,6 +233,15 @@ def clark_block(v: VField, result: ClarkResult) -> dict:
     }
 
 
+def _refined_term_count(v: VField, m: int) -> int:
+    """Terms ``refine`` builds from the components of v at factor m (see the budget)."""
+    return sum(
+        math.prod(math.comb(m + k - 1, k) for _, k in _pairs_of(key))
+        for p in v.components
+        for key in p.packed_terms
+    )
+
+
 def _cmd_represent(args) -> int:
     source = _read_functional(args.functional)
     tree = parse_functional(source)
@@ -230,6 +249,14 @@ def _cmd_represent(args) -> int:
         # overflow, the dimension cap, a refinement past it: input errors
         lowered = lower(tree, args.n)
         v = lowered if isinstance(lowered, VField) else VField((lowered,))
+        # a factor past the dimension cap is left to refine's own error
+        top = max((m for m in args.refine if args.n * m <= DIM_CAP), default=1)
+        count = _refined_term_count(v, top)
+        if count > REFINE_TERM_BUDGET:
+            raise UsageError(
+                f"functional {source!r}: refinement by {top} would build {count} terms,"
+                f" over the budget of {REFINE_TERM_BUDGET} terms"
+            )
         result = reconstruct(v)
         table = refine_and_reconstruct(v, args.refine)
     except AlgebraError as exc:
@@ -356,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--refine",
         type=_refine,
         default=(1, 2, 4, 8),
-        help="comma list of refinement factors, e.g. 1,2,4,8",
+        help="comma list of refinement factors, e.g. 1,2,4,8 (at most"
+        f" {REFINE_TERM_BUDGET} refined terms)",
     )
     p_rep.add_argument("--output", help="report path prefix (writes .json and .csv)")
     p_rep.set_defaults(fn=_cmd_represent)

@@ -74,36 +74,35 @@ def random_poly(rng: np.random.Generator, n: int, degree: int,
     ])
 
 
-def random_hfield(rng, n: int, degree: int, n_terms: int = 3) -> HField:
-    return HField(tuple(random_poly(rng, n, degree, n_terms) for _ in range(n)))
+def random_hfield(rng, n: int, degree: int) -> HField:
+    """Two terms per coordinate."""
+    return HField(tuple(random_poly(rng, n, degree, 2) for _ in range(n)))
 
 
-def random_vfield(rng, n: int, d: int, degree: int, n_terms: int = 3) -> VField:
-    return VField(tuple(random_poly(rng, n, degree, n_terms) for _ in range(d)))
+def random_vfield(rng, n: int, d: int, degree: int) -> VField:
+    """Three terms per component."""
+    return VField(tuple(random_poly(rng, n, degree, 3) for _ in range(d)))
 
 
-def random_operator(rng, n: int, d: int, degree: int, n_terms: int = 2) -> OperatorField:
-    return OperatorField(
-        tuple(random_hfield(rng, n, degree, n_terms) for _ in range(d))
-    )
+def random_operator(rng, n: int, d: int, degree: int) -> OperatorField:
+    return OperatorField(tuple(random_hfield(rng, n, degree) for _ in range(d)))
 
 
-def random_predictable_field(rng, n: int, degree: int, n_terms: int = 2) -> PredictableHField:
-    """Coordinate i draws its terms from eta_1 .. eta_{i-1} only."""
+def random_predictable_field(rng, n: int, degree: int) -> PredictableHField:
+    """Coordinate i draws two terms from eta_1 .. eta_{i-1} only."""
     coords = []
     for i in range(1, n + 1):
         allowed = list(range(1, i))
         if allowed:
-            coords.append(random_poly(rng, n, degree, n_terms, coords=allowed))
+            coords.append(random_poly(rng, n, degree, 2, coords=allowed))
         else:
             coords.append(ChaosPoly.constant(n, _uniform(rng)))
     return PredictableHField(tuple(coords))
 
 
-def random_weakly_adapted(rng, n: int, d: int, degree: int,
-                          n_terms: int = 2) -> WeaklyAdaptedOperator:
+def random_weakly_adapted(rng, n: int, d: int, degree: int) -> WeaklyAdaptedOperator:
     return WeaklyAdaptedOperator(
-        tuple(random_predictable_field(rng, n, degree, n_terms) for _ in range(d))
+        tuple(random_predictable_field(rng, n, degree) for _ in range(d))
     )
 
 
@@ -117,10 +116,10 @@ def random_finite_rank_adapted(rng, n: int, d: int) -> WeaklyAdaptedOperator:
     return WeaklyAdaptedOperator(tuple(Q.transpose_apply(Y[:, a]) for a in range(d)))
 
 
-def random_representable_poly(rng, n: int, degree: int, n_terms: int = 4) -> ChaosPoly:
-    """Every monomial's top coordinate carries order exactly 1."""
+def random_representable_poly(rng, n: int, degree: int) -> ChaosPoly:
+    """Four terms; every monomial's top coordinate carries order exactly 1."""
     terms = []
-    for _ in range(n_terms):
+    for _ in range(4):
         top = int(rng.integers(1, n + 1))
         orders = {top: 1}
         budget = degree - 1

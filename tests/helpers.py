@@ -15,13 +15,23 @@ from itertools import product as cartesian
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from wienerlab.chaos import ChaosPoly, MultiIndex
+from wienerlab.chaos import ChaosPoly
 from wienerlab.malliavin import HField
 
 # 12-point Gauss quadrature on the exp(-x^2/2) weight: exact for polynomial
 # integrands up to degree 23, far past anything the algebra can hold.
 _NODES, _WEIGHTS = hermite_e.hermegauss(12)
 _WEIGHTS = _WEIGHTS / math.sqrt(2.0 * math.pi)
+
+
+def packed(index=()) -> bytes:
+    """Packed term key of ``(coordinate, order)`` pairs or a ``{coordinate: order}`` dict.
+
+    One byte per coordinate occurrence, sorted ascending: ``{1: 2, 3: 1}``
+    packs to ``b"\\x01\\x01\\x03"`` and ``()`` to the constant's ``b""``.
+    """
+    pairs = index.items() if isinstance(index, dict) else index
+    return bytes(sorted(i for i, k in pairs for _ in range(k)))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -116,9 +126,9 @@ def refine_monomial_oracle(dim: int, i: int, k: int, m: int) -> ChaosPoly:
         w = math.factorial(k) * scale
         for b in beta:
             w /= math.factorial(b)
-        pairs = tuple((block[j], b) for j, b in enumerate(beta) if b > 0)
-        terms[pairs] = terms.get(pairs, 0.0) + w
-    return ChaosPoly(dim * m, {k_: v for k_, v in terms.items()})
+        key = packed((block[j], b) for j, b in enumerate(beta))
+        terms[key] = terms.get(key, 0.0) + w
+    return ChaosPoly(dim * m, terms)
 
 
 def split_integrand(p: ChaosPoly) -> HField:
@@ -131,10 +141,9 @@ def split_integrand(p: ChaosPoly) -> HField:
     for idx, c in p.terms.items():
         if not idx.pairs:
             continue
-        j, order = idx.pairs[-1]
+        *lower, (j, order) = idx.pairs
         assert order == 1
-        lowered = MultiIndex(idx.pairs[:-1])
-        rows[j - 1] = rows[j - 1] + ChaosPoly(p.dim, {lowered: c})
+        rows[j - 1] = rows[j - 1] + ChaosPoly(p.dim, {packed(lower): c})
     return HField(tuple(rows))
 
 

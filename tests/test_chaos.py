@@ -17,11 +17,12 @@ from helpers import (
     he_value,
     make_rng,
     mc_poly_mean,
+    packed,
     quad_expectation,
     quad_poly_expectation,
     refine_monomial_oracle,
 )
-from wienerlab import clark, dsl
+from wienerlab import cli, clark, dsl
 from wienerlab.chaos import (
     DEGREE_CAP,
     DIM_CAP,
@@ -66,8 +67,8 @@ def random_poly(rng, dim, degree, n_terms=4):
             if k:
                 orders[int(c)] = k
                 budget -= k
-        idx = MultiIndex(orders)
-        terms[idx] = terms.get(idx, 0.0) + float(rng.uniform(-1, 1))
+        key = packed(orders)
+        terms[key] = terms.get(key, 0.0) + float(rng.uniform(-1, 1))
     return ChaosPoly(dim, terms)
 
 
@@ -80,36 +81,33 @@ def _at(p, x):
 
 
 def test_multiindex_canonical_form():
-    idx = MultiIndex({3: 1, 1: 2, 5: 0})
+    idx = MultiIndex(packed({3: 1, 1: 2}))
+    assert idx.key == b"\x01\x01\x03"
     assert idx.pairs == ((1, 2), (3, 1))
     assert idx.total_degree == 3
     assert idx.factorial == 2
-    assert idx.max_coordinate == 3
-    assert _order(idx, 1) == 2 and _order(idx, 2) == 0
-    assert MultiIndex({1: 2, 3: 1}) == idx
-
-
-def test_multiindex_rejects_bad_entries():
-    with pytest.raises(AlgebraError):
-        MultiIndex({0: 1})
-    with pytest.raises(AlgebraError):
-        MultiIndex({2: -1})
-    with pytest.raises(AlgebraError):
-        MultiIndex([(1, 1), (1, 2)])
+    assert _order(idx.pairs, 1) == 2 and _order(idx.pairs, 2) == 0
+    assert MultiIndex(b"\x01\x01\x03") == idx and hash(MultiIndex(b"\x01\x01\x03")) == hash(idx)
+    assert MultiIndex(b"\x01\x03") != idx
+    assert repr(idx) == "MultiIndex({1: 2, 3: 1})" and repr(MultiIndex(b"")) == "MultiIndex({})"
 
 
 def test_term_ordering_for_serialization():
     p = ChaosPoly(
         3,
         {
-            MultiIndex({1: 2}): 1.0,
-            MultiIndex({2: 1}): 2.0,
-            MultiIndex(): 3.0,
-            MultiIndex({1: 1, 2: 1}): 4.0,
+            packed({1: 2}): 1.0,
+            packed({2: 1}): 2.0,
+            packed(): 3.0,
+            packed({1: 1, 2: 1}): 4.0,
         },
     )
-    keys = [idx.pairs for idx, _ in p.sorted_terms()]
-    assert keys == [(), ((2, 1),), ((1, 2),), ((1, 1), (2, 1))]
+    assert p.to_text() == "3.0\n2.0 2:1\n1.0 1:2\n4.0 1:1 2:1"
+    assert repr(p) == "ChaosPoly(dim=3, {{}: 3.0, {2: 1}: 2.0, {1: 2}: 1.0, {1: 1, 2: 1}: 4.0})"
+    # b"\x01\x01\x03" sorts before b"\x01\x02\x02" as bytes, after it in text
+    q = ChaosPoly(3, {b"\x01\x01\x03": 1.0, b"\x01\x02\x02": 2.0})
+    assert q.to_text() == "2.0 1:1 2:2\n1.0 1:2 3:1"
+    assert repr(q) == "ChaosPoly(dim=3, {{1: 1, 2: 2}: 2.0, {1: 2, 3: 1}: 1.0})"
 
 
 # ---------------------------------------------------------------- linear part
@@ -129,10 +127,11 @@ def test_linear_combine_trivia():
 
 
 def test_no_stored_zeros_after_cancellation():
-    p = ChaosPoly(2, {MultiIndex({1: 1}): 1.0, MultiIndex({2: 2}): 0.5})
-    q = ChaosPoly(2, {MultiIndex({1: 1}): -1.0})
-    assert MultiIndex({1: 1}) not in (p + q).terms
-    assert ChaosPoly(2, {MultiIndex({1: 1}): 1e-15}).is_zero()
+    p = ChaosPoly(2, {packed({1: 1}): 1.0, packed({2: 2}): 0.5})
+    q = ChaosPoly(2, {packed({1: 1}): -1.0})
+    assert MultiIndex(b"\x01") not in (p + q).terms
+    assert (p + q).terms[MultiIndex(b"\x02\x02")] == 0.5
+    assert ChaosPoly(2, {packed({1: 1}): 1e-15}).is_zero()
 
 
 # ------------------------------------------------------------------- product
@@ -143,7 +142,7 @@ def test_product_he1_he1_frozen():
     dim = 1
     he1 = ChaosPoly.hermite(dim, 1, 1)
     prod = hermite_product(he1, he1)
-    assert prod == ChaosPoly(dim, {MultiIndex({1: 2}): 1.0, MultiIndex(): 1.0})
+    assert prod == ChaosPoly(dim, {packed({1: 2}): 1.0, packed(): 1.0})
     assert abs(quad_poly_expectation(prod) - 1.0) < 1e-12
 
 
@@ -153,7 +152,7 @@ def test_product_he2_he2_frozen():
     he2 = ChaosPoly.hermite(dim, 1, 2)
     prod = hermite_product(he2, he2)
     assert prod == ChaosPoly(
-        dim, {MultiIndex({1: 4}): 1.0, MultiIndex({1: 2}): 4.0, MultiIndex(): 2.0}
+        dim, {packed({1: 4}): 1.0, packed({1: 2}): 4.0, packed(): 2.0}
     )
     mean, stderr = mc_poly_mean(prod, 1_000_000, seed=20240811)
     assert abs(mean - 2.0) < 4 * stderr
@@ -291,7 +290,7 @@ def test_derivative_is_product_rule_compatible():
 
 def test_multiply_by_coordinate_frozen():
     got = multiply_by_coordinate(ChaosPoly.hermite(1, 1, 1), 1)
-    assert got == ChaosPoly(1, {MultiIndex({1: 2}): 1.0, MultiIndex(): 1.0})
+    assert got == ChaosPoly(1, {packed({1: 2}): 1.0, packed(): 1.0})
 
 
 def test_multiply_by_coordinate_matches_product():
@@ -383,7 +382,7 @@ def test_conditional_expectation_mc_regression_oracle():
         prods = vals * feats
         est = prods.mean() / math.factorial(k)
         stderr = prods.std(ddof=1) / math.sqrt(len(prods)) / math.factorial(k)
-        want = ce.terms.get(MultiIndex({1: k}), 0.0)
+        want = ce.packed_terms.get(packed({1: k}), 0.0)
         assert abs(est - want) <= 3.0 * stderr + 1e-12
 
 
@@ -394,14 +393,14 @@ def test_chaos_projection_frozen_and_parseval():
     p = ChaosPoly(
         2,
         {
-            MultiIndex(): 1.5,
-            MultiIndex({1: 1}): 2.0,
-            MultiIndex({1: 1, 2: 1}): 3.0,
-            MultiIndex({2: 2}): -1.0,
+            packed(): 1.5,
+            packed({1: 1}): 2.0,
+            packed({1: 1, 2: 1}): 3.0,
+            packed({2: 2}): -1.0,
         },
     )
     assert chaos_projection(p, 2) == ChaosPoly(
-        2, {MultiIndex({1: 1, 2: 1}): 3.0, MultiIndex({2: 2}): -1.0}
+        2, {packed({1: 1, 2: 1}): 3.0, packed({2: 2}): -1.0}
     )
     total = sum(l2_inner(chaos_projection(p, m), chaos_projection(p, m)) for m in range(5))
     assert abs(total - l2_inner(p, p)) <= 1e-12
@@ -433,7 +432,7 @@ def test_ou_apply_and_inverse():
 def test_refine_he1_frozen():
     got = refine(ChaosPoly.hermite(1, 1, 1), 2)
     s = 1.0 / math.sqrt(2.0)
-    want = ChaosPoly(2, {MultiIndex({1: 1}): s, MultiIndex({2: 1}): s})
+    want = ChaosPoly(2, {packed({1: 1}): s, packed({2: 1}): s})
     assert norm_l2(got - want) <= 1e-15
 
 
@@ -442,9 +441,9 @@ def test_refine_he2_frozen():
     want = ChaosPoly(
         2,
         {
-            MultiIndex({1: 2}): 0.5,
-            MultiIndex({2: 2}): 0.5,
-            MultiIndex({1: 1, 2: 1}): 1.0,
+            packed({1: 2}): 0.5,
+            packed({2: 2}): 0.5,
+            packed({1: 1, 2: 1}): 1.0,
         },
     )
     assert norm_l2(got - want) <= 1e-14
@@ -568,7 +567,7 @@ def test_degree_cap_enforcement():
     with pytest.raises(AlgebraError):
         ChaosPoly(200)
     with pytest.raises(DimensionMismatch):
-        ChaosPoly(2, {MultiIndex({3: 1}): 1.0})
+        ChaosPoly(2, {packed({3: 1}): 1.0})
 
 
 def test_text_round_trip():
@@ -577,8 +576,9 @@ def test_text_round_trip():
     for _ in range(10):
         p = random_poly(rng, 4, 4)
         lines = p.to_text().splitlines()
-        assert [float(line.split()[0]) for line in lines] == [c for _, c in p.sorted_terms()]
-    p = ChaosPoly(2, {MultiIndex(): 2.5, MultiIndex({1: 2}): -1.0, MultiIndex({1: 1, 2: 1}): 3.0})
+        ranked = sorted(p.terms.items(), key=lambda kv: _text_rank(kv[0].pairs))
+        assert [float(line.split()[0]) for line in lines] == [c for _, c in ranked]
+    p = ChaosPoly(2, {packed(): 2.5, packed({1: 2}): -1.0, packed({1: 1, 2: 1}): 3.0})
     assert p.to_text() == "2.5\n-1.0 1:2\n3.0 1:1 2:1"
     assert ChaosPoly.zero(2).to_text() == ""
 
@@ -586,7 +586,7 @@ def test_text_round_trip():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_coefficients_raise(bad):
     with pytest.raises(AlgebraError, match="non-finite"):
-        ChaosPoly(2, {(): bad, ((1, 1),): 1.0})
+        ChaosPoly(2, {b"": bad, b"\x01": 1.0})
     with pytest.raises(AlgebraError, match="non-finite"):
         linear_combine([bad], [ChaosPoly.coordinate(2, 1)])
 
@@ -625,20 +625,25 @@ def test_overflowing_product_raises():
 # ------------------------------------------------------------------ term gate
 # Each kernel streams its (key, coefficient) pairs into the constructor's one
 # term gate.  The references below keep the earlier representation: they
-# work on MultiIndex objects with dict arithmetic, sum the same pairs into a
-# local dict first and construct from that, so the output must match term by
-# term, in the same order and to the last bit.
+# work on (coordinate, order) pair tuples with dict arithmetic, sum the same
+# pairs into a local dict first and construct from that, so the output must
+# match term by term, in the same order and to the last bit.
 
 
-def _order(idx, coord):
-    return dict(idx.pairs).get(coord, 0)
+def _order(pairs, coord):
+    return dict(pairs).get(coord, 0)
 
 
-def _shifted(idx, coord, delta):
-    """New index with the order at ``coord`` changed by ``delta``."""
-    new = dict(idx.pairs)
+def _shifted(pairs, coord, delta):
+    """New pairs with the order at ``coord`` changed by ``delta``."""
+    new = dict(pairs)
     new[coord] = new.get(coord, 0) + delta
-    return MultiIndex(new)
+    return tuple(sorted((i, k) for i, k in new.items() if k))
+
+
+def _text_rank(pairs):
+    """The text form's order, test side: degree, then coordinates, then orders."""
+    return sum(k for _, k in pairs), [i for i, _ in pairs], [k for _, k in pairs]
 
 
 def _linearization_ref(m, n):
@@ -650,14 +655,14 @@ def _linearization_ref(m, n):
 
 
 def _monomial_product(a, b):
-    """Yield ``(index, coeff)`` for ``He_a * He_b`` coordinatewise."""
-    a_orders = dict(a.pairs)
-    b_orders = dict(b.pairs)
+    """Yield ``(pairs, coeff)`` for ``He_a * He_b`` coordinatewise."""
+    a_orders = dict(a)
+    b_orders = dict(b)
     shared = sorted(set(a_orders) & set(b_orders))
     base = [(i, k) for i, k in a_orders.items() if i not in b_orders]
     base += [(i, k) for i, k in b_orders.items() if i not in a_orders]
     if not shared:
-        yield MultiIndex(base), 1.0
+        yield tuple(sorted(base)), 1.0
         return
     options = [
         [(i, order, weight) for order, weight in _linearization_ref(a_orders[i], b_orders[i])]
@@ -670,13 +675,14 @@ def _monomial_product(a, b):
             coeff *= weight
             if order:
                 pairs.append((i, order))
-        yield MultiIndex(pairs), coeff
+        yield tuple(sorted(pairs)), coeff
 
 
 def _accumulated(dim, pairs):
     acc = {}
     for idx, c in pairs:
-        acc[idx] = acc.get(idx, 0.0) + c
+        key = packed(idx)
+        acc[key] = acc.get(key, 0.0) + c
     return ChaosPoly(dim, acc)
 
 
@@ -685,13 +691,13 @@ def _product_ref(p, q):
     for ia, ca in p.terms.items():
         for ib, cb in q.terms.items():
             scale = ca * cb
-            pairs += [(idx, scale * w) for idx, w in _monomial_product(ia, ib)]
+            pairs += [(idx, scale * w) for idx, w in _monomial_product(ia.pairs, ib.pairs)]
     return _accumulated(p.dim, pairs)
 
 
 def _combine_ref(coeffs, polys):
     pairs = [
-        (idx, float(c) * pc)
+        (idx.pairs, float(c) * pc)
         for c, p in zip(coeffs, polys)
         if float(c) != 0.0
         for idx, pc in p.terms.items()
@@ -701,9 +707,9 @@ def _combine_ref(coeffs, polys):
 
 def _derivative_ref(p, i):
     pairs = [
-        (_shifted(idx, i, -1), _order(idx, i) * c)
+        (_shifted(idx.pairs, i, -1), _order(idx.pairs, i) * c)
         for idx, c in p.terms.items()
-        if _order(idx, i)
+        if _order(idx.pairs, i)
     ]
     return _accumulated(p.dim, pairs)
 
@@ -711,9 +717,9 @@ def _derivative_ref(p, i):
 def _coordinate_ref(p, i):
     pairs = []
     for idx, c in p.terms.items():
-        pairs.append((_shifted(idx, i, 1), c))
-        if _order(idx, i):
-            pairs.append((_shifted(idx, i, -1), _order(idx, i) * c))
+        pairs.append((_shifted(idx.pairs, i, 1), c))
+        if _order(idx.pairs, i):
+            pairs.append((_shifted(idx.pairs, i, -1), _order(idx.pairs, i) * c))
     return _accumulated(p.dim, pairs)
 
 
@@ -731,7 +737,7 @@ def _refine_ref(p, m):
         for i, k in idx.pairs:
             if i not in tables:
                 z = ChaosPoly(
-                    new_dim, {MultiIndex({(i - 1) * m + j: 1}): 1.0 / math.sqrt(m) for j in range(1, m + 1)}
+                    new_dim, {packed({(i - 1) * m + j: 1}): 1.0 / math.sqrt(m) for j in range(1, m + 1)}
                 )
                 tables[i] = [one, z]
             table = tables[i]
@@ -739,12 +745,12 @@ def _refine_ref(p, m):
             for j in range(len(table) - 1, k):
                 table.append(_combine_ref([1.0, -float(j)], [_product_ref(z, table[j]), table[j - 1]]))
             piece = _product_ref(piece, table[k])
-        pairs += [(pidx, c * pc) for pidx, pc in piece.terms.items()]
+        pairs += [(pidx.pairs, c * pc) for pidx, pc in piece.terms.items()]
     return _accumulated(new_dim, pairs)
 
 
 def _same_terms(got, want):
-    return got.dim == want.dim and list(got.terms.items()) == list(want.terms.items())
+    return got.dim == want.dim and list(got.packed_terms.items()) == list(want.packed_terms.items())
 
 
 def test_streaming_kernels_match_accumulating_references():
@@ -776,16 +782,16 @@ def test_refine_keeps_the_roundoff_term_of_the_lowering_steps():
     # exact arithmetic; the recurrence's lowering terms leave this much
     # roundoff, above the pruning cutoff, and refinement keeps it bit for bit
     r = refine(ChaosPoly.hermite(1, 1, 8), 3)
-    key = _pack([(1, 2), (2, 2), (3, 2)])
+    key = packed([(1, 2), (2, 2), (3, 2)])
     assert r.packed_terms[key].hex() == (1.0658141036401503e-14).hex()
     assert [k for k, c in r.packed_terms.items() if len(k) < 8 and abs(c) < 1e-6] == [key]
 
 
 def test_gate_checks_keys_that_cancel_to_zero():
-    out_of_dim = MultiIndex({3: 1})
+    out_of_dim = b"\x03"
     with pytest.raises(DimensionMismatch):
         ChaosPoly(2, [(out_of_dim, 1.0), (out_of_dim, -1.0)])
-    over_cap = MultiIndex({1: DEGREE_CAP + 1})
+    over_cap = packed({1: DEGREE_CAP + 1})
     with pytest.raises(DegreeCapExceeded):
         ChaosPoly(1, [(over_cap, 0.5), (over_cap, -0.5)])
     h5 = ChaosPoly.hermite(1, 1, 5)
@@ -795,7 +801,7 @@ def test_gate_checks_keys_that_cancel_to_zero():
 
 def test_gate_prefers_the_cap_error_over_non_finite():
     with pytest.raises(DegreeCapExceeded):
-        ChaosPoly(1, {MultiIndex({1: DEGREE_CAP + 1}): math.nan})
+        ChaosPoly(1, {packed({1: DEGREE_CAP + 1}): math.nan})
     huge = ChaosPoly.hermite(1, 1, 5, 1e200)
     with pytest.raises(DegreeCapExceeded):
         hermite_product(huge, huge)
@@ -820,9 +826,18 @@ def test_gate_reads_any_object_with_items():
         def items(self):
             return self.data.items()
 
-    assert MultiIndex(Pairs({2: 1, 1: 3})) == MultiIndex({1: 3, 2: 1})
-    p = ChaosPoly(2, Pairs({MultiIndex({1: 1}): 2.0, (): 1.0}))
-    assert p == ChaosPoly(2, {MultiIndex({1: 1}): 2.0, MultiIndex(): 1.0})
+    p = ChaosPoly(2, Pairs({b"\x01": 2.0, b"": 1.0}))
+    assert list(p.packed_terms.items()) == [(b"\x01", 2.0), (b"", 1.0)]
+
+
+@pytest.mark.parametrize(
+    "key", [(1, 1, 3), MultiIndex(b"\x01\x01\x03"), "\x01\x01\x03"], ids=["tuple", "multiindex", "str"]
+)
+def test_gate_refuses_keys_that_are_not_bytes(key):
+    # also where the key's coefficients cancel, and beside a valid key
+    for terms in ({key: 1.0}, [(b"\x01", 1.0), (key, 0.5), (key, -0.5)]):
+        with pytest.raises(AlgebraError, match="is not a packed bytes key"):
+            ChaosPoly(4, terms)
 
 
 # ------------------------------------------------------------- packed keys
@@ -835,50 +850,64 @@ _OCCURRENCES = st.lists(
 
 
 def _index(occurrences):
-    return MultiIndex(Counter(occurrences))
+    """``(coordinate, order)`` pairs of a multiset of coordinate occurrences."""
+    return tuple(sorted(Counter(occurrences).items()))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(a=_OCCURRENCES, b=_OCCURRENCES, coord=st.integers(1, DIM_CAP))
 def test_packed_key_matches_multiindex(a, b, coord):
     ia, ib = _index(a), _index(b)
-    key = _pack(ia.pairs)
-    assert key == bytes(sorted(a))
-    assert MultiIndex(_pairs_of(key)) == ia
-    assert len(key) == ia.total_degree
-    assert (key[-1] if key else 0) == ia.max_coordinate
-    assert _factorial(key) == ia.factorial
+    key = _pack(ia)
+    assert key == bytes(sorted(a)) == packed(ia)
+    assert tuple(_pairs_of(key)) == ia == MultiIndex(key).pairs
+    assert len(key) == len(a) == MultiIndex(key).total_degree
+    assert (key[-1] if key else 0) == max(a, default=0)
+    assert _factorial(key) == math.prod(math.factorial(k) for _, k in ia) == MultiIndex(key).factorial
     assert key.count(coord) == _order(ia, coord)
     digit = bytes((coord,))
     at = len([c for c in key if c <= coord])
-    assert key[:at] + digit + key[at:] == _pack(_shifted(ia, coord, 1).pairs)
+    assert key[:at] + digit + key[at:] == packed(_shifted(ia, coord, 1))
     if _order(ia, coord):
-        assert key.replace(digit, b"", 1) == _pack(_shifted(ia, coord, -1).pairs)
-    assert _top_order_above_one(key) == bool(ia.pairs and ia.pairs[-1][1] > 1)
+        assert key.replace(digit, b"", 1) == packed(_shifted(ia, coord, -1))
+    assert _top_order_above_one(key) == bool(ia and ia[-1][1] > 1)
     # the monomial product, pair by pair, in the reference's order and bits
-    got = list(_product_terms({key: 1.0}, {_pack(ib.pairs): 1.0}))
-    want = [(_pack(idx.pairs), w) for idx, w in _monomial_product(ia, ib)]
+    got = list(_product_terms({key: 1.0}, {packed(ib): 1.0}))
+    want = [(packed(idx), w) for idx, w in _monomial_product(ia, ib)]
     assert got == want
-    # the store keeps arrival order; the text form sorts by sort_key
+    # the store keeps arrival order; the text form sorts by _text_rank
     if max(len(a), len(b)) > DEGREE_CAP:
         with pytest.raises(DegreeCapExceeded):
-            ChaosPoly(DIM_CAP, [(ia, 1.0), (ib, 2.0)])
+            ChaosPoly(DIM_CAP, [(packed(ia), 1.0), (packed(ib), 2.0)])
         return
-    p = ChaosPoly(DIM_CAP, [(ia, 1.0), (ib, 2.0)])
+    p = ChaosPoly(DIM_CAP, [(packed(ia), 1.0), (packed(ib), 2.0)])
     stored = [ia] if ia == ib else [ia, ib]
-    assert list(p.terms) == stored
-    assert [idx for idx, _ in p.sorted_terms()] == sorted(stored, key=MultiIndex.sort_key)
+    assert [idx.pairs for idx in p.terms] == stored
+    text = [line.split()[1:] for line in p.to_text().splitlines()]
+    assert text == [[f"{i}:{k}" for i, k in idx] for idx in sorted(stored, key=_text_rank)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.integers(1, 4), st.integers(1, DIM_CAP)), max_size=DEGREE_CAP)))
+def test_text_order_is_degree_then_coordinates_then_orders(indices):
+    # a pair whose bytes order is the reverse of its text order, then any keys
+    indices = [[1, 2, 2], [1, 1, 3]] + indices
+    p = ChaosPoly(DIM_CAP, [(bytes(sorted(occ)), 0.5 + j) for j, occ in enumerate(indices)])
+    ranked = sorted({_index(occ) for occ in indices}, key=_text_rank)
+    coeffs = [p.packed_terms[packed(idx)] for idx in ranked]
+    want = [" ".join([repr(c)] + [f"{i}:{k}" for i, k in idx]) for c, idx in zip(coeffs, ranked)]
+    assert p.to_text().splitlines() == want
+    body = ", ".join(f"{dict(idx)!r}: {c!r}" for c, idx in zip(coeffs, ranked))
+    assert repr(p) == f"ChaosPoly(dim={DIM_CAP}, {{{body}}})"
+    assert ranked.index(((1, 2), (3, 1))) > ranked.index(((1, 1), (2, 2)))
 
 
 @pytest.mark.parametrize(
     "build, coord",
     [
-        (lambda: ChaosPoly(4, {MultiIndex({300: 1}): 1.0}), 300),
-        (lambda: ChaosPoly(4, {MultiIndex({1: 1, 129: 2}): 1.0}), 129),
-        (lambda: ChaosPoly(4, [(((255, 1),), 1.0)]), 255),
-        (lambda: ChaosPoly(4, {((256, 1), (2, 1)): 1.0}), 256),
-        (lambda: ChaosPoly(4, [(MultiIndex([(200, 1)]), 1.0)]), 200),
-        (lambda: ChaosPoly(4, [(MultiIndex([(1, 1), (300, 2)]), 0.5)]), 300),
+        (lambda: ChaosPoly(4, {bytes((1, 129, 129)): 1.0}), 129),
+        (lambda: ChaosPoly(4, [(bytes((255,)), 1.0)]), 255),
+        (lambda: ChaosPoly(4, [(bytes((2, 200)), 0.5)]), 200),
     ],
 )
 def test_coordinates_past_the_byte_range_raise_dimension_mismatch(build, coord):
@@ -909,12 +938,11 @@ def test_degree_cap_error_carries_the_summed_degree():
     assert err.value.degree == DEGREE_CAP + 1
 
 
-@pytest.mark.parametrize("build", ["h8", "h3h3"])
-def test_reconstruct_builds_no_multiindex(monkeypatch, build):
-    if build == "h8":
-        v = VField((ChaosPoly.hermite(1, 1, 8),))
-    else:
-        v = VField((hermite_product(ChaosPoly.hermite(2, 1, 3), ChaosPoly.hermite(2, 2, 3)),))
+REPRESENT_3 = ["represent", "--functional", "[h3(x1)*h3(x2) + x1, h2(x2)*x1 - 0.5*x2, h4(x3)]"]
+
+
+@pytest.mark.parametrize("build", ["h8", "h3h3", "commands"])
+def test_reconstruct_builds_no_multiindex(monkeypatch, tmp_path, capsys, build):
     calls = []
     init = MultiIndex.__init__
 
@@ -923,8 +951,18 @@ def test_reconstruct_builds_no_multiindex(monkeypatch, build):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MultiIndex, "__init__", counting)
-    clark.reconstruct(v)
-    clark.refine_and_reconstruct(v, [1, 2, 4, 8])
+    if build == "commands":
+        # verify, and a represent report whose to_text lines need sorting
+        assert cli.main(["verify", "--output", str(tmp_path / "verify.json")]) == 0
+        assert cli.main(REPRESENT_3 + ["--n", "3", "--output", str(tmp_path / "rep")]) == 0
+        capsys.readouterr()
+    else:
+        if build == "h8":
+            v = VField((ChaosPoly.hermite(1, 1, 8),))
+        else:
+            v = VField((hermite_product(ChaosPoly.hermite(2, 1, 3), ChaosPoly.hermite(2, 2, 3)),))
+        clark.reconstruct(v)
+        clark.refine_and_reconstruct(v, [1, 2, 4, 8])
     assert len(calls) == 0
-    MultiIndex({1: 1})  # the wrapper is live, so the zero above is a real count
+    MultiIndex(b"\x01")  # the wrapper is live, so the zero above is a real count
     assert len(calls) == 1

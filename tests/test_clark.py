@@ -4,10 +4,9 @@ import math
 
 import pytest
 
-from helpers import make_rng
+from helpers import make_rng, split_integrand
 from wienerlab.chaos import (
     ChaosPoly,
-    MultiIndex,
     hermite_product,
     ou_apply,
     ou_inverse,
@@ -25,7 +24,6 @@ from wienerlab.clark import (
 )
 from wienerlab.cli import clark_block
 from wienerlab.malliavin import (
-    HField,
     VField,
     divergence_h,
     gradient_scalar,
@@ -60,23 +58,6 @@ def bad_mass(v: VField) -> float:
     return math.sqrt(total)
 
 
-def split_integrand(p: ChaosPoly) -> HField:
-    """Independent construction of the adapted integrand for representable p.
-
-    Each monomial with top coordinate j at order 1 is the stage-j integral
-    of the same monomial with that factor removed, placed in coordinate j.
-    """
-    rows = [ChaosPoly.zero(p.dim) for _ in range(p.dim)]
-    for idx, c in p.terms.items():
-        if not idx.pairs:
-            continue
-        j, order = idx.pairs[-1]
-        assert order == 1
-        lowered = MultiIndex(idx.pairs[:-1])
-        rows[j - 1] = rows[j - 1] + ChaosPoly(p.dim, {lowered: c})
-    return HField(tuple(rows))
-
-
 # ----------------------------------------------------------- reconstruction
 
 
@@ -86,7 +67,7 @@ def test_clark_integrand_equals_projected_gradient_term_by_term():
     fields = []
     for n in (1, 2, 3, 4):
         fields.append(random_representable_vfield(rng, n, 2, 3))
-        fields.append(random_vfield(rng, n, 2, 3, n_terms=5))
+        fields.append(VField(tuple(random_poly(rng, n, 3, 5) for _ in range(2))))
     # components with a constant term, representable or not
     fields.append(VField((hermite_product(eta(1, 2), eta(2, 2)) + ChaosPoly.constant(2, -0.75),
                           he(2, 2, 2) + eta(1, 2) + ChaosPoly.constant(2, 1.5))))

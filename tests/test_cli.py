@@ -3,8 +3,12 @@ import math
 
 import pytest
 
+import wienerlab.cli
 import wienerlab.suites
-from wienerlab.cli import build_parser, main
+from wienerlab.chaos import refine
+from wienerlab.cli import REFINE_TERM_BUDGET, _refined_term_count, build_parser, main
+from wienerlab.dsl import lower, parse_functional
+from wienerlab.malliavin import VField
 from wienerlab.space import Check
 
 
@@ -290,6 +294,41 @@ def test_represent_refinement_past_dimension_cap_exits_two(tmp_path, monkeypatch
     )
     assert out == ""
     assert_input_error(code, err, tmp_path, "dimension cap")
+
+
+def test_represent_refinement_past_the_term_budget_exits_two(tmp_path, monkeypatch, capsys):
+    # h4(x1)*h4(x2) --n 2 --refine 32 would build C(35, 4)**2 terms
+    v = VField((lower(parse_functional("h4(x1)*h4(x2)"), 2),))
+    assert _refined_term_count(v, 32) == 2741569600 > REFINE_TERM_BUDGET == 2_000_000
+    # a lowered budget keeps a failing check small: 108900 terms at m = 8
+    monkeypatch.setattr(wienerlab.cli, "REFINE_TERM_BUDGET", 100_000)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        ["represent", "--n", "2", "--functional", "h4(x1)*h4(x2)", "--refine", "1,8"], capsys
+    )
+    assert out == ""
+    assert_input_error(code, err, tmp_path, "refinement by 8 would build 108900 terms")
+    assert "over the budget of 100000 terms" in err
+    # a factor past the dimension cap still gets the dimension-cap error
+    code, out, err = run(
+        ["represent", "--n", "4", "--functional", "h4(x1)*h4(x2)", "--refine", "64"], capsys
+    )
+    assert out == ""
+    assert_input_error(code, err, tmp_path, "dimension cap")
+
+
+@pytest.mark.parametrize(
+    "text, n, m, count",
+    [("h4(x1)*h4(x2)", 2, 4, 1225), ("h4(x1)*h4(x2)", 2, 8, 108900), ("h8(x1)", 1, 3, 45),
+     ("[h3(x1)*h3(x2) + x1, h2(x2)*x1 - 0.5*x2, h4(x3)]", 3, 4, 400 + 4 + 40 + 4 + 35)],
+)
+def test_refined_term_count_matches_refine_apart_from_roundoff(text, n, m, count):
+    v = lower(parse_functional(text), n)
+    v = v if isinstance(v, VField) else VField((v,))
+    assert _refined_term_count(v, m) == count
+    refined = [refine(p, m) for p in v.components]
+    # h8(x1) at m = 3 also keeps one roundoff term of about 1e-14
+    assert sum(abs(c) > 1e-9 for p in refined for c in p.packed_terms.values()) == count
 
 
 def test_represent_unwritable_output_exits_two(tmp_path, monkeypatch, capsys):

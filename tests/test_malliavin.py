@@ -40,6 +40,7 @@ from wienerlab.malliavin import (
 from wienerlab.randgen import (
     random_hfield,
     random_operator,
+    random_poly,
     random_predictable_field,
     random_skew_matrix,
     random_vfield,
@@ -174,9 +175,9 @@ def test_divergence_of_predictable_fields_is_bit_identical_to_the_sum_form():
     rng = make_rng(331)
     for n in (1, 2, 3, 5):
         for _ in range(10):
-            u = random_predictable_field(rng, n, 3, n_terms=3)
+            u = random_predictable_field(rng, n, 3)
             assert _stored(divergence_h(u)) == _stored(_divergence_ref(u))
-        K = clark_integrand(random_vfield(rng, n, 2, 4, n_terms=6))
+        K = clark_integrand(VField(tuple(random_poly(rng, n, 4, 6) for _ in range(2))))
         for row in K.rows:
             assert _stored(divergence_h(row)) == _stored(_divergence_ref(row))
 
@@ -185,7 +186,8 @@ def test_divergence_matches_the_sum_form_to_roundoff_on_general_fields():
     rng = make_rng(332)
     differing = 0
     for _ in range(300):
-        u = random_hfield(rng, int(rng.integers(1, 4)), 4, n_terms=5)
+        n = int(rng.integers(1, 4))
+        u = HField(tuple(random_poly(rng, n, 4, 5) for _ in range(n)))
         got, want = divergence_h(u).packed_terms, _divergence_ref(u).packed_terms
         scale = max((abs(c) for ui in u.coords for c in ui.packed_terms.values()), default=0.0)
         gap = max((abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in got.keys() | want.keys()), default=0.0)
@@ -439,7 +441,10 @@ def test_field_arithmetic_rejects_mismatched_shapes(kind, op):
 
 
 def test_operator_energy_sums_row_energies_exactly():
-    K = random_operator(make_rng(0), 3, 3, 3, n_terms=4)
+    rng = make_rng(0)
+    K = OperatorField(
+        tuple(HField(tuple(random_poly(rng, 3, 3, 4) for _ in range(3))) for _ in range(3))
+    )
     assert K.energy() == sum(row.energy() for row in K.rows)
     # this seed tells the row-by-row order apart from one flat sum over entries
     flat = sum(l2_inner(p, p) for row in K.rows for p in row.coords)

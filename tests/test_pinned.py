@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from helpers import packed
 from wienerlab import dsl
 from wienerlab.chaos import ChaosPoly, DegreeCapExceeded, hermite_product, refine
 from wienerlab.clark import reconstruct, refine_and_reconstruct
@@ -21,6 +22,11 @@ from wienerlab.malliavin import VField, gradient_vector
 def _digest(polys) -> str:
     text = repr([(p.dim, p.to_text(), [idx.pairs for idx in p.terms]) for p in polys])
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _poly(dim: int, terms: dict) -> ChaosPoly:
+    """``ChaosPoly`` of ``(coordinate, order)`` pair tuples, packed in order."""
+    return ChaosPoly(dim, [(packed(pairs), c) for pairs, c in terms.items()])
 
 
 def _vfield(text: str, n: int) -> VField:
@@ -87,8 +93,8 @@ def test_refine_bits_and_order_pinned():
 
 
 def test_degree8_product_bits_and_order_pinned():
-    p = ChaosPoly(3, {((1, 2), (2, 2)): 1.0, ((2, 2), (3, 1)): 0.5, ((1, 1),): -1.25, (): 0.3})
-    q = ChaosPoly(
+    p = _poly(3, {((1, 2), (2, 2)): 1.0, ((2, 2), (3, 1)): 0.5, ((1, 1),): -1.25, (): 0.3})
+    q = _poly(
         3,
         {
             ((1, 3), (3, 1)): 1.0,
@@ -101,8 +107,8 @@ def test_degree8_product_bits_and_order_pinned():
     assert max(idx.total_degree for idx in out.terms) == 8
     assert _digest([out]) == PINNED_PRODUCT_DEGREE8
     # past the cap the product raises instead of storing degree-12 terms
-    p6 = ChaosPoly(3, {((1, 3), (2, 3)): 1.0, ((2, 2), (3, 1)): 0.5})
-    q6 = ChaosPoly(3, {((1, 4), (3, 2)): 1.0, ((2, 3),): 0.75})
+    p6 = _poly(3, {((1, 3), (2, 3)): 1.0, ((2, 2), (3, 1)): 0.5})
+    q6 = _poly(3, {((1, 4), (3, 2)): 1.0, ((2, 3),): 0.75})
     with pytest.raises(DegreeCapExceeded) as err:
         hermite_product(p6, q6)
     assert err.value.degree == 12
