@@ -11,10 +11,11 @@ given with its default and converts a given one with the setting's
 converter, which raises :class:`UsageError` (argparse passes it through
 unwrapped), so a bad value exits 2 before any command runs.  The one check
 that spans two settings, the ``rotate`` block budget, runs first thing in
-that command; the ``represent`` term budget runs once the functional is
-read, before anything is refined.  ``--n`` lies in ``[1, DIM_CAP]``, and
-``represent`` reads ``--functional @path`` from the file ``path`` and takes
-any other value as the expression itself.
+that command; the ``represent`` dimension cap and term budget run for
+every refinement factor once the functional is read, before anything is
+refined.  ``--n`` lies in ``[1, DIM_CAP]``, and ``represent`` reads
+``--functional @path`` from the file ``path`` and takes any other value as
+the expression itself.
 
 The report shapes are built here: ``represent`` writes its ``clark``
 block from the values ``reconstruct`` returns, ``rotate`` one row per
@@ -77,8 +78,8 @@ ROTATE_BLOCK_BUDGET = 256 * 2**20
 #: coordinates, C(m + k - 1, k) of them, so the refined components hold
 #: sum over terms of prod_i C(m + k_i - 1, k_i) terms, apart from roundoff
 #: terms.  At about 480 B per term (measured on ``h8(x1)`` at m = 16) this is
-#: about 1 GB; a request past it at its largest factor inside the dimension
-#: cap exits 2 before anything is refined.
+#: about 1 GB; a request past it at its largest factor exits 2 before
+#: anything is refined.
 REFINE_TERM_BUDGET = 2_000_000
 
 
@@ -249,8 +250,14 @@ def _cmd_represent(args) -> int:
         # overflow, the dimension cap, a refinement past it: input errors
         lowered = lower(tree, args.n)
         v = lowered if isinstance(lowered, VField) else VField((lowered,))
-        # a factor past the dimension cap is left to refine's own error
-        top = max((m for m in args.refine if args.n * m <= DIM_CAP), default=1)
+        # the first factor past the dimension cap fails in refine's words,
+        # before anything is refined
+        for m in args.refine:
+            if args.n * m > DIM_CAP:
+                raise AlgebraError(
+                    f"refined dimension {args.n * m} exceeds the dimension cap {DIM_CAP}"
+                )
+        top = max(args.refine)
         count = _refined_term_count(v, top)
         if count > REFINE_TERM_BUDGET:
             raise UsageError(

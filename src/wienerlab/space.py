@@ -34,9 +34,9 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import stats as _scipy_stats
 from scipy.special import ndtr as _ndtr
 
+from ._kstwo import ks_critical
 from .chaos import ChaosPoly, DimensionMismatch, HermiteColumns, evaluate_batch
 
 #: Rows per Philox substream; fixed so that parallel == serial.
@@ -185,13 +185,16 @@ def ks_normal(samples: np.ndarray) -> Check:
     Computes only the two-sided statistic D = max(D+, D-) of the sorted
     samples, with the same expressions as ``scipy.stats.kstest(x, "norm")``
     so D is bit-identical to its ``statistic``; no p-value is computed.
-    The critical value is ``scipy.stats.kstwo.ppf(0.99, N)``.  A NaN sample
-    makes D NaN, which fails the check.
+    The critical value, the 0.99 quantile of the exact distribution of D
+    for N samples, comes from ``_kstwo.ks_critical(N)``, an in-package port
+    of SciPy's that returns the bits of ``scipy.stats.kstwo.ppf(0.99, N)``
+    without loading ``scipy.stats``.  A NaN sample makes D NaN, which fails
+    the check.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     cdf = _ndtr(x)
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
-    critical = _scipy_stats.kstwo.ppf(0.99, n)
+    critical = ks_critical(n)
     return check("ks", np.maximum(d_plus, d_minus), critical)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import wienerlab.clark
 import wienerlab.cli
 import wienerlab.suites
 from wienerlab.chaos import refine
@@ -315,6 +316,25 @@ def test_represent_refinement_past_the_term_budget_exits_two(tmp_path, monkeypat
     )
     assert out == ""
     assert_input_error(code, err, tmp_path, "dimension cap")
+
+
+def test_represent_checks_every_factor_against_the_dimension_cap_first(
+    tmp_path, monkeypatch, capsys
+):
+    # h8(x1) at m = 16 is 490,314 terms; m = 64 at n = 4 is past the cap, so
+    # the run must exit 2 before refining anything (the stub keeps a broken
+    # check fast)
+    calls = []
+    monkeypatch.setattr(wienerlab.clark, "refine", lambda p, m: calls.append(m) or p)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        ["represent", "--n", "4", "--functional", "h8(x1)", "--refine", "16,64"], capsys
+    )
+    assert out == ""
+    assert_input_error(
+        code, err, tmp_path, "refined dimension 256 exceeds the dimension cap 128"
+    )
+    assert calls == []
 
 
 @pytest.mark.parametrize(

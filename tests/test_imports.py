@@ -1,8 +1,12 @@
 """Source hygiene: every name a module imports is read somewhere in it (package,
-tests and benchmark harness alike), and the package exports each public name
-it binds exactly once."""
+tests and benchmark harness alike), the package exports each public name
+it binds exactly once, and neither importing it nor running its commands
+loads ``scipy.stats`` or ``scipy.optimize``."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -63,3 +67,29 @@ def test_package_exports_every_public_binding_once():
     }
     assert set(exported) == public | {"__version__"}
     assert {"ChaosPoly", "hermite_product", "reconstruct", "run_suites"} <= public
+
+
+def test_import_and_commands_load_neither_scipy_stats_nor_optimize(tmp_path):
+    # a fresh interpreter: importing the package, then a verify and a small
+    # rotate (both reach the KS critical value), loads neither module
+    script = """
+import sys
+import wienerlab
+from wienerlab.cli import main
+heavy = ("scipy.stats", "scipy.optimize")
+print(*[m for m in heavy if m in sys.modules])
+assert main(["verify"]) == 0
+assert main(["rotate", "--n", "3", "--n-samples", "57", "--construction", "sign"]) == 0
+print(*[m for m in heavy if m in sys.modules])
+"""
+    path = os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("", "")

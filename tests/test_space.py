@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from wienerlab._kstwo import ks_critical
 from wienerlab.chaos import ChaosPoly, _pairs_of, evaluate_batch, expectation
+from wienerlab.cli import ROTATE_BLOCK_BUDGET
 from wienerlab.space import (
     BLOCK_ROWS,
     Check,
@@ -179,6 +181,16 @@ def test_ks_statistic_is_scipys_at_battery_size():
         ks = ks_normal(x)
         assert ks.statistic == stats.kstest(x, "norm").statistic
         assert ks.threshold == stats.kstwo.ppf(0.99, x.size)
+    # the critical value has scipy's type and bits at every N of the exact
+    # small-n branches (n <= 140) and beyond, and at log-spaced N up to the
+    # most samples rotate takes (2**25 at n = 1)
+    top = ROTATE_BLOCK_BUDGET // 8
+    sizes = [*range(1, 301), *np.unique(np.geomspace(301, top, 300).round().astype(int)).tolist()]
+    assert sizes[-1] == top == 2**25
+    for n, want in zip(sizes, stats.kstwo.ppf(0.99, sizes)):
+        got = ks_critical(n)
+        assert type(got) is type(want) is np.float64
+        assert got.tobytes() == want.tobytes(), n
 
 
 def test_ks_nan_sample_fails():
