@@ -37,13 +37,14 @@ one ``i`` into the key and, when ``i`` occurs, also remove one with weight
 the same order and with the same floats.
 
 Two kernels build a table once and read it many times.  :func:`refine`
-builds the Hermite expansions of one block average per call and relabels
-them for every block.  :func:`evaluate_batch` reads the columns
-``He_k(eta_i)`` from a :class:`HermiteColumns`: a ``space.SampleBatch``
-owns one for its draws, and a call on a plain array builds its own and drops
-it.  Neither table outlives its call or its batch, and both give the bits
-of the unshared computation, because each float is formed by the same
-operations in the same order.
+builds the Hermite expansions of one block average per call, from their
+closed form ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha! u^alpha
+He_alpha(eta)`` for a unit vector ``u``, and relabels them for every block.
+:func:`evaluate_batch` reads the columns ``He_k(eta_i)`` from a
+:class:`HermiteColumns`: a ``space.SampleBatch`` owns one for its draws, and
+a call on a plain array builds its own and drops it.  Neither table outlives
+its call or its batch, and both give the bits of the unshared computation,
+because each float is formed by the same operations in the same order.
 
 Every operation passes its ``(key, coefficient)`` pairs to the
 :class:`ChaosPoly` constructor, whose one term gate sums them, checks that
@@ -63,6 +64,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import combinations_with_replacement as _multisets
 from itertools import product as _cartesian
 from types import MappingProxyType
 from typing import Iterable, Sequence
@@ -565,27 +567,26 @@ def ou_inverse(p: ChaosPoly) -> ChaosPoly:
     return ChaosPoly(p.dim, {key: c / len(key) for key, c in p._terms.items() if key})
 
 
-def _block_average_tables(m: int, top: int) -> list[dict[bytes, float]]:
-    """Term stores of ``He_0 .. He_top`` of ``(eta_1 + ... + eta_m) / sqrt(m)``.
+def _block_average_table(m: int, k: int) -> dict[bytes, float]:
+    """Term store of ``He_k`` of ``(eta_1 + ... + eta_m) / sqrt(m)``, in closed form.
 
-    ``He_{j+1} = z He_j - j He_{j-1}`` sums the pairs of ``z He_j`` in
-    arrival order, then those of ``-j He_{j-1}``, and passes the sums once
-    through the finiteness check and pruning of the term gate.  No key can
-    leave the block or pass the degree cap, so those checks are skipped.
+    For a unit vector ``u``, ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha!
+    u^alpha He_alpha(eta)`` (Nualart, *The Malliavin Calculus and Related
+    Topics*, 2006, section 1.1).  Every ``u_j`` is ``1/sqrt(m)``, so the table
+    holds one key per multiset of ``k`` digits from ``1 .. m``, in
+    ``combinations_with_replacement`` order, with coefficient the exact
+    integer ``k!/alpha!`` divided by ``m**(k/2)``.  That denominator is the
+    exact integer ``m**(k//2)``, times ``math.sqrt(m)`` when ``k`` is odd, and
+    every operation is correctly rounded, so the bits are the same on every
+    IEEE platform.  A coefficient is correctly rounded for even ``k``; for
+    odd ``k`` its three roundings keep it within 3 ulp (at most 1.2 ulp for
+    m <= 16 and 1.55 ulp for m <= 128, against 50 digits).  Each one is
+    finite and at least ``m**(-k/2)``, so none needs the term gate.
     """
-    inv_root = 1.0 / math.sqrt(m)
-    digits = [bytes((j,)) for j in range(1, m + 1)]
-    tables = [{b"": 1.0}, dict.fromkeys(digits, inv_root)]
-    for j in range(1, top):
-        acc: dict[bytes, float] = {}
-        get = acc.get
-        for digit in digits:
-            for key, c in _coordinate_terms(digit, inv_root, tables[j]):
-                acc[key] = get(key, 0.0) + c
-        for key, c in tables[j - 1].items():
-            acc[key] = get(key, 0.0) + -j * c
-        tables.append(_finite_pruned(acc))
-    return tables[: top + 1]
+    root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
+    top = math.factorial(k)
+    keys = map(bytes, _multisets(range(1, m + 1), k))
+    return {key: top // _factorial(key) / root for key in keys}
 
 
 def refine(p: ChaosPoly, m: int) -> ChaosPoly:
@@ -597,18 +598,17 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     substitution preserves the law, grade, expectation, and every L2 inner
     product.  ``m = 1`` returns ``p`` itself.
 
-    Each call builds ``He_0 .. He_K`` of the average of fine coordinates
-    ``1 .. m`` once, by the three-term recurrence, where ``K`` is the largest
-    order any coordinate of ``p`` carries, and drops the tables when it
+    Each call builds ``He_k`` of the average of fine coordinates ``1 .. m``
+    in closed form (:func:`_block_average_table`) once for every order ``k``
+    that some coordinate of ``p`` carries, and drops the tables when it
     returns.  Block ``i`` reads them relabeled by ``bytes.translate``; the
-    shift is monotone, so every ``bisect`` position and insertion order, and
-    with them every float, is the one the block's own recurrence gives.  A
-    coarse monomial expands as the cartesian product of its blocks' tables
-    with coefficient ``((1.0 * c1) * c2) * ...``, and the sums pass the term
-    gate once.  Partial products are not pruned: one block's coefficient has
-    passed the gate, and under the degree cap a product over two or more
-    blocks is at least ``64**-4`` (about 6e-8) in every table of up to three
-    million terms, m = 2 .. 128, far above ``PRUNE_EPS``.
+    shift is monotone, so every key stays sorted and every float is the one
+    block ``i``'s own table holds.  A coarse monomial expands as the
+    cartesian product of its blocks' tables with coefficient
+    ``((1.0 * c1) * c2) * ...``, and the sums pass the term gate once.
+    Partial products are not pruned: a table coefficient of order ``k`` is
+    at least ``m**(-k/2)``, so under the degree cap a product over the
+    blocks is at least ``128**-4`` (about 4e-9), far above ``PRUNE_EPS``.
     """
     m = int(m)
     if m < 1:
@@ -621,20 +621,21 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     if m == 1:
         return p
 
-    orders = [_pairs_of(key) for key in p._terms]
-    base = _block_average_tables(m, max((k for pairs in orders for _, k in pairs), default=0))
+    tables: dict[int, dict[bytes, float]] = {}
     blocks: dict[tuple[int, int], list[tuple[bytes, float]]] = {}
 
     def block_terms(i: int, k: int) -> list[tuple[bytes, float]]:
         terms = blocks.get((i, k))
         if terms is None:
+            if k not in tables:
+                tables[k] = _block_average_table(m, k)
             shift = bytes.maketrans(bytes(range(1, m + 1)), bytes(range((i - 1) * m + 1, i * m + 1)))
-            terms = blocks[i, k] = [(key.translate(shift), c) for key, c in base[k].items()]
+            terms = blocks[i, k] = [(key.translate(shift), c) for key, c in tables[k].items()]
         return terms
 
-    def block_monomial(pairs) -> list[tuple[bytes, float]]:
+    def block_monomial(key: bytes) -> list[tuple[bytes, float]]:
         partial = [(b"", 1.0)]
-        for i, k in pairs:
+        for i, k in _pairs_of(key):
             partial = [(ka + kb, ca * cb) for ka, ca in partial for kb, cb in block_terms(i, k)]
         return partial
 
@@ -642,8 +643,8 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
         new_dim,
         (
             (pkey, c * pc)
-            for pairs, c in zip(orders, p._terms.values())
-            for pkey, pc in block_monomial(pairs)
+            for key, c in p._terms.items()
+            for pkey, pc in block_monomial(key)
         ),
     )
 

@@ -76,10 +76,9 @@ ROTATE_BLOCK_BUDGET = 256 * 2**20
 #: Most terms ``represent --refine`` may build.  ``refine`` spreads a coarse
 #: term's ``He_k(eta_i)`` over every degree-k monomial of block i's m fine
 #: coordinates, C(m + k - 1, k) of them, so the refined components hold
-#: sum over terms of prod_i C(m + k_i - 1, k_i) terms, apart from roundoff
-#: terms.  At about 480 B per term (measured on ``h8(x1)`` at m = 16) this is
-#: about 1 GB; a request past it at its largest factor exits 2 before
-#: anything is refined.
+#: sum over terms of prod_i C(m + k_i - 1, k_i) terms.  At about 480 B per
+#: term (measured on ``h8(x1)`` at m = 16) this is about 1 GB; a request
+#: past it at its largest factor exits 2 before anything is refined.
 REFINE_TERM_BUDGET = 2_000_000
 
 
@@ -235,7 +234,11 @@ def clark_block(v: VField, result: ClarkResult) -> dict:
 
 
 def _refined_term_count(v: VField, m: int) -> int:
-    """Terms ``refine`` builds from the components of v at factor m (see the budget)."""
+    """Terms ``refine`` builds from the components of v at factor m (see the budget).
+
+    Exact, unless a coarse coefficient times a block product falls to
+    ``PRUNE_EPS`` or below and the term gate drops it.
+    """
     return sum(
         math.prod(math.comb(m + k - 1, k) for _, k in _pairs_of(key))
         for p in v.components
@@ -413,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rot.add_argument(
         "--n-samples",
         dest="n_samples",
-        type=_integer("n_samples"),
+        type=_integer("n_samples", 2),
         default=200_000,
-        help="battery sample count",
+        help="battery sample count, at least 2",
     )
     p_rot.add_argument("--output", help="write a JSON report here")
     p_rot.set_defaults(fn=_cmd_rotate)

@@ -10,6 +10,7 @@ package against these.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product as cartesian
 
 import numpy as np
@@ -129,6 +130,38 @@ def refine_monomial_oracle(dim: int, i: int, k: int, m: int) -> ChaosPoly:
         key = packed((block[j], b) for j, b in enumerate(beta))
         terms[key] = terms.get(key, 0.0) + w
     return ChaosPoly(dim * m, terms)
+
+
+def _refined_top_mass(k: int, m: int) -> Fraction:
+    """``R(k, m) = k! (1 - k m**-k sum_{j<m} j**(k-1))``, with ``0**0 = 1``.
+
+    The squared norm left unrepresentable when ``He_k`` of the top coordinate
+    is refined into ``m`` cells: ``R(1, m) = 0`` and ``R(2, m) = 2/m``.
+    """
+    tail = sum(Fraction(j) ** (k - 1) for j in range(m))
+    return math.factorial(k) * (1 - k * tail / Fraction(m) ** k)
+
+
+def refinement_residual(v, m: int) -> float:
+    """Closed-form residual of ``reconstruct`` after refining ``v`` by ``m``.
+
+    Refinement maps coarse coordinate i to the unit-norm average of fine
+    block i, so distinct coarse monomials keep orthogonal fine expansions,
+    lower blocks keep their full mass and only the top block decides what is
+    representable.  For ``v = sum_alpha c_alpha He_alpha`` with top
+    coordinate ``t``, ``residual**2 = sum_alpha c_alpha**2 prod_{i<t}
+    alpha_i! R(alpha_t, m)`` over every component, summed in ``Fraction``s
+    from the stored coefficients.  Reads only the packed keys.
+    """
+    total = Fraction(0)
+    for p in v.components:
+        for key, c in p.packed_terms.items():
+            if not key:
+                continue
+            *lower, (_, top) = [(i, key.count(i)) for i in sorted(set(key))]
+            mass = Fraction(c) ** 2 * math.prod(math.factorial(k) for _, k in lower)
+            total += mass * _refined_top_mass(top, m)
+    return math.sqrt(total)
 
 
 def split_integrand(p: ChaosPoly) -> HField:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import product as cartesian
 
 import numpy as np
@@ -324,7 +325,7 @@ def test_degree_one_left_factor_matches_generic_linearization():
         ChaosPoly(5, {b"\x03": -0.6}),
         ChaosPoly(5, {b"": 1.5, b"\x03": 0.25}),
         ChaosPoly(5, {b"\x01": 0.3, b"": -2.0, b"\x03": 0.7, b"\x05": 1.9}),
-        # a block average, as refine builds it
+        # a sum over a block of coordinates
         ChaosPoly(5, {b"\x03": 0.5, b"\x04": 0.5, b"\x05": 0.5}),
     ]
     rng = make_rng(919)
@@ -753,6 +754,39 @@ def _same_terms(got, want):
     return got.dim == want.dim and list(got.packed_terms.items()) == list(want.packed_terms.items())
 
 
+#: The recurrence's block tables sit within 12 ulp of the exact coefficients
+#: and the closed-form ones within 1.2 ulp; a refined coefficient multiplies
+#: a few of them, so 32 units of 2**-52 bound the relative gap with room.
+RECURRENCE_RTOL = 32 * 2.0**-52
+
+#: The recurrence leaves terms that are zero in exact arithmetic, such as
+#: 1.07e-14 in He_8 of the average of three coordinates.
+RECURRENCE_ROUNDOFF = 1e-13
+
+
+def _matches_recurrence(p, m):
+    """``refine(p, m)`` against ``_refine_ref``, one coarse term at a time.
+
+    Distinct coarse monomials refine to disjoint fine keys, so ``refine(p,
+    m)`` is its coarse terms' refinements concatenated in stored order.  Each
+    of those holds the reference's keys in the reference's order, with
+    coefficients within ``RECURRENCE_RTOL``; the reference's other keys are
+    the recurrence's roundoff terms, none above ``RECURRENCE_ROUNDOFF``.
+    """
+    parts = []
+    for key, c in p.packed_terms.items():
+        term = ChaosPoly(p.dim, {key: c})
+        got, want = refine(term, m).packed_terms, _refine_ref(term, m).packed_terms
+        if [k for k in want if k in got] != list(got):
+            return False
+        if any(abs(w) > RECURRENCE_ROUNDOFF for k, w in want.items() if k not in got):
+            return False
+        if any(abs(g - want[k]) > RECURRENCE_RTOL * abs(want[k]) for k, g in got.items()):
+            return False
+        parts += got.items()
+    return _same_terms(refine(p, m), ChaosPoly(p.dim * m, parts)) and len(dict(parts)) == len(parts)
+
+
 def test_streaming_kernels_match_accumulating_references():
     rng = make_rng(4242)
     for _ in range(25):
@@ -766,25 +800,56 @@ def test_streaming_kernels_match_accumulating_references():
         assert _same_terms(linear_combine(coeffs, [p, q, r]), _combine_ref(coeffs, [p, q, r]))
         assert _same_terms(partial_derivative(p, i), _derivative_ref(p, i))
         assert _same_terms(multiply_by_coordinate(q, i), _coordinate_ref(q, i))
-        assert _same_terms(refine(q, 2), _refine_ref(q, 2))
+        assert _matches_recurrence(q, 2)
     p = random_poly(rng, 2, 3, n_terms=6)
-    assert _same_terms(refine(p, 3), _refine_ref(p, 3))
+    assert _matches_recurrence(p, 3)
     # per-coordinate orders up to the cap: every block reads one table, relabeled
     # (the reference takes seconds for mixed high orders at m = 8)
     for m, dim, degree in ((2, 3, DEGREE_CAP), (3, 3, DEGREE_CAP), (5, 2, DEGREE_CAP), (8, 2, 3)):
         top = ChaosPoly.hermite(dim, dim, DEGREE_CAP, float(rng.uniform(-2, 2)))
         p = linear_combine([1.0, 1.0], [top, random_poly(rng, dim, degree, n_terms=6)])
-        assert _same_terms(refine(p, m), _refine_ref(p, m))
+        assert _matches_recurrence(p, m)
 
 
-def test_refine_keeps_the_roundoff_term_of_the_lowering_steps():
-    # He_8 of the average of three coordinates carries no (2, 2, 2) term in
-    # exact arithmetic; the recurrence's lowering terms leave this much
-    # roundoff, above the pruning cutoff, and refinement keeps it bit for bit
+def test_refine_of_he8_over_three_cells_holds_only_its_45_degree_8_terms():
+    # He_8 of the average of three coordinates has one term per multiset of
+    # 8 digits from 1..3, C(10, 8) = 45, and no lower-degree term
     r = refine(ChaosPoly.hermite(1, 1, 8), 3)
-    key = packed([(1, 2), (2, 2), (3, 2)])
-    assert r.packed_terms[key].hex() == (1.0658141036401503e-14).hex()
-    assert [k for k, c in r.packed_terms.items() if len(k) < 8 and abs(c) < 1e-6] == [key]
+    assert len(r.packed_terms) == math.comb(10, 8) == 45
+    assert all(len(key) == 8 for key in r.packed_terms)
+
+
+def test_refined_hermite_tables_match_the_exact_closed_form():
+    # He_k(eta_1) refined by m is He_k of the block average: one term per
+    # multiset alpha of k digits from 1..m, with coefficient k!/alpha! *
+    # m**(-k/2), decided in exact rationals: even k is correctly rounded, odd
+    # k within 2 ulp
+    checked = 0
+    for m in range(1, 17):
+        for k in range(DEGREE_CAP + 1):
+            count = math.comb(m + k - 1, k)
+            if count > 50_000:
+                continue
+            terms = refine(ChaosPoly.hermite(1, 1, k), m).packed_terms
+            values = set()
+            for key, c in terms.items():
+                # a multiset of k digits from 1..m
+                assert len(key) == k and bytes(sorted(key)) == key
+                assert not key or (key[0] >= 1 and key[-1] <= m)
+                values.add((math.prod(map(math.factorial, Counter(key).values())), c))
+            # distinct multisets, as many as there are: every one of them
+            assert len(terms) == count
+            for alpha, c in values:
+                weight = Fraction(math.factorial(k), alpha)
+                if k % 2 == 0:
+                    assert c.hex() == float(weight / m ** (k // 2)).hex()
+                else:
+                    # c - 2 ulp <= weight / sqrt(m**k) <= c + 2 ulp, squared
+                    ulp = Fraction(math.ulp(c))
+                    lo, hi = Fraction(c) - 2 * ulp, Fraction(c) + 2 * ulp
+                    assert 0 < lo**2 * m**k <= weight**2 <= hi**2 * m**k
+            checked += count
+    assert checked > 300_000
 
 
 def test_gate_checks_keys_that_cancel_to_zero():
@@ -919,11 +984,12 @@ def test_refine_reaches_coordinate_128_unchanged():
     p = dsl.lower(dsl.parse_functional("x16*x15 + h2(x16) + 0.5*h3(x1)*x9 - 1.5*x8"), 16)
     r = refine(p, 8)
     assert r.dim == DIM_CAP and r.max_coordinate() == 128 and len(r.terms) == 1068
-    assert _same_terms(r, _refine_ref(p, 8))
-    # recorded from the implementation that keyed terms by MultiIndex
+    assert _matches_recurrence(p, 8)
+    # recorded from the closed-form block tables, once they passed the exact
+    # table oracle above
     text = repr([(r.dim, r.to_text(), [idx.pairs for idx in r.terms])])
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "2316a3ddaaaedbf345b9ec37f97ce7a30b4c5c16285911290fcc700b6d01bed3"
+    assert digest == "dbc316c8378a9351d8050c286e0af43dde5d475ae88b8de51f56ca59d71a480f"
 
 
 def test_degree_cap_error_carries_the_summed_degree():

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from helpers import make_rng, split_integrand
+from helpers import make_rng, refinement_residual, split_integrand
 from wienerlab.chaos import (
+    DEGREE_CAP,
     ChaosPoly,
     hermite_product,
     ou_apply,
@@ -227,6 +228,21 @@ def test_refinement_residual_matches_refined_oracle():
         refined = VField(tuple(refine(p, m) for p in v.components))
         res = reconstruct(refined)
         assert res.residual_l2 == pytest.approx(bad_mass(refined), rel=1e-10, abs=1e-12)
+
+
+def test_refinement_table_matches_the_closed_form_residual():
+    # an oracle that reads only the coarse coefficients: residual**2 =
+    # sum c**2 prod_{i<t} alpha_i! R(alpha_t, m), in exact rationals
+    for k in range(DEGREE_CAP + 1):
+        v = VField((he(k, 1, 1),))
+        for m, residual in refine_and_reconstruct(v, range(1, 9)):
+            assert abs(residual - refinement_residual(v, m)) <= 1e-12 * refinement_residual(v, m)
+    rng = make_rng(507)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        v = random_vfield(rng, n, 2, 5)
+        for m, residual in refine_and_reconstruct(v, [1, 2, 3, 4]):
+            assert abs(residual - refinement_residual(v, m)) <= 1e-12 * refinement_residual(v, m)
 
 
 # ---------------------------------------------------------- minimal energy

@@ -342,13 +342,12 @@ def test_represent_checks_every_factor_against_the_dimension_cap_first(
     [("h4(x1)*h4(x2)", 2, 4, 1225), ("h4(x1)*h4(x2)", 2, 8, 108900), ("h8(x1)", 1, 3, 45),
      ("[h3(x1)*h3(x2) + x1, h2(x2)*x1 - 0.5*x2, h4(x3)]", 3, 4, 400 + 4 + 40 + 4 + 35)],
 )
-def test_refined_term_count_matches_refine_apart_from_roundoff(text, n, m, count):
+def test_refined_term_count_matches_refine(text, n, m, count):
     v = lower(parse_functional(text), n)
     v = v if isinstance(v, VField) else VField((v,))
     assert _refined_term_count(v, m) == count
     refined = [refine(p, m) for p in v.components]
-    # h8(x1) at m = 3 also keeps one roundoff term of about 1e-14
-    assert sum(abs(c) > 1e-9 for p in refined for c in p.packed_terms.values()) == count
+    assert sum(len(p.packed_terms) for p in refined) == count
 
 
 def test_represent_unwritable_output_exits_two(tmp_path, monkeypatch, capsys):
@@ -388,6 +387,8 @@ def test_represent_failed_csv_leaves_no_json(tmp_path, monkeypatch, capsys):
         (["rotate", "--n", "129"], "n must be in [1, 128], got 129"),
         (["rotate", "--n", "200", "--construction", "zero"], "n must be in [1, 128], got 200"),
         (["represent", "--n", "129"], "n must be in [1, 128], got 129"),
+        # the batteries' variances and covariances need two samples
+        (["rotate", "--n-samples", "1"], "n_samples must be >= 2, got 1"),
     ],
     ids=[
         "seed_not_integer",
@@ -397,6 +398,7 @@ def test_represent_failed_csv_leaves_no_json(tmp_path, monkeypatch, capsys):
         "rotate_n_past_cap",
         "rotate_zero_n_past_cap",
         "represent_n_past_cap",
+        "rotate_one_sample",
     ],
 )
 def test_flag_values_are_checked(tmp_path, monkeypatch, capsys, argv, expected):
