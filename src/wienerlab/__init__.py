@@ -77,6 +77,7 @@ from .clark import (
     minimal_energy_integrand,
     reconstruct,
     refine_and_reconstruct,
+    refinement_residual,
     residual_mass_oracle,
 )
 from .rotations import (

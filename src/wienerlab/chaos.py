@@ -491,10 +491,11 @@ def norm_l2(p: ChaosPoly) -> float:
     return _root_of_squares(l2_inner(p, p), (p,))
 
 
-def _root_of_squares(square: float, polys: Iterable[ChaosPoly]) -> float:
-    """``sqrt(square)``, where ``square`` is the sum of ``E[p^2]`` over ``polys``.
+def _root_of_squares(square: float, polys: Iterable[ChaosPoly], weight=_factorial) -> float:
+    """``sqrt(square)``, where ``square`` is ``sum weight(key) * c**2`` over ``polys``' terms.
 
-    The plain sum of squares is used when it is finite and nonzero; when it
+    With the default weight ``alpha!`` that is the sum of ``E[p^2]``.  The
+    plain sum of squares is used when it is finite and nonzero; when it
     overflows (or underflows) the coefficients are first divided by the
     largest of them, as ``math.hypot`` does.
     """
@@ -504,7 +505,7 @@ def _root_of_squares(square: float, polys: Iterable[ChaosPoly]) -> float:
     if not terms:
         return 0.0
     big = max(abs(c) for _, c in terms)
-    return big * math.sqrt(sum(_factorial(key) * (c / big) ** 2 for key, c in terms))
+    return big * math.sqrt(sum(weight(key) * (c / big) ** 2 for key, c in terms))
 
 
 def partial_derivative(p: ChaosPoly, i: int) -> ChaosPoly:

@@ -12,7 +12,10 @@ top coordinate j has order 1 moves to entry (a, j) with that factor removed
 and the same coefficient, and every other monomial is dropped.  The dropped
 monomials are lost entirely, so the squared residual is their exact
 coefficient mass.  Grid refinement spreads that mass over finer cells and
-shrinks the residual.
+shrinks the residual; :func:`refinement_residual` gives the residual after
+refining by m in closed form from v's own terms, and
+:func:`refine_and_reconstruct` builds the refined functional and measures
+it, which cross-checks the two.
 
 Separately, any centered square-integrable scalar phi has the exact
 divergence representation with integrand
@@ -33,8 +36,12 @@ from dataclasses import dataclass
 
 from .adapted import PredictableHField, WeaklyAdaptedOperator
 from .chaos import (
+    DEGREE_CAP,
+    DIM_CAP,
+    AlgebraError,
     ChaosPoly,
     _factorial,
+    _root_of_squares,
     _top_order_above_one,
     chaos_projection,
     ou_inverse,
@@ -110,6 +117,44 @@ def residual_mass_oracle(v: VField) -> float:
             if _top_order_above_one(key):
                 total += _factorial(key) * c * c
     return math.sqrt(total)
+
+
+def refinement_residual(v: VField, m: int) -> float:
+    """Residual of ``reconstruct`` after ``refine`` by ``m``, without refining.
+
+    Refinement maps coordinate i to the unit-norm average of fine block i,
+    so distinct monomials keep orthogonal refinements, the blocks below a
+    monomial's top coordinate t keep their whole mass, and only block t
+    decides what is representable.  Of ``He_k`` spread over m cells, the
+    fine monomials whose last cell j carries order 1 hold the mass
+    ``k! k sum_{j<m} j**(k-1) / m**k`` (``0**0 = 1``), so for
+    ``v = sum_alpha c_alpha He_alpha`` with top order ``k = alpha_t``::
+
+        residual(m)**2 = sum_alpha alpha! c_alpha**2 (m**k - k S) / m**k,
+        S = sum_{j<m} j**(k-1)
+
+    with the exact integer ``S``.  One scan over v's packed keys adds the
+    terms with ``math.fsum`` and takes one square root, rescaled as in
+    ``chaos.norm_l2`` when the sum overflows.  ``m * residual**2`` tends to
+    ``sum alpha! c_alpha**2 k / 2`` over the terms with ``k >= 2``: the
+    discrete representation converges at rate ``1/m``.  Raises ``refine``'s
+    ``AlgebraError`` for ``m < 1`` or a refined dimension past ``DIM_CAP``.
+    """
+    if m < 1:
+        raise AlgebraError(f"refinement factor {m} is not >= 1")
+    if (dim := v.ambient_dim * m) > DIM_CAP:
+        raise AlgebraError(f"refined dimension {dim} exceeds the dimension cap {DIM_CAP}")
+    # m**k - k S by top order k; a constant (k = 0) is represented exactly
+    lost = [0] + [
+        m**k - k * sum(j ** (k - 1) for j in range(m)) for k in range(1, DEGREE_CAP + 1)
+    ]
+
+    def weight(key: bytes) -> float:
+        k = key.count(key[-1]) if key else 0
+        return _factorial(key) * lost[k] / m**k
+
+    terms = (weight(key) * c * c for p in v.components for key, c in p.packed_terms.items())
+    return _root_of_squares(math.fsum(terms), v.components, weight)
 
 
 def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:

@@ -9,13 +9,14 @@ its statistical batteries.  Timings come from the benchmark harness
 Each setting has one source, its flag.  argparse fills a flag that is not
 given with its default and converts a given one with the setting's
 converter, which raises :class:`UsageError` (argparse passes it through
-unwrapped), so a bad value exits 2 before any command runs.  The one check
-that spans two settings, the ``rotate`` block budget, runs first thing in
-that command; the ``represent`` dimension cap and term budget run for
-every refinement factor once the functional is read, before anything is
-refined.  ``--n`` lies in ``[1, DIM_CAP]``, and ``represent`` reads
-``--functional @path`` from the file ``path`` and takes any other value as
-the expression itself.
+unwrapped), so a bad value exits 2 before any command runs.  The checks
+that span two settings run first thing in their command: the ``rotate``
+block budget, and the ``represent`` dimension cap on ``n * m``, which
+``clark.refinement_residual`` raises at the first factor past it.
+``represent`` computes every refinement row from that closed form, once
+the functional is read, and never builds a refined polynomial.  ``--n``
+lies in ``[1, DIM_CAP]``, and ``represent`` reads ``--functional @path``
+from the file ``path`` and takes any other value as the expression itself.
 
 The report shapes are built here: ``represent`` writes its ``clark``
 block from the values ``reconstruct`` returns, ``rotate`` one row per
@@ -45,8 +46,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .chaos import DIM_CAP, AlgebraError, _pairs_of
-from .clark import ClarkResult, compare_energies, reconstruct, refine_and_reconstruct
+from .chaos import DIM_CAP, AlgebraError
+from .clark import ClarkResult, compare_energies, reconstruct, refinement_residual
 from .dsl import DslError, lower, parse_functional
 from .malliavin import VField
 from .rotations import (
@@ -72,14 +73,6 @@ _SEED_MAX = 2**64 - 1 - 17
 #: samples fit at the dimension cap n = 128, and a request past the budget
 #: exits 2 before anything is allocated.
 ROTATE_BLOCK_BUDGET = 256 * 2**20
-
-#: Most terms ``represent --refine`` may build.  ``refine`` spreads a coarse
-#: term's ``He_k(eta_i)`` over every degree-k monomial of block i's m fine
-#: coordinates, C(m + k - 1, k) of them, so the refined components hold
-#: sum over terms of prod_i C(m + k_i - 1, k_i) terms.  At about 480 B per
-#: term (measured on ``h8(x1)`` at m = 16) this is about 1 GB; a request
-#: past it at its largest factor exits 2 before anything is refined.
-REFINE_TERM_BUDGET = 2_000_000
 
 
 class UsageError(Exception):
@@ -233,19 +226,6 @@ def clark_block(v: VField, result: ClarkResult) -> dict:
     }
 
 
-def _refined_term_count(v: VField, m: int) -> int:
-    """Terms ``refine`` builds from the components of v at factor m (see the budget).
-
-    Exact, unless a coarse coefficient times a block product falls to
-    ``PRUNE_EPS`` or below and the term gate drops it.
-    """
-    return sum(
-        math.prod(math.comb(m + k - 1, k) for _, k in _pairs_of(key))
-        for p in v.components
-        for key in p.packed_terms
-    )
-
-
 def _cmd_represent(args) -> int:
     source = _read_functional(args.functional)
     tree = parse_functional(source)
@@ -254,21 +234,9 @@ def _cmd_represent(args) -> int:
         lowered = lower(tree, args.n)
         v = lowered if isinstance(lowered, VField) else VField((lowered,))
         # the first factor past the dimension cap fails in refine's words,
-        # before anything is refined
-        for m in args.refine:
-            if args.n * m > DIM_CAP:
-                raise AlgebraError(
-                    f"refined dimension {args.n * m} exceeds the dimension cap {DIM_CAP}"
-                )
-        top = max(args.refine)
-        count = _refined_term_count(v, top)
-        if count > REFINE_TERM_BUDGET:
-            raise UsageError(
-                f"functional {source!r}: refinement by {top} would build {count} terms,"
-                f" over the budget of {REFINE_TERM_BUDGET} terms"
-            )
+        # before the coarse representation is built
+        table = [(m, refinement_residual(v, m)) for m in args.refine]
         result = reconstruct(v)
-        table = refine_and_reconstruct(v, args.refine)
     except AlgebraError as exc:
         raise UsageError(f"functional {source!r}: {exc}") from exc
     energies = []
@@ -393,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--refine",
         type=_refine,
         default=(1, 2, 4, 8),
-        help="comma list of refinement factors, e.g. 1,2,4,8 (at most"
-        f" {REFINE_TERM_BUDGET} refined terms)",
+        help="comma list of refinement factors, e.g. 1,2,4,8, each with n * m <="
+        f" {DIM_CAP}; each row is the closed-form residual after refining by m",
     )
     p_rep.add_argument("--output", help="report path prefix (writes .json and .csv)")
     p_rep.set_defaults(fn=_cmd_represent)

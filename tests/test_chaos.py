@@ -819,6 +819,19 @@ def test_refine_of_he8_over_three_cells_holds_only_its_45_degree_8_terms():
     assert all(len(key) == 8 for key in r.packed_terms)
 
 
+@pytest.mark.parametrize(
+    "text, n, m, count",
+    [("h4(x1)*h4(x2)", 2, 4, 1225), ("h4(x1)*h4(x2)", 2, 8, 108900), ("h8(x1)", 1, 3, 45),
+     ("[h3(x1)*h3(x2) + x1, h2(x2)*x1 - 0.5*x2, h4(x3)]", 3, 4, 400 + 4 + 40 + 4 + 35)],
+)
+def test_refine_stores_every_block_monomial(text, n, m, count):
+    # a coarse term prod_i He_{k_i}(eta_i) spreads over prod_i C(m + k_i - 1, k_i)
+    # fine monomials, and distinct coarse terms share none of them
+    v = dsl.lower(dsl.parse_functional(text), n)
+    polys = v.components if isinstance(v, VField) else (v,)
+    assert sum(len(refine(p, m).packed_terms) for p in polys) == count
+
+
 def test_refined_hermite_tables_match_the_exact_closed_form():
     # He_k(eta_1) refined by m is He_k of the block average: one term per
     # multiset alpha of k digits from 1..m, with coefficient k!/alpha! *

@@ -5,8 +5,10 @@ import math
 import pytest
 
 from helpers import make_rng, refinement_residual, split_integrand
+from wienerlab import clark
 from wienerlab.chaos import (
     DEGREE_CAP,
+    AlgebraError,
     ChaosPoly,
     hermite_product,
     ou_apply,
@@ -230,19 +232,43 @@ def test_refinement_residual_matches_refined_oracle():
         assert res.residual_l2 == pytest.approx(bad_mass(refined), rel=1e-10, abs=1e-12)
 
 
+def _within(value, exact, rel):
+    return abs(value - exact) <= rel * exact
+
+
 def test_refinement_table_matches_the_closed_form_residual():
     # an oracle that reads only the coarse coefficients: residual**2 =
-    # sum c**2 prod_{i<t} alpha_i! R(alpha_t, m), in exact rationals
+    # sum c**2 prod_{i<t} alpha_i! R(alpha_t, m), in exact rationals.  The
+    # package's float form is one more column, at 1e-15, also at factors
+    # whose refined polynomial is far too large to build
     for k in range(DEGREE_CAP + 1):
         v = VField((he(k, 1, 1),))
         for m, residual in refine_and_reconstruct(v, range(1, 9)):
-            assert abs(residual - refinement_residual(v, m)) <= 1e-12 * refinement_residual(v, m)
+            assert _within(residual, refinement_residual(v, m), 1e-12)
+        for m in [*range(1, 17), 32, 64, 128]:
+            assert _within(clark.refinement_residual(v, m), refinement_residual(v, m), 1e-15)
+    # refine drops block products at or below PRUNE_EPS; the closed form has none to drop
+    v = VField((he(8, 1, 1) * 1e-10,))
+    assert _within(clark.refinement_residual(v, 16), refinement_residual(v, 16), 1e-15)
     rng = make_rng(507)
     for _ in range(20):
         n = int(rng.integers(1, 4))
         v = random_vfield(rng, n, 2, 5)
         for m, residual in refine_and_reconstruct(v, [1, 2, 3, 4]):
-            assert abs(residual - refinement_residual(v, m)) <= 1e-12 * refinement_residual(v, m)
+            exact = refinement_residual(v, m)
+            assert _within(residual, exact, 1e-12)
+            assert _within(clark.refinement_residual(v, m), exact, 1e-15)
+
+
+def test_refinement_residual_refuses_what_refine_refuses():
+    v = VField((he(2, 1, 2),))
+    for m, message in [(0, "refinement factor 0 is not >= 1"),
+                       (65, "refined dimension 130 exceeds the dimension cap 128")]:
+        with pytest.raises(AlgebraError) as closed_form:
+            clark.refinement_residual(v, m)
+        with pytest.raises(AlgebraError) as materialised:
+            refine(v.components[0], m)
+        assert str(closed_form.value) == str(materialised.value) == message
 
 
 # ---------------------------------------------------------- minimal energy

@@ -3,13 +3,15 @@ import math
 
 import pytest
 
+from helpers import make_rng
+import wienerlab.chaos
 import wienerlab.clark
-import wienerlab.cli
 import wienerlab.suites
-from wienerlab.chaos import refine
-from wienerlab.cli import REFINE_TERM_BUDGET, _refined_term_count, build_parser, main
+from wienerlab.clark import refine_and_reconstruct
+from wienerlab.cli import build_parser, main
 from wienerlab.dsl import lower, parse_functional
 from wienerlab.malliavin import VField
+from wienerlab.randgen import random_vfield
 from wienerlab.space import Check
 
 
@@ -297,33 +299,11 @@ def test_represent_refinement_past_dimension_cap_exits_two(tmp_path, monkeypatch
     assert_input_error(code, err, tmp_path, "dimension cap")
 
 
-def test_represent_refinement_past_the_term_budget_exits_two(tmp_path, monkeypatch, capsys):
-    # h4(x1)*h4(x2) --n 2 --refine 32 would build C(35, 4)**2 terms
-    v = VField((lower(parse_functional("h4(x1)*h4(x2)"), 2),))
-    assert _refined_term_count(v, 32) == 2741569600 > REFINE_TERM_BUDGET == 2_000_000
-    # a lowered budget keeps a failing check small: 108900 terms at m = 8
-    monkeypatch.setattr(wienerlab.cli, "REFINE_TERM_BUDGET", 100_000)
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(
-        ["represent", "--n", "2", "--functional", "h4(x1)*h4(x2)", "--refine", "1,8"], capsys
-    )
-    assert out == ""
-    assert_input_error(code, err, tmp_path, "refinement by 8 would build 108900 terms")
-    assert "over the budget of 100000 terms" in err
-    # a factor past the dimension cap still gets the dimension-cap error
-    code, out, err = run(
-        ["represent", "--n", "4", "--functional", "h4(x1)*h4(x2)", "--refine", "64"], capsys
-    )
-    assert out == ""
-    assert_input_error(code, err, tmp_path, "dimension cap")
-
-
 def test_represent_checks_every_factor_against_the_dimension_cap_first(
     tmp_path, monkeypatch, capsys
 ):
-    # h8(x1) at m = 16 is 490,314 terms; m = 64 at n = 4 is past the cap, so
-    # the run must exit 2 before refining anything (the stub keeps a broken
-    # check fast)
+    # m = 64 at n = 4 is past the cap, so the run must exit 2 before it
+    # refines anything (the stub keeps a broken check fast)
     calls = []
     monkeypatch.setattr(wienerlab.clark, "refine", lambda p, m: calls.append(m) or p)
     monkeypatch.chdir(tmp_path)
@@ -337,17 +317,70 @@ def test_represent_checks_every_factor_against_the_dimension_cap_first(
     assert calls == []
 
 
-@pytest.mark.parametrize(
-    "text, n, m, count",
-    [("h4(x1)*h4(x2)", 2, 4, 1225), ("h4(x1)*h4(x2)", 2, 8, 108900), ("h8(x1)", 1, 3, 45),
-     ("[h3(x1)*h3(x2) + x1, h2(x2)*x1 - 0.5*x2, h4(x3)]", 3, 4, 400 + 4 + 40 + 4 + 35)],
-)
-def test_refined_term_count_matches_refine(text, n, m, count):
-    v = lower(parse_functional(text), n)
-    v = v if isinstance(v, VField) else VField((v,))
-    assert _refined_term_count(v, m) == count
-    refined = [refine(p, m) for p in v.components]
-    assert sum(len(p.packed_terms) for p in refined) == count
+def _refuse(*args):
+    raise AssertionError("represent built a refined polynomial")
+
+
+def test_represent_refinement_rows_build_no_refined_polynomial(tmp_path, monkeypatch, capsys):
+    # refine(h4(x1)*h4(x2), 64) would hold C(67, 4)**2 = 5.9e11 terms
+    monkeypatch.setattr(wienerlab.chaos, "refine", _refuse)
+    monkeypatch.setattr(wienerlab.clark, "refine", _refuse)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(
+        ["represent", "--n", "2", "--functional", "h4(x1)*h4(x2)", "--refine", "64",
+         "--output", "r"],
+        capsys,
+    )
+    assert code == 0, err
+    assert (tmp_path / "r.csv").read_text().splitlines() == ["m,residual", "64,4.2260353760942415"]
+
+
+def test_represent_refinement_rows_survive_an_overflowing_sum_of_squares(
+    tmp_path, monkeypatch, capsys
+):
+    # 2! * (1e154)**2 overflows at m = 1; the rows are rescaled, not inf
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(
+        ["represent", "--n", "1", "--functional", "1e154*h2(x1)", "--refine", "1,2",
+         "--output", "r"],
+        capsys,
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+    assert [m for m, _ in rows] == ["1", "2"]
+    for (_, got), expected in zip(rows, [1.4142135623730953e154, 1e154]):
+        assert math.isfinite(float(got))
+        assert float(got) == pytest.approx(expected, rel=1e-12)
+
+
+def _functional_text(v: VField) -> str:
+    """Expression-language text of v, one ``c*h<k>(x<i>)*...`` product per term."""
+
+    def term(key, c):
+        return "*".join([repr(c), *(f"h{key.count(i)}(x{i})" for i in dict.fromkeys(key))])
+
+    items = [" + ".join(term(key, c) for key, c in p.packed_terms.items()) for p in v.components]
+    return "[" + ", ".join(items) + "]"
+
+
+def test_represent_rows_match_the_refined_pipeline(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rng = make_rng(2101)
+    factors = list(range(1, 9))
+    for _ in range(6):
+        n = int(rng.integers(1, 4))
+        text = _functional_text(random_vfield(rng, n, 2, 4))
+        code, _, err = run(
+            ["represent", "--n", str(n), "--functional", text,
+             "--refine", ",".join(map(str, factors)), "--output", "r"],
+            capsys,
+        )
+        assert code == 0, err
+        rows = [line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+        expected = refine_and_reconstruct(lower(parse_functional(text), n), factors)
+        assert [int(m) for m, _ in rows] == factors
+        for (_, got), (_, residual) in zip(rows, expected):
+            assert abs(float(got) - residual) <= 1e-12 * residual
 
 
 def test_represent_unwritable_output_exits_two(tmp_path, monkeypatch, capsys):
