@@ -13,7 +13,6 @@ from .chaos import (
     DimensionMismatch,
     MultiIndex,
     NotCentered,
-    chaos_projection,
     conditional_expectation,
     evaluate_batch,
     expectation,

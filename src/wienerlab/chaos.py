@@ -25,9 +25,9 @@ one key, which ``ChaosPoly.terms`` builds on demand in stored order.
 
 Every operation here is exact up to double rounding: expectation, inner
 product, product (Hermite linearization), coordinate derivative, conditional
-expectation with respect to the coordinate filtration, chaos-grade
-projection, number-operator scaling and its inverse, grid refinement, and
-evaluation on a batch of samples.
+expectation with respect to the coordinate filtration, number-operator
+scaling and its inverse, grid refinement, and evaluation on a batch of
+samples.
 
 A product is expanded monomial pair by monomial pair.  A left monomial of
 degree 1, ``eta_i``, applies the three-term rule
@@ -541,14 +541,6 @@ def conditional_expectation(p: ChaosPoly, k: int) -> ChaosPoly:
     if not 0 <= k <= p.dim:
         raise AlgebraError(f"stage {k} outside 0..{p.dim}")
     kept = {key: c for key, c in p._terms.items() if not key or key[-1] <= k}
-    return ChaosPoly(p.dim, kept)
-
-
-def chaos_projection(p: ChaosPoly, m: int) -> ChaosPoly:
-    """Grade projection: keep terms of total degree exactly ``m``."""
-    if m < 0:
-        raise AlgebraError(f"chaos grade {m} is negative")
-    kept = {key: c for key, c in p._terms.items() if len(key) == m}
     return ChaosPoly(p.dim, kept)
 
 

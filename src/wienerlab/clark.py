@@ -10,12 +10,13 @@ derivative He_{k-1}(eta_j) unless k = 1.  In the Hermite basis the
 integrand K is one map over terms (the top-order-1 rule): a monomial whose
 top coordinate j has order 1 moves to entry (a, j) with that factor removed
 and the same coefficient, and every other monomial is dropped.  The dropped
-monomials are lost entirely, so the squared residual is their exact
-coefficient mass.  Grid refinement spreads that mass over finer cells and
-shrinks the residual; :func:`refinement_residual` gives the residual after
-refining by m in closed form from v's own terms, and
-:func:`refine_and_reconstruct` builds the refined functional and measures
-it, which cross-checks the two.
+monomials are lost entirely: v minus the reconstruction holds exactly them,
+so the residual is the L2 norm of the dropped terms, read off v without
+forming the reconstruction's difference.  Grid refinement spreads that mass
+over finer cells and shrinks the residual; :func:`refinement_residual`
+gives the residual after refining by m in closed form from v's own terms,
+and :func:`refine_and_reconstruct` builds the refined functional and
+measures its unrepresentable mass, which cross-checks the two.
 
 Separately, any centered square-integrable scalar phi has the exact
 divergence representation with integrand
@@ -43,7 +44,6 @@ from .chaos import (
     _factorial,
     _root_of_squares,
     _top_order_above_one,
-    chaos_projection,
     ou_inverse,
     refine,
 )
@@ -94,13 +94,26 @@ def clark_integrand(v: VField) -> WeaklyAdaptedOperator:
     return WeaklyAdaptedOperator(tuple(rows))
 
 
+def _dropped_norm(v: VField) -> float:
+    """L2 norm of the terms whose top coordinate has order >= 2.
+
+    These are exactly the terms of ``v - reconstruct(v).reconstruction``,
+    in v's stored order and with v's coefficients, so the norm equals that
+    difference's norm bit for bit.
+    """
+    return VField(
+        tuple(
+            ChaosPoly(p.dim, {k: c for k, c in p.packed_terms.items() if _top_order_above_one(k)})
+            for p in v.components
+        )
+    ).norm()
+
+
 def reconstruct(v: VField) -> ClarkResult:
-    """E[v] + div(adapted integrand), with the exact L2 residual."""
+    """E[v] + div(adapted integrand), with the L2 norm of the dropped terms as residual."""
     K = clark_integrand(v)
-    mean = VField.constant(v.ambient_dim, v.expectation())
-    rec = mean.add(divergence_op(K))
-    residual = v.sub(rec).norm()
-    return ClarkResult(integrand=K, reconstruction=rec, residual_l2=residual)
+    rec = VField.constant(v.ambient_dim, v.expectation()).add(divergence_op(K))
+    return ClarkResult(integrand=K, reconstruction=rec, residual_l2=_dropped_norm(v))
 
 
 def is_representable(v: VField | ChaosPoly) -> bool:
@@ -162,13 +175,15 @@ def refinement_residual(v: VField, m: int) -> float:
 
 
 def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
-    """Residual table over refinement factors; rows are (factor, residual)."""
-    rows = []
-    for m in factors:
-        m = int(m)
-        refined = VField(tuple(refine(p, m) for p in v.components))
-        rows.append((m, reconstruct(refined).residual_l2))
-    return rows
+    """Residual table over refinement factors; rows are (factor, residual).
+
+    Each row builds v refined by the factor and measures its unrepresentable
+    mass, the ``residual_l2`` that ``reconstruct`` would report for it.
+    """
+    return [
+        (m, _dropped_norm(VField(tuple(refine(p, m) for p in v.components))))
+        for m in map(int, factors)
+    ]
 
 
 def minimal_energy_integrand(phi: ChaosPoly) -> HField:
@@ -181,17 +196,12 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
     """Adapted-integrand energy vs minimal-energy integrand energy for a scalar.
 
     ``coincide`` is decided structurally: the two integrands agree exactly
-    when the centered functional is pure first chaos.
+    when the centered functional is pure first chaos, that is when every
+    term of phi has degree at most 1.
     """
-    centered = phi - ChaosPoly.constant(phi.dim, phi.expectation())
-    adapted = clark_integrand(VField((phi,)))
-    adapted_energy = adapted.energy()
-    exact = minimal_energy_integrand(phi)
-    exact_energy = exact.energy()
-    pure_first = (centered - chaos_projection(centered, 1)).is_zero()
     return EnergyComparison(
-        adapted_energy=adapted_energy,
-        exact_energy=exact_energy,
-        coincide=pure_first,
+        adapted_energy=clark_integrand(VField((phi,))).energy(),
+        exact_energy=minimal_energy_integrand(phi).energy(),
+        coincide=all(len(key) <= 1 for key in phi.packed_terms),
     )
 

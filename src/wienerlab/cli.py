@@ -41,14 +41,14 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from .chaos import DIM_CAP, AlgebraError
 from .clark import ClarkResult, compare_energies, reconstruct, refinement_residual
-from .dsl import DslError, lower, parse_functional
+from .dsl import PRODUCT_PAIR_BUDGET, DslError, lower, parse_functional
 from .malliavin import VField
 from .rotations import (
     CONSTRUCTIONS,
@@ -239,17 +239,9 @@ def _cmd_represent(args) -> int:
         result = reconstruct(v)
     except AlgebraError as exc:
         raise UsageError(f"functional {source!r}: {exc}") from exc
-    energies = []
-    for a in range(1, v.d + 1):
-        comp = compare_energies(v.component(a))
-        energies.append(
-            {
-                "component": a,
-                "adapted_energy": comp.adapted_energy,
-                "exact_energy": comp.exact_energy,
-                "coincide": comp.coincide,
-            }
-        )
+    energies = [
+        {"component": a, **asdict(compare_energies(p))} for a, p in enumerate(v.components, 1)
+    ]
     # finite coefficients whose second moment overflows: an input error too
     moments = [result.residual_l2, *(residual for _, residual in table)]
     moments += [row[key] for row in energies for key in ("adapted_energy", "exact_energy")]
@@ -355,7 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     n_flag = dict(type=_integer("n", 1, DIM_CAP), default=4, help=f"ambient dimension <= {DIM_CAP}")
 
     p_rep = sub.add_parser("represent", help="adapted representation of a functional")
-    p_rep.add_argument("--functional", help="expression text, or @path to read it from a file")
+    p_rep.add_argument(
+        "--functional",
+        help="expression text, or @path to read it from a file; each product p*q may expand"
+        f" at most {PRODUCT_PAIR_BUDGET:,} monomial pairs (terms of p times terms of q)",
+    )
     p_rep.add_argument("--n", **n_flag)
     p_rep.add_argument(
         "--refine",

@@ -15,9 +15,13 @@ chaos algebra expands through the Hermite linearization.
 
 Parsing reports syntax errors with line, column, and the expected token
 set; groups left unclosed are reported at the opening bracket.  Lowering
-into the algebra happens against a configured ambient dimension and the
-algebra's fixed degree cap, and violations carry the source span of the
-offending node.
+into the algebra happens against a configured ambient dimension, the
+algebra's fixed degree cap and a product budget, and violations carry the
+source span of the offending node.  A product ``p * q`` of lowered
+operands is formed only when ``len(p) * len(q)``, the number of monomial
+pairs the Hermite linearization visits, is at most
+:data:`PRODUCT_PAIR_BUDGET`; the pair count bounds both the work and the
+number of terms the product can hold.
 
 Parsing and lowering recurse over the input's nesting, but on an
 explicit stack (:func:`_descend`), so no input depth reaches Python's
@@ -55,7 +59,11 @@ class DslSyntaxError(DslError):
 
 
 class DslSemanticError(DslError):
-    """The expression parsed but violates the dimension or the degree cap."""
+    """The expression parsed but violates the dimension, the degree cap or the product budget."""
+
+
+#: Most monomial pairs one ``*`` of lowered operands may expand.
+PRODUCT_PAIR_BUDGET = 10**7
 
 
 # ----------------------------------------------------------------- stack
@@ -328,9 +336,10 @@ def lower(node, n: int):
     """Evaluate the tree in the chaos algebra over n coordinates.
 
     Scalar expressions produce a ChaosPoly, vector literals a VField.
-    Dimension and degree-cap violations raise :class:`DslSemanticError`
-    pointing at the offending source span; the cap is the algebra's fixed
-    :data:`~wienerlab.chaos.DEGREE_CAP`.
+    Dimension, degree-cap and product-budget violations raise
+    :class:`DslSemanticError` pointing at the offending source span; the cap
+    is the algebra's fixed :data:`~wienerlab.chaos.DEGREE_CAP`, the budget
+    :data:`PRODUCT_PAIR_BUDGET`.
     """
     if isinstance(node, Vector):
         return VField(tuple(_descend(_lower_scalar(item, n)) for item in node.items))
@@ -359,6 +368,12 @@ def _lower_scalar(node, n: int):
             return left + right
         if node.op == "-":
             return left - right
+        if (pairs := len(left.packed_terms) * len(right.packed_terms)) > PRODUCT_PAIR_BUDGET:
+            raise DslSemanticError(
+                f"product of {len(left.packed_terms)} and {len(right.packed_terms)} terms"
+                f" expands {pairs:,} monomial pairs, past the budget of {PRODUCT_PAIR_BUDGET:,}",
+                *node.span,
+            )
         try:
             return hermite_product(left, right)
         except DegreeCapExceeded as exc:

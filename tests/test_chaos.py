@@ -33,7 +33,6 @@ from wienerlab.chaos import (
     DimensionMismatch,
     MultiIndex,
     NotCentered,
-    chaos_projection,
     conditional_expectation,
     evaluate_batch,
     expectation,
@@ -387,28 +386,6 @@ def test_conditional_expectation_mc_regression_oracle():
         assert abs(est - want) <= 3.0 * stderr + 1e-12
 
 
-# ------------------------------------------------------------ grade projection
-
-
-def test_chaos_projection_frozen_and_parseval():
-    p = ChaosPoly(
-        2,
-        {
-            packed(): 1.5,
-            packed({1: 1}): 2.0,
-            packed({1: 1, 2: 1}): 3.0,
-            packed({2: 2}): -1.0,
-        },
-    )
-    assert chaos_projection(p, 2) == ChaosPoly(
-        2, {packed({1: 1, 2: 1}): 3.0, packed({2: 2}): -1.0}
-    )
-    total = sum(l2_inner(chaos_projection(p, m), chaos_projection(p, m)) for m in range(5))
-    assert abs(total - l2_inner(p, p)) <= 1e-12
-    with pytest.raises(AlgebraError):
-        chaos_projection(p, -1)
-
-
 # ----------------------------------------------------------------- OU scaling
 
 
@@ -476,8 +453,10 @@ def test_refine_preserves_inner_products_and_grade():
             assert abs(l2_inner(rp, rq) - l2_inner(p, q)) <= 1e-10
             assert abs(expectation(rp) - expectation(p)) <= 1e-12
             for grade in range(5):
-                a = norm_l2(chaos_projection(rp, grade))
-                b = norm_l2(chaos_projection(p, grade))
+                a, b = (
+                    norm_l2(ChaosPoly(r.dim, {k: c for k, c in r.packed_terms.items() if len(k) == grade}))
+                    for r in (rp, p)
+                )
                 assert abs(a - b) <= 1e-10
 
 

@@ -232,6 +232,35 @@ def test_refinement_residual_matches_refined_oracle():
         assert res.residual_l2 == pytest.approx(bad_mass(refined), rel=1e-10, abs=1e-12)
 
 
+def _refined(v, m):
+    return VField(tuple(refine(p, m) for p in v.components))
+
+
+def test_residual_is_the_norm_of_v_minus_its_reconstruction_bit_for_bit():
+    # ||v - reconstruction|| is the independent oracle: it forms the
+    # difference, while residual_l2 reads the dropped terms off v
+    rng = make_rng(508)
+    fields = [v for v in (random_vfield(rng, int(rng.integers(1, 4)), 2, 4) for _ in range(30))
+              if not is_representable(v)]
+    assert len(fields) >= 10
+    fields += [_refined(v, m) for v in fields[:4] for m in (2, 3, 4)]
+    # a sum of squares past the largest double: the rescaled path
+    fields.append(VField((he(2, 1, 1) * 1e154,)))
+    for v in fields:
+        result = reconstruct(v)
+        assert result.residual_l2 == v.sub(result.reconstruction).norm()
+    assert math.isfinite(reconstruct(fields[-1]).residual_l2)
+
+
+def test_refinement_rows_are_the_residuals_of_the_refined_fields_bit_for_bit():
+    rng = make_rng(509)
+    fields = [random_vfield(rng, int(rng.integers(1, 3)), 2, 4) for _ in range(6)]
+    fields.append(VField((he(2, 1, 1) * 1e154,)))
+    for v in fields:
+        rows = refine_and_reconstruct(v, [1, 2, 3, 4])
+        assert rows == [(m, reconstruct(_refined(v, m)).residual_l2) for m in (1, 2, 3, 4)]
+
+
 def _within(value, exact, rel):
     return abs(value - exact) <= rel * exact
 
@@ -309,6 +338,28 @@ def test_energy_comparison_first_chaos_coincides():
     field = minimal_energy_integrand(phi)
     adapted = clark_integrand(VField((phi,)))
     assert adapted.rows[0].sub(field).norm() <= 1e-12
+
+
+def test_coincide_is_pure_first_chaos_of_the_centered_functional():
+    # the grade-1 filter written out, as the definition reads: centered phi
+    # minus its first-chaos part is zero
+    rng = make_rng(510)
+    phis = [random_poly(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), n_terms=3)
+            for _ in range(40)]
+    phis += [
+        ChaosPoly.constant(2, 3.0),
+        ChaosPoly.zero(2),
+        eta(1, 2) * 2.0 - eta(2, 2) + ChaosPoly.constant(2, -1.5),
+        eta(1, 2) + he(2, 2, 2) + ChaosPoly.constant(2, 4.0),
+        eta(1, 3) + hermite_product(eta(1, 3), eta(3, 3)),
+    ]
+    verdicts = []
+    for phi in phis:
+        centered = phi - ChaosPoly.constant(phi.dim, phi.expectation())
+        first = ChaosPoly(phi.dim, {k: c for k, c in centered.packed_terms.items() if len(k) == 1})
+        verdicts.append(compare_energies(phi).coincide)
+        assert verdicts[-1] == (centered - first).is_zero()
+    assert True in verdicts and False in verdicts
 
 
 def test_minimal_energy_represents_exactly():

@@ -6,6 +6,7 @@ import pytest
 from helpers import make_rng
 import wienerlab.chaos
 import wienerlab.clark
+import wienerlab.dsl
 import wienerlab.suites
 from wienerlab.clark import refine_and_reconstruct
 from wienerlab.cli import build_parser, main
@@ -249,6 +250,39 @@ def test_represent_deeply_nested_functional(tmp_path, monkeypatch, capsys):
     code, out, err = run(["represent", "--functional", nested[:-1], "--n", "1"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: line 1, column 1: unclosed '('") and "Traceback" not in err
+
+
+def test_represent_refuses_a_product_past_the_pair_budget(tmp_path, monkeypatch, capsys):
+    # with S = x1 + ... + x128, (S*S)*(S*S) pairs 8257**2 monomials; the
+    # guard keeps any such product from forming, also where no budget is checked
+    formed = wienerlab.dsl.hermite_product
+
+    def guarded(p, q):
+        assert len(p.packed_terms) * len(q.packed_terms) <= 10**7, "an over-budget product formed"
+        return formed(p, q)
+
+    monkeypatch.setattr(wienerlab.dsl, "hermite_product", guarded)
+    monkeypatch.chdir(tmp_path)
+    s = "(" + "+".join(f"x{i}" for i in range(1, 129)) + ")"
+    functional = f"({s}*{s})*({s}*{s})"
+    code, out, err = run(["represent", "--n", "128", "--refine", "1", "--functional", functional],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: line 1, column {functional.index('))*((') + 3}: product of 8257 and 8257 terms"
+        " expands 68,178,049 monomial pairs, past the budget of 10,000,000\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("budget, expected", [(6, 0), (5, 2)])
+def test_the_pair_budget_admits_a_product_at_it(tmp_path, monkeypatch, capsys, budget, expected):
+    # (x1 + x2) * (x1 + x2 + x3) pairs 2 * 3 = 6 monomials
+    monkeypatch.setattr(wienerlab.dsl, "PRODUCT_PAIR_BUDGET", budget)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(["represent", "--n", "3", "--functional", "(x1+x2)*(x1+x2+x3)"], capsys)
+    assert code == expected
+    assert ("past the budget" in err) == (expected == 2)
 
 
 def test_represent_non_finite_literal_exits_two(tmp_path, monkeypatch, capsys):
