@@ -177,7 +177,8 @@ def _canonical_terms(terms, dim: int) -> dict[bytes, float]:
     Pairs are summed in arrival order.  Every summed index, also one whose
     coefficients cancel to zero, must be a packed ``bytes`` key and is
     checked against ``dim`` and :data:`DEGREE_CAP` before any coefficient is
-    checked for finiteness.
+    checked for finiteness; a non-finite sum is refused, and the sums at or
+    below :data:`PRUNE_EPS` are pruned.
     """
     acc: dict[bytes, float] = {}
     get = acc.get
@@ -190,11 +191,6 @@ def _canonical_terms(terms, dim: int) -> dict[bytes, float]:
             raise DimensionMismatch(f"coordinate {key[-1]} outside ambient dimension {dim}")
         if len(key) > DEGREE_CAP:
             raise DegreeCapExceeded(len(key))
-    return _finite_pruned(acc)
-
-
-def _finite_pruned(acc: dict[bytes, float]) -> dict[bytes, float]:
-    """The last two steps of the term gate: refuse a non-finite sum, then prune."""
     if not all(map(math.isfinite, acc.values())):
         bad = next(c for c in acc.values() if not math.isfinite(c))
         raise AlgebraError(f"non-finite coefficient {bad!r}")

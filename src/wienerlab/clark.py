@@ -27,7 +27,12 @@ where Linv inverts the number operator gradewise.  Among all fields whose
 divergence is phi - E phi this one has minimal energy, because gradients are
 L2-orthogonal to divergence-free fields.  The adapted (projected-gradient)
 integrand and vbar coincide exactly when phi - E phi sits in the first
-chaos grade.
+chaos grade.  For ``phi = sum_alpha c_alpha He_alpha`` both energies are
+sums over the coefficients, which :func:`compare_energies` reads off phi
+without building either field:
+
+    E|K|^2    = sum alpha! c_alpha^2            over the terms whose top order is 1
+    E|vbar|^2 = sum alpha! c_alpha^2 / |alpha|  over alpha != 0
 """
 
 from __future__ import annotations
@@ -166,12 +171,19 @@ def refinement_residual(v: VField, m: int) -> float:
         k = key.count(key[-1]) if key else 0
         return _factorial(key) * lost[k] / m**k
 
-    terms = (weight(key) * c * c for p in v.components for key, c in p.packed_terms.items())
+    return _root_of_squares(_square_sum(v.components, weight), v.components, weight)
+
+
+def _square_sum(polys, weight) -> float:
+    """``math.fsum`` of ``weight(key) * c * c`` over the terms of ``polys``.
+
+    ``inf`` when the finite terms sum past the largest double.
+    """
+    terms = (weight(key) * c * c for p in polys for key, c in p.packed_terms.items())
     try:
-        square = math.fsum(terms)
-    except OverflowError:  # finite terms whose sum is past the largest double
-        square = math.inf
-    return _root_of_squares(square, v.components, weight)
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
@@ -195,13 +207,26 @@ def minimal_energy_integrand(phi: ChaosPoly) -> HField:
 def compare_energies(phi: ChaosPoly) -> EnergyComparison:
     """Adapted-integrand energy vs minimal-energy integrand energy for a scalar.
 
-    ``coincide`` is decided structurally: the two integrands agree exactly
-    when the centered functional is pure first chaos, that is when every
-    term of phi has degree at most 1.
+    Both are closed forms in the Hermite coefficients of
+    ``phi = sum_alpha c_alpha He_alpha`` (Nualart, *The Malliavin Calculus
+    and Related Topics*, 2006, sections 1.2-1.4), added with ``math.fsum``
+    and without building either integrand::
+
+        adapted = sum alpha! c_alpha**2            over the terms whose top order is 1
+        exact   = sum alpha! c_alpha**2 / |alpha|  over alpha != 0
+
+    The first is the energy of ``clark_integrand``, which moves each such
+    term unchanged to its top coordinate.  The second is the energy of
+    ``minimal_energy_integrand``: the ``d_i`` of ``c He_alpha / |alpha|``
+    has second moment ``alpha! c**2 alpha_i / |alpha|**2``, and the
+    ``alpha_i`` add to ``|alpha|``.  ``coincide`` is decided structurally:
+    the two integrands agree exactly when the centered functional is pure
+    first chaos, that is when every term of phi has degree at most 1.
     """
     return EnergyComparison(
-        adapted_energy=clark_integrand(VField((phi,))).energy(),
-        exact_energy=minimal_energy_integrand(phi).energy(),
+        adapted_energy=_square_sum(
+            (phi,), lambda key: _factorial(key) if key and not _top_order_above_one(key) else 0
+        ),
+        exact_energy=_square_sum((phi,), lambda key: _factorial(key) / len(key) if key else 0),
         coincide=all(len(key) <= 1 for key in phi.packed_terms),
     )
-

@@ -349,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("represent", help="adapted representation of a functional")
     p_rep.add_argument(
         "--functional",
-        help="expression text, or @path to read it from a file; each product p*q may expand"
-        f" at most {PRODUCT_PAIR_BUDGET:,} monomial pairs (terms of p times terms of q)",
+        help="expression text, or @path to read it from a file; attach one that starts with"
+        " a minus sign as --functional=-x1; each product p*q may expand at most"
+        f" {PRODUCT_PAIR_BUDGET:,} monomial pairs (terms of p times terms of q)",
     )
     p_rep.add_argument("--n", **n_flag)
     p_rep.add_argument(

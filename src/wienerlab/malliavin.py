@@ -98,8 +98,8 @@ class _Field:
     __sub__ = sub
 
     def energy(self) -> float:
-        """Sum of the second moments of the stored polynomials."""
-        return _sum_of_inner((p, p) for p in self._parts)
+        """Sum of the second moments of the stored polynomials, nested rows included."""
+        return sum(p.energy() if isinstance(p, _Field) else l2_inner(p, p) for p in self._parts)
 
     def norm(self) -> float:
         """``sqrt(energy())``, rescaled as in ``chaos.norm_l2`` when the energy overflows."""
@@ -230,10 +230,6 @@ class OperatorField(_Field, parts="rows"):
                 for column in zip(*(row.coords for row in self.rows))
             )
         )
-
-    def energy(self) -> float:
-        """E of the squared Hilbert-Schmidt norm, summed row by row."""
-        return sum(row.energy() for row in self.rows)
 
     @classmethod
     def constant(cls, matrix) -> "OperatorField":

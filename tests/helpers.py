@@ -164,6 +164,27 @@ def refinement_residual(v, m: int) -> float:
     return math.sqrt(total)
 
 
+def energies(phi: ChaosPoly) -> tuple[float, float]:
+    """Adapted and minimal integrand energies of ``phi``, exact in ``Fraction``s.
+
+    For ``phi = sum_alpha c_alpha He_alpha``: the adapted energy is
+    ``sum alpha! c_alpha**2`` over the terms whose top coordinate has order
+    1, and the minimal one ``sum alpha! c_alpha**2 / |alpha|`` over the
+    non-constant terms.  Both are summed exactly from the stored
+    coefficients and rounded once.  Reads only the packed keys.
+    """
+    adapted = minimal = Fraction(0)
+    for key, c in phi.packed_terms.items():
+        if not key:
+            continue
+        orders = [key.count(i) for i in sorted(set(key))]
+        mass = Fraction(c) ** 2 * math.prod(map(math.factorial, orders))
+        if orders[-1] == 1:
+            adapted += mass
+        minimal += mass / len(key)
+    return float(adapted), float(minimal)
+
+
 def split_integrand(p: ChaosPoly) -> HField:
     """Independent construction of the adapted integrand for representable p.
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from helpers import make_rng, refinement_residual, split_integrand
+from helpers import energies, make_rng, refinement_residual, split_integrand
 from wienerlab import clark
 from wienerlab.chaos import (
     DEGREE_CAP,
@@ -26,6 +26,7 @@ from wienerlab.clark import (
     residual_mass_oracle,
 )
 from wienerlab.cli import clark_block
+from wienerlab.dsl import lower, parse_functional
 from wienerlab.malliavin import (
     VField,
     divergence_h,
@@ -410,6 +411,51 @@ def test_energy_order_can_flip_off_the_representable_class():
     assert cmp.adapted_energy == pytest.approx(0.0, abs=1e-14)
     assert cmp.exact_energy == pytest.approx(1.0, abs=1e-14)
     assert not cmp.coincide
+
+
+def _energy_cases():
+    """Seeded random scalars, and every component of the README and CI functionals."""
+    rng = make_rng(513)
+    phis = []
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        phis.append(random_poly(rng, n, int(rng.integers(1, DEGREE_CAP + 1)),
+                                n_terms=int(rng.integers(1, 9))))
+    phis += [random_representable_poly(rng, int(rng.integers(1, 6)), 3) for _ in range(50)]
+    for text, n in [
+        ("x1", 1),
+        ("x1*x2", 2),
+        ("h2(x1)", 1),
+        ("h8(x1)", 1),
+        ("h4(x1)*h4(x2)", 2),
+        ("[h3(x1)*h3(x2) + x1, h2(x2)*x1 - 0.5*x2, h4(x3)]", 3),
+        ("[0.459*h3(x1), 0.746*h4(x2) + 0.165*h3(x3) + 0.849*h3(x1) + 0.318*h4(x3)*x3]", 3),
+    ]:
+        lowered = lower(parse_functional(text), n)
+        phis += lowered.components if isinstance(lowered, VField) else [lowered]
+    return phis
+
+
+def test_energies_match_exact_rationals_and_the_integrand_fields():
+    # against both sums in Fractions, rounded once, fsum of the rounded terms
+    # is within a few ulp, and an energy with no terms is exactly zero; the
+    # two integrands built as fields are the reference the closed forms replace
+    for phi in _energy_cases():
+        cmp = compare_energies(phi)
+        adapted, minimal = energies(phi)
+        assert cmp.adapted_energy == pytest.approx(adapted, rel=1e-15, abs=0.0)
+        assert cmp.exact_energy == pytest.approx(minimal, rel=1e-15, abs=0.0)
+        adapted = clark_integrand(VField((phi,))).energy()
+        minimal = minimal_energy_integrand(phi).energy()
+        assert cmp.adapted_energy == pytest.approx(adapted, rel=1e-12, abs=0.0)
+        assert cmp.exact_energy == pytest.approx(minimal, rel=1e-12, abs=0.0)
+
+
+def test_minimal_energy_of_a_cubic_is_exact():
+    # 3!/3 * 0.459**2; the gradient of Linv phi gives 0.42136199999999996
+    phi = lower(parse_functional("0.459*h3(x1)"), 1)
+    assert compare_energies(phi).exact_energy == 0.421362
+    assert energies(phi)[1] == 0.421362
 
 
 # ---------------------------------------------- divergence-gradient algebra

@@ -304,15 +304,50 @@ def test_represent_overflowing_product_exits_two(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("functional", ["1e200*x1", "1e200*h2(x1)"])
+@pytest.mark.parametrize("functional", ["1e200*x1", "1e200*h2(x1)", "1.5e154*x1"])
 def test_represent_overflowing_moment_exits_two(tmp_path, monkeypatch, capsys, functional):
-    # finite coefficients whose energy or residual overflows to inf
+    # finite coefficients whose energy or residual overflows to inf; the
+    # adapted energy of 1.5e154*x1 is 2.25e308, one term past the largest double
     monkeypatch.chdir(tmp_path)
     code, out, err = run(["represent", "--functional", functional, "--n", "1"], capsys)
     assert code == 2
     assert err == f"error: functional {functional!r}: residual or energy overflows a float\n"
     assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_represent_energy_just_below_overflow(tmp_path, monkeypatch, capsys):
+    # the minimal energy 2!/2 * 1.3e154**2 is finite; the residual's sum of
+    # squares overflows and is rescaled
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        ["represent", "--functional", "1.3e154*h2(x1)", "--n", "1", "--output", "r"], capsys
+    )
+    assert code == 0, err
+    assert "minimal energy 1.69e+308," in out
+    [row] = json.loads((tmp_path / "r.json").read_text())["energy"]
+    assert row == {
+        "component": 1,
+        "adapted_energy": 0.0,
+        "exact_energy": 1.6899999999999998e308,
+        "coincide": False,
+    }
+
+
+def test_represent_functional_with_a_leading_minus(tmp_path, monkeypatch, capsys):
+    # argparse takes a separate "-x1" for a flag; attached with "=" it is the value
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["represent", "--functional", "-x1", "--n", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "--functional: expected one argument" in err
+    code, out, err = run(["represent", "--functional=-x1", "--n", "1", "--output", "r"], capsys)
+    assert code == 0, err
+    assert out.startswith("functional: -x1\n")
+    payload = json.loads((tmp_path / "r.json").read_text())
+    assert payload["clark"]["reconstruction"] == ["-1.0 1:1"]
+    assert payload["energy"] == [
+        {"component": 1, "adapted_energy": 1.0, "exact_energy": 1.0, "coincide": True}
+    ]
 
 
 def test_represent_bad_refine_list(capsys):
