@@ -12,7 +12,6 @@ from .chaos import (
     DegreeCapExceeded,
     DimensionMismatch,
     MultiIndex,
-    NotCentered,
     conditional_expectation,
     evaluate_batch,
     expectation,

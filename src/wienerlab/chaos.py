@@ -50,9 +50,11 @@ Every operation passes its ``(key, coefficient)`` pairs to the
 :class:`ChaosPoly` constructor, whose one term gate sums them, checks that
 each summed index is a ``bytes`` key inside the ambient dimension and the
 degree cap, rejects a NaN or infinite coefficient with :class:`AlgebraError`
-instead of storing or dropping it, and prunes coefficients at or below
-``PRUNE_EPS``, so a stored coefficient is never an exact zero.  The degree
-cap is fixed: no operation can build a term past it.
+instead of storing or dropping it, and drops only the sums that are exactly
+zero.  A stored coefficient is therefore exactly a nonzero sum: the algebra
+has no absolute cutoff, so scaling an operand by a power of two scales the
+result by it, bit for bit, while every coefficient stays in the normal range
+of doubles.  The degree cap is fixed: no operation can build a term past it.
 
 Values are immutable and operations are pure functions, so they are safe to
 share across threads or workers without locking.
@@ -61,6 +63,7 @@ share across threads or workers without locking.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from functools import lru_cache
@@ -76,9 +79,6 @@ DEGREE_CAP = 8
 
 #: Hard upper bound on the ambient Gaussian dimension.
 DIM_CAP = 128
-
-#: Coefficients with absolute value at or below this are dropped.
-PRUNE_EPS = 1e-14
 
 
 class AlgebraError(ValueError):
@@ -97,10 +97,6 @@ class DegreeCapExceeded(AlgebraError):
             f"term of total degree {degree} exceeds the degree cap {DEGREE_CAP}"
         )
         self.degree = degree
-
-
-class NotCentered(AlgebraError):
-    """Inverse number-operator applied to a functional with nonzero mean."""
 
 
 class MultiIndex:
@@ -172,13 +168,13 @@ def _top_order_above_one(key: bytes) -> bool:
 
 
 def _canonical_terms(terms, dim: int) -> dict[bytes, float]:
-    """The term gate: sum, check and prune ``(key, coefficient)`` pairs.
+    """The term gate: sum and check ``(key, coefficient)`` pairs, drop exact zeros.
 
     Pairs are summed in arrival order.  Every summed index, also one whose
     coefficients cancel to zero, must be a packed ``bytes`` key and is
     checked against ``dim`` and :data:`DEGREE_CAP` before any coefficient is
-    checked for finiteness; a non-finite sum is refused, and the sums at or
-    below :data:`PRUNE_EPS` are pruned.
+    checked for finiteness; a non-finite sum is refused, and only the sums
+    that are exactly zero are dropped.  However small, a nonzero sum is kept.
     """
     acc: dict[bytes, float] = {}
     get = acc.get
@@ -194,7 +190,7 @@ def _canonical_terms(terms, dim: int) -> dict[bytes, float]:
     if not all(map(math.isfinite, acc.values())):
         bad = next(c for c in acc.values() if not math.isfinite(c))
         raise AlgebraError(f"non-finite coefficient {bad!r}")
-    return {key: c for key, c in acc.items() if abs(c) > PRUNE_EPS}
+    return {key: c for key, c in acc.items() if c != 0.0}
 
 
 def _text_order(item: tuple[bytes, float]) -> tuple:
@@ -491,11 +487,13 @@ def _root_of_squares(square: float, polys: Iterable[ChaosPoly], weight=_factoria
     """``sqrt(square)``, where ``square`` is ``sum weight(key) * c**2`` over ``polys``' terms.
 
     With the default weight ``alpha!`` that is the sum of ``E[p^2]``.  The
-    plain sum of squares is used when it is finite and nonzero; when it
-    overflows (or underflows) the coefficients are first divided by the
-    largest of them, as ``math.hypot`` does.
+    plain sum of squares is used when it is a finite normal double.  When it
+    overflows, or underflows because the coefficients are tiny (a stored
+    ``1e-200`` squares to zero, a stored ``1e-160`` to a subnormal that keeps
+    only a few bits), the coefficients are first divided by the largest of
+    them, as ``math.hypot`` does.
     """
-    if 0.0 < square < math.inf:
+    if sys.float_info.min <= square < math.inf:
         return math.sqrt(square)
     terms = [(key, c) for p in polys for key, c in p._terms.items()]
     if not terms:
@@ -546,13 +544,14 @@ def ou_apply(p: ChaosPoly) -> ChaosPoly:
 
 
 def ou_inverse(p: ChaosPoly) -> ChaosPoly:
-    """Inverse number operator on centered functionals (grade-m term / m).
+    """Pseudo-inverse of the number operator: grade-m term / m, constant dropped.
 
-    The expectation must be within 1e-12 of zero.
+    ``L^-1 F = sum_{m >= 1} J_m F / m`` is defined on all of L2 (Nualart,
+    *The Malliavin Calculus and Related Topics*, 2006, section 1.4): the
+    expectation is not inverted but discarded, so ``ou_inverse(c + p)`` equals
+    ``ou_inverse(p)`` for any constant ``c``, and ``ou_apply(ou_inverse(p))``
+    is ``p`` less its expectation.
     """
-    mean = expectation(p)
-    if abs(mean) > 1e-12:
-        raise NotCentered(f"expectation {mean!r} exceeds centering tolerance 1e-12")
     return ChaosPoly(p.dim, {key: c / len(key) for key, c in p._terms.items() if key})
 
 
@@ -595,9 +594,6 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     block ``i``'s own table holds.  A coarse monomial expands as the
     cartesian product of its blocks' tables with coefficient
     ``((1.0 * c1) * c2) * ...``, and the sums pass the term gate once.
-    Partial products are not pruned: a table coefficient of order ``k`` is
-    at least ``m**(-k/2)``, so under the degree cap a product over the
-    blocks is at least ``128**-4`` (about 4e-9), far above ``PRUNE_EPS``.
     """
     m = int(m)
     if m < 1:

@@ -18,16 +18,16 @@ gives the residual after refining by m in closed form from v's own terms,
 and :func:`refine_and_reconstruct` builds the refined functional and
 measures its unrepresentable mass, which cross-checks the two.
 
-Separately, any centered square-integrable scalar phi has the exact
-divergence representation with integrand
+Separately, any square-integrable scalar phi has the exact divergence
+representation phi - E phi = div(vbar) with integrand
 
-    vbar = grad( Linv (phi - E phi) )
+    vbar = grad( Linv phi )
 
-where Linv inverts the number operator gradewise.  Among all fields whose
-divergence is phi - E phi this one has minimal energy, because gradients are
-L2-orthogonal to divergence-free fields.  The adapted (projected-gradient)
-integrand and vbar coincide exactly when phi - E phi sits in the first
-chaos grade.  For ``phi = sum_alpha c_alpha He_alpha`` both energies are
+where Linv inverts the number operator gradewise and drops the constant
+term.  Among all fields whose divergence is phi - E phi this one has
+minimal energy, because gradients are L2-orthogonal to divergence-free
+fields.  The adapted (projected-gradient) integrand and vbar coincide
+exactly when phi - E phi sits in the first chaos grade.  For ``phi = sum_alpha c_alpha He_alpha`` both energies are
 sums over the coefficients, which :func:`compare_energies` reads off phi
 without building either field:
 
@@ -199,9 +199,12 @@ def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
 
 
 def minimal_energy_integrand(phi: ChaosPoly) -> HField:
-    """grad(Linv(phi - E phi)): the exact minimal-energy representing field."""
-    centered = phi - ChaosPoly.constant(phi.dim, phi.expectation())
-    return gradient_scalar(ou_inverse(centered))
+    """grad(Linv phi): the exact minimal-energy field representing phi - E phi.
+
+    ``ou_inverse`` is the pseudo-inverse, which drops phi's constant term, so
+    phi need not be centered first.
+    """
+    return gradient_scalar(ou_inverse(phi))
 
 
 def compare_energies(phi: ChaosPoly) -> EnergyComparison:

@@ -42,17 +42,15 @@ from .chaos import ChaosPoly, DimensionMismatch, HermiteColumns, evaluate_batch
 #: Rows per Philox substream; fixed so that parallel == serial.
 BLOCK_ROWS = 8192
 
-#: Name recorded in batches; identifies the bit-exact generation scheme.
+#: Name stamped on reports; identifies the bit-exact generation scheme.
 GENERATOR_ID = f"philox2x64-block{BLOCK_ROWS}"
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """N x n matrix of standard Gaussian draws with provenance."""
+    """N x n matrix of standard Gaussian draws and its Hermite columns."""
 
     draws: np.ndarray
-    seed: int
-    generator: str
 
     @property
     def n_samples(self) -> int:
@@ -69,7 +67,7 @@ class SampleBatch:
 
 
 def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
-    """Draw a reproducible batch; (seed, generator, N, n) pin the bits.
+    """Draw a reproducible batch; (seed, GENERATOR_ID, N, n) pin the bits.
 
     Blocks of BLOCK_ROWS rows come from independent Philox streams keyed by
     (seed, block index), so any worker can regenerate any block alone.
@@ -90,7 +88,7 @@ def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
         blocks.append(gen.standard_normal((rows, n)))
     draws = np.vstack(blocks)
     draws.setflags(write=False)
-    return SampleBatch(draws=draws, seed=seed, generator=GENERATOR_ID)
+    return SampleBatch(draws)
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,6 @@ class MonteCarloEstimate:
 
     mean: float
     stderr: float
-    n_samples: int
-    seed: int
 
 
 def mc_estimate(p: ChaosPoly, batch: SampleBatch) -> MonteCarloEstimate:
@@ -115,9 +111,7 @@ def mc_estimate(p: ChaosPoly, batch: SampleBatch) -> MonteCarloEstimate:
         stderr = float(vals.std(ddof=1) / math.sqrt(batch.n_samples))
     else:
         stderr = 0.0
-    return MonteCarloEstimate(
-        mean=mean, stderr=stderr, n_samples=batch.n_samples, seed=batch.seed
-    )
+    return MonteCarloEstimate(mean=mean, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------

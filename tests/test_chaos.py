@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product as cartesian
@@ -32,7 +33,6 @@ from wienerlab.chaos import (
     DegreeCapExceeded,
     DimensionMismatch,
     MultiIndex,
-    NotCentered,
     conditional_expectation,
     evaluate_batch,
     expectation,
@@ -51,7 +51,7 @@ from wienerlab.chaos import (
     _product_terms,
     _top_order_above_one,
 )
-from wienerlab.malliavin import VField
+from wienerlab.malliavin import HField, VField, divergence_h
 
 
 def random_poly(rng, dim, degree, n_terms=4):
@@ -131,7 +131,11 @@ def test_no_stored_zeros_after_cancellation():
     q = ChaosPoly(2, {packed({1: 1}): -1.0})
     assert MultiIndex(b"\x01") not in (p + q).terms
     assert (p + q).terms[MultiIndex(b"\x02\x02")] == 0.5
-    assert ChaosPoly(2, {packed({1: 1}): 1e-15}).is_zero()
+    # only an exact zero is dropped: a tiny sum is kept, however small
+    tiny = ChaosPoly(2, {packed({1: 1}): 1e-15})
+    assert tiny.packed_terms == {b"\x01": 1e-15}
+    assert (tiny - tiny).is_zero()
+    assert (p + q + tiny).packed_terms == {b"\x02\x02": 0.5, b"\x01": 1e-15}
 
 
 # ------------------------------------------------------------------- product
@@ -144,6 +148,9 @@ def test_product_he1_he1_frozen():
     prod = hermite_product(he1, he1)
     assert prod == ChaosPoly(dim, {packed({1: 2}): 1.0, packed(): 1.0})
     assert abs(quad_poly_expectation(prod) - 1.0) < 1e-12
+    # (1e-8 eta_1)^2 = 1e-16 He_2 + 1e-16: both terms are kept
+    tiny = ChaosPoly.hermite(dim, 1, 1, 1e-8)
+    assert hermite_product(tiny, tiny).packed_terms == {b"\x01\x01": 1e-8 * 1e-8, b"": 1e-8 * 1e-8}
 
 
 def test_product_he2_he2_frozen():
@@ -394,12 +401,15 @@ def test_ou_apply_and_inverse():
     assert ou_apply(p) == linear_combine([2.0], [p])
     he3 = ChaosPoly.hermite(1, 1, 3)
     assert ou_inverse(he3) == ChaosPoly.hermite(1, 1, 3, 1.0 / 3.0)
-    with pytest.raises(NotCentered):
-        ou_inverse(ChaosPoly.constant(1, 1.0))
+    # the pseudo-inverse drops the constant instead of refusing it
+    assert ou_inverse(ChaosPoly.constant(1, 1.0)).is_zero()
     rng = make_rng(111)
     for _ in range(8):
         p = random_poly(rng, 3, 4)
+        c = ChaosPoly.constant(3, float(rng.uniform(-1, 1)))
+        assert ou_inverse(c + p) == ou_inverse(p)
         centered = p - ChaosPoly.constant(3, expectation(p))
+        assert ou_apply(ou_inverse(p)) == ou_apply(ou_inverse(centered))
         assert norm_l2(ou_apply(ou_inverse(centered)) - centered) <= 1e-12
         assert norm_l2(ou_inverse(ou_apply(centered)) - centered) <= 1e-12
 
@@ -588,10 +598,17 @@ def test_norm_l2_keeps_the_plain_sum_when_it_is_finite():
         p = random_poly(rng, 3, 4, n_terms=6)
         assert norm_l2(p) == math.sqrt(l2_inner(p, p)) == p.norm_l2()
     assert norm_l2(ChaosPoly.zero(2)) == 0.0
-    # a coefficient of 1e-200 lies below PRUNE_EPS, so the gate drops it: no
-    # stored polynomial has a sum of squares that underflows to zero
+    # a coefficient of 1e-200 is stored; its square underflows to zero, so the
+    # norm divides by the largest coefficient first
     tiny = ChaosPoly.hermite(1, 1, 2, 1e-200)
-    assert tiny.is_zero() and norm_l2(tiny) == 0.0
+    assert tiny.packed_terms == {b"\x01\x01": 1e-200} and l2_inner(tiny, tiny) == 0.0
+    want = math.sqrt(2.0) * 1e-200
+    assert abs(norm_l2(tiny) - want) <= 1e-15 * want
+    # a square that is subnormal has lost most of its bits: it is rescaled too
+    small = ChaosPoly.hermite(1, 1, 2, 1e-160)
+    assert 0.0 < l2_inner(small, small) < sys.float_info.min
+    want = math.sqrt(2.0) * 1e-160
+    assert abs(norm_l2(small) - want) <= 1e-15 * want
 
 
 def test_overflowing_product_raises():
@@ -600,6 +617,40 @@ def test_overflowing_product_raises():
         hermite_product(big, big)
     with pytest.raises(AlgebraError, match="non-finite"):
         linear_combine([1e200], [big])
+
+
+# ---------------------------------------------------------- scale equivariance
+# A stored coefficient is exactly a nonzero sum, with no absolute cutoff, so
+# scaling an input by a power of two scales every kernel's output by it: the
+# same keys in the same order, and each coefficient's bits scaled exactly, as
+# long as nothing reaches the subnormal range.
+
+
+def _scaled(p: ChaosPoly, s: float) -> ChaosPoly:
+    return ChaosPoly(p.dim, [(key, s * c) for key, c in p.packed_terms.items()])
+
+
+def _assert_scaled(got: ChaosPoly, unit: ChaosPoly, s: float):
+    assert list(got.packed_terms.items()) == [(key, s * c) for key, c in unit.packed_terms.items()]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 600))
+def test_kernels_commute_with_power_of_two_scaling(seed, k):
+    s = math.ldexp(1.0, -k)
+    rng = make_rng(seed)
+    dim = int(rng.integers(1, 4))
+    p, q = random_poly(rng, dim, 4), random_poly(rng, dim, 4)
+    a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
+    _assert_scaled(hermite_product(_scaled(p, s), q), hermite_product(p, q), s)
+    _assert_scaled(linear_combine([a, b], [_scaled(p, s), _scaled(q, s)]), linear_combine([a, b], [p, q]), s)
+    for i in range(1, dim + 1):
+        _assert_scaled(partial_derivative(_scaled(p, s), i), partial_derivative(p, i), s)
+    m = int(rng.integers(1, 5))
+    _assert_scaled(refine(_scaled(p, s), m), refine(p, m), s)
+    u = HField(tuple(random_poly(rng, dim, 3, n_terms=2) for _ in range(dim)))
+    _assert_scaled(divergence_h(HField(tuple(_scaled(c, s) for c in u.coords))), divergence_h(u), s)
+    _assert_scaled(ou_inverse(_scaled(p, s)), ou_inverse(p), s)
 
 
 # ------------------------------------------------------------------ term gate

@@ -277,9 +277,13 @@ def test_refinement_table_matches_the_closed_form_residual():
             assert _within(residual, refinement_residual(v, m), 1e-12)
         for m in [*range(1, 17), 32, 64, 128]:
             assert _within(clark.refinement_residual(v, m), refinement_residual(v, m), 1e-15)
-    # refine drops block products at or below PRUNE_EPS; the closed form has none to drop
+    # a tiny functional: refine keeps every nonzero block product, however
+    # small, so the materialised row holds the whole mass too
     v = VField((he(8, 1, 1) * 1e-10,))
     assert _within(clark.refinement_residual(v, 16), refinement_residual(v, 16), 1e-15)
+    v = VField((he(8, 1, 1) * 1e-12,))
+    [(_, residual)] = refine_and_reconstruct(v, [4])
+    assert _within(residual, clark.refinement_residual(v, 4), 1e-12)
     rng = make_rng(507)
     for _ in range(20):
         n = int(rng.integers(1, 4))

@@ -182,6 +182,22 @@ def test_represent_refinement_table(tmp_path, monkeypatch, capsys):
         assert residual == pytest.approx(math.sqrt(2.0 / m), abs=1e-12)
 
 
+def test_represent_keeps_a_tiny_functional(tmp_path, monkeypatch, capsys):
+    # the representation is homogeneous: 1e-15*h2(x1) is not the zero functional
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(
+        ["represent", "--n", "1", "--functional", "0.000000000000001*h2(x1)", "--output", "tiny"],
+        capsys,
+    )
+    assert code == 0, err
+    payload = json.loads((tmp_path / "tiny.json").read_text())
+    assert payload["clark"]["residual_l2"] == 1.414213562373095e-15
+    rows = [line.split(",") for line in (tmp_path / "tiny.csv").read_text().splitlines()[1:]]
+    assert [int(m) for m, _ in rows] == [1, 2, 4, 8]
+    for m, residual in rows:
+        assert float(residual) == pytest.approx(math.sqrt(2.0 / int(m)) * 1e-15, rel=1e-12, abs=0.0)
+
+
 def test_represent_reads_functional_from_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     source = tmp_path / "fn.txt"
