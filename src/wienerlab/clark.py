@@ -13,10 +13,11 @@ and the same coefficient, and every other monomial is dropped.  The dropped
 monomials are lost entirely: v minus the reconstruction holds exactly them,
 so the residual is the L2 norm of the dropped terms, read off v without
 forming the reconstruction's difference.  Grid refinement spreads that mass
-over finer cells and shrinks the residual; :func:`refinement_residual`
-gives the residual after refining by m in closed form from v's own terms,
-and :func:`refine_and_reconstruct` builds the refined functional and
-measures its unrepresentable mass, which cross-checks the two.
+over finer cells and shrinks the residual.  Every residual is one sum,
+:func:`refinement_residual`, which gives the residual after refining by m in
+closed form from v's own terms; ``reconstruct`` reports it at m = 1, and
+:func:`refine_and_reconstruct` builds each refined functional and takes it
+at m = 1 of that, which cross-checks the closed form.
 
 Separately, any square-integrable scalar phi has the exact divergence
 representation phi - E phi = div(vbar) with integrand
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .adapted import PredictableHField, WeaklyAdaptedOperator
 from .chaos import (
@@ -99,26 +101,16 @@ def clark_integrand(v: VField) -> WeaklyAdaptedOperator:
     return WeaklyAdaptedOperator(tuple(rows))
 
 
-def _dropped_norm(v: VField) -> float:
-    """L2 norm of the terms whose top coordinate has order >= 2.
-
-    These are exactly the terms of ``v - reconstruct(v).reconstruction``,
-    in v's stored order and with v's coefficients, so the norm equals that
-    difference's norm bit for bit.
-    """
-    return VField(
-        tuple(
-            ChaosPoly(p.dim, {k: c for k, c in p.packed_terms.items() if _top_order_above_one(k)})
-            for p in v.components
-        )
-    ).norm()
-
-
 def reconstruct(v: VField) -> ClarkResult:
-    """E[v] + div(adapted integrand), with the L2 norm of the dropped terms as residual."""
+    """E[v] + div(adapted integrand); the residual is ``refinement_residual(v, 1)``.
+
+    At m = 1 the closed form weighs a term by ``alpha!`` exactly when its
+    top coordinate has order >= 2, so the residual is the norm of the
+    dropped terms, ``||v - reconstruction||``, added with ``math.fsum``.
+    """
     K = clark_integrand(v)
     rec = VField.constant(v.ambient_dim, v.expectation()).add(divergence_op(K))
-    return ClarkResult(integrand=K, reconstruction=rec, residual_l2=_dropped_norm(v))
+    return ClarkResult(integrand=K, reconstruction=rec, residual_l2=refinement_residual(v, 1))
 
 
 def is_representable(v: VField | ChaosPoly) -> bool:
@@ -128,13 +120,25 @@ def is_representable(v: VField | ChaosPoly) -> bool:
 
 
 def residual_mass_oracle(v: VField) -> float:
-    """Exact residual predicted from the unrepresentable coefficient mass."""
-    total = 0.0
-    for p in v.components:
-        for key, c in p.packed_terms.items():
-            if _top_order_above_one(key):
-                total += _factorial(key) * c * c
-    return math.sqrt(total)
+    """The residual of ``reconstruct``, exact: an oracle independent of its float sum.
+
+    Adds ``alpha! c**2`` over the terms whose top coordinate has order >= 2
+    in ``Fraction``s and rounds the square root once, however tiny or huge
+    the sum; ``inf`` past the largest double.
+    """
+    total = sum(
+        _factorial(key) * Fraction(c) ** 2
+        for p in v.components for key, c in p.packed_terms.items() if _top_order_above_one(key)
+    )
+    # sqrt(total) * 2**s has about 60 bits, well past a double's 53; an
+    # inexact root is made odd, so that it rounds as the exact root does
+    s = 60 - (total.numerator.bit_length() - total.denominator.bit_length()) // 2
+    scaled = total * Fraction(4) ** s
+    root = math.isqrt(math.floor(scaled))
+    try:
+        return float((root | (root * root != scaled)) / Fraction(2) ** s)
+    except OverflowError:
+        return math.inf
 
 
 def refinement_residual(v: VField, m: int) -> float:
@@ -169,7 +173,8 @@ def refinement_residual(v: VField, m: int) -> float:
 
     def weight(key: bytes) -> float:
         k = key.count(key[-1]) if key else 0
-        return _factorial(key) * lost[k] / m**k
+        # a represented term costs no factorial
+        return lost[k] and _factorial(key) * lost[k] / m**k
 
     return _root_of_squares(_square_sum(v.components, weight), v.components, weight)
 
@@ -189,11 +194,12 @@ def _square_sum(polys, weight) -> float:
 def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
     """Residual table over refinement factors; rows are (factor, residual).
 
-    Each row builds v refined by the factor and measures its unrepresentable
-    mass, the ``residual_l2`` that ``reconstruct`` would report for it.
+    Each row builds v refined by the factor with ``refine`` and takes its
+    ``refinement_residual`` at m = 1, the ``residual_l2`` that ``reconstruct``
+    reports for it, so a row cross-checks the closed form at that factor.
     """
     return [
-        (m, _dropped_norm(VField(tuple(refine(p, m) for p in v.components))))
+        (m, refinement_residual(VField(tuple(refine(p, m) for p in v.components)), 1))
         for m in map(int, factors)
     ]
 

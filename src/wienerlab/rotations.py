@@ -255,18 +255,13 @@ def build_sequential_isometry(n: int, seed: int, angle_spec: str) -> AdaptedIsom
 def _recombine_outputs(base: AdaptedIsometry, L: np.ndarray, tag: str) -> AdaptedIsometry:
     """Replace the output rows by ``L @ rows`` for a constant n x n matrix ``L``.
 
-    Applied to the base kernel's output and, when there is one, to the
-    operator form.
+    Only the kernel is recombined: a planted defect has no operator form.
     """
 
     def fn(draws, U):
         return np.matmul(L, base._apply(draws, U))
 
-    op = base.operator()
-    if op is not None:
-        # row b of L K is K^T applied to row b of L
-        op = WeaklyAdaptedOperator(tuple(op.transpose_apply(w) for w in L))
-    return AdaptedIsometry(base.n, base.kind + tag, fn, operator=op)
+    return AdaptedIsometry(base.n, base.kind + tag, fn)
 
 
 def scale_output(base: AdaptedIsometry, index: int, factor: float) -> AdaptedIsometry:

@@ -145,13 +145,23 @@ def _refined_top_mass(k: int, m: int) -> Fraction:
 def refinement_residual(v, m: int) -> float:
     """Closed-form residual of ``reconstruct`` after refining ``v`` by ``m``.
 
+    The square root of :func:`refinement_mass`, rounded once by
+    :func:`exact_root`.
+    """
+    return exact_root(refinement_mass(v, m))
+
+
+def refinement_mass(v, m: int) -> Fraction:
+    """Squared residual of ``reconstruct`` after refining ``v`` by ``m``, exact.
+
     Refinement maps coarse coordinate i to the unit-norm average of fine
     block i, so distinct coarse monomials keep orthogonal fine expansions,
     lower blocks keep their full mass and only the top block decides what is
     representable.  For ``v = sum_alpha c_alpha He_alpha`` with top
     coordinate ``t``, ``residual**2 = sum_alpha c_alpha**2 prod_{i<t}
     alpha_i! R(alpha_t, m)`` over every component, summed in ``Fraction``s
-    from the stored coefficients.  Reads only the packed keys.
+    from the stored coefficients.  At ``m = 1`` that is ``alpha! c**2`` over
+    the terms whose top order is at least 2.  Reads only the packed keys.
     """
     total = Fraction(0)
     for p in v.components:
@@ -161,7 +171,25 @@ def refinement_residual(v, m: int) -> float:
             *lower, (_, top) = [(i, key.count(i)) for i in sorted(set(key))]
             mass = Fraction(c) ** 2 * math.prod(math.factorial(k) for _, k in lower)
             total += mass * _refined_top_mass(top, m)
-    return math.sqrt(total)
+    return total
+
+
+def exact_root(total: Fraction) -> float:
+    """``sqrt(total)`` rounded once to the nearest double; ``inf`` past the largest.
+
+    ``math.sqrt`` of a ``Fraction`` rounds it to a double first, which loses
+    a sum below the smallest one (2e-400 becomes 0.0) or above the largest.
+    Here the integer square root is taken at a power-of-two scale that gives
+    it about 60 bits, and an inexact root is made odd, so that it rounds to
+    the same double as the exact root.
+    """
+    s = 60 - (total.numerator.bit_length() - total.denominator.bit_length()) // 2
+    scaled = total * Fraction(4) ** s
+    root = math.isqrt(math.floor(scaled))
+    try:
+        return float((root | (root * root != scaled)) / Fraction(2) ** s)
+    except OverflowError:
+        return math.inf
 
 
 def energies(phi: ChaosPoly) -> tuple[float, float]:

@@ -1,10 +1,19 @@
 """Adapted representation of vector functionals and minimal-energy fields."""
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 
-from helpers import energies, make_rng, refinement_residual, split_integrand
+from helpers import (
+    energies,
+    exact_root,
+    make_rng,
+    refinement_mass,
+    refinement_residual,
+    split_integrand,
+)
 from wienerlab import clark
 from wienerlab.chaos import (
     DEGREE_CAP,
@@ -140,6 +149,24 @@ def test_residual_matches_structural_oracle():
         assert residual_mass_oracle(v) == pytest.approx(bad_mass(v), abs=1e-14)
 
 
+def test_residual_mass_oracle_is_exact():
+    # one rounding of the exact rational mass, however small or large
+    v = VField((he(2, 1, 1) * 1e-200,))
+    assert residual_mass_oracle(v) == refinement_residual(v, 1) == 1.414213562373095e-200
+    tiny = VField((he(2, 1, 1) * 1e-160,))
+    assert residual_mass_oracle(tiny) == exact_root(refinement_mass(tiny, 1)) == 1.414213562373095e-160
+    # 2e400 squared mass, finite root; a root past the largest double is inf
+    assert residual_mass_oracle(VField((he(2, 1, 1) * 1e200,))) == 1.414213562373095e200
+    assert residual_mass_oracle(VField((he(8, 1, 1) * 1e308,))) == math.inf
+    v = VField((lower(parse_functional("0.769787*h8(x1)"), 1),))
+    assert residual_mass_oracle(_refined(v, 8)) == 101.08234343238155
+    assert residual_mass_oracle(VField((ChaosPoly.zero(2),))) == 0.0
+    rng = make_rng(510)
+    for _ in range(40):
+        v = random_vfield(rng, int(rng.integers(1, 4)), 2, 5)
+        assert residual_mass_oracle(v) == refinement_residual(v, 1)
+
+
 def test_representable_class_is_exact():
     rng = make_rng(503)
     for _ in range(12):
@@ -237,9 +264,16 @@ def _refined(v, m):
     return VField(tuple(refine(p, m) for p in v.components))
 
 
-def test_residual_is_the_norm_of_v_minus_its_reconstruction_bit_for_bit():
-    # ||v - reconstruction|| is the independent oracle: it forms the
-    # difference, while residual_l2 reads the dropped terms off v
+def _within_one_ulp_of_the_root(value, total):
+    # |value - sqrt(total)| <= ulp(value), decided in exact rationals
+    ulp = Fraction(math.ulp(value))
+    return max(Fraction(value) - ulp, 0) ** 2 <= total <= (Fraction(value) + ulp) ** 2
+
+
+def test_residual_is_the_norm_of_v_minus_its_reconstruction():
+    # residual_l2 is the fsum closed form at m = 1; it is checked against the
+    # exact rational mass of the dropped terms, and against ||v -
+    # reconstruction||, the independent oracle that forms the difference
     rng = make_rng(508)
     fields = [v for v in (random_vfield(rng, int(rng.integers(1, 4)), 2, 4) for _ in range(30))
               if not is_representable(v)]
@@ -249,7 +283,12 @@ def test_residual_is_the_norm_of_v_minus_its_reconstruction_bit_for_bit():
     fields.append(VField((he(2, 1, 1) * 1e154,)))
     for v in fields:
         result = reconstruct(v)
-        assert result.residual_l2 == v.sub(result.reconstruction).norm()
+        assert _within_one_ulp_of_the_root(result.residual_l2, refinement_mass(v, 1))
+        # the difference's norm adds its squares in sequence, so it is
+        # good to about one rounding per term, far from the 1 ulp above
+        lost = v.sub(result.reconstruction)
+        bound = sum(map(len, (p.packed_terms for p in lost.components))) * sys.float_info.epsilon
+        assert _within(result.residual_l2, lost.norm(), bound)
     assert math.isfinite(reconstruct(fields[-1]).residual_l2)
 
 

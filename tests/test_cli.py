@@ -198,6 +198,26 @@ def test_represent_keeps_a_tiny_functional(tmp_path, monkeypatch, capsys):
         assert float(residual) == pytest.approx(math.sqrt(2.0 / int(m)) * 1e-15, rel=1e-12, abs=0.0)
 
 
+def test_represent_residual_is_its_first_refinement_row_bit_for_bit(tmp_path, monkeypatch, capsys):
+    # residual_l2 and the m = 1 row are one sum; a sequential residual
+    # wrote ...604 next to the row's ...605 for this functional
+    monkeypatch.chdir(tmp_path)
+    functional = "[0.459*h3(x1), 0.746*h4(x2) + 0.165*h3(x3) + 0.849*h3(x1) + 0.318*h4(x3)*x3]"
+    code, _, err = run(
+        ["represent", "--n", "3", "--refine", "1,2", "--functional", functional, "--output", "e"],
+        capsys,
+    )
+    assert code == 0, err
+    residual = json.loads((tmp_path / "e.json").read_text())["clark"]["residual_l2"]
+    row = (tmp_path / "e.csv").read_text().splitlines()[1]
+    assert row == f"1,{residual!r}"
+    assert residual == 6.593176017671605
+    rng = make_rng(2026)
+    for _ in range(300):
+        v = random_vfield(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9)))
+        assert wienerlab.clark.reconstruct(v).residual_l2 == wienerlab.clark.refinement_residual(v, 1)
+
+
 def test_represent_reads_functional_from_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     source = tmp_path / "fn.txt"
