@@ -27,7 +27,9 @@ Every operation here is exact up to double rounding: expectation, inner
 product, product (Hermite linearization), coordinate derivative, conditional
 expectation with respect to the coordinate filtration, number-operator
 scaling and its inverse, grid refinement, and evaluation on a batch of
-samples.
+samples.  A sum of weighted squares of coefficients, such as the L2 norm,
+is exact before its one rounding: :func:`norm_l2`, the field norms and the
+Clark residuals and energies all add in integers in one kernel.
 
 A product is expanded monomial pair by monomial pair.  A left monomial of
 degree 1, ``eta_i``, applies the three-term rule
@@ -63,14 +65,13 @@ share across threads or workers without locking.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations_with_replacement as _multisets
 from itertools import product as _cartesian
 from types import MappingProxyType
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -479,27 +480,44 @@ def l2_inner(p: ChaosPoly, q: ChaosPoly) -> float:
 
 
 def norm_l2(p: ChaosPoly) -> float:
-    """``sqrt(E[p^2])``, finite whenever the norm is a finite double."""
-    return _root_of_squares(l2_inner(p, p), (p,))
+    """``sqrt(E[p^2])``, correctly rounded; ``inf`` past the largest double."""
+    return _square_sum((p,), root=True)
 
 
-def _root_of_squares(square: float, polys: Iterable[ChaosPoly], weight=_factorial) -> float:
-    """``sqrt(square)``, where ``square`` is ``sum weight(key) * c**2`` over ``polys``' terms.
+def _square_sum(polys, weight=_factorial, den: int = 1, root: bool = False) -> float:
+    """``sum weight(key) * c**2 / den`` over the terms of ``polys``, exact, rounded once.
 
-    With the default weight ``alpha!`` that is the sum of ``E[p^2]``.  The
-    plain sum of squares is used when it is a finite normal double.  When it
-    overflows, or underflows because the coefficients are tiny (a stored
-    ``1e-200`` squares to zero, a stored ``1e-160`` to a subnormal that keeps
-    only a few bits), the coefficients are first divided by the largest of
-    them, as ``math.hypot`` does.
+    ``weight`` maps a key to an integer, ``alpha!`` by default, so that the
+    sum is ``E[p^2]`` summed over ``polys``; ``den`` is a positive integer.
+    Each coefficient is ``n * 2**(e - 53)`` with an integer ``n`` of at most
+    53 bits (``math.frexp``), so the sum is accumulated exactly as one
+    integer ``weight * n**2`` per exponent ``e``; the integers are brought to
+    the smallest ``e`` and the total is rounded once to the nearest double,
+    or with ``root`` its square root is: however tiny or huge the sum, and
+    ``inf`` past the largest double.
     """
-    if sys.float_info.min <= square < math.inf:
-        return math.sqrt(square)
-    terms = [(key, c) for p in polys for key, c in p._terms.items()]
-    if not terms:
-        return 0.0
-    big = max(abs(c) for _, c in terms)
-    return big * math.sqrt(sum(weight(key) * (c / big) ** 2 for key, c in terms))
+    acc: dict[int, int] = {}
+    for p in polys:
+        for key, c in p._terms.items():
+            if w := weight(key):
+                m, e = math.frexp(c)
+                acc[e] = acc.get(e, 0) + w * int(m * 2.0**53) ** 2
+    low = min(acc, default=53)
+    num = sum(s << 2 * (e - low) for e, s in acc.items())
+    # the sum is num * 4**(low - 53) / den
+    num, den = (num, den << 106 - 2 * low) if low <= 53 else (num << 2 * low - 106, den)
+    if root:
+        # at the scale 4**s the integer root of num / den has about 60 bits,
+        # past a double's 53; an inexact root is made odd, so that it rounds
+        # as the exact root does
+        s = 60 - (num.bit_length() - den.bit_length()) // 2
+        whole, rest = divmod(num << max(2 * s, 0), den << max(-2 * s, 0))
+        r = math.isqrt(whole)
+        num, den = (r | bool(rest or r * r != whole)) << max(-s, 0), 1 << max(s, 0)
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
 
 
 def partial_derivative(p: ChaosPoly, i: int) -> ChaosPoly:
@@ -577,6 +595,15 @@ def _block_average_table(m: int, k: int) -> dict[bytes, float]:
     return {key: top // _factorial(key) / root for key in keys}
 
 
+def _refined_dim(dim: int, m: int) -> int:
+    """``dim * m``, refusing a factor below 1 or a refined dimension past the cap."""
+    if m < 1:
+        raise AlgebraError(f"refinement factor {m} is not >= 1")
+    if dim * m > DIM_CAP:
+        raise AlgebraError(f"refined dimension {dim * m} exceeds the dimension cap {DIM_CAP}")
+    return dim * m
+
+
 def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     """Replace each coordinate by the mean of ``m`` finer coordinates.
 
@@ -596,13 +623,7 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     ``((1.0 * c1) * c2) * ...``, and the sums pass the term gate once.
     """
     m = int(m)
-    if m < 1:
-        raise AlgebraError(f"refinement factor {m} is not >= 1")
-    new_dim = p.dim * m
-    if new_dim > DIM_CAP:
-        raise AlgebraError(
-            f"refined dimension {new_dim} exceeds the dimension cap {DIM_CAP}"
-        )
+    new_dim = _refined_dim(p.dim, m)
     if m == 1:
         return p
 

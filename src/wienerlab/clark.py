@@ -17,7 +17,9 @@ over finer cells and shrinks the residual.  Every residual is one sum,
 :func:`refinement_residual`, which gives the residual after refining by m in
 closed form from v's own terms; ``reconstruct`` reports it at m = 1, and
 :func:`refine_and_reconstruct` builds each refined functional and takes it
-at m = 1 of that, which cross-checks the closed form.
+at m = 1 of that, which cross-checks the closed form.  The residuals and
+both energies below are exact sums of squares of the coefficients, added in
+integers by ``chaos._square_sum`` and rounded once.
 
 Separately, any square-integrable scalar phi has the exact divergence
 representation phi - E phi = div(vbar) with integrand
@@ -28,9 +30,10 @@ where Linv inverts the number operator gradewise and drops the constant
 term.  Among all fields whose divergence is phi - E phi this one has
 minimal energy, because gradients are L2-orthogonal to divergence-free
 fields.  The adapted (projected-gradient) integrand and vbar coincide
-exactly when phi - E phi sits in the first chaos grade.  For ``phi = sum_alpha c_alpha He_alpha`` both energies are
-sums over the coefficients, which :func:`compare_energies` reads off phi
-without building either field:
+exactly when phi - E phi sits in the first chaos grade.  For
+``phi = sum_alpha c_alpha He_alpha`` both energies are sums over the
+coefficients, which :func:`compare_energies` reads off phi without building
+either field:
 
     E|K|^2    = sum alpha! c_alpha^2            over the terms whose top order is 1
     E|vbar|^2 = sum alpha! c_alpha^2 / |alpha|  over alpha != 0
@@ -45,11 +48,10 @@ from fractions import Fraction
 from .adapted import PredictableHField, WeaklyAdaptedOperator
 from .chaos import (
     DEGREE_CAP,
-    DIM_CAP,
-    AlgebraError,
     ChaosPoly,
     _factorial,
-    _root_of_squares,
+    _refined_dim,
+    _square_sum,
     _top_order_above_one,
     ou_inverse,
     refine,
@@ -106,7 +108,8 @@ def reconstruct(v: VField) -> ClarkResult:
 
     At m = 1 the closed form weighs a term by ``alpha!`` exactly when its
     top coordinate has order >= 2, so the residual is the norm of the
-    dropped terms, ``||v - reconstruction||``, added with ``math.fsum``.
+    dropped terms, ``||v - reconstruction||``, summed exactly and rounded
+    once.
     """
     K = clark_integrand(v)
     rec = VField.constant(v.ambient_dim, v.expectation()).add(divergence_op(K))
@@ -155,40 +158,29 @@ def refinement_residual(v: VField, m: int) -> float:
         residual(m)**2 = sum_alpha alpha! c_alpha**2 (m**k - k S) / m**k,
         S = sum_{j<m} j**(k-1)
 
-    with the exact integer ``S``.  One scan over v's packed keys adds the
-    terms with ``math.fsum`` and takes one square root, rescaled as in
-    ``chaos.norm_l2`` when the sum overflows.  ``m * residual**2`` tends to
-    ``sum alpha! c_alpha**2 k / 2`` over the terms with ``k >= 2``: the
-    discrete representation converges at rate ``1/m``.  Raises ``refine``'s
-    ``AlgebraError`` for ``m < 1`` or a refined dimension past ``DIM_CAP``.
+    with the exact integer ``S``.  Each weight is an integer over the fixed
+    ``m**DEGREE_CAP``, so one scan over v's packed keys adds the terms
+    exactly (``chaos._square_sum``) and rounds the square root once: the
+    row is the correctly rounded residual, ``inf`` past the largest double.
+    ``m * residual**2`` tends to ``sum alpha! c_alpha**2 k / 2`` over the
+    terms with ``k >= 2``: the discrete representation converges at rate
+    ``1/m``.  Raises ``refine``'s ``AlgebraError`` for ``m < 1`` or a
+    refined dimension past ``DIM_CAP``.
     """
-    if m < 1:
-        raise AlgebraError(f"refinement factor {m} is not >= 1")
-    if (dim := v.ambient_dim * m) > DIM_CAP:
-        raise AlgebraError(f"refined dimension {dim} exceeds the dimension cap {DIM_CAP}")
-    # m**k - k S by top order k; a constant (k = 0) is represented exactly
+    _refined_dim(v.ambient_dim, m)
+    # (m**k - k S) m**(DEGREE_CAP - k) by top order k, over m**DEGREE_CAP;
+    # a constant (k = 0) is represented exactly
     lost = [0] + [
-        m**k - k * sum(j ** (k - 1) for j in range(m)) for k in range(1, DEGREE_CAP + 1)
+        (m**k - k * sum(j ** (k - 1) for j in range(m))) * m ** (DEGREE_CAP - k)
+        for k in range(1, DEGREE_CAP + 1)
     ]
 
-    def weight(key: bytes) -> float:
+    def weight(key: bytes) -> int:
         k = key.count(key[-1]) if key else 0
         # a represented term costs no factorial
-        return lost[k] and _factorial(key) * lost[k] / m**k
+        return lost[k] and _factorial(key) * lost[k]
 
-    return _root_of_squares(_square_sum(v.components, weight), v.components, weight)
-
-
-def _square_sum(polys, weight) -> float:
-    """``math.fsum`` of ``weight(key) * c * c`` over the terms of ``polys``.
-
-    ``inf`` when the finite terms sum past the largest double.
-    """
-    terms = (weight(key) * c * c for p in polys for key, c in p.packed_terms.items())
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
+    return _square_sum(v.components, weight, m**DEGREE_CAP, root=True)
 
 
 def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
@@ -218,8 +210,9 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
 
     Both are closed forms in the Hermite coefficients of
     ``phi = sum_alpha c_alpha He_alpha`` (Nualart, *The Malliavin Calculus
-    and Related Topics*, 2006, sections 1.2-1.4), added with ``math.fsum``
-    and without building either integrand::
+    and Related Topics*, 2006, sections 1.2-1.4), each summed exactly and
+    rounded once to the nearest double (``inf`` past the largest), without
+    building either integrand::
 
         adapted = sum alpha! c_alpha**2            over the terms whose top order is 1
         exact   = sum alpha! c_alpha**2 / |alpha|  over alpha != 0
@@ -232,10 +225,14 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
     the two integrands agree exactly when the centered functional is pure
     first chaos, that is when every term of phi has degree at most 1.
     """
+    # every |alpha| divides the lcm of 1 .. DEGREE_CAP: alpha! / |alpha| is an integer over it
+    lcm = math.lcm(*range(1, DEGREE_CAP + 1))
     return EnergyComparison(
         adapted_energy=_square_sum(
             (phi,), lambda key: _factorial(key) if key and not _top_order_above_one(key) else 0
         ),
-        exact_energy=_square_sum((phi,), lambda key: _factorial(key) / len(key) if key else 0),
+        exact_energy=_square_sum(
+            (phi,), lambda key: _factorial(key) * lcm // len(key) if key else 0, lcm
+        ),
         coincide=all(len(key) <= 1 for key in phi.packed_terms),
     )

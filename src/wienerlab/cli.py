@@ -409,6 +409,3 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,9 +9,9 @@ Three field types over an ambient dimension n:
   is the pairing of output direction a with input direction i, so row a is
   the HField obtained by composing with the a-th output functional.
 
-All three share one arithmetic (``add``, ``sub``, ``energy``, ``norm``) over
-their stored tuple, and every pairing below is one sum of products or one
-sum of inner products.
+All three share one arithmetic (``add``, ``sub``, ``norm``) over their stored
+tuple, and every pairing below is one sum of products or one sum of inner
+products.
 
 The gradient of a scalar is the HField of coordinate derivatives; the
 gradient of a VField stacks those rows into an OperatorField.  The
@@ -41,7 +41,7 @@ from .chaos import (
     ChaosPoly,
     DimensionMismatch,
     _require_same_dim,
-    _root_of_squares,
+    _square_sum,
     hermite_product,
     l2_inner,
     linear_combine,
@@ -97,14 +97,14 @@ class _Field:
     __add__ = add
     __sub__ = sub
 
-    def energy(self) -> float:
-        """Sum of the second moments of the stored polynomials, nested rows included."""
-        return sum(p.energy() if isinstance(p, _Field) else l2_inner(p, p) for p in self._parts)
-
     def norm(self) -> float:
-        """``sqrt(energy())``, rescaled as in ``chaos.norm_l2`` when the energy overflows."""
+        """Square root of the summed second moments of the stored polynomials.
+
+        Nested rows included; one exact sum of ``alpha! c**2``, correctly
+        rounded as in ``chaos.norm_l2``.
+        """
         rows = (part._parts if isinstance(part, _Field) else (part,) for part in self._parts)
-        return _root_of_squares(self.energy(), (p for row in rows for p in row))
+        return _square_sum((p for row in rows for p in row), root=True)
 
 
 def _sum_of_products(pairs) -> ChaosPoly:
@@ -252,12 +252,8 @@ def skew_symmetric_field(A) -> HField:
         raise ValueError(f"square matrix required, got {A.shape}")
     if np.max(np.abs(A + A.T)) != 0.0:
         raise ValueError("matrix is not exactly skew-symmetric")
-    coords = []
-    for i in range(n):
-        coords.append(
-            linear_combine(list(A[i]), [ChaosPoly.coordinate(n, j + 1) for j in range(n)])
-        )
-    return HField(tuple(coords))
+    etas = [ChaosPoly.coordinate(n, j + 1) for j in range(n)]
+    return HField(tuple(linear_combine(list(row), etas) for row in A))
 
 
 # ---------------------------------------------------------------- operators

@@ -346,7 +346,7 @@ def _output_functional(R: AdaptedIsometry, h) -> tuple[np.ndarray, float]:
     It must have shape (n,), finite entries and a nonzero entry.  The
     plain ``np.linalg.norm`` is used when it is finite and nonzero; when it
     overflows (or underflows) the entries are first divided by the largest
-    of them, as ``chaos.norm_l2`` does.
+    of them, as ``math.hypot`` does.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (R.n,):

@@ -192,6 +192,27 @@ def exact_root(total: Fraction) -> float:
         return math.inf
 
 
+def exact_float(total: Fraction) -> float:
+    """``total`` rounded once to the nearest double; ``inf`` past the largest."""
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
+
+
+def l2_mass(polys) -> Fraction:
+    """``sum alpha! c**2`` over the terms of ``polys``, exact in ``Fraction``s.
+
+    The squared L2 norm of one polynomial, or of a field's stored
+    polynomials taken together.  Reads only the packed keys.
+    """
+    total = Fraction(0)
+    for p in polys:
+        for key, c in p.packed_terms.items():
+            total += Fraction(c) ** 2 * math.prod(math.factorial(key.count(i)) for i in set(key))
+    return total
+
+
 def energies(phi: ChaosPoly) -> tuple[float, float]:
     """Adapted and minimal integrand energies of ``phi``, exact in ``Fraction``s.
 
@@ -199,7 +220,8 @@ def energies(phi: ChaosPoly) -> tuple[float, float]:
     ``sum alpha! c_alpha**2`` over the terms whose top coordinate has order
     1, and the minimal one ``sum alpha! c_alpha**2 / |alpha|`` over the
     non-constant terms.  Both are summed exactly from the stored
-    coefficients and rounded once.  Reads only the packed keys.
+    coefficients and rounded once by :func:`exact_float`.  Reads only the
+    packed keys.
     """
     adapted = minimal = Fraction(0)
     for key, c in phi.packed_terms.items():
@@ -210,7 +232,7 @@ def energies(phi: ChaosPoly) -> tuple[float, float]:
         if orders[-1] == 1:
             adapted += mass
         minimal += mass / len(key)
-    return float(adapted), float(minimal)
+    return exact_float(adapted), exact_float(minimal)
 
 
 def split_integrand(p: ChaosPoly) -> HField:

@@ -95,8 +95,8 @@ def test_projection_contraction_and_pythagoras():
         u = random_hfield(rng, 4, 3)
         pu = project_adapted(u)
         rest = u.sub(pu)
-        assert pu.energy() <= u.energy() + 1e-12
-        assert pu.energy() + rest.energy() == pytest.approx(u.energy(), rel=1e-10)
+        assert pu.norm() <= u.norm() + 1e-12
+        assert pu.norm() ** 2 + rest.norm() ** 2 == pytest.approx(u.norm() ** 2, rel=1e-10)
 
 
 def test_projection_self_adjoint():
@@ -190,7 +190,7 @@ def test_stage_convention_counterexample():
     u = HField((eta(1, 1),))
     d = divergence_h(u)
     assert l2_inner(d, d) == pytest.approx(2.0, abs=1e-14)
-    assert u.energy() == pytest.approx(1.0, abs=1e-14)
+    assert u.norm() == 1.0
 
 
 def test_operator_isometry_random():
@@ -285,7 +285,7 @@ def test_weakly_adapted_divergence_is_injective():
         d = int(rng.integers(1, 4))
         K = random_weakly_adapted(rng, n, d, 3)
         dK = divergence_op(K)
-        assert dK.energy() == pytest.approx(K.energy(), rel=1e-10, abs=1e-12)
+        assert dK.norm() ** 2 == pytest.approx(K.norm() ** 2, rel=1e-10, abs=1e-12)
 
 
 def test_zero_operator_passes_uniqueness():

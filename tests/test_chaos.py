@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     eval_poly_indep,
+    exact_root,
     fd_partial,
     generic_product_pairs,
     he_value,
+    l2_mass,
     make_rng,
     mc_poly_mean,
     packed,
@@ -585,30 +587,37 @@ def test_non_finite_coefficients_raise(bad):
 def test_norm_l2_scales_a_sum_of_squares_that_overflows(c):
     p = ChaosPoly.hermite(1, 1, 2, c)
     assert l2_inner(p, p) == math.inf
-    want = math.sqrt(2.0) * abs(c)
-    assert abs(norm_l2(p) - want) <= 1e-15 * want
-    assert p.norm_l2() == norm_l2(p)
+    want = exact_root(l2_mass([p]))
+    assert norm_l2(p) == p.norm_l2() == want
+    assert abs(want - math.sqrt(2.0) * abs(c)) <= 1e-15 * want
     pair = ChaosPoly(2, {b"\x01": 3e200, b"\x02": -4e200})
+    assert norm_l2(pair) == exact_root(l2_mass([pair]))
     assert abs(norm_l2(pair) - 5e200) <= 1e-15 * 5e200
+    # a root past the largest double is inf
+    assert norm_l2(ChaosPoly.hermite(1, 1, 8, 1e308)) == math.inf
 
 
-def test_norm_l2_keeps_the_plain_sum_when_it_is_finite():
+def test_norm_l2_is_the_correctly_rounded_root():
     rng = make_rng(977)
     for _ in range(20):
         p = random_poly(rng, 3, 4, n_terms=6)
-        assert norm_l2(p) == math.sqrt(l2_inner(p, p)) == p.norm_l2()
+        assert norm_l2(p) == exact_root(l2_mass([p])) == p.norm_l2()
+        # the plain float sum is a few roundings away, not more
+        assert norm_l2(p) == pytest.approx(math.sqrt(l2_inner(p, p)), rel=1e-14, abs=0.0)
     assert norm_l2(ChaosPoly.zero(2)) == 0.0
-    # a coefficient of 1e-200 is stored; its square underflows to zero, so the
-    # norm divides by the largest coefficient first
+    # a coefficient of 1e-200 is stored; its square underflows to zero, but
+    # the exact sum does not
     tiny = ChaosPoly.hermite(1, 1, 2, 1e-200)
     assert tiny.packed_terms == {b"\x01\x01": 1e-200} and l2_inner(tiny, tiny) == 0.0
-    want = math.sqrt(2.0) * 1e-200
-    assert abs(norm_l2(tiny) - want) <= 1e-15 * want
-    # a square that is subnormal has lost most of its bits: it is rescaled too
+    assert norm_l2(tiny) == exact_root(l2_mass([tiny])) == 1.414213562373095e-200
+    # a square that is subnormal has lost most of its bits; the exact sum keeps them
     small = ChaosPoly.hermite(1, 1, 2, 1e-160)
     assert 0.0 < l2_inner(small, small) < sys.float_info.min
-    want = math.sqrt(2.0) * 1e-160
-    assert abs(norm_l2(small) - want) <= 1e-15 * want
+    assert norm_l2(small) == exact_root(l2_mass([small])) == 1.414213562373095e-160
+    # squares at both ends of the range in one sum: the tiny one is below
+    # half an ulp of the total and leaves the root where it is
+    mixed = ChaosPoly(2, {b"\x01": 1e200, b"\x02": 1e-200})
+    assert norm_l2(mixed) == exact_root(l2_mass([mixed])) == 1e200
 
 
 def test_overflowing_product_raises():

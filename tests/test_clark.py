@@ -1,14 +1,13 @@
 """Adapted representation of vector functionals and minimal-energy fields."""
 
 import math
-import sys
-from fractions import Fraction
 
 import pytest
 
 from helpers import (
     energies,
     exact_root,
+    l2_mass,
     make_rng,
     refinement_mass,
     refinement_residual,
@@ -20,6 +19,7 @@ from wienerlab.chaos import (
     AlgebraError,
     ChaosPoly,
     hermite_product,
+    norm_l2,
     ou_apply,
     ou_inverse,
     refine,
@@ -264,14 +264,8 @@ def _refined(v, m):
     return VField(tuple(refine(p, m) for p in v.components))
 
 
-def _within_one_ulp_of_the_root(value, total):
-    # |value - sqrt(total)| <= ulp(value), decided in exact rationals
-    ulp = Fraction(math.ulp(value))
-    return max(Fraction(value) - ulp, 0) ** 2 <= total <= (Fraction(value) + ulp) ** 2
-
-
 def test_residual_is_the_norm_of_v_minus_its_reconstruction():
-    # residual_l2 is the fsum closed form at m = 1; it is checked against the
+    # residual_l2 is the closed form at m = 1; it is checked against the
     # exact rational mass of the dropped terms, and against ||v -
     # reconstruction||, the independent oracle that forms the difference
     rng = make_rng(508)
@@ -279,16 +273,14 @@ def test_residual_is_the_norm_of_v_minus_its_reconstruction():
               if not is_representable(v)]
     assert len(fields) >= 10
     fields += [_refined(v, m) for v in fields[:4] for m in (2, 3, 4)]
-    # a sum of squares past the largest double: the rescaled path
+    # a sum of squares past the largest double, with a finite root
     fields.append(VField((he(2, 1, 1) * 1e154,)))
     for v in fields:
         result = reconstruct(v)
-        assert _within_one_ulp_of_the_root(result.residual_l2, refinement_mass(v, 1))
-        # the difference's norm adds its squares in sequence, so it is
-        # good to about one rounding per term, far from the 1 ulp above
-        lost = v.sub(result.reconstruction)
-        bound = sum(map(len, (p.packed_terms for p in lost.components))) * sys.float_info.epsilon
-        assert _within(result.residual_l2, lost.norm(), bound)
+        assert result.residual_l2 == exact_root(refinement_mass(v, 1))
+        # the difference holds exactly the dropped terms, and its norm is
+        # the same exact sum
+        assert result.residual_l2 == v.sub(result.reconstruction).norm()
     assert math.isfinite(reconstruct(fields[-1]).residual_l2)
 
 
@@ -308,18 +300,18 @@ def _within(value, exact, rel):
 def test_refinement_table_matches_the_closed_form_residual():
     # an oracle that reads only the coarse coefficients: residual**2 =
     # sum c**2 prod_{i<t} alpha_i! R(alpha_t, m), in exact rationals.  The
-    # package's float form is one more column, at 1e-15, also at factors
-    # whose refined polynomial is far too large to build
+    # package's closed form equals its rounded root bit for bit, also at
+    # factors whose refined polynomial is far too large to build
     for k in range(DEGREE_CAP + 1):
         v = VField((he(k, 1, 1),))
         for m, residual in refine_and_reconstruct(v, range(1, 9)):
             assert _within(residual, refinement_residual(v, m), 1e-12)
         for m in [*range(1, 17), 32, 64, 128]:
-            assert _within(clark.refinement_residual(v, m), refinement_residual(v, m), 1e-15)
+            assert clark.refinement_residual(v, m) == refinement_residual(v, m)
     # a tiny functional: refine keeps every nonzero block product, however
     # small, so the materialised row holds the whole mass too
     v = VField((he(8, 1, 1) * 1e-10,))
-    assert _within(clark.refinement_residual(v, 16), refinement_residual(v, 16), 1e-15)
+    assert clark.refinement_residual(v, 16) == refinement_residual(v, 16)
     v = VField((he(8, 1, 1) * 1e-12,))
     [(_, residual)] = refine_and_reconstruct(v, [4])
     assert _within(residual, clark.refinement_residual(v, 4), 1e-12)
@@ -330,7 +322,47 @@ def test_refinement_table_matches_the_closed_form_residual():
         for m, residual in refine_and_reconstruct(v, [1, 2, 3, 4]):
             exact = refinement_residual(v, m)
             assert _within(residual, exact, 1e-12)
-            assert _within(clark.refinement_residual(v, m), exact, 1e-15)
+            assert clark.refinement_residual(v, m) == exact
+
+
+def test_refinement_rows_and_energies_are_correctly_rounded_on_seeded_fields():
+    # 3000 seeded fields at m = 1, 2, 4: every row is the exact root rounded
+    # once, and both energies of every component are the exact sums rounded
+    # once; a float sum of the rounded terms put 1317 of these 9000 rows
+    # 1 ulp from the exact root
+    rng = make_rng(2026)
+    for _ in range(3000):
+        n = int(rng.integers(1, 6))
+        d = int(rng.integers(1, 4))
+        v = random_vfield(rng, n, d, int(rng.integers(1, 9)))
+        for m in (1, 2, 4):
+            assert clark.refinement_residual(v, m) == refinement_residual(v, m)
+        for phi in v.components:
+            cmp = compare_energies(phi)
+            assert (cmp.adapted_energy, cmp.exact_energy) == energies(phi)
+
+
+@pytest.mark.parametrize("c", [1e200, -1e200, 1e155, 1e-160, 1e-200, 0.0])
+def test_residuals_energies_and_norms_are_exact_at_the_ends_of_the_range(c):
+    # squares past the largest double, in the subnormal range, below the
+    # smallest double, and none at all: each sum is still exact and rounded
+    # once, to inf when the value is past the largest double
+    phi = ChaosPoly(2, {b"\x01": c, b"\x01\x02": -c, b"\x02\x02": 0.5 * c, b"\x01\x01\x01": c})
+    v = VField((phi, phi * 0.75))
+    for m in (1, 2, 3, 8):
+        assert clark.refinement_residual(v, m) == refinement_residual(v, m)
+    assert reconstruct(v).residual_l2 == refinement_residual(v, 1)
+    cmp = compare_energies(phi)
+    assert (cmp.adapted_energy, cmp.exact_energy) == energies(phi)
+    assert norm_l2(phi) == exact_root(l2_mass([phi]))
+    K = gradient_vector(v)
+    assert v.norm() == exact_root(l2_mass(v.components))
+    assert K.norm() == exact_root(l2_mass([p for row in K.rows for p in row.coords]))
+    assert K.rows[0].norm() == exact_root(l2_mass(K.rows[0].coords))
+    if abs(c) >= 1e155:
+        assert cmp.adapted_energy == math.inf and math.isfinite(v.norm())
+    if c == 0.0:
+        assert clark.refinement_residual(v, 2) == cmp.exact_energy == K.norm() == 0.0
 
 
 def test_refinement_residual_refuses_what_refine_refuses():
@@ -360,7 +392,7 @@ def test_minimal_energy_product_functional_frozen():
     assert field.coords[0] == eta(2, n) * 0.5
     assert field.coords[1] == eta(1, n) * 0.5
     assert _representation_gap(phi, field) == pytest.approx(0.0, abs=1e-14)
-    assert field.energy() == pytest.approx(0.5, abs=1e-14)
+    assert field.norm() ** 2 == pytest.approx(0.5, abs=1e-14)
 
 
 def test_energy_comparison_frozen_pair():
@@ -421,20 +453,20 @@ def test_minimal_energy_beats_divergence_free_perturbations():
         n = int(rng.integers(2, 5))
         phi = random_poly(rng, n, 3, n_terms=4)
         base = minimal_energy_integrand(phi)
-        e0 = base.energy()
+        e0 = base.norm() ** 2
         # skew linear fields are divergence-free
         u0 = skew_symmetric_field(random_skew_matrix(rng, n))
         assert _representation_gap(phi, base.add(u0)) <= 1e-10
-        assert base.add(u0).energy() >= e0 - 1e-12
+        assert base.add(u0).norm() ** 2 >= e0 - 1e-12
         # generic divergence-free field: u - grad Linv div u
         u = random_hfield(rng, n, 3)
         correction = gradient_scalar(ou_inverse(divergence_h(u)))
         w0 = u.sub(correction)
         assert divergence_h(w0).norm_l2() <= 1e-10
-        assert base.add(w0).energy() >= e0 - 1e-12
+        assert base.add(w0).norm() ** 2 >= e0 - 1e-12
         # orthogonality makes the inequality an exact Pythagorean identity
-        assert base.add(w0).energy() == pytest.approx(
-            e0 + w0.energy(), rel=1e-9, abs=1e-10
+        assert base.add(w0).norm() ** 2 == pytest.approx(
+            e0 + w0.norm() ** 2, rel=1e-9, abs=1e-10
         )
 
 
@@ -480,16 +512,14 @@ def _energy_cases():
 
 
 def test_energies_match_exact_rationals_and_the_integrand_fields():
-    # against both sums in Fractions, rounded once, fsum of the rounded terms
-    # is within a few ulp, and an energy with no terms is exactly zero; the
-    # two integrands built as fields are the reference the closed forms replace
+    # both sums equal the Fraction sums rounded once, bit for bit, and an
+    # energy with no terms is exactly zero; the two integrands built as
+    # fields are the reference the closed forms replace
     for phi in _energy_cases():
         cmp = compare_energies(phi)
-        adapted, minimal = energies(phi)
-        assert cmp.adapted_energy == pytest.approx(adapted, rel=1e-15, abs=0.0)
-        assert cmp.exact_energy == pytest.approx(minimal, rel=1e-15, abs=0.0)
-        adapted = clark_integrand(VField((phi,))).energy()
-        minimal = minimal_energy_integrand(phi).energy()
+        assert (cmp.adapted_energy, cmp.exact_energy) == energies(phi)
+        adapted = clark_integrand(VField((phi,))).norm() ** 2
+        minimal = minimal_energy_integrand(phi).norm() ** 2
         assert cmp.adapted_energy == pytest.approx(adapted, rel=1e-12, abs=0.0)
         assert cmp.exact_energy == pytest.approx(minimal, rel=1e-12, abs=0.0)
 

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from helpers import make_rng
+from helpers import make_rng, refinement_residual
 import wienerlab.chaos
 import wienerlab.clark
 import wienerlab.dsl
@@ -199,8 +203,8 @@ def test_represent_keeps_a_tiny_functional(tmp_path, monkeypatch, capsys):
 
 
 def test_represent_residual_is_its_first_refinement_row_bit_for_bit(tmp_path, monkeypatch, capsys):
-    # residual_l2 and the m = 1 row are one sum; a sequential residual
-    # wrote ...604 next to the row's ...605 for this functional
+    # residual_l2 and the m = 1 row are one exact sum, rounded once to
+    # ...604; a float sum of the rounded terms gave ...605 for this functional
     monkeypatch.chdir(tmp_path)
     functional = "[0.459*h3(x1), 0.746*h4(x2) + 0.165*h3(x3) + 0.849*h3(x1) + 0.318*h4(x3)*x3]"
     code, _, err = run(
@@ -211,7 +215,8 @@ def test_represent_residual_is_its_first_refinement_row_bit_for_bit(tmp_path, mo
     residual = json.loads((tmp_path / "e.json").read_text())["clark"]["residual_l2"]
     row = (tmp_path / "e.csv").read_text().splitlines()[1]
     assert row == f"1,{residual!r}"
-    assert residual == 6.593176017671605
+    exact = refinement_residual(lower(parse_functional(functional), 3), 1)
+    assert residual == 6.593176017671604 == exact
     rng = make_rng(2026)
     for _ in range(300):
         v = random_vfield(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9)))
@@ -354,7 +359,7 @@ def test_represent_overflowing_moment_exits_two(tmp_path, monkeypatch, capsys, f
 
 def test_represent_energy_just_below_overflow(tmp_path, monkeypatch, capsys):
     # the minimal energy 2!/2 * 1.3e154**2 is finite; the residual's sum of
-    # squares overflows and is rescaled
+    # squares is past the largest double and its root is not
     monkeypatch.chdir(tmp_path)
     code, out, err = run(
         ["represent", "--functional", "1.3e154*h2(x1)", "--n", "1", "--output", "r"], capsys
@@ -449,7 +454,7 @@ def test_represent_refinement_rows_build_no_refined_polynomial(tmp_path, monkeyp
 def test_represent_refinement_rows_survive_an_overflowing_sum_of_squares(
     n, functional, expected, tmp_path, monkeypatch, capsys
 ):
-    # the rows are rescaled, not inf or an error
+    # the rows are the finite roots of exact sums, not inf or an error
     monkeypatch.chdir(tmp_path)
     code, _, err = run(
         ["represent", "--n", n, "--functional", functional, "--refine", "1,2",
@@ -459,9 +464,11 @@ def test_represent_refinement_rows_survive_an_overflowing_sum_of_squares(
     assert code == 0, err
     rows = [line.split(",") for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
     assert [m for m, _ in rows] == ["1", "2"]
-    for (_, got), want in zip(rows, expected):
+    v = lower(parse_functional(functional), int(n))
+    for (m, got), want in zip(rows, expected):
         assert math.isfinite(float(got))
         assert float(got) == pytest.approx(want, rel=1e-12)
+        assert float(got) == refinement_residual(VField((v,)), int(m))
 
 
 def _functional_text(v: VField) -> str:
@@ -730,6 +737,20 @@ def test_version_flag(capsys):
     code, out, _ = run(["--version"], capsys)
     assert code == 0
     assert "wienerlab" in out
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "wienerlab", "--version"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    version = f"wienerlab {wienerlab.__version__}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, version, "")
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

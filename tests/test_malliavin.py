@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_rng, mc_poly_mean
+from helpers import exact_root, l2_mass, make_rng, mc_poly_mean
 from wienerlab.chaos import (
     DEGREE_CAP,
     ChaosPoly,
@@ -393,31 +393,42 @@ def test_field_arithmetic_and_energy():
     v = HField.constant([1.0, 0.0])
     w = u.add(v).sub(v)
     assert w == u
-    assert u.energy() == pytest.approx(1.0 + 2.0, abs=1e-12)
-    assert u.norm() == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    # energy 1 + 2 and 4 * 3, each root correctly rounded
+    assert u.norm() == math.sqrt(3.0)
     assert u.inner(v) == pytest.approx(0.0, abs=1e-14)
-    assert u.add(u).energy() == pytest.approx(12.0, abs=1e-12)
+    assert u.add(u).norm() == math.sqrt(12.0)
+
+
+def _entries(field):
+    """The polynomials a field stores, operator rows included."""
+    if isinstance(field, OperatorField):
+        return [p for row in field.rows for p in row.coords]
+    return field.coords if isinstance(field, HField) else field.components
 
 
 def test_field_norms_scale_an_energy_that_overflows():
     c = 1e200
     single = ChaosPoly.hermite(1, 1, 2, c)
-    assert VField((single,)).norm() == single.norm_l2() == c * math.sqrt(2.0)
+    assert VField((single,)).norm() == single.norm_l2() == exact_root(l2_mass([single]))
     u = HField((eta(1, 2) * c, eta(2, 2) * c))
-    assert u.energy() == math.inf
-    assert u.norm() == c * math.sqrt(2.0)
+    assert sum(l2_inner(p, p) for p in u.coords) == math.inf
+    assert u.norm() == exact_root(l2_mass(u.coords)) == c * math.sqrt(2.0)
     assert OperatorField((u, u)).norm() == c * 2.0
+    # a norm past the largest double is inf
+    assert HField((he(8, 1, 1) * 1e308,)).norm() == math.inf
 
 
-def test_field_norms_keep_the_plain_root_when_the_energy_is_finite():
+def test_field_norms_are_the_correctly_rounded_root():
     rng = make_rng(322)
     for field in (
         random_hfield(rng, 3, 3),
         random_vfield(rng, 3, 2, 3),
         random_operator(rng, 3, 2, 3),
         HField((eta(1, 2) * 1e150, eta(2, 2))),
+        HField((eta(1, 2) * 1e-200, eta(2, 2) * 1e-160)),
+        VField((ChaosPoly.zero(2),)),
     ):
-        assert field.norm() == math.sqrt(field.energy())
+        assert field.norm() == exact_root(l2_mass(_entries(field)))
 
 
 def _pair_of_shapes(kind):
@@ -445,7 +456,10 @@ def test_operator_energy_sums_row_energies_exactly():
     K = OperatorField(
         tuple(HField(tuple(random_poly(rng, 3, 3, 4) for _ in range(3))) for _ in range(3))
     )
-    assert K.energy() == sum(row.energy() for row in K.rows)
-    # this seed tells the row-by-row order apart from one flat sum over entries
-    flat = sum(l2_inner(p, p) for row in K.rows for p in row.coords)
-    assert flat != K.energy()
+    assert K.norm() == exact_root(sum(l2_mass(row.coords) for row in K.rows))
+    # this seed tells the row-by-row float order apart from one flat float
+    # sum over entries; the exact sum has no order, so reversing the rows
+    # moves no bit
+    rowwise = sum(sum(l2_inner(p, p) for p in row.coords) for row in K.rows)
+    assert rowwise != sum(l2_inner(p, p) for row in K.rows for p in row.coords)
+    assert OperatorField(K.rows[::-1]).norm() == K.norm()

@@ -7,15 +7,17 @@ here.  The digests were recorded from the implementation that keyed terms by
 ``MultiIndex`` objects, except the refinements of ``He_8``: ``h8_by_8`` and
 the m = 2 residual were recorded from the closed-form block tables, after
 they passed the exact table and residual oracles of ``test_chaos`` and
-``test_clark``.  No numpy RNG or BLAS call feeds these values, so they are
-the same on every platform that has IEEE doubles.
+``test_clark``.  Each pinned ``reconstruct`` residual is also asserted equal
+to the exact oracle ``helpers.refinement_residual``, the root of a
+``Fraction`` sum rounded once.  No numpy RNG or BLAS call feeds these values,
+so they are the same on every platform that has IEEE doubles.
 """
 
 import hashlib
 
 import pytest
 
-from helpers import packed
+from helpers import packed, refinement_residual
 from wienerlab import dsl
 from wienerlab.chaos import ChaosPoly, DegreeCapExceeded, hermite_product, refine
 from wienerlab.clark import reconstruct, refine_and_reconstruct
@@ -66,7 +68,7 @@ PINNED_GRADIENT = {
 PINNED_RECONSTRUCT = {
     "cubic4": (
         "d8c6a49375c05ac5a296e450d568e79073cc71c8fa803020286e65fff887db51",
-        "2.9393876913398134",
+        "2.939387691339814",
     ),
     "h3h3": (
         "5fd71493bfe6854d5b72341b1001dd350fdefad6d26e4e42eddfe7882df342ee",
@@ -126,6 +128,8 @@ def test_gradient_and_reconstruct_pinned(name):
     polys = [p for row in result.integrand.rows for p in row.coords]
     polys += list(result.reconstruction.components)
     assert (_digest(polys), repr(result.residual_l2)) == PINNED_RECONSTRUCT[name]
+    # each pinned residual is the exact root rounded once
+    assert result.residual_l2 == refinement_residual(v, 1)
 
 
 def test_refinement_table_residuals_pinned():
