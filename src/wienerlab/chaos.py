@@ -194,10 +194,24 @@ def _canonical_terms(terms, dim: int) -> dict[bytes, float]:
     return {key: c for key, c in acc.items() if c != 0.0}
 
 
-def _text_order(item: tuple[bytes, float]) -> tuple:
-    """Text-form rank of a ``(key, coefficient)`` item: degree, coordinates, orders."""
-    pairs = _pairs_of(item[0])
-    return len(item[0]), [i for i, _ in pairs], [k for _, k in pairs]
+def _text_sort_key(key: bytes) -> bytes:
+    """Text-form rank of a key: degree, coordinates, ``0``, orders, one byte each.
+
+    Bytes compare as the tuple (degree, coordinate list, order list) does:
+    coordinates are at least 1, so the ``0`` ends a shorter coordinate list
+    below any longer one that it begins.
+    """
+    coords = bytes(dict.fromkeys(key))
+    return bytes((len(key),)) + coords + b"\0" + bytes(map(key.count, coords))
+
+
+def _text_pairs(terms: dict[bytes, float]):
+    """Each term's ``(coordinate, order)`` pairs and coefficient, in text-form order."""
+    for rank, coeff in sorted((_text_sort_key(key), c) for key, c in terms.items()):
+        # the rank holds the pairs: width coordinates after the degree byte,
+        # width orders after the 0
+        width = len(rank) // 2 - 1
+        yield zip(rank[1:1 + width], rank[2 + width:]), coeff
 
 
 class _TermsView(Mapping):
@@ -326,10 +340,7 @@ class ChaosPoly:
     def __repr__(self) -> str:
         if self.is_zero():
             return f"ChaosPoly(dim={self._dim}, 0)"
-        body = ", ".join(
-            f"{dict(_pairs_of(key))!r}: {c!r}"
-            for key, c in sorted(self._terms.items(), key=_text_order)
-        )
+        body = ", ".join(f"{dict(pairs)!r}: {c!r}" for pairs, c in _text_pairs(self._terms))
         return f"ChaosPoly(dim={self._dim}, {{{body}}})"
 
     # ---- convenience ----------------------------------------------------
@@ -353,8 +364,8 @@ class ChaosPoly:
         ``repr``, so the text holds every bit of each coefficient.
         """
         return "\n".join(
-            " ".join([repr(coeff)] + [f"{i}:{k}" for i, k in _pairs_of(key)])
-            for key, coeff in sorted(self._terms.items(), key=_text_order)
+            " ".join([repr(coeff)] + [f"{i}:{k}" for i, k in pairs])
+            for pairs, coeff in _text_pairs(self._terms)
         )
 
 

@@ -2,6 +2,18 @@
 
 All generators take an explicit numpy Generator so callers control
 reproducibility; :func:`make_rng` builds the canonical Philox stream.
+
+The scalar bounded draws that shape the keys of :func:`random_poly` and the
+field builders, ``Generator.integers(0, b)``, are formed in Python by
+:class:`_Draws` from the raw 64-bit Philox words.  numpy computes the same
+integer from the same words: it takes 32 bits at a time, the low half of a
+fresh word first and the high half on the next call, and maps them to
+``0 .. b - 1`` by Lemire's multiply-and-reject method (Lemire, ACM TOMACS
+2019).  The reader repeats both steps and hands the buffered half back to
+the generator, so every instance and the stream it leaves behind are
+numpy's, bit for bit, without numpy's per-call overhead.  The reader does
+not take numpy's per-generator lock, so a generator passed to these
+builders must not be drawn from by another thread while they run.
 """
 
 from __future__ import annotations
@@ -9,12 +21,80 @@ from __future__ import annotations
 import numpy as np
 
 from .adapted import PredictableHField, WeaklyAdaptedOperator
-from .chaos import ChaosPoly, _pack
+from .chaos import DIM_CAP, ChaosPoly, _pack
 from .malliavin import HField, OperatorField, VField
+
+#: ``_COORDS[n]`` is the coordinate tuple ``(1, ..., n)``.
+_COORDS = tuple(tuple(range(1, n + 1)) for n in range(DIM_CAP + 1))
 
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+class _Draws:
+    """``int(rng.integers(0, b))`` read straight off a Philox generator's raw words.
+
+    numpy draws a bound ``b <= 2**32`` from ``next_uint32``: Philox returns
+    the low 32 bits of a fresh 64-bit word and keeps the high 32 for the
+    next call (its ``has_uint32`` and ``uinteger`` state).  The reader takes
+    that buffer from the state when it opens, keeps it while open, and
+    writes it back on :meth:`close` when it changed.  While it is open the
+    generator may make only draws that leave the buffer alone, such as
+    ``random()``; ``integers``, ``shuffle`` and ``choice`` read it.
+    """
+
+    __slots__ = ("rng", "_bitgen", "_raw", "_has", "_upper", "_opened")
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.Philox:
+            raise TypeError(f"seeded instances need a Philox generator, got {type(bitgen).__name__}")
+        state = bitgen.state
+        self.rng = rng
+        self._bitgen = bitgen
+        self._raw = bitgen.random_raw
+        self._has, self._upper = state["has_uint32"], state["uinteger"]
+        self._opened = (self._has, self._upper)
+
+    def __enter__(self) -> _Draws:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Hand the 32-bit buffer back to the generator, if it changed."""
+        if (self._has, self._upper) != self._opened:
+            state = self._bitgen.state
+            state["has_uint32"], state["uinteger"] = self._has, self._upper
+            self._bitgen.state = state
+            self._opened = (self._has, self._upper)
+
+    def _next32(self) -> int:
+        """Philox's ``next_uint32``: the buffered high half, else a fresh word's low half."""
+        if self._has:
+            self._has = 0
+            return self._upper
+        word = self._raw()
+        self._has, self._upper = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def below(self, b: int) -> int:
+        """``int(rng.integers(0, b))`` for ``1 <= b <= 2**32``; a bound of one draws nothing.
+
+        Lemire's method: the high 32 bits of ``x * b`` for a 32-bit ``x``,
+        drawn again while the low 32 bits fall below ``2**32 mod b``.  numpy
+        returns ``x`` itself for ``b = 2**32``, which the exact product gives.
+        """
+        if b == 1:
+            return 0
+        m = self._next32() * b
+        if (m & 0xFFFFFFFF) < b:
+            threshold = (0x100000000 - b) % b
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next32() * b
+        return m >> 32
 
 
 def _uniform(rng: np.random.Generator) -> float:
@@ -25,7 +105,7 @@ def _uniform(rng: np.random.Generator) -> float:
     return -1.0 + 2.0 * rng.random()
 
 
-def _sample(rng: np.random.Generator, coords, width: int) -> list:
+def _sample(draws: _Draws, coords, width: int) -> list:
     """``rng.choice(coords, size=width, replace=False)`` by numpy's own sampler.
 
     Floyd's algorithm picks ``width`` positions of ``P = len(coords)``: for
@@ -33,84 +113,102 @@ def _sample(rng: np.random.Generator, coords, width: int) -> list:
     instead when ``v`` was already picked.  A Fisher-Yates pass then swaps
     position ``i = width - 1 .. 1`` with one drawn in ``0..i``.  The draws,
     the picks and the stream left behind are those of ``Generator.choice``,
-    without its per-call array set-up.  A bound of one draws nothing.
+    without its per-call array set-up.
     """
+    below = draws.below
     size = len(coords)
     picked: list[int] = []
     for j in range(size - width, size):
-        v = int(rng.integers(0, j + 1))
+        v = below(j + 1)
         picked.append(j if v in picked else v)
     for i in range(width - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+        j = below(i + 1)
         picked[i], picked[j] = picked[j], picked[i]
     return [coords[k] for k in picked]
 
 
-def _random_key(rng: np.random.Generator, n: int, degree: int, coords=None) -> bytes:
-    """Packed key of a sparse index over the allowed coordinates, total degree <= degree."""
-    if coords is None:
-        coords = list(range(1, n + 1))
+def _key(draws: _Draws, coords, degree: int) -> bytes:
+    """Packed key of a sparse index over ``coords``, total degree <= degree.
+
+    Each picked coordinate in turn draws its order in ``0 .. budget``; the
+    key is the coordinates repeated by their orders, sorted.
+    """
     if not coords or degree == 0:
         return b""
-    width = min(len(coords), int(rng.integers(1, 4)))
-    support = _sample(rng, coords, width)
-    orders = {}
+    below = draws.below
+    width = min(len(coords), 1 + below(3))
+    repeated: list = []
     budget = degree
-    for c in support:
+    for c in _sample(draws, coords, width):
         if budget == 0:
             break
-        k = int(rng.integers(0, budget + 1))
+        k = below(budget + 1)
         if k:
-            orders[int(c)] = k
+            repeated += (c,) * k
             budget -= k
-    return _pack(sorted(orders.items()))
+    return bytes(sorted(repeated))
+
+
+def _poly(draws: _Draws, n: int, degree: int, n_terms: int, coords=None) -> ChaosPoly:
+    if coords is None:
+        # an n outside 0..DIM_CAP draws constant keys, and ChaosPoly refuses it
+        coords = _COORDS[n] if 0 <= n <= DIM_CAP else ()
+    rng = draws.rng
+    return ChaosPoly(n, [(_key(draws, coords, degree), _uniform(rng)) for _ in range(n_terms)])
+
+
+def _hfield(draws: _Draws, n: int, degree: int) -> HField:
+    return HField(tuple(_poly(draws, n, degree, 2) for _ in range(n)))
+
+
+def _predictable(draws: _Draws, n: int, degree: int) -> PredictableHField:
+    rng = draws.rng
+    return PredictableHField(tuple(
+        _poly(draws, n, degree, 2, _COORDS[i - 1]) if i > 1 else ChaosPoly.constant(n, _uniform(rng))
+        for i in range(1, n + 1)
+    ))
 
 
 def random_poly(rng: np.random.Generator, n: int, degree: int,
                 n_terms: int = 4, coords=None) -> ChaosPoly:
-    return ChaosPoly(n, [
-        (_random_key(rng, n, degree, coords), _uniform(rng))
-        for _ in range(n_terms)
-    ])
+    with _Draws(rng) as draws:
+        return _poly(draws, n, degree, n_terms, coords)
 
 
 def random_hfield(rng, n: int, degree: int) -> HField:
     """Two terms per coordinate."""
-    return HField(tuple(random_poly(rng, n, degree, 2) for _ in range(n)))
+    with _Draws(rng) as draws:
+        return _hfield(draws, n, degree)
 
 
 def random_vfield(rng, n: int, d: int, degree: int) -> VField:
     """Three terms per component."""
-    return VField(tuple(random_poly(rng, n, degree, 3) for _ in range(d)))
+    with _Draws(rng) as draws:
+        return VField(tuple(_poly(draws, n, degree, 3) for _ in range(d)))
 
 
 def random_operator(rng, n: int, d: int, degree: int) -> OperatorField:
-    return OperatorField(tuple(random_hfield(rng, n, degree) for _ in range(d)))
+    with _Draws(rng) as draws:
+        return OperatorField(tuple(_hfield(draws, n, degree) for _ in range(d)))
 
 
 def random_predictable_field(rng, n: int, degree: int) -> PredictableHField:
     """Coordinate i draws two terms from eta_1 .. eta_{i-1} only."""
-    coords = []
-    for i in range(1, n + 1):
-        allowed = list(range(1, i))
-        if allowed:
-            coords.append(random_poly(rng, n, degree, 2, coords=allowed))
-        else:
-            coords.append(ChaosPoly.constant(n, _uniform(rng)))
-    return PredictableHField(tuple(coords))
+    with _Draws(rng) as draws:
+        return _predictable(draws, n, degree)
 
 
 def random_weakly_adapted(rng, n: int, d: int, degree: int) -> WeaklyAdaptedOperator:
-    return WeaklyAdaptedOperator(
-        tuple(random_predictable_field(rng, n, degree) for _ in range(d))
-    )
+    with _Draws(rng) as draws:
+        return WeaklyAdaptedOperator(tuple(_predictable(draws, n, degree) for _ in range(d)))
 
 
 def random_finite_rank_adapted(rng, n: int, d: int) -> WeaklyAdaptedOperator:
     """sum_t y_t (x) q_t over two terms: predictable q_t, y_t uniform in [-1, 1]^d."""
     fields, functionals = [], []
     for _ in range(2):
-        fields.append(random_predictable_field(rng, n, 2))
+        with _Draws(rng) as draws:
+            fields.append(_predictable(draws, n, 2))
         functionals.append(rng.uniform(-1, 1, size=d))
     Q, Y = OperatorField(tuple(fields)), np.array(functionals)
     return WeaklyAdaptedOperator(tuple(Q.transpose_apply(Y[:, a]) for a in range(d)))

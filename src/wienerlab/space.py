@@ -80,13 +80,11 @@ def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    blocks = []
+    draws = np.empty((n_samples, n))
     for start in range(0, n_samples, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, n_samples - start)
         key = np.array([seed, start // BLOCK_ROWS], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
-        blocks.append(gen.standard_normal((rows, n)))
-    draws = np.vstack(blocks)
+        gen.standard_normal(out=draws[start:start + BLOCK_ROWS])
     draws.setflags(write=False)
     return SampleBatch(draws)
 

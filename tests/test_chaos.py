@@ -51,6 +51,7 @@ from wienerlab.chaos import (
     _pack,
     _pairs_of,
     _product_terms,
+    _text_sort_key,
     _top_order_above_one,
 )
 from wienerlab.malliavin import HField, VField, divergence_h
@@ -1017,6 +1018,31 @@ def test_text_order_is_degree_then_coordinates_then_orders(indices):
     body = ", ".join(f"{dict(idx)!r}: {c!r}" for c, idx in zip(coeffs, ranked))
     assert repr(p) == f"ChaosPoly(dim={DIM_CAP}, {{{body}}})"
     assert ranked.index(((1, 2), (3, 1))) > ranked.index(((1, 1), (2, 2)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 104729])
+def test_text_sort_key_orders_keys_as_the_tuple_rank(seed):
+    # seeded keys over a few coordinates, where one key's coordinate list
+    # is often a prefix of another's at the same degree, and over all of them
+    rng = np.random.default_rng(seed)
+    keys = {b""}
+    for top in (3, 5, DIM_CAP):
+        for _ in range(400):
+            degree = int(rng.integers(1, DEGREE_CAP + 1))
+            keys.add(bytes(sorted(rng.integers(1, top + 1, size=degree).tolist())))
+    keys = list(keys)
+    rng.shuffle(keys)
+    want = sorted(keys, key=lambda key: _text_rank(_pairs_of(key)))
+    assert sorted(keys, key=_text_sort_key) == want
+    # the prefix case itself: coordinates (1, 2) rank below (1, 2, 3) at degree 3
+    assert _text_sort_key(packed({1: 2, 2: 1})) < _text_sort_key(packed({1: 1, 2: 1, 3: 1}))
+    assert _text_rank(((1, 2), (2, 1))) < _text_rank(((1, 1), (2, 1), (3, 1)))
+    prefixed = sum(
+        1 for a, b in zip(want, want[1:])
+        if len(a) == len(b) and bytes(dict.fromkeys(b)).startswith(bytes(dict.fromkeys(a)))
+        and len(set(a)) < len(set(b))
+    )
+    assert prefixed > 0
 
 
 @pytest.mark.parametrize(

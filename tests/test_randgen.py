@@ -1,10 +1,13 @@
 """Seeded instance generators: packed keys drawn directly, same draws as before."""
 
+import numpy as np
 import pytest
 
 from helpers import make_rng, packed
 from wienerlab import randgen
+from wienerlab.adapted import PredictableHField
 from wienerlab.chaos import ChaosPoly, MultiIndex
+from wienerlab.malliavin import OperatorField
 
 
 # --- the generators written over (coordinate, order) pairs with numpy's
@@ -58,6 +61,91 @@ def _reference_representable_poly(rng, n, degree):
     return ChaosPoly(n, terms)
 
 
+def _reference_predictable(rng, n, degree):
+    return PredictableHField(tuple(
+        _reference_poly(rng, n, degree, 2, coords=list(range(1, i)))
+        if i > 1 else ChaosPoly.constant(n, float(rng.uniform(-1, 1)))
+        for i in range(1, n + 1)
+    ))
+
+
+def _reference_finite_rank(rng, n, d):
+    fields, functionals = [], []
+    for _ in range(2):
+        fields.append(_reference_predictable(rng, n, 2))
+        functionals.append(rng.uniform(-1, 1, size=d))
+    Q, Y = OperatorField(tuple(fields)), np.array(functionals)
+    return [Q.transpose_apply(Y[:, a]) for a in range(d)]
+
+
+def _polys(field):
+    """A field's polynomials in stored order, row by row."""
+    if isinstance(field, OperatorField):
+        return [p for row in field.rows for p in row.coords]
+    return list(getattr(field, "coords", None) or field.components)
+
+
+# (generator, reference) over (rng, n, d, degree); each reference returns
+# the polynomials the generator stores, in order
+FIELD_CASES = {
+    "random_hfield": (
+        lambda rng, n, d, degree: randgen.random_hfield(rng, n, degree),
+        lambda rng, n, d, degree: [_reference_poly(rng, n, degree, 2) for _ in range(n)],
+    ),
+    "random_vfield": (
+        lambda rng, n, d, degree: randgen.random_vfield(rng, n, d, degree),
+        lambda rng, n, d, degree: [_reference_poly(rng, n, degree, 3) for _ in range(d)],
+    ),
+    "random_operator": (
+        lambda rng, n, d, degree: randgen.random_operator(rng, n, d, degree),
+        lambda rng, n, d, degree: [
+            _reference_poly(rng, n, degree, 2) for _ in range(d) for _ in range(n)
+        ],
+    ),
+    "random_predictable_field": (
+        lambda rng, n, d, degree: randgen.random_predictable_field(rng, n, degree),
+        lambda rng, n, d, degree: _polys(_reference_predictable(rng, n, degree)),
+    ),
+    "random_weakly_adapted": (
+        lambda rng, n, d, degree: randgen.random_weakly_adapted(rng, n, d, degree),
+        lambda rng, n, d, degree: [
+            p for _ in range(d) for p in _polys(_reference_predictable(rng, n, degree))
+        ],
+    ),
+    "random_finite_rank_adapted": (
+        lambda rng, n, d, degree: randgen.random_finite_rank_adapted(rng, n, d),
+        lambda rng, n, d, degree: [
+            p for row in _reference_finite_rank(rng, n, d) for p in row.coords
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CASES))
+@pytest.mark.parametrize("seed", [0, 3, 104729])
+def test_field_generators_match_the_numpy_reference(name, seed):
+    # same polynomials, terms in the same stored order with the same
+    # coefficient bits, and the stream left where the numpy calls leave it;
+    # the numpy draws between generators read the 32-bit buffer they hand back
+    make, reference = FIELD_CASES[name]
+    a, b = make_rng(seed), make_rng(seed)
+    for n, d, degree in [(1, 1, 2), (2, 3, 1), (4, 2, 3), (5, 1, 4), (3, 2, 0)]:
+        got, want = _polys(make(a, n, d, degree)), reference(b, n, d, degree)
+        assert [list(p.packed_terms.items()) for p in got] == [
+            list(p.packed_terms.items()) for p in want
+        ]
+        assert int(a.integers(0, 7)) == int(b.integers(0, 7))
+    assert a.random(4).tolist() == b.random(4).tolist()
+
+
+def test_generators_refuse_a_bit_generator_other_than_philox():
+    for rng in (np.random.default_rng(5), np.random.Generator(np.random.MT19937(5))):
+        with pytest.raises(TypeError, match="Philox"):
+            randgen.random_poly(rng, 3, 2)
+        with pytest.raises(TypeError, match="Philox"):
+            randgen.random_operator(rng, 3, 2, 2)
+
+
 CASES = [(1, 3, None), (3, 2, None), (4, 4, None), (6, 5, [2, 3, 5]), (3, 0, None), (5, 2, [])]
 
 
@@ -86,9 +174,9 @@ def test_generators_match_the_multiindex_reference(seed):
                 seed,
             )
         a, b = make_rng(seed), make_rng(seed)
-        assert randgen._random_key(a, n, degree, coords) == packed(
-            _reference_pairs(b, n, degree, coords)
-        )
+        with randgen._Draws(a) as draws:
+            key = randgen._key(draws, range(1, n + 1) if coords is None else coords, degree)
+        assert key == packed(_reference_pairs(b, n, degree, coords))
         assert a.random(4).tolist() == b.random(4).tolist()
 
 

@@ -1,7 +1,14 @@
 """The seeded draws randgen makes directly are numpy's own, bit for bit."""
 
+import pytest
+
 from helpers import make_rng
 from wienerlab import randgen
+
+#: small bounds, and large ones whose Lemire rejection threshold
+#: ``2**32 mod b`` is a sizeable share of the words; ``2**32`` takes a whole
+#: 32-bit half
+BOUNDS = [*range(1, 10), 100, 2**31 + 5, 3 * 2**30, 2**32 - 1, 2**32]
 
 
 def test_sample_is_generator_choice_without_replacement():
@@ -13,7 +20,8 @@ def test_sample_is_generator_choice_without_replacement():
             coords = [3 * j + 2 for j in range(size)]
             for width in range(size + 1):
                 want = b.choice(coords, size=width, replace=False).tolist()
-                assert randgen._sample(a, coords, width) == want
+                with randgen._Draws(a) as draws:
+                    assert randgen._sample(draws, coords, width) == want
         assert a.random() == b.random()
 
 
@@ -22,3 +30,42 @@ def test_uniform_is_generator_uniform():
     for _ in range(10_000):
         assert randgen._uniform(a).hex() == float(b.uniform(-1, 1)).hex()
     assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 104729])
+def test_below_is_generator_integers(seed):
+    # draws of every bound interleaved with random(), which leaves the
+    # 32-bit buffer alone; standard_normal and shuffle after close(), and
+    # shuffle reads the buffer the reader hands back
+    a, b = make_rng(seed), make_rng(seed)
+    for _ in range(200):
+        draws = randgen._Draws(a)
+        for k, bound in enumerate(BOUNDS):
+            want = int(b.integers(0, bound))
+            assert draws.below(bound) == want
+            if k % 3 == 0:
+                assert a.random() == b.random()
+        draws.close()
+        assert a.standard_normal(2).tolist() == b.standard_normal(2).tolist()
+        x, y = list(range(9)), list(range(9))
+        a.shuffle(x)
+        b.shuffle(y)
+        assert x == y
+    assert a.random(4).tolist() == b.random(4).tolist()
+
+
+def test_below_takes_the_buffered_half_and_rejects_as_numpy_does():
+    # the reader opens on a generator holding a buffered high half, and the
+    # rejection branch draws a second word: the counter and the buffer state
+    # left behind are numpy's
+    for seed in range(50):
+        a, b = make_rng(seed), make_rng(seed)
+        a.integers(0, 5)
+        b.integers(0, 5)
+        with randgen._Draws(a) as draws:
+            got = [draws.below(2**31 + 5) for _ in range(9)]
+        assert got == [int(b.integers(0, 2**31 + 5)) for _ in range(9)]
+        sa, sb = a.bit_generator.state, b.bit_generator.state
+        for field in ("has_uint32", "uinteger", "buffer_pos"):
+            assert sa[field] == sb[field]
+        assert sa["state"]["counter"].tolist() == sb["state"]["counter"].tolist()

@@ -30,6 +30,26 @@ def test_sample_batch_reproducible():
     assert not np.array_equal(a.draws, c.draws)
 
 
+def _vstack_reference(n, n_samples, seed):
+    # one standard_normal((rows, n)) array per block, stacked
+    blocks = []
+    for start in range(0, n_samples, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, n_samples - start)
+        key = np.array([seed, start // BLOCK_ROWS], dtype=np.uint64)
+        blocks.append(np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, n)))
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("n_samples", [1, BLOCK_ROWS - 5, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 17])
+def test_sample_batch_bits_equal_the_stacked_blocks(n_samples):
+    for n, seed in [(1, 0), (3, 2**64 - 1), (8, 7)]:
+        draws = sample_batch(n, n_samples, seed).draws
+        want = _vstack_reference(n, n_samples, seed)
+        assert draws.shape == want.shape == (n_samples, n)
+        assert draws.tobytes() == want.tobytes()
+        assert not draws.flags.writeable
+
+
 def test_sample_batch_block_substreams():
     # a prefix of a longer run equals a shorter run: parallel == serial
     long = sample_batch(2, BLOCK_ROWS + 17, seed=7)
