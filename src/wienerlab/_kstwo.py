@@ -1,4 +1,16 @@
-"""The 0.99 quantile of the two-sided Kolmogorov-Smirnov statistic D_n.
+"""The Kolmogorov-Smirnov layer without SciPy: the normal CDF and D_n's 0.99 quantile.
+
+``ndtr`` is the standard normal CDF of the Cephes library,
+
+    S. L. Moshier, "Methods and Programs for Mathematical Functions",
+    Prentice-Hall (1989); Cephes ``ndtr.c`` as SciPy ships it,
+
+ported with its coefficient tables, its ``polevl``/``p1evl`` Horner order and
+its branch edges, and evaluated on a sorted sample one slice per branch.
+Given libm's ``exp`` (``_libm_exp``, Python's ``math.exp``) it returns the
+bits of ``scipy.special.ndtr``; numpy's vectorised ``np.exp`` can differ
+from libm's by an ulp, and ``space.ks_normal`` uses it only to locate the
+terms of D within a margin of the maximum (see there).
 
 ``ks_critical(n)`` is, bit for bit and as an ``np.float64``, the value of
 ``scipy.stats.kstwo.ppf(0.99, n)``: the critical value of the level-0.01
@@ -10,25 +22,33 @@ Simard and L'Ecuyer,
 
 It is a port of SciPy's ``scipy/stats/_ksstats.py`` (``_kolmogni`` and the
 CDF branch of ``_kolmogn``) and of the C loop behind
-``scipy.optimize.brentq``, so that the package needs neither
-``scipy.stats`` nor ``scipy.optimize``: it calls only the ``scipy.special``
-ufuncs ``smirnov``, ``loggamma`` and ``kolmogi``.  The expressions, their
-order and their numpy types (the long-double rescaling included) are
-SciPy's.
+``scipy.optimize.brentq``.  The expressions, their order and their numpy
+types (the long-double rescaling included) are SciPy's.  Of the three
+``scipy.special`` functions SciPy calls there, ``loggamma(n + 1)`` is Cephes
+``lgam`` (``_lgam``, the integer arguments only), ``kolmogi(1 - 0.99)`` is
+the constant ``_LIMIT_QUANTILE``, and ``smirnov`` is replaced by the
+critical values of the seven n that reach it (``_SMALL_N_CRITICAL``).
 
 Only what the root search reaches is ported.  The level is fixed at 0.99,
 and Brent's method starts at ``1/n`` and at the limit quantile
-``kolmogi(0.01)/sqrt(n)`` (capped at ``1 - 1/n``), then evaluates the CDF
-only near the root.  Every evaluation past the Ruben-Gambino ends and the
-``smirnov`` branch (x >= 1/2) has ``n x**2`` between 2.3 and 2.65, for
-every n up to 100000 and for 3000 random n up to 2**25.  So that part of
-the CDF is Pomeranz's recursion for n <= 140 and the Pelz-Good series
-above; SciPy's Durbin-matrix branch (n x**2 <= 0.754693 for n <= 140,
-n x**1.5 <= 1.4 for n <= 100000) and the Pelz-Good underflow guard
-(n x**2 below about 0.0017) are never reached and are left out.
+``kolmogi(1 - 0.99)/sqrt(n)`` (capped at ``1 - 1/n``), then evaluates the
+CDF only near the root, inside that bracket.  SciPy's ``smirnov`` branch
+(x >= 1/2) is reached only for n = 4..10: n <= 3 never gets to the search,
+and for n >= 11 the top of the bracket, 1.6276.../sqrt(n), is below 1/2.
+Those seven values are stored.  Every other evaluation past the
+Ruben-Gambino ends has ``n x**2`` between 2.3 and 2.65, for every n up to
+100000 and for 3000 random n up to 2**25.  So that part of the CDF is
+Pomeranz's recursion for n <= 140 and the Pelz-Good series above; SciPy's
+Durbin-matrix branch (n x**2 <= 0.754693 for n <= 140, n x**1.5 <= 1.4 for
+n <= 100000) and the Pelz-Good underflow guard (n x**2 below about 0.0017)
+are never reached and are left out.  A level other than 0.99 needs the
+limit quantile and the small-n table at that level, and the sweep re-run.
 """
 
-# Ported from SciPy, which is distributed under this licence:
+# Ported from SciPy, which is distributed under this licence.  The Cephes
+# routines in it (ndtr, erf, erfc, lgam; Cephes Math Library Release 2.x,
+# copyright 1984-2000 Stephen L. Moshier) are distributed with SciPy under
+# the same 3-clause BSD licence, with the author's permission.
 #
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
 # All rights reserved.
@@ -63,14 +83,173 @@ n x**1.5 <= 1.4 for n <= 100000) and the Pelz-Good underflow guard
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import kolmogi, loggamma, smirnov
 
 #: CDF level of the critical value.
 LEVEL = 0.99
 
-# the Kolmogorov limit quantile; kolmogi(1 - p) is SciPy's _kolmogci(p)
-_LIMIT_QUANTILE = kolmogi(1 - LEVEL)
+# ---------------------------------------------------------------------------
+# Cephes ndtr, erf and erfc: the branches ndtr reaches, in Cephes' order.
+
+_SQRT1_2 = 0.70710678118654752440
+# log(2**1024): past it Cephes' erfc underflows to 0 without calling exp
+_MAXLOG = 7.09782712893383996843e2
+
+# erfc(x) = exp(-x**2) P(x)/Q(x) for 1 <= x < 8, R(x)/S(x) for x >= 8; the
+# leading 1 of Q and S is implicit (p1evl)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# erf(x) = x T(x**2)/U(x**2) for |x| <= 1
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+
+
+def _libm_exp(v: np.ndarray) -> np.ndarray:
+    """libm's exp, the one Cephes calls, of each entry."""
+    return np.array([math.exp(t) for t in v.tolist()])
+
+
+def _polevl(x, coeffs):
+    # Cephes polevl: Horner from the leading coefficient, in place on arrays
+    out = coeffs[0] * x
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x
+    out += coeffs[-1]
+    return out
+
+
+def _p1evl(x, coeffs):
+    # Cephes p1evl: polevl with an implicit leading 1
+    out = x + coeffs[0]
+    for c in coeffs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes erf for |x| <= 1."""
+    z = x * x
+    out = _polevl(z, _T)
+    out *= x
+    out /= _p1evl(z, _U)
+    return out
+
+
+def _erfc(z: np.ndarray, exp, num, den) -> np.ndarray:
+    """Cephes erfc for z >= 1 and z**2 <= MAXLOG: exp(-z**2) num(z)/den(z)."""
+    out = exp(-(z * z))
+    out *= _polevl(z, num)
+    out /= _p1evl(z, den)
+    return out
+
+
+def ndtr(a: np.ndarray, exp=np.exp) -> np.ndarray:
+    """Cephes ndtr of a sorted 1-d float64 array, one slice per branch.
+
+    With x = a/sqrt(2), Cephes takes 0.5 + erf(x)/2 for |x| < 1/sqrt(2), and
+    erfc(|x|)/2 (one minus it for x > 0) beyond, where erfc is 1 - erf for
+    |x| < 1, exp(-x**2) P/Q for |x| < 8, exp(-x**2) R/S above, and 0 once
+    x**2 > MAXLOG.  x is sorted like ``a``, so each branch is one slice,
+    found by ``np.searchsorted``; a NaN sorts last and gives NaN.  ``exp``
+    is ``np.exp``, or ``_libm_exp`` for SciPy's bits.  The array is taken
+    in blocks of ``_BLOCK`` points, which keep the Horner passes in cache.
+    """
+    out = np.empty_like(a)
+    for start in range(0, a.size, _BLOCK):
+        _ndtr_block(a[start:start + _BLOCK], exp, out[start:start + _BLOCK])
+    return out
+
+
+# 32768 doubles (256 KiB) per array: on 200k sorted draws the fastest of
+# 8k..128k points; one block of all of them took more than twice as long
+_BLOCK = 32768
+
+
+def _ndtr_block(a: np.ndarray, exp, out: np.ndarray) -> None:
+    x = a * _SQRT1_2
+    # seven slices: x <= -8, -8 < x <= -1, -1 < x <= -1/sqrt2, |x| < 1/sqrt2,
+    # and their mirror images 1/sqrt2 <= x < 1, 1 <= x < 8, x >= 8
+    cuts = [0, *np.searchsorted(x, (-8.0, -1.0, -_SQRT1_2), "right"),
+            *np.searchsorted(x, (_SQRT1_2, 1.0, 8.0), "left"), x.size]
+    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        if lo == hi:
+            continue
+        if k == 3:
+            np.multiply(_erf(x[lo:hi]), 0.5, out=out[lo:hi])
+            out[lo:hi] += 0.5
+            continue
+        z = np.abs(x[lo:hi])
+        if k in (2, 4):
+            y = 1.0 - _erf(z)
+        elif k in (1, 5):
+            y = _erfc(z, exp, _P, _Q)
+        else:
+            y = np.zeros_like(z)
+            with np.errstate(over="ignore"):
+                live = ~(z * z > _MAXLOG)
+            y[live] = _erfc(z[live], exp, _R, _S)
+        y *= 0.5
+        out[lo:hi] = 1.0 - y if k > 3 else y
+
+
+# ---------------------------------------------------------------------------
+# The critical value.
+
+# Cephes lgam from 13 on: Stirling's series A(1/x**2)/x below 1000 and its
+# first three terms above (Cephes stops adding them past 1e8, where they are
+# below half an ulp of the sum)
+_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+      -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+
+
+def _lgam(x: float) -> float:
+    """Cephes lgam at an integer x >= 2 (up to 2**53), that is log((x - 1)!)."""
+    if x < 13.0:
+        z, u = 1.0, x
+        while u >= 3.0:
+            u -= 1.0
+            z *= u
+        return math.log(z)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+              + 0.0833333333333333333333) / x
+    else:
+        q += _polevl(p, _A) / x
+    return q
+
+
+# the Kolmogorov limit quantile kolmogi(1 - LEVEL), SciPy's _kolmogci(0.01);
+# 1 - 0.99 is 0.010000000000000009, and kolmogi(0.01) is one ulp above this
+_LIMIT_QUANTILE = np.float64(1.6276236115189502)
+
+# ks_critical(n) for the seven n whose root search reaches SciPy's smirnov
+# branch (x >= 1/2)
+_SMALL_N_CRITICAL = {
+    4: np.float64(0.7342382428166682),
+    5: np.float64(0.6685311015147539),
+    6: np.float64(0.616607254385054),
+    7: np.float64(0.5758120914333914),
+    8: np.float64(0.5417925243600995),
+    9: np.float64(0.5133172837207423),
+    10: np.float64(0.48893165941109273),
+}
 
 # the root search: scipy.optimize.brentq as _kolmogni calls it
 _XTOL = 1e-14
@@ -99,8 +278,10 @@ _STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
 
 def ks_critical(n: int) -> np.float64:
     """The x with Pr(D_n <= x) = 0.99 for a sample of n >= 1 points."""
+    if n in _SMALL_N_CRITICAL:
+        return _SMALL_N_CRITICAL[n]
     p, q = LEVEL, 1 - LEVEL
-    delta = np.exp((np.log(p) - loggamma(n + 1)) / n)
+    delta = np.exp((np.log(p) - _lgam(n + 1.0)) / n)
     if delta <= 1.0 / n:
         return np.float64((delta + 1.0 / n) / 2)
     x = -np.expm1(np.log(q / 2.0) / n)
@@ -150,7 +331,13 @@ def _brentq(f, xpre: float, xcur: float) -> float:
 
 
 def _kolmogn(n: int, x: float):
-    """Pr(D_n <= x) for 1/n <= x <= the top of the root bracket."""
+    """Pr(D_n <= x) for 1/n <= x <= the top of the root bracket, x < 1/2.
+
+    SciPy takes x >= 1/2 from the exact one-sided tail, 1 - 2 smirnov(n, x).
+    The search reaches that branch only for n = 4..10 (for n >= 11 the
+    bracket ends below 1/2), and ``ks_critical`` stores those seven values,
+    so the branch is left out.
+    """
     t = n * x
     if t <= 1.0:
         # Ruben-Gambino: n!/n**n (2t - 1)**n
@@ -161,9 +348,6 @@ def _kolmogn(n: int, x: float):
     elif t >= n - 1:
         # Ruben-Gambino
         prob = 1 - 2 * (1.0 - x) ** n
-    elif x >= 0.5:
-        # exact: twice the one-sided tail
-        prob = 1.0 - 2 * smirnov(n, x)
     elif n <= 140:
         prob = _kolmogn_pomeranz(n, x)
     else:

@@ -500,12 +500,29 @@ def _square_sum(polys, weight=_factorial, den: int = 1, root: bool = False) -> f
 
     ``weight`` maps a key to an integer, ``alpha!`` by default, so that the
     sum is ``E[p^2]`` summed over ``polys``; ``den`` is a positive integer.
-    Each coefficient is ``n * 2**(e - 53)`` with an integer ``n`` of at most
-    53 bits (``math.frexp``), so the sum is accumulated exactly as one
-    integer ``weight * n**2`` per exponent ``e``; the integers are brought to
-    the smallest ``e`` and the total is rounded once to the nearest double,
-    or with ``root`` its square root is: however tiny or huge the sum, and
-    ``inf`` past the largest double.
+    The one-sum case of ``_square_sums``.
+    """
+    return _square_sums(polys, weight, (den,), root)[0]
+
+
+#: Bits of one sum of ``_square_sums``: every weight is below 2**72 and
+#: every n**2 below 2**106, so fewer than 2**64 terms never fill a lane.
+_LANE_BITS = 256
+
+
+def _square_sums(polys, weight, dens, root: bool = False) -> list[float]:
+    """``sum w_i(key) * c**2 / dens[i]`` for each i, all in one scan of ``polys``.
+
+    ``weight`` maps a key to its integer weights packed into one integer,
+    ``sum_i w_i << i * _LANE_BITS`` (with one sum, the weight itself); each
+    ``w_i`` is nonnegative and each ``dens[i]`` a positive integer.  Each
+    coefficient is ``n * 2**(e - 53)`` with an integer ``n`` of at most 53
+    bits (``math.frexp``), so the sums are accumulated exactly as one
+    integer ``weight * n**2`` per exponent ``e``, sum i in lane i of its
+    bits.  Lane by lane, the integers are brought to the smallest ``e`` and
+    the total is rounded once to the nearest double, or with ``root`` its
+    square root is: however tiny or huge the sum, and ``inf`` past the
+    largest double.
     """
     acc: dict[int, int] = {}
     for p in polys:
@@ -513,6 +530,17 @@ def _square_sum(polys, weight=_factorial, den: int = 1, root: bool = False) -> f
             if w := weight(key):
                 m, e = math.frexp(c)
                 acc[e] = acc.get(e, 0) + w * int(m * 2.0**53) ** 2
+    if len(dens) == 1:
+        return [_rounded(acc, dens[0], root)]
+    mask = (1 << _LANE_BITS) - 1
+    return [
+        _rounded({e: s >> i * _LANE_BITS & mask for e, s in acc.items()}, den, root)
+        for i, den in enumerate(dens)
+    ]
+
+
+def _rounded(acc: dict[int, int], den: int, root: bool) -> float:
+    """``sum_e acc[e] * 4**(e - 53) / den``, or its root, rounded once."""
     low = min(acc, default=53)
     num = sum(s << 2 * (e - low) for e, s in acc.items())
     # the sum is num * 4**(low - 53) / den

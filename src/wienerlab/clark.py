@@ -48,10 +48,12 @@ from fractions import Fraction
 from .adapted import PredictableHField, WeaklyAdaptedOperator
 from .chaos import (
     DEGREE_CAP,
+    _LANE_BITS,
     ChaosPoly,
     _factorial,
     _refined_dim,
     _square_sum,
+    _square_sums,
     _top_order_above_one,
     ou_inverse,
     refine,
@@ -225,14 +227,20 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
     the two integrands agree exactly when the centered functional is pure
     first chaos, that is when every term of phi has degree at most 1.
     """
-    # every |alpha| divides the lcm of 1 .. DEGREE_CAP: alpha! / |alpha| is an integer over it
+    # every |alpha| divides the lcm of 1 .. DEGREE_CAP: alpha! / |alpha| is an
+    # integer over it; both weights come from one factorial per key
     lcm = math.lcm(*range(1, DEGREE_CAP + 1))
+
+    def weights(key: bytes) -> int:
+        if not key:
+            return 0
+        f = _factorial(key)
+        adapted = 0 if _top_order_above_one(key) else f
+        return adapted << _LANE_BITS | f * lcm // len(key)
+
+    exact, adapted = _square_sums((phi,), weights, (lcm, 1))
     return EnergyComparison(
-        adapted_energy=_square_sum(
-            (phi,), lambda key: _factorial(key) if key and not _top_order_above_one(key) else 0
-        ),
-        exact_energy=_square_sum(
-            (phi,), lambda key: _factorial(key) * lcm // len(key) if key else 0, lcm
-        ),
+        adapted_energy=adapted,
+        exact_energy=exact,
         coincide=all(len(key) <= 1 for key in phi.packed_terms),
     )

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is read somewhere in it (package,
 tests and benchmark harness alike), the package exports each public name
 it binds exactly once, and neither importing it nor running its commands
-loads ``scipy.stats`` or ``scipy.optimize``."""
+loads any ``scipy`` module."""
 
 import ast
 import os
@@ -69,27 +69,46 @@ def test_package_exports_every_public_binding_once():
     assert {"ChaosPoly", "hermite_product", "reconstruct", "run_suites"} <= public
 
 
-def test_import_and_commands_load_neither_scipy_stats_nor_optimize(tmp_path):
-    # a fresh interpreter: importing the package, then a verify and a small
-    # rotate (both reach the KS critical value), loads neither module
-    script = """
-import sys
-import wienerlab
-from wienerlab.cli import main
-heavy = ("scipy.stats", "scipy.optimize")
-print(*[m for m in heavy if m in sys.modules])
-assert main(["verify"]) == 0
-assert main(["rotate", "--n", "3", "--n-samples", "57", "--construction", "sign"]) == 0
-print(*[m for m in heavy if m in sys.modules])
-"""
+def _run_fresh(script: str, cwd) -> list[str]:
+    """The stdout lines of ``script`` run by a fresh interpreter on the package."""
     path = os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", script],
-        cwd=tmp_path,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    lines = done.stdout.splitlines()
+    return done.stdout.splitlines()
+
+
+# a verify, a rotate at N = 2000 (the Pelz-Good series of the critical value),
+# one at N = 7 (the stored small-n critical values), and a represent
+_COMMANDS = """
+from wienerlab.cli import main
+assert main(["verify"]) == 0
+assert main(["rotate", "--n", "3", "--n-samples", "2000", "--construction", "sign"]) == 0
+assert main(["rotate", "--n", "2", "--n-samples", "7"]) == 0
+assert main(["represent", "--functional", "h2(x1)*x2", "--n", "2", "--refine", "1,2"]) == 0
+"""
+
+
+def test_import_and_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter: importing the package, then running its commands,
+    # loads no scipy module at all
+    script = (
+        "import sys\nimport wienerlab\n"
+        "print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        + _COMMANDS
+        + "print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    lines = _run_fresh(script, tmp_path)
     assert (lines[0], lines[-1]) == ("", "")
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # with scipy unimportable the package imports and its commands pass
+    blocked = 'import sys\nsys.modules["scipy"] = None\nimport wienerlab\n'
+    script = blocked + _COMMANDS + 'print("ok")\n'
+    assert _run_fresh(script, tmp_path)[-1] == "ok"
