@@ -84,6 +84,7 @@ limit quantile and the small-n table at that level, and the sweep re-run.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -276,8 +277,14 @@ _STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
                     -2.7777777777777777778e-3, 8.3333333333333333333e-2]
 
 
+@lru_cache(maxsize=64)
 def ks_critical(n: int) -> np.float64:
-    """The x with Pr(D_n <= x) = 0.99 for a sample of n >= 1 points."""
+    """The x with Pr(D_n <= x) = 0.99 for a sample of n >= 1 points.
+
+    Cached per n: the KS tests of one battery share their sample size, and
+    the root search would otherwise repeat for each.  A run meets few sizes;
+    the bound keeps a sweep over many from growing the cache.
+    """
     if n in _SMALL_N_CRITICAL:
         return _SMALL_N_CRITICAL[n]
     p, q = LEVEL, 1 - LEVEL

@@ -48,15 +48,21 @@ a call on a plain array builds its own and drops it.  Neither table outlives
 its call or its batch, and both give the bits of the unshared computation,
 because each float is formed by the same operations in the same order.
 
-Every operation passes its ``(key, coefficient)`` pairs to the
-:class:`ChaosPoly` constructor, whose one term gate sums them, checks that
-each summed index is a ``bytes`` key inside the ambient dimension and the
-degree cap, rejects a NaN or infinite coefficient with :class:`AlgebraError`
-instead of storing or dropping it, and drops only the sums that are exactly
-zero.  A stored coefficient is therefore exactly a nonzero sum: the algebra
-has no absolute cutoff, so scaling an operand by a power of two scales the
-result by it, bit for bit, while every coefficient stays in the normal range
-of doubles.  The degree cap is fixed: no operation can build a term past it.
+Outside input passes one term gate, :func:`_canonical_terms`, in the
+:class:`ChaosPoly` constructor and its named constructors: it sums the
+``(key, coefficient)`` pairs, checks that each summed index is a ``bytes``
+key, sorted ascending, with coordinates in ``1 .. dim`` and degree within the
+cap, rejects a NaN or infinite coefficient with :class:`AlgebraError` instead
+of storing or dropping it, and drops only the sums that are exactly zero.
+The kernels build their keys from stored ones by operations that keep a key
+sorted and inside the dimension, so they store their results directly
+(``ChaosPoly._of``) and keep only the gate's value rules, :func:`_kept`: a
+non-finite sum is refused and only exact zeros are dropped, with the degree
+checked first where the operation can raise it.  A stored coefficient is
+therefore exactly a nonzero sum: the algebra has no absolute cutoff, so
+scaling an operand by a power of two scales the result by it, bit for bit,
+while every coefficient stays in the normal range of doubles.  The degree
+cap is fixed: no operation can build a term past it.
 
 Values are immutable and operations are pure functions, so they are safe to
 share across threads or workers without locking.
@@ -80,6 +86,10 @@ DEGREE_CAP = 8
 
 #: Hard upper bound on the ambient Gaussian dimension.
 DIM_CAP = 128
+
+#: Most terms one :func:`refine` call may build; also the most monomial
+#: pairs one lowered product may expand (``dsl.PRODUCT_PAIR_BUDGET``).
+_TERM_BUDGET = 10**7
 
 
 class AlgebraError(ValueError):
@@ -168,30 +178,66 @@ def _top_order_above_one(key: bytes) -> bool:
     return len(key) > 1 and key[-1] == key[-2]
 
 
-def _canonical_terms(terms, dim: int) -> dict[bytes, float]:
-    """The term gate: sum and check ``(key, coefficient)`` pairs, drop exact zeros.
+def _ambient_dim(dim) -> int:
+    """``dim`` as an int, refusing one outside ``1 .. DIM_CAP``."""
+    dim = int(dim)
+    if not 1 <= dim <= DIM_CAP:
+        raise AlgebraError(f"ambient dimension {dim} outside 1..{DIM_CAP}")
+    return dim
 
-    Pairs are summed in arrival order.  Every summed index, also one whose
-    coefficients cancel to zero, must be a packed ``bytes`` key and is
-    checked against ``dim`` and :data:`DEGREE_CAP` before any coefficient is
-    checked for finiteness; a non-finite sum is refused, and only the sums
-    that are exactly zero are dropped.  However small, a nonzero sum is kept.
-    """
+
+def _sum_pairs(pairs) -> dict[bytes, float]:
+    """Sum ``(key, coefficient)`` pairs into one store, in arrival order."""
     acc: dict[bytes, float] = {}
     get = acc.get
-    for key, coeff in terms.items() if hasattr(terms, "items") else terms:
-        acc[key] = get(key, 0.0) + float(coeff)
+    for key, coeff in pairs:
+        acc[key] = get(key, 0.0) + coeff
+    return acc
+
+
+def _kept(store: dict[bytes, float], capped: bool = False) -> dict[bytes, float]:
+    """The term gate's value rules on a summed store, which every result passes.
+
+    With ``capped``, the first key past :data:`DEGREE_CAP` in stored order is
+    refused first, also one whose coefficients cancel to zero.  A non-finite
+    coefficient is refused, and only the exact zeros are dropped; however
+    small, a nonzero sum is kept.  ``store`` is returned itself when it holds
+    no zero.
+    """
+    if capped and max(map(len, store), default=0) > DEGREE_CAP:
+        raise DegreeCapExceeded(next(n for n in map(len, store) if n > DEGREE_CAP))
+    values = store.values()
+    # a NaN or an infinity makes the float sum non-finite, as an overflow
+    # may: only a non-finite sum needs each value checked
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        bad = next(c for c in values if not math.isfinite(c))
+        raise AlgebraError(f"non-finite coefficient {bad!r}")
+    if all(values):
+        return store
+    return {key: c for key, c in store.items() if c}
+
+
+def _canonical_terms(terms, dim: int) -> dict[bytes, float]:
+    """The term gate for outside input: sum and check pairs, drop exact zeros.
+
+    Pairs are summed in arrival order.  Every summed index, also one whose
+    coefficients cancel to zero, must be a packed ``bytes`` key, sorted
+    ascending, with coordinates in ``1 .. dim`` and degree within
+    :data:`DEGREE_CAP`, before any coefficient is checked by :func:`_kept`.
+    """
+    acc = _sum_pairs((key, float(c)) for key, c in (terms.items() if hasattr(terms, "items") else terms))
     for key in acc:
         if key.__class__ is not bytes:
             raise AlgebraError(f"term index {key!r} is not a packed bytes key")
-        if key and key[-1] > dim:
+        if not key:
+            continue
+        if len(key) > 1 and bytes(sorted(key)) != key:
+            raise AlgebraError(f"term index {key!r} is not sorted ascending")
+        if key[0] == 0:
+            raise AlgebraError(f"term index {key!r} holds coordinate 0; coordinates start at 1")
+        if key[-1] > dim:
             raise DimensionMismatch(f"coordinate {key[-1]} outside ambient dimension {dim}")
-        if len(key) > DEGREE_CAP:
-            raise DegreeCapExceeded(len(key))
-    if not all(map(math.isfinite, acc.values())):
-        bad = next(c for c in acc.values() if not math.isfinite(c))
-        raise AlgebraError(f"non-finite coefficient {bad!r}")
-    return {key: c for key, c in acc.items() if c != 0.0}
+    return _kept(acc, capped=True)
 
 
 def _text_sort_key(key: bytes) -> bytes:
@@ -255,11 +301,22 @@ class ChaosPoly:
     __slots__ = ("_dim", "_terms")
 
     def __init__(self, dim: int, terms=()):
-        dim = int(dim)
-        if not 1 <= dim <= DIM_CAP:
-            raise AlgebraError(f"ambient dimension {dim} outside 1..{DIM_CAP}")
+        dim = _ambient_dim(dim)
         self._dim = dim
         self._terms = _canonical_terms(terms, dim)
+
+    @classmethod
+    def _of(cls, dim: int, store: dict[bytes, float]) -> "ChaosPoly":
+        """A polynomial that holds ``store`` itself, past the term gate.
+
+        For the kernels: ``store`` is a fresh dict whose keys are sorted,
+        inside ``1 .. dim`` and the degree cap, with finite nonzero
+        coefficients, as :func:`_kept` leaves them.
+        """
+        poly = object.__new__(cls)
+        poly._dim = dim
+        poly._terms = store
+        return poly
 
     # ---- constructors -------------------------------------------------
 
@@ -370,10 +427,15 @@ class ChaosPoly:
 
 
 def _require_same_dim(*polys: ChaosPoly) -> int:
-    dims = {p.dim for p in polys}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"mixed ambient dimensions {sorted(dims)}")
-    return polys[0].dim
+    """The one ambient dimension of ``polys``; none, or several, raise."""
+    dim = polys[0]._dim if polys else None
+    for p in polys:
+        if p._dim != dim:
+            dim = None
+            break
+    if dim is None:
+        raise DimensionMismatch(f"mixed ambient dimensions {sorted({p._dim for p in polys})}")
+    return dim
 
 
 def linear_combine(coeffs: Sequence[float], polys: Sequence[ChaosPoly]) -> ChaosPoly:
@@ -385,15 +447,13 @@ def linear_combine(coeffs: Sequence[float], polys: Sequence[ChaosPoly]) -> Chaos
     if not polys:
         raise AlgebraError("empty linear combination has no ambient dimension")
     dim = _require_same_dim(*polys)
-    return ChaosPoly(
-        dim,
-        (
-            (key, c * pc)
-            for c, p in zip(map(float, coeffs), polys)
-            if c != 0.0
-            for key, pc in p._terms.items()
-        ),
+    pairs = (
+        (key, c * pc)
+        for c, p in zip(map(float, coeffs), polys)
+        if c != 0.0
+        for key, pc in p._terms.items()
     )
+    return ChaosPoly._of(dim, _kept(_sum_pairs(pairs)))
 
 
 @lru_cache(maxsize=None)
@@ -470,7 +530,7 @@ def hermite_product(p: ChaosPoly, q: ChaosPoly) -> ChaosPoly:
     past the cap.
     """
     dim = _require_same_dim(p, q)
-    return ChaosPoly(dim, _product_terms(p._terms, q._terms))
+    return ChaosPoly._of(dim, _kept(_sum_pairs(_product_terms(p._terms, q._terms)), capped=True))
 
 
 def expectation(p: ChaosPoly) -> float:
@@ -492,17 +552,17 @@ def l2_inner(p: ChaosPoly, q: ChaosPoly) -> float:
 
 def norm_l2(p: ChaosPoly) -> float:
     """``sqrt(E[p^2])``, correctly rounded; ``inf`` past the largest double."""
-    return _square_sum((p,), root=True)
+    return _square_sum(p._terms.items(), root=True)
 
 
-def _square_sum(polys, weight=_factorial, den: int = 1, root: bool = False) -> float:
-    """``sum weight(key) * c**2 / den`` over the terms of ``polys``, exact, rounded once.
+def _square_sum(terms, weight=_factorial, den: int = 1, root: bool = False) -> float:
+    """``sum weight(key) * c**2 / den`` over ``(key, c)`` pairs, exact, rounded once.
 
     ``weight`` maps a key to an integer, ``alpha!`` by default, so that the
-    sum is ``E[p^2]`` summed over ``polys``; ``den`` is a positive integer.
-    The one-sum case of ``_square_sums``.
+    sum over the terms of polynomials is the sum of their ``E[p^2]``;
+    ``den`` is a positive integer.  The one-sum case of ``_square_sums``.
     """
-    return _square_sums(polys, weight, (den,), root)[0]
+    return _square_sums(terms, weight, (den,), root)[0]
 
 
 #: Bits of one sum of ``_square_sums``: every weight is below 2**72 and
@@ -510,11 +570,13 @@ def _square_sum(polys, weight=_factorial, den: int = 1, root: bool = False) -> f
 _LANE_BITS = 256
 
 
-def _square_sums(polys, weight, dens, root: bool = False) -> list[float]:
-    """``sum w_i(key) * c**2 / dens[i]`` for each i, all in one scan of ``polys``.
+def _square_sums(terms, weight, dens, root: bool = False) -> list[float]:
+    """``sum w_i(key) * c**2 / dens[i]`` for each i, all in one scan of ``terms``.
 
-    ``weight`` maps a key to its integer weights packed into one integer,
-    ``sum_i w_i << i * _LANE_BITS`` (with one sum, the weight itself); each
+    ``terms`` is an iterable of ``(key, c)`` pairs, such as the items of one
+    or more term stores.  ``weight`` maps a key to its integer weights
+    packed into one integer, ``sum_i w_i << i * _LANE_BITS`` (with one sum,
+    the weight itself); each
     ``w_i`` is nonnegative and each ``dens[i]`` a positive integer.  Each
     coefficient is ``n * 2**(e - 53)`` with an integer ``n`` of at most 53
     bits (``math.frexp``), so the sums are accumulated exactly as one
@@ -525,11 +587,10 @@ def _square_sums(polys, weight, dens, root: bool = False) -> list[float]:
     largest double.
     """
     acc: dict[int, int] = {}
-    for p in polys:
-        for key, c in p._terms.items():
-            if w := weight(key):
-                m, e = math.frexp(c)
-                acc[e] = acc.get(e, 0) + w * int(m * 2.0**53) ** 2
+    for key, c in terms:
+        if w := weight(key):
+            m, e = math.frexp(c)
+            acc[e] = acc.get(e, 0) + w * int(m * 2.0**53) ** 2
     if len(dens) == 1:
         return [_rounded(acc, dens[0], root)]
     mask = (1 << _LANE_BITS) - 1
@@ -564,21 +625,17 @@ def partial_derivative(p: ChaosPoly, i: int) -> ChaosPoly:
     if not 1 <= i <= p.dim:
         raise AlgebraError(f"coordinate {i} outside 1..{p.dim}")
     digit = bytes((i,))
-    return ChaosPoly(
-        p.dim,
-        (
-            (key.replace(digit, b"", 1), k * c)
-            for key, c in p._terms.items()
-            if (k := key.count(digit))
-        ),
-    )
+    # dropping one i keeps distinct keys distinct: nothing to sum
+    lowered = {key.replace(digit, b"", 1): k * c for key, c in p._terms.items() if (k := key.count(digit))}
+    return ChaosPoly._of(p._dim, _kept(lowered))
 
 
 def multiply_by_coordinate(p: ChaosPoly, i: int) -> ChaosPoly:
     """Exact product with ``eta_i``: ``He_1 He_k = He_{k+1} + k He_{k-1}``."""
     if not 1 <= i <= p.dim:
         raise AlgebraError(f"coordinate {i} outside 1..{p.dim}")
-    return ChaosPoly(p.dim, _coordinate_terms(bytes((i,)), 1.0, p._terms))
+    pairs = _coordinate_terms(bytes((i,)), 1.0, p._terms)
+    return ChaosPoly._of(p._dim, _kept(_sum_pairs(pairs), capped=True))
 
 
 def conditional_expectation(p: ChaosPoly, k: int) -> ChaosPoly:
@@ -591,13 +648,13 @@ def conditional_expectation(p: ChaosPoly, k: int) -> ChaosPoly:
     """
     if not 0 <= k <= p.dim:
         raise AlgebraError(f"stage {k} outside 0..{p.dim}")
-    kept = {key: c for key, c in p._terms.items() if not key or key[-1] <= k}
-    return ChaosPoly(p.dim, kept)
+    # a subset of a stored store: nothing to check
+    return ChaosPoly._of(p._dim, {key: c for key, c in p._terms.items() if not key or key[-1] <= k})
 
 
 def ou_apply(p: ChaosPoly) -> ChaosPoly:
     """Number operator: scale each grade-m term by m (constants vanish)."""
-    return ChaosPoly(p.dim, {key: len(key) * c for key, c in p._terms.items() if key})
+    return ChaosPoly._of(p._dim, _kept({key: len(key) * c for key, c in p._terms.items() if key}))
 
 
 def ou_inverse(p: ChaosPoly) -> ChaosPoly:
@@ -609,7 +666,7 @@ def ou_inverse(p: ChaosPoly) -> ChaosPoly:
     ``ou_inverse(p)`` for any constant ``c``, and ``ou_apply(ou_inverse(p))``
     is ``p`` less its expectation.
     """
-    return ChaosPoly(p.dim, {key: c / len(key) for key, c in p._terms.items() if key})
+    return ChaosPoly._of(p._dim, _kept({key: c / len(key) for key, c in p._terms.items() if key}))
 
 
 def _block_average_table(m: int, k: int) -> dict[bytes, float]:
@@ -652,19 +709,31 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     substitution preserves the law, grade, expectation, and every L2 inner
     product.  ``m = 1`` returns ``p`` itself.
 
-    Each call builds ``He_k`` of the average of fine coordinates ``1 .. m``
-    in closed form (:func:`_block_average_table`) once for every order ``k``
-    that some coordinate of ``p`` carries, and drops the tables when it
-    returns.  Block ``i`` reads them relabeled by ``bytes.translate``; the
-    shift is monotone, so every key stays sorted and every float is the one
-    block ``i``'s own table holds.  A coarse monomial expands as the
-    cartesian product of its blocks' tables with coefficient
-    ``((1.0 * c1) * c2) * ...``, and the sums pass the term gate once.
+    A coarse monomial ``prod_i He_{k_i}`` spreads over ``prod_i C(m + k_i -
+    1, k_i)`` fine monomials; past :data:`_TERM_BUDGET` of them in all,
+    :class:`AlgebraError` is raised before any table is built.  Each call
+    builds ``He_k`` of the average of fine coordinates ``1 .. m`` in closed
+    form (:func:`_block_average_table`) once for every order ``k`` that some
+    coordinate of ``p`` carries, and drops the tables when it returns.
+    Block ``i`` reads them relabeled by ``bytes.translate``; the shift is
+    monotone, so every key stays sorted and every float is the one block
+    ``i``'s own table holds.  A coarse monomial expands as the cartesian
+    product of its blocks' tables with coefficient ``c * ((c1 * c2) *
+    ...)``.  Distinct coarse monomials refine to disjoint fine keys, so the
+    terms are stored as they come, with no sums; a coefficient that
+    overflows raises and one that underflows to zero is dropped
+    (:func:`_kept`).
     """
     m = int(m)
     new_dim = _refined_dim(p.dim, m)
     if m == 1:
         return p
+    monomials = [(_pairs_of(key), c) for key, c in p._terms.items()]
+    count = sum(math.prod(math.comb(m + k - 1, k) for _, k in pairs) for pairs, _ in monomials)
+    if count > _TERM_BUDGET:
+        raise AlgebraError(
+            f"refine by {m} would build {count:,} terms, past the budget of {_TERM_BUDGET:,}"
+        )
 
     tables: dict[int, dict[bytes, float]] = {}
     blocks: dict[tuple[int, int], list[tuple[bytes, float]]] = {}
@@ -678,20 +747,17 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
             terms = blocks[i, k] = [(key.translate(shift), c) for key, c in tables[k].items()]
         return terms
 
-    def block_monomial(key: bytes) -> list[tuple[bytes, float]]:
-        partial = [(b"", 1.0)]
-        for i, k in _pairs_of(key):
+    def block_monomial(pairs) -> list[tuple[bytes, float]]:
+        if not pairs:
+            return [(b"", 1.0)]
+        (i, k), *rest = pairs
+        partial = block_terms(i, k)
+        for i, k in rest:
             partial = [(ka + kb, ca * cb) for ka, ca in partial for kb, cb in block_terms(i, k)]
         return partial
 
-    return ChaosPoly(
-        new_dim,
-        (
-            (pkey, c * pc)
-            for key, c in p._terms.items()
-            for pkey, pc in block_monomial(key)
-        ),
-    )
+    store = {key: c * pc for pairs, c in monomials for key, pc in block_monomial(pairs)}
+    return ChaosPoly._of(new_dim, _kept(store))
 
 
 class HermiteColumns:

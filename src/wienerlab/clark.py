@@ -101,7 +101,8 @@ def clark_integrand(v: VField) -> WeaklyAdaptedOperator:
         for key, c in p.packed_terms.items():
             if key and not _top_order_above_one(key):
                 entries[key[-1] - 1][key[:-1]] = c
-        rows.append(PredictableHField(tuple(ChaosPoly(n, e) for e in entries)))
+        # entries hold stored terms less their top factor: no gate
+        rows.append(PredictableHField(tuple(ChaosPoly._of(n, e) for e in entries)))
     return WeaklyAdaptedOperator(tuple(rows))
 
 
@@ -171,18 +172,21 @@ def refinement_residual(v: VField, m: int) -> float:
     """
     _refined_dim(v.ambient_dim, m)
     # (m**k - k S) m**(DEGREE_CAP - k) by top order k, over m**DEGREE_CAP;
-    # a constant (k = 0) is represented exactly
+    # it is 0 for k = 0 and k = 1, so only the terms of top order >= 2
+    # (``_top_order_above_one``, inlined) are summed
     lost = [0] + [
         (m**k - k * sum(j ** (k - 1) for j in range(m))) * m ** (DEGREE_CAP - k)
         for k in range(1, DEGREE_CAP + 1)
     ]
+    weighed = [
+        (key, c) for p in v.components for key, c in p.packed_terms.items()
+        if len(key) > 1 and key[-1] == key[-2]
+    ]
 
     def weight(key: bytes) -> int:
-        k = key.count(key[-1]) if key else 0
-        # a represented term costs no factorial
-        return lost[k] and _factorial(key) * lost[k]
+        return _factorial(key) * lost[key.count(key[-1])]
 
-    return _square_sum(v.components, weight, m**DEGREE_CAP, root=True)
+    return _square_sum(weighed, weight, m**DEGREE_CAP, root=True)
 
 
 def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
@@ -238,7 +242,7 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
         adapted = 0 if _top_order_above_one(key) else f
         return adapted << _LANE_BITS | f * lcm // len(key)
 
-    exact, adapted = _square_sums((phi,), weights, (lcm, 1))
+    exact, adapted = _square_sums(phi.packed_terms.items(), weights, (lcm, 1))
     return EnergyComparison(
         adapted_energy=adapted,
         exact_energy=exact,

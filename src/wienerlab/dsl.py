@@ -37,7 +37,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .chaos import ChaosPoly, DEGREE_CAP, DegreeCapExceeded, hermite_product
+from .chaos import _TERM_BUDGET, ChaosPoly, DEGREE_CAP, DegreeCapExceeded, hermite_product
 from .malliavin import VField
 
 
@@ -62,8 +62,9 @@ class DslSemanticError(DslError):
     """The expression parsed but violates the dimension, the degree cap or the product budget."""
 
 
-#: Most monomial pairs one ``*`` of lowered operands may expand.
-PRODUCT_PAIR_BUDGET = 10**7
+#: Most monomial pairs one ``*`` of lowered operands may expand; ``refine``
+#: holds its terms to the same budget.
+PRODUCT_PAIR_BUDGET = _TERM_BUDGET
 
 
 # ----------------------------------------------------------------- stack

@@ -34,14 +34,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .chaos import (
     ChaosPoly,
     DimensionMismatch,
+    _kept,
     _require_same_dim,
     _square_sum,
+    _sum_pairs,
     hermite_product,
     l2_inner,
     linear_combine,
@@ -104,7 +107,8 @@ class _Field:
         rounded as in ``chaos.norm_l2``.
         """
         rows = (part._parts if isinstance(part, _Field) else (part,) for part in self._parts)
-        return _square_sum((p for row in rows for p in row), root=True)
+        terms = chain.from_iterable(p.packed_terms.items() for row in rows for p in row)
+        return _square_sum(terms, root=True)
 
 
 def _sum_of_products(pairs) -> ChaosPoly:
@@ -272,10 +276,12 @@ def gradient_vector(v: VField) -> OperatorField:
 def divergence_h(u: HField) -> ChaosPoly:
     """Adjoint of the scalar gradient: sum_i (eta_i u_i - d_i u_i).
 
-    Computed in its creation form, one gate pass over the terms: each term
+    Computed in its creation form, one sum over the terms: each term
     ``c He_beta`` of ``u_i`` becomes ``c He_{beta+e_i}``.  The
     ``beta_i He_{beta-e_i}`` parts of ``eta_i u_i`` and ``d_i u_i`` cancel
-    in exact arithmetic, so they are never built.
+    in exact arithmetic, so they are never built.  Inserting ``i`` keeps a
+    key sorted and inside the dimension, so only the degree and the value
+    rules are checked (``chaos._kept``).
     """
 
     def raised():
@@ -285,7 +291,7 @@ def divergence_h(u: HField) -> ChaosPoly:
                 at = bisect_right(key, i)
                 yield key[:at] + digit + key[at:], c
 
-    return ChaosPoly(u.n, raised())
+    return ChaosPoly._of(u.n, _kept(_sum_pairs(raised()), capped=True))
 
 
 def divergence_op(K: OperatorField) -> VField:

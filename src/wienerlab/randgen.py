@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adapted import PredictableHField, WeaklyAdaptedOperator
-from .chaos import DIM_CAP, ChaosPoly, _pack
+from .chaos import DIM_CAP, ChaosPoly, DimensionMismatch, _ambient_dim, _kept, _pack, _sum_pairs
 from .malliavin import HField, OperatorField, VField
 
 #: ``_COORDS[n]`` is the coordinate tuple ``(1, ..., n)``.
@@ -150,11 +150,17 @@ def _key(draws: _Draws, coords, degree: int) -> bytes:
 
 
 def _poly(draws: _Draws, n: int, degree: int, n_terms: int, coords=None) -> ChaosPoly:
+    """``n_terms`` drawn terms over ``coords`` (default ``1 .. n``), summed.
+
+    ``_key`` sorts each key and draws it from coordinates inside ``1 .. n``,
+    so only ``n``, the degree cap and the value rules are checked.
+    """
+    n = _ambient_dim(n)
     if coords is None:
-        # an n outside 0..DIM_CAP draws constant keys, and ChaosPoly refuses it
-        coords = _COORDS[n] if 0 <= n <= DIM_CAP else ()
+        coords = _COORDS[n]
     rng = draws.rng
-    return ChaosPoly(n, [(_key(draws, coords, degree), _uniform(rng)) for _ in range(n_terms)])
+    pairs = [(_key(draws, coords, degree), _uniform(rng)) for _ in range(n_terms)]
+    return ChaosPoly._of(n, _kept(_sum_pairs(pairs), capped=True))
 
 
 def _hfield(draws: _Draws, n: int, degree: int) -> HField:
@@ -171,6 +177,8 @@ def _predictable(draws: _Draws, n: int, degree: int) -> PredictableHField:
 
 def random_poly(rng: np.random.Generator, n: int, degree: int,
                 n_terms: int = 4, coords=None) -> ChaosPoly:
+    if coords is not None and not all(1 <= c <= n for c in coords):
+        raise DimensionMismatch(f"coordinates {list(coords)} outside 1..{n}")
     with _Draws(rng) as draws:
         return _poly(draws, n, degree, n_terms, coords)
 

@@ -644,8 +644,9 @@ def test_square_sums_in_lanes_are_the_sums_one_by_one():
             return sum(w(key) << i * _LANE_BITS for i, w in enumerate(weights))
 
         for root in (False, True):
-            want = [_square_sum((p,), w, den, root) for w, den in zip(weights, dens)]
-            assert _square_sums((p,), packed_weights, dens, root) == want
+            terms = list(p.packed_terms.items())
+            want = [_square_sum(terms, w, den, root) for w, den in zip(weights, dens)]
+            assert _square_sums(terms, packed_weights, dens, root) == want
 
 def test_overflowing_product_raises():
     big = ChaosPoly.constant(1, 1e200)
@@ -690,8 +691,8 @@ def test_kernels_commute_with_power_of_two_scaling(seed, k):
 
 
 # ------------------------------------------------------------------ term gate
-# Each kernel streams its (key, coefficient) pairs into the constructor's one
-# term gate.  The references below keep the earlier representation: they
+# Each kernel sums its (key, coefficient) pairs into the store it keeps.
+# The references below keep the earlier representation: they
 # work on (coordinate, order) pair tuples with dict arithmetic, sum the same
 # pairs into a local dict first and construct from that, so the output must
 # match term by term, in the same order and to the last bit.

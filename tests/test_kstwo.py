@@ -129,8 +129,19 @@ def test_root_search_never_reaches_the_smirnov_branch(monkeypatch):
         return kolmogn(n, x)
 
     monkeypatch.setattr(_kstwo, "_kolmogn", recorded)
+    # the uncached search: an n cached by an earlier test would not search
     for n in [*range(1, 2001), 5000, 20_000, 50_000, 100_000, 200_000, 10**6, 2**25]:
-        ks_critical(n)
+        ks_critical.__wrapped__(n)
     searched = {n for n, _ in seen}
     assert min(searched) == 11 and searched.isdisjoint(_kstwo._SMALL_N_CRITICAL)
     assert max(x for _, x in seen) < 0.5
+
+
+def test_cached_critical_values_are_fresh_ones():
+    # each size's value is searched once; a cached call returns its bits
+    for n in (3, 7, 11, 140, 2000, 20_000, 200_000, 2**25):
+        first = ks_critical(n)
+        hits = ks_critical.cache_info().hits
+        assert ks_critical(n) is first and ks_critical.cache_info().hits == hits + 1
+        fresh = ks_critical.__wrapped__(n)
+        assert type(fresh) is np.float64 and fresh.tobytes() == first.tobytes()
