@@ -35,8 +35,9 @@ and Brent's method starts at ``1/n`` and at the limit quantile
 CDF only near the root, inside that bracket.  SciPy's ``smirnov`` branch
 (x >= 1/2) is reached only for n = 4..10: n <= 3 never gets to the search,
 and for n >= 11 the top of the bracket, 1.6276.../sqrt(n), is below 1/2.
-Those seven values are stored.  Every other evaluation past the
-Ruben-Gambino ends has ``n x**2`` between 2.3 and 2.65, for every n up to
+Those seven values are stored, and with x < 1/2 <= 1 - 1/n the upper
+Ruben-Gambino end (n x >= n - 1) is never met.  Every other evaluation past
+the lower end (n x <= 1) has ``n x**2`` between 2.3 and 2.65, for every n up to
 100000 and for 3000 random n up to 2**25.  So that part of the CDF is
 Pomeranz's recursion for n <= 140 and the Pelz-Good series above; SciPy's
 Durbin-matrix branch (n x**2 <= 0.754693 for n <= 140, n x**1.5 <= 1.4 for
@@ -343,7 +344,8 @@ def _kolmogn(n: int, x: float):
     SciPy takes x >= 1/2 from the exact one-sided tail, 1 - 2 smirnov(n, x).
     The search reaches that branch only for n = 4..10 (for n >= 11 the
     bracket ends below 1/2), and ``ks_critical`` stores those seven values,
-    so the branch is left out.
+    so the branch is left out.  So is SciPy's Ruben-Gambino upper end,
+    ``n x >= n - 1``: it needs x >= 1 - 1/n >= 1/2.
     """
     t = n * x
     if t <= 1.0:
@@ -352,9 +354,6 @@ def _kolmogn(n: int, x: float):
             prob = np.prod(np.arange(1, n + 1) * (1.0 / n) * (2 * t - 1))
         else:
             prob = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2 * t - 1))
-    elif t >= n - 1:
-        # Ruben-Gambino
-        prob = 1 - 2 * (1.0 - x) ** n
     elif n <= 140:
         prob = _kolmogn_pomeranz(n, x)
     else:

@@ -173,11 +173,6 @@ def _factorial(key: bytes) -> int:
     return f
 
 
-def _top_order_above_one(key: bytes) -> bool:
-    """Whether the largest coordinate of a key carries Hermite order >= 2."""
-    return len(key) > 1 and key[-1] == key[-2]
-
-
 def _ambient_dim(dim) -> int:
     """``dim`` as an int, refusing one outside ``1 .. DIM_CAP``."""
     dim = int(dim)
@@ -558,46 +553,23 @@ def norm_l2(p: ChaosPoly) -> float:
 def _square_sum(terms, weight=_factorial, den: int = 1, root: bool = False) -> float:
     """``sum weight(key) * c**2 / den`` over ``(key, c)`` pairs, exact, rounded once.
 
-    ``weight`` maps a key to an integer, ``alpha!`` by default, so that the
-    sum over the terms of polynomials is the sum of their ``E[p^2]``;
-    ``den`` is a positive integer.  The one-sum case of ``_square_sums``.
-    """
-    return _square_sums(terms, weight, (den,), root)[0]
-
-
-#: Bits of one sum of ``_square_sums``: every weight is below 2**72 and
-#: every n**2 below 2**106, so fewer than 2**64 terms never fill a lane.
-_LANE_BITS = 256
-
-
-def _square_sums(terms, weight, dens, root: bool = False) -> list[float]:
-    """``sum w_i(key) * c**2 / dens[i]`` for each i, all in one scan of ``terms``.
-
     ``terms`` is an iterable of ``(key, c)`` pairs, such as the items of one
-    or more term stores.  ``weight`` maps a key to its integer weights
-    packed into one integer, ``sum_i w_i << i * _LANE_BITS`` (with one sum,
-    the weight itself); each
-    ``w_i`` is nonnegative and each ``dens[i]`` a positive integer.  Each
+    or more term stores.  ``weight`` maps a key to a nonnegative integer,
+    ``alpha!`` by default, so that the sum over the terms of polynomials is
+    the sum of their ``E[p^2]``; ``den`` is a positive integer.  Each
     coefficient is ``n * 2**(e - 53)`` with an integer ``n`` of at most 53
-    bits (``math.frexp``), so the sums are accumulated exactly as one
-    integer ``weight * n**2`` per exponent ``e``, sum i in lane i of its
-    bits.  Lane by lane, the integers are brought to the smallest ``e`` and
-    the total is rounded once to the nearest double, or with ``root`` its
-    square root is: however tiny or huge the sum, and ``inf`` past the
-    largest double.
+    bits (``math.frexp``), so the sum is accumulated exactly as one integer
+    ``weight * n**2`` per exponent ``e``.  The integers are brought to the
+    smallest ``e`` and the total is rounded once to the nearest double, or
+    with ``root`` its square root is: however tiny or huge the sum, and
+    ``inf`` past the largest double.
     """
     acc: dict[int, int] = {}
     for key, c in terms:
         if w := weight(key):
             m, e = math.frexp(c)
             acc[e] = acc.get(e, 0) + w * int(m * 2.0**53) ** 2
-    if len(dens) == 1:
-        return [_rounded(acc, dens[0], root)]
-    mask = (1 << _LANE_BITS) - 1
-    return [
-        _rounded({e: s >> i * _LANE_BITS & mask for e, s in acc.items()}, den, root)
-        for i, den in enumerate(dens)
-    ]
+    return _rounded(acc, den, root)
 
 
 def _rounded(acc: dict[int, int], den: int, root: bool) -> float:

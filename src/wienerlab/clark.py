@@ -9,7 +9,11 @@ order 1 at its highest-index coordinate: conditioning at stage j-1 kills a
 derivative He_{k-1}(eta_j) unless k = 1.  In the Hermite basis the
 integrand K is one map over terms (the top-order-1 rule): a monomial whose
 top coordinate j has order 1 moves to entry (a, j) with that factor removed
-and the same coefficient, and every other monomial is dropped.  The dropped
+and the same coefficient, and every other monomial is dropped.  The
+divergence of that entry puts the factor back, so the reconstruction is
+read off v too: it is v's monomials of top order <= 1, which
+``reconstruct`` takes without forming the divergence (the
+``clark_exactness`` suite forms it and checks it against v).  The dropped
 monomials are lost entirely: v minus the reconstruction holds exactly them,
 so the residual is the L2 norm of the dropped terms, read off v without
 forming the reconstruction's difference.  Grid refinement spreads that mass
@@ -48,20 +52,16 @@ from fractions import Fraction
 from .adapted import PredictableHField, WeaklyAdaptedOperator
 from .chaos import (
     DEGREE_CAP,
-    _LANE_BITS,
     ChaosPoly,
     _factorial,
     _refined_dim,
     _square_sum,
-    _square_sums,
-    _top_order_above_one,
     ou_inverse,
     refine,
 )
 from .malliavin import (
     HField,
     VField,
-    divergence_op,
     gradient_scalar,
 )
 
@@ -82,6 +82,11 @@ class EnergyComparison:
     adapted_energy: float
     exact_energy: float
     coincide: bool
+
+
+def _top_order_above_one(key: bytes) -> bool:
+    """Whether the largest coordinate of a key carries Hermite order >= 2."""
+    return len(key) > 1 and key[-1] == key[-2]
 
 
 def clark_integrand(v: VField) -> WeaklyAdaptedOperator:
@@ -107,16 +112,30 @@ def clark_integrand(v: VField) -> WeaklyAdaptedOperator:
 
 
 def reconstruct(v: VField) -> ClarkResult:
-    """E[v] + div(adapted integrand); the residual is ``refinement_residual(v, 1)``.
+    """E[v] + div(adapted integrand), read off v; residual ``refinement_residual(v, 1)``.
 
-    At m = 1 the closed form weighs a term by ``alpha!`` exactly when its
-    top coordinate has order >= 2, so the residual is the norm of the
-    dropped terms, ``||v - reconstruction||``, summed exactly and rounded
-    once.
+    The divergence of entry (a, i) of ``clark_integrand`` appends i to each
+    of its keys, which gives back the terms of v_a whose top coordinate i
+    has order 1, with the same coefficients.  So component a of the
+    reconstruction is v_a's terms of top order <= 1, the constant first and
+    the rest stably ordered by top coordinate: the keys, coefficients and
+    stored order of ``E[v] + divergence_op(K)``, which the
+    ``clark_exactness`` suite builds and checks against v.  At m = 1 the
+    closed form weighs a term by ``alpha!`` exactly when its top coordinate
+    has order >= 2, so the residual is the norm of the dropped terms,
+    ``||v - reconstruction||``, summed exactly and rounded once.
     """
-    K = clark_integrand(v)
-    rec = VField.constant(v.ambient_dim, v.expectation()).add(divergence_op(K))
-    return ClarkResult(integrand=K, reconstruction=rec, residual_l2=refinement_residual(v, 1))
+    rec = VField(tuple(
+        # a stable sort by the last key byte: the constant, then column 1, 2, ...
+        ChaosPoly._of(p.dim, dict(sorted(
+            ((key, c) for key, c in p.packed_terms.items() if not _top_order_above_one(key)),
+            key=lambda term: term[0][-1:],
+        )))
+        for p in v.components
+    ))
+    return ClarkResult(
+        integrand=clark_integrand(v), reconstruction=rec, residual_l2=refinement_residual(v, 1)
+    )
 
 
 def is_representable(v: VField | ChaosPoly) -> bool:
@@ -232,17 +251,11 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
     first chaos, that is when every term of phi has degree at most 1.
     """
     # every |alpha| divides the lcm of 1 .. DEGREE_CAP: alpha! / |alpha| is an
-    # integer over it; both weights come from one factorial per key
+    # integer over it
     lcm = math.lcm(*range(1, DEGREE_CAP + 1))
-
-    def weights(key: bytes) -> int:
-        if not key:
-            return 0
-        f = _factorial(key)
-        adapted = 0 if _top_order_above_one(key) else f
-        return adapted << _LANE_BITS | f * lcm // len(key)
-
-    exact, adapted = _square_sums(phi.packed_terms.items(), weights, (lcm, 1))
+    terms = phi.packed_terms.items()
+    exact = _square_sum(terms, lambda key: _factorial(key) * lcm // len(key) if key else 0, lcm)
+    adapted = _square_sum([(key, c) for key, c in terms if key and not _top_order_above_one(key)])
     return EnergyComparison(
         adapted_energy=adapted,
         exact_energy=exact,

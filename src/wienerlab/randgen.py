@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adapted import PredictableHField, WeaklyAdaptedOperator
-from .chaos import DIM_CAP, ChaosPoly, DimensionMismatch, _ambient_dim, _kept, _pack, _sum_pairs
+from .chaos import DIM_CAP, ChaosPoly, _ambient_dim, _kept, _pack, _sum_pairs
 from .malliavin import HField, OperatorField, VField
 
 #: ``_COORDS[n]`` is the coordinate tuple ``(1, ..., n)``.
@@ -163,10 +163,6 @@ def _poly(draws: _Draws, n: int, degree: int, n_terms: int, coords=None) -> Chao
     return ChaosPoly._of(n, _kept(_sum_pairs(pairs), capped=True))
 
 
-def _hfield(draws: _Draws, n: int, degree: int) -> HField:
-    return HField(tuple(_poly(draws, n, degree, 2) for _ in range(n)))
-
-
 def _predictable(draws: _Draws, n: int, degree: int) -> PredictableHField:
     rng = draws.rng
     return PredictableHField(tuple(
@@ -175,18 +171,10 @@ def _predictable(draws: _Draws, n: int, degree: int) -> PredictableHField:
     ))
 
 
-def random_poly(rng: np.random.Generator, n: int, degree: int,
-                n_terms: int = 4, coords=None) -> ChaosPoly:
-    if coords is not None and not all(1 <= c <= n for c in coords):
-        raise DimensionMismatch(f"coordinates {list(coords)} outside 1..{n}")
+def random_poly(rng: np.random.Generator, n: int, degree: int) -> ChaosPoly:
+    """Four terms over ``eta_1 .. eta_n``."""
     with _Draws(rng) as draws:
-        return _poly(draws, n, degree, n_terms, coords)
-
-
-def random_hfield(rng, n: int, degree: int) -> HField:
-    """Two terms per coordinate."""
-    with _Draws(rng) as draws:
-        return _hfield(draws, n, degree)
+        return _poly(draws, n, degree, 4)
 
 
 def random_vfield(rng, n: int, d: int, degree: int) -> VField:
@@ -196,8 +184,11 @@ def random_vfield(rng, n: int, d: int, degree: int) -> VField:
 
 
 def random_operator(rng, n: int, d: int, degree: int) -> OperatorField:
+    """Two terms per entry."""
     with _Draws(rng) as draws:
-        return OperatorField(tuple(_hfield(draws, n, degree) for _ in range(d)))
+        return OperatorField(tuple(
+            HField(tuple(_poly(draws, n, degree, 2) for _ in range(n))) for _ in range(d)
+        ))
 
 
 def random_predictable_field(rng, n: int, degree: int) -> PredictableHField:

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own evaluation and algebra
 paths: Hermite values come from numpy.polynomial.hermite_e, expectations from
 Gauss quadrature with the exp(-x^2/2) weight, derivatives from finite
 differences, and distributions from plain Monte Carlo.  Tests compare the
-package against these.
+package against these.  Only ``draw_poly`` and ``draw_hfield`` are the
+package's own: its seeded draws, at sizes its public builders do not take.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import product as cartesian
 import numpy as np
 from numpy.polynomial import hermite_e
 
+from wienerlab import randgen
 from wienerlab.chaos import ChaosPoly
 from wienerlab.malliavin import HField
 
@@ -37,6 +39,21 @@ def packed(index=()) -> bytes:
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def draw_poly(rng, n: int, degree: int, n_terms: int, coords=None) -> ChaosPoly:
+    """``n_terms`` seeded terms over ``coords`` (default ``1 .. n``), summed.
+
+    The draw behind ``randgen.random_poly``, which always takes four terms
+    over every coordinate, at any term count and support.
+    """
+    with randgen._Draws(rng) as draws:
+        return randgen._poly(draws, n, degree, n_terms, coords)
+
+
+def draw_hfield(rng, n: int, degree: int) -> HField:
+    """A seeded field of two terms per coordinate: the one row of ``random_operator``."""
+    return randgen.random_operator(rng, n, 1, degree).rows[0]
 
 
 def he_value(k: int, x):

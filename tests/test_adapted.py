@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_rng
+from helpers import draw_hfield, make_rng
 from wienerlab.chaos import ChaosPoly, evaluate_batch, l2_inner, linear_combine
 from wienerlab.adapted import (
     NotPredictable,
@@ -20,7 +20,6 @@ from wienerlab.adapted import (
 from wienerlab.malliavin import HField, divergence_h, divergence_op
 from wienerlab.randgen import (
     random_finite_rank_adapted,
-    random_hfield,
     random_operator,
     random_predictable_field,
     random_weakly_adapted,
@@ -80,7 +79,7 @@ def test_project_adapted_frozen():
 def test_projection_idempotent_and_fixes_predictable():
     rng = make_rng(401)
     for _ in range(10):
-        u = random_hfield(rng, 4, 3)
+        u = draw_hfield(rng, 4, 3)
         pu = project_adapted(u)
         assert project_adapted(pu) == pu
         assert is_predictable(pu)
@@ -92,7 +91,7 @@ def test_projection_idempotent_and_fixes_predictable():
 def test_projection_contraction_and_pythagoras():
     rng = make_rng(402)
     for _ in range(10):
-        u = random_hfield(rng, 4, 3)
+        u = draw_hfield(rng, 4, 3)
         pu = project_adapted(u)
         rest = u.sub(pu)
         assert pu.norm() <= u.norm() + 1e-12
@@ -102,8 +101,8 @@ def test_projection_contraction_and_pythagoras():
 def test_projection_self_adjoint():
     rng = make_rng(403)
     for _ in range(10):
-        u = random_hfield(rng, 3, 3)
-        v = random_hfield(rng, 3, 3)
+        u = draw_hfield(rng, 3, 3)
+        v = draw_hfield(rng, 3, 3)
         assert project_adapted(u).inner(v) == pytest.approx(
             u.inner(project_adapted(v)), abs=1e-10
         )

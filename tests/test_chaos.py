@@ -28,7 +28,6 @@ from helpers import (
 )
 from wienerlab import cli, clark, dsl
 from wienerlab.chaos import (
-    _LANE_BITS,
     DEGREE_CAP,
     DIM_CAP,
     AlgebraError,
@@ -52,10 +51,7 @@ from wienerlab.chaos import (
     _pack,
     _pairs_of,
     _product_terms,
-    _square_sum,
-    _square_sums,
     _text_sort_key,
-    _top_order_above_one,
 )
 from wienerlab.malliavin import HField, VField, divergence_h
 
@@ -624,30 +620,6 @@ def test_norm_l2_is_the_correctly_rounded_root():
     assert norm_l2(mixed) == exact_root(l2_mass([mixed])) == 1e200
 
 
-
-def test_square_sums_in_lanes_are_the_sums_one_by_one():
-    # three weighted sums in one scan, each with its own denominator, equal
-    # the one-sum kernel run once per weight: no lane spills into the next,
-    # also with coefficients at both ends of the double range
-    rng = make_rng(28)
-    weights = (
-        _factorial,
-        lambda key: _factorial(key) * 840 // len(key) if key else 0,
-        lambda key: 0 if _top_order_above_one(key) else 2**71 + len(key),
-    )
-    dens = (1, 840, 3)
-    polys = [random_poly(rng, 3, 8, n_terms=40) for _ in range(5)]
-    extremes = {b"": 1e300, b"\x01": -1e-300, b"\x02\x02": 5e-324, b"\x01\x02": 1e308}
-    polys.append(ChaosPoly(2, extremes))
-    for p in polys:
-        def packed_weights(key):
-            return sum(w(key) << i * _LANE_BITS for i, w in enumerate(weights))
-
-        for root in (False, True):
-            terms = list(p.packed_terms.items())
-            want = [_square_sum(terms, w, den, root) for w, den in zip(weights, dens)]
-            assert _square_sums(terms, packed_weights, dens, root) == want
-
 def test_overflowing_product_raises():
     big = ChaosPoly.constant(1, 1e200)
     with pytest.raises(AlgebraError, match="non-finite"):
@@ -1015,7 +987,6 @@ def test_packed_key_matches_multiindex(a, b, coord):
     assert key[:at] + digit + key[at:] == packed(_shifted(ia, coord, 1))
     if _order(ia, coord):
         assert key.replace(digit, b"", 1) == packed(_shifted(ia, coord, -1))
-    assert _top_order_above_one(key) == bool(ia and ia[-1][1] > 1)
     # the monomial product, pair by pair, in the reference's order and bits
     got = list(_product_terms({key: 1.0}, {packed(ib): 1.0}))
     want = [(packed(idx), w) for idx, w in _monomial_product(ia, ib)]

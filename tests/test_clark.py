@@ -3,8 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    draw_hfield,
+    draw_poly,
     energies,
     exact_root,
     l2_mass,
@@ -16,6 +20,7 @@ from helpers import (
 from wienerlab import clark
 from wienerlab.chaos import (
     DEGREE_CAP,
+    DIM_CAP,
     AlgebraError,
     ChaosPoly,
     hermite_product,
@@ -39,11 +44,11 @@ from wienerlab.dsl import lower, parse_functional
 from wienerlab.malliavin import (
     VField,
     divergence_h,
+    divergence_op,
     gradient_scalar,
     gradient_vector,
 )
 from wienerlab.randgen import (
-    random_hfield,
     random_poly,
     random_representable_poly,
     random_representable_vfield,
@@ -80,7 +85,7 @@ def test_clark_integrand_equals_projected_gradient_term_by_term():
     fields = []
     for n in (1, 2, 3, 4):
         fields.append(random_representable_vfield(rng, n, 2, 3))
-        fields.append(VField(tuple(random_poly(rng, n, 3, 5) for _ in range(2))))
+        fields.append(VField(tuple(draw_poly(rng, n, 3, 5) for _ in range(2))))
     # components with a constant term, representable or not
     fields.append(VField((hermite_product(eta(1, 2), eta(2, 2)) + ChaosPoly.constant(2, -0.75),
                           he(2, 2, 2) + eta(1, 2) + ChaosPoly.constant(2, 1.5))))
@@ -93,6 +98,27 @@ def test_clark_integrand_equals_projected_gradient_term_by_term():
             for row, want_row in zip(K.rows, want.rows):
                 for p, q in zip(row.coords, want_row.coords):
                     assert list(p.packed_terms.items()) == list(q.packed_terms.items())
+
+
+def test_reconstruction_is_the_formed_divergence_item_for_item():
+    # reconstruct reads E[v] + div(K) off v; forming the divergence gives the
+    # same keys, coefficient bits and stored order, component by component
+    rng = make_rng(2026)
+    for _ in range(1200):
+        n, d, degree = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        v = random_vfield(rng, n, d, degree)
+        formed = VField.constant(n, v.expectation()).add(divergence_op(clark_integrand(v)))
+        got = reconstruct(v).reconstruction
+        assert [[(k, c.hex()) for k, c in p.packed_terms.items()] for p in got.components] == [
+            [(k, c.hex()) for k, c in p.packed_terms.items()] for p in formed.components
+        ]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 4), st.integers(1, DIM_CAP)), max_size=12))
+def test_top_order_above_one_reads_the_order_of_the_top_coordinate(occurrences):
+    top = max(occurrences, default=0)
+    assert clark._top_order_above_one(bytes(sorted(occurrences))) == (occurrences.count(top) > 1)
 
 
 def test_clark_product_functional_exact():
@@ -230,7 +256,7 @@ def test_refinement_residual_non_increasing_random():
     rng = make_rng(505)
     for _ in range(6):
         n = int(rng.integers(1, 3))
-        v = VField((random_poly(rng, n, 3, n_terms=4),))
+        v = VField((random_poly(rng, n, 3),))
         table = refine_and_reconstruct(v, [1, 2, 4, 8])
         residuals = [r for _, r in table]
         for a, b in zip(residuals, residuals[1:]):
@@ -253,7 +279,7 @@ def test_refinement_residual_non_increasing_fourth_order():
 
 def test_refinement_residual_matches_refined_oracle():
     rng = make_rng(506)
-    v = VField((random_poly(rng, 2, 3, n_terms=5),))
+    v = VField((draw_poly(rng, 2, 3, 5),))
     for m in (2, 4):
         refined = VField(tuple(refine(p, m) for p in v.components))
         res = reconstruct(refined)
@@ -420,7 +446,7 @@ def test_coincide_is_pure_first_chaos_of_the_centered_functional():
     # the grade-1 filter written out, as the definition reads: centered phi
     # minus its first-chaos part is zero
     rng = make_rng(510)
-    phis = [random_poly(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), n_terms=3)
+    phis = [draw_poly(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 3)
             for _ in range(40)]
     phis += [
         ChaosPoly.constant(2, 3.0),
@@ -442,7 +468,7 @@ def test_minimal_energy_represents_exactly():
     rng = make_rng(507)
     for _ in range(10):
         n = int(rng.integers(2, 5))
-        phi = random_poly(rng, n, 3, n_terms=4)
+        phi = random_poly(rng, n, 3)
         field = minimal_energy_integrand(phi)
         assert _representation_gap(phi, field) <= 1e-10
 
@@ -451,7 +477,7 @@ def test_minimal_energy_beats_divergence_free_perturbations():
     rng = make_rng(508)
     for _ in range(6):
         n = int(rng.integers(2, 5))
-        phi = random_poly(rng, n, 3, n_terms=4)
+        phi = random_poly(rng, n, 3)
         base = minimal_energy_integrand(phi)
         e0 = base.norm() ** 2
         # skew linear fields are divergence-free
@@ -459,7 +485,7 @@ def test_minimal_energy_beats_divergence_free_perturbations():
         assert _representation_gap(phi, base.add(u0)) <= 1e-10
         assert base.add(u0).norm() ** 2 >= e0 - 1e-12
         # generic divergence-free field: u - grad Linv div u
-        u = random_hfield(rng, n, 3)
+        u = draw_hfield(rng, n, 3)
         correction = gradient_scalar(ou_inverse(divergence_h(u)))
         w0 = u.sub(correction)
         assert divergence_h(w0).norm_l2() <= 1e-10
@@ -494,8 +520,8 @@ def _energy_cases():
     phis = []
     for _ in range(300):
         n = int(rng.integers(1, 6))
-        phis.append(random_poly(rng, n, int(rng.integers(1, DEGREE_CAP + 1)),
-                                n_terms=int(rng.integers(1, 9))))
+        degree, n_terms = int(rng.integers(1, DEGREE_CAP + 1)), int(rng.integers(1, 9))
+        phis.append(draw_poly(rng, n, degree, n_terms))
     phis += [random_representable_poly(rng, int(rng.integers(1, 6)), 3) for _ in range(50)]
     for text, n in [
         ("x1", 1),
@@ -538,7 +564,7 @@ def test_divergence_of_gradient_is_number_operator():
     rng = make_rng(510)
     for _ in range(10):
         n = int(rng.integers(1, 4))
-        p = random_poly(rng, n, 4, n_terms=5)
+        p = draw_poly(rng, n, 4, 5)
         lhs = divergence_h(gradient_scalar(p))
         rhs = ou_apply(p)
         assert (lhs - rhs).is_zero() or (lhs - rhs).norm_l2() <= 1e-12
@@ -548,7 +574,7 @@ def test_gradients_orthogonal_to_divergence_free():
     rng = make_rng(511)
     for _ in range(6):
         n = int(rng.integers(2, 4))
-        p = random_poly(rng, n, 3, n_terms=3)
+        p = draw_poly(rng, n, 3, 3)
         g = gradient_scalar(p)
         u0 = skew_symmetric_field(random_skew_matrix(rng, n))
         assert g.inner(u0) == pytest.approx(0.0, abs=1e-10)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import exact_root, l2_mass, make_rng, mc_poly_mean
+from helpers import draw_hfield, draw_poly, exact_root, l2_mass, make_rng, mc_poly_mean
 from wienerlab.chaos import (
     DEGREE_CAP,
     ChaosPoly,
@@ -38,7 +38,6 @@ from wienerlab.malliavin import (
     trace_pairing_expectation,
 )
 from wienerlab.randgen import (
-    random_hfield,
     random_operator,
     random_poly,
     random_predictable_field,
@@ -143,7 +142,7 @@ def test_divergence_skew_field_is_exactly_zero():
 def test_divergence_has_zero_mean():
     rng = make_rng(312)
     for _ in range(10):
-        u = random_hfield(rng, 3, 3)
+        u = draw_hfield(rng, 3, 3)
         assert divergence_h(u).expectation() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -177,7 +176,7 @@ def test_divergence_of_predictable_fields_is_bit_identical_to_the_sum_form():
         for _ in range(10):
             u = random_predictable_field(rng, n, 3)
             assert _stored(divergence_h(u)) == _stored(_divergence_ref(u))
-        K = clark_integrand(VField(tuple(random_poly(rng, n, 4, 6) for _ in range(2))))
+        K = clark_integrand(VField(tuple(draw_poly(rng, n, 4, 6) for _ in range(2))))
         for row in K.rows:
             assert _stored(divergence_h(row)) == _stored(_divergence_ref(row))
 
@@ -187,7 +186,7 @@ def test_divergence_matches_the_sum_form_to_roundoff_on_general_fields():
     differing = 0
     for _ in range(300):
         n = int(rng.integers(1, 4))
-        u = HField(tuple(random_poly(rng, n, 4, 5) for _ in range(n)))
+        u = HField(tuple(draw_poly(rng, n, 4, 5) for _ in range(n)))
         got, want = divergence_h(u).packed_terms, _divergence_ref(u).packed_terms
         scale = max((abs(c) for ui in u.coords for c in ui.packed_terms.values()), default=0.0)
         gap = max((abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in got.keys() | want.keys()), default=0.0)
@@ -215,7 +214,7 @@ def test_divergence_op_identity_recovers_coordinates():
 
 def test_rank_one_divergence_factorizes():
     rng = make_rng(313)
-    alpha = random_hfield(rng, 3, 2)
+    alpha = draw_hfield(rng, 3, 2)
     y = np.array([2.0, -1.0, 0.5])
     K = OperatorField(tuple(_scaled(alpha, v) for v in y))
     d = divergence_op(K)
@@ -349,7 +348,7 @@ def test_cbound_diagonal_coordinate_operator():
 def test_cbound_rank_one_closed_form():
     # K = alpha tensor y: div(K^T l) = <l, y> div(alpha), so C = |y| ||div alpha||
     rng = make_rng(319)
-    alpha = random_hfield(rng, 3, 2)
+    alpha = draw_hfield(rng, 3, 2)
     y = np.array([1.0, -2.0, 2.0])
     K = OperatorField(tuple(_scaled(alpha, v) for v in y))
     expected = np.linalg.norm(y) * divergence_h(alpha).norm_l2()
@@ -421,7 +420,7 @@ def test_field_norms_scale_an_energy_that_overflows():
 def test_field_norms_are_the_correctly_rounded_root():
     rng = make_rng(322)
     for field in (
-        random_hfield(rng, 3, 3),
+        draw_hfield(rng, 3, 3),
         random_vfield(rng, 3, 2, 3),
         random_operator(rng, 3, 2, 3),
         HField((eta(1, 2) * 1e150, eta(2, 2))),
@@ -454,7 +453,7 @@ def test_field_arithmetic_rejects_mismatched_shapes(kind, op):
 def test_operator_energy_sums_row_energies_exactly():
     rng = make_rng(0)
     K = OperatorField(
-        tuple(HField(tuple(random_poly(rng, 3, 3, 4) for _ in range(3))) for _ in range(3))
+        tuple(HField(tuple(random_poly(rng, 3, 3) for _ in range(3))) for _ in range(3))
     )
     assert K.norm() == exact_root(sum(l2_mass(row.coords) for row in K.rows))
     # this seed tells the row-by-row float order apart from one flat float

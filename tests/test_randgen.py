@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_rng, packed
+from helpers import draw_poly, make_rng, packed
 from wienerlab import randgen
 from wienerlab.adapted import PredictableHField
 from wienerlab.chaos import ChaosPoly, MultiIndex
@@ -88,10 +88,6 @@ def _polys(field):
 # (generator, reference) over (rng, n, d, degree); each reference returns
 # the polynomials the generator stores, in order
 FIELD_CASES = {
-    "random_hfield": (
-        lambda rng, n, d, degree: randgen.random_hfield(rng, n, degree),
-        lambda rng, n, d, degree: [_reference_poly(rng, n, degree, 2) for _ in range(n)],
-    ),
     "random_vfield": (
         lambda rng, n, d, degree: randgen.random_vfield(rng, n, d, degree),
         lambda rng, n, d, degree: [_reference_poly(rng, n, degree, 3) for _ in range(d)],
@@ -163,10 +159,16 @@ def _same_draws(make, reference, seed):
 def test_generators_match_the_multiindex_reference(seed):
     for n, degree, coords in CASES:
         _same_draws(
-            lambda rng: randgen.random_poly(rng, n, degree, n_terms=8, coords=coords),
+            lambda rng: draw_poly(rng, n, degree, 8, coords),
             lambda rng: _reference_poly(rng, n, degree, n_terms=8, coords=coords),
             seed,
         )
+        if coords is None:
+            _same_draws(
+                lambda rng: randgen.random_poly(rng, n, degree),
+                lambda rng: _reference_poly(rng, n, degree),
+                seed,
+            )
         if degree:
             _same_draws(
                 lambda rng: randgen.random_representable_poly(rng, n, degree),
@@ -191,9 +193,8 @@ def test_generators_build_no_multiindex(monkeypatch):
     monkeypatch.setattr(MultiIndex, "__init__", counting_init)
     rng = make_rng(5)
     randgen.random_poly(rng, 4, 4)
-    randgen.random_poly(rng, 4, 3, coords=[1, 2])
+    draw_poly(rng, 4, 3, 4, [1, 2])
     randgen.random_representable_poly(rng, 4, 3)
-    randgen.random_hfield(rng, 3, 2)
     randgen.random_vfield(rng, 3, 2, 2)
     randgen.random_operator(rng, 3, 2, 2)
     randgen.random_predictable_field(rng, 4, 3)

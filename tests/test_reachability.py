@@ -2,13 +2,14 @@
 
 Six commands (``verify``, a vector ``represent`` and ``rotate`` for every
 construction) and the benchmark's three smoke workloads run in-process
-under one profile hook.  Each public method, property and classmethod of
-an exported class (exception classes and dunders aside) must be entered
-there.  So must each module-level function exported in
-``wienerlab.__all__``, unless the benchmark names it: its workloads and
-tracer reach the package from outside (``perfbench/workloads.py`` and
-``perfbench/tracing.py``, parsed, not imported).  A function or method
-that only its own tests call fails here.
+under one profile hook.  Every package module counts, exported or not,
+except ``wienerlab.__main__``, whose import runs the CLI.  Each public
+method, property and classmethod of a class a module defines (exception
+classes and dunders aside) must be entered there.  So must each public
+module-level function a module defines, unless the benchmark names it: its
+workloads and tracer reach the package from outside
+(``perfbench/workloads.py`` and ``perfbench/tracing.py``, parsed, not
+imported).  A function or method that only its own tests call fails here.
 
 Frames are matched by code object identity (``fn.__code__``), which Python
 3.10 offers as well as later versions.
@@ -16,8 +17,10 @@ Frames are matched by code object identity (``fn.__code__``), which Python
 
 import ast
 import functools
+import importlib
 import importlib.util
 import inspect
+import pkgutil
 import sys
 import types
 
@@ -65,15 +68,52 @@ def benchmark_names() -> set[str]:
     return names
 
 
+def package_modules() -> list[types.ModuleType]:
+    """Every ``wienerlab`` module but ``__main__``, which runs the CLI on import."""
+    return [
+        importlib.import_module(f"wienerlab.{info.name}")
+        for info in pkgutil.iter_modules(wienerlab.__path__)
+        if info.name != "__main__"
+    ]
+
+
+def _defined(module: types.ModuleType):
+    """``(name, value)`` of each function and class the module defines itself.
+
+    A decorated function, such as an ``lru_cache`` one, counts as the
+    function it wraps.
+    """
+    for name, value in vars(module).items():
+        value = inspect.unwrap(value)
+        if isinstance(value, (type, types.FunctionType)) and value.__module__ == module.__name__:
+            yield name, value
+
+
+def public_functions() -> dict[str, types.CodeType]:
+    """``module.name`` -> code of every public module-level function of the package."""
+    return {
+        f"{module.__name__.removeprefix('wienerlab.')}.{name}": value.__code__
+        for module in package_modules()
+        for name, value in _defined(module)
+        if isinstance(value, types.FunctionType) and not name.startswith("_")
+    }
+
+
 def public_methods() -> dict[str, types.CodeType]:
-    """``Class.name`` -> code of every public method of the exported classes.
+    """``Class.name`` -> code of every public method of the package's public classes.
 
     Inherited members count once, under the package class that defines them.
     """
     members = {}
-    for value in map(vars(wienerlab).get, wienerlab.__all__):
-        if not isinstance(value, type) or issubclass(value, BaseException):
-            continue
+    classes = (
+        value
+        for module in package_modules()
+        for class_name, value in _defined(module)
+        if isinstance(value, type)
+        and not issubclass(value, BaseException)
+        and not class_name.startswith("_")
+    )
+    for value in classes:
         for klass in value.__mro__:
             if not klass.__module__.startswith("wienerlab."):
                 continue
@@ -103,6 +143,18 @@ def test_benchmark_names_are_read_from_both_files():
     names = benchmark_names()
     assert {"is_representable", "residual_mass_oracle"} <= names  # workloads
     assert "multiply_by_coordinate" in names  # tracer ENTRIES
+
+
+def test_public_functions_cover_every_module():
+    functions = public_functions()
+    assert "clark.reconstruct" in functions  # exported
+    assert "randgen.random_poly" in functions  # in a module, not exported
+    assert "_kstwo.ks_critical" in functions  # in a private module
+    assert "cli.main" in functions
+    # an imported name counts under its defining module only
+    assert "suites.reconstruct" not in functions
+    assert not any(name.split(".")[-1].startswith("_") for name in functions)
+    assert not any(name.startswith("__main__.") for name in functions)
 
 
 def test_public_methods_cover_members_of_every_kind():
@@ -138,17 +190,11 @@ def test_every_public_function_is_reached_by_a_command_or_the_benchmark(
     capsys.readouterr()
     assert codes == [0] * len(COMMANDS)
 
-    exported = {name: getattr(wienerlab, name) for name in wienerlab.__all__}
-    functions = {
-        name: inspect.unwrap(value)
-        for name, value in exported.items()
-        if isinstance(value, types.FunctionType)
-    }
-    assert "reconstruct" in functions
+    exempt = benchmark_names()
     unreached = sorted(
         name
-        for name, fn in functions.items()
-        if fn.__code__ not in entered and name not in benchmark_names()
+        for name, code in public_functions().items()
+        if code not in entered and name.split(".")[-1] not in exempt
     )
     unreached += sorted(name for name, code in public_methods().items() if code not in entered)
     assert unreached == []
