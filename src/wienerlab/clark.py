@@ -23,7 +23,7 @@ closed form from v's own terms; ``reconstruct`` reports it at m = 1, and
 :func:`refine_and_reconstruct` builds each refined functional and takes it
 at m = 1 of that, which cross-checks the closed form.  The residuals and
 both energies below are exact sums of squares of the coefficients, added in
-integers by ``chaos._square_sum`` and rounded once.
+``chaos._square_sum``'s integers and rounded once.
 
 Separately, any square-integrable scalar phi has the exact divergence
 representation phi - E phi = div(vbar) with integrand
@@ -55,6 +55,7 @@ from .chaos import (
     ChaosPoly,
     _factorial,
     _refined_dim,
+    _rounded,
     _square_sum,
     ou_inverse,
     refine,
@@ -253,11 +254,19 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
     # every |alpha| divides the lcm of 1 .. DEGREE_CAP: alpha! / |alpha| is an
     # integer over it
     lcm = math.lcm(*range(1, DEGREE_CAP + 1))
-    terms = phi.packed_terms.items()
-    exact = _square_sum(terms, lambda key: _factorial(key) * lcm // len(key) if key else 0, lcm)
-    adapted = _square_sum([(key, c) for key, c in terms if key and not _top_order_above_one(key)])
+    # one scan, one accumulator per energy, in _square_sum's integers
+    exact: dict[int, int] = {}
+    adapted: dict[int, int] = {}
+    for key, c in phi.packed_terms.items():
+        if key:
+            m, e = math.frexp(c)
+            square = int(m * 2.0**53) ** 2
+            f = _factorial(key)
+            exact[e] = exact.get(e, 0) + f * lcm // len(key) * square
+            if not _top_order_above_one(key):
+                adapted[e] = adapted.get(e, 0) + f * square
     return EnergyComparison(
-        adapted_energy=adapted,
-        exact_energy=exact,
+        adapted_energy=_rounded(adapted, 1, False),
+        exact_energy=_rounded(exact, lcm, False),
         coincide=all(len(key) <= 1 for key in phi.packed_terms),
     )

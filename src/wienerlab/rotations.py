@@ -34,7 +34,9 @@ O(N n^3 / 6) in the seeded feature products, and no (N, n, n) stack is
 formed.  The ``givens`` kernel runs over row blocks of ``BLOCK_ROWS``
 samples held sample-last, (n, k, B), so its array operations run over
 contiguous samples, and each row's result is the same whichever block it
-falls in.  The stack itself is the kernel at U = I; only the isometry and
+falls in.  The blocks are shared out over one thread per usable CPU
+(``space._over_blocks``), so the result has the same bits whatever the
+CPU count.  The stack itself is the kernel at U = I; only the isometry and
 strict-past certificates ask for it, the latter for the leading j columns
 only.
 """
@@ -50,7 +52,16 @@ import numpy as np
 from .adapted import WeaklyAdaptedOperator
 from .malliavin import divergence_op, gram
 from .randgen import make_rng, random_orthogonal
-from .space import BLOCK_ROWS, Check, SampleBatch, check, ks_normal, moment_normality, sample_batch
+from .space import (
+    BLOCK_ROWS,
+    Check,
+    SampleBatch,
+    _over_blocks,
+    check,
+    ks_normal,
+    moment_normality,
+    sample_batch,
+)
 
 #: Pathwise orthonormality contract for constructed isometries.
 ISOMETRY_TOL = 1e-9
@@ -161,7 +172,10 @@ def _sequential_fn(n: int, weights: dict):
     draws to X of shape (n, B), so every ufunc and contraction runs over B
     contiguous samples.  Row c of Y holds u_c until stage c overwrites rows
     c..n with y_c, so no stage's complement basis is stored, and each
-    finished block is written back into the (N, n, k) output.
+    finished block is written back into the (N, n, k) output.  The blocks
+    are shared out over threads (``space._over_blocks``).  Each thread
+    refills its own block buffers with ``out=``: contiguous arrays of the
+    shapes fresh temporaries would have, so the bits are theirs.
 
     Every sum runs per sample in a fixed order, so a row's result does not
     depend on the rows around it: a row slice gives the bits of the same
@@ -173,32 +187,52 @@ def _sequential_fn(n: int, weights: dict):
     """
 
     def fn(draws, U):
-        N = draws.shape[0]
-        out = np.empty((N, n, U.shape[2]))
-        for s in range(0, N, BLOCK_ROWS):
-            block = [s, s] if s == N - 1 else slice(s, s + BLOCK_ROWS)
-            X = np.ascontiguousarray(draws[block].T)
-            Y = U[block].transpose(1, 2, 0).copy()
-            for c in range(n, 1, -1):
-                # weights[c] is (n-c+1, c-1), fixed by the seed
-                g = np.arctan(np.einsum("ij,jb->ib", weights[c], X[: c - 1]))
-                g[0] += 2.0  # keeps the first coefficient positive and |g| > 0
-                norms = np.sqrt(np.einsum("ib,ib->b", g, g))
-                if np.any(norms < 1e-12):
-                    raise RotationError(f"complement collapse at stage {c}")
-                g /= norms
-                y = Y[c - 1 :]
-                if c < n:
-                    # v = g + e_1 and |g| = 1 give |v|^2 = 2 (1 + g_1), so
-                    # H [0; y'] = [0; y'] - (g_{2..} . y') (g + e_1) / (1 + g_1)
-                    coef = np.einsum("ib,ikb->kb", g[1:], y[1:]) / (1.0 + g[0])
-                    u = y[0] - coef
-                    y[0] = -coef
-                else:
-                    u = y[0].copy()
-                    y[0] = 0.0
-                y += g[:, None, :] * u
-            out[s : s + BLOCK_ROWS] = Y.transpose(2, 0, 1)[: N - s]
+        N, k = draws.shape[0], U.shape[2]
+        out = np.empty((N, n, k))
+        width = min(max(N, 2), BLOCK_ROWS)
+
+        # each thread's buffers, made on the calling thread, less their sample
+        # axis: X, Y, the directions g, the products g u, norms, coef, 1 + g_1, u
+        shapes = [(n,), (n, k), (n - 1,), (n - 1, k), (), (k,), (), (k,)]
+
+        def make_run():
+            bufs = [np.empty(math.prod(shape) * width) for shape in shapes]
+
+            def run(s):
+                b = 2 if s == N - 1 else min(BLOCK_ROWS, N - s)
+                block = [s, s] if s == N - 1 else slice(s, s + b)
+                X, Y, G, P, norms, coef, den, u = (
+                    buf[: math.prod(shape) * b].reshape(*shape, b)
+                    for buf, shape in zip(bufs, shapes)
+                )
+                np.copyto(X, draws[block].T)
+                np.copyto(Y, U[block].transpose(1, 2, 0))
+                for c in range(n, 1, -1):
+                    # weights[c] is (n-c+1, c-1), fixed by the seed
+                    g = np.einsum("ij,jb->ib", weights[c], X[: c - 1], out=G[: n - c + 1])
+                    np.arctan(g, out=g)
+                    g[0] += 2.0  # keeps the first coefficient positive and |g| > 0
+                    np.sqrt(np.einsum("ib,ib->b", g, g, out=norms), out=norms)
+                    if np.any(norms < 1e-12):
+                        raise RotationError(f"complement collapse at stage {c}")
+                    g /= norms
+                    y = Y[c - 1 :]
+                    if c < n:
+                        # v = g + e_1 and |g| = 1 give |v|^2 = 2 (1 + g_1), so
+                        # H [0; y'] = [0; y'] - (g_{2..} . y') (g + e_1) / (1 + g_1)
+                        np.einsum("ib,ikb->kb", g[1:], y[1:], out=coef)
+                        coef /= np.add(g[0], 1.0, out=den)
+                        np.subtract(y[0], coef, out=u)
+                        np.negative(coef, out=y[0])
+                    else:
+                        np.copyto(u, y[0])
+                        y[0] = 0.0
+                    y += np.multiply(g[:, None, :], u, out=P[: n - c + 1])
+                out[s : s + BLOCK_ROWS] = Y.transpose(2, 0, 1)[: N - s]
+
+            return run
+
+        _over_blocks(N, make_run)
         return out
 
     return fn
@@ -389,8 +423,7 @@ def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> Rotat
     # underflow or overflow to a false zero
     if abs(float((h1 / norm1) @ (h2 / norm2))) > 1e-12:
         raise RotationError("output functionals are not orthogonal")
-    batch = sample_batch(R.n, N, seed=seed)
-    tw = R.apply_batch(batch.draws)
+    tw = R.apply_batch(sample_batch(R.n, N, seed=seed).draws)
     x = tw @ h1 / norm1
     y = tw @ h2 / norm2
     tests = [_correlation_check("correlation", x, y)]

@@ -5,10 +5,11 @@ coordinates eta_1 .. eta_n attached to the uniform grid theta_k = k/n.
 
 Sampling is reproducible bit-for-bit: a batch is generated in fixed blocks
 of BLOCK_ROWS rows, each block from its own Philox substream keyed by
-(seed, block index).  Workers may therefore generate disjoint blocks in
-parallel and the concatenated result is identical to a serial run.  Monte
-Carlo reductions go through numpy's fixed-shape pairwise summation, so a
-repeated estimate is bit-stable.
+(seed, block index).  The blocks are filled in parallel, over one thread
+per usable CPU (``_over_blocks``, which the ``givens`` rotation kernel
+shares), and the batch has the bits of a serial fill whatever the CPU
+count.  Monte Carlo reductions go through numpy's fixed-shape pairwise
+summation, so a repeated estimate is bit-stable.
 
 A batch owns the Hermite columns He_k(eta_i) of its draws
 (``SampleBatch.columns``): ``mc_estimate`` evaluates every polynomial
@@ -30,6 +31,8 @@ The module builds on the chaos algebra alone; the field operators of
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -40,7 +43,8 @@ from ._kstwo import _libm_exp, ks_critical
 from ._kstwo import ndtr as _ndtr
 from .chaos import ChaosPoly, DimensionMismatch, HermiteColumns, evaluate_batch
 
-#: Rows per Philox substream; fixed so that parallel == serial.
+#: Rows per Philox substream and per task of the threads that fill and
+#: rotate blocks; fixed, so that the bits do not depend on the thread count.
 BLOCK_ROWS = 8192
 
 #: Name stamped on reports; identifies the bit-exact generation scheme.
@@ -48,6 +52,58 @@ GENERATOR_ID = f"philox2x64-block{BLOCK_ROWS}"
 
 # ks_normal re-evaluates exactly every KS term this close to the largest
 _KS_MARGIN = 1e-12
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _over_blocks(n_rows: int, make_work) -> None:
+    """Call ``work(start)`` for every block of BLOCK_ROWS rows out of ``n_rows``.
+
+    The blocks are shared out over ``min(blocks, usable CPUs)`` threads, the
+    calling thread among them, each taking the next block in order, so a
+    ``work`` must write its own block's rows and nothing else.  Each thread
+    calls its own ``work = make_work()``, made on the calling thread: the
+    buffers ``make_work`` allocates come from the caller's heap, whereas
+    what a thread frees stays in its own malloc arena.
+
+    Every thread is joined before this returns.  After a block raises, the
+    threads take no new block, and the exception of the first failed block
+    in block order is raised.  It is the one a serial loop raises: blocks
+    are taken in order and a taken block runs to its end, so every block
+    before a failed one was run.
+    """
+    starts = iter(range(0, n_rows, BLOCK_ROWS))
+    n_threads = min(-(-n_rows // BLOCK_ROWS), _usable_cpus())
+    lock = threading.Lock()
+    failed: dict[int, BaseException] = {}
+
+    def run(work):
+        while not failed:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            try:
+                work(start)
+            except BaseException as exc:
+                failed[start] = exc
+
+    threads = [threading.Thread(target=run, args=(make_work(),)) for _ in range(n_threads - 1)]
+    for t in threads:
+        t.start()
+    try:
+        run(make_work())
+    finally:
+        for t in threads:
+            t.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 @dataclass(frozen=True)
@@ -74,7 +130,7 @@ def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
     """Draw a reproducible batch; (seed, GENERATOR_ID, N, n) pin the bits.
 
     Blocks of BLOCK_ROWS rows come from independent Philox streams keyed by
-    (seed, block index), so any worker can regenerate any block alone.
+    (seed, block index), so any thread can fill any block alone.
     """
     n = int(n)
     if n < 1:
@@ -85,10 +141,12 @@ def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     draws = np.empty((n_samples, n))
-    for start in range(0, n_samples, BLOCK_ROWS):
+
+    def fill(start):
         key = np.array([seed, start // BLOCK_ROWS], dtype=np.uint64)
-        gen = Generator(Philox(key=key))
-        gen.standard_normal(out=draws[start:start + BLOCK_ROWS])
+        Generator(Philox(key=key)).standard_normal(out=draws[start:start + BLOCK_ROWS])
+
+    _over_blocks(n_samples, lambda: fill)
     draws.setflags(write=False)
     return SampleBatch(draws)
 

@@ -6,6 +6,7 @@ Gauss quadrature with the exp(-x^2/2) weight, derivatives from finite
 differences, and distributions from plain Monte Carlo.  Tests compare the
 package against these.  Only ``draw_poly`` and ``draw_hfield`` are the
 package's own: its seeded draws, at sizes its public builders do not take.
+``with_workers`` sets how many CPUs the package's block runner sees.
 """
 
 from __future__ import annotations
@@ -17,14 +18,28 @@ from itertools import product as cartesian
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from wienerlab import randgen
+from wienerlab import randgen, space
 from wienerlab.chaos import ChaosPoly
 from wienerlab.malliavin import HField
+from wienerlab.space import BLOCK_ROWS
 
 # 12-point Gauss quadrature on the exp(-x^2/2) weight: exact for polynomial
 # integrands up to degree 23, far past anything the algebra can hold.
 _NODES, _WEIGHTS = hermite_e.hermegauss(12)
 _WEIGHTS = _WEIGHTS / math.sqrt(2.0 * math.pi)
+
+
+#: batch sizes for the threaded block runner: one row, two, one short
+#: block, and a last block of one row
+THREADED_SIZES = [1, 2, BLOCK_ROWS - 5, 3 * BLOCK_ROWS + 1]
+
+
+def with_workers(monkeypatch, count, fn):
+    """``fn()`` with the block runner's CPU count set to ``count``, or left as is."""
+    with monkeypatch.context() as m:
+        if count is not None:
+            m.setattr(space, "_usable_cpus", lambda: count)
+        return fn()
 
 
 def packed(index=()) -> bytes:

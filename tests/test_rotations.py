@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_rng
+from helpers import THREADED_SIZES, make_rng, with_workers
 from wienerlab.chaos import evaluate_batch
 from wienerlab.malliavin import divergence_op
 from wienerlab.randgen import random_orthogonal
@@ -222,6 +222,27 @@ def test_row_slice_apply_is_the_slice_of_the_full_apply(n):
         assert np.array_equal(R.matrices(head[start:stop]), mats[start:stop])
     # the kernel copies its blocks and never writes into the caller's samples
     assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("N", [0, *THREADED_SIZES])
+def test_threaded_kernels_equal_one_worker(monkeypatch, N):
+    # blocks shared out over threads: every construction and planted defect
+    # has the bits of one worker, for the samples and for the matrices
+    n = 5
+    x = draws_for(n, count=N, seed=43) if N else np.empty((0, n))
+    givens = build_sequential_isometry(n, seed=47, angle_spec="givens")
+    rotations = [build_sequential_isometry(n, seed=47, angle_spec=s) for s in
+                 ("zero", "sign", "constant")]
+    rotations += [givens, scale_output(givens, 2, 3.0), mix_outputs(givens, 1, n)]
+    for R in rotations:
+        def run():
+            return R.apply_batch(x), R.matrices(x)
+
+        one = with_workers(monkeypatch, 1, run)
+        for count in (2, None):
+            got = with_workers(monkeypatch, count, run)
+            for a, b in zip(got, one):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), R.kind
 
 
 # --------------------------------------------------------- exact invariants

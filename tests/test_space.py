@@ -1,6 +1,9 @@
 """Discretized space: reproducible sampling, Monte Carlo, check verdicts."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from helpers import THREADED_SIZES, with_workers
+from wienerlab import space
 from wienerlab._kstwo import ks_critical
 from wienerlab.chaos import ChaosPoly, _pairs_of, evaluate_batch, expectation
 from wienerlab.cli import ROTATE_BLOCK_BUDGET
@@ -61,6 +66,54 @@ def test_sample_batch_block_substreams():
         sample_batch(2, 0, seed=1)
     with pytest.raises(ValueError):
         sample_batch(2, 10, seed=-1)
+
+
+@pytest.mark.parametrize("n_samples", THREADED_SIZES)
+def test_threaded_sample_batch_equals_one_worker(monkeypatch, n_samples):
+    one = with_workers(monkeypatch, 1, lambda: sample_batch(3, n_samples, 11).draws)
+    for count in (2, None):
+        draws = with_workers(monkeypatch, count, lambda: sample_batch(3, n_samples, 11).draws)
+        assert draws.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 2, None])
+def test_block_runner_raises_the_first_failed_block_and_joins_its_threads(monkeypatch, count):
+    before = threading.active_count()
+    caller = threading.get_ident()
+    made, done = [], []
+
+    def make_work():
+        made.append(threading.get_ident())
+
+        def work(start):
+            if start == BLOCK_ROWS:
+                # over threads, block 2 fails first in time
+                time.sleep(0.05)
+                raise ValueError("block 1")
+            if start == 2 * BLOCK_ROWS:
+                raise ValueError("block 2")
+            done.append(start)
+
+        return work
+
+    with pytest.raises(ValueError, match="block 1"):
+        with_workers(monkeypatch, count, lambda: space._over_blocks(5 * BLOCK_ROWS, make_work))
+    assert threading.active_count() == before
+    # every work function is made on the calling thread
+    assert made and set(made) == {caller}
+    assert 0 in done and BLOCK_ROWS not in done
+
+    # each block exactly once, with threads switched as often as they can be
+    starts = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with_workers(monkeypatch, count, lambda: space._over_blocks(
+            64 * BLOCK_ROWS + 1, lambda: starts.append))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(starts) == list(range(0, 64 * BLOCK_ROWS + 1, BLOCK_ROWS))
+    assert threading.active_count() == before
 
 
 def test_sample_batch_gaussian_stats():
