@@ -47,6 +47,8 @@ from wienerlab.chaos import (
     ou_inverse,
     partial_derivative,
     refine,
+    _block_average_table,
+    _block_classes,
     _factorial,
     _pack,
     _pairs_of,
@@ -848,6 +850,35 @@ def test_streaming_kernels_match_accumulating_references():
         top = ChaosPoly.hermite(dim, dim, DEGREE_CAP, float(rng.uniform(-2, 2)))
         p = linear_combine([1.0, 1.0], [top, random_poly(rng, dim, degree, n_terms=6)])
         assert _matches_recurrence(p, m)
+
+
+def _grouped_classes(classes):
+    """``(alpha!, top order >= 2, coefficient) -> entries`` of ``_block_classes`` rows."""
+    groups = Counter()
+    for c, fact, count, top in classes:
+        groups[fact, True, c] += top
+        groups[fact, False, c] += count - top
+    return +groups
+
+
+@pytest.mark.parametrize(
+    "k, factors",
+    [(k, range(1, 17)) for k in range(1, DEGREE_CAP + 1)]
+    + [(1, range(17, 129)), (2, range(17, 129)), (3, (17, 32, 61, 100, 127, 128))],
+)
+def test_block_classes_count_and_weigh_the_block_tables(k, factors):
+    # an entry's coefficient depends only on its alpha!, so each group of the
+    # table holds one float, the one its classes carry, and as many entries
+    # as they count; 22 partitions of 8 stand for He_8's 6435 entries over 8 cells
+    for m in factors:
+        classes = _block_classes(m, k)
+        table = Counter(
+            (_factorial(key), key.count(key[-1]) >= 2, c) for key, c in _block_average_table(m, k).items()
+        )
+        assert _grouped_classes(classes) == table
+        assert len({group[:2] for group in table}) == len(table)
+        assert sum(count for _, _, count, _ in classes) == math.comb(m + k - 1, k)
+    assert len(_block_classes(8, 8)) == 22 and len(_block_average_table(8, 8)) == 6435
 
 
 def test_refine_of_he8_over_three_cells_holds_only_its_45_degree_8_terms():

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -70,3 +71,23 @@ def test_nan_gap_fails_the_suite(monkeypatch):
     assert not result.passed
     assert math.isnan(result.statistic)
     assert result.details == "200 random operator/field pairs"
+
+
+def test_a_planted_refine_defect_fails_only_refinement_convergence(monkeypatch, capsys):
+    # refine scaled by 1 + 1e-9 past m = 1, in every namespace that binds
+    # it: the refinement rows come from block classes, not from refine, so
+    # only the suite's cross-check against refine's output can catch it
+    original = wienerlab.chaos.refine
+
+    def planted(p, m):
+        refined = original(p, m)
+        return refined if int(m) == 1 else refined * (1 + 1e-9)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wienerlab" and getattr(module, "refine", None) is original:
+            monkeypatch.setattr(module, "refine", planted)
+    assert wienerlab.suites.refine is planted
+    failed = [r.name for r in run_suites(suite_names()) if not r.passed]
+    assert failed == ["refinement_convergence"]
+    assert main(["verify", "--suite", "refinement_convergence"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL refinement_convergence")
