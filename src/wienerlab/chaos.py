@@ -641,70 +641,37 @@ def ou_inverse(p: ChaosPoly) -> ChaosPoly:
     return ChaosPoly._of(p._dim, _kept({key: c / len(key) for key, c in p._terms.items() if key}))
 
 
-def _block_entry(m: int, k: int):
-    """``alpha! -> k!/alpha! / m**(k/2)``: a ``He_k`` block-table entry by its ``alpha!``.
-
-    For a unit vector ``u``, ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha!
-    u^alpha He_alpha(eta)`` (Nualart, *The Malliavin Calculus and Related
-    Topics*, 2006, section 1.1).  Every ``u_j`` of a block average is
-    ``1/sqrt(m)``, so an entry's coefficient is the exact integer
-    ``k!/alpha!`` divided by ``m**(k/2)``.  That denominator is the exact
-    integer ``m**(k//2)``, times ``math.sqrt(m)`` when ``k`` is odd, and every
-    operation is correctly rounded, so the bits are the same on every IEEE
-    platform.  A coefficient is correctly rounded for even ``k``; for odd
-    ``k`` its three roundings keep it within 3 ulp (at most 1.2 ulp for m <=
-    16 and 1.55 ulp for m <= 128, against 50 digits).  Each one is finite and
-    at least ``m**(-k/2)``, so none needs the term gate.
-    """
-    root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
-    top = math.factorial(k)
-    return lambda f: top // f / root
-
-
 def _block_average_table(m: int, k: int) -> dict[bytes, float]:
     """Term store of ``He_k`` of ``(eta_1 + ... + eta_m) / sqrt(m)``, in closed form.
 
-    One key per multiset of ``k`` digits from ``1 .. m``, in
-    ``combinations_with_replacement`` order, with the coefficient
-    :func:`_block_entry` gives its ``alpha!``.
+    For a unit vector ``u``, ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha!
+    u^alpha He_alpha(eta)`` (Nualart, *The Malliavin Calculus and Related
+    Topics*, 2006, section 1.1).  Every ``u_j`` is ``1/sqrt(m)``, so the table
+    holds one key per multiset of ``k`` digits from ``1 .. m``, in
+    ``combinations_with_replacement`` order, with coefficient the exact
+    integer ``k!/alpha!`` divided by ``m**(k/2)``.  That denominator is the
+    exact integer ``m**(k//2)``, times ``math.sqrt(m)`` when ``k`` is odd, and
+    every operation is correctly rounded, so the bits are the same on every
+    IEEE platform.  A coefficient is correctly rounded for even ``k``; for
+    odd ``k`` its three roundings keep it within 3 ulp (at most 1.2 ulp for
+    m <= 16 and 1.55 ulp for m <= 128, against 50 digits).  Each one is
+    finite and at least ``m**(-k/2)``, so none needs the term gate.
+
+    The keys are sorted, so ``alpha!`` is the product of each digit's place
+    in its run of equal digits, formed for all keys at once column by
+    column; numpy's int64 quotient and float division are the exact and
+    correctly rounded ones of Python's ints and floats, so every bit is the
+    one of ``top // _factorial(key) / root``.
     """
-    entry = _block_entry(m, k)
-    return {key: entry(_factorial(key)) for key in map(bytes, _multisets(range(1, m + 1), k))}
-
-
-def _partitions(k: int, most: int):
-    """The partitions of ``k`` into parts of at most ``most``, largest part first."""
-    if k == 0:
-        yield ()
-    for part in range(min(k, most), 0, -1):
-        for rest in _partitions(k - part, part):
-            yield (part, *rest)
-
-
-def _block_classes(m: int, k: int) -> list[tuple[float, int, int, int]]:
-    """The entries of ``_block_average_table(m, k)``, ``k >= 1``, in classes.
-
-    An entry's digit multiplicities form a partition ``lam`` of ``k`` into
-    ``l <= m`` parts, and its coefficient, ``_block_entry(m, k)(lam!)``,
-    depends on nothing else.  Each class is ``(coefficient, lam!, count,
-    top)``: ``count = C(m, l) l! / prod mult!`` entries, ``mult`` being how
-    often each part value recurs, of which ``top`` have their largest digit
-    at order >= 2.  The largest digit takes each of the ``l`` part positions
-    in as many entries, so ``top`` is the share of the parts >= 2 in
-    ``count``.
-    """
-    entry = _block_entry(m, k)
-    classes = []
-    for parts in _partitions(k, k):
-        if len(parts) > m:
-            continue
-        fact = math.prod(map(math.factorial, parts))
-        count = math.comb(m, len(parts)) * math.factorial(len(parts))
-        for part in set(parts):
-            count //= math.factorial(parts.count(part))
-        top = count * sum(part >= 2 for part in parts) // len(parts)
-        classes.append((entry(fact), fact, count, top))
-    return classes
+    root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
+    top = math.factorial(k)
+    keys = list(map(bytes, _multisets(range(1, m + 1), k)))
+    digits = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), k)
+    run = fact = np.ones(len(keys), np.int64)
+    for same in (digits[:, 1:] == digits[:, :-1]).T:
+        run = run * same + 1
+        fact = fact * run
+    return dict(zip(keys, (top // fact / root).tolist()))
 
 
 def _refined_dim(dim: int, m: int) -> int:
@@ -714,22 +681,6 @@ def _refined_dim(dim: int, m: int) -> int:
     if dim * m > DIM_CAP:
         raise AlgebraError(f"refined dimension {dim * m} exceeds the dimension cap {DIM_CAP}")
     return dim * m
-
-
-def _refined_monomials(p: ChaosPoly, m: int) -> list[tuple[list[tuple[int, int]], float]]:
-    """``p``'s terms as ``(pairs, coefficient)``, refusing a refinement by ``m`` past the budget.
-
-    A coarse monomial ``prod_i He_{k_i}`` spreads over ``prod_i C(m + k_i -
-    1, k_i)`` fine monomials; past :data:`_TERM_BUDGET` of them in all,
-    :class:`AlgebraError` is raised.
-    """
-    monomials = [(_pairs_of(key), c) for key, c in p._terms.items()]
-    count = sum(math.prod(math.comb(m + k - 1, k) for _, k in pairs) for pairs, _ in monomials)
-    if count > _TERM_BUDGET:
-        raise AlgebraError(
-            f"refine by {m} would build {count:,} terms, past the budget of {_TERM_BUDGET:,}"
-        )
-    return monomials
 
 
 def refine(p: ChaosPoly, m: int) -> ChaosPoly:
@@ -743,10 +694,9 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
 
     A coarse monomial ``prod_i He_{k_i}`` spreads over ``prod_i C(m + k_i -
     1, k_i)`` fine monomials; past :data:`_TERM_BUDGET` of them in all,
-    :class:`AlgebraError` is raised before any table is built
-    (:func:`_refined_monomials`).  Each call builds ``He_k`` of the average
-    of fine coordinates ``1 .. m`` in closed form
-    (:func:`_block_average_table`) once for every order ``k`` that some
+    :class:`AlgebraError` is raised before any table is built.  Each call
+    builds ``He_k`` of the average of fine coordinates ``1 .. m`` in closed
+    form (:func:`_block_average_table`) once for every order ``k`` that some
     coordinate of ``p`` carries, and drops the tables when it returns.
     Block ``i`` reads them relabeled by ``bytes.translate``; the shift is
     monotone, so every key stays sorted and every float is the one block
@@ -761,7 +711,13 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     new_dim = _refined_dim(p.dim, m)
     if m == 1:
         return p
-    monomials = _refined_monomials(p, m)
+    monomials = [(_pairs_of(key), c) for key, c in p._terms.items()]
+    count = sum(math.prod(math.comb(m + k - 1, k) for _, k in pairs) for pairs, _ in monomials)
+    if count > _TERM_BUDGET:
+        raise AlgebraError(
+            f"refine by {m} would build {count:,} terms, past the budget of {_TERM_BUDGET:,}"
+        )
+
     tables: dict[int, dict[bytes, float]] = {}
     blocks: dict[tuple[int, int], list[tuple[bytes, float]]] = {}
 

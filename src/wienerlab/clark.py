@@ -20,13 +20,10 @@ forming the reconstruction's difference.  Grid refinement spreads that mass
 over finer cells and shrinks the residual.  Every residual is one sum,
 :func:`refinement_residual`, which gives the residual after refining by m in
 closed form from v's own terms; ``reconstruct`` reports it at m = 1, and
-:func:`refine_and_reconstruct` gives it at m = 1 of each refined
-functional, bit for bit, which cross-checks the closed form.  A row weighs
-each class of equal fine coefficients once, from ``refine``'s block tables
-grouped by the partition their digit multiplicities form, without building
-the refined functional.  The residuals and both energies below are exact
-sums of squares of the coefficients, added in ``chaos._square_sum``'s
-integers and rounded once.
+:func:`refine_and_reconstruct` builds each refined functional and takes it
+at m = 1 of that, which cross-checks the closed form.  The residuals and
+both energies below are exact sums of squares of the coefficients, added in
+``chaos._square_sum``'s integers and rounded once.
 
 Separately, any square-integrable scalar phi has the exact divergence
 representation phi - E phi = div(vbar) with integrand
@@ -55,15 +52,13 @@ from fractions import Fraction
 from .adapted import PredictableHField, WeaklyAdaptedOperator
 from .chaos import (
     DEGREE_CAP,
-    AlgebraError,
     ChaosPoly,
-    _block_classes,
     _factorial,
     _refined_dim,
-    _refined_monomials,
     _rounded,
     _square_sum,
     ou_inverse,
+    refine,
 )
 from .malliavin import (
     HField,
@@ -187,9 +182,10 @@ def refinement_residual(v: VField, m: int) -> float:
         S = sum_{j<m} j**(k-1)
 
     with the exact integer ``S``.  Each weight is an integer over the fixed
-    ``m**DEGREE_CAP``, so one scan over v's packed keys adds the terms
-    exactly (``chaos._square_sum``) and rounds the square root once: the
-    row is the correctly rounded residual, ``inf`` past the largest double.
+    ``m**DEGREE_CAP``, so one scan over v's packed keys sums the weights of
+    each distinct coefficient, and ``chaos._square_sum`` adds their squares
+    exactly and rounds the square root once: the row is the correctly
+    rounded residual, ``inf`` past the largest double.
     ``m * residual**2`` tends to ``sum alpha! c_alpha**2 k / 2`` over the
     terms with ``k >= 2``: the discrete representation converges at rate
     ``1/m``.  Raises ``refine``'s ``AlgebraError`` for ``m < 1`` or a
@@ -203,82 +199,28 @@ def refinement_residual(v: VField, m: int) -> float:
         (m**k - k * sum(j ** (k - 1) for j in range(m))) * m ** (DEGREE_CAP - k)
         for k in range(1, DEGREE_CAP + 1)
     ]
-    weighed = [
-        (key, c) for p in v.components for key, c in p.packed_terms.items()
-        if len(key) > 1 and key[-1] == key[-2]
-    ]
-
-    def weight(key: bytes) -> int:
-        return _factorial(key) * lost[key.count(key[-1])]
-
-    return _square_sum(weighed, weight, m**DEGREE_CAP, root=True)
-
-
-def _refined_squares(v: VField, m: int):
-    """``(weight, coefficient)`` pairs whose weighed squares sum to row ``m >= 2``.
-
-    Refinement expands a coarse term ``c He_alpha`` into the cartesian
-    product of its blocks' ``He_k`` tables, in block order, each fine term
-    with coefficient ``c * ((c1 * c2) * ... * c_top)`` and ``alpha!`` the
-    product of its entries'.  The entries of one class
-    (``chaos._block_classes``) share their coefficient and ``alpha!``, so the
-    fine terms of one tuple of classes share their float.  A fine term's top
-    coordinate has order >= 2 exactly when its top block entry's has, so
-    each tuple is yielded once, weighted by ``prod count * prod alpha!`` with
-    the top block counting only its ``top`` entries: the sum
-    ``refinement_residual`` at m = 1 adds over those fine terms.
-    ``refine``'s refusals come in its order: its term budget, component by
-    component, then the first coarse term in stored order with a fine
-    coefficient that overflows, which its largest product does first.
-    """
-    classes: dict[int, list[tuple[float, int, int, int]]] = {}
-    expansions: dict[tuple[int, ...], tuple[float, list[tuple[int, float]]]] = {}
-
-    def expansion(orders: tuple[int, ...]) -> tuple[float, list[tuple[int, float]]]:
-        for k in set(orders) - classes.keys():
-            classes[k] = _block_classes(m, k)
-        first, *rest = (classes[k] for k in orders)
-        # (product, weight of every entry, weight of the top-order >= 2 entries)
-        rows = [(e, f * n, f * top) for e, f, n, top in first]
-        for block in rest:
-            rows = [(pa * e, wa * f * n, wa * f * top) for pa, wa, _ in rows for e, f, n, top in block]
-        return max(pc for pc, _, _ in rows), [(w, pc) for pc, _, w in rows if w]
-
+    # a refined functional holds few distinct coefficients, each over many
+    # keys: their weights are summed first, and each is squared once
+    weights: dict[float, int] = {}
     for p in v.components:
-        for pairs, c in _refined_monomials(p, m):
-            if not pairs:
-                continue
-            orders = tuple(k for _, k in pairs)
-            if orders not in expansions:
-                expansions[orders] = expansion(orders)
-            largest, rows = expansions[orders]
-            if not math.isfinite(c * largest):
-                raise AlgebraError(f"non-finite coefficient {c * largest!r}")
-            # refine drops the coefficients that underflow to zero
-            yield from ((w, x) for w, pc in rows if (x := c * pc))
+        for key, c in p.packed_terms.items():
+            if len(key) > 1 and key[-1] == key[-2]:
+                weights[c] = weights.get(c, 0) + _factorial(key) * lost[key.count(key[-1])]
+    # each pair leads with its own integer weight
+    return _square_sum(zip(weights.values(), weights), int, m**DEGREE_CAP, root=True)
 
 
 def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
     """Residual table over refinement factors; rows are (factor, residual).
 
-    Row m is ``refinement_residual`` at m = 1 of v refined by m, the
-    ``residual_l2`` that ``reconstruct`` reports for ``refine``'s output,
-    bit for bit, and it raises what ``refine`` would raise first.  It is
-    formed from the classes of equal fine coefficients
-    (:func:`_refined_squares`), each weighed once into the exact sum of
-    squares, without building a fine term; row 1 is
-    ``refinement_residual(v, 1)``.  Its float products are ``refine``'s, so
-    a row cross-checks the closed form ``refinement_residual(v, m)``.
+    Each row builds v refined by the factor with ``refine`` and takes its
+    ``refinement_residual`` at m = 1, the ``residual_l2`` that ``reconstruct``
+    reports for it, so a row cross-checks the closed form at that factor.
     """
-    rows = []
-    for m in map(int, factors):
-        _refined_dim(v.ambient_dim, m)
-        if m == 1:
-            rows.append((m, refinement_residual(v, 1)))
-        else:
-            # each pair's first item is its own integer weight
-            rows.append((m, _square_sum(_refined_squares(v, m), int, root=True)))
-    return rows
+    return [
+        (m, refinement_residual(VField(tuple(refine(p, m) for p in v.components)), 1))
+        for m in map(int, factors)
+    ]
 
 
 def minimal_energy_integrand(phi: ChaosPoly) -> HField:

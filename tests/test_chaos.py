@@ -5,6 +5,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import product as cartesian
 
 import numpy as np
@@ -48,7 +49,6 @@ from wienerlab.chaos import (
     partial_derivative,
     refine,
     _block_average_table,
-    _block_classes,
     _factorial,
     _pack,
     _pairs_of,
@@ -852,35 +852,6 @@ def test_streaming_kernels_match_accumulating_references():
         assert _matches_recurrence(p, m)
 
 
-def _grouped_classes(classes):
-    """``(alpha!, top order >= 2, coefficient) -> entries`` of ``_block_classes`` rows."""
-    groups = Counter()
-    for c, fact, count, top in classes:
-        groups[fact, True, c] += top
-        groups[fact, False, c] += count - top
-    return +groups
-
-
-@pytest.mark.parametrize(
-    "k, factors",
-    [(k, range(1, 17)) for k in range(1, DEGREE_CAP + 1)]
-    + [(1, range(17, 129)), (2, range(17, 129)), (3, (17, 32, 61, 100, 127, 128))],
-)
-def test_block_classes_count_and_weigh_the_block_tables(k, factors):
-    # an entry's coefficient depends only on its alpha!, so each group of the
-    # table holds one float, the one its classes carry, and as many entries
-    # as they count; 22 partitions of 8 stand for He_8's 6435 entries over 8 cells
-    for m in factors:
-        classes = _block_classes(m, k)
-        table = Counter(
-            (_factorial(key), key.count(key[-1]) >= 2, c) for key, c in _block_average_table(m, k).items()
-        )
-        assert _grouped_classes(classes) == table
-        assert len({group[:2] for group in table}) == len(table)
-        assert sum(count for _, _, count, _ in classes) == math.comb(m + k - 1, k)
-    assert len(_block_classes(8, 8)) == 22 and len(_block_average_table(8, 8)) == 6435
-
-
 def test_refine_of_he8_over_three_cells_holds_only_its_45_degree_8_terms():
     # He_8 of the average of three coordinates has one term per multiset of
     # 8 digits from 1..3, C(10, 8) = 45, and no lower-degree term
@@ -933,6 +904,22 @@ def test_refined_hermite_tables_match_the_exact_closed_form():
                     assert 0 < lo**2 * m**k <= weight**2 <= hi**2 * m**k
             checked += count
     assert checked > 300_000
+
+
+@pytest.mark.parametrize(
+    "k, factors",
+    [(k, range(1, 17)) for k in range(1, DEGREE_CAP + 1)]
+    + [(k, (17, 32, 61, 100, 127, 128)) for k in (1, 2, 3)],
+)
+def test_block_average_table_weighs_each_key_by_its_own_factorial(k, factors):
+    # alpha! is formed for all keys at once from the runs of equal digits;
+    # each coefficient must be the bits of k! // alpha! / m**(k/2) from the
+    # key's own alpha!, in combinations_with_replacement order
+    for m in factors:
+        root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
+        keys = map(bytes, combinations_with_replacement(range(1, m + 1), k))
+        want = [(key, math.factorial(k) // _factorial(key) / root) for key in keys]
+        assert list(_block_average_table(m, k).items()) == want
 
 
 def test_gate_checks_keys_that_cancel_to_zero():
