@@ -1,10 +1,22 @@
-"""Coordinate filtration, strict-past predictability, adapted projections.
+"""The filtration, strict-past predictability, adapted projections.
 
-The filtration is generated coordinate by coordinate: stage k knows
-eta_1 .. eta_k, and conditioning on it is conditional_expectation(p, k).
+This docstring is the package's one statement of the filtration.  It is
+generated by a resolution of the identity in stages: each stage reveals a
+run of consecutive coordinates, and conditioning on everything revealed up
+to coordinate k is ``conditional_expectation(p, k)``.  One private, monotone
+table holds the rule: ``_PAST[i]`` is the last coordinate of the strict past
+of coordinate i's stage, that is of the stages before it, so the stage of
+i runs from ``_PAST[i] + 1`` to the last coordinate with the same entry.
+Each stage here reveals one coordinate, ``eta_i``, and ``_PAST[i] = i - 1``.
+The table is a constant, not an option.  Every strict-past and last-stage
+decision of the package reads it when it is called (``clark``'s
+integrand, reconstruction, residuals and energies, ``randgen``'s adapted
+instances and ``rotations``' strict-past certificate), so replacing it
+moves every decision at once.
+
 An HField u is *predictable* when coordinate u_i depends only on the
-strict past eta_1 .. eta_{i-1}; in the Hermite representation that is a
-pure term-support condition, so membership is decidable exactly.
+strict past eta_1 .. eta_{_PAST[i]}; in the Hermite representation that is
+a pure term-support condition, so membership is decidable exactly.
 
 Strict past (rather than "up to and including i") is the convention that
 makes the discrete divergence of a predictable field equal the plain
@@ -13,10 +25,17 @@ E[div u div v] = E(u, v).  Including stage i breaks it: u = eta_1 e_1 has
 div u = He_2(eta_1) with second moment 2, not E|u|^2 = 1.
 
 An OperatorField is *weakly adapted* when every row is predictable, i.e.
-entry (a, i) depends only on eta_1 .. eta_{i-1}.  The projection of an
-HField applies the stage-(i-1) conditional expectation to coordinate i;
-the operator projection applies that rowwise.  Both are exact orthogonal
-projections here.
+entry (a, i) depends only on the strict past of i.  The projection of an
+HField conditions coordinate i on that strict past; the operator
+projection applies that rowwise.  Both are exact orthogonal projections
+here.
+
+The projection of a gradient keeps, of ``d_i He_alpha``, only what the
+strict past of i determines.  So a monomial keeps a derivative exactly when
+its order in its last stage, the stage of its largest coordinate t, is 1,
+and then only ``d_t``: :func:`_last_stage_order` is that order.  On a
+sorted key it exceeds 1 exactly when ``key[-2] > _PAST[key[-1]]``, the
+byte test the Clark scans make first.
 
 The test operators of the operator-level checks are weakly adapted
 operators too: a finite-rank adapted operator sum_t y_t (x) q_t, with
@@ -27,7 +46,9 @@ other.
 
 from __future__ import annotations
 
-from .chaos import conditional_expectation, l2_inner
+from bisect import bisect_right
+
+from .chaos import DIM_CAP, conditional_expectation, l2_inner
 from .malliavin import (
     HField,
     OperatorField,
@@ -38,13 +59,23 @@ from .malliavin import (
 )
 
 
+#: ``_PAST[i]``: the last coordinate of the strict past of coordinate i's
+#: stage, one stage per coordinate (``_PAST[0]`` is unused).
+_PAST = bytes((0, *range(DIM_CAP)))
+
+
+def _last_stage_order(key: bytes) -> int:
+    """Order of a packed key in the stage of its largest coordinate; 0 for the constant."""
+    return len(key) - bisect_right(key, _PAST[key[-1]]) if key else 0
+
+
 class NotPredictable(ValueError):
     """A field failed the strict-past support condition."""
 
 
 def is_predictable(u: HField) -> bool:
-    """True iff coordinate i has no positive order at any coordinate >= i."""
-    return all(ui.max_coordinate() < i for i, ui in enumerate(u.coords, start=1))
+    """True iff no coordinate u_i depends on a coordinate past its strict past."""
+    return all(max(b"".join(ui.packed_terms), default=0) <= p for p, ui in zip(_PAST[1:], u.coords))
 
 
 class PredictableHField(HField):
@@ -69,12 +100,11 @@ class WeaklyAdaptedOperator(OperatorField):
 def project_adapted(u: HField) -> PredictableHField:
     """Orthogonal projection onto predictable fields, coordinate by coordinate.
 
-    Coordinate i becomes its stage-(i-1) conditional expectation.  Idempotent,
-    self-adjoint, an L2 contraction, and the identity on predictable input.
+    Coordinate i becomes its conditional expectation given its strict past.
+    Idempotent, self-adjoint, an L2 contraction, and the identity on
+    predictable input.
     """
-    coords = tuple(
-        conditional_expectation(ui, i - 1) for i, ui in enumerate(u.coords, start=1)
-    )
+    coords = tuple(conditional_expectation(ui, p) for p, ui in zip(_PAST[1:], u.coords))
     return PredictableHField(coords)
 
 

@@ -71,6 +71,7 @@ share across threads or workers without locking.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from collections.abc import Mapping
 from functools import lru_cache
@@ -173,12 +174,22 @@ def _factorial(key: bytes) -> int:
     return f
 
 
+def _index(value, low: int, high: float, what: str) -> int:
+    """``operator.index(value)`` inside ``low .. high``; anything else raises ``AlgebraError``.
+
+    A float, even an integral one, is refused rather than truncated.
+    """
+    try:
+        if low <= (index := operator.index(value)) <= high:
+            return index
+    except TypeError:
+        raise AlgebraError(f"{what} {value!r} is not an integer") from None
+    raise AlgebraError(f"{what} {index} outside {low}..{high}")
+
+
 def _ambient_dim(dim) -> int:
     """``dim`` as an int, refusing one outside ``1 .. DIM_CAP``."""
-    dim = int(dim)
-    if not 1 <= dim <= DIM_CAP:
-        raise AlgebraError(f"ambient dimension {dim} outside 1..{DIM_CAP}")
-    return dim
+    return _index(dim, 1, DIM_CAP, "ambient dimension")
 
 
 def _sum_pairs(pairs) -> dict[bytes, float]:
@@ -330,12 +341,8 @@ class ChaosPoly:
 
     @classmethod
     def hermite(cls, dim: int, i: int, k: int, coeff: float = 1.0) -> "ChaosPoly":
-        """The single monomial ``coeff * He_k(eta_i)``."""
-        if not 1 <= i <= dim:
-            raise AlgebraError(f"coordinate {i} outside 1..{dim}")
-        i, k = int(i), int(k)
-        if k < 0:
-            raise AlgebraError(f"negative Hermite order {k} at coordinate {i}")
+        """The single monomial ``coeff * He_k(eta_i)``; ``i`` and ``k`` are integers."""
+        i, k = _index(i, 1, dim, "coordinate"), _index(k, 0, math.inf, "Hermite order")
         return cls(dim, {bytes((i,)) * k: coeff})
 
     # ---- basic views ---------------------------------------------------
@@ -352,10 +359,6 @@ class ChaosPoly:
     def packed_terms(self) -> Mapping[bytes, float]:
         """Read-only packed key -> coefficient store, in stored order."""
         return MappingProxyType(self._terms)
-
-    def max_coordinate(self) -> int:
-        """Largest coordinate any term depends on (0 for constants and zero)."""
-        return max(b"".join(self._terms), default=0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -616,10 +619,10 @@ def conditional_expectation(p: ChaosPoly, k: int) -> ChaosPoly:
     Exact in this representation: a Hermite monomial has zero mean in every
     coordinate it touches, so conditioning on the first ``k`` coordinates
     keeps exactly the terms supported there.  ``k = 0`` returns the
-    expectation as a constant; ``k = dim`` is the identity.
+    expectation as a constant; ``k = dim`` is the identity.  ``k`` is an
+    integer.
     """
-    if not 0 <= k <= p.dim:
-        raise AlgebraError(f"stage {k} outside 0..{p.dim}")
+    k = _index(k, 0, p.dim, "stage")
     # a subset of a stored store: nothing to check
     return ChaosPoly._of(p._dim, {key: c for key, c in p._terms.items() if not key or key[-1] <= k})
 

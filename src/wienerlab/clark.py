@@ -2,16 +2,17 @@
 
 A vector functional v is reconstructed from its adapted derivative data as
 
-    v  ~  E[v] + div( K ),   K_{a,i} = E[ d_i v_a | eta_1 .. eta_{i-1} ]
+    v  ~  E[v] + div( K ),   K_{a,i} = E[ d_i v_a | strict past of i ]
 
 which is exact precisely when every Hermite monomial of every component has
-order 1 at its highest-index coordinate: conditioning at stage j-1 kills a
-derivative He_{k-1}(eta_j) unless k = 1.  In the Hermite basis the
-integrand K is one map over terms (the top-order-1 rule): a monomial whose
-top coordinate j has order 1 moves to entry (a, j) with that factor removed
-and the same coefficient, and every other monomial is dropped.  The
-divergence of that entry puts the factor back, so the reconstruction is
-read off v too: it is v's monomials of top order <= 1, which
+order 1 in its last stage.  The filtration, its strict past and that rule
+are stated once, in the ``adapted`` module docstring, and every decision
+here reads ``adapted``'s stage table.  In the Hermite basis the integrand
+K is one map over terms: a monomial of last-stage order 1 with top
+coordinate j moves to entry (a, j) with that factor removed and the same
+coefficient, and every other monomial is dropped.  The divergence of that
+entry puts the factor back, so the reconstruction is read off v too: it is
+v's monomials of last-stage order <= 1, which
 ``reconstruct`` takes without forming the divergence (the
 ``clark_exactness`` suite forms it and checks it against v).  The dropped
 monomials are lost entirely: v minus the reconstruction holds exactly them,
@@ -39,7 +40,7 @@ exactly when phi - E phi sits in the first chaos grade.  For
 coefficients, which :func:`compare_energies` reads off phi without building
 either field:
 
-    E|K|^2    = sum alpha! c_alpha^2            over the terms whose top order is 1
+    E|K|^2    = sum alpha! c_alpha^2            over the terms of last-stage order 1
     E|vbar|^2 = sum alpha! c_alpha^2 / |alpha|  over alpha != 0
 """
 
@@ -49,7 +50,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adapted import PredictableHField, WeaklyAdaptedOperator
+from . import adapted as _adapted
+from .adapted import PredictableHField, WeaklyAdaptedOperator, _last_stage_order
 from .chaos import (
     DEGREE_CAP,
     ChaosPoly,
@@ -85,27 +87,23 @@ class EnergyComparison:
     coincide: bool
 
 
-def _top_order_above_one(key: bytes) -> bool:
-    """Whether the largest coordinate of a key carries Hermite order >= 2."""
-    return len(key) > 1 and key[-1] == key[-2]
-
-
 def clark_integrand(v: VField) -> WeaklyAdaptedOperator:
-    """Adapted projection of the gradient operator of v, by the top-order-1 rule.
+    """Adapted projection of the gradient operator of v, by the last-stage rule.
 
-    One scan over each component's terms: a key whose top coordinate i has
-    order 1 goes to entry (a, i) as ``key[:-1]``, with the same coefficient.
-    Every other nonzero derivative ``d_i`` of a term still depends on a
-    coordinate at or past i, so the stage-(i-1) projection removes it.
-    Keys, coefficients and stored order equal those of
-    ``project_operator(gradient_vector(v))``.
+    One scan over each component's terms: a key of last-stage order 1 (see
+    ``adapted``) with top coordinate i goes to entry (a, i) as ``key[:-1]``,
+    with the same coefficient.  Every other nonzero derivative ``d_i`` of a
+    term still depends on a coordinate past the strict past of i, so the
+    projection removes it.  Keys, coefficients and stored order equal those
+    of ``project_operator(gradient_vector(v))``.
     """
-    n = v.ambient_dim
+    n, past = v.ambient_dim, _adapted._PAST
     rows = []
     for p in v.components:
         entries = [{} for _ in range(n)]
         for key, c in p.packed_terms.items():
-            if key and not _top_order_above_one(key):
+            # last-stage order 1: one byte, or key[-2] in the strict past
+            if key and (len(key) == 1 or key[-2] <= past[key[-1]]):
                 entries[key[-1] - 1][key[:-1]] = c
         # entries hold stored terms less their top factor: no gate
         rows.append(PredictableHField(tuple(ChaosPoly._of(n, e) for e in entries)))
@@ -116,20 +114,22 @@ def reconstruct(v: VField) -> ClarkResult:
     """E[v] + div(adapted integrand), read off v; residual ``refinement_residual(v, 1)``.
 
     The divergence of entry (a, i) of ``clark_integrand`` appends i to each
-    of its keys, which gives back the terms of v_a whose top coordinate i
-    has order 1, with the same coefficients.  So component a of the
-    reconstruction is v_a's terms of top order <= 1, the constant first and
-    the rest stably ordered by top coordinate: the keys, coefficients and
-    stored order of ``E[v] + divergence_op(K)``, which the
+    of its keys, which gives back the terms of v_a of last-stage order 1 and
+    top coordinate i, with the same coefficients.  So component a of the
+    reconstruction is v_a's terms of last-stage order <= 1, the constant
+    first and the rest stably ordered by top coordinate: the keys,
+    coefficients and stored order of ``E[v] + divergence_op(K)``, which the
     ``clark_exactness`` suite builds and checks against v.  At m = 1 the
-    closed form weighs a term by ``alpha!`` exactly when its top coordinate
-    has order >= 2, so the residual is the norm of the dropped terms,
+    closed form weighs a term by ``alpha!`` exactly when its last-stage
+    order is 2 or more, so the residual is the norm of the dropped terms,
     ``||v - reconstruction||``, summed exactly and rounded once.
     """
+    past = _adapted._PAST
     rec = VField(tuple(
         # a stable sort by the last key byte: the constant, then column 1, 2, ...
         ChaosPoly._of(p.dim, dict(sorted(
-            ((key, c) for key, c in p.packed_terms.items() if not _top_order_above_one(key)),
+            ((key, c) for key, c in p.packed_terms.items()
+             if len(key) < 2 or key[-2] <= past[key[-1]]),
             key=lambda term: term[0][-1:],
         )))
         for p in v.components
@@ -140,21 +140,21 @@ def reconstruct(v: VField) -> ClarkResult:
 
 
 def is_representable(v: VField | ChaosPoly) -> bool:
-    """True iff every monomial's top coordinate carries Hermite order 1."""
+    """True iff every monomial has order at most 1 in its last stage."""
     polys = v.components if isinstance(v, VField) else (v,)
-    return not any(_top_order_above_one(key) for p in polys for key in p.packed_terms)
+    return not any(_last_stage_order(key) > 1 for p in polys for key in p.packed_terms)
 
 
 def residual_mass_oracle(v: VField) -> float:
     """The residual of ``reconstruct``, exact: an oracle independent of its float sum.
 
-    Adds ``alpha! c**2`` over the terms whose top coordinate has order >= 2
+    Adds ``alpha! c**2`` over the terms whose last-stage order is 2 or more
     in ``Fraction``s and rounds the square root once, however tiny or huge
     the sum; ``inf`` past the largest double.
     """
     total = sum(
         _factorial(key) * Fraction(c) ** 2
-        for p in v.components for key, c in p.packed_terms.items() if _top_order_above_one(key)
+        for p in v.components for key, c in p.packed_terms.items() if _last_stage_order(key) > 1
     )
     # sqrt(total) * 2**s has about 60 bits, well past a double's 53; an
     # inexact root is made odd, so that it rounds as the exact root does
@@ -176,7 +176,8 @@ def refinement_residual(v: VField, m: int) -> float:
     decides what is representable.  Of ``He_k`` spread over m cells, the
     fine monomials whose last cell j carries order 1 hold the mass
     ``k! k sum_{j<m} j**(k-1) / m**k`` (``0**0 = 1``), so for
-    ``v = sum_alpha c_alpha He_alpha`` with top order ``k = alpha_t``::
+    ``v = sum_alpha c_alpha He_alpha`` with top order ``k = alpha_t``, the
+    last-stage order of ``adapted`` when each stage reveals one coordinate::
 
         residual(m)**2 = sum_alpha alpha! c_alpha**2 (m**k - k S) / m**k,
         S = sum_{j<m} j**(k-1)
@@ -188,13 +189,16 @@ def refinement_residual(v: VField, m: int) -> float:
     rounded residual, ``inf`` past the largest double.
     ``m * residual**2`` tends to ``sum alpha! c_alpha**2 k / 2`` over the
     terms with ``k >= 2``: the discrete representation converges at rate
-    ``1/m``.  Raises ``refine``'s ``AlgebraError`` for ``m < 1`` or a
-    refined dimension past ``DIM_CAP``.
+    ``1/m``.  At m = 1 a term weighs ``alpha!`` when its last-stage order
+    is 2 or more and nothing otherwise, whatever the stages; the weights for
+    m > 1 assume one coordinate per stage.  Raises ``refine``'s
+    ``AlgebraError`` for ``m < 1`` or a refined dimension past ``DIM_CAP``.
     """
     _refined_dim(v.ambient_dim, m)
-    # (m**k - k S) m**(DEGREE_CAP - k) by top order k, over m**DEGREE_CAP;
-    # it is 0 for k = 0 and k = 1, so only the terms of top order >= 2
-    # (``_top_order_above_one``, inlined) are summed
+    # (m**k - k S) m**(DEGREE_CAP - k) by last-stage order k, over
+    # m**DEGREE_CAP; it is 0 for k = 0 and k = 1, so only the terms of
+    # last-stage order >= 2 are summed, found by the byte test of the
+    # ``adapted`` docstring before ``_last_stage_order`` reads k
     lost = [0] + [
         (m**k - k * sum(j ** (k - 1) for j in range(m))) * m ** (DEGREE_CAP - k)
         for k in range(1, DEGREE_CAP + 1)
@@ -202,10 +206,11 @@ def refinement_residual(v: VField, m: int) -> float:
     # a refined functional holds few distinct coefficients, each over many
     # keys: their weights are summed first, and each is squared once
     weights: dict[float, int] = {}
+    past = _adapted._PAST
     for p in v.components:
         for key, c in p.packed_terms.items():
-            if len(key) > 1 and key[-1] == key[-2]:
-                weights[c] = weights.get(c, 0) + _factorial(key) * lost[key.count(key[-1])]
+            if len(key) > 1 and key[-2] > past[key[-1]]:
+                weights[c] = weights.get(c, 0) + _factorial(key) * lost[_last_stage_order(key)]
     # each pair leads with its own integer weight
     return _square_sum(zip(weights.values(), weights), int, m**DEGREE_CAP, root=True)
 
@@ -241,7 +246,7 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
     rounded once to the nearest double (``inf`` past the largest), without
     building either integrand::
 
-        adapted = sum alpha! c_alpha**2            over the terms whose top order is 1
+        adapted = sum alpha! c_alpha**2            over the terms of last-stage order 1
         exact   = sum alpha! c_alpha**2 / |alpha|  over alpha != 0
 
     The first is the energy of ``clark_integrand``, which moves each such
@@ -258,13 +263,14 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
     # one scan, one accumulator per energy, in _square_sum's integers
     exact: dict[int, int] = {}
     adapted: dict[int, int] = {}
+    past = _adapted._PAST
     for key, c in phi.packed_terms.items():
         if key:
             m, e = math.frexp(c)
             square = int(m * 2.0**53) ** 2
             f = _factorial(key)
             exact[e] = exact.get(e, 0) + f * lcm // len(key) * square
-            if not _top_order_above_one(key):
+            if len(key) == 1 or key[-2] <= past[key[-1]]:
                 adapted[e] = adapted.get(e, 0) + f * square
     return EnergyComparison(
         adapted_energy=_rounded(adapted, 1, False),

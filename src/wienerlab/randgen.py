@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import adapted as _adapted
 from .adapted import PredictableHField, WeaklyAdaptedOperator
 from .chaos import DIM_CAP, ChaosPoly, _ambient_dim, _kept, _pack, _sum_pairs
 from .malliavin import HField, OperatorField, VField
@@ -164,10 +165,10 @@ def _poly(draws: _Draws, n: int, degree: int, n_terms: int, coords=None) -> Chao
 
 
 def _predictable(draws: _Draws, n: int, degree: int) -> PredictableHField:
-    rng = draws.rng
+    """Coordinate i draws two terms over its strict past, or a constant when that is empty."""
     return PredictableHField(tuple(
-        _poly(draws, n, degree, 2, _COORDS[i - 1]) if i > 1 else ChaosPoly.constant(n, _uniform(rng))
-        for i in range(1, n + 1)
+        _poly(draws, n, degree, 2, _COORDS[past]) if past else ChaosPoly.constant(n, _uniform(draws.rng))
+        for past in _adapted._PAST[1 : n + 1]
     ))
 
 
@@ -192,7 +193,7 @@ def random_operator(rng, n: int, d: int, degree: int) -> OperatorField:
 
 
 def random_predictable_field(rng, n: int, degree: int) -> PredictableHField:
-    """Coordinate i draws two terms from eta_1 .. eta_{i-1} only."""
+    """Coordinate i draws two terms from its strict past only."""
     with _Draws(rng) as draws:
         return _predictable(draws, n, degree)
 
@@ -214,13 +215,17 @@ def random_finite_rank_adapted(rng, n: int, d: int) -> WeaklyAdaptedOperator:
 
 
 def random_representable_poly(rng, n: int, degree: int) -> ChaosPoly:
-    """Four terms; every monomial's top coordinate carries order exactly 1."""
+    """Four terms; every monomial has order exactly 1 in its last stage.
+
+    Each term draws its largest coordinate, with order 1, and then orders
+    over the strict past of that coordinate's stage.
+    """
     terms = []
     for _ in range(4):
         top = int(rng.integers(1, n + 1))
         orders = {top: 1}
         budget = degree - 1
-        below = list(range(1, top))
+        below = list(_COORDS[_adapted._PAST[top]])
         rng.shuffle(below)
         for c in below:
             if budget == 0:

@@ -4,7 +4,8 @@ A rotation is carried by a random matrix M(omega) whose output coordinate a
 is the pathwise Ito sum  (Tw)_a = sum_j M[a][j] eta_j.  Two requirements make
 Tw exactly standard Gaussian again:
 
-* weak adaptedness: entry (a, j) depends only on eta_1 .. eta_{j-1}, so every
+* weak adaptedness: entry (a, j) depends only on the strict past of j (the
+  filtration is stated in ``adapted``), here eta_1 .. eta_{j-1}, so every
   row is a predictable field and the pathwise sum coincides with the
   divergence of the row;
 * pathwise orthogonality: M(omega) has orthonormal rows at every sample.
@@ -49,6 +50,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import adapted as _adapted
 from .adapted import WeaklyAdaptedOperator
 from .malliavin import divergence_op, gram
 from .randgen import make_rng, random_orthogonal
@@ -340,20 +342,20 @@ def isometry_check(R: AdaptedIsometry, samples) -> float:
 
 
 def check_strict_past_measurability(R: AdaptedIsometry, samples) -> float:
-    """Certify that matrix column j only reads eta_1 .. eta_{j-1}.
+    """Certify that matrix column j only reads the strict past of j.
 
-    Replaces all coordinates from j onward with fresh noise and measures the
-    change in columns 1..j, asking the kernel for those j columns only
-    (U = the first j columns of I); the contract is exact zero.
+    The strict past is ``adapted``'s: eta_1 .. eta_{j-1} for one coordinate
+    per stage.  Replaces every coordinate past it with fresh noise and
+    measures the change in columns 1..j, asking the kernel for those j
+    columns only (U = the first j columns of I); the contract is exact zero.
     """
     draws = _as_draws(samples)
     fresh = sample_batch(R.n, draws.shape[0], seed=271828).draws
     base = R.matrices(draws)
     eye = np.broadcast_to(np.eye(R.n), (draws.shape[0], R.n, R.n))
     gaps = []
-    for j in range(1, R.n + 1):
-        hybrid = draws.copy()
-        hybrid[:, j - 1 :] = fresh[:, j - 1 :]
+    for j, past in enumerate(_adapted._PAST[1 : R.n + 1], start=1):
+        hybrid = np.concatenate((draws[:, :past], fresh[:, past:]), axis=1)
         other = R._apply(hybrid, eye[:, :, :j])
         gaps.append(np.max(np.abs(other - base[:, :, :j])))
     return float(np.max(gaps, initial=0.0))

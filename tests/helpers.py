@@ -6,20 +6,23 @@ Gauss quadrature with the exp(-x^2/2) weight, derivatives from finite
 differences, and distributions from plain Monte Carlo.  Tests compare the
 package against these.  Only ``draw_poly`` and ``draw_hfield`` are the
 package's own: its seeded draws, at sizes its public builders do not take.
-``with_workers`` sets how many CPUs the package's block runner sees.
+``with_workers`` sets how many CPUs the package's block runner sees, and
+``stages`` which stage table its filtration decisions read.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product as cartesian
 
 import numpy as np
+import pytest
 from numpy.polynomial import hermite_e
 
-from wienerlab import randgen, space
-from wienerlab.chaos import ChaosPoly
+from wienerlab import adapted, randgen, space
+from wienerlab.chaos import DIM_CAP, ChaosPoly
 from wienerlab.malliavin import HField
 from wienerlab.space import BLOCK_ROWS
 
@@ -40,6 +43,23 @@ def with_workers(monkeypatch, count, fn):
         if count is not None:
             m.setattr(space, "_usable_cpus", lambda: count)
         return fn()
+
+
+#: ``adapted._PAST`` tables, entry i the last coordinate before coordinate
+#: i's stage: one stage per coordinate, as the package has it, and the
+#: stages {1, 2}, {3, 4}, ...
+STAGE_TABLES = {
+    "identity": bytes((0, *range(DIM_CAP))),
+    "pairs": bytes((0, *(i - 1 - (i - 1) % 2 for i in range(1, DIM_CAP + 1)))),
+}
+
+
+@contextmanager
+def stages(table: bytes):
+    """Plant ``table`` as the package's one stage table while the block runs."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(adapted, "_PAST", table)
+        yield
 
 
 def packed(index=()) -> bytes:

@@ -1,10 +1,13 @@
-"""Strict-past predictability, adapted projection, and discrete Ito calculus."""
+"""The stage table, strict-past predictability, adapted projection, and discrete Ito calculus."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import draw_hfield, make_rng
-from wienerlab.chaos import ChaosPoly, evaluate_batch, l2_inner, linear_combine
+from helpers import STAGE_TABLES, draw_hfield, make_rng, stages
+from wienerlab import adapted
+from wienerlab.chaos import DIM_CAP, ChaosPoly, evaluate_batch, l2_inner, linear_combine
 from wienerlab.adapted import (
     NotPredictable,
     PredictableHField,
@@ -17,13 +20,17 @@ from wienerlab.adapted import (
     project_adapted,
     project_operator,
 )
-from wienerlab.malliavin import HField, divergence_h, divergence_op
+from wienerlab.clark import clark_integrand, compare_energies, reconstruct
+from wienerlab.malliavin import HField, VField, divergence_h, divergence_op, gradient_vector
 from wienerlab.randgen import (
     random_finite_rank_adapted,
     random_operator,
     random_predictable_field,
+    random_vfield,
     random_weakly_adapted,
 )
+from wienerlab.rotations import build_sequential_isometry, check_strict_past_measurability
+from wienerlab.space import sample_batch
 
 
 def eta(i, n):
@@ -32,6 +39,66 @@ def eta(i, n):
 
 def he(k, i, n):
     return ChaosPoly.hermite(n, i, k)
+
+
+# --------------------------------------------------------------- stage table
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 4), st.integers(1, DIM_CAP)), max_size=12))
+def test_last_stage_order_counts_the_occurrences_in_the_last_stage(occurrences):
+    assert adapted._PAST == STAGE_TABLES["identity"]
+    key, top = bytes(sorted(occurrences)), max(occurrences, default=0)
+    for table in STAGE_TABLES.values():
+        with stages(table):
+            # a stage is a run of coordinates that share one strict past
+            want = sum(table[c] == table[top] for c in occurrences)
+            assert adapted._last_stage_order(key) == want
+            # the byte test the Clark scans make first
+            assert (len(key) > 1 and key[-2] > table[key[-1]]) == (want > 1)
+
+
+def _stored(polys) -> list:
+    """Keys, coefficient bits and stored order of each polynomial."""
+    return [[(key, c.hex()) for key, c in p.packed_terms.items()] for p in polys]
+
+
+def test_one_stage_table_moves_every_filtration_decision():
+    # the pair stages {1, 2}, {3, 4}, ... planted in adapted's table alone
+    rng = make_rng(3301)
+    with stages(STAGE_TABLES["pairs"]):
+        # coordinate 2 shares eta_1's stage; coordinates 3 and 4 see eta_1 and eta_2
+        zero = ChaosPoly.zero(4)
+        assert not is_predictable(HField((zero, eta(1, 4), zero, zero)))
+        assert is_predictable(HField((zero, zero, eta(2, 4), eta(1, 4))))
+        for _ in range(300):
+            n, d, degree = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            v = random_vfield(rng, n, d, degree)
+            K = clark_integrand(v)
+            assert _stored(p for row in K.rows for p in row.coords) == _stored(
+                p for row in project_operator(gradient_vector(v)).rows for p in row.coords
+            )
+            res = reconstruct(v)
+            mean = VField.constant(n, v.expectation())
+            assert _stored(res.reconstruction.components) == _stored(
+                mean.add(divergence_op(K)).components
+            )
+            assert v.sub(mean).norm() ** 2 == pytest.approx(
+                divergence_op(K).norm() ** 2 + res.residual_l2**2, rel=1e-12, abs=0.0
+            )
+            for p in v.components:
+                energy = clark_integrand(VField((p,))).norm() ** 2
+                assert compare_energies(p).adapted_energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+            u, w = random_predictable_field(rng, n, degree), random_predictable_field(rng, n, degree)
+            assert check_ito_isometry(u, w) <= 1e-10
+            D = random_finite_rank_adapted(rng, n, d)
+            assert check_operator_isometry(random_weakly_adapted(rng, n, d, degree), D) <= 1e-10
+            assert check_weak_orthogonality(random_operator(rng, n, d, degree), D) == 0.0
+        # sign and givens read the coordinate past only: the certificate flags them
+        draws = sample_batch(4, 256, seed=777).draws
+        for spec, flagged in (("zero", False), ("constant", False), ("sign", True), ("givens", True)):
+            gap = check_strict_past_measurability(build_sequential_isometry(4, seed=9, angle_spec=spec), draws)
+            assert gap > 0.0 if flagged else gap == 0.0
 
 
 # ------------------------------------------------------------ predictability
@@ -76,44 +143,55 @@ def test_project_adapted_frozen():
     assert pu.coords[1] == eta(1, 2)
 
 
+# each property holds under the package's stage table and under the pair stages
+
+
 def test_projection_idempotent_and_fixes_predictable():
-    rng = make_rng(401)
-    for _ in range(10):
-        u = draw_hfield(rng, 4, 3)
-        pu = project_adapted(u)
-        assert project_adapted(pu) == pu
-        assert is_predictable(pu)
-    for _ in range(10):
-        q = random_predictable_field(rng, 4, 3)
-        assert project_adapted(q) == q
+    for table in STAGE_TABLES.values():
+        rng = make_rng(401)
+        with stages(table):
+            for _ in range(10):
+                u = draw_hfield(rng, 4, 3)
+                pu = project_adapted(u)
+                assert project_adapted(pu) == pu
+                assert is_predictable(pu)
+            for _ in range(10):
+                q = random_predictable_field(rng, 4, 3)
+                assert project_adapted(q) == q
 
 
 def test_projection_contraction_and_pythagoras():
-    rng = make_rng(402)
-    for _ in range(10):
-        u = draw_hfield(rng, 4, 3)
-        pu = project_adapted(u)
-        rest = u.sub(pu)
-        assert pu.norm() <= u.norm() + 1e-12
-        assert pu.norm() ** 2 + rest.norm() ** 2 == pytest.approx(u.norm() ** 2, rel=1e-10)
+    for table in STAGE_TABLES.values():
+        rng = make_rng(402)
+        with stages(table):
+            for _ in range(10):
+                u = draw_hfield(rng, 4, 3)
+                pu = project_adapted(u)
+                rest = u.sub(pu)
+                assert pu.norm() <= u.norm() + 1e-12
+                assert pu.norm() ** 2 + rest.norm() ** 2 == pytest.approx(u.norm() ** 2, rel=1e-10)
 
 
 def test_projection_self_adjoint():
-    rng = make_rng(403)
-    for _ in range(10):
-        u = draw_hfield(rng, 3, 3)
-        v = draw_hfield(rng, 3, 3)
-        assert project_adapted(u).inner(v) == pytest.approx(
-            u.inner(project_adapted(v)), abs=1e-10
-        )
+    for table in STAGE_TABLES.values():
+        rng = make_rng(403)
+        with stages(table):
+            for _ in range(10):
+                u = draw_hfield(rng, 3, 3)
+                v = draw_hfield(rng, 3, 3)
+                assert project_adapted(u).inner(v) == pytest.approx(
+                    u.inner(project_adapted(v)), abs=1e-10
+                )
 
 
 def test_project_operator_rowwise():
-    rng = make_rng(404)
-    K = random_operator(rng, 3, 2, 3)
-    P = project_operator(K)
-    for a in range(1, 3):
-        assert P.rows[a - 1] == project_adapted(K.rows[a - 1])
+    for table in STAGE_TABLES.values():
+        rng = make_rng(404)
+        with stages(table):
+            K = random_operator(rng, 3, 2, 3)
+            P = project_operator(K)
+            for a in range(1, 3):
+                assert P.rows[a - 1] == project_adapted(K.rows[a - 1])
 
 
 # ------------------------------------------------------------- Ito integral

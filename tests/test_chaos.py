@@ -363,6 +363,10 @@ def test_conditional_expectation_frozen():
     assert conditional_expectation(q, 2) == q
     with pytest.raises(AlgebraError):
         conditional_expectation(q, 3)
+    # a fractional stage is refused, not compared against the keys
+    for stage in (1.5, 1.0):
+        with pytest.raises(AlgebraError, match=f"^stage {stage} is not an integer$"):
+            conditional_expectation(q, stage)
 
 
 def test_conditional_expectation_tower_and_contraction():
@@ -550,6 +554,20 @@ def test_evaluate_matches_scalar_recurrence_exactly():
 # ------------------------------------------------------------------ caps, text
 
 
+def test_hermite_refuses_a_non_integral_coordinate_or_order():
+    # hermite(3, 1.5, 2.7) once truncated both to He_2(eta_1)
+    for i, k in ((1.5, 2.7), (1.5, 2), (1, 2.7), (1.0, 2), ("1", 2)):
+        with pytest.raises(AlgebraError, match="is not an integer$"):
+            ChaosPoly.hermite(3, i, k)
+    assert ChaosPoly.hermite(3, np.int64(1), np.int64(2)) == ChaosPoly.hermite(3, 1, 2)
+    with pytest.raises(AlgebraError, match=r"^coordinate 4 outside 1\.\.3$"):
+        ChaosPoly.hermite(3, 4, 1)
+    with pytest.raises(AlgebraError, match="^Hermite order -1 outside"):
+        ChaosPoly.hermite(3, 1, -1)
+    with pytest.raises(DegreeCapExceeded):
+        ChaosPoly.hermite(3, 1, DEGREE_CAP + 1)
+
+
 def test_degree_cap_enforcement():
     p = ChaosPoly.hermite(1, 1, 5)
     with pytest.raises(DegreeCapExceeded) as err:
@@ -560,6 +578,8 @@ def test_degree_cap_enforcement():
         ChaosPoly(0)
     with pytest.raises(AlgebraError):
         ChaosPoly(200)
+    with pytest.raises(AlgebraError, match="^ambient dimension 2.5 is not an integer$"):
+        ChaosPoly(2.5)
     with pytest.raises(DimensionMismatch):
         ChaosPoly(2, {packed({3: 1}): 1.0})
 
@@ -1077,7 +1097,7 @@ def test_coordinates_past_the_byte_range_raise_dimension_mismatch(build, coord):
 def test_refine_reaches_coordinate_128_unchanged():
     p = dsl.lower(dsl.parse_functional("x16*x15 + h2(x16) + 0.5*h3(x1)*x9 - 1.5*x8"), 16)
     r = refine(p, 8)
-    assert r.dim == DIM_CAP and r.max_coordinate() == 128 and len(r.terms) == 1068
+    assert r.dim == DIM_CAP and max(b"".join(r.packed_terms)) == 128 and len(r.terms) == 1068
     assert _matches_recurrence(p, 8)
     # recorded from the closed-form block tables, once they passed the exact
     # table oracle above

@@ -3,10 +3,9 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import (
+    STAGE_TABLES,
     draw_hfield,
     draw_poly,
     energies,
@@ -16,11 +15,11 @@ from helpers import (
     refinement_mass,
     refinement_residual,
     split_integrand,
+    stages,
 )
 from wienerlab import clark
 from wienerlab.chaos import (
     DEGREE_CAP,
-    DIM_CAP,
     AlgebraError,
     ChaosPoly,
     hermite_product,
@@ -89,36 +88,35 @@ def test_clark_integrand_equals_projected_gradient_term_by_term():
     # components with a constant term, representable or not
     fields.append(VField((hermite_product(eta(1, 2), eta(2, 2)) + ChaosPoly.constant(2, -0.75),
                           he(2, 2, 2) + eta(1, 2) + ChaosPoly.constant(2, 1.5))))
-    for v in fields:
-        for m in (1, 2, 4, 8):
-            refined = VField(tuple(refine(p, m) for p in v.components))
-            K = clark_integrand(refined)
-            want = project_operator(gradient_vector(refined))
-            assert K == want
-            for row, want_row in zip(K.rows, want.rows):
-                for p, q in zip(row.coords, want_row.coords):
-                    assert list(p.packed_terms.items()) == list(q.packed_terms.items())
+    # the refinement factors under the package's stages, m = 1 under the pairs
+    for table, factors in zip(STAGE_TABLES.values(), ((1, 2, 4, 8), (1,))):
+        with stages(table):
+            for v in fields:
+                for m in factors:
+                    refined = VField(tuple(refine(p, m) for p in v.components))
+                    K = clark_integrand(refined)
+                    want = project_operator(gradient_vector(refined))
+                    assert K == want
+                    for row, want_row in zip(K.rows, want.rows):
+                        for p, q in zip(row.coords, want_row.coords):
+                            assert list(p.packed_terms.items()) == list(q.packed_terms.items())
 
 
 def test_reconstruction_is_the_formed_divergence_item_for_item():
     # reconstruct reads E[v] + div(K) off v; forming the divergence gives the
-    # same keys, coefficient bits and stored order, component by component
-    rng = make_rng(2026)
-    for _ in range(1200):
-        n, d, degree = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
-        v = random_vfield(rng, n, d, degree)
-        formed = VField.constant(n, v.expectation()).add(divergence_op(clark_integrand(v)))
-        got = reconstruct(v).reconstruction
-        assert [[(k, c.hex()) for k, c in p.packed_terms.items()] for p in got.components] == [
-            [(k, c.hex()) for k, c in p.packed_terms.items()] for p in formed.components
-        ]
-
-
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.integers(1, 4), st.integers(1, DIM_CAP)), max_size=12))
-def test_top_order_above_one_reads_the_order_of_the_top_coordinate(occurrences):
-    top = max(occurrences, default=0)
-    assert clark._top_order_above_one(bytes(sorted(occurrences))) == (occurrences.count(top) > 1)
+    # same keys, coefficient bits and stored order, component by component,
+    # under the package's stages and under the pairs
+    for table in STAGE_TABLES.values():
+        rng = make_rng(2026)
+        with stages(table):
+            for _ in range(1200):
+                n, d, degree = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+                v = random_vfield(rng, n, d, degree)
+                formed = VField.constant(n, v.expectation()).add(divergence_op(clark_integrand(v)))
+                got = reconstruct(v).reconstruction
+                assert [[(k, c.hex()) for k, c in p.packed_terms.items()] for p in got.components] == [
+                    [(k, c.hex()) for k, c in p.packed_terms.items()] for p in formed.components
+                ]
 
 
 def test_clark_product_functional_exact():

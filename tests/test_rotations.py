@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import THREADED_SIZES, make_rng, with_workers
+from helpers import STAGE_TABLES, THREADED_SIZES, make_rng, stages, with_workers
 from wienerlab.chaos import evaluate_batch
 from wienerlab.malliavin import divergence_op
 from wienerlab.randgen import random_orthogonal
@@ -117,9 +117,17 @@ def test_sequential_first_column_deterministic():
 
 
 def test_strict_past_measurability_certificate():
-    for spec in ("zero", "sign", "givens"):
+    specs = ("zero", "constant", "sign", "givens")
+    for spec in specs:
         R = build_sequential_isometry(4, seed=9, angle_spec=spec)
         assert check_strict_past_measurability(R, draws_for(4, count=256)) == 0.0
+    # under the stages {1, 2}, {3, 4}, sign and givens read inside their own
+    # stage; zero and constant read nothing
+    with stages(STAGE_TABLES["pairs"]):
+        for spec in specs:
+            R = build_sequential_isometry(4, seed=9, angle_spec=spec)
+            gap = check_strict_past_measurability(R, draws_for(4, count=256))
+            assert gap > 0.0 if spec in ("sign", "givens") else gap == 0.0
 
 
 def test_strict_past_certificate_keeps_nan():
