@@ -174,7 +174,7 @@ def _factorial(key: bytes) -> int:
     return f
 
 
-def _index(value, low: int, high: float, what: str) -> int:
+def _index(value, low: float, high: float, what: str) -> int:
     """``operator.index(value)`` inside ``low .. high``; anything else raises ``AlgebraError``.
 
     A float, even an integral one, is refused rather than truncated.
@@ -677,13 +677,14 @@ def _block_average_table(m: int, k: int) -> dict[bytes, float]:
     return dict(zip(keys, (top // fact / root).tolist()))
 
 
-def _refined_dim(dim: int, m: int) -> int:
-    """``dim * m``, refusing a factor below 1 or a refined dimension past the cap."""
+def _refinement_factor(dim: int, m) -> int:
+    """``m`` as an int, refusing a non-integer, a factor below 1 or a refined dimension past the cap."""
+    m = _index(m, -math.inf, math.inf, "refinement factor")
     if m < 1:
         raise AlgebraError(f"refinement factor {m} is not >= 1")
     if dim * m > DIM_CAP:
         raise AlgebraError(f"refined dimension {dim * m} exceeds the dimension cap {DIM_CAP}")
-    return dim * m
+    return m
 
 
 def refine(p: ChaosPoly, m: int) -> ChaosPoly:
@@ -693,7 +694,9 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     ``(eta'_{(i-1)m+1} + ... + eta'_{im}) / sqrt(m)`` on a grid of dimension
     ``dim * m``.  Because that block average is again standard Gaussian the
     substitution preserves the law, grade, expectation, and every L2 inner
-    product.  ``m = 1`` returns ``p`` itself.
+    product.  ``m = 1`` returns ``p`` itself.  A factor that is not an
+    integer (a float is refused, not truncated), is below 1 or takes the
+    dimension past ``DIM_CAP`` raises :class:`AlgebraError`.
 
     A coarse monomial ``prod_i He_{k_i}`` spreads over ``prod_i C(m + k_i -
     1, k_i)`` fine monomials; past :data:`_TERM_BUDGET` of them in all,
@@ -710,8 +713,7 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     overflows raises and one that underflows to zero is dropped
     (:func:`_kept`).
     """
-    m = int(m)
-    new_dim = _refined_dim(p.dim, m)
+    m = _refinement_factor(p.dim, m)
     if m == 1:
         return p
     monomials = [(_pairs_of(key), c) for key, c in p._terms.items()]
@@ -743,7 +745,7 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
         return partial
 
     store = {key: c * pc for pairs, c in monomials for key, pc in block_monomial(pairs)}
-    return ChaosPoly._of(new_dim, _kept(store))
+    return ChaosPoly._of(p.dim * m, _kept(store))
 
 
 class HermiteColumns:

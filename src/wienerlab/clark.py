@@ -56,7 +56,7 @@ from .chaos import (
     DEGREE_CAP,
     ChaosPoly,
     _factorial,
-    _refined_dim,
+    _refinement_factor,
     _rounded,
     _square_sum,
     ou_inverse,
@@ -192,9 +192,10 @@ def refinement_residual(v: VField, m: int) -> float:
     ``1/m``.  At m = 1 a term weighs ``alpha!`` when its last-stage order
     is 2 or more and nothing otherwise, whatever the stages; the weights for
     m > 1 assume one coordinate per stage.  Raises ``refine``'s
-    ``AlgebraError`` for ``m < 1`` or a refined dimension past ``DIM_CAP``.
+    ``AlgebraError`` for an ``m`` that is not an integer, ``m < 1`` or a
+    refined dimension past ``DIM_CAP``.
     """
-    _refined_dim(v.ambient_dim, m)
+    m = _refinement_factor(v.ambient_dim, m)
     # (m**k - k S) m**(DEGREE_CAP - k) by last-stage order k, over
     # m**DEGREE_CAP; it is 0 for k = 0 and k = 1, so only the terms of
     # last-stage order >= 2 are summed, found by the byte test of the
@@ -224,7 +225,7 @@ def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
     """
     return [
         (m, refinement_residual(VField(tuple(refine(p, m) for p in v.components)), 1))
-        for m in map(int, factors)
+        for m in (_refinement_factor(v.ambient_dim, f) for f in factors)
     ]
 
 

@@ -68,10 +68,11 @@ from .suites import run_suites, suite_names
 _SEED_MAX = 2**64 - 1 - 17
 
 #: Largest (n_samples, n) float64 block ``rotate`` accepts, in bytes.  A run
-#: peaks at about 2.3 such blocks (samples, rotated samples and battery
-#: temporaries; measured at n = 8 with 10**6 samples), 200000 samples fit
-#: at the dimension cap n = 128, and a request past the budget exits 2
-#: before anything is allocated.
+#: peaks at about 1.6 such blocks (the rotated samples and battery
+#: temporaries, as the drawn samples are never built; 1.52 traced and 1.57
+#: in RSS growth at n = 8 with 10**6 samples) plus each worker thread's
+#: block buffers, 200000 samples fit at the dimension cap n = 128, and a
+#: request past the budget exits 2 before anything is allocated.
 ROTATE_BLOCK_BUDGET = 256 * 2**20
 
 

@@ -28,18 +28,20 @@ measurable rule of the prefix eta_1 .. eta_{j-1} (arctan of seeded linear
 statistics), then normalized.  Columns built this way are automatically
 measurable with respect to the strict past of their own index.
 
-Each construction is evaluated through one kernel, the product M(eta) U
-with a block U of shape (N, n, k).  Rotating samples is the kernel at
-U = the samples: for ``givens`` it costs O(N n^2) in reflector work plus
-O(N n^3 / 6) in the seeded feature products, and no (N, n, n) stack is
-formed.  The ``givens`` kernel runs over row blocks of ``BLOCK_ROWS``
-samples held sample-last, (n, k, B), so its array operations run over
-contiguous samples, and each row's result is the same whichever block it
-falls in.  The blocks are shared out over one thread per usable CPU
-(``space._over_blocks``), so the result has the same bits whatever the
-CPU count.  The stack itself is the kernel at U = I; only the isometry and
-strict-past certificates ask for it, the latter for the leading j columns
-only.
+Each construction is evaluated through one block kernel, the product
+M(eta) U for a block of samples and a block U of shape (b, n, k), and one
+driver, ``AdaptedIsometry._blocks``, runs it over row blocks of
+``BLOCK_ROWS`` samples shared out over one thread per usable CPU
+(``space._over_blocks``), so the result has the same bits whatever the CPU
+count.  Rotating samples is the kernel at U = the samples: for ``givens``
+it costs O(N n^2) in reflector work plus O(N n^3 / 6) in the seeded
+feature products, and no (N, n, n) stack is formed.  The batteries rotate
+samples that no array holds: each block is drawn into a buffer of the
+thread that rotates it, by the fill ``sample_batch`` uses, so a battery
+holds the rotated (N, n) block and its statistics' vectors only.  The
+stack itself is the kernel at U = I; only the isometry and strict-past
+certificates ask for it, and the certificate's hybrids ask for one column
+each.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ from .space import (
     BLOCK_ROWS,
     Check,
     SampleBatch,
+    _fill_block,
     _over_blocks,
+    _sampling_args,
     check,
     ks_normal,
     moment_normality,
@@ -94,25 +98,57 @@ class RotationReport:
 class AdaptedIsometry:
     """Random rotation with strict-past-measurable matrix columns.
 
-    A construction is one kernel ``apply_fn(draws, U)`` that returns the
-    product M(draws) @ U of the row-form matrices with a block ``U`` of shape
-    (N, n, k), without storing the (N, n, n) stack unless U asks for it.
-    ``apply_batch`` is the kernel at the samples themselves (k = 1), and
-    ``matrices`` is the kernel at the identity, for the certificates that
-    need whole matrices.  Constructions with polynomial entries also expose
-    the exact operator form for chaos-level checks.
+    A construction is one block kernel, made by ``make_kernel(width, k)``:
+    the kernel ``kernel(X, U, out)`` writes the product M(X) @ U of the
+    row-form matrices at a block X of at most ``width`` samples, shape
+    (b, n), with a block U of shape (b, n, k) into ``out`` (b, n, k), and
+    the buffers it needs are made with it.  ``_blocks`` runs it block by
+    block, so the (N, n, n) stack is stored only when U asks for it.
+    ``apply_batch`` is the product at the samples themselves (k = 1), and
+    ``matrices`` at the identity, for the certificates that need whole
+    matrices.  Constructions with polynomial entries also expose the exact
+    operator form for chaos-level checks.
     """
 
-    def __init__(self, n, kind, apply_fn, operator=None):
+    def __init__(self, n, kind, make_kernel, operator=None):
         self.n = int(n)
         self.kind = str(kind)
-        self._apply_fn = apply_fn
+        self._make_kernel = make_kernel
         self._operator = operator
 
-    def _apply(self, draws, U: np.ndarray) -> np.ndarray:
-        out = self._apply_fn(draws, U)
-        if out.shape != (draws.shape[0], self.n, U.shape[2]):
-            raise RotationError(f"construction produced shape {out.shape}")
+    def _blocks(self, N: int, U=None, draws=None, seed: int = 0) -> np.ndarray:
+        """M(samples) @ U, shape (N, n, k), over blocks of ``BLOCK_ROWS`` samples.
+
+        The samples are the rows of ``draws``; when it is None, they are the
+        rows that ``sample_batch(n, N, seed)`` would hold, each block drawn
+        by its fill (``space._fill_block``) into a buffer of the thread that
+        rotates it, so no (N, n) array of samples is built.  ``U`` is an
+        (N, n, k) array, or None for the samples themselves (k = 1).  The
+        blocks are shared out over threads (``space._over_blocks``); each
+        thread's kernel and sample buffer are made on the calling thread,
+        and a row's result is the same whichever block or thread runs it.
+        """
+        n = self.n
+        k = 1 if U is None else U.shape[2]
+        out = np.empty((N, n, k))
+        width = min(N, BLOCK_ROWS)
+
+        def make_run():
+            kernel = self._make_kernel(width, k)
+            drawn = np.empty((width, n)) if draws is None else None
+
+            def run(s):
+                rows = slice(s, s + BLOCK_ROWS)
+                if draws is None:
+                    X = drawn[: min(BLOCK_ROWS, N - s)]
+                    _fill_block(seed, s, X)
+                else:
+                    X = draws[rows]
+                kernel(X, X[:, :, None] if U is None else U[rows], out[rows])
+
+            return run
+
+        _over_blocks(N, make_run)
         return out
 
     def _draws(self, draws) -> np.ndarray:
@@ -126,13 +162,13 @@ class AdaptedIsometry:
     def matrices(self, draws: np.ndarray) -> np.ndarray:
         """Row-form matrices, shape (N, n, n), at the given (N, n) samples."""
         draws = self._draws(draws)
-        eye = np.broadcast_to(np.eye(self.n), (draws.shape[0], self.n, self.n))
-        return self._apply(draws, eye)
+        N = draws.shape[0]
+        return self._blocks(N, np.broadcast_to(np.eye(self.n), (N, self.n, self.n)), draws)
 
     def apply_batch(self, draws: np.ndarray) -> np.ndarray:
         """Rotated samples M(draws) @ draws, shape (N, n)."""
         draws = self._draws(draws)
-        return self._apply(draws, draws[:, :, None])[:, :, 0]
+        return self._blocks(draws.shape[0], draws=draws)[:, :, 0]
 
     def operator(self) -> WeaklyAdaptedOperator | None:
         """Exact chaos-polynomial form of the rows, when the entries are polynomial."""
@@ -142,24 +178,35 @@ class AdaptedIsometry:
 # ------------------------------------------------------------- constructors
 
 
-def _constant_fn(M: np.ndarray):
-    def fn(draws, U):
-        return np.matmul(M, U)
+def _constant_kernel(M: np.ndarray):
+    def make_kernel(width, k):
+        def kernel(draws, U, out):
+            np.matmul(M, U, out=out)
 
-    return fn
+        return kernel
+
+    return make_kernel
 
 
-def _sign_fn(n: int):
+def _sign_kernel(n: int):
     # output a flips with the sign of the previous increment; row 1 fixed
-    def fn(draws, U):
-        signs = np.ones((draws.shape[0], n))
-        signs[:, 1:] = np.where(draws[:, :-1] < 0.0, -1.0, 1.0)
-        return signs[:, :, None] * U
+    def make_kernel(width, k):
+        signs = np.ones((width, n, 1))
 
-    return fn
+        def kernel(draws, U, out):
+            s = signs[: draws.shape[0]]
+            flips = s[:, 1:, 0]
+            np.less(draws[:, :-1], 0.0, out=flips)
+            flips *= -2.0
+            flips += 1.0
+            np.multiply(s, U, out=out)
+
+        return kernel
+
+    return make_kernel
 
 
-def _sequential_fn(n: int, weights: dict):
+def _sequential_kernel(n: int, weights: dict):
     """Kernel of the ``givens`` chain, one Householder reflector per stage.
 
     Stage c picks the unit direction g_c (length n - c + 1) in the running
@@ -169,15 +216,13 @@ def _sequential_fn(n: int, weights: dict):
     y_c = g_c u_c + H_c [0; y_{c+1}] over the rows u_c of U, and row 1 is
     u_1.  Each g_c reads only the prefix eta_1 .. eta_{c-1}.
 
-    The samples are processed in blocks of ``BLOCK_ROWS`` rows, each held
-    sample-last: the block of U is copied to Y of shape (n, k, B) and the
-    draws to X of shape (n, B), so every ufunc and contraction runs over B
-    contiguous samples.  Row c of Y holds u_c until stage c overwrites rows
-    c..n with y_c, so no stage's complement basis is stored, and each
-    finished block is written back into the (N, n, k) output.  The blocks
-    are shared out over threads (``space._over_blocks``).  Each thread
-    refills its own block buffers with ``out=``: contiguous arrays of the
-    shapes fresh temporaries would have, so the bits are theirs.
+    A block is held sample-last: its U is copied to Y of shape (n, k, b)
+    and its draws to X of shape (n, b), so every ufunc and contraction runs
+    over b contiguous samples.  Row c of Y holds u_c until stage c
+    overwrites rows c..n with y_c, so no stage's complement basis is
+    stored.  The kernel's buffers are refilled with ``out=``: contiguous
+    arrays of the shapes fresh temporaries would have, so the bits are
+    theirs.
 
     Every sum runs per sample in a fixed order, so a row's result does not
     depend on the rows around it: a row slice gives the bits of the same
@@ -188,56 +233,47 @@ def _sequential_fn(n: int, weights: dict):
     contractions onto other loops.
     """
 
-    def fn(draws, U):
-        N, k = draws.shape[0], U.shape[2]
-        out = np.empty((N, n, k))
-        width = min(max(N, 2), BLOCK_ROWS)
-
-        # each thread's buffers, made on the calling thread, less their sample
-        # axis: X, Y, the directions g, the products g u, norms, coef, 1 + g_1, u
+    def make_kernel(width, k):
+        # X, Y, the directions g, the products g u, norms, coef, 1 + g_1, u,
+        # less their sample axis
         shapes = [(n,), (n, k), (n - 1,), (n - 1, k), (), (k,), (), (k,)]
+        bufs = [np.empty(math.prod(shape) * max(width, 2)) for shape in shapes]
 
-        def make_run():
-            bufs = [np.empty(math.prod(shape) * width) for shape in shapes]
+        def kernel(draws, U, out):
+            b = max(draws.shape[0], 2)
+            X, Y, G, P, norms, coef, den, u = (
+                buf[: math.prod(shape) * b].reshape(*shape, b)
+                for buf, shape in zip(bufs, shapes)
+            )
+            # a lone sample is broadcast to both columns
+            np.copyto(X, draws.T)
+            np.copyto(Y, U.transpose(1, 2, 0))
+            for c in range(n, 1, -1):
+                # weights[c] is (n-c+1, c-1), fixed by the seed
+                g = np.einsum("ij,jb->ib", weights[c], X[: c - 1], out=G[: n - c + 1])
+                np.arctan(g, out=g)
+                g[0] += 2.0  # keeps the first coefficient positive and |g| > 0
+                np.sqrt(np.einsum("ib,ib->b", g, g, out=norms), out=norms)
+                if np.any(norms < 1e-12):
+                    raise RotationError(f"complement collapse at stage {c}")
+                g /= norms
+                y = Y[c - 1 :]
+                if c < n:
+                    # v = g + e_1 and |g| = 1 give |v|^2 = 2 (1 + g_1), so
+                    # H [0; y'] = [0; y'] - (g_{2..} . y') (g + e_1) / (1 + g_1)
+                    np.einsum("ib,ikb->kb", g[1:], y[1:], out=coef)
+                    coef /= np.add(g[0], 1.0, out=den)
+                    np.subtract(y[0], coef, out=u)
+                    np.negative(coef, out=y[0])
+                else:
+                    np.copyto(u, y[0])
+                    y[0] = 0.0
+                y += np.multiply(g[:, None, :], u, out=P[: n - c + 1])
+            out[...] = Y.transpose(2, 0, 1)[: draws.shape[0]]
 
-            def run(s):
-                b = 2 if s == N - 1 else min(BLOCK_ROWS, N - s)
-                block = [s, s] if s == N - 1 else slice(s, s + b)
-                X, Y, G, P, norms, coef, den, u = (
-                    buf[: math.prod(shape) * b].reshape(*shape, b)
-                    for buf, shape in zip(bufs, shapes)
-                )
-                np.copyto(X, draws[block].T)
-                np.copyto(Y, U[block].transpose(1, 2, 0))
-                for c in range(n, 1, -1):
-                    # weights[c] is (n-c+1, c-1), fixed by the seed
-                    g = np.einsum("ij,jb->ib", weights[c], X[: c - 1], out=G[: n - c + 1])
-                    np.arctan(g, out=g)
-                    g[0] += 2.0  # keeps the first coefficient positive and |g| > 0
-                    np.sqrt(np.einsum("ib,ib->b", g, g, out=norms), out=norms)
-                    if np.any(norms < 1e-12):
-                        raise RotationError(f"complement collapse at stage {c}")
-                    g /= norms
-                    y = Y[c - 1 :]
-                    if c < n:
-                        # v = g + e_1 and |g| = 1 give |v|^2 = 2 (1 + g_1), so
-                        # H [0; y'] = [0; y'] - (g_{2..} . y') (g + e_1) / (1 + g_1)
-                        np.einsum("ib,ikb->kb", g[1:], y[1:], out=coef)
-                        coef /= np.add(g[0], 1.0, out=den)
-                        np.subtract(y[0], coef, out=u)
-                        np.negative(coef, out=y[0])
-                    else:
-                        np.copyto(u, y[0])
-                        y[0] = 0.0
-                    y += np.multiply(g[:, None, :], u, out=P[: n - c + 1])
-                out[s : s + BLOCK_ROWS] = Y.transpose(2, 0, 1)[: N - s]
+        return kernel
 
-            return run
-
-        _over_blocks(N, make_run)
-        return out
-
-    return fn
+    return make_kernel
 
 
 def build_sequential_isometry(n: int, seed: int, angle_spec: str) -> AdaptedIsometry:
@@ -265,23 +301,23 @@ def build_sequential_isometry(n: int, seed: int, angle_spec: str) -> AdaptedIsom
     if angle_spec == "zero":
         M = np.eye(n)
         return AdaptedIsometry(
-            n, "zero", _constant_fn(M), operator=WeaklyAdaptedOperator.constant(M)
+            n, "zero", _constant_kernel(M), operator=WeaklyAdaptedOperator.constant(M)
         )
 
     if angle_spec == "sign":
-        return AdaptedIsometry(n, "sign", _sign_fn(n))
+        return AdaptedIsometry(n, "sign", _sign_kernel(n))
 
     if angle_spec == "givens":
         rng = make_rng(int(seed))
         weights = {
             c: 0.7 * rng.standard_normal((n - c + 1, c - 1)) for c in range(2, n + 1)
         }
-        return AdaptedIsometry(n, "givens", _sequential_fn(n, weights))
+        return AdaptedIsometry(n, "givens", _sequential_kernel(n, weights))
 
     # "constant"
     M = random_orthogonal(make_rng(int(seed)), n).T.copy()
     return AdaptedIsometry(
-        n, "constant", _constant_fn(M), operator=WeaklyAdaptedOperator.constant(M)
+        n, "constant", _constant_kernel(M), operator=WeaklyAdaptedOperator.constant(M)
     )
 
 
@@ -291,13 +327,22 @@ def build_sequential_isometry(n: int, seed: int, angle_spec: str) -> AdaptedIsom
 def _recombine_outputs(base: AdaptedIsometry, L: np.ndarray, tag: str) -> AdaptedIsometry:
     """Replace the output rows by ``L @ rows`` for a constant n x n matrix ``L``.
 
-    Only the kernel is recombined: a planted defect has no operator form.
+    Only the kernel is recombined, block by block through a buffer of the
+    base rows: a planted defect has no operator form.
     """
 
-    def fn(draws, U):
-        return np.matmul(L, base._apply(draws, U))
+    def make_kernel(width, k):
+        kernel = base._make_kernel(width, k)
+        rows = np.empty((width, base.n, k))
 
-    return AdaptedIsometry(base.n, base.kind + tag, fn)
+        def recombined(draws, U, out):
+            block = rows[: draws.shape[0]]
+            kernel(draws, U, block)
+            np.matmul(L, block, out=out)
+
+        return recombined
+
+    return AdaptedIsometry(base.n, base.kind + tag, make_kernel)
 
 
 def scale_output(base: AdaptedIsometry, index: int, factor: float) -> AdaptedIsometry:
@@ -346,18 +391,21 @@ def check_strict_past_measurability(R: AdaptedIsometry, samples) -> float:
 
     The strict past is ``adapted``'s: eta_1 .. eta_{j-1} for one coordinate
     per stage.  Replaces every coordinate past it with fresh noise and
-    measures the change in columns 1..j, asking the kernel for those j
-    columns only (U = the first j columns of I); the contract is exact zero.
+    measures the change in column j, asking the kernel for that column only
+    (U = e_j); the contract is exact zero.  Column i < j needs no look under
+    the hybrid of j: its strict past lies inside j's, so its own hybrid
+    already replaces every coordinate that j's replaces.
     """
     draws = _as_draws(samples)
-    fresh = sample_batch(R.n, draws.shape[0], seed=271828).draws
+    N, n = draws.shape[0], R.n
+    fresh = sample_batch(n, N, seed=271828).draws
     base = R.matrices(draws)
-    eye = np.broadcast_to(np.eye(R.n), (draws.shape[0], R.n, R.n))
+    eye = np.eye(n)
     gaps = []
-    for j, past in enumerate(_adapted._PAST[1 : R.n + 1], start=1):
+    for j, past in enumerate(_adapted._PAST[1 : n + 1], start=1):
         hybrid = np.concatenate((draws[:, :past], fresh[:, past:]), axis=1)
-        other = R._apply(hybrid, eye[:, :, :j])
-        gaps.append(np.max(np.abs(other - base[:, :, :j])))
+        column = R._blocks(N, np.broadcast_to(eye[:, j - 1 : j], (N, n, 1)), hybrid)
+        gaps.append(np.max(np.abs(column[:, :, 0] - base[:, :, j - 1])))
     return float(np.max(gaps, initial=0.0))
 
 
@@ -405,11 +453,29 @@ def _correlation_check(name: str, x: np.ndarray, y: np.ndarray) -> Check:
     return check(name, rho, 4.0 / math.sqrt(x.size))
 
 
+def _rotated_sample(R: AdaptedIsometry, N: int, seed: int) -> np.ndarray:
+    """``R.apply_batch(sample_batch(R.n, N, seed).draws)``, shape (N, n).
+
+    Each block of samples is drawn and rotated in place, in a buffer of the
+    thread that runs it, so the drawn (N, n) array is never built.
+    """
+    _, seed = _sampling_args(R.n, N, seed)
+    return R._blocks(N, seed=seed)[:, :, 0]
+
+
+def _covariance_in_place(tw: np.ndarray) -> np.ndarray:
+    """``np.cov(tw.T, ddof=1)`` by its own steps, centering ``tw`` in place."""
+    X = tw.T
+    X -= X.mean(axis=1)[:, None]
+    c = np.dot(X, X.T.conj())
+    c *= np.true_divide(1, tw.shape[0] - 1)
+    return c
+
+
 def gaussianity_battery(R: AdaptedIsometry, h, N: int, seed: int) -> RotationReport:
     """Is h . Tw exactly N(0, |h|^2)?  KS plus four moment z-tests."""
     h, scale = _output_functional(R, h)
-    batch = sample_batch(R.n, N, seed=seed)
-    vals = R.apply_batch(batch.draws) @ h / scale
+    vals = _rotated_sample(R, N, seed) @ h / scale
     return RotationReport("gaussianity", (ks_normal(vals), *moment_normality(vals)))
 
 
@@ -425,9 +491,10 @@ def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> Rotat
     # underflow or overflow to a false zero
     if abs(float((h1 / norm1) @ (h2 / norm2))) > 1e-12:
         raise RotationError("output functionals are not orthogonal")
-    tw = R.apply_batch(sample_batch(R.n, N, seed=seed).draws)
+    tw = _rotated_sample(R, N, seed)
     x = tw @ h1 / norm1
     y = tw @ h2 / norm2
+    del tw  # the features below need only x and y
     tests = [_correlation_check("correlation", x, y)]
     feats = {
         "x": lambda v: v,
@@ -449,22 +516,20 @@ def measure_preservation_battery(R: AdaptedIsometry, N: int, seed: int) -> Rotat
     """Is the law of Tw standard Gaussian on R^n?
 
     Entrywise covariance against the identity, per-coordinate KS tests, and
-    correlation checks on the first ten coordinate pairs.
+    correlation checks on the first ten coordinate pairs.  The covariance
+    is taken last, as it centers the rotated samples in place.
     """
     n = R.n
-    tw = R.apply_batch(sample_batch(n, N, seed=seed).draws)
-    tests = []
+    tw = _rotated_sample(R, N, seed)
+    ks = [replace(ks_normal(tw[:, a - 1]), name=f"ks_coordinate_{a}") for a in range(1, n + 1)]
+    pairs = [
+        _correlation_check(f"independence_pair_{a}_{b}", tw[:, a - 1], tw[:, b - 1])
+        for a, b in list(combinations(range(1, n + 1), 2))[:10]
+    ]
     if n > 1:
-        cov = np.cov(tw.T, ddof=1)
+        cov = _covariance_in_place(tw)
     else:
         cov = np.array([[float(np.var(tw[:, 0], ddof=1))]])
     cov_err = np.max(np.abs(cov - np.eye(n)))
-    tests.append(check("covariance_identity", cov_err, 4.0 * math.sqrt(2.0 / N)))
-    for a in range(1, n + 1):
-        tests.append(replace(ks_normal(tw[:, a - 1]), name=f"ks_coordinate_{a}"))
-    for a, b in list(combinations(range(1, n + 1), 2))[:10]:
-        tests.append(
-            _correlation_check(f"independence_pair_{a}_{b}", tw[:, a - 1], tw[:, b - 1])
-        )
-    return RotationReport("measure_preservation", tuple(tests))
-
+    covariance = check("covariance_identity", cov_err, 4.0 * math.sqrt(2.0 / N))
+    return RotationReport("measure_preservation", (covariance, *ks, *pairs))

@@ -6,10 +6,12 @@ coordinates eta_1 .. eta_n attached to the uniform grid theta_k = k/n.
 Sampling is reproducible bit-for-bit: a batch is generated in fixed blocks
 of BLOCK_ROWS rows, each block from its own Philox substream keyed by
 (seed, block index).  The blocks are filled in parallel, over one thread
-per usable CPU (``_over_blocks``, which the ``givens`` rotation kernel
-shares), and the batch has the bits of a serial fill whatever the CPU
-count.  Monte Carlo reductions go through numpy's fixed-shape pairwise
-summation, so a repeated estimate is bit-stable.
+per usable CPU (``_over_blocks``), and the batch has the bits of a serial
+fill whatever the CPU count.  The rotation batteries share both the runner
+and the block fill (``_fill_block``): they draw each block into a buffer
+of the thread that rotates it, and never build the batch.  Monte Carlo
+reductions go through numpy's fixed-shape pairwise summation, so a
+repeated estimate is bit-stable.
 
 A batch owns the Hermite columns He_k(eta_i) of its draws
 (``SampleBatch.columns``): ``mc_estimate`` evaluates every polynomial
@@ -132,6 +134,19 @@ def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
     Blocks of BLOCK_ROWS rows come from independent Philox streams keyed by
     (seed, block index), so any thread can fill any block alone.
     """
+    n, seed = _sampling_args(n, n_samples, seed)
+    draws = np.empty((n_samples, n))
+
+    def fill(start):
+        _fill_block(seed, start, draws[start:start + BLOCK_ROWS])
+
+    _over_blocks(n_samples, lambda: fill)
+    draws.setflags(write=False)
+    return SampleBatch(draws)
+
+
+def _sampling_args(n, n_samples: int, seed) -> tuple[int, int]:
+    """``(n, seed)`` as ints, refusing no coordinate, no sample or a seed past 64 bits."""
     n = int(n)
     if n < 1:
         raise ValueError(f"need at least one coordinate, got n={n}")
@@ -140,15 +155,13 @@ def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    draws = np.empty((n_samples, n))
+    return n, seed
 
-    def fill(start):
-        key = np.array([seed, start // BLOCK_ROWS], dtype=np.uint64)
-        Generator(Philox(key=key)).standard_normal(out=draws[start:start + BLOCK_ROWS])
 
-    _over_blocks(n_samples, lambda: fill)
-    draws.setflags(write=False)
-    return SampleBatch(draws)
+def _fill_block(seed: int, start: int, out: np.ndarray) -> None:
+    """Fill ``out``, the rows of the block at row ``start``, from its Philox stream."""
+    key = np.array([seed, start // BLOCK_ROWS], dtype=np.uint64)
+    Generator(Philox(key=key)).standard_normal(out=out)
 
 
 @dataclass(frozen=True)

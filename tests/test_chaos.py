@@ -496,6 +496,15 @@ def test_refine_dimension_cap():
         refine(ChaosPoly.hermite(32, 1, 1), 8)
 
 
+@pytest.mark.parametrize("m", [2.5, 2.0, "3", None])
+def test_refine_refuses_a_non_integral_factor(m):
+    # refused, not truncated: 2.5 used to refine by 2
+    with pytest.raises(AlgebraError, match=f"refinement factor {m!r} is not an integer"):
+        refine(ChaosPoly.hermite(1, 1, 2), m)
+    # an integer of another type refines as the int
+    assert refine(ChaosPoly.hermite(1, 1, 2), np.int64(2)) == refine(ChaosPoly.hermite(1, 1, 2), 2)
+
+
 # ----------------------------------------------------------------- evaluation
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -413,6 +414,26 @@ def test_refinement_residual_refuses_what_refine_refuses():
         with pytest.raises(AlgebraError) as materialised:
             refine(v.components[0], m)
         assert str(closed_form.value) == str(materialised.value) == message
+
+
+def test_refinement_residual_refuses_a_non_integral_factor():
+    # an AlgebraError, as refine raises, and not a TypeError
+    v = VField((he(2, 1, 2),))
+    for m in (2.5, 2.0, "2"):
+        with pytest.raises(AlgebraError, match=f"refinement factor {m!r} is not an integer"):
+            clark.refinement_residual(v, m)
+    assert clark.refinement_residual(v, np.int64(2)) == clark.refinement_residual(v, 2)
+
+
+def test_refine_and_reconstruct_refuses_a_non_integral_factor():
+    # the rows used to be (2, ...), (2, ...), (3, ...): each factor went through int
+    v = VField((he(1, 1, 2),))
+    for factors in ([2.5, 2.0, "3"], [2, 2.0], [1, "3"]):
+        with pytest.raises(AlgebraError, match="is not an integer"):
+            refine_and_reconstruct(v, factors)
+    rows = refine_and_reconstruct(v, [np.int64(2), 3])
+    assert rows == refine_and_reconstruct(v, [2, 3])
+    assert all(type(m) is int for m, _ in rows)
 
 
 # ---------------------------------------------------------- minimal energy

@@ -1,6 +1,7 @@
 """Adapted rotations: construction, exact Gaussianity, batteries, recovery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from wienerlab.randgen import random_orthogonal
 from wienerlab.rotations import (
     AdaptedIsometry,
     RotationError,
+    _covariance_in_place,
+    _rotated_sample,
     build_sequential_isometry,
     check_strict_past_measurability,
     exact_output_covariance,
@@ -24,7 +27,7 @@ from wienerlab.rotations import (
     mix_outputs,
     scale_output,
 )
-from wienerlab.space import BLOCK_ROWS, Check, sample_batch
+from wienerlab.space import BLOCK_ROWS, Check, ks_normal, moment_normality, sample_batch
 
 N_BATTERY = 200_000
 SEED = 20240815
@@ -132,15 +135,37 @@ def test_strict_past_measurability_certificate():
 
 def test_strict_past_certificate_keeps_nan():
     # a NaN entry in the last column must not vanish in the fold over columns
-    def fn(draws, U):
-        # M = I with a NaN at entry (1, 3): the NaN reaches output row 1
-        # wherever the third input row of U has weight
-        out = np.array(U, dtype=float)
-        out[:, 0] += np.where(U[:, 2] != 0.0, np.nan, 0.0)
-        return out
+    def make_kernel(width, k):
+        def kernel(draws, U, out):
+            # M = I with a NaN at entry (1, 3): the NaN reaches output row 1
+            # wherever the third input row of U has weight
+            out[...] = U
+            out[:, 0] += np.where(U[:, 2] != 0.0, np.nan, 0.0)
 
-    R = AdaptedIsometry(3, "nan", fn)
+        return kernel
+
+    R = AdaptedIsometry(3, "nan", make_kernel)
     assert math.isnan(check_strict_past_measurability(R, draws_for(3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_strict_past_certificate_flags_a_column_reading_its_own_coordinate(n):
+    # M = diag(s) with s_j = sign(eta_j) at one column j, 1 elsewhere: an
+    # exact isometry whose column j reads eta_j, the present of j; only the
+    # comparison of column j under the hybrid of j sees it
+    for j in range(1, n + 1):
+        def make_kernel(width, k, j=j):
+            def kernel(draws, U, out):
+                signs = np.ones(draws.shape + (1,))
+                signs[:, j - 1, 0] = np.where(draws[:, j - 1] < 0.0, -1.0, 1.0)
+                np.multiply(signs, U, out=out)
+
+            return kernel
+
+        R = AdaptedIsometry(n, "present", make_kernel)
+        x = draws_for(n, count=256)
+        assert isometry_check(R, x) == 0.0
+        assert check_strict_past_measurability(R, x) == 2.0
 
 
 def test_construction_reproducible():
@@ -251,6 +276,83 @@ def test_threaded_kernels_equal_one_worker(monkeypatch, N):
             got = with_workers(monkeypatch, count, run)
             for a, b in zip(got, one):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), R.kind
+
+
+def _all_rotations(n, seed):
+    """Every construction and both planted defects, as far as n allows."""
+    givens = build_sequential_isometry(n, seed=seed, angle_spec="givens")
+    rotations = [build_sequential_isometry(n, seed=seed, angle_spec=s) for s in
+                 ("zero", "sign", "constant")]
+    rotations += [givens, scale_output(givens, n, 3.0)]
+    return rotations + ([mix_outputs(givens, 1, n)] if n > 1 else [])
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("N", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_streamed_sample_is_the_rotated_batch(monkeypatch, n, N):
+    # the batteries draw and rotate each block in place: the bits of the
+    # drawn batch rotated whole, with one worker, more workers than blocks,
+    # and all usable CPUs
+    for R in _all_rotations(n, 53):
+        oracle = R.apply_batch(sample_batch(n, N, seed=59).draws)
+        for count in (1, 4, None):
+            got = with_workers(monkeypatch, count, lambda: _rotated_sample(R, N, 59))
+            assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes(), R.kind
+
+
+def test_batteries_are_their_statistics_of_the_rotated_batch():
+    # each battery's rows, computed the direct way from the drawn batch
+    n, N, seed = 3, 2 * BLOCK_ROWS + 1, 61
+    for R in _all_rotations(n, 67):
+        tw = R.apply_batch(sample_batch(n, N, seed=seed).draws)
+        h = np.array([0.5, -1.0, 0.25])
+        vals = tw @ h / np.linalg.norm(h)
+        expected = (ks_normal(vals), *moment_normality(vals))
+        assert gaussianity_battery(R, h, N, seed).tests == expected, R.kind
+        rep = measure_preservation_battery(R, N, seed)
+        cov_err = np.max(np.abs(np.cov(tw.T, ddof=1) - np.eye(n)))
+        assert by_name(rep, "covariance_identity").statistic == cov_err
+        for a in range(1, n + 1):
+            assert by_name(rep, f"ks_coordinate_{a}").statistic == ks_normal(tw[:, a - 1]).statistic
+        rho = np.corrcoef(tw[:, 0], tw[:, 2])[0, 1]
+        assert by_name(rep, "independence_pair_1_3").statistic == rho
+
+
+@pytest.mark.parametrize("N, n", [(200_000, 8), (50_000, 6), (20_000, 64), (1000, 2),
+                                  (2, 3), (BLOCK_ROWS + 1, 5)])
+def test_covariance_in_place_is_numpy_cov(N, n):
+    tw = sample_batch(n, N, seed=N + n).draws
+    expected = np.cov(tw.T, ddof=1)
+    got = _covariance_in_place(tw.copy())
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    # and on the layout the batteries hold
+    R = build_sequential_isometry(n, seed=71, angle_spec="givens")
+    rotated = _rotated_sample(R, N, 73)
+    expected = np.cov(rotated.T, ddof=1)
+    assert _covariance_in_place(rotated).tobytes() == expected.tobytes()
+
+
+def test_batteries_hold_less_than_two_sample_blocks(monkeypatch):
+    # a block is the (N, n) float64 array; the drawn samples are never built,
+    # so a battery holds the rotated block and its statistics' vectors, plus
+    # each worker's block buffers (two workers here)
+    n, N = 8, 200_000
+    block = N * n * 8
+    R = build_sequential_isometry(n, seed=0, angle_spec="givens")
+    e = np.eye(n)
+    runs = (
+        lambda: gaussianity_battery(R, np.ones(n) / math.sqrt(n), N, 11),
+        lambda: independence_battery(R, e[0], e[1], N, 13),
+        lambda: measure_preservation_battery(R, N, 17),
+    )
+    for run in runs:
+        tracemalloc.start()
+        try:
+            with_workers(monkeypatch, 2, run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * block, peak / block
 
 
 # --------------------------------------------------------- exact invariants
