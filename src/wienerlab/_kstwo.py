@@ -9,8 +9,9 @@ ported with its coefficient tables, its ``polevl``/``p1evl`` Horner order and
 its branch edges, and evaluated on a sorted sample one slice per branch.
 Given libm's ``exp`` (``_libm_exp``, Python's ``math.exp``) it returns the
 bits of ``scipy.special.ndtr``; numpy's vectorised ``np.exp`` can differ
-from libm's by an ulp, and ``space.ks_normal`` uses it only to locate the
-terms of D within a margin of the maximum (see there).
+from libm's by an ulp, and ``space.ks_normal`` uses it only to bound the
+terms of D between anchors 32 points apart and to locate, in the brackets
+where the maximum can lie, the terms within a margin of it (see there).
 
 ``ks_critical(n)`` is, bit for bit and as an ``np.float64``, the value of
 ``scipy.stats.kstwo.ppf(0.99, n)``: the critical value of the level-0.01

@@ -503,10 +503,12 @@ def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> Rotat
     }
     fxs = {name: f(x) for name, f in feats.items()}
     fys = {name: f(y) for name, f in feats.items()}
+    means_x = {name: fx.mean() for name, fx in fxs.items()}
+    means_y = {name: gy.mean() for name, gy in fys.items()}
     for fname, fx in fxs.items():
         for gname, gy in fys.items():
             prod = fx * gy
-            gap = float(prod.mean() - fx.mean() * gy.mean())
+            gap = float(prod.mean() - means_x[fname] * means_y[gname])
             se = float(prod.std(ddof=1) / math.sqrt(N))
             tests.append(check(f"factorization_{fname}_{gname}", gap, 4.0 * se))
     return RotationReport("independence", tuple(tests))

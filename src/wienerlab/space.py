@@ -54,6 +54,9 @@ GENERATOR_ID = f"philox2x64-block{BLOCK_ROWS}"
 
 # ks_normal re-evaluates exactly every KS term this close to the largest
 _KS_MARGIN = 1e-12
+# ks_normal's anchor spacing: it bounds the KS terms between anchors and
+# evaluates the CDF only between those where the largest term can lie
+_KS_BRACKET = 32
 
 
 def _usable_cpus() -> int:
@@ -250,38 +253,62 @@ def ks_normal(samples: np.ndarray) -> Check:
     """Kolmogorov-Smirnov against N(0,1) at level 0.01.
 
     Computes only the two-sided statistic D = max(D+, D-) of the sorted
-    samples, bit-identical to ``scipy.stats.kstest(x, "norm").statistic``;
-    no p-value is computed.  The normal CDF is ``_kstwo.ndtr``, a port of
-    Cephes ``ndtr`` (Moshier 1989) that has ``scipy.special.ndtr``'s bits
-    when it calls libm's ``exp``.  D is taken in two steps:
+    samples x_0 <= ... <= x_(n-1), bit-identical to
+    ``scipy.stats.kstest(x, "norm").statistic``; no p-value is computed.
+    D is the largest of the terms max((i + 1)/n - F(x_i), F(x_i) - i/n).
+    The normal CDF F is ``_kstwo.ndtr``, a port of Cephes ``ndtr`` (Moshier
+    1989) that has ``scipy.special.ndtr``'s bits when it calls libm's
+    ``exp``; with numpy's vectorised ``exp`` it gives F^, which can differ
+    by an ulp (at most 1.1e-16 over 2M draws).  D is taken in three steps:
 
-    1. the CDF with numpy's vectorised ``exp``, which can differ from
-       libm's by an ulp (at most 1.1e-16 in the CDF over 2M draws), gives
-       every term of D+ and D-;
-    2. every index whose term lies within δ = 1e-12 (``_KS_MARGIN``) of their
-       maximum, about 1e4 times that error, is evaluated again with libm's
+    1. anchors: F^ and the terms at a_k = 0, B, 2B, ... and at n - 1, with
+       B = 32 (``_KS_BRACKET``); L is the largest anchor term.  Bracket k
+       holds the indices a_k <= i < a_(k+1).  F is nondecreasing, so each
+       term of bracket k is at most
+       U_k = max(a_(k+1)/n - F^(a_k), F^(a_(k+1)) - a_k/n),
+       up to the error of F^;
+    2. brackets: F^ and the terms are evaluated only at the indices of the
+       brackets with U_k >= L - 2δ, δ = 1e-12 (``_KS_MARGIN``), and at
+       n - 1; their largest term is the vectorised maximum;
+    3. re-evaluation: every index whose term lies within δ of that maximum,
+       about 1e4 times the error of F^, is evaluated again with libm's
        ``exp``, and D is the largest of those exact terms.
 
-    At the index of the exact maximum the vectorised term lies within twice
-    that error of the vectorised maximum, so the index is re-evaluated, and
-    D has SciPy's bits; a sample of 200k draws re-evaluates about one index.
+    Had the terms been evaluated at every index, as SciPy does, every index
+    within δ of their maximum would have a term of at least L - δ, so its
+    bracket is kept (the error of F^ sits in the other δ): steps 1 and 2
+    find that maximum and that set of indices, with their bits.  At the
+    index of the exact maximum the vectorised term lies within twice the
+    error of F^ of the vectorised maximum, so step 3 re-evaluates it, and D
+    has SciPy's bits.  A sample of 200k draws keeps 0.2-2% of its
+    brackets and re-evaluates about one index.  A NaN sorts last, so it
+    makes the anchor term at n - 1, and D, NaN, which fails the check; an
+    empty sample raises ``ValueError``.
+
     The critical value, the 0.99 quantile of the exact distribution of D
     for N samples, comes from ``_kstwo.ks_critical(N)``, an in-package port
     of SciPy's that returns the bits of ``scipy.stats.kstwo.ppf(0.99, N)``.
-    A NaN sample makes D NaN, which fails the check.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
-    cdf = _ndtr(x, np.exp)
-    # i/n for i = 0..n: D+ takes (i + 1)/n - F(x_i), D- takes F(x_i) - i/n;
-    # the arrays are reused, as fresh ones of this size cost more than the sums
-    grid = np.arange(0.0, n + 1)
-    grid /= n
-    terms = grid[1:] - cdf
-    np.maximum(terms, np.subtract(cdf, grid[:-1], out=cdf), out=terms)
-    top = terms.max()
+    if n == 0:
+        raise ValueError("ks_normal needs at least one sample")
+
+    def terms(index, cdf):
+        # D+ takes (i + 1)/n - F(x_i), D- takes F(x_i) - i/n
+        return np.maximum((index + 1) / n - cdf, cdf - index / n)
+
+    anchors = np.arange(0, n, _KS_BRACKET)
+    if anchors[-1] != n - 1:
+        anchors = np.append(anchors, n - 1)
+    cdf = _ndtr(x[anchors], np.exp)
+    top = terms(anchors, cdf).max()
     if not np.isnan(top):
-        near = np.flatnonzero(terms >= top - _KS_MARGIN)
-        exact = _ndtr(x[near], _libm_exp)
-        top = np.maximum(grid[near + 1] - exact, exact - grid[near]).max()
+        bound = np.maximum(anchors[1:] / n - cdf[:-1], cdf[1:] - anchors[:-1] / n)
+        kept = anchors[:-1][bound >= top - 2 * _KS_MARGIN]
+        index = (kept[:, None] + np.arange(_KS_BRACKET)).ravel()
+        index = np.append(index[index < n - 1], n - 1)
+        vector = terms(index, _ndtr(x[index], np.exp))
+        near = index[vector >= vector.max() - _KS_MARGIN]
+        top = terms(near, _ndtr(x[near], _libm_exp)).max()
     return check("ks", top, ks_critical(n))

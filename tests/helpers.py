@@ -4,7 +4,9 @@ Everything here deliberately avoids the package's own evaluation and algebra
 paths: Hermite values come from numpy.polynomial.hermite_e, expectations from
 Gauss quadrature with the exp(-x^2/2) weight, derivatives from finite
 differences, and distributions from plain Monte Carlo.  Tests compare the
-package against these.  Only ``draw_poly`` and ``draw_hfield`` are the
+package against these.  ``ks_full_statistic`` is the KS statistic from the
+CDF at every sorted point, the evaluation ``space.ks_normal`` narrows to a
+few brackets.  Only ``draw_poly`` and ``draw_hfield`` are the
 package's own: its seeded draws, at sizes its public builders do not take.
 ``with_workers`` sets how many CPUs the package's block runner sees, and
 ``stages`` which stage table its filtration decisions read.
@@ -22,6 +24,7 @@ import pytest
 from numpy.polynomial import hermite_e
 
 from wienerlab import adapted, randgen, space
+from wienerlab._kstwo import _libm_exp
 from wienerlab.chaos import DIM_CAP, ChaosPoly
 from wienerlab.malliavin import HField
 from wienerlab.space import BLOCK_ROWS
@@ -70,6 +73,28 @@ def packed(index=()) -> bytes:
     """
     pairs = index.items() if isinstance(index, dict) else index
     return bytes(sorted(i for i, k in pairs for _ in range(k)))
+
+
+def ks_full_statistic(samples) -> float:
+    """KS statistic D against N(0,1), with the CDF evaluated at every sorted point.
+
+    The vectorised CDF gives every term of D+ and D-, and each index within
+    ``space._KS_MARGIN`` of their maximum is evaluated again with libm's
+    exp; D is the largest of those exact terms, or NaN for a NaN sample.
+    ``space._ndtr`` and the margin are read when called, so a test that
+    patches them patches this evaluation too.
+    """
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    cdf = space._ndtr(x, np.exp)
+    grid = np.arange(0.0, n + 1) / n
+    terms = np.maximum(grid[1:] - cdf, cdf - grid[:-1])
+    top = terms.max()
+    if np.isnan(top):
+        return float(top)
+    near = np.flatnonzero(terms >= top - space._KS_MARGIN)
+    exact = space._ndtr(x[near], _libm_exp)
+    return float(np.maximum(grid[near + 1] - exact, exact - grid[near]).max())
 
 
 def make_rng(seed: int) -> np.random.Generator:

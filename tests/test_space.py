@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
-from helpers import THREADED_SIZES, with_workers
+from helpers import THREADED_SIZES, ks_full_statistic, with_workers
 from wienerlab import space
-from wienerlab._kstwo import ks_critical
+from wienerlab._kstwo import ks_critical, ndtr
 from wienerlab.chaos import ChaosPoly, _pairs_of, evaluate_batch, expectation
 from wienerlab.cli import ROTATE_BLOCK_BUDGET
 from wienerlab.space import (
@@ -269,6 +269,65 @@ def test_ks_nan_sample_fails():
     ks = ks_normal(np.array([0.1, np.nan, -0.3]))
     assert math.isnan(ks.statistic)
     assert not ks.passed
+
+
+def test_ks_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match="at least one sample"):
+        ks_normal(np.array([]))
+
+
+def _ks_samples():
+    # the bracket edges (1 to 2B + 1 points) and the battery sizes and past
+    # them: normals, shifted or scaled ones (large D), ties, +-inf, a NaN,
+    # and a sample with its mirror image (D+ and D- tied up to roundoff)
+    B = space._KS_BRACKET
+    rng = np.random.default_rng(20240601)
+    for n in (1, 2, 3, B - 1, B, B + 1, 2 * B + 1, 50_000, 200_000, 1_000_000):
+        z = rng.standard_normal(n)
+        infs = z.copy()
+        infs[rng.integers(0, n, 1 + n // 100)] = math.inf
+        infs[rng.integers(0, n, 1 + n // 100)] = -math.inf
+        nan = z.copy()
+        nan[rng.integers(0, n)] = math.nan
+        yield from (z, z + 0.5, z - 0.5, 3.0 * z, 0.2 * z, np.round(z, 1), infs, nan,
+                    np.concatenate([z, -z]))
+
+
+def test_ks_statistic_is_the_full_evaluations_bit_for_bit():
+    for x in _ks_samples():
+        got, want = ks_normal(x).statistic, ks_full_statistic(x)
+        assert got == want or (math.isnan(got) and math.isnan(want)), x.size
+
+
+def test_ks_keeps_a_bracket_whose_bound_is_within_the_margin(monkeypatch):
+    # a vectorised exp 1e-14 high, far inside the margin, moves the one CDF
+    # value below -sqrt(2) that uses it.  Runs of tied points start at the
+    # anchors 0 and 28B: D- peaks at their first points, where each bracket's
+    # bound is the anchor's own term.  The first run's vectorised term is the
+    # largest anchor term, but D is the second run's exact term, which lies
+    # above the first's exact term and below its vectorised one: only the
+    # slack of twice the margin keeps the second bracket
+    def high(v):
+        return np.exp(v) * (1 + 1e-14)
+
+    def vector_ndtr(a, exp):
+        return ndtr(a, high if exp is np.exp else exp)
+
+    n, c, B = 2048, 0.05, space._KS_BRACKET
+    # filler with D- = c/2 at most and D+ below 1/n
+    x = special.ndtri(c / 2 + (1 - c / 2) * np.arange(n) / n)
+    run = math.ceil(c * n)
+    x[28 * B:28 * B + run] = special.ndtri(c + 28 * B / n)
+    peak = special.ndtr(x[28 * B]) - 28 * B / n
+    first = special.ndtri(peak)
+    while special.ndtr(first) >= peak:
+        first = math.nextafter(first, -math.inf)
+    assert first < -math.sqrt(2.0) and vector_ndtr(np.array([first]), np.exp)[0] > peak
+    x[:run] = first
+    assert np.all(np.diff(x) >= 0)
+    monkeypatch.setattr(space, "_ndtr", vector_ndtr)
+    assert ks_full_statistic(x) == stats.kstest(x, "norm").statistic == peak
+    assert ks_normal(x).statistic == peak
 
 
 def test_moment_normality_matches_fsum_oracle():
