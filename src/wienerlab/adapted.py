@@ -75,7 +75,7 @@ class NotPredictable(ValueError):
 
 def is_predictable(u: HField) -> bool:
     """True iff no coordinate u_i depends on a coordinate past its strict past."""
-    return all(max(b"".join(ui.packed_terms), default=0) <= p for p, ui in zip(_PAST[1:], u.coords))
+    return all(max(b"".join(ui._terms), default=0) <= p for p, ui in zip(_PAST[1:], u.coords))
 
 
 class PredictableHField(HField):

@@ -41,12 +41,13 @@ the same order and with the same floats.
 Two kernels build a table once and read it many times.  :func:`refine`
 builds the Hermite expansions of one block average per call, from their
 closed form ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha! u^alpha
-He_alpha(eta)`` for a unit vector ``u``, and relabels them for every block.
-:func:`evaluate_batch` reads the columns ``He_k(eta_i)`` from a
-:class:`HermiteColumns`: a ``space.SampleBatch`` owns one for its draws, and
-a call on a plain array builds its own and drops it.  Neither table outlives
-its call or its batch, and both give the bits of the unshared computation,
-because each float is formed by the same operations in the same order.
+He_alpha(eta)`` for a unit vector ``u``, as digit matrices, and shifts their
+digits for every block.  :func:`evaluate_batch` reads the columns
+``He_k(eta_i)`` from a :class:`HermiteColumns`: a ``space.SampleBatch`` owns
+one for its draws, and a call on a plain array builds its own and drops it.
+Neither table outlives its call or its batch, and both give the bits of the
+unshared computation, because each float is formed by the same operations in
+the same order.
 
 Outside input passes one term gate, :func:`_canonical_terms`, in the
 :class:`ChaosPoly` constructor and its named constructors: it sums the
@@ -75,6 +76,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import chain
 from itertools import combinations_with_replacement as _multisets
 from itertools import product as _cartesian
 from types import MappingProxyType
@@ -644,37 +646,38 @@ def ou_inverse(p: ChaosPoly) -> ChaosPoly:
     return ChaosPoly._of(p._dim, _kept({key: c / len(key) for key, c in p._terms.items() if key}))
 
 
-def _block_average_table(m: int, k: int) -> dict[bytes, float]:
-    """Term store of ``He_k`` of ``(eta_1 + ... + eta_m) / sqrt(m)``, in closed form.
+def _block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``He_k`` of ``(eta_1 + ... + eta_m) / sqrt(m)`` in closed form, as arrays.
 
     For a unit vector ``u``, ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha!
     u^alpha He_alpha(eta)`` (Nualart, *The Malliavin Calculus and Related
     Topics*, 2006, section 1.1).  Every ``u_j`` is ``1/sqrt(m)``, so the table
-    holds one key per multiset of ``k`` digits from ``1 .. m``, in
-    ``combinations_with_replacement`` order, with coefficient the exact
-    integer ``k!/alpha!`` divided by ``m**(k/2)``.  That denominator is the
-    exact integer ``m**(k//2)``, times ``math.sqrt(m)`` when ``k`` is odd, and
-    every operation is correctly rounded, so the bits are the same on every
-    IEEE platform.  A coefficient is correctly rounded for even ``k``; for
-    odd ``k`` its three roundings keep it within 3 ulp (at most 1.2 ulp for
-    m <= 16 and 1.55 ulp for m <= 128, against 50 digits).  Each one is
-    finite and at least ``m**(-k/2)``, so none needs the term gate.
+    holds one row of ``k`` digits per multiset of ``k`` digits from
+    ``1 .. m``, in ``combinations_with_replacement`` order (the ``uint8``
+    digit matrix, one sorted key per row), and next to it the coefficient
+    vector: the exact integer ``k!/alpha!`` divided by ``m**(k/2)``.  That
+    denominator is the exact integer ``m**(k//2)``, times ``math.sqrt(m)``
+    when ``k`` is odd, and every operation is correctly rounded, so the bits
+    are the same on every IEEE platform.  A coefficient is correctly rounded
+    for even ``k``; for odd ``k`` its three roundings keep it within 3 ulp
+    (at most 1.2 ulp for m <= 16 and 1.55 ulp for m <= 128, against 50
+    digits).  Each one is finite and at least ``m**(-k/2)``, so none needs
+    the term gate.
 
-    The keys are sorted, so ``alpha!`` is the product of each digit's place
-    in its run of equal digits, formed for all keys at once column by
+    The rows are sorted, so ``alpha!`` is the product of each digit's place
+    in its run of equal digits, formed for all rows at once column by
     column; numpy's int64 quotient and float division are the exact and
     correctly rounded ones of Python's ints and floats, so every bit is the
     one of ``top // _factorial(key) / root``.
     """
     root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
-    top = math.factorial(k)
-    keys = list(map(bytes, _multisets(range(1, m + 1), k)))
-    digits = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), k)
-    run = fact = np.ones(len(keys), np.int64)
+    digits = np.frombuffer(bytes(chain.from_iterable(_multisets(range(1, m + 1), k))), np.uint8)
+    digits = digits.reshape(math.comb(m + k - 1, k), k)
+    run = fact = np.ones(len(digits), np.int64)
     for same in (digits[:, 1:] == digits[:, :-1]).T:
         run = run * same + 1
         fact = fact * run
-    return dict(zip(keys, (top // fact / root).tolist()))
+    return digits, math.factorial(k) // fact / root
 
 
 def _refinement_factor(dim: int, m) -> int:
@@ -702,16 +705,19 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     1, k_i)`` fine monomials; past :data:`_TERM_BUDGET` of them in all,
     :class:`AlgebraError` is raised before any table is built.  Each call
     builds ``He_k`` of the average of fine coordinates ``1 .. m`` in closed
-    form (:func:`_block_average_table`) once for every order ``k`` that some
-    coordinate of ``p`` carries, and drops the tables when it returns.
-    Block ``i`` reads them relabeled by ``bytes.translate``; the shift is
-    monotone, so every key stays sorted and every float is the one block
-    ``i``'s own table holds.  A coarse monomial expands as the cartesian
-    product of its blocks' tables with coefficient ``c * ((c1 * c2) *
-    ...)``.  Distinct coarse monomials refine to disjoint fine keys, so the
-    terms are stored as they come, with no sums; a coefficient that
-    overflows raises and one that underflows to zero is dropped
-    (:func:`_kept`).
+    form (:func:`_block_average_table`, a digit matrix and a coefficient
+    vector) once for every order ``k`` that some coordinate of ``p``
+    carries, and drops the tables when it returns.  Block ``i`` reads the
+    digits plus ``(i - 1) m``; the shift is monotone, so every row stays
+    sorted.  A coarse monomial's fine terms are its blocks' tables joined by
+    broadcasting, the earlier block outer: each fine row is the blocks'
+    digit rows side by side and its coefficient ``c * ((c1 * c2) * ...)``,
+    the floats of the term-by-term product.  The keys come from one ``S``
+    view of the digit matrix; numpy's ``S`` strings drop trailing NUL bytes,
+    but every digit is a coordinate, at least 1, so no byte is lost.
+    Distinct coarse monomials refine to disjoint fine keys, so the terms are
+    stored as they come, with no sums; a coefficient that overflows raises
+    and one that underflows to zero is dropped (:func:`_kept`).
     """
     m = _refinement_factor(p.dim, m)
     if m == 1:
@@ -722,29 +728,25 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
         raise AlgebraError(
             f"refine by {m} would build {count:,} terms, past the budget of {_TERM_BUDGET:,}"
         )
-
-    tables: dict[int, dict[bytes, float]] = {}
-    blocks: dict[tuple[int, int], list[tuple[bytes, float]]] = {}
-
-    def block_terms(i: int, k: int) -> list[tuple[bytes, float]]:
-        terms = blocks.get((i, k))
-        if terms is None:
-            if k not in tables:
-                tables[k] = _block_average_table(m, k)
-            shift = bytes.maketrans(bytes(range(1, m + 1)), bytes(range((i - 1) * m + 1, i * m + 1)))
-            terms = blocks[i, k] = [(key.translate(shift), c) for key, c in tables[k].items()]
-        return terms
-
-    def block_monomial(pairs) -> list[tuple[bytes, float]]:
-        if not pairs:
-            return [(b"", 1.0)]
-        (i, k), *rest = pairs
-        partial = block_terms(i, k)
-        for i, k in rest:
-            partial = [(ka + kb, ca * cb) for ka, ca in partial for kb, cb in block_terms(i, k)]
-        return partial
-
-    store = {key: c * pc for pairs, c in monomials for key, pc in block_monomial(pairs)}
+    tables = {k: _block_average_table(m, k) for k in {k for pairs, _ in monomials for _, k in pairs}}
+    store = {}
+    # _kept refuses an overflow and drops an underflow: neither is numpy's to report
+    with np.errstate(over="ignore", under="ignore"):
+        for pairs, c in monomials:
+            if not pairs:
+                store[b""] = c
+                continue
+            (i, k), *rest = pairs
+            digits, coeffs = tables[k][0] + (i - 1) * m, tables[k][1]
+            for i, k in rest:
+                d, w = tables[k]
+                # every row so far beside every row of block i
+                joined = np.empty((len(digits), len(d), digits.shape[1] + k), np.uint8)
+                joined[:, :, :-k], joined[:, :, -k:] = digits[:, None], d + (i - 1) * m
+                digits = joined.reshape(len(digits) * len(d), -1)
+                coeffs = np.multiply.outer(coeffs, w).ravel()
+            keys = digits.view(f"S{digits.shape[1]}").ravel().tolist()
+            store.update(zip(keys, (coeffs * c).tolist()))
     return ChaosPoly._of(p.dim * m, _kept(store))
 
 

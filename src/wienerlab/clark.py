@@ -101,7 +101,7 @@ def clark_integrand(v: VField) -> WeaklyAdaptedOperator:
     rows = []
     for p in v.components:
         entries = [{} for _ in range(n)]
-        for key, c in p.packed_terms.items():
+        for key, c in p._terms.items():
             # last-stage order 1: one byte, or key[-2] in the strict past
             if key and (len(key) == 1 or key[-2] <= past[key[-1]]):
                 entries[key[-1] - 1][key[:-1]] = c
@@ -128,7 +128,7 @@ def reconstruct(v: VField) -> ClarkResult:
     rec = VField(tuple(
         # a stable sort by the last key byte: the constant, then column 1, 2, ...
         ChaosPoly._of(p.dim, dict(sorted(
-            ((key, c) for key, c in p.packed_terms.items()
+            ((key, c) for key, c in p._terms.items()
              if len(key) < 2 or key[-2] <= past[key[-1]]),
             key=lambda term: term[0][-1:],
         )))
@@ -142,7 +142,7 @@ def reconstruct(v: VField) -> ClarkResult:
 def is_representable(v: VField | ChaosPoly) -> bool:
     """True iff every monomial has order at most 1 in its last stage."""
     polys = v.components if isinstance(v, VField) else (v,)
-    return not any(_last_stage_order(key) > 1 for p in polys for key in p.packed_terms)
+    return not any(_last_stage_order(key) > 1 for p in polys for key in p._terms)
 
 
 def residual_mass_oracle(v: VField) -> float:
@@ -154,7 +154,7 @@ def residual_mass_oracle(v: VField) -> float:
     """
     total = sum(
         _factorial(key) * Fraction(c) ** 2
-        for p in v.components for key, c in p.packed_terms.items() if _last_stage_order(key) > 1
+        for p in v.components for key, c in p._terms.items() if _last_stage_order(key) > 1
     )
     # sqrt(total) * 2**s has about 60 bits, well past a double's 53; an
     # inexact root is made odd, so that it rounds as the exact root does
@@ -209,7 +209,7 @@ def refinement_residual(v: VField, m: int) -> float:
     weights: dict[float, int] = {}
     past = _adapted._PAST
     for p in v.components:
-        for key, c in p.packed_terms.items():
+        for key, c in p._terms.items():
             if len(key) > 1 and key[-2] > past[key[-1]]:
                 weights[c] = weights.get(c, 0) + _factorial(key) * lost[_last_stage_order(key)]
     # each pair leads with its own integer weight
@@ -265,7 +265,7 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
     exact: dict[int, int] = {}
     adapted: dict[int, int] = {}
     past = _adapted._PAST
-    for key, c in phi.packed_terms.items():
+    for key, c in phi._terms.items():
         if key:
             m, e = math.frexp(c)
             square = int(m * 2.0**53) ** 2
@@ -276,5 +276,5 @@ def compare_energies(phi: ChaosPoly) -> EnergyComparison:
     return EnergyComparison(
         adapted_energy=_rounded(adapted, 1, False),
         exact_energy=_rounded(exact, lcm, False),
-        coincide=all(len(key) <= 1 for key in phi.packed_terms),
+        coincide=all(len(key) <= 1 for key in phi._terms),
     )

@@ -107,7 +107,7 @@ class _Field:
         rounded as in ``chaos.norm_l2``.
         """
         rows = (part._parts if isinstance(part, _Field) else (part,) for part in self._parts)
-        terms = chain.from_iterable(p.packed_terms.items() for row in rows for p in row)
+        terms = chain.from_iterable(p._terms.items() for row in rows for p in row)
         return _square_sum(terms, root=True)
 
 
@@ -287,7 +287,7 @@ def divergence_h(u: HField) -> ChaosPoly:
     def raised():
         for i, ui in enumerate(u.coords, start=1):
             digit = bytes((i,))
-            for key, c in ui.packed_terms.items():
+            for key, c in ui._terms.items():
                 at = bisect_right(key, i)
                 yield key[:at] + digit + key[at:], c
 

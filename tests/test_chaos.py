@@ -943,12 +943,63 @@ def test_refined_hermite_tables_match_the_exact_closed_form():
 def test_block_average_table_weighs_each_key_by_its_own_factorial(k, factors):
     # alpha! is formed for all keys at once from the runs of equal digits;
     # each coefficient must be the bits of k! // alpha! / m**(k/2) from the
-    # key's own alpha!, in combinations_with_replacement order
+    # key's own alpha!, in combinations_with_replacement order, one digit
+    # row per key
     for m in factors:
         root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
         keys = map(bytes, combinations_with_replacement(range(1, m + 1), k))
         want = [(key, math.factorial(k) // _factorial(key) / root) for key in keys]
-        assert list(_block_average_table(m, k).items()) == want
+        digits, coeffs = _block_average_table(m, k)
+        assert digits.dtype == np.uint8 and digits.shape == (len(want), k)
+        assert list(zip(map(bytes, digits), coeffs.tolist())) == want
+
+
+def _refine_by_tuples(p, m):
+    """``refine`` term by term in Python: the tuple construction arrays replaced.
+
+    Each order's table is a key -> ``k! // alpha! / m**(k/2)`` dict, block
+    ``i`` relabels its keys with ``bytes.translate``, and a coarse monomial
+    is the cartesian product of its blocks' lists, earlier block outer, with
+    coefficient ``c * ((c1 * c2) * ...)``.
+    """
+
+    def block_terms(i, k):
+        root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
+        shift = bytes.maketrans(bytes(range(1, m + 1)), bytes(range((i - 1) * m + 1, i * m + 1)))
+        keys = map(bytes, combinations_with_replacement(range(1, m + 1), k))
+        return [(key.translate(shift), math.factorial(k) // _factorial(key) / root) for key in keys]
+
+    store = {}
+    for key, c in p.packed_terms.items():
+        partial = [(b"", 1.0)]
+        for i, k in _pairs_of(key):
+            partial = [(ka + kb, ca * cb) for ka, ca in partial for kb, cb in block_terms(i, k)]
+        store.update((fine, c * pc) for fine, pc in partial)
+    return ChaosPoly(p.dim * m, store)
+
+
+@pytest.mark.parametrize(
+    "text, n, m",
+    [
+        ("0.459*x1*x2*x3 + 0.746*h2(x1)*x2*h3(x3) - 1.318*h2(x2) + 0.165", 3, 2),
+        ("0.459*x1*x2*x3 + 0.746*h2(x1)*x2*h3(x3) - 1.318*h2(x2) + 0.165", 3, 3),
+        ("0.849*h2(x1)*x2*x3*h2(x4) - 3.07*x1*h3(x4) + 2.2", 4, 5),
+        ("0.318*x1*h2(x2)*x4*x5 + 1.53*h4(x3)*h2(x5) - 0.91*h8(x2) + 0.1", 5, 8),
+        ("0.77*x1*x3*h2(x8) - 0.3*x2*x8 + 1.7*h3(x8) - 4.1", 8, 16),
+        ("0.63*x15*h2(x16) + 0.59*h3(x1)*x9*x16 - 1.45*x8 + 0.25", 16, 8),
+    ],
+)
+def test_refine_matches_the_term_by_term_tuple_construction(text, n, m):
+    # keys, stored order and coefficient bits, over monomials of three and
+    # more blocks with mixed orders and a constant term
+    p = dsl.lower(dsl.parse_functional(text), n)
+    got, want = refine(p, m), _refine_by_tuples(p, m)
+    assert got.dim == want.dim == n * m
+    bits = [[(key, c.hex()) for key, c in r.packed_terms.items()] for r in (got, want)]
+    assert bits[0] == bits[1]
+    assert b"" in got.packed_terms and max(map(len, map(_pairs_of, got.packed_terms))) >= 3
+    if n * m == DIM_CAP:
+        assert max(b"".join(got.packed_terms)) == 128
 
 
 def test_gate_checks_keys_that_cancel_to_zero():

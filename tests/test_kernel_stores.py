@@ -7,6 +7,7 @@ of coordinate 0, inside the dimension and the degree cap, must give the same
 store: the same keys, coefficient bits and stored order.
 """
 
+import numpy as np
 import pytest
 
 from helpers import draw_hfield, draw_poly, make_rng, packed
@@ -179,6 +180,18 @@ def test_only_exact_zeros_are_dropped():
     assert refine(ChaosPoly.hermite(1, 1, 1, tiny), 4).is_zero()
     # the smallest subnormal itself is kept
     assert _stored(ou_apply(ChaosPoly.hermite(1, 1, 1, tiny))) == [(b"\x01", tiny)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_refine_overflow_and_underflow_warn_nothing():
+    # refine multiplies its coefficients in numpy: an overflow still raises
+    # from the value rules and an underflow still drops to zero, with no
+    # numpy warning on the way, nor an error where the caller asks for one
+    for mode in ("warn", "raise"):
+        with np.errstate(all=mode):
+            with pytest.raises(AlgebraError, match="non-finite coefficient inf"):
+                refine(ChaosPoly.hermite(1, 1, DEGREE_CAP, _BIG), 2)
+            assert refine(ChaosPoly.hermite(1, 1, 1, 5e-324), 4).is_zero()
 
 
 def test_degree_cap_error_names_the_first_offending_key_in_arrival_order():
