@@ -42,7 +42,9 @@ Two kernels build a table once and read it many times.  :func:`refine`
 builds the Hermite expansions of one block average per call, from their
 closed form ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha! u^alpha
 He_alpha(eta)`` for a unit vector ``u``, as digit matrices, and shifts their
-digits for every block.  :func:`evaluate_batch` reads the columns
+digits for every block; its generator of fine digit arrays,
+:func:`_refined_blocks`, is also what ``clark``'s refinement rows read.
+:func:`evaluate_batch` reads the columns
 ``He_k(eta_i)`` from a :class:`HermiteColumns`: a ``space.SampleBatch`` owns
 one for its draws, and a call on a plain array builds its own and drops it.
 Neither table outlives its call or its batch, and both give the bits of the
@@ -664,20 +666,30 @@ def _block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     digits).  Each one is finite and at least ``m**(-k/2)``, so none needs
     the term gate.
 
-    The rows are sorted, so ``alpha!`` is the product of each digit's place
-    in its run of equal digits, formed for all rows at once column by
-    column; numpy's int64 quotient and float division are the exact and
-    correctly rounded ones of Python's ints and floats, so every bit is the
-    one of ``top // _factorial(key) / root``.
+    ``alpha!`` comes from :func:`_row_factorials`; numpy's int64 quotient
+    and float division are the exact and correctly rounded ones of Python's
+    ints and floats, so every bit is the one of ``top // _factorial(key) /
+    root``.
     """
     root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
     digits = np.frombuffer(bytes(chain.from_iterable(_multisets(range(1, m + 1), k))), np.uint8)
     digits = digits.reshape(math.comb(m + k - 1, k), k)
+    return digits, math.factorial(k) // _row_factorials(digits) / root
+
+
+def _row_factorials(digits: np.ndarray) -> np.ndarray:
+    """``alpha!`` of each row of a matrix of sorted digit rows, as int64.
+
+    The rows are sorted, so ``alpha!`` is the product of each digit's place
+    in its run of equal digits, formed for all rows at once column by
+    column: the integers of ``_factorial`` on each row's bytes, at most
+    ``DEGREE_CAP!``.
+    """
     run = fact = np.ones(len(digits), np.int64)
     for same in (digits[:, 1:] == digits[:, :-1]).T:
         run = run * same + 1
         fact = fact * run
-    return digits, math.factorial(k) // fact / root
+    return fact
 
 
 def _refinement_factor(dim: int, m) -> int:
@@ -701,27 +713,47 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     integer (a float is refused, not truncated), is below 1 or takes the
     dimension past ``DIM_CAP`` raises :class:`AlgebraError`.
 
-    A coarse monomial ``prod_i He_{k_i}`` spreads over ``prod_i C(m + k_i -
-    1, k_i)`` fine monomials; past :data:`_TERM_BUDGET` of them in all,
-    :class:`AlgebraError` is raised before any table is built.  Each call
-    builds ``He_k`` of the average of fine coordinates ``1 .. m`` in closed
-    form (:func:`_block_average_table`, a digit matrix and a coefficient
-    vector) once for every order ``k`` that some coordinate of ``p``
-    carries, and drops the tables when it returns.  Block ``i`` reads the
-    digits plus ``(i - 1) m``; the shift is monotone, so every row stays
-    sorted.  A coarse monomial's fine terms are its blocks' tables joined by
-    broadcasting, the earlier block outer: each fine row is the blocks'
-    digit rows side by side and its coefficient ``c * ((c1 * c2) * ...)``,
-    the floats of the term-by-term product.  The keys come from one ``S``
-    view of the digit matrix; numpy's ``S`` strings drop trailing NUL bytes,
-    but every digit is a coordinate, at least 1, so no byte is lost.
-    Distinct coarse monomials refine to disjoint fine keys, so the terms are
-    stored as they come, with no sums; a coefficient that overflows raises
-    and one that underflows to zero is dropped (:func:`_kept`).
+    The fine terms come from :func:`_refined_blocks`, one digit matrix and
+    coefficient vector per coarse monomial; past :data:`_TERM_BUDGET` fine
+    terms in all, it raises :class:`AlgebraError` before any table is
+    built.  The keys come from one ``S`` view of each digit matrix; numpy's
+    ``S`` strings drop trailing NUL bytes, but every digit is a coordinate,
+    at least 1, so no byte is lost.  Distinct coarse monomials refine to
+    disjoint fine keys, so the terms are stored as they come, with no sums;
+    a coefficient that overflows raises and one that underflows to zero is
+    dropped (:func:`_kept`).  ``clark.refine_and_reconstruct`` reads the
+    same arrays without building this store.
     """
     m = _refinement_factor(p.dim, m)
     if m == 1:
         return p
+    store = {}
+    for digits, coeffs in _refined_blocks(p, m):
+        width = digits.shape[1]
+        keys = digits.view(f"S{width}").ravel().tolist() if width else [b""]
+        store.update(zip(keys, coeffs.tolist()))
+    return ChaosPoly._of(p.dim * m, _kept(store))
+
+
+def _refined_blocks(p: ChaosPoly, m: int):
+    """The fine terms of ``refine(p, m)``, one ``(digits, coefficients)`` pair per coarse monomial.
+
+    ``m`` is a checked factor of at least 2.  A coarse monomial ``prod_i
+    He_{k_i}`` spreads over ``prod_i C(m + k_i - 1, k_i)`` fine monomials;
+    past :data:`_TERM_BUDGET` of them in all, :class:`AlgebraError` is
+    raised before any table is built.  ``He_k`` of the average of fine
+    coordinates ``1 .. m`` is built in closed form
+    (:func:`_block_average_table`) once for every order ``k`` that some
+    coordinate of ``p`` carries, and dropped when the generator is.  Block
+    ``i`` reads the digits plus ``(i - 1) m``; the shift is monotone, so
+    every row stays sorted.  A coarse monomial's fine terms are its blocks'
+    tables joined by broadcasting, the earlier block outer: each fine row is
+    the blocks' digit rows side by side, a sorted ``uint8`` row of the fine
+    key's bytes, and its coefficient ``c * ((c1 * c2) * ...)``, the floats
+    of the term-by-term product.  The constant yields one row of no digits.
+    Coefficients are yielded as the floats fall, overflowed or underflowed
+    alike, in the order of ``p``'s terms and of the rows.
+    """
     monomials = [(_pairs_of(key), c) for key, c in p._terms.items()]
     count = sum(math.prod(math.comb(m + k - 1, k) for _, k in pairs) for pairs, _ in monomials)
     if count > _TERM_BUDGET:
@@ -729,25 +761,24 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
             f"refine by {m} would build {count:,} terms, past the budget of {_TERM_BUDGET:,}"
         )
     tables = {k: _block_average_table(m, k) for k in {k for pairs, _ in monomials for _, k in pairs}}
-    store = {}
-    # _kept refuses an overflow and drops an underflow: neither is numpy's to report
-    with np.errstate(over="ignore", under="ignore"):
-        for pairs, c in monomials:
-            if not pairs:
-                store[b""] = c
-                continue
-            (i, k), *rest = pairs
-            digits, coeffs = tables[k][0] + (i - 1) * m, tables[k][1]
-            for i, k in rest:
-                d, w = tables[k]
-                # every row so far beside every row of block i
-                joined = np.empty((len(digits), len(d), digits.shape[1] + k), np.uint8)
-                joined[:, :, :-k], joined[:, :, -k:] = digits[:, None], d + (i - 1) * m
-                digits = joined.reshape(len(digits) * len(d), -1)
-                coeffs = np.multiply.outer(coeffs, w).ravel()
-            keys = digits.view(f"S{digits.shape[1]}").ravel().tolist()
-            store.update(zip(keys, (coeffs * c).tolist()))
-    return ChaosPoly._of(p.dim * m, _kept(store))
+    for pairs, c in monomials:
+        if not pairs:
+            yield np.empty((1, 0), np.uint8), np.array([c])
+            continue
+        (i, k), *rest = pairs
+        digits, coeffs = tables[k][0] + (i - 1) * m, tables[k][1]
+        for i, k in rest:
+            d, w = tables[k]
+            # every row so far beside every row of block i
+            joined = np.empty((len(digits), len(d), digits.shape[1] + k), np.uint8)
+            joined[:, :, :-k], joined[:, :, -k:] = digits[:, None], d + (i - 1) * m
+            digits = joined.reshape(len(digits) * len(d), -1)
+            coeffs = np.multiply.outer(coeffs, w).ravel()
+        # the caller refuses an overflow and drops an underflow: neither is
+        # numpy's to report
+        with np.errstate(over="ignore", under="ignore"):
+            coeffs = coeffs * c
+        yield digits, coeffs
 
 
 class HermiteColumns:

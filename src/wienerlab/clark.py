@@ -21,10 +21,12 @@ forming the reconstruction's difference.  Grid refinement spreads that mass
 over finer cells and shrinks the residual.  Every residual is one sum,
 :func:`refinement_residual`, which gives the residual after refining by m in
 closed form from v's own terms; ``reconstruct`` reports it at m = 1, and
-:func:`refine_and_reconstruct` builds each refined functional and takes it
-at m = 1 of that, which cross-checks the closed form.  The residuals and
-both energies below are exact sums of squares of the coefficients, added in
-``chaos._square_sum``'s integers and rounded once.
+:func:`refine_and_reconstruct` takes it at m = 1 of each refined
+functional, which cross-checks the closed form.  Those rows read the fine
+terms straight from ``refine``'s digit arrays and no longer build the
+refined functional.  The residuals and both energies below are exact sums
+of squares of the coefficients, added in ``chaos._square_sum``'s integers
+and rounded once.
 
 Separately, any square-integrable scalar phi has the exact divergence
 representation phi - E phi = div(vbar) with integrand
@@ -50,17 +52,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import adapted as _adapted
 from .adapted import PredictableHField, WeaklyAdaptedOperator, _last_stage_order
 from .chaos import (
     DEGREE_CAP,
+    AlgebraError,
     ChaosPoly,
     _factorial,
+    _refined_blocks,
     _refinement_factor,
     _rounded,
+    _row_factorials,
     _square_sum,
     ou_inverse,
-    refine,
 )
 from .malliavin import (
     HField,
@@ -219,14 +225,60 @@ def refinement_residual(v: VField, m: int) -> float:
 def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
     """Residual table over refinement factors; rows are (factor, residual).
 
-    Each row builds v refined by the factor with ``refine`` and takes its
-    ``refinement_residual`` at m = 1, the ``residual_l2`` that ``reconstruct``
-    reports for it, so a row cross-checks the closed form at that factor.
+    Each row is the ``residual_l2`` that ``reconstruct`` reports for v
+    refined by the factor, ``refinement_residual`` at m = 1 of the refined
+    field, so a row cross-checks the closed form at that factor.  At m = 1
+    ``refine`` is the identity and the row is ``refinement_residual(v, 1)``;
+    every other row reads the fine terms straight from ``refine``'s digit
+    arrays (``chaos._refined_blocks``), without building the refined
+    functional.  The rows, and the ``AlgebraError`` of a refinement past the
+    term budget or of a fine coefficient that overflows, are those of
+    ``refinement_residual(VField(tuple(refine(p, m) for p in
+    v.components)), 1)``, bit for bit.
     """
     return [
-        (m, refinement_residual(VField(tuple(refine(p, m) for p in v.components)), 1))
+        (m, _refined_residual(v, m) if m > 1 else refinement_residual(v, 1))
         for m in (_refinement_factor(v.ambient_dim, f) for f in factors)
     ]
+
+
+def _refined_residual(v: VField, m: int) -> float:
+    """``refinement_residual(v refined by m, 1)`` for a checked m >= 2, from refine's arrays.
+
+    Each fine row is a sorted digit row, so the byte test of the ``adapted``
+    docstring finds the rows of last-stage order 2 or more, the second
+    largest digit past ``_PAST`` of the top one; the stage table is read at
+    each call.  A kept row weighs its ``alpha!`` (``chaos._row_factorials``).
+    As in ``refine``, a coefficient that overflowed raises, the first one
+    in stored order named; one that underflowed to zero, which ``refine``
+    drops, adds nothing to the exact sum.  The weights of each distinct
+    coefficient are summed in int64, exactly: a weight is at most
+    ``DEGREE_CAP!`` and there are at most ``_TERM_BUDGET`` rows.
+    ``chaos._square_sum`` adds their squares in integers and rounds the
+    root once, as for the refined functional.
+    """
+    past = np.frombuffer(_adapted._PAST, np.uint8)
+    weights, coeffs = [np.empty(0, np.int64)], [np.empty(0)]
+    for p in v.components:
+        for digits, c in _refined_blocks(p, m):
+            if not np.isfinite(c).all():
+                raise AlgebraError(f"non-finite coefficient {float(c[~np.isfinite(c)][0])!r}")
+            if digits.shape[1] < 2:
+                continue
+            kept = digits[:, -2] > past[digits[:, -1]]
+            weights.append(_row_factorials(digits[kept]))
+            coeffs.append(c[kept])
+    weights, coeffs = np.concatenate(weights), np.concatenate(coeffs)
+    # a refined functional holds few distinct coefficients, each over many
+    # rows: sorted, each run of one coefficient sums its weights, and each
+    # coefficient is squared once
+    order = np.argsort(coeffs)
+    coeffs, weights = coeffs[order], weights[order]
+    first = np.ones(len(coeffs), bool)
+    first[1:] = coeffs[1:] != coeffs[:-1]
+    starts = np.flatnonzero(first)
+    pairs = zip(np.add.reduceat(weights, starts).tolist(), coeffs[starts].tolist())
+    return _square_sum(pairs, int, 1, root=True)
 
 
 def minimal_energy_integrand(phi: ChaosPoly) -> HField:

@@ -1,0 +1,108 @@
+"""The refinement table's rows, read off refine's digit arrays.
+
+``refine_and_reconstruct`` takes each row for a factor m >= 2 straight from
+the fine digit matrices and coefficients of ``refine``, without building the
+refined functional.  The oracle is that functional: the ``residual_l2`` of
+``refine(p, m)`` for every component, ``refinement_residual(..., 1)``.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from helpers import STAGE_TABLES, draw_poly, make_rng, stages
+from wienerlab import chaos
+from wienerlab.chaos import DEGREE_CAP, AlgebraError, ChaosPoly, refine
+from wienerlab.clark import refine_and_reconstruct, refinement_residual
+from wienerlab.malliavin import VField
+
+FACTORS = (2, 3, 4, 8)
+
+
+def _oracle(v: VField, m: int) -> float:
+    return refinement_residual(VField(tuple(refine(p, m) for p in v.components)), 1)
+
+
+def _fields():
+    """Seeded vector functionals: constant terms, a constant component, degrees 1 .. DEGREE_CAP."""
+    rng = make_rng(3838)
+    fields = []
+    for degree in range(1, DEGREE_CAP + 1):
+        for n in (1, 2, 3):
+            c = float(rng.uniform(-2.0, 2.0))
+            polys = [draw_poly(rng, n, degree, 3) + ChaosPoly.constant(n, c) for _ in range(2)]
+            fields.append(VField((*polys, ChaosPoly.constant(n, -c))))
+    return fields
+
+
+def _fine_rows(p: ChaosPoly, m: int) -> int:
+    return sum(len(coeffs) for _, coeffs in chaos._refined_blocks(p, m))
+
+
+def _rows_hex(rows):
+    return [(m, residual.hex()) for m, residual in rows]
+
+
+@pytest.mark.parametrize("name", list(STAGE_TABLES))
+def test_rows_equal_the_refined_functionals_residuals_bit_for_bit(name):
+    # the planted stage table moves the oracle and the rows alike: under
+    # the pairs the top two coordinates of a block share a stage
+    moved = False
+    with stages(STAGE_TABLES[name]):
+        for v in _fields():
+            rows = refine_and_reconstruct(v, [1, *FACTORS])
+            assert _rows_hex(rows) == _rows_hex(
+                [(1, refinement_residual(v, 1))] + [(m, _oracle(v, m)) for m in FACTORS]
+            )
+            with stages(STAGE_TABLES["identity"]):
+                moved |= rows != refine_and_reconstruct(v, [1, *FACTORS])
+    assert moved == (name != "identity")
+
+
+@pytest.mark.parametrize("c", [1e308, -1e308])
+def test_an_overflowing_fine_coefficient_raises_refines_error(c):
+    # h8 spread over two cells holds 8!/(4! 4!) / 2**4 = 4.375 at x1**4 x2**4
+    h8 = ChaosPoly.hermite(1, 1, 8)
+    fields = [VField((h8 * c,)), VField((ChaosPoly.coordinate(1, 1), h8 * c, h8 * -c))]
+    for v in fields:
+        with pytest.raises(AlgebraError) as rows:
+            refine_and_reconstruct(v, [2])
+        with pytest.raises(AlgebraError) as materialised:
+            _oracle(v, 2)
+        assert str(rows.value) == str(materialised.value) == f"non-finite coefficient {c * 4.375!r}"
+
+
+def test_underflowed_fine_coefficients_are_dropped_as_refine_drops_them():
+    # at the bottom of the subnormals half the fine coefficients round to
+    # zero: refine drops them, and so do the rows, with no numpy warning
+    tiny = 5e-324
+    v = VField((
+        ChaosPoly.hermite(2, 1, 2) * tiny + ChaosPoly.hermite(2, 2, 3) * 3 * tiny,
+        ChaosPoly.hermite(2, 2, 4) * -tiny + ChaosPoly.coordinate(2, 1) * 0.5,
+    ))
+    for name, table in STAGE_TABLES.items():
+        with stages(table), warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for p in v.components:
+                assert len(refine(p, 2).packed_terms) < _fine_rows(p, 2)
+            rows = refine_and_reconstruct(v, [1, *FACTORS])
+            assert _rows_hex(rows) == _rows_hex(
+                [(1, refinement_residual(v, 1))] + [(m, _oracle(v, m)) for m in FACTORS]
+            ), name
+
+
+def test_a_factor_past_the_term_budget_raises_before_any_table(monkeypatch):
+    # h8(x1) over 128 cells would hold C(135, 8) = 2.2e12 terms
+    v = VField((ChaosPoly.hermite(1, 1, 8),))
+    with pytest.raises(AlgebraError) as materialised:
+        refine(v.components[0], 128)
+    assert "past the budget" in str(materialised.value)
+
+    def no_table(m, k):
+        raise AssertionError(f"_block_average_table({m}, {k}) called")
+
+    monkeypatch.setattr(chaos, "_block_average_table", no_table)
+    with pytest.raises(AlgebraError) as rows:
+        refine_and_reconstruct(v, [1, 128])
+    assert str(rows.value) == str(materialised.value)

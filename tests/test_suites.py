@@ -73,16 +73,17 @@ def test_nan_gap_fails_the_suite(monkeypatch):
 
 
 def test_a_planted_refine_defect_fails_only_refinement_convergence(monkeypatch, capsys):
-    # refine scaled by 1 + 1e-9 past m = 1: the refinement rows are the
-    # residuals of refine's output, so the suite's comparison with the
-    # closed form catches it, and no other suite runs refine
-    original = wienerlab.clark.refine
+    # refine's fine coefficients scaled by 1 + 1e-9, which only m > 1
+    # reads: the refinement rows are the residuals of refine's arrays, so
+    # the suite's comparison with the closed form catches it, and no other
+    # suite runs refine
+    original = wienerlab.chaos._refined_blocks
 
     def planted(p, m):
-        refined = original(p, m)
-        return refined if int(m) == 1 else refined * (1 + 1e-9)
+        for digits, coeffs in original(p, m):
+            yield digits, coeffs * (1 + 1e-9)
 
-    monkeypatch.setattr(wienerlab.clark, "refine", planted)
+    monkeypatch.setattr(wienerlab.clark, "_refined_blocks", planted)
     failed = [r.name for r in run_suites(suite_names()) if not r.passed]
     assert failed == ["refinement_convergence"]
     assert main(["verify", "--suite", "refinement_convergence"]) == 1
