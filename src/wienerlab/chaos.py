@@ -39,17 +39,19 @@ one ``i`` into the key and, when ``i`` occurs, also remove one with weight
 the same order and with the same floats.
 
 Two kernels build a table once and read it many times.  :func:`refine`
-builds the Hermite expansions of one block average per call, from their
-closed form ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha! u^alpha
-He_alpha(eta)`` for a unit vector ``u``, as digit matrices, and shifts their
-digits for every block; its generator of fine digit arrays,
-:func:`_refined_blocks`, is also what ``clark``'s refinement rows read.
-:func:`evaluate_batch` reads the columns
-``He_k(eta_i)`` from a :class:`HermiteColumns`: a ``space.SampleBatch`` owns
-one for its draws, and a call on a plain array builds its own and drops it.
-Neither table outlives its call or its batch, and both give the bits of the
-unshared computation, because each float is formed by the same operations in
-the same order.
+reads the Hermite expansions of one block average, from their closed form
+``He_k(u . eta) = sum_{|alpha| = k} k!/alpha! u^alpha He_alpha(eta)`` for a
+unit vector ``u``, as digit matrices with their coefficient and ``alpha!``
+columns, and shifts their digits for every block; its generator of fine
+digit arrays, :func:`_refined_blocks`, is also what ``clark``'s refinement
+rows read.  Such a table depends on ``(m, k)`` alone: each one up to a row
+bound is built once per process and kept, read-only, with at most about
+25 MB kept in all (:func:`_block_average_table`).  :func:`evaluate_batch`
+reads the columns ``He_k(eta_i)`` from a :class:`HermiteColumns`: a
+``space.SampleBatch`` owns one for its draws, and a call on a plain array
+builds its own and drops it; that table does not outlive its call or its
+batch.  Both give the bits of the unshared computation, because each float
+is formed by the same operations in the same order.
 
 Outside input passes one term gate, :func:`_canonical_terms`, in the
 :class:`ChaosPoly` constructor and its named constructors: it sums the
@@ -648,7 +650,15 @@ def ou_inverse(p: ChaosPoly) -> ChaosPoly:
     return ChaosPoly._of(p._dim, _kept({key: c / len(key) for key, c in p._terms.items() if key}))
 
 
-def _block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+#: Block-average tables kept for the life of the process: at most
+#: ``_KEPT_TABLES`` of them, each of at most ``_KEPT_TABLE_ROWS`` rows.  A row
+#: holds at most ``DEGREE_CAP`` digit bytes, a float and an int64, so the kept
+#: tables hold at most 64 * 2**14 * 24 bytes, about 25 MB.
+_KEPT_TABLES = 64
+_KEPT_TABLE_ROWS = 2**14
+
+
+def _block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``He_k`` of ``(eta_1 + ... + eta_m) / sqrt(m)`` in closed form, as arrays.
 
     For a unit vector ``u``, ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha!
@@ -657,24 +667,47 @@ def _block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     holds one row of ``k`` digits per multiset of ``k`` digits from
     ``1 .. m``, in ``combinations_with_replacement`` order (the ``uint8``
     digit matrix, one sorted key per row), and next to it the coefficient
-    vector: the exact integer ``k!/alpha!`` divided by ``m**(k/2)``.  That
-    denominator is the exact integer ``m**(k//2)``, times ``math.sqrt(m)``
-    when ``k`` is odd, and every operation is correctly rounded, so the bits
-    are the same on every IEEE platform.  A coefficient is correctly rounded
-    for even ``k``; for odd ``k`` its three roundings keep it within 3 ulp
-    (at most 1.2 ulp for m <= 16 and 1.55 ulp for m <= 128, against 50
-    digits).  Each one is finite and at least ``m**(-k/2)``, so none needs
-    the term gate.
+    vector: the exact integer ``k!/alpha!`` divided by ``m**(k/2)``, and the
+    int64 ``alpha!`` column of the rows.  That denominator is the exact
+    integer ``m**(k//2)``, times ``math.sqrt(m)`` when ``k`` is odd, and
+    every operation is correctly rounded, so the bits are the same on every
+    IEEE platform.  A coefficient is correctly rounded for even ``k``; for
+    odd ``k`` its three roundings keep it within 3 ulp (at most 1.2 ulp for
+    m <= 16 and 1.55 ulp for m <= 128, against 50 digits).  Each one is
+    finite and at least ``m**(-k/2)``, so none needs the term gate.
 
     ``alpha!`` comes from :func:`_row_factorials`; numpy's int64 quotient
     and float division are the exact and correctly rounded ones of Python's
     ints and floats, so every bit is the one of ``top // _factorial(key) /
     root``.
+
+    A table depends on ``(m, k)`` alone, so each one of at most
+    :data:`_KEPT_TABLE_ROWS` rows is built once per process and kept, up to
+    :data:`_KEPT_TABLES` tables (the least recently used goes first): about
+    25 MB at most.  A larger table is built on each call and dropped with
+    its caller's reference.  All three arrays are read-only, so no caller
+    can change what a later call reads.
     """
+    if math.comb(m + k - 1, k) > _KEPT_TABLE_ROWS:
+        return _build_block_average_table(m, k)
+    return _kept_block_average_table(m, k)
+
+
+@lru_cache(maxsize=_KEPT_TABLES)
+def _kept_block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _build_block_average_table(m, k)
+
+
+def _build_block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays of :func:`_block_average_table`, built afresh and made read-only."""
     root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
     digits = np.frombuffer(bytes(chain.from_iterable(_multisets(range(1, m + 1), k))), np.uint8)
     digits = digits.reshape(math.comb(m + k - 1, k), k)
-    return digits, math.factorial(k) // _row_factorials(digits) / root
+    factorials = _row_factorials(digits)
+    table = digits, math.factorial(k) // factorials / root, factorials
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _row_factorials(digits: np.ndarray) -> np.ndarray:
@@ -728,7 +761,7 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     if m == 1:
         return p
     store = {}
-    for digits, coeffs in _refined_blocks(p, m):
+    for digits, coeffs, _ in _refined_blocks(p, m):
         width = digits.shape[1]
         keys = digits.view(f"S{width}").ravel().tolist() if width else [b""]
         store.update(zip(keys, coeffs.tolist()))
@@ -736,23 +769,29 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
 
 
 def _refined_blocks(p: ChaosPoly, m: int):
-    """The fine terms of ``refine(p, m)``, one ``(digits, coefficients)`` pair per coarse monomial.
+    """The fine terms of ``refine(p, m)``: ``(digits, coefficients, factorials)`` per coarse monomial.
 
     ``m`` is a checked factor of at least 2.  A coarse monomial ``prod_i
     He_{k_i}`` spreads over ``prod_i C(m + k_i - 1, k_i)`` fine monomials;
     past :data:`_TERM_BUDGET` of them in all, :class:`AlgebraError` is
     raised before any table is built.  ``He_k`` of the average of fine
     coordinates ``1 .. m`` is built in closed form
-    (:func:`_block_average_table`) once for every order ``k`` that some
-    coordinate of ``p`` carries, and dropped when the generator is.  Block
-    ``i`` reads the digits plus ``(i - 1) m``; the shift is monotone, so
-    every row stays sorted.  A coarse monomial's fine terms are its blocks'
-    tables joined by broadcasting, the earlier block outer: each fine row is
-    the blocks' digit rows side by side, a sorted ``uint8`` row of the fine
-    key's bytes, and its coefficient ``c * ((c1 * c2) * ...)``, the floats
-    of the term-by-term product.  The constant yields one row of no digits.
-    Coefficients are yielded as the floats fall, overflowed or underflowed
-    alike, in the order of ``p``'s terms and of the rows.
+    (:func:`_block_average_table`), which is built once per process for
+    every ``(m, k)`` of at most ``_KEPT_TABLE_ROWS`` rows and rebuilt on
+    each call past that; the generator looks up each order ``k`` that some
+    coordinate of ``p`` carries once.  Block ``i`` reads the digits plus
+    ``(i - 1) m``; the shift is monotone, so every row stays sorted.  A
+    coarse monomial's fine terms are its blocks' tables joined by
+    broadcasting, the earlier block outer: each fine row is the blocks'
+    digit rows side by side, a sorted ``uint8`` row of the fine key's bytes,
+    its coefficient ``c * ((c1 * c2) * ...)``, the floats of the
+    term-by-term product, and its ``alpha!``, the product of its blocks'
+    ``alpha!`` columns: blocks hold disjoint coordinates, so the fine
+    ``alpha!`` is exactly that int64 product, at most ``DEGREE_CAP!``.  The
+    constant yields one row of no digits and ``alpha! = 1``.  Coefficients
+    are yielded as the floats fall, overflowed or underflowed alike, in the
+    order of ``p``'s terms and of the rows.  An array may be a kept table's
+    own, which is read-only.
     """
     monomials = [(_pairs_of(key), c) for key, c in p._terms.items()]
     count = sum(math.prod(math.comb(m + k - 1, k) for _, k in pairs) for pairs, _ in monomials)
@@ -763,22 +802,24 @@ def _refined_blocks(p: ChaosPoly, m: int):
     tables = {k: _block_average_table(m, k) for k in {k for pairs, _ in monomials for _, k in pairs}}
     for pairs, c in monomials:
         if not pairs:
-            yield np.empty((1, 0), np.uint8), np.array([c])
+            yield np.empty((1, 0), np.uint8), np.array([c]), np.ones(1, np.int64)
             continue
         (i, k), *rest = pairs
-        digits, coeffs = tables[k][0] + (i - 1) * m, tables[k][1]
+        digits, coeffs, factorials = tables[k]
+        digits = digits + (i - 1) * m
         for i, k in rest:
-            d, w = tables[k]
+            d, w, f = tables[k]
             # every row so far beside every row of block i
             joined = np.empty((len(digits), len(d), digits.shape[1] + k), np.uint8)
             joined[:, :, :-k], joined[:, :, -k:] = digits[:, None], d + (i - 1) * m
             digits = joined.reshape(len(digits) * len(d), -1)
             coeffs = np.multiply.outer(coeffs, w).ravel()
+            factorials = np.multiply.outer(factorials, f).ravel()
         # the caller refuses an overflow and drops an underflow: neither is
         # numpy's to report
         with np.errstate(over="ignore", under="ignore"):
             coeffs = coeffs * c
-        yield digits, coeffs
+        yield digits, coeffs, factorials
 
 
 class HermiteColumns:

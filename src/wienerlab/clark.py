@@ -64,7 +64,6 @@ from .chaos import (
     _refined_blocks,
     _refinement_factor,
     _rounded,
-    _row_factorials,
     _square_sum,
     ou_inverse,
 )
@@ -248,11 +247,15 @@ def _refined_residual(v: VField, m: int) -> float:
     Each fine row is a sorted digit row, so the byte test of the ``adapted``
     docstring finds the rows of last-stage order 2 or more, the second
     largest digit past ``_PAST`` of the top one; the stage table is read at
-    each call.  A kept row weighs its ``alpha!`` (``chaos._row_factorials``).
-    As in ``refine``, a coefficient that overflowed raises, the first one
-    in stored order named; one that underflowed to zero, which ``refine``
-    drops, adds nothing to the exact sum.  The weights of each distinct
-    coefficient are summed in int64, exactly: a weight is at most
+    each call.  A kept row weighs its ``alpha!`` from the factorial column
+    that ``chaos._refined_blocks`` yields, the product of its blocks'
+    ``alpha!`` columns; each block-average table carries its column and is
+    built once per process up to its row bound
+    (``chaos._block_average_table``), so no row's ``alpha!`` is recounted
+    here.  As in ``refine``, a coefficient that overflowed raises, the first
+    one in stored order named; one that underflowed to zero, which
+    ``refine`` drops, adds nothing to the exact sum.  The weights of each
+    distinct coefficient are summed in int64, exactly: a weight is at most
     ``DEGREE_CAP!`` and there are at most ``_TERM_BUDGET`` rows.
     ``chaos._square_sum`` adds their squares in integers and rounds the
     root once, as for the refined functional.
@@ -260,13 +263,13 @@ def _refined_residual(v: VField, m: int) -> float:
     past = np.frombuffer(_adapted._PAST, np.uint8)
     weights, coeffs = [np.empty(0, np.int64)], [np.empty(0)]
     for p in v.components:
-        for digits, c in _refined_blocks(p, m):
+        for digits, c, factorials in _refined_blocks(p, m):
             if not np.isfinite(c).all():
                 raise AlgebraError(f"non-finite coefficient {float(c[~np.isfinite(c)][0])!r}")
             if digits.shape[1] < 2:
                 continue
             kept = digits[:, -2] > past[digits[:, -1]]
-            weights.append(_row_factorials(digits[kept]))
+            weights.append(factorials[kept])
             coeffs.append(c[kept])
     weights, coeffs = np.concatenate(weights), np.concatenate(coeffs)
     # a refined functional holds few distinct coefficients, each over many

@@ -943,15 +943,16 @@ def test_refined_hermite_tables_match_the_exact_closed_form():
 def test_block_average_table_weighs_each_key_by_its_own_factorial(k, factors):
     # alpha! is formed for all keys at once from the runs of equal digits;
     # each coefficient must be the bits of k! // alpha! / m**(k/2) from the
-    # key's own alpha!, in combinations_with_replacement order, one digit
-    # row per key
+    # key's own alpha!, and the factorial column that alpha!, in
+    # combinations_with_replacement order, one digit row per key
     for m in factors:
         root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
         keys = map(bytes, combinations_with_replacement(range(1, m + 1), k))
-        want = [(key, math.factorial(k) // _factorial(key) / root) for key in keys]
-        digits, coeffs = _block_average_table(m, k)
+        want = [(key, math.factorial(k) // _factorial(key) / root, _factorial(key)) for key in keys]
+        digits, coeffs, factorials = _block_average_table(m, k)
         assert digits.dtype == np.uint8 and digits.shape == (len(want), k)
-        assert list(zip(map(bytes, digits), coeffs.tolist())) == want
+        assert factorials.dtype == np.int64
+        assert list(zip(map(bytes, digits), coeffs.tolist(), factorials.tolist())) == want
 
 
 def _refine_by_tuples(p, m):

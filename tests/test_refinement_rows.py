@@ -4,9 +4,14 @@
 the fine digit matrices and coefficients of ``refine``, without building the
 refined functional.  The oracle is that functional: the ``residual_l2`` of
 ``refine(p, m)`` for every component, ``refinement_residual(..., 1)``.
+The block-average tables behind the arrays are kept for the life of the
+process up to a row bound; the last tests count the tables built.
 """
 
+import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from wienerlab import chaos
 from wienerlab.chaos import DEGREE_CAP, AlgebraError, ChaosPoly, refine
 from wienerlab.clark import refine_and_reconstruct, refinement_residual
 from wienerlab.malliavin import VField
+from wienerlab.suites import suite_refinement_convergence
 
 FACTORS = (2, 3, 4, 8)
 
@@ -37,7 +43,7 @@ def _fields():
 
 
 def _fine_rows(p: ChaosPoly, m: int) -> int:
-    return sum(len(coeffs) for _, coeffs in chaos._refined_blocks(p, m))
+    return sum(len(coeffs) for _, coeffs, _ in chaos._refined_blocks(p, m))
 
 
 def _rows_hex(rows):
@@ -106,3 +112,88 @@ def test_a_factor_past_the_term_budget_raises_before_any_table(monkeypatch):
     with pytest.raises(AlgebraError) as rows:
         refine_and_reconstruct(v, [1, 128])
     assert str(rows.value) == str(materialised.value)
+
+
+@pytest.mark.parametrize("name", list(STAGE_TABLES))
+def test_fine_factorials_are_the_alpha_factorials_of_the_joined_digits(name):
+    # a fine row's alpha! is the outer product of its blocks' columns, which
+    # must be alpha! counted afresh on the joined digit row
+    with stages(STAGE_TABLES[name]):
+        for v in _fields():
+            for p in v.components:
+                for m in FACTORS:
+                    for digits, coeffs, factorials in chaos._refined_blocks(p, m):
+                        assert factorials.dtype == np.int64 and factorials.shape == coeffs.shape
+                        assert np.array_equal(factorials, chaos._row_factorials(digits))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The ``(m, k)`` of every block-average table built from here on, none kept at the start."""
+    built = []
+    build = chaos._build_block_average_table
+
+    def counted(m, k):
+        built.append((m, k))
+        return build(m, k)
+
+    monkeypatch.setattr(chaos, "_build_block_average_table", counted)
+    chaos._kept_block_average_table.cache_clear()
+    return built
+
+
+def test_a_repeated_refinement_builds_no_table(builds):
+    v = _fields()[-1]
+    rows = refine_and_reconstruct(v, [1, 2, 4, 8])
+    first = len(builds)
+    assert first == len(set(builds)) > 0
+    assert _rows_hex(refine_and_reconstruct(v, [1, 2, 4, 8])) == _rows_hex(rows)
+    assert len(builds) == first
+
+
+def test_the_refinement_suite_builds_each_table_once(builds):
+    # its factors and orders reach 21 distinct (m, k); a table per block
+    # per call, as built before the tables were kept, is 168
+    assert suite_refinement_convergence().passed
+    assert len(builds) == len(set(builds)) == 21
+
+
+def test_a_table_past_the_row_bound_is_rebuilt_and_not_kept(builds):
+    # C(66, 3) = 45,760 rows, past the bound of 2**14
+    assert math.comb(66, 3) > chaos._KEPT_TABLE_ROWS
+    first, second = chaos._block_average_table(64, 3), chaos._block_average_table(64, 3)
+    assert builds == [(64, 3), (64, 3)]
+    assert chaos._kept_block_average_table.cache_info().currsize == 0
+    assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def test_a_kept_table_refuses_writes():
+    table = chaos._block_average_table(4, 3)
+    assert all(a is b for a, b in zip(table, chaos._block_average_table(4, 3)))
+    for array in table:
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
+def test_threads_racing_to_keep_the_tables_read_the_same_rows():
+    # more threads than cores clear, build and keep the same tables at once,
+    # switching often: every row keeps the bits of one unshared call
+    v = _fields()[-1]
+    want = _rows_hex(refine_and_reconstruct(v, FACTORS))
+
+    def work():
+        rows = []
+        for _ in range(10):
+            chaos._kept_block_average_table.cache_clear()
+            rows.append(_rows_hex(refine_and_reconstruct(v, FACTORS)))
+        return rows
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work) for _ in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(rows == want for result in results for rows in result)

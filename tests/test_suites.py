@@ -80,8 +80,8 @@ def test_a_planted_refine_defect_fails_only_refinement_convergence(monkeypatch, 
     original = wienerlab.chaos._refined_blocks
 
     def planted(p, m):
-        for digits, coeffs in original(p, m):
-            yield digits, coeffs * (1 + 1e-9)
+        for digits, coeffs, factorials in original(p, m):
+            yield digits, coeffs * (1 + 1e-9), factorials
 
     monkeypatch.setattr(wienerlab.clark, "_refined_blocks", planted)
     failed = [r.name for r in run_suites(suite_names()) if not r.passed]
