@@ -40,10 +40,6 @@ from .malliavin import (
     HField,
     OperatorField,
     VField,
-    check_cbound,
-    check_duality,
-    check_rowwise_divergence,
-    check_weakb,
     divergence_h,
     divergence_op,
     dual_pairing,
@@ -58,10 +54,6 @@ from .adapted import (
     NotPredictable,
     PredictableHField,
     WeaklyAdaptedOperator,
-    check_divergence_free_uniqueness,
-    check_ito_isometry,
-    check_operator_isometry,
-    check_weak_orthogonality,
     is_predictable,
     project_adapted,
     project_operator,
@@ -85,7 +77,6 @@ from .rotations import (
     RotationReport,
     build_sequential_isometry,
     check_strict_past_measurability,
-    exact_output_covariance,
     gaussianity_battery,
     independence_battery,
     isometry_check,

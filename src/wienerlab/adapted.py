@@ -37,26 +37,21 @@ and then only ``d_t``: :func:`_last_stage_order` is that order.  On a
 sorted key it exceeds 1 exactly when ``key[-2] > _PAST[key[-1]]``, the
 byte test the Clark scans make first.
 
-The test operators of the operator-level checks are weakly adapted
+The test operators of the operator-level identities are weakly adapted
 operators too: a finite-rank adapted operator sum_t y_t (x) q_t, with
 predictable q_t and constant y_t in R^d, is the WeaklyAdaptedOperator with
 entries (a, i) = sum_t y_{t,a} q_{t,i}, and it pairs and diverges like any
-other.
+other.  The gaps of those identities (the Ito isometry, weak orthogonality,
+injectivity of the divergence) are private helpers of ``suites``; this
+module holds the filtration alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .chaos import DIM_CAP, conditional_expectation, l2_inner
-from .malliavin import (
-    HField,
-    OperatorField,
-    divergence_h,
-    divergence_op,
-    dual_pairing_expectation,
-    trace_pairing_expectation,
-)
+from .chaos import DIM_CAP, conditional_expectation
+from .malliavin import HField, OperatorField
 
 
 #: ``_PAST[i]``: the last coordinate of the strict past of coordinate i's
@@ -111,34 +106,3 @@ def project_adapted(u: HField) -> PredictableHField:
 def project_operator(K: OperatorField) -> WeaklyAdaptedOperator:
     """Rowwise adapted projection of an OperatorField."""
     return WeaklyAdaptedOperator(tuple(project_adapted(row) for row in K.rows))
-
-
-def check_ito_isometry(u: HField, v: HField) -> float:
-    """|E[div u div v] - E(u, v)| for predictable u, v; exact zero in theory."""
-    if not (is_predictable(u) and is_predictable(v)):
-        raise NotPredictable("isometry holds for predictable fields")
-    return abs(l2_inner(divergence_h(u), divergence_h(v)) - u.inner(v))
-
-
-def check_weak_orthogonality(K: OperatorField, Q: WeaklyAdaptedOperator) -> float:
-    """|E<<K, Q>> - E<<projected K, Q>>|: only the adapted part of K pairs with Q."""
-    lhs = trace_pairing_expectation(K, Q)  # checks the shapes before projecting
-    return abs(lhs - trace_pairing_expectation(project_operator(K), Q))
-
-
-def check_operator_isometry(K: WeaklyAdaptedOperator, D: WeaklyAdaptedOperator) -> float:
-    """|E<div D, div K> - E<<K, D>>| for two weakly adapted operators."""
-    rhs = trace_pairing_expectation(K, D)
-    lhs = dual_pairing_expectation(divergence_op(D), divergence_op(K))
-    return abs(lhs - rhs)
-
-
-def check_divergence_free_uniqueness(K: WeaklyAdaptedOperator) -> bool:
-    """div K = 0 forces K = 0 on weakly adapted operators.
-
-    Returns True iff the implication holds for this K: either the divergence
-    is visibly nonzero, or every entry vanishes within 1e-12.
-    """
-    if divergence_op(K).norm() > 1e-12:
-        return True
-    return max(p.norm_l2() for row in K.rows for p in row.coords) <= 1e-12

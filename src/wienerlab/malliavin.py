@@ -25,13 +25,12 @@ In the Hermite basis this is the creation operator, one map over terms:
 exactly and each term ``c He_beta`` of ``u_i`` contributes
 ``c He_{beta+e_i}`` alone: its key with one ``i`` inserted.  The
 divergence of an OperatorField acts row by row, producing a VField.
-The residual checks at the bottom verify the defining integration-by-parts
-identities exactly in the algebra.
+The gaps of the integration-by-parts identities these operators satisfy
+are private helpers of the suites that check them (``suites``).
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -41,6 +40,7 @@ import numpy as np
 from .chaos import (
     ChaosPoly,
     DimensionMismatch,
+    _index,
     _kept,
     _require_same_dim,
     _square_sum,
@@ -122,16 +122,6 @@ def _sum_of_inner(pairs) -> float:
     return sum(l2_inner(p, q) for p, q in pairs)
 
 
-def gram(polys) -> np.ndarray:
-    """Gram matrix G_ab = E[p_a p_b]; each pair a <= b is computed once."""
-    d = len(polys)
-    G = np.empty((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            G[a, b] = G[b, a] = l2_inner(polys[a], polys[b])
-    return G
-
-
 @dataclass(frozen=True)
 class HField(_Field, parts="coords"):
     """Coordinate fields (u_1, .., u_n); the length equals the ambient dim."""
@@ -181,7 +171,8 @@ class VField(_Field, parts="components"):
         return self.components[0].dim
 
     def component(self, a: int) -> ChaosPoly:
-        return self.components[a - 1]
+        """Component a, counted from 1; an index outside 1 .. d raises ``AlgebraError``."""
+        return self.components[_index(a, 1, self.d, "component") - 1]
 
     def expectation(self) -> np.ndarray:
         return np.array([f.expectation() for f in self.components])
@@ -321,39 +312,3 @@ def dual_pairing(F: VField, G: VField) -> ChaosPoly:
 
 def dual_pairing_expectation(F: VField, G: VField) -> float:
     return _sum_of_inner(F._matched(G))
-
-
-# ------------------------------------------------------------------- checks
-
-
-def check_duality(K: OperatorField, F: VField) -> float:
-    """|E<trace pairing of K with grad F> - E<F, div K>|; zero in exact arithmetic."""
-    lhs = trace_pairing_expectation(K, gradient_vector(F))
-    rhs = dual_pairing_expectation(F, divergence_op(K))
-    return abs(lhs - rhs)
-
-
-def check_weakb(K: OperatorField, F: VField) -> float:
-    """L2 residual of div(K^T F) = <F, div K> - <<K, grad F>> in the algebra."""
-    lhs = divergence_h(K.apply_field(F))
-    rhs = dual_pairing(F, divergence_op(K)) - trace_pairing(K, gradient_vector(F))
-    return (lhs - rhs).norm_l2()
-
-
-def check_rowwise_divergence(K: OperatorField, y) -> float:
-    """L2 gap between div(K^T y) and <y, div K> for a constant functional y."""
-    y = np.asarray(y, dtype=float)
-    lhs = divergence_h(K.transpose_apply(y))
-    rhs = linear_combine(list(y), list(divergence_op(K).components))
-    return (lhs - rhs).norm_l2()
-
-
-def check_cbound(K: OperatorField) -> float:
-    """Smallest C with ||div(K^T y)||_2 <= C |y| for every y in R^d.
-
-    The squared norm is the quadratic form y -> y^T G y with Gram matrix
-    G_{ab} = E[div(row_a) div(row_b)], so C is the square root of the top
-    eigenvalue of G.
-    """
-    top = float(np.linalg.eigvalsh(gram([divergence_h(row) for row in K.rows]))[-1])
-    return math.sqrt(max(top, 0.0))

@@ -54,7 +54,6 @@ import numpy as np
 
 from . import adapted as _adapted
 from .adapted import WeaklyAdaptedOperator
-from .malliavin import divergence_op, gram
 from .randgen import make_rng, random_orthogonal
 from .space import (
     BLOCK_ROWS,
@@ -407,18 +406,6 @@ def check_strict_past_measurability(R: AdaptedIsometry, samples) -> float:
         column = R._blocks(N, np.broadcast_to(eye[:, j - 1 : j], (N, n, 1)), hybrid)
         gaps.append(np.max(np.abs(column[:, :, 0] - base[:, :, j - 1])))
     return float(np.max(gaps, initial=0.0))
-
-
-def exact_output_covariance(R: AdaptedIsometry) -> np.ndarray:
-    """Chaos-level covariance of the rotated coordinates, computed exactly.
-
-    Available when the matrix entries are polynomial (the operator form
-    exists); for a true isometry the result is the identity.
-    """
-    op = R.operator()
-    if op is None:
-        raise RotationError(f"{R.kind} rotation has no polynomial operator form")
-    return gram(divergence_op(op).components)
 
 
 # ---------------------------------------------------------------- batteries

@@ -5,8 +5,10 @@ gradient and divergence, isometry of adapted integrals, exactness of the
 adapted representation on its natural class, refinement convergence, the
 minimal-energy representation, and the rotation invariants.  Each suite
 returns one ``Check``: its worst gap against its threshold, with a
-``details`` line naming what it covered.  Random instances come from fixed
-seeds, so two runs produce identical results byte for byte.
+``details`` line naming what it covered.  The gap of each identity is a
+private helper next to the suite that reads it, so a new suite needs no
+public function.  Random instances come from fixed seeds, so two runs
+produce identical results byte for byte.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ import math
 import numpy as np
 
 from .adapted import (
-    check_divergence_free_uniqueness,
-    check_ito_isometry,
-    check_operator_isometry,
-    check_weak_orthogonality,
+    NotPredictable,
+    WeaklyAdaptedOperator,
+    is_predictable,
+    project_operator,
 )
-from .chaos import ChaosPoly, ou_apply
+from .chaos import ChaosPoly, l2_inner, linear_combine, ou_apply
 from .clark import (
     compare_energies,
     minimal_energy_integrand,
@@ -30,15 +32,17 @@ from .clark import (
 )
 from .malliavin import (
     HField,
+    OperatorField,
     VField,
-    check_cbound,
-    check_duality,
-    check_rowwise_divergence,
-    check_weakb,
     divergence_h,
     divergence_op,
+    dual_pairing,
+    dual_pairing_expectation,
     gradient_scalar,
+    gradient_vector,
     skew_symmetric_field,
+    trace_pairing,
+    trace_pairing_expectation,
 )
 from .randgen import (
     make_rng,
@@ -53,9 +57,10 @@ from .randgen import (
     random_weakly_adapted,
 )
 from .rotations import (
+    AdaptedIsometry,
+    RotationError,
     build_sequential_isometry,
     check_strict_past_measurability,
-    exact_output_covariance,
     gaussianity_battery,
     isometry_check,
     mix_outputs,
@@ -69,7 +74,24 @@ def _result(name, gaps, threshold, details, extra_ok=True) -> Check:
     return check(name, np.max(gaps, initial=0.0), threshold, extra_ok, details)
 
 
+def _gram(polys) -> np.ndarray:
+    """Gram matrix G_ab = E[p_a p_b]; each pair a <= b is computed once."""
+    d = len(polys)
+    G = np.empty((d, d))
+    for a in range(d):
+        for b in range(a, d):
+            G[a, b] = G[b, a] = l2_inner(polys[a], polys[b])
+    return G
+
+
 # ------------------------------------------------------------------ suites
+
+
+def _check_duality(K: OperatorField, F: VField) -> float:
+    """|E<trace pairing of K with grad F> - E<F, div K>|; zero in exact arithmetic."""
+    lhs = trace_pairing_expectation(K, gradient_vector(F))
+    rhs = dual_pairing_expectation(F, divergence_op(K))
+    return abs(lhs - rhs)
 
 
 def suite_duality_pairing(seed: int = 1001) -> Check:
@@ -83,10 +105,25 @@ def suite_duality_pairing(seed: int = 1001) -> Check:
         degree = int(rng.integers(1, 5))
         K = random_operator(rng, n, d, degree)
         F = random_vfield(rng, n, d, min(degree, 3))
-        gaps.append(check_duality(K, F))
+        gaps.append(_check_duality(K, F))
     return _result(
         "duality_pairing", gaps, 1e-10, f"{count} random operator/field pairs"
     )
+
+
+def _check_weakb(K: OperatorField, F: VField) -> float:
+    """L2 residual of div(K^T F) = <F, div K> - <<K, grad F>> in the algebra."""
+    lhs = divergence_h(K.apply_field(F))
+    rhs = dual_pairing(F, divergence_op(K)) - trace_pairing(K, gradient_vector(F))
+    return (lhs - rhs).norm_l2()
+
+
+def _check_rowwise_divergence(K: OperatorField, y) -> float:
+    """L2 gap between div(K^T y) and <y, div K> for a constant functional y."""
+    y = np.asarray(y, dtype=float)
+    lhs = divergence_h(K.transpose_apply(y))
+    rhs = linear_combine(list(y), list(divergence_op(K).components))
+    return (lhs - rhs).norm_l2()
 
 
 def suite_weak_pairing(seed: int = 1002) -> Check:
@@ -99,9 +136,9 @@ def suite_weak_pairing(seed: int = 1002) -> Check:
         d = int(rng.integers(1, 4))
         K = random_operator(rng, n, d, 3)
         F = random_vfield(rng, n, d, 3)
-        gaps.append(check_weakb(K, F))
+        gaps.append(_check_weakb(K, F))
         y = rng.standard_normal(d)
-        gaps.append(check_rowwise_divergence(K, y))
+        gaps.append(_check_rowwise_divergence(K, y))
     return _result(
         "weak_pairing", gaps, 1e-10, f"{count} instances, both pairing forms"
     )
@@ -135,6 +172,20 @@ def suite_structure_constants(seed: int = 1003) -> Check:
     )
 
 
+def _check_ito_isometry(u: HField, v: HField) -> float:
+    """|E[div u div v] - E(u, v)| for predictable u, v; exact zero in theory."""
+    if not (is_predictable(u) and is_predictable(v)):
+        raise NotPredictable("isometry holds for predictable fields")
+    return abs(l2_inner(divergence_h(u), divergence_h(v)) - u.inner(v))
+
+
+def _check_operator_isometry(K: WeaklyAdaptedOperator, D: WeaklyAdaptedOperator) -> float:
+    """|E<div D, div K> - E<<K, D>>| for two weakly adapted operators."""
+    rhs = trace_pairing_expectation(K, D)
+    lhs = dual_pairing_expectation(divergence_op(D), divergence_op(K))
+    return abs(lhs - rhs)
+
+
 def suite_ito_isometry(seed: int = 1004) -> Check:
     """Energy identities for predictable fields and adapted operators."""
     rng = make_rng(seed)
@@ -144,16 +195,22 @@ def suite_ito_isometry(seed: int = 1004) -> Check:
         n = int(rng.integers(2, 6))
         u = random_predictable_field(rng, n, 3)
         v = random_predictable_field(rng, n, 3)
-        gaps.append(check_ito_isometry(u, v))
+        gaps.append(_check_ito_isometry(u, v))
     for _ in range(count):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
         K = random_weakly_adapted(rng, n, d, 3)
         D = random_finite_rank_adapted(rng, n, d)
-        gaps.append(check_operator_isometry(K, D))
+        gaps.append(_check_operator_isometry(K, D))
     return _result(
         "ito_isometry", gaps, 1e-10, f"{count} field pairs and {count} operator pairs"
     )
+
+
+def _check_weak_orthogonality(K: OperatorField, Q: WeaklyAdaptedOperator) -> float:
+    """|E<<K, Q>> - E<<projected K, Q>>|: only the adapted part of K pairs with Q."""
+    lhs = trace_pairing_expectation(K, Q)  # checks the shapes before projecting
+    return abs(lhs - trace_pairing_expectation(project_operator(K), Q))
 
 
 def suite_weak_orthogonality(seed: int = 1005) -> Check:
@@ -166,8 +223,19 @@ def suite_weak_orthogonality(seed: int = 1005) -> Check:
         d = int(rng.integers(1, 4))
         K = random_operator(rng, n, d, 3)
         Q = random_finite_rank_adapted(rng, n, d)
-        gaps.append(check_weak_orthogonality(K, Q))
+        gaps.append(_check_weak_orthogonality(K, Q))
     return _result("weak_orthogonality", gaps, 1e-10, f"{count} instances")
+
+
+def _check_divergence_free_uniqueness(K: WeaklyAdaptedOperator) -> bool:
+    """div K = 0 forces K = 0 on weakly adapted operators.
+
+    Returns True iff the implication holds for this K: either the divergence
+    is visibly nonzero, or every entry vanishes within 1e-12.
+    """
+    if divergence_op(K).norm() > 1e-12:
+        return True
+    return max(p.norm_l2() for row in K.rows for p in row.coords) <= 1e-12
 
 
 def suite_clark_exactness(seed: int = 1006) -> Check:
@@ -189,7 +257,7 @@ def suite_clark_exactness(seed: int = 1006) -> Check:
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
         K = random_weakly_adapted(rng, n, d, 3)
-        ok = ok and check_divergence_free_uniqueness(K)
+        ok = ok and _check_divergence_free_uniqueness(K)
     return _result(
         "clark_exactness",
         gaps,
@@ -272,6 +340,17 @@ def suite_number_operator(seed: int = 1009) -> Check:
     return _result("number_operator", gaps, 1e-10, f"{count} random functionals")
 
 
+def _check_cbound(K: OperatorField) -> float:
+    """Smallest C with ||div(K^T y)||_2 <= C |y| for every y in R^d.
+
+    The squared norm is the quadratic form y -> y^T G y with Gram matrix
+    G_{ab} = E[div(row_a) div(row_b)], so C is the square root of the top
+    eigenvalue of G.
+    """
+    top = float(np.linalg.eigvalsh(_gram([divergence_h(row) for row in K.rows]))[-1])
+    return math.sqrt(max(top, 0.0))
+
+
 def suite_operator_bound(seed: int = 1010) -> Check:
     """The sharp constant bounds the pairing over the unit sphere."""
     rng = make_rng(seed)
@@ -281,7 +360,7 @@ def suite_operator_bound(seed: int = 1010) -> Check:
         n = int(rng.integers(2, 5))
         d = int(rng.integers(1, 4))
         K = random_operator(rng, n, d, 2)
-        c = check_cbound(K)
+        c = _check_cbound(K)
         for _ in range(20):
             y = rng.standard_normal(d)
             norm = float(np.linalg.norm(y))
@@ -295,6 +374,18 @@ def suite_operator_bound(seed: int = 1010) -> Check:
     )
 
 
+def _exact_output_covariance(R: AdaptedIsometry) -> np.ndarray:
+    """Chaos-level covariance of the rotated coordinates, computed exactly.
+
+    Available when the matrix entries are polynomial (the operator form
+    exists); for a true isometry the result is the identity.
+    """
+    op = R.operator()
+    if op is None:
+        raise RotationError(f"{R.kind} rotation has no polynomial operator form")
+    return _gram(divergence_op(op).components)
+
+
 def suite_rotation_invariants(seed: int = 1011) -> Check:
     """Adapted rotations: pathwise isometry, strict-past certificates, defects."""
     gaps = []
@@ -306,7 +397,7 @@ def suite_rotation_invariants(seed: int = 1011) -> Check:
         gaps.append(isometry_check(R, probe))
         gaps.append(check_strict_past_measurability(R, probe))
     base = build_sequential_isometry(n, seed, "zero")
-    gaps.append(np.max(np.abs(exact_output_covariance(base) - np.eye(n))))
+    gaps.append(np.max(np.abs(_exact_output_covariance(base) - np.eye(n))))
     scaled = scale_output(base, 1, 2.0)
     ok = ok and abs(isometry_check(scaled, probe) - 3.0) <= 1e-12
     mixed = mix_outputs(build_sequential_isometry(n, seed, "givens"), 1, n)

@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import make_rng, split_integrand
-from wienerlab.adapted import (
-    WeaklyAdaptedOperator,
-    check_divergence_free_uniqueness,
-    check_ito_isometry,
-    check_operator_isometry,
-    check_weak_orthogonality,
-)
+from wienerlab.adapted import WeaklyAdaptedOperator
 from wienerlab.chaos import ChaosPoly, ou_apply
 from wienerlab.clark import (
     clark_integrand,
@@ -33,29 +27,21 @@ from wienerlab.cli import main as cli_main
 from wienerlab.malliavin import (
     HField,
     VField,
-    check_duality,
-    check_rowwise_divergence,
-    check_weakb,
     divergence_h,
     gradient_scalar,
     skew_symmetric_field,
 )
 from wienerlab.randgen import (
-    random_finite_rank_adapted,
-    random_operator,
     random_poly,
-    random_predictable_field,
     random_representable_poly,
     random_representable_vfield,
     random_skew_matrix,
-    random_vfield,
     random_weakly_adapted,
 )
 from wienerlab.rotations import (
     ISOMETRY_TOL,
     build_sequential_isometry,
     check_strict_past_measurability,
-    exact_output_covariance,
     gaussianity_battery,
     independence_battery,
     isometry_check,
@@ -64,6 +50,14 @@ from wienerlab.rotations import (
     scale_output,
 )
 from wienerlab.space import mc_estimate, sample_batch
+from wienerlab.suites import (
+    _check_divergence_free_uniqueness,
+    _exact_output_covariance,
+    suite_duality_pairing,
+    suite_ito_isometry,
+    suite_weak_orthogonality,
+    suite_weak_pairing,
+)
 
 
 def _worst(gaps) -> float:
@@ -83,36 +77,18 @@ def test_acceptance_01_duality_adjointness():
     # E[<K, grad F>] = E[(div K, F)] for 200 random pairs, within 1e-10,
     # inside a 30 second budget
     t0 = time.monotonic()
-    rng = make_rng(70101)
-    gaps = []
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        d = int(rng.integers(1, 4))
-        degree = int(rng.integers(1, 5))
-        K = random_operator(rng, n, d, degree)
-        F = random_vfield(rng, n, d, min(degree, 3))
-        gaps.append(check_duality(K, F))
+    result = suite_duality_pairing(70101)
     elapsed = time.monotonic() - t0
-    worst = _worst(gaps)
-    assert worst <= 1e-10
+    assert result.statistic <= 1e-10 and result.passed
     assert elapsed <= 30.0
-    print(f"PASS duality adjointness: worst gap {worst:.3e} in {elapsed:.2f}s")
+    print(f"PASS duality adjointness: worst gap {result.statistic:.3e} in {elapsed:.2f}s")
 
 
 def test_acceptance_02_weak_pairing_forms():
     # componentwise pairing and rowwise divergence forms agree, 100 instances
-    rng = make_rng(70202)
-    gaps = []
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        K = random_operator(rng, n, d, 3)
-        F = random_vfield(rng, n, d, 3)
-        gaps.append(check_weakb(K, F))
-        gaps.append(check_rowwise_divergence(K, rng.standard_normal(d)))
-    worst = _worst(gaps)
-    assert worst <= 1e-10
-    print(f"PASS weak pairing forms: worst gap {worst:.3e}")
+    result = suite_weak_pairing(70202)
+    assert result.statistic <= 1e-10 and result.passed
+    print(f"PASS weak pairing forms: worst gap {result.statistic:.3e}")
 
 
 def test_acceptance_03_exact_divergence_structure():
@@ -146,37 +122,16 @@ def test_acceptance_03_exact_divergence_structure():
 def test_acceptance_04_adapted_isometries():
     # polarized energy identity for 200 predictable pairs and 200 weakly
     # adapted operator pairs
-    rng = make_rng(70404)
-    gaps = []
-    for _ in range(200):
-        n = int(rng.integers(2, 6))
-        u = random_predictable_field(rng, n, 3)
-        v = random_predictable_field(rng, n, 3)
-        gaps.append(check_ito_isometry(u, v))
-    for _ in range(200):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        K = random_weakly_adapted(rng, n, d, 3)
-        D = random_finite_rank_adapted(rng, n, d)
-        gaps.append(check_operator_isometry(K, D))
-    worst = _worst(gaps)
-    assert worst <= 1e-10
-    print(f"PASS adapted isometries: worst gap {worst:.3e}")
+    result = suite_ito_isometry(70404)
+    assert result.statistic <= 1e-10 and result.passed
+    print(f"PASS adapted isometries: worst gap {result.statistic:.3e}")
 
 
 def test_acceptance_05_weak_orthogonality():
     # anticipating remainder pairs to zero against adapted test operators
-    rng = make_rng(70505)
-    gaps = []
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        K = random_operator(rng, n, d, 3)
-        Q = random_finite_rank_adapted(rng, n, d)
-        gaps.append(check_weak_orthogonality(K, Q))
-    worst = _worst(gaps)
-    assert worst <= 1e-10
-    print(f"PASS weak orthogonality: worst gap {worst:.3e}")
+    result = suite_weak_orthogonality(70505)
+    assert result.statistic <= 1e-10 and result.passed
+    print(f"PASS weak orthogonality: worst gap {result.statistic:.3e}")
 
 
 def test_acceptance_06_clark_representable_exactness():
@@ -204,7 +159,7 @@ def test_acceptance_06_clark_representable_exactness():
     for _ in range(30):
         n = int(rng.integers(2, 6))
         d = int(rng.integers(1, 4))
-        assert check_divergence_free_uniqueness(random_weakly_adapted(rng, n, d, 3))
+        assert _check_divergence_free_uniqueness(random_weakly_adapted(rng, n, d, 3))
     worst = _worst(gaps)
     assert worst <= 1e-10
     print(f"PASS representable exactness and uniqueness: worst residual {worst:.3e}")
@@ -298,7 +253,7 @@ def test_acceptance_10_rotation_batteries():
         assert independence_battery(R, e1, e2, N, seed + 2).passed
         assert measure_preservation_battery(R, N, seed + 3).passed
     Rc = build_sequential_isometry(n, seed, "constant")
-    assert np.max(np.abs(exact_output_covariance(Rc) - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(_exact_output_covariance(Rc) - np.eye(n))) <= 1e-12
     assert measure_preservation_battery(Rc, N, seed + 4).passed
 
     base = build_sequential_isometry(n, seed, "givens")

@@ -12,10 +12,6 @@ from wienerlab.adapted import (
     NotPredictable,
     PredictableHField,
     WeaklyAdaptedOperator,
-    check_divergence_free_uniqueness,
-    check_ito_isometry,
-    check_operator_isometry,
-    check_weak_orthogonality,
     is_predictable,
     project_adapted,
     project_operator,
@@ -31,6 +27,12 @@ from wienerlab.randgen import (
 )
 from wienerlab.rotations import build_sequential_isometry, check_strict_past_measurability
 from wienerlab.space import sample_batch
+from wienerlab.suites import (
+    _check_divergence_free_uniqueness,
+    _check_ito_isometry,
+    _check_operator_isometry,
+    _check_weak_orthogonality,
+)
 
 
 def eta(i, n):
@@ -90,10 +92,10 @@ def test_one_stage_table_moves_every_filtration_decision():
                 energy = clark_integrand(VField((p,))).norm() ** 2
                 assert compare_energies(p).adapted_energy == pytest.approx(energy, rel=1e-12, abs=0.0)
             u, w = random_predictable_field(rng, n, degree), random_predictable_field(rng, n, degree)
-            assert check_ito_isometry(u, w) <= 1e-10
+            assert _check_ito_isometry(u, w) <= 1e-10
             D = random_finite_rank_adapted(rng, n, d)
-            assert check_operator_isometry(random_weakly_adapted(rng, n, d, degree), D) <= 1e-10
-            assert check_weak_orthogonality(random_operator(rng, n, d, degree), D) == 0.0
+            assert _check_operator_isometry(random_weakly_adapted(rng, n, d, degree), D) <= 1e-10
+            assert _check_weak_orthogonality(random_operator(rng, n, d, degree), D) == 0.0
         # sign and givens read the coordinate past only: the certificate flags them
         draws = sample_batch(4, 256, seed=777).draws
         for spec, flagged in (("zero", False), ("constant", False), ("sign", True), ("givens", True)):
@@ -242,7 +244,7 @@ def test_ito_isometry_frozen():
     n = 2
     u = PredictableHField((ChaosPoly.zero(n), eta(1, n)))
     # E[(div u)^2] = E[(eta_1 eta_2)^2] = 1 = E[eta_1^2]
-    assert check_ito_isometry(u, u) == pytest.approx(0.0, abs=1e-14)
+    assert _check_ito_isometry(u, u) == pytest.approx(0.0, abs=1e-14)
     assert l2_inner(divergence_h(u), divergence_h(u)) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -252,13 +254,13 @@ def test_ito_isometry_random():
         n = int(rng.integers(2, 5))
         u = random_predictable_field(rng, n, 3)
         v = random_predictable_field(rng, n, 3)
-        assert check_ito_isometry(u, v) <= 1e-10
+        assert _check_ito_isometry(u, v) <= 1e-10
 
 
 def test_ito_isometry_requires_predictability():
     u = HField((eta(1, 1),))
     with pytest.raises(NotPredictable):
-        check_ito_isometry(u, u)
+        _check_ito_isometry(u, u)
 
 
 def test_stage_convention_counterexample():
@@ -277,7 +279,7 @@ def test_operator_isometry_random():
         d = int(rng.integers(1, 4))
         K = random_weakly_adapted(rng, n, d, 3)
         D = random_finite_rank_adapted(rng, n, d)
-        assert check_operator_isometry(K, D) <= 1e-10
+        assert _check_operator_isometry(K, D) <= 1e-10
 
 
 def test_operator_isometry_shape_guard():
@@ -285,7 +287,7 @@ def test_operator_isometry_shape_guard():
     K = random_weakly_adapted(rng, 3, 2, 2)
     D = random_finite_rank_adapted(rng, 3, 3)
     with pytest.raises(Exception):
-        check_operator_isometry(K, D)
+        _check_operator_isometry(K, D)
 
 
 # -------------------------------------------------------- weak orthogonality
@@ -298,7 +300,7 @@ def test_weak_orthogonality_random():
         d = int(rng.integers(1, 4))
         K = random_operator(rng, n, d, 3)
         Q = random_finite_rank_adapted(rng, n, d)
-        assert check_weak_orthogonality(K, Q) <= 1e-10
+        assert _check_weak_orthogonality(K, Q) <= 1e-10
 
 
 def test_weak_orthogonality_hand_example():
@@ -311,7 +313,7 @@ def test_weak_orthogonality_hand_example():
     Kop = OperatorField((K,))
     q = PredictableHField((ChaosPoly.constant(n, 1.0), eta(1, n)))
     Q = WeaklyAdaptedOperator((q,))
-    assert check_weak_orthogonality(Kop, Q) == pytest.approx(0.0, abs=1e-14)
+    assert _check_weak_orthogonality(Kop, Q) == pytest.approx(0.0, abs=1e-14)
 
 
 # ----------------------------------------------------- finite-rank structure
@@ -350,7 +352,7 @@ def test_divergence_free_uniqueness_random():
         n = int(rng.integers(2, 5))
         d = int(rng.integers(1, 4))
         K = random_weakly_adapted(rng, n, d, 3)
-        assert check_divergence_free_uniqueness(K)
+        assert _check_divergence_free_uniqueness(K)
 
 
 def test_weakly_adapted_divergence_is_injective():
@@ -370,7 +372,7 @@ def test_zero_operator_passes_uniqueness():
         PredictableHField((ChaosPoly.zero(2), ChaosPoly.zero(2))) for _ in range(2)
     )
     K = WeaklyAdaptedOperator(rows)
-    assert check_divergence_free_uniqueness(K)
+    assert _check_divergence_free_uniqueness(K)
 
 
 def test_predictable_sub_returns_plain_hfield():

@@ -80,7 +80,7 @@ def test_verify_reports_failure_with_exit_one(tmp_path, monkeypatch, capsys):
 
 def test_verify_nan_gap_exits_one(tmp_path, monkeypatch, capsys):
     # a check that returns NaN must fail its suite, not vanish in the fold
-    monkeypatch.setattr(wienerlab.suites, "check_duality", lambda K, F: math.nan)
+    monkeypatch.setattr(wienerlab.suites, "_check_duality", lambda K, F: math.nan)
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(["verify", "--suite", "duality_pairing"], capsys)
     assert code == 1

@@ -8,6 +8,7 @@ import pytest
 from helpers import draw_hfield, draw_poly, exact_root, l2_mass, make_rng, mc_poly_mean
 from wienerlab.chaos import (
     DEGREE_CAP,
+    AlgebraError,
     ChaosPoly,
     DegreeCapExceeded,
     DimensionMismatch,
@@ -23,10 +24,6 @@ from wienerlab.malliavin import (
     HField,
     OperatorField,
     VField,
-    check_cbound,
-    check_duality,
-    check_rowwise_divergence,
-    check_weakb,
     divergence_h,
     divergence_op,
     dual_pairing,
@@ -44,6 +41,7 @@ from wienerlab.randgen import (
     random_skew_matrix,
     random_vfield,
 )
+from wienerlab.suites import _check_cbound, _check_duality, _check_rowwise_divergence, _check_weakb
 
 
 def he(k, i, n):
@@ -276,7 +274,7 @@ def test_duality_random_instances():
         d = int(rng.integers(1, 4))
         K = random_operator(rng, n, d, 3)
         F = random_vfield(rng, n, d, 3)
-        assert check_duality(K, F) <= 1e-10
+        assert _check_duality(K, F) <= 1e-10
 
 
 def test_duality_hand_example():
@@ -297,7 +295,7 @@ def test_weakb_random_instances():
         d = int(rng.integers(1, 3))
         K = random_operator(rng, n, d, 2)
         F = random_vfield(rng, n, d, 2)
-        assert check_weakb(K, F) <= 1e-10
+        assert _check_weakb(K, F) <= 1e-10
 
 
 def test_weakb_hand_example():
@@ -318,7 +316,7 @@ def test_rowwise_divergence_random():
         d = int(rng.integers(1, 4))
         K = random_operator(rng, n, d, 3)
         y = rng.standard_normal(d)
-        assert check_rowwise_divergence(K, y) <= 1e-10
+        assert _check_rowwise_divergence(K, y) <= 1e-10
 
 
 # ------------------------------------------------------------ uniform bound
@@ -326,7 +324,7 @@ def test_rowwise_divergence_random():
 
 def test_cbound_constant_identity():
     # each row of 1_H diverges to the orthonormal family (eta_a): C = 1
-    assert check_cbound(OperatorField.constant(np.eye(4))) == pytest.approx(1.0, abs=1e-12)
+    assert _check_cbound(OperatorField.constant(np.eye(4))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cbound_diagonal_coordinate_operator():
@@ -342,7 +340,7 @@ def test_cbound_diagonal_coordinate_operator():
         for a in range(1, n + 1)
     )
     K = OperatorField(rows)
-    assert check_cbound(K) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert _check_cbound(K) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_cbound_rank_one_closed_form():
@@ -352,7 +350,7 @@ def test_cbound_rank_one_closed_form():
     y = np.array([1.0, -2.0, 2.0])
     K = OperatorField(tuple(_scaled(alpha, v) for v in y))
     expected = np.linalg.norm(y) * divergence_h(alpha).norm_l2()
-    assert check_cbound(K) == pytest.approx(expected, rel=1e-12)
+    assert _check_cbound(K) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cbound_sphere_scan_oracle():
@@ -360,7 +358,7 @@ def test_cbound_sphere_scan_oracle():
     rng = make_rng(320)
     for _ in range(5):
         K = random_operator(rng, 3, 3, 2)
-        C = check_cbound(K)
+        C = _check_cbound(K)
         best = 0.0
         for _ in range(200):
             l = rng.standard_normal(3)
@@ -385,6 +383,15 @@ def test_field_shape_validation():
         OperatorField(
             (HField((eta(1, 2), eta(2, 2))), HField((eta(1, 3), eta(2, 3), eta(3, 3))))
         )
+
+
+@pytest.mark.parametrize("a", [0, 3, -1, 1.0])
+def test_vfield_component_refuses_an_index_outside_one_to_d(a):
+    # 1-based: 0 and -1 would wrap round to the last component, 1.0 truncate
+    v = VField((eta(1, 2), he(2, 2, 2)))
+    assert v.component(1) == eta(1, 2) and v.component(2) == he(2, 2, 2)
+    with pytest.raises(AlgebraError):
+        v.component(a)
 
 
 def test_field_arithmetic_and_energy():

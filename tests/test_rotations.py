@@ -19,7 +19,6 @@ from wienerlab.rotations import (
     _rotated_sample,
     build_sequential_isometry,
     check_strict_past_measurability,
-    exact_output_covariance,
     gaussianity_battery,
     independence_battery,
     isometry_check,
@@ -28,6 +27,7 @@ from wienerlab.rotations import (
     scale_output,
 )
 from wienerlab.space import BLOCK_ROWS, Check, ks_normal, moment_normality, sample_batch
+from wienerlab.suites import _exact_output_covariance
 
 N_BATTERY = 200_000
 SEED = 20240815
@@ -373,10 +373,10 @@ def test_pathwise_rotation_matches_divergence():
 
 def test_exact_output_covariance_identity():
     R = build_sequential_isometry(4, seed=3, angle_spec="constant")
-    cov = exact_output_covariance(R)
+    cov = _exact_output_covariance(R)
     assert np.max(np.abs(cov - np.eye(4))) <= 1e-12
     with pytest.raises(RotationError):
-        exact_output_covariance(build_sequential_isometry(3, seed=3, angle_spec="sign"))
+        _exact_output_covariance(build_sequential_isometry(3, seed=3, angle_spec="sign"))
 
 
 # ----------------------------------------------------------------- batteries

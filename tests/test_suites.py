@@ -1,10 +1,13 @@
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 
 import wienerlab.cli
 import wienerlab.suites
+from wienerlab.chaos import ChaosPoly, linear_combine
 from wienerlab.cli import main
 from wienerlab.space import Check
 from wienerlab.suites import run_suites, suite_names
@@ -64,27 +67,101 @@ def test_suites_are_deterministic():
     assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
 
 
-def test_nan_gap_fails_the_suite(monkeypatch):
-    monkeypatch.setattr(wienerlab.suites, "check_duality", lambda K, F: math.nan)
-    result = wienerlab.suites.suite_duality_pairing()
+# each gap helper with the suite that reads it, the value planted in it, and
+# the suite's details line, which a failing gap leaves as it is
+PLANTED_GAPS = [
+    ("_check_duality", "duality_pairing", math.nan, "200 random operator/field pairs"),
+    ("_check_weakb", "weak_pairing", math.nan, "100 instances, both pairing forms"),
+    ("_check_rowwise_divergence", "weak_pairing", math.nan, "100 instances, both pairing forms"),
+    ("_check_ito_isometry", "ito_isometry", math.nan, "200 field pairs and 200 operator pairs"),
+    ("_check_operator_isometry", "ito_isometry", math.nan, "200 field pairs and 200 operator pairs"),
+    ("_check_weak_orthogonality", "weak_orthogonality", math.nan, "100 instances"),
+    (
+        "_check_divergence_free_uniqueness",
+        "clark_exactness",
+        False,
+        "100 representable fields plus 30 injectivity checks",
+    ),
+    ("_check_cbound", "operator_bound", math.nan, "40 operators, 20 directions each"),
+    (
+        "_exact_output_covariance",
+        "rotation_invariants",
+        np.full((6, 6), math.nan),
+        "three constructions, exact covariance, planted defects, output law",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "helper, suite, value, details", PLANTED_GAPS, ids=[row[0] for row in PLANTED_GAPS]
+)
+def test_nan_gap_fails_the_suite(monkeypatch, helper, suite, value, details):
+    monkeypatch.setattr(wienerlab.suites, helper, lambda *args: value)
+    [result] = run_suites([suite])
     assert not result.passed
-    assert math.isnan(result.statistic)
-    assert result.details == "200 random operator/field pairs"
+    # a planted False fails through the suite's boolean checks, not its gap
+    assert math.isnan(result.statistic) == (value is not False)
+    assert result.details == details
 
 
-def test_a_planted_refine_defect_fails_only_refinement_convergence(monkeypatch, capsys):
-    # refine's fine coefficients scaled by 1 + 1e-9, which only m > 1
-    # reads: the refinement rows are the residuals of refine's arrays, so
-    # the suite's comparison with the closed form catches it, and no other
-    # suite runs refine
-    original = wienerlab.chaos._refined_blocks
+def _planted(kernel, original):
+    """The kernel with its output scaled by 1 + 1e-9, without calling a kernel."""
+    if kernel == "_refined_blocks":
 
-    def planted(p, m):
-        for digits, coeffs, factorials in original(p, m):
-            yield digits, coeffs * (1 + 1e-9), factorials
+        def planted_blocks(p, m):
+            for digits, coeffs, factorials in original(p, m):
+                yield digits, coeffs * (1 + 1e-9), factorials
 
-    monkeypatch.setattr(wienerlab.clark, "_refined_blocks", planted)
+        return planted_blocks
+
+    def planted(*args):
+        value = original(*args)
+        if isinstance(value, ChaosPoly):
+            return linear_combine([1 + 1e-9], [value])
+        return value * (1 + 1e-9)
+
+    return planted
+
+
+# the suites that fail when a kernel's output is scaled by 1 + 1e-9
+KERNEL_DEFECTS = [
+    ("hermite_product", ["minimal_energy"]),
+    ("ou_inverse", ["minimal_energy"]),
+    ("ou_apply", ["number_operator"]),
+    ("conditional_expectation", ["weak_orthogonality"]),
+    # only through the Gram matrix of the exact output covariance
+    ("l2_inner", ["rotation_invariants"]),
+    ("partial_derivative", ["duality_pairing", "weak_pairing", "minimal_energy", "number_operator"]),
+    (
+        "divergence_h",
+        [
+            "duality_pairing",
+            "weak_pairing",
+            "structure_constants",
+            "ito_isometry",
+            "clark_exactness",
+            "minimal_energy",
+            "number_operator",
+            "rotation_invariants",
+        ],
+    ),
+    # refine's fine coefficients, which only m > 1 reads: the refinement rows
+    # are the residuals of refine's arrays, and no other suite refines
+    ("_refined_blocks", ["refinement_convergence"]),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel, failing", KERNEL_DEFECTS, ids=[row[0] for row in KERNEL_DEFECTS]
+)
+def test_a_planted_kernel_defect_fails_its_suites(monkeypatch, capsys, kernel, failing):
+    original = getattr(wienerlab.chaos, kernel, None) or getattr(wienerlab.malliavin, kernel)
+    planted = _planted(kernel, original)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "wienerlab"]
+    for module in modules:
+        if getattr(module, kernel, None) is original:
+            monkeypatch.setattr(module, kernel, planted)
     failed = [r.name for r in run_suites(suite_names()) if not r.passed]
-    assert failed == ["refinement_convergence"]
-    assert main(["verify", "--suite", "refinement_convergence"]) == 1
-    assert capsys.readouterr().out.startswith("FAIL refinement_convergence")
+    assert failed == failing
+    assert main(["verify", "--suite", failing[0]]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL {failing[0]}")
