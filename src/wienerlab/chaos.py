@@ -42,15 +42,16 @@ Two kernels build a table once and read it many times.  :func:`refine`
 reads the Hermite expansions of one block average, from their closed form
 ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha! u^alpha He_alpha(eta)`` for a
 unit vector ``u``, as digit matrices with their coefficient and ``alpha!``
-columns, and shifts their digits for every block; its generator of fine
-digit arrays, :func:`_refined_blocks`, is also what ``clark``'s refinement
-rows read.  Such a table depends on ``(m, k)`` alone: each one up to a row
-bound is built once per process and kept, read-only, with at most about
-25 MB kept in all (:func:`_block_average_table`).  :func:`evaluate_batch`
-reads the columns ``He_k(eta_i)`` from a :class:`HermiteColumns`: a
-``space.SampleBatch`` owns one for its draws, and a call on a plain array
-builds its own and drops it; that table does not outlive its call or its
-batch.  Both give the bits of the unshared computation, because each float
+columns, and shifts their digits for every block (:func:`_refined_blocks`).
+Such a table depends on ``(m, k)`` alone: each one up to a row bound is
+built once per process and kept, read-only, with at most about 25 MB kept
+in all (:func:`_block_average_table`).  ``clark``'s refinement rows read
+the same tables as a few groups of equal coefficients, one pair per
+``alpha!`` (:func:`_block_groups`), kept for the life of the process.
+:func:`evaluate_batch` reads the columns ``He_k(eta_i)`` from a
+:class:`HermiteColumns`: a ``space.SampleBatch`` owns one for its draws,
+and a call on a plain array builds its own and drops it; that table does
+not outlive its call or its batch.  Both give the bits of the unshared computation, because each float
 is formed by the same operations in the same order.
 
 Outside input passes one term gate, :func:`_canonical_terms`, in the
@@ -700,11 +701,10 @@ def _kept_block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, n
 
 def _build_block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arrays of :func:`_block_average_table`, built afresh and made read-only."""
-    root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
     digits = np.frombuffer(bytes(chain.from_iterable(_multisets(range(1, m + 1), k))), np.uint8)
     digits = digits.reshape(math.comb(m + k - 1, k), k)
     factorials = _row_factorials(digits)
-    table = digits, math.factorial(k) // factorials / root, factorials
+    table = digits, _block_coefficients(m, k, factorials), factorials
     for array in table:
         array.flags.writeable = False
     return table
@@ -723,6 +723,72 @@ def _row_factorials(digits: np.ndarray) -> np.ndarray:
         run = run * same + 1
         fact = fact * run
     return fact
+
+
+def _block_coefficients(m: int, k: int, factorials: np.ndarray) -> np.ndarray:
+    """``k! // alpha! / m**(k/2)`` for an int64 array of ``alpha!``: a block table's coefficients."""
+    root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
+    return math.factorial(k) // factorials / root
+
+
+#: Grouped block tables kept for the life of the process
+#: (:func:`_block_groups`), each of at most 22 pairs.
+_KEPT_GROUPS = 1024
+
+
+@lru_cache(maxsize=_KEPT_GROUPS)
+def _block_groups(m: int, k: int, past: bytes = b"", top: int = 0) -> tuple[tuple[float, int], ...]:
+    """The ``(m, k)`` block table's rows by equal ``alpha!``: one ``(coefficient, weight)`` each.
+
+    A row's coefficient ``k! // alpha! / m**(k/2)`` depends on its
+    ``alpha!`` alone, and distinct ``alpha!`` give distinct coefficients,
+    so one pair per ``alpha!`` holds the table's distinct coefficients: the
+    float of its rows, bit for bit (:func:`_block_coefficients`), and the
+    exact integer weight ``alpha!`` times its row count.  The pairs run by
+    ascending ``alpha!``, so with every row in, the first holds the table's
+    largest coefficient.  A group per partition of ``k <= DEGREE_CAP`` is
+    at most 22 pairs.
+
+    Two rules keep fewer rows.  ``past`` is a local stage table, byte ``b``
+    for digit ``b`` (byte 0 unused): a row is kept when its second largest
+    digit exceeds ``past`` at its largest, for ``k >= 2``.  ``top`` keeps
+    the rows whose largest digit exceeds it.  With neither rule no table is
+    read: the rows of one ``alpha!`` are the multisets whose orders make a
+    partition of ``k`` into at most ``m`` parts, ``m!/(m - r)!`` placements
+    of its ``r`` parts on the digits over the orderings of equal parts.
+    With either, the table's kept rows are counted by ``alpha!``
+    (``np.bincount``), with no sort.  Every result is kept for the life of
+    the process, up to :data:`_KEPT_GROUPS` of them, whatever the size of
+    its table.
+    """
+    if not (past or top):
+        weights: dict[int, int] = {}
+        for parts in _partitions(k, m):
+            alpha = math.prod(map(math.factorial, parts))
+            orderings = math.prod(math.factorial(parts.count(j)) for j in set(parts))
+            rows = math.perm(m, len(parts)) // orderings
+            weights[alpha] = weights.get(alpha, 0) + alpha * rows
+        alphas = np.array(sorted(weights), np.int64)
+        weights = [weights[alpha] for alpha in alphas.tolist()]
+    else:
+        digits, _, factorials = _block_average_table(m, k)
+        kept = digits[:, -1] > top
+        if past:
+            kept &= digits[:, -2] > np.frombuffer(past, np.uint8)[digits[:, -1]]
+        counts = np.bincount(factorials[kept])
+        alphas = np.flatnonzero(counts)
+        weights = (alphas * counts[alphas]).tolist()
+    return tuple(zip(_block_coefficients(m, k, alphas).tolist(), weights))
+
+
+def _partitions(k: int, parts: int, largest: int = DEGREE_CAP):
+    """The partitions of ``k`` into at most ``parts`` parts of at most ``largest``, descending."""
+    if not k:
+        yield ()
+    elif parts:
+        for first in range(min(k, largest), 0, -1):
+            for rest in _partitions(k - first, parts - 1, first):
+                yield (first, *rest)
 
 
 def _refinement_factor(dim: int, m) -> int:
@@ -754,27 +820,41 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     at least 1, so no byte is lost.  Distinct coarse monomials refine to
     disjoint fine keys, so the terms are stored as they come, with no sums;
     a coefficient that overflows raises and one that underflows to zero is
-    dropped (:func:`_kept`).  ``clark.refine_and_reconstruct`` reads the
-    same arrays without building this store.
+    dropped (:func:`_kept`).  ``clark.refine_and_reconstruct`` builds no
+    fine term: its rows read the grouped tables of :func:`_block_groups`.
     """
     m = _refinement_factor(p.dim, m)
     if m == 1:
         return p
     store = {}
-    for digits, coeffs, _ in _refined_blocks(p, m):
+    for digits, coeffs in _refined_blocks(p, m):
         width = digits.shape[1]
         keys = digits.view(f"S{width}").ravel().tolist() if width else [b""]
         store.update(zip(keys, coeffs.tolist()))
     return ChaosPoly._of(p.dim * m, _kept(store))
 
 
-def _refined_blocks(p: ChaosPoly, m: int):
-    """The fine terms of ``refine(p, m)``: ``(digits, coefficients, factorials)`` per coarse monomial.
+def _refinement_monomials(p: ChaosPoly, m: int) -> list[tuple[list[tuple[int, int]], float]]:
+    """``(pairs, c)`` per term of ``p``, once a refinement by ``m`` is within the term budget.
 
-    ``m`` is a checked factor of at least 2.  A coarse monomial ``prod_i
-    He_{k_i}`` spreads over ``prod_i C(m + k_i - 1, k_i)`` fine monomials;
-    past :data:`_TERM_BUDGET` of them in all, :class:`AlgebraError` is
-    raised before any table is built.  ``He_k`` of the average of fine
+    A coarse monomial ``prod_i He_{k_i}`` spreads over ``prod_i C(m + k_i -
+    1, k_i)`` fine monomials; past :data:`_TERM_BUDGET` of them in all,
+    :class:`AlgebraError` is raised, before any table is built or read.
+    """
+    monomials = [(_pairs_of(key), c) for key, c in p._terms.items()]
+    count = sum(math.prod(math.comb(m + k - 1, k) for _, k in pairs) for pairs, _ in monomials)
+    if count > _TERM_BUDGET:
+        raise AlgebraError(
+            f"refine by {m} would build {count:,} terms, past the budget of {_TERM_BUDGET:,}"
+        )
+    return monomials
+
+
+def _refined_blocks(p: ChaosPoly, m: int):
+    """The fine terms of ``refine(p, m)``: ``(digits, coefficients)`` per coarse monomial.
+
+    ``m`` is a checked factor of at least 2, and the term budget is checked
+    first (:func:`_refinement_monomials`).  ``He_k`` of the average of fine
     coordinates ``1 .. m`` is built in closed form
     (:func:`_block_average_table`), which is built once per process for
     every ``(m, k)`` of at most ``_KEPT_TABLE_ROWS`` rows and rebuilt on
@@ -784,42 +864,33 @@ def _refined_blocks(p: ChaosPoly, m: int):
     coarse monomial's fine terms are its blocks' tables joined by
     broadcasting, the earlier block outer: each fine row is the blocks'
     digit rows side by side, a sorted ``uint8`` row of the fine key's bytes,
-    its coefficient ``c * ((c1 * c2) * ...)``, the floats of the
-    term-by-term product, and its ``alpha!``, the product of its blocks'
-    ``alpha!`` columns: blocks hold disjoint coordinates, so the fine
-    ``alpha!`` is exactly that int64 product, at most ``DEGREE_CAP!``.  The
-    constant yields one row of no digits and ``alpha! = 1``.  Coefficients
-    are yielded as the floats fall, overflowed or underflowed alike, in the
-    order of ``p``'s terms and of the rows.  An array may be a kept table's
-    own, which is read-only.
+    and its coefficient ``c * ((c1 * c2) * ...)``, the floats of the
+    term-by-term product.  The constant yields one row of no digits.
+    Coefficients are yielded as the floats fall, overflowed or underflowed
+    alike, in the order of ``p``'s terms and of the rows.  An array may be
+    a kept table's own, which is read-only.
     """
-    monomials = [(_pairs_of(key), c) for key, c in p._terms.items()]
-    count = sum(math.prod(math.comb(m + k - 1, k) for _, k in pairs) for pairs, _ in monomials)
-    if count > _TERM_BUDGET:
-        raise AlgebraError(
-            f"refine by {m} would build {count:,} terms, past the budget of {_TERM_BUDGET:,}"
-        )
+    monomials = _refinement_monomials(p, m)
     tables = {k: _block_average_table(m, k) for k in {k for pairs, _ in monomials for _, k in pairs}}
     for pairs, c in monomials:
         if not pairs:
-            yield np.empty((1, 0), np.uint8), np.array([c]), np.ones(1, np.int64)
+            yield np.empty((1, 0), np.uint8), np.array([c])
             continue
         (i, k), *rest = pairs
-        digits, coeffs, factorials = tables[k]
+        digits, coeffs, _ = tables[k]
         digits = digits + (i - 1) * m
         for i, k in rest:
-            d, w, f = tables[k]
+            d, w, _ = tables[k]
             # every row so far beside every row of block i
             joined = np.empty((len(digits), len(d), digits.shape[1] + k), np.uint8)
             joined[:, :, :-k], joined[:, :, -k:] = digits[:, None], d + (i - 1) * m
             digits = joined.reshape(len(digits) * len(d), -1)
             coeffs = np.multiply.outer(coeffs, w).ravel()
-            factorials = np.multiply.outer(factorials, f).ravel()
         # the caller refuses an overflow and drops an underflow: neither is
         # numpy's to report
         with np.errstate(over="ignore", under="ignore"):
             coeffs = coeffs * c
-        yield digits, coeffs, factorials
+        yield digits, coeffs
 
 
 class HermiteColumns:

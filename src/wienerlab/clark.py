@@ -22,9 +22,9 @@ over finer cells and shrinks the residual.  Every residual is one sum,
 :func:`refinement_residual`, which gives the residual after refining by m in
 closed form from v's own terms; ``reconstruct`` reports it at m = 1, and
 :func:`refine_and_reconstruct` takes it at m = 1 of each refined
-functional, which cross-checks the closed form.  Those rows read the fine
-terms straight from ``refine``'s digit arrays and no longer build the
-refined functional.  The residuals and both energies below are exact sums
+functional, which cross-checks the closed form.  Those rows sum over the
+distinct fine coefficients of each coarse monomial, formed from the
+grouped block tables, and build no fine term.  The residuals and both energies below are exact sums
 of squares of the coefficients, added in ``chaos._square_sum``'s integers
 and rounded once.
 
@@ -49,10 +49,9 @@ either field:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import adapted as _adapted
 from .adapted import PredictableHField, WeaklyAdaptedOperator, _last_stage_order
@@ -60,9 +59,10 @@ from .chaos import (
     DEGREE_CAP,
     AlgebraError,
     ChaosPoly,
+    _block_groups,
     _factorial,
-    _refined_blocks,
     _refinement_factor,
+    _refinement_monomials,
     _rounded,
     _square_sum,
     ou_inverse,
@@ -228,10 +228,11 @@ def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
     refined by the factor, ``refinement_residual`` at m = 1 of the refined
     field, so a row cross-checks the closed form at that factor.  At m = 1
     ``refine`` is the identity and the row is ``refinement_residual(v, 1)``;
-    every other row reads the fine terms straight from ``refine``'s digit
-    arrays (``chaos._refined_blocks``), without building the refined
-    functional.  The rows, and the ``AlgebraError`` of a refinement past the
-    term budget or of a fine coefficient that overflows, are those of
+    every other row sums over the distinct coefficients of each coarse
+    monomial's fine terms, read off the grouped block tables
+    (``chaos._block_groups``), without building a fine term.  The rows, and
+    the ``AlgebraError`` of a refinement past the term budget or of a fine
+    coefficient that overflows, are those of
     ``refinement_residual(VField(tuple(refine(p, m) for p in
     v.components)), 1)``, bit for bit.
     """
@@ -242,46 +243,76 @@ def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
 
 
 def _refined_residual(v: VField, m: int) -> float:
-    """``refinement_residual(v refined by m, 1)`` for a checked m >= 2, from refine's arrays.
+    """``refinement_residual(v refined by m, 1)`` for a checked m >= 2, without refining.
 
-    Each fine row is a sorted digit row, so the byte test of the ``adapted``
-    docstring finds the rows of last-stage order 2 or more, the second
-    largest digit past ``_PAST`` of the top one; the stage table is read at
-    each call.  A kept row weighs its ``alpha!`` from the factorial column
-    that ``chaos._refined_blocks`` yields, the product of its blocks'
-    ``alpha!`` columns; each block-average table carries its column and is
-    built once per process up to its row bound
-    (``chaos._block_average_table``), so no row's ``alpha!`` is recounted
-    here.  As in ``refine``, a coefficient that overflowed raises, the first
-    one in stored order named; one that underflowed to zero, which
-    ``refine`` drops, adds nothing to the exact sum.  The weights of each
-    distinct coefficient are summed in int64, exactly: a weight is at most
-    ``DEGREE_CAP!`` and there are at most ``_TERM_BUDGET`` rows.
-    ``chaos._square_sum`` adds their squares in integers and rounds the
-    root once, as for the refined functional.
+    ``chaos._square_sum`` adds the squares of the pairs of
+    :func:`_refined_pairs`, over every component in turn, in integers and
+    rounds the root once: the sum is exact and its order does not matter,
+    so the row is the one of the refined functional.
     """
-    past = np.frombuffer(_adapted._PAST, np.uint8)
-    weights, coeffs = [np.empty(0, np.int64)], [np.empty(0)]
-    for p in v.components:
-        for digits, c, factorials in _refined_blocks(p, m):
-            if not np.isfinite(c).all():
-                raise AlgebraError(f"non-finite coefficient {float(c[~np.isfinite(c)][0])!r}")
-            if digits.shape[1] < 2:
-                continue
-            kept = digits[:, -2] > past[digits[:, -1]]
-            weights.append(factorials[kept])
-            coeffs.append(c[kept])
-    weights, coeffs = np.concatenate(weights), np.concatenate(coeffs)
-    # a refined functional holds few distinct coefficients, each over many
-    # rows: sorted, each run of one coefficient sums its weights, and each
-    # coefficient is squared once
-    order = np.argsort(coeffs)
-    coeffs, weights = coeffs[order], weights[order]
-    first = np.ones(len(coeffs), bool)
-    first[1:] = coeffs[1:] != coeffs[:-1]
-    starts = np.flatnonzero(first)
-    pairs = zip(np.add.reduceat(weights, starts).tolist(), coeffs[starts].tolist())
+    pairs = [pair for p in v.components for pair in _refined_pairs(p, m)]
     return _square_sum(pairs, int, 1, root=True)
+
+
+def _refined_pairs(p: ChaosPoly, m: int) -> list[tuple[int, float]]:
+    """``(weight, coefficient)`` pairs of ``refine(p, m)``'s terms of last-stage order >= 2.
+
+    The weight of each pair is the sum of ``alpha!`` over the fine terms it
+    stands for, all of which hold its coefficient, so the sum of ``weight *
+    coefficient**2`` is the refined functional's squared residual.  A fine
+    coefficient is ``((w1 * w2) * ...) * c`` for a row ``w_i`` of each
+    block's table, and a table's coefficient depends on the row's
+    ``alpha!`` alone, so the products of the blocks' groups
+    (``chaos._block_groups``), formed in the same order, are the fine
+    coefficients, and the products of their weights the exact int weights.
+
+    Only the last two digits of a fine row, both in the top block or the
+    top digit of the block below and the one digit of an order-1 top block,
+    decide whether its last-stage order is 2 or more: the second largest
+    digit past ``_PAST`` of the largest, the byte test of the ``adapted``
+    docstring, with the stage table read at each call.  With a top order of
+    2 or more, the top block's rows are grouped under its local stage table
+    (the entries of its digits less their shift); with a top order of 1,
+    each digit of the top block keeps the rows of the block below whose top
+    digit is past that digit's entry, which under one coordinate per stage
+    is none.  A constant or a monomial of one digit keeps no row.
+
+    As in ``refine``, the budget is checked first and a coefficient that
+    overflowed raises, that of the first overflowing monomial in stored
+    order: rounding is monotone, so a monomial's largest fine coefficient
+    is ``c`` times the product of its blocks' largest.  One that underflowed
+    to zero, which ``refine`` drops, adds nothing to the exact sum.
+    """
+    past = _adapted._PAST
+    pairs = []
+    for monomial, c in _refinement_monomials(p, m):
+        blocks = [_block_groups(m, k) for _, k in monomial]
+        largest = math.prod(groups[0][0] for groups in blocks) * c
+        if not math.isfinite(largest):
+            raise AlgebraError(f"non-finite coefficient {largest!r}")
+        if sum(k for _, k in monomial) < 2:
+            continue
+        i, k = monomial[-1]
+        shift = (i - 1) * m
+        if k > 1:
+            local = bytes(max(entry - shift, 0) for entry in past[shift : shift + m + 1])
+            kept = [blocks[:-1] + [_block_groups(m, k, local)]]
+        else:
+            j, h = monomial[-2]
+            # each top digit's _PAST entry as a digit of the block below
+            entries = Counter(max(past[shift + d] - (j - 1) * m, 0) for d in range(1, m + 1))
+            [(w, _)] = blocks[-1]
+            kept = [
+                blocks[:-2] + [_block_groups(m, h, b"", top), ((w, count),)]
+                for top, count in entries.items()
+                if top < m
+            ]
+        for groups_of_blocks in kept:
+            products = [(1, 1.0)]
+            for groups in groups_of_blocks:
+                products = [(a * b, x * y) for a, x in products for y, b in groups]
+            pairs.extend((a, x * c) for a, x in products)
+    return pairs
 
 
 def minimal_energy_integrand(phi: ChaosPoly) -> HField:

@@ -429,9 +429,10 @@ def _refuse(*args):
 
 def test_represent_refinement_rows_build_no_refined_polynomial(tmp_path, monkeypatch, capsys):
     # refine(h4(x1)*h4(x2), 64) would hold C(67, 4)**2 = 5.9e11 terms; the
-    # table's rows read refine's arrays, which represent does not read either
+    # table's rows read the grouped block tables, which represent does not
+    # read either
     monkeypatch.setattr(wienerlab.chaos, "refine", _refuse)
-    monkeypatch.setattr(wienerlab.clark, "_refined_blocks", _refuse)
+    monkeypatch.setattr(wienerlab.clark, "_block_groups", _refuse)
     monkeypatch.chdir(tmp_path)
     code, _, err = run(
         ["represent", "--n", "2", "--functional", "h4(x1)*h4(x2)", "--refine", "64",

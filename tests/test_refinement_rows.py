@@ -1,11 +1,12 @@
-"""The refinement table's rows, read off refine's digit arrays.
+"""The refinement table's rows, read off grouped block tables.
 
-``refine_and_reconstruct`` takes each row for a factor m >= 2 straight from
-the fine digit matrices and coefficients of ``refine``, without building the
-refined functional.  The oracle is that functional: the ``residual_l2`` of
-``refine(p, m)`` for every component, ``refinement_residual(..., 1)``.
-The block-average tables behind the arrays are kept for the life of the
-process up to a row bound; the last tests count the tables built.
+``refine_and_reconstruct`` takes each row for a factor m >= 2 from the
+distinct coefficients of each block-average table, grouped by ``alpha!``
+with their weights, without building a fine term.  The oracle is the refined
+functional: the ``residual_l2`` of ``refine(p, m)`` for every component,
+``refinement_residual(..., 1)``.  The block-average tables are kept for the
+life of the process up to a row bound, and their groups whatever the size;
+the last tests count the tables built.
 """
 
 import math
@@ -17,8 +18,8 @@ import numpy as np
 import pytest
 
 from helpers import STAGE_TABLES, draw_poly, make_rng, stages
-from wienerlab import chaos
-from wienerlab.chaos import DEGREE_CAP, AlgebraError, ChaosPoly, refine
+from wienerlab import adapted, chaos, clark
+from wienerlab.chaos import DEGREE_CAP, AlgebraError, ChaosPoly, _factorial, refine
 from wienerlab.clark import refine_and_reconstruct, refinement_residual
 from wienerlab.malliavin import VField
 from wienerlab.suites import suite_refinement_convergence
@@ -43,7 +44,7 @@ def _fields():
 
 
 def _fine_rows(p: ChaosPoly, m: int) -> int:
-    return sum(len(coeffs) for _, coeffs, _ in chaos._refined_blocks(p, m))
+    return sum(len(coeffs) for _, coeffs in chaos._refined_blocks(p, m))
 
 
 def _rows_hex(rows):
@@ -116,15 +117,51 @@ def test_a_factor_past_the_term_budget_raises_before_any_table(monkeypatch):
 
 @pytest.mark.parametrize("name", list(STAGE_TABLES))
 def test_fine_factorials_are_the_alpha_factorials_of_the_joined_digits(name):
-    # a fine row's alpha! is the outer product of its blocks' columns, which
-    # must be alpha! counted afresh on the joined digit row
+    # a coefficient's weight, summed over the pairs formed from the grouped
+    # tables, must be alpha! summed key by key over the refined functional's
+    # terms of last-stage order >= 2 that hold that coefficient
     with stages(STAGE_TABLES[name]):
         for v in _fields():
             for p in v.components:
                 for m in FACTORS:
-                    for digits, coeffs, factorials in chaos._refined_blocks(p, m):
-                        assert factorials.dtype == np.int64 and factorials.shape == coeffs.shape
-                        assert np.array_equal(factorials, chaos._row_factorials(digits))
+                    got, want = {}, {}
+                    for weight, c in clark._refined_pairs(p, m):
+                        assert type(weight) is int and weight > 0
+                        got[c] = got.get(c, 0) + weight
+                    for key, c in refine(p, m).packed_terms.items():
+                        if adapted._last_stage_order(key) > 1:
+                            want[c] = want.get(c, 0) + _factorial(key)
+                    assert got == want
+
+
+def test_a_kept_row_across_two_blocks_is_weighed():
+    # under the pairs with m = 3, fine coordinates 3 and 4 share a stage: the
+    # top digit of block 1 and the one digit of an order-1 block 2 make rows
+    # of last-stage order 2, which one coordinate per stage never keeps
+    x1, x2 = ChaosPoly.coordinate(2, 1), ChaosPoly.coordinate(2, 2)
+    for p in (x1 * x2, ChaosPoly.hermite(2, 1, 3) * x2):
+        v = VField((p,))
+        with stages(STAGE_TABLES["identity"]):
+            identity = refine_and_reconstruct(v, [3])
+        with stages(STAGE_TABLES["pairs"]):
+            rows = refine_and_reconstruct(v, [3])
+            assert _rows_hex(rows) == [(3, _oracle(v, 3).hex())]
+        assert rows != identity and rows[0][1] > 0
+
+
+@pytest.mark.parametrize("k", range(1, DEGREE_CAP + 1))
+def test_counted_groups_are_the_tables_rows_by_coefficient(k):
+    # the groups of every row are counted from the partitions of k, with no
+    # table: they must be the table's distinct coefficients, each with the
+    # sum of its rows' alpha!, the largest first
+    for m in (*range(1, 11), 16, 31) if k <= 4 else range(1, 9):
+        _, coeffs, factorials = chaos._block_average_table(m, k)
+        want = {}
+        for c, f in zip(coeffs.tolist(), factorials.tolist()):
+            want[c] = want.get(c, 0) + f
+        groups = chaos._block_groups(m, k)
+        assert len(groups) == len(want) and dict(groups) == want
+        assert groups[0][0] == coeffs.max()
 
 
 @pytest.fixture
@@ -139,6 +176,7 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(chaos, "_build_block_average_table", counted)
     chaos._kept_block_average_table.cache_clear()
+    chaos._block_groups.cache_clear()
     return built
 
 
@@ -152,10 +190,10 @@ def test_a_repeated_refinement_builds_no_table(builds):
 
 
 def test_the_refinement_suite_builds_each_table_once(builds):
-    # its factors and orders reach 21 distinct (m, k); a table per block
-    # per call, as built before the tables were kept, is 168
+    # its factors and top orders of 2 or more reach 18 distinct (m, k): the
+    # groups of every other block are counted without a table
     assert suite_refinement_convergence().passed
-    assert len(builds) == len(set(builds)) == 21
+    assert len(builds) == len(set(builds)) == 18
 
 
 def test_a_table_past_the_row_bound_is_rebuilt_and_not_kept(builds):
@@ -196,4 +234,31 @@ def test_threads_racing_to_keep_the_tables_read_the_same_rows():
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
+    assert all(rows == want for result in results for rows in result)
+
+
+def test_threads_racing_to_keep_the_groups_read_the_same_rows():
+    # as above, with the grouped tables cleared too, and under the pairs with
+    # order-1 top blocks, so that the groups of the block below race as well
+    x2, x3 = ChaosPoly.coordinate(3, 2), ChaosPoly.coordinate(3, 3)
+    v = VField((*_fields()[-1].components, ChaosPoly.hermite(3, 1, 3) * x2 + x2 * x3))
+    with stages(STAGE_TABLES["pairs"]):
+        want = _rows_hex(refine_and_reconstruct(v, FACTORS))
+
+        def work():
+            rows = []
+            for _ in range(10):
+                chaos._block_groups.cache_clear()
+                chaos._kept_block_average_table.cache_clear()
+                rows.append(_rows_hex(refine_and_reconstruct(v, FACTORS)))
+            return rows
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(work) for _ in range(4)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
     assert all(rows == want for result in results for rows in result)

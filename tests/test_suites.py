@@ -106,13 +106,12 @@ def test_nan_gap_fails_the_suite(monkeypatch, helper, suite, value, details):
 
 def _planted(kernel, original):
     """The kernel with its output scaled by 1 + 1e-9, without calling a kernel."""
-    if kernel == "_refined_blocks":
+    if kernel == "_block_groups":
 
-        def planted_blocks(p, m):
-            for digits, coeffs, factorials in original(p, m):
-                yield digits, coeffs * (1 + 1e-9), factorials
+        def planted_groups(*args):
+            return tuple((c * (1 + 1e-9), weight) for c, weight in original(*args))
 
-        return planted_blocks
+        return planted_groups
 
     def planted(*args):
         value = original(*args)
@@ -145,18 +144,23 @@ KERNEL_DEFECTS = [
             "rotation_invariants",
         ],
     ),
-    # refine's fine coefficients, which only m > 1 reads: the refinement rows
-    # are the residuals of refine's arrays, and no other suite refines
-    ("_refined_blocks", ["refinement_convergence"]),
+    # the grouped block coefficients, which only m > 1 reads: the refinement
+    # rows sum over them, and no other suite refines
+    ("_block_groups", ["refinement_convergence"]),
 ]
 
 
 @pytest.mark.parametrize(
     "kernel, failing", KERNEL_DEFECTS, ids=[row[0] for row in KERNEL_DEFECTS]
 )
-def test_a_planted_kernel_defect_fails_its_suites(monkeypatch, capsys, kernel, failing):
+def test_a_planted_kernel_defect_fails_its_suites(request, monkeypatch, capsys, kernel, failing):
     original = getattr(wienerlab.chaos, kernel, None) or getattr(wienerlab.malliavin, kernel)
     planted = _planted(kernel, original)
+    # a kernel that keeps its results starts the run with none kept and
+    # leaves none behind it
+    if clear := getattr(original, "cache_clear", None):
+        clear()
+        request.addfinalizer(clear)
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "wienerlab"]
     for module in modules:
         if getattr(module, kernel, None) is original:
