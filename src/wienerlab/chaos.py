@@ -38,16 +38,15 @@ one ``i`` into the key and, when ``i`` occurs, also remove one with weight
 ``beta_i``.  That yields the pairs of the general Hermite linearization, in
 the same order and with the same floats.
 
-Two kernels build a table once and read it many times.  :func:`refine`
-reads the Hermite expansions of one block average, from their closed form
+Two kernels build a table and read it many times.  :func:`refine` reads
+the Hermite expansions of one block average, from their closed form
 ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha! u^alpha He_alpha(eta)`` for a
 unit vector ``u``, as digit matrices with their coefficient and ``alpha!``
-columns, and shifts their digits for every block (:func:`_refined_blocks`).
-Such a table depends on ``(m, k)`` alone: each one up to a row bound is
-built once per process and kept, read-only, with at most about 25 MB kept
-in all (:func:`_block_average_table`).  ``clark``'s refinement rows read
+columns (:func:`_block_average_table`), built once per call for each order,
+and shifts their digits for every block.  ``clark``'s refinement rows read
 the same tables as a few groups of equal coefficients, one pair per
-``alpha!`` (:func:`_block_groups`), kept for the life of the process.
+``alpha!`` (:func:`_block_groups`): the groups, not the tables, are held
+for the life of the process, so a repeated refinement builds no table.
 :func:`evaluate_batch` reads the columns ``He_k(eta_i)`` from a
 :class:`HermiteColumns`: a ``space.SampleBatch`` owns one for its draws,
 and a call on a plain array builds its own and drops it; that table does
@@ -604,9 +603,7 @@ def _rounded(acc: dict[int, int], den: int, root: bool) -> float:
 
 def partial_derivative(p: ChaosPoly, i: int) -> ChaosPoly:
     """Coordinate derivative: ``He_k(eta_i) -> k He_{k-1}(eta_i)`` per term."""
-    if not 1 <= i <= p.dim:
-        raise AlgebraError(f"coordinate {i} outside 1..{p.dim}")
-    digit = bytes((i,))
+    digit = bytes((_index(i, 1, p.dim, "coordinate"),))
     # dropping one i keeps distinct keys distinct: nothing to sum
     lowered = {key.replace(digit, b"", 1): k * c for key, c in p._terms.items() if (k := key.count(digit))}
     return ChaosPoly._of(p._dim, _kept(lowered))
@@ -614,9 +611,7 @@ def partial_derivative(p: ChaosPoly, i: int) -> ChaosPoly:
 
 def multiply_by_coordinate(p: ChaosPoly, i: int) -> ChaosPoly:
     """Exact product with ``eta_i``: ``He_1 He_k = He_{k+1} + k He_{k-1}``."""
-    if not 1 <= i <= p.dim:
-        raise AlgebraError(f"coordinate {i} outside 1..{p.dim}")
-    pairs = _coordinate_terms(bytes((i,)), 1.0, p._terms)
+    pairs = _coordinate_terms(bytes((_index(i, 1, p.dim, "coordinate"),)), 1.0, p._terms)
     return ChaosPoly._of(p._dim, _kept(_sum_pairs(pairs), capped=True))
 
 
@@ -651,14 +646,6 @@ def ou_inverse(p: ChaosPoly) -> ChaosPoly:
     return ChaosPoly._of(p._dim, _kept({key: c / len(key) for key, c in p._terms.items() if key}))
 
 
-#: Block-average tables kept for the life of the process: at most
-#: ``_KEPT_TABLES`` of them, each of at most ``_KEPT_TABLE_ROWS`` rows.  A row
-#: holds at most ``DEGREE_CAP`` digit bytes, a float and an int64, so the kept
-#: tables hold at most 64 * 2**14 * 24 bytes, about 25 MB.
-_KEPT_TABLES = 64
-_KEPT_TABLE_ROWS = 2**14
-
-
 def _block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``He_k`` of ``(eta_1 + ... + eta_m) / sqrt(m)`` in closed form, as arrays.
 
@@ -680,34 +667,12 @@ def _block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     ``alpha!`` comes from :func:`_row_factorials`; numpy's int64 quotient
     and float division are the exact and correctly rounded ones of Python's
     ints and floats, so every bit is the one of ``top // _factorial(key) /
-    root``.
-
-    A table depends on ``(m, k)`` alone, so each one of at most
-    :data:`_KEPT_TABLE_ROWS` rows is built once per process and kept, up to
-    :data:`_KEPT_TABLES` tables (the least recently used goes first): about
-    25 MB at most.  A larger table is built on each call and dropped with
-    its caller's reference.  All three arrays are read-only, so no caller
-    can change what a later call reads.
+    root``.  The arrays are built afresh on each call: no two calls share one.
     """
-    if math.comb(m + k - 1, k) > _KEPT_TABLE_ROWS:
-        return _build_block_average_table(m, k)
-    return _kept_block_average_table(m, k)
-
-
-@lru_cache(maxsize=_KEPT_TABLES)
-def _kept_block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _build_block_average_table(m, k)
-
-
-def _build_block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays of :func:`_block_average_table`, built afresh and made read-only."""
     digits = np.frombuffer(bytes(chain.from_iterable(_multisets(range(1, m + 1), k))), np.uint8)
     digits = digits.reshape(math.comb(m + k - 1, k), k)
     factorials = _row_factorials(digits)
-    table = digits, _block_coefficients(m, k, factorials), factorials
-    for array in table:
-        array.flags.writeable = False
-    return table
+    return digits, _block_coefficients(m, k, factorials), factorials
 
 
 def _row_factorials(digits: np.ndarray) -> np.ndarray:
@@ -756,10 +721,11 @@ def _block_groups(m: int, k: int, past: bytes = b"", top: int = 0) -> tuple[tupl
     read: the rows of one ``alpha!`` are the multisets whose orders make a
     partition of ``k`` into at most ``m`` parts, ``m!/(m - r)!`` placements
     of its ``r`` parts on the digits over the orderings of equal parts.
-    With either, the table's kept rows are counted by ``alpha!``
-    (``np.bincount``), with no sort.  Every result is kept for the life of
-    the process, up to :data:`_KEPT_GROUPS` of them, whatever the size of
-    its table.
+    With either, the table is built (:func:`_block_average_table`) and its
+    kept rows are counted by ``alpha!`` (``np.bincount``), with no sort.
+    Every result is held for the life of the process, up to
+    :data:`_KEPT_GROUPS` of them, whatever the size of its table: the one
+    cache of the refinement layer, so a repeated refinement builds no table.
     """
     if not (past or top):
         weights: dict[int, int] = {}
@@ -810,12 +776,20 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     substitution preserves the law, grade, expectation, and every L2 inner
     product.  ``m = 1`` returns ``p`` itself.  A factor that is not an
     integer (a float is refused, not truncated), is below 1 or takes the
-    dimension past ``DIM_CAP`` raises :class:`AlgebraError`.
+    dimension past ``DIM_CAP`` raises :class:`AlgebraError`; so does a
+    refinement past :data:`_TERM_BUDGET` fine terms in all, before any
+    table is built (:func:`_refinement_monomials`).
 
-    The fine terms come from :func:`_refined_blocks`, one digit matrix and
-    coefficient vector per coarse monomial; past :data:`_TERM_BUDGET` fine
-    terms in all, it raises :class:`AlgebraError` before any table is
-    built.  The keys come from one ``S`` view of each digit matrix; numpy's
+    ``He_k`` of the average of fine coordinates ``1 .. m`` is built in
+    closed form (:func:`_block_average_table`), once per call for each
+    order ``k`` that some coordinate of ``p`` carries.  Block ``i`` reads
+    the digits plus ``(i - 1) m``; the shift is monotone, so every row stays
+    sorted.  A coarse monomial's fine terms are its blocks' tables joined by
+    broadcasting, the earlier block outer, from one row of no digits: each
+    fine row is the blocks' digit rows side by side, a sorted ``uint8`` row
+    of the fine key's bytes, and its coefficient ``c * ((c1 * c2) * ...)``,
+    the floats of the term-by-term product (the leading ``1.0 * c1`` is
+    exact).  The keys come from one ``S`` view of each digit matrix; numpy's
     ``S`` strings drop trailing NUL bytes, but every digit is a coordinate,
     at least 1, so no byte is lost.  Distinct coarse monomials refine to
     disjoint fine keys, so the terms are stored as they come, with no sums;
@@ -826,8 +800,22 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     m = _refinement_factor(p.dim, m)
     if m == 1:
         return p
+    monomials = _refinement_monomials(p, m)
+    tables = {k: _block_average_table(m, k) for k in {k for pairs, _ in monomials for _, k in pairs}}
     store = {}
-    for digits, coeffs in _refined_blocks(p, m):
+    for pairs, c in monomials:
+        digits, coeffs = np.empty((1, 0), np.uint8), np.ones(1)
+        for i, k in pairs:
+            d, w, _ = tables[k]
+            # every row so far beside every row of block i
+            joined = np.empty((len(digits), len(d), digits.shape[1] + k), np.uint8)
+            joined[:, :, :-k], joined[:, :, -k:] = digits[:, None], d + (i - 1) * m
+            digits = joined.reshape(len(digits) * len(d), -1)
+            coeffs = np.multiply.outer(coeffs, w).ravel()
+        # _kept refuses an overflow and drops an underflow: neither is
+        # numpy's to report
+        with np.errstate(over="ignore", under="ignore"):
+            coeffs = coeffs * c
         width = digits.shape[1]
         keys = digits.view(f"S{width}").ravel().tolist() if width else [b""]
         store.update(zip(keys, coeffs.tolist()))
@@ -848,49 +836,6 @@ def _refinement_monomials(p: ChaosPoly, m: int) -> list[tuple[list[tuple[int, in
             f"refine by {m} would build {count:,} terms, past the budget of {_TERM_BUDGET:,}"
         )
     return monomials
-
-
-def _refined_blocks(p: ChaosPoly, m: int):
-    """The fine terms of ``refine(p, m)``: ``(digits, coefficients)`` per coarse monomial.
-
-    ``m`` is a checked factor of at least 2, and the term budget is checked
-    first (:func:`_refinement_monomials`).  ``He_k`` of the average of fine
-    coordinates ``1 .. m`` is built in closed form
-    (:func:`_block_average_table`), which is built once per process for
-    every ``(m, k)`` of at most ``_KEPT_TABLE_ROWS`` rows and rebuilt on
-    each call past that; the generator looks up each order ``k`` that some
-    coordinate of ``p`` carries once.  Block ``i`` reads the digits plus
-    ``(i - 1) m``; the shift is monotone, so every row stays sorted.  A
-    coarse monomial's fine terms are its blocks' tables joined by
-    broadcasting, the earlier block outer: each fine row is the blocks'
-    digit rows side by side, a sorted ``uint8`` row of the fine key's bytes,
-    and its coefficient ``c * ((c1 * c2) * ...)``, the floats of the
-    term-by-term product.  The constant yields one row of no digits.
-    Coefficients are yielded as the floats fall, overflowed or underflowed
-    alike, in the order of ``p``'s terms and of the rows.  An array may be
-    a kept table's own, which is read-only.
-    """
-    monomials = _refinement_monomials(p, m)
-    tables = {k: _block_average_table(m, k) for k in {k for pairs, _ in monomials for _, k in pairs}}
-    for pairs, c in monomials:
-        if not pairs:
-            yield np.empty((1, 0), np.uint8), np.array([c])
-            continue
-        (i, k), *rest = pairs
-        digits, coeffs, _ = tables[k]
-        digits = digits + (i - 1) * m
-        for i, k in rest:
-            d, w, _ = tables[k]
-            # every row so far beside every row of block i
-            joined = np.empty((len(digits), len(d), digits.shape[1] + k), np.uint8)
-            joined[:, :, :-k], joined[:, :, -k:] = digits[:, None], d + (i - 1) * m
-            digits = joined.reshape(len(digits) * len(d), -1)
-            coeffs = np.multiply.outer(coeffs, w).ravel()
-        # the caller refuses an overflow and drops an underflow: neither is
-        # numpy's to report
-        with np.errstate(over="ignore", under="ignore"):
-            coeffs = coeffs * c
-        yield digits, coeffs
 
 
 class HermiteColumns:

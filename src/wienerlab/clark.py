@@ -234,24 +234,20 @@ def refine_and_reconstruct(v: VField, factors) -> list[tuple[int, float]]:
     the ``AlgebraError`` of a refinement past the term budget or of a fine
     coefficient that overflows, are those of
     ``refinement_residual(VField(tuple(refine(p, m) for p in
-    v.components)), 1)``, bit for bit.
+    v.components)), 1)``, bit for bit: ``chaos._square_sum`` adds the
+    squares of the pairs of :func:`_refined_pairs`, over every component in
+    turn, in integers and rounds the root once, so the sum is exact and its
+    order does not matter.  Each factor is checked just before its row.
     """
-    return [
-        (m, _refined_residual(v, m) if m > 1 else refinement_residual(v, 1))
-        for m in (_refinement_factor(v.ambient_dim, f) for f in factors)
-    ]
-
-
-def _refined_residual(v: VField, m: int) -> float:
-    """``refinement_residual(v refined by m, 1)`` for a checked m >= 2, without refining.
-
-    ``chaos._square_sum`` adds the squares of the pairs of
-    :func:`_refined_pairs`, over every component in turn, in integers and
-    rounds the root once: the sum is exact and its order does not matter,
-    so the row is the one of the refined functional.
-    """
-    pairs = [pair for p in v.components for pair in _refined_pairs(p, m)]
-    return _square_sum(pairs, int, 1, root=True)
+    rows = []
+    for f in factors:
+        m = _refinement_factor(v.ambient_dim, f)
+        if m == 1:
+            rows.append((m, refinement_residual(v, 1)))
+        else:
+            pairs = [pair for p in v.components for pair in _refined_pairs(p, m)]
+            rows.append((m, _square_sum(pairs, int, 1, root=True)))
+    return rows
 
 
 def _refined_pairs(p: ChaosPoly, m: int) -> list[tuple[int, float]]:

@@ -314,6 +314,25 @@ def test_multiply_by_coordinate_matches_product():
         assert norm_l2(direct - via_product) <= 1e-12
 
 
+@pytest.mark.parametrize("op", [partial_derivative, multiply_by_coordinate])
+@pytest.mark.parametrize(
+    "i, message",
+    [
+        (0, r"^coordinate 0 outside 1\.\.2$"),
+        (3, r"^coordinate 3 outside 1\.\.2$"),
+        (1.0, "^coordinate 1.0 is not an integer$"),
+        (np.float64(1.0), "^coordinate .*1.0.* is not an integer$"),
+        (2.5, "^coordinate 2.5 is not an integer$"),
+    ],
+)
+def test_a_coordinate_off_the_grid_raises_algebra_error(op, i, message):
+    # a float, even an integral one, is refused as ChaosPoly.hermite refuses it
+    p = ChaosPoly.hermite(2, 1, 3) + ChaosPoly.coordinate(2, 2)
+    with pytest.raises(AlgebraError, match=message):
+        op(p, i)
+    assert op(p, np.int64(1)) == op(p, 1)
+
+
 def test_degree_one_left_factor_matches_generic_linearization():
     # at coordinate 3, q has a constant term, orders 0 and 1, and orders 2..4,
     # with other coordinates below and above 3

@@ -4,9 +4,9 @@
 distinct coefficients of each block-average table, grouped by ``alpha!``
 with their weights, without building a fine term.  The oracle is the refined
 functional: the ``residual_l2`` of ``refine(p, m)`` for every component,
-``refinement_residual(..., 1)``.  The block-average tables are kept for the
-life of the process up to a row bound, and their groups whatever the size;
-the last tests count the tables built.
+``refinement_residual(..., 1)``.  The block-average tables are built on each
+call, and their groups are held for the life of the process whatever the
+size of the table: the last tests count the tables built.
 """
 
 import math
@@ -44,7 +44,8 @@ def _fields():
 
 
 def _fine_rows(p: ChaosPoly, m: int) -> int:
-    return sum(len(coeffs) for _, coeffs in chaos._refined_blocks(p, m))
+    """``refine(p, m)``'s terms before a zero is dropped: prod_i C(m + k_i - 1, k_i) per monomial."""
+    return sum(math.prod(math.comb(m + k - 1, k) for _, k in index.pairs) for index in p.terms)
 
 
 def _rows_hex(rows):
@@ -166,16 +167,15 @@ def test_counted_groups_are_the_tables_rows_by_coefficient(k):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The ``(m, k)`` of every block-average table built from here on, none kept at the start."""
+    """The ``(m, k)`` of every block-average table built from here on, no groups held at the start."""
     built = []
-    build = chaos._build_block_average_table
+    build = chaos._block_average_table
 
     def counted(m, k):
         built.append((m, k))
         return build(m, k)
 
-    monkeypatch.setattr(chaos, "_build_block_average_table", counted)
-    chaos._kept_block_average_table.cache_clear()
+    monkeypatch.setattr(chaos, "_block_average_table", counted)
     chaos._block_groups.cache_clear()
     return built
 
@@ -196,50 +196,11 @@ def test_the_refinement_suite_builds_each_table_once(builds):
     assert len(builds) == len(set(builds)) == 18
 
 
-def test_a_table_past_the_row_bound_is_rebuilt_and_not_kept(builds):
-    # C(66, 3) = 45,760 rows, past the bound of 2**14
-    assert math.comb(66, 3) > chaos._KEPT_TABLE_ROWS
-    first, second = chaos._block_average_table(64, 3), chaos._block_average_table(64, 3)
-    assert builds == [(64, 3), (64, 3)]
-    assert chaos._kept_block_average_table.cache_info().currsize == 0
-    assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, second))
-
-
-def test_a_kept_table_refuses_writes():
-    table = chaos._block_average_table(4, 3)
-    assert all(a is b for a, b in zip(table, chaos._block_average_table(4, 3)))
-    for array in table:
-        with pytest.raises(ValueError):
-            array[0] = array[0]
-
-
-def test_threads_racing_to_keep_the_tables_read_the_same_rows():
-    # more threads than cores clear, build and keep the same tables at once,
-    # switching often: every row keeps the bits of one unshared call
-    v = _fields()[-1]
-    want = _rows_hex(refine_and_reconstruct(v, FACTORS))
-
-    def work():
-        rows = []
-        for _ in range(10):
-            chaos._kept_block_average_table.cache_clear()
-            rows.append(_rows_hex(refine_and_reconstruct(v, FACTORS)))
-        return rows
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(work) for _ in range(4)]
-            results = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(rows == want for result in results for rows in result)
-
-
 def test_threads_racing_to_keep_the_groups_read_the_same_rows():
-    # as above, with the grouped tables cleared too, and under the pairs with
-    # order-1 top blocks, so that the groups of the block below race as well
+    # more threads than cores clear, count and hold the same groups at once,
+    # switching often, under the pairs with order-1 top blocks, so that the
+    # groups of the block below race as well: every row keeps the bits of
+    # one unshared call
     x2, x3 = ChaosPoly.coordinate(3, 2), ChaosPoly.coordinate(3, 3)
     v = VField((*_fields()[-1].components, ChaosPoly.hermite(3, 1, 3) * x2 + x2 * x3))
     with stages(STAGE_TABLES["pairs"]):
@@ -249,7 +210,6 @@ def test_threads_racing_to_keep_the_groups_read_the_same_rows():
             rows = []
             for _ in range(10):
                 chaos._block_groups.cache_clear()
-                chaos._kept_block_average_table.cache_clear()
                 rows.append(_rows_hex(refine_and_reconstruct(v, FACTORS)))
             return rows
 
