@@ -1,19 +1,23 @@
 """Seeded random instances for the verification suites and tests.
 
-All generators take an explicit numpy Generator so callers control
-reproducibility; :func:`make_rng` builds the canonical Philox stream.
+The polynomial and field builders draw from a :class:`_Draws` reader opened
+on a Philox generator from :func:`make_rng`, which still returns numpy's
+``Generator`` (``rotations.build_sequential_isometry`` draws from it
+directly, and so do :func:`random_skew_matrix` and
+:func:`random_orthogonal`).  A verification suite opens one reader for its
+whole loop and passes it to every builder it calls.
 
-The scalar bounded draws that shape the keys of :func:`random_poly` and the
-field builders, ``Generator.integers(0, b)``, are formed in Python by
-:class:`_Draws` from the raw 64-bit Philox words.  numpy computes the same
-integer from the same words: it takes 32 bits at a time, the low half of a
-fresh word first and the high half on the next call, and maps them to
-``0 .. b - 1`` by Lemire's multiply-and-reject method (Lemire, ACM TOMACS
-2019).  The reader repeats both steps and hands the buffered half back to
-the generator, so every instance and the stream it leaves behind are
-numpy's, bit for bit, without numpy's per-call overhead.  The reader does
-not take numpy's per-generator lock, so a generator passed to these
-builders must not be drawn from by another thread while they run.
+The reader forms from the raw 64-bit Philox words the draws numpy would
+make: bounded integers ``Generator.integers(a, b)`` by Lemire's
+multiply-and-reject method (Lemire, ACM TOMACS 2019) over 32-bit halves,
+the low half of a fresh word first and the high half on the next draw;
+uniforms ``Generator.uniform(-1, 1)`` from one word's top 53 bits; and
+``Generator.shuffle`` of a list by masked rejection.  It keeps the buffered
+high half while open and hands it back to the generator on close, so every
+instance and the stream it leaves behind are numpy's, bit for bit, without
+numpy's per-call overhead.  The reader does not take numpy's per-generator
+lock, so a generator must not be drawn from by another thread while a
+reader on it is open.
 """
 
 from __future__ import annotations
@@ -30,19 +34,24 @@ _COORDS = tuple(tuple(range(1, n + 1)) for n in range(DIM_CAP + 1))
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    """numpy's ``Generator`` over the Philox stream keyed by ``seed``."""
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 class _Draws:
-    """``int(rng.integers(0, b))`` read straight off a Philox generator's raw words.
+    """numpy's draws from one Philox generator, read straight off its raw words.
 
+    One reader serves a whole verification suite: the suite opens it on its
+    generator, passes it to every builder, and closes it after its loop.
     numpy draws a bound ``b <= 2**32`` from ``next_uint32``: Philox returns
     the low 32 bits of a fresh 64-bit word and keeps the high 32 for the
     next call (its ``has_uint32`` and ``uinteger`` state).  The reader takes
     that buffer from the state when it opens, keeps it while open, and
     writes it back on :meth:`close` when it changed.  While it is open the
-    generator may make only draws that leave the buffer alone, such as
-    ``random()``; ``integers``, ``shuffle`` and ``choice`` read it.
+    generator ``rng`` may make only draws of whole words, which leave the
+    buffer alone: ``random``, ``uniform`` and ``standard_normal``.
+    ``integers``, ``shuffle`` and ``choice`` read the buffer, so they go
+    through the reader (:meth:`below`, :meth:`shuffle`) or wait for close.
     """
 
     __slots__ = ("rng", "_bitgen", "_raw", "_has", "_upper", "_opened")
@@ -84,8 +93,9 @@ class _Draws:
     def below(self, b: int) -> int:
         """``int(rng.integers(0, b))`` for ``1 <= b <= 2**32``; a bound of one draws nothing.
 
-        Lemire's method: the high 32 bits of ``x * b`` for a 32-bit ``x``,
-        drawn again while the low 32 bits fall below ``2**32 mod b``.  numpy
+        ``int(rng.integers(a, a + b))`` is ``a + below(b)``.  Lemire's
+        method: the high 32 bits of ``x * b`` for a 32-bit ``x``, drawn
+        again while the low 32 bits fall below ``2**32 mod b``.  numpy
         returns ``x`` itself for ``b = 2**32``, which the exact product gives.
         """
         if b == 1:
@@ -97,13 +107,28 @@ class _Draws:
                 m = self._next32() * b
         return m >> 32
 
+    def uniform(self) -> float:
+        """``float(rng.uniform(-1, 1))``: ``-1 + 2 * u`` for numpy's double ``u``.
 
-def _uniform(rng: np.random.Generator) -> float:
-    """``float(rng.uniform(-1, 1))``: numpy forms ``-1 + 2 * u`` from one double ``u``.
+        ``u`` is the top 53 bits of the next word over ``2**53``, Philox's
+        ``next_double``; it leaves the 32-bit buffer alone.  Doubling is
+        exact, so a fused multiply-add gives the same bits.
+        """
+        return -1.0 + 2.0 * ((self._raw() >> 11) * 2.0**-53)
 
-    Doubling is exact, so a fused multiply-add gives the same bits.
-    """
-    return -1.0 + 2.0 * rng.random()
+    def shuffle(self, items: list) -> None:
+        """``rng.shuffle(items)`` for a list, in place.
+
+        numpy swaps position ``i = len - 1 .. 1`` with one drawn in ``0..i``
+        by ``random_interval``: 32-bit draws masked to the bits of ``i`` and
+        drawn again while above ``i``.
+        """
+        for i in range(len(items) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._next32() & mask
+            while j > i:
+                j = self._next32() & mask
+            items[i], items[j] = items[j], items[i]
 
 
 def _sample(draws: _Draws, coords, width: int) -> list:
@@ -159,62 +184,56 @@ def _poly(draws: _Draws, n: int, degree: int, n_terms: int, coords=None) -> Chao
     n = _ambient_dim(n)
     if coords is None:
         coords = _COORDS[n]
-    rng = draws.rng
-    pairs = [(_key(draws, coords, degree), _uniform(rng)) for _ in range(n_terms)]
+    uniform = draws.uniform
+    pairs = [(_key(draws, coords, degree), uniform()) for _ in range(n_terms)]
     return ChaosPoly._of(n, _kept(_sum_pairs(pairs), capped=True))
 
 
 def _predictable(draws: _Draws, n: int, degree: int) -> PredictableHField:
     """Coordinate i draws two terms over its strict past, or a constant when that is empty."""
     return PredictableHField(tuple(
-        _poly(draws, n, degree, 2, _COORDS[past]) if past else ChaosPoly.constant(n, _uniform(draws.rng))
+        _poly(draws, n, degree, 2, _COORDS[past]) if past else ChaosPoly.constant(n, draws.uniform())
         for past in _adapted._PAST[1 : n + 1]
     ))
 
 
-def random_poly(rng: np.random.Generator, n: int, degree: int) -> ChaosPoly:
+def random_poly(draws: _Draws, n: int, degree: int) -> ChaosPoly:
     """Four terms over ``eta_1 .. eta_n``."""
-    with _Draws(rng) as draws:
-        return _poly(draws, n, degree, 4)
+    return _poly(draws, n, degree, 4)
 
 
-def random_vfield(rng, n: int, d: int, degree: int) -> VField:
+def random_vfield(draws: _Draws, n: int, d: int, degree: int) -> VField:
     """Three terms per component."""
-    with _Draws(rng) as draws:
-        return VField(tuple(_poly(draws, n, degree, 3) for _ in range(d)))
+    return VField(tuple(_poly(draws, n, degree, 3) for _ in range(d)))
 
 
-def random_operator(rng, n: int, d: int, degree: int) -> OperatorField:
+def random_operator(draws: _Draws, n: int, d: int, degree: int) -> OperatorField:
     """Two terms per entry."""
-    with _Draws(rng) as draws:
-        return OperatorField(tuple(
-            HField(tuple(_poly(draws, n, degree, 2) for _ in range(n))) for _ in range(d)
-        ))
+    return OperatorField(tuple(
+        HField(tuple(_poly(draws, n, degree, 2) for _ in range(n))) for _ in range(d)
+    ))
 
 
-def random_predictable_field(rng, n: int, degree: int) -> PredictableHField:
+def random_predictable_field(draws: _Draws, n: int, degree: int) -> PredictableHField:
     """Coordinate i draws two terms from its strict past only."""
-    with _Draws(rng) as draws:
-        return _predictable(draws, n, degree)
+    return _predictable(draws, n, degree)
 
 
-def random_weakly_adapted(rng, n: int, d: int, degree: int) -> WeaklyAdaptedOperator:
-    with _Draws(rng) as draws:
-        return WeaklyAdaptedOperator(tuple(_predictable(draws, n, degree) for _ in range(d)))
+def random_weakly_adapted(draws: _Draws, n: int, d: int, degree: int) -> WeaklyAdaptedOperator:
+    return WeaklyAdaptedOperator(tuple(_predictable(draws, n, degree) for _ in range(d)))
 
 
-def random_finite_rank_adapted(rng, n: int, d: int) -> WeaklyAdaptedOperator:
+def random_finite_rank_adapted(draws: _Draws, n: int, d: int) -> WeaklyAdaptedOperator:
     """sum_t y_t (x) q_t over two terms: predictable q_t, y_t uniform in [-1, 1]^d."""
     fields, functionals = [], []
     for _ in range(2):
-        with _Draws(rng) as draws:
-            fields.append(_predictable(draws, n, 2))
-        functionals.append(rng.uniform(-1, 1, size=d))
+        fields.append(_predictable(draws, n, 2))
+        functionals.append([draws.uniform() for _ in range(d)])
     Q, Y = OperatorField(tuple(fields)), np.array(functionals)
     return WeaklyAdaptedOperator(tuple(Q.transpose_apply(Y[:, a]) for a in range(d)))
 
 
-def random_representable_poly(rng, n: int, degree: int) -> ChaosPoly:
+def random_representable_poly(draws: _Draws, n: int, degree: int) -> ChaosPoly:
     """Four terms; every monomial has order exactly 1 in its last stage.
 
     Each term draws its largest coordinate, with order 1, and then orders
@@ -222,24 +241,24 @@ def random_representable_poly(rng, n: int, degree: int) -> ChaosPoly:
     """
     terms = []
     for _ in range(4):
-        top = int(rng.integers(1, n + 1))
+        top = 1 + draws.below(n)
         orders = {top: 1}
         budget = degree - 1
         below = list(_COORDS[_adapted._PAST[top]])
-        rng.shuffle(below)
+        draws.shuffle(below)
         for c in below:
             if budget == 0:
                 break
-            k = int(rng.integers(0, budget + 1))
+            k = draws.below(budget + 1)
             if k:
                 orders[c] = k
                 budget -= k
-        terms.append((_pack(sorted(orders.items())), _uniform(rng)))
+        terms.append((_pack(sorted(orders.items())), draws.uniform()))
     return ChaosPoly(n, terms)
 
 
-def random_representable_vfield(rng, n: int, d: int, degree: int) -> VField:
-    return VField(tuple(random_representable_poly(rng, n, degree) for _ in range(d)))
+def random_representable_vfield(draws: _Draws, n: int, d: int, degree: int) -> VField:
+    return VField(tuple(random_representable_poly(draws, n, degree) for _ in range(d)))
 
 
 def random_skew_matrix(rng, n: int) -> np.ndarray:

@@ -8,7 +8,9 @@ returns one ``Check``: its worst gap against its threshold, with a
 ``details`` line naming what it covered.  The gap of each identity is a
 private helper next to the suite that reads it, so a new suite needs no
 public function.  Random instances come from fixed seeds, so two runs
-produce identical results byte for byte.
+produce identical results byte for byte.  A suite that draws instances opens
+one ``randgen`` reader on its seeded generator for its whole loop, and every
+bounded draw of the suite, its own size draws included, goes through it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .malliavin import (
     trace_pairing_expectation,
 )
 from .randgen import (
+    _Draws,
     make_rng,
     random_finite_rank_adapted,
     random_operator,
@@ -96,49 +99,53 @@ def _check_duality(K: OperatorField, F: VField) -> float:
 
 def suite_duality_pairing(seed: int = 1001) -> Check:
     """Divergence is adjoint to the gradient under the pairings."""
-    rng = make_rng(seed)
     gaps = []
     count = 200
-    for _ in range(count):
-        n = int(rng.integers(2, 7))
-        d = int(rng.integers(1, 4))
-        degree = int(rng.integers(1, 5))
-        K = random_operator(rng, n, d, degree)
-        F = random_vfield(rng, n, d, min(degree, 3))
-        gaps.append(_check_duality(K, F))
+    with _Draws(make_rng(seed)) as draws:
+        for _ in range(count):
+            n = 2 + draws.below(5)
+            d = 1 + draws.below(3)
+            degree = 1 + draws.below(4)
+            K = random_operator(draws, n, d, degree)
+            F = random_vfield(draws, n, d, min(degree, 3))
+            gaps.append(_check_duality(K, F))
     return _result(
         "duality_pairing", gaps, 1e-10, f"{count} random operator/field pairs"
     )
 
 
-def _check_weakb(K: OperatorField, F: VField) -> float:
-    """L2 residual of div(K^T F) = <F, div K> - <<K, grad F>> in the algebra."""
+def _check_weakb(K: OperatorField, F: VField, div_K: VField) -> float:
+    """L2 residual of div(K^T F) = <F, div K> - <<K, grad F>> in the algebra.
+
+    ``div_K`` is ``divergence_op(K)``, formed once for both pairing forms.
+    """
     lhs = divergence_h(K.apply_field(F))
-    rhs = dual_pairing(F, divergence_op(K)) - trace_pairing(K, gradient_vector(F))
+    rhs = dual_pairing(F, div_K) - trace_pairing(K, gradient_vector(F))
     return (lhs - rhs).norm_l2()
 
 
-def _check_rowwise_divergence(K: OperatorField, y) -> float:
-    """L2 gap between div(K^T y) and <y, div K> for a constant functional y."""
+def _check_rowwise_divergence(K: OperatorField, y, div_K: VField) -> float:
+    """L2 gap between div(K^T y) and <y, div K> for a constant functional y, given ``div_K``."""
     y = np.asarray(y, dtype=float)
     lhs = divergence_h(K.transpose_apply(y))
-    rhs = linear_combine(list(y), list(divergence_op(K).components))
+    rhs = linear_combine(list(y), list(div_K.components))
     return (lhs - rhs).norm_l2()
 
 
 def suite_weak_pairing(seed: int = 1002) -> Check:
     """Componentwise and rowwise forms of the duality agree."""
-    rng = make_rng(seed)
     gaps = []
     count = 100
-    for _ in range(count):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        K = random_operator(rng, n, d, 3)
-        F = random_vfield(rng, n, d, 3)
-        gaps.append(_check_weakb(K, F))
-        y = rng.standard_normal(d)
-        gaps.append(_check_rowwise_divergence(K, y))
+    with _Draws(make_rng(seed)) as draws:
+        for _ in range(count):
+            n = 2 + draws.below(4)
+            d = 1 + draws.below(3)
+            K = random_operator(draws, n, d, 3)
+            F = random_vfield(draws, n, d, 3)
+            div_K = divergence_op(K)
+            gaps.append(_check_weakb(K, F, div_K))
+            y = draws.rng.standard_normal(d)
+            gaps.append(_check_rowwise_divergence(K, y, div_K))
     return _result(
         "weak_pairing", gaps, 1e-10, f"{count} instances, both pairing forms"
     )
@@ -188,20 +195,20 @@ def _check_operator_isometry(K: WeaklyAdaptedOperator, D: WeaklyAdaptedOperator)
 
 def suite_ito_isometry(seed: int = 1004) -> Check:
     """Energy identities for predictable fields and adapted operators."""
-    rng = make_rng(seed)
     gaps = []
     count = 200
-    for _ in range(count):
-        n = int(rng.integers(2, 6))
-        u = random_predictable_field(rng, n, 3)
-        v = random_predictable_field(rng, n, 3)
-        gaps.append(_check_ito_isometry(u, v))
-    for _ in range(count):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        K = random_weakly_adapted(rng, n, d, 3)
-        D = random_finite_rank_adapted(rng, n, d)
-        gaps.append(_check_operator_isometry(K, D))
+    with _Draws(make_rng(seed)) as draws:
+        for _ in range(count):
+            n = 2 + draws.below(4)
+            u = random_predictable_field(draws, n, 3)
+            v = random_predictable_field(draws, n, 3)
+            gaps.append(_check_ito_isometry(u, v))
+        for _ in range(count):
+            n = 2 + draws.below(4)
+            d = 1 + draws.below(3)
+            K = random_weakly_adapted(draws, n, d, 3)
+            D = random_finite_rank_adapted(draws, n, d)
+            gaps.append(_check_operator_isometry(K, D))
     return _result(
         "ito_isometry", gaps, 1e-10, f"{count} field pairs and {count} operator pairs"
     )
@@ -215,15 +222,15 @@ def _check_weak_orthogonality(K: OperatorField, Q: WeaklyAdaptedOperator) -> flo
 
 def suite_weak_orthogonality(seed: int = 1005) -> Check:
     """Anticipating remainders pair to zero against adapted test operators."""
-    rng = make_rng(seed)
     gaps = []
     count = 100
-    for _ in range(count):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        K = random_operator(rng, n, d, 3)
-        Q = random_finite_rank_adapted(rng, n, d)
-        gaps.append(_check_weak_orthogonality(K, Q))
+    with _Draws(make_rng(seed)) as draws:
+        for _ in range(count):
+            n = 2 + draws.below(4)
+            d = 1 + draws.below(3)
+            K = random_operator(draws, n, d, 3)
+            Q = random_finite_rank_adapted(draws, n, d)
+            gaps.append(_check_weak_orthogonality(K, Q))
     return _result("weak_orthogonality", gaps, 1e-10, f"{count} instances")
 
 
@@ -240,24 +247,24 @@ def _check_divergence_free_uniqueness(K: WeaklyAdaptedOperator) -> bool:
 
 def suite_clark_exactness(seed: int = 1006) -> Check:
     """The adapted representation, divergence formed, is exact on the representable class."""
-    rng = make_rng(seed)
     gaps = []
     ok = True
     count = 100
-    for _ in range(count):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        v = random_representable_vfield(rng, n, d, 3)
-        res = reconstruct(v)
-        gaps.append(res.residual_l2)
-        # E[v] + div(K) with the divergence formed, not read off v as reconstruct does
-        rec = VField.constant(n, v.expectation()).add(divergence_op(res.integrand))
-        gaps.append(rec.sub(v).norm())
-    for _ in range(30):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        K = random_weakly_adapted(rng, n, d, 3)
-        ok = ok and _check_divergence_free_uniqueness(K)
+    with _Draws(make_rng(seed)) as draws:
+        for _ in range(count):
+            n = 2 + draws.below(4)
+            d = 1 + draws.below(3)
+            v = random_representable_vfield(draws, n, d, 3)
+            res = reconstruct(v)
+            gaps.append(res.residual_l2)
+            # E[v] + div(K) with the divergence formed, not read off v as reconstruct does
+            rec = VField.constant(n, v.expectation()).add(divergence_op(res.integrand))
+            gaps.append(rec.sub(v).norm())
+        for _ in range(30):
+            n = 2 + draws.below(4)
+            d = 1 + draws.below(3)
+            K = random_weakly_adapted(draws, n, d, 3)
+            ok = ok and _check_divergence_free_uniqueness(K)
     return _result(
         "clark_exactness",
         gaps,
@@ -269,22 +276,22 @@ def suite_clark_exactness(seed: int = 1006) -> Check:
 
 def suite_refinement_convergence(seed: int = 1007) -> Check:
     """Residuals shrink under grid refinement at the predicted rate."""
-    rng = make_rng(seed)
     gaps = []
     ok = True
     he2 = VField((ChaosPoly.hermite(1, 1, 2),))
     for m, residual in refine_and_reconstruct(he2, range(1, 17)):
         gaps.append(abs(residual - math.sqrt(2.0 / m)))
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        v = VField((random_poly(rng, n, 3),))
-        table = refine_and_reconstruct(v, [1, 2, 4, 8])
-        residuals = [r for _, r in table]
-        ok = ok and all(
-            residuals[i + 1] <= residuals[i] + 1e-12 for i in range(len(residuals) - 1)
-        )
-        if residuals[0] > 1e-12:
-            ok = ok and residuals[0] ** 2 >= 3.0 * residuals[-1] ** 2
+    with _Draws(make_rng(seed)) as draws:
+        for _ in range(20):
+            n = 1 + draws.below(3)
+            v = VField((random_poly(draws, n, 3),))
+            table = refine_and_reconstruct(v, [1, 2, 4, 8])
+            residuals = [r for _, r in table]
+            ok = ok and all(
+                residuals[i + 1] <= residuals[i] + 1e-12 for i in range(len(residuals) - 1)
+            )
+            if residuals[0] > 1e-12:
+                ok = ok and residuals[0] ** 2 >= 3.0 * residuals[-1] ** 2
     return _result(
         "refinement_convergence",
         gaps,
@@ -296,21 +303,21 @@ def suite_refinement_convergence(seed: int = 1007) -> Check:
 
 def suite_minimal_energy(seed: int = 1008) -> Check:
     """The gradient-of-inverse-generator field represents every functional."""
-    rng = make_rng(seed)
     gaps = []
     ok = True
     count = 100
-    for _ in range(count):
-        n = int(rng.integers(1, 6))
-        p = random_poly(rng, n, 4)
-        centered = p - ChaosPoly.constant(n, p.expectation())
-        bar = minimal_energy_integrand(centered)
-        gaps.append((divergence_h(bar) - centered).norm_l2())
-    for _ in range(40):
-        n = int(rng.integers(2, 6))
-        phi = random_representable_poly(rng, n, 3)
-        comp = compare_energies(phi)
-        ok = ok and comp.exact_energy <= comp.adapted_energy + 1e-10
+    with _Draws(make_rng(seed)) as draws:
+        for _ in range(count):
+            n = 1 + draws.below(5)
+            p = random_poly(draws, n, 4)
+            centered = p - ChaosPoly.constant(n, p.expectation())
+            bar = minimal_energy_integrand(centered)
+            gaps.append((divergence_h(bar) - centered).norm_l2())
+        for _ in range(40):
+            n = 2 + draws.below(4)
+            phi = random_representable_poly(draws, n, 3)
+            comp = compare_energies(phi)
+            ok = ok and comp.exact_energy <= comp.adapted_energy + 1e-10
     # worked product functional: adapted energy 1, exact energy 1/2
     pair = ChaosPoly.hermite(2, 1, 1) * ChaosPoly.hermite(2, 2, 1)
     comp = compare_energies(pair)
@@ -330,13 +337,13 @@ def suite_minimal_energy(seed: int = 1008) -> Check:
 
 def suite_number_operator(seed: int = 1009) -> Check:
     """Divergence after gradient acts as grade scaling."""
-    rng = make_rng(seed)
     gaps = []
     count = 100
-    for _ in range(count):
-        n = int(rng.integers(1, 6))
-        p = random_poly(rng, n, 4)
-        gaps.append((divergence_h(gradient_scalar(p)) - ou_apply(p)).norm_l2())
+    with _Draws(make_rng(seed)) as draws:
+        for _ in range(count):
+            n = 1 + draws.below(5)
+            p = random_poly(draws, n, 4)
+            gaps.append((divergence_h(gradient_scalar(p)) - ou_apply(p)).norm_l2())
     return _result("number_operator", gaps, 1e-10, f"{count} random functionals")
 
 
@@ -353,22 +360,22 @@ def _check_cbound(K: OperatorField) -> float:
 
 def suite_operator_bound(seed: int = 1010) -> Check:
     """The sharp constant bounds the pairing over the unit sphere."""
-    rng = make_rng(seed)
     gaps = []
     count = 40
-    for _ in range(count):
-        n = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 4))
-        K = random_operator(rng, n, d, 2)
-        c = _check_cbound(K)
-        for _ in range(20):
-            y = rng.standard_normal(d)
-            norm = float(np.linalg.norm(y))
-            if norm < 1e-12:
-                continue
-            y = y / norm
-            value = divergence_h(K.transpose_apply(y)).norm_l2()
-            gaps.append(value - c)
+    with _Draws(make_rng(seed)) as draws:
+        for _ in range(count):
+            n = 2 + draws.below(3)
+            d = 1 + draws.below(3)
+            K = random_operator(draws, n, d, 2)
+            c = _check_cbound(K)
+            for _ in range(20):
+                y = draws.rng.standard_normal(d)
+                norm = float(np.linalg.norm(y))
+                if norm < 1e-12:
+                    continue
+                y = y / norm
+                value = divergence_h(K.transpose_apply(y)).norm_l2()
+                gaps.append(value - c)
     return _result(
         "operator_bound", gaps, 1e-9, f"{count} operators, 20 directions each"
     )
@@ -420,16 +427,16 @@ def suite_rotation_invariants(seed: int = 1011) -> Check:
 
 def suite_monte_carlo_consistency(seed: int = 1012) -> Check:
     """Sampling means agree with algebraic expectations within 4 sigma."""
-    rng = make_rng(seed)
     gaps = []
     count = 50
     n = 4
     batch = sample_batch(n, 100_000, seed)
-    for _ in range(count):
-        p = random_poly(rng, n, 3)
-        est = mc_estimate(p, batch)
-        tolerance = max(4.0 * est.stderr, 1e-12)
-        gaps.append(abs(est.mean - p.expectation()) / tolerance)
+    with _Draws(make_rng(seed)) as draws:
+        for _ in range(count):
+            p = random_poly(draws, n, 3)
+            est = mc_estimate(p, batch)
+            tolerance = max(4.0 * est.stderr, 1e-12)
+            gaps.append(abs(est.mean - p.expectation()) / tolerance)
     return _result(
         "monte_carlo_consistency",
         gaps,

@@ -6,8 +6,8 @@ Gauss quadrature with the exp(-x^2/2) weight, derivatives from finite
 differences, and distributions from plain Monte Carlo.  Tests compare the
 package against these.  ``ks_full_statistic`` is the KS statistic from the
 CDF at every sorted point, the evaluation ``space.ks_normal`` narrows to a
-few brackets.  Only ``draw_poly`` and ``draw_hfield`` are the
-package's own: its seeded draws, at sizes its public builders do not take.
+few brackets.  Only ``open_draws``, ``draw_poly`` and ``draw_hfield`` are
+the package's own: its seeded draws, at sizes its public builders do not take.
 ``with_workers`` sets how many CPUs the package's block runner sees, and
 ``stages`` which stage table its filtration decisions read.
 """
@@ -101,19 +101,29 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def draw_poly(rng, n: int, degree: int, n_terms: int, coords=None) -> ChaosPoly:
+def open_draws(seed: int) -> randgen._Draws:
+    """A reader on a fresh seeded Philox generator, for a test's seeded instances.
+
+    The test makes every bounded draw through the reader, ``a + draws.below(b - a)``
+    for ``int(rng.integers(a, b))``, and only double draws on ``draws.rng``,
+    so it need not close the reader: no later draw reads the buffer it would
+    hand back.
+    """
+    return randgen._Draws(make_rng(seed))
+
+
+def draw_poly(draws: randgen._Draws, n: int, degree: int, n_terms: int, coords=None) -> ChaosPoly:
     """``n_terms`` seeded terms over ``coords`` (default ``1 .. n``), summed.
 
     The draw behind ``randgen.random_poly``, which always takes four terms
     over every coordinate, at any term count and support.
     """
-    with randgen._Draws(rng) as draws:
-        return randgen._poly(draws, n, degree, n_terms, coords)
+    return randgen._poly(draws, n, degree, n_terms, coords)
 
 
-def draw_hfield(rng, n: int, degree: int) -> HField:
+def draw_hfield(draws: randgen._Draws, n: int, degree: int) -> HField:
     """A seeded field of two terms per coordinate: the one row of ``random_operator``."""
-    return randgen.random_operator(rng, n, 1, degree).rows[0]
+    return randgen.random_operator(draws, n, 1, degree).rows[0]
 
 
 def he_value(k: int, x):

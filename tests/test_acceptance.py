@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import make_rng, split_integrand
+from helpers import make_rng, open_draws, split_integrand
 from wienerlab.adapted import WeaklyAdaptedOperator
 from wienerlab.chaos import ChaosPoly, ou_apply
 from wienerlab.clark import (
@@ -138,18 +138,18 @@ def test_acceptance_06_clark_representable_exactness():
     # zero residual on the representable class, and the integrand is the
     # unique weakly adapted one: independently split integrands must agree,
     # and the divergence is injective on weakly adapted operators
-    rng = make_rng(70606)
+    draws = open_draws(70606)
     gaps = []
     for _ in range(100):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        v = random_representable_vfield(rng, n, d, 3)
+        n = 2 + draws.below(4)
+        d = 1 + draws.below(3)
+        v = random_representable_vfield(draws, n, d, 3)
         res = reconstruct(v)
         gaps.append(res.residual_l2)
         gaps.append(res.reconstruction.sub(v).norm())
     for _ in range(30):
-        n = int(rng.integers(2, 6))
-        p = random_representable_poly(rng, n, 3)
+        n = 2 + draws.below(4)
+        p = random_representable_poly(draws, n, 3)
         p = p - ChaosPoly.constant(n, p.expectation())
         alt = WeaklyAdaptedOperator((split_integrand(p),))
         # alt represents the centered p, so it must be the projected gradient
@@ -157,9 +157,9 @@ def test_acceptance_06_clark_representable_exactness():
         diff = clark_integrand(VField((p,))).sub(alt)
         assert all(q.norm_l2() <= 1e-10 for q in diff.rows[0].coords)
     for _ in range(30):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        assert _check_divergence_free_uniqueness(random_weakly_adapted(rng, n, d, 3))
+        n = 2 + draws.below(4)
+        d = 1 + draws.below(3)
+        assert _check_divergence_free_uniqueness(random_weakly_adapted(draws, n, d, 3))
     worst = _worst(gaps)
     assert worst <= 1e-10
     print(f"PASS representable exactness and uniqueness: worst residual {worst:.3e}")
@@ -174,10 +174,10 @@ def test_acceptance_07_refinement_convergence():
         gaps.append(abs(residual - math.sqrt(2.0 / m)))
     worst = _worst(gaps)
     assert worst <= 1e-12
-    rng = make_rng(70707)
+    draws = open_draws(70707)
     for _ in range(20):
-        n = int(rng.integers(1, 4))
-        v = VField((random_poly(rng, n, 3),))
+        n = 1 + draws.below(3)
+        v = VField((random_poly(draws, n, 3),))
         residuals = [r for _, r in refine_and_reconstruct(v, [1, 2, 4, 8])]
         for a, b in zip(residuals, residuals[1:]):
             assert b <= a + 1e-12
@@ -190,19 +190,19 @@ def test_acceptance_08_minimal_energy_representation():
     # the gradient of the inverse generator represents every centered
     # functional, never beats the adapted integrand on the representable
     # class, and coincides with it exactly on first chaos
-    rng = make_rng(70808)
+    draws = open_draws(70808)
     gaps = []
     for _ in range(100):
-        n = int(rng.integers(1, 6))
-        p = random_poly(rng, n, 4)
+        n = 1 + draws.below(5)
+        p = random_poly(draws, n, 4)
         centered = p - ChaosPoly.constant(n, p.expectation())
         bar = minimal_energy_integrand(centered)
         gaps.append((divergence_h(bar) - centered).norm_l2())
     worst = _worst(gaps)
     assert worst <= 1e-12
     for _ in range(40):
-        n = int(rng.integers(2, 6))
-        comp = compare_energies(random_representable_poly(rng, n, 3))
+        n = 2 + draws.below(4)
+        comp = compare_energies(random_representable_poly(draws, n, 3))
         assert comp.exact_energy <= comp.adapted_energy + 1e-10
     pair = ChaosPoly.hermite(2, 1, 1) * ChaosPoly.hermite(2, 2, 1)
     comp = compare_energies(pair)
@@ -219,11 +219,11 @@ def test_acceptance_08_minimal_energy_representation():
 
 def test_acceptance_09_number_operator_identity():
     # divergence after gradient equals grade scaling, 100 random functionals
-    rng = make_rng(70909)
+    draws = open_draws(70909)
     gaps = []
     for _ in range(100):
-        n = int(rng.integers(1, 6))
-        p = random_poly(rng, n, 4)
+        n = 1 + draws.below(5)
+        p = random_poly(draws, n, 4)
         gaps.append((divergence_h(gradient_scalar(p)) - ou_apply(p)).norm_l2())
     worst = _worst(gaps)
     assert worst <= 1e-10
@@ -271,12 +271,12 @@ def test_acceptance_10_rotation_batteries():
 def test_acceptance_11_monte_carlo_agreement():
     # sampled means match algebraic expectations within four standard errors
     # for 50 random functionals at 100000 draws
-    rng = make_rng(71111)
+    draws = open_draws(71111)
     n = 4
     batch = sample_batch(n, 100_000, 71112)
     gaps = []
     for _ in range(50):
-        p = random_poly(rng, n, 3)
+        p = random_poly(draws, n, 3)
         est = mc_estimate(p, batch)
         tolerance = max(4.0 * est.stderr, 1e-12)
         gaps.append(abs(est.mean - p.expectation()) / tolerance)

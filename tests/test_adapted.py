@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import STAGE_TABLES, draw_hfield, make_rng, stages
+from helpers import STAGE_TABLES, draw_hfield, open_draws, stages
 from wienerlab import adapted
 from wienerlab.chaos import DIM_CAP, ChaosPoly, evaluate_batch, l2_inner, linear_combine
 from wienerlab.adapted import (
@@ -67,15 +67,15 @@ def _stored(polys) -> list:
 
 def test_one_stage_table_moves_every_filtration_decision():
     # the pair stages {1, 2}, {3, 4}, ... planted in adapted's table alone
-    rng = make_rng(3301)
+    draws = open_draws(3301)
     with stages(STAGE_TABLES["pairs"]):
         # coordinate 2 shares eta_1's stage; coordinates 3 and 4 see eta_1 and eta_2
         zero = ChaosPoly.zero(4)
         assert not is_predictable(HField((zero, eta(1, 4), zero, zero)))
         assert is_predictable(HField((zero, zero, eta(2, 4), eta(1, 4))))
         for _ in range(300):
-            n, d, degree = int(rng.integers(1, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
-            v = random_vfield(rng, n, d, degree)
+            n, d, degree = 1 + draws.below(6), 1 + draws.below(3), 1 + draws.below(4)
+            v = random_vfield(draws, n, d, degree)
             K = clark_integrand(v)
             assert _stored(p for row in K.rows for p in row.coords) == _stored(
                 p for row in project_operator(gradient_vector(v)).rows for p in row.coords
@@ -91,11 +91,11 @@ def test_one_stage_table_moves_every_filtration_decision():
             for p in v.components:
                 energy = clark_integrand(VField((p,))).norm() ** 2
                 assert compare_energies(p).adapted_energy == pytest.approx(energy, rel=1e-12, abs=0.0)
-            u, w = random_predictable_field(rng, n, degree), random_predictable_field(rng, n, degree)
+            u, w = random_predictable_field(draws, n, degree), random_predictable_field(draws, n, degree)
             assert _check_ito_isometry(u, w) <= 1e-10
-            D = random_finite_rank_adapted(rng, n, d)
-            assert _check_operator_isometry(random_weakly_adapted(rng, n, d, degree), D) <= 1e-10
-            assert _check_weak_orthogonality(random_operator(rng, n, d, degree), D) == 0.0
+            D = random_finite_rank_adapted(draws, n, d)
+            assert _check_operator_isometry(random_weakly_adapted(draws, n, d, degree), D) <= 1e-10
+            assert _check_weak_orthogonality(random_operator(draws, n, d, degree), D) == 0.0
         # sign and givens read the coordinate past only: the certificate flags them
         draws = sample_batch(4, 256, seed=777).draws
         for spec, flagged in (("zero", False), ("constant", False), ("sign", True), ("givens", True)):
@@ -150,24 +150,24 @@ def test_project_adapted_frozen():
 
 def test_projection_idempotent_and_fixes_predictable():
     for table in STAGE_TABLES.values():
-        rng = make_rng(401)
+        draws = open_draws(401)
         with stages(table):
             for _ in range(10):
-                u = draw_hfield(rng, 4, 3)
+                u = draw_hfield(draws, 4, 3)
                 pu = project_adapted(u)
                 assert project_adapted(pu) == pu
                 assert is_predictable(pu)
             for _ in range(10):
-                q = random_predictable_field(rng, 4, 3)
+                q = random_predictable_field(draws, 4, 3)
                 assert project_adapted(q) == q
 
 
 def test_projection_contraction_and_pythagoras():
     for table in STAGE_TABLES.values():
-        rng = make_rng(402)
+        draws = open_draws(402)
         with stages(table):
             for _ in range(10):
-                u = draw_hfield(rng, 4, 3)
+                u = draw_hfield(draws, 4, 3)
                 pu = project_adapted(u)
                 rest = u.sub(pu)
                 assert pu.norm() <= u.norm() + 1e-12
@@ -176,11 +176,11 @@ def test_projection_contraction_and_pythagoras():
 
 def test_projection_self_adjoint():
     for table in STAGE_TABLES.values():
-        rng = make_rng(403)
+        draws = open_draws(403)
         with stages(table):
             for _ in range(10):
-                u = draw_hfield(rng, 3, 3)
-                v = draw_hfield(rng, 3, 3)
+                u = draw_hfield(draws, 3, 3)
+                v = draw_hfield(draws, 3, 3)
                 assert project_adapted(u).inner(v) == pytest.approx(
                     u.inner(project_adapted(v)), abs=1e-10
                 )
@@ -188,9 +188,9 @@ def test_projection_self_adjoint():
 
 def test_project_operator_rowwise():
     for table in STAGE_TABLES.values():
-        rng = make_rng(404)
+        draws = open_draws(404)
         with stages(table):
-            K = random_operator(rng, 3, 2, 3)
+            K = random_operator(draws, 3, 2, 3)
             P = project_operator(K)
             for a in range(1, 3):
                 assert P.rows[a - 1] == project_adapted(K.rows[a - 1])
@@ -221,19 +221,19 @@ def test_ito_integral_frozen_values():
 
 def test_ito_integral_matches_divergence_pathwise():
     # on predictable fields the pathwise sum is the divergence at the sample
-    rng = make_rng(405)
+    draws = open_draws(405)
     for _ in range(10):
-        u = random_predictable_field(rng, 4, 3)
+        u = random_predictable_field(draws, 4, 3)
         d = divergence_h(u)
-        x = rng.standard_normal(4)
+        x = draws.rng.standard_normal(4)
         expected = evaluate_batch(d, x[None])[0]
         assert _pathwise_sum(u, x) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 def test_divergence_of_predictable_has_zero_mean():
-    rng = make_rng(406)
+    draws = open_draws(406)
     for _ in range(10):
-        u = random_predictable_field(rng, 4, 3)
+        u = random_predictable_field(draws, 4, 3)
         assert divergence_h(u).expectation() == pytest.approx(0.0, abs=1e-13)
 
 
@@ -249,11 +249,11 @@ def test_ito_isometry_frozen():
 
 
 def test_ito_isometry_random():
-    rng = make_rng(407)
+    draws = open_draws(407)
     for _ in range(15):
-        n = int(rng.integers(2, 5))
-        u = random_predictable_field(rng, n, 3)
-        v = random_predictable_field(rng, n, 3)
+        n = 2 + draws.below(3)
+        u = random_predictable_field(draws, n, 3)
+        v = random_predictable_field(draws, n, 3)
         assert _check_ito_isometry(u, v) <= 1e-10
 
 
@@ -273,19 +273,19 @@ def test_stage_convention_counterexample():
 
 
 def test_operator_isometry_random():
-    rng = make_rng(408)
+    draws = open_draws(408)
     for _ in range(10):
-        n = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 4))
-        K = random_weakly_adapted(rng, n, d, 3)
-        D = random_finite_rank_adapted(rng, n, d)
+        n = 2 + draws.below(3)
+        d = 1 + draws.below(3)
+        K = random_weakly_adapted(draws, n, d, 3)
+        D = random_finite_rank_adapted(draws, n, d)
         assert _check_operator_isometry(K, D) <= 1e-10
 
 
 def test_operator_isometry_shape_guard():
-    rng = make_rng(409)
-    K = random_weakly_adapted(rng, 3, 2, 2)
-    D = random_finite_rank_adapted(rng, 3, 3)
+    draws = open_draws(409)
+    K = random_weakly_adapted(draws, 3, 2, 2)
+    D = random_finite_rank_adapted(draws, 3, 3)
     with pytest.raises(Exception):
         _check_operator_isometry(K, D)
 
@@ -294,12 +294,12 @@ def test_operator_isometry_shape_guard():
 
 
 def test_weak_orthogonality_random():
-    rng = make_rng(410)
+    draws = open_draws(410)
     for _ in range(10):
-        n = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 4))
-        K = random_operator(rng, n, d, 3)
-        Q = random_finite_rank_adapted(rng, n, d)
+        n = 2 + draws.below(3)
+        d = 1 + draws.below(3)
+        K = random_operator(draws, n, d, 3)
+        Q = random_finite_rank_adapted(draws, n, d)
         assert _check_weak_orthogonality(K, Q) <= 1e-10
 
 
@@ -321,12 +321,12 @@ def test_weak_orthogonality_hand_example():
 
 def test_finite_rank_divergence_matches_densified():
     # div(sum_t y_t (x) q_t) = sum_t y_t div(q_t), component by component
-    rng = make_rng(411)
+    draws = open_draws(411)
     for _ in range(8):
-        n = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 4))
+        n = 2 + draws.below(3)
+        d = 1 + draws.below(3)
         terms = [
-            (random_predictable_field(rng, n, 2), rng.uniform(-1, 1, size=d))
+            (random_predictable_field(draws, n, 2), draws.rng.uniform(-1, 1, size=d))
             for _ in range(3)
         ]
         rows = []
@@ -347,22 +347,22 @@ def test_finite_rank_divergence_matches_densified():
 
 
 def test_divergence_free_uniqueness_random():
-    rng = make_rng(412)
+    draws = open_draws(412)
     for _ in range(10):
-        n = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 4))
-        K = random_weakly_adapted(rng, n, d, 3)
+        n = 2 + draws.below(3)
+        d = 1 + draws.below(3)
+        K = random_weakly_adapted(draws, n, d, 3)
         assert _check_divergence_free_uniqueness(K)
 
 
 def test_weakly_adapted_divergence_is_injective():
     # sharpest form of uniqueness: per-row Ito isometry gives
     # E|div K|^2 = E||K||^2, so div K = 0 forces every entry to vanish
-    rng = make_rng(413)
+    draws = open_draws(413)
     for _ in range(10):
-        n = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 4))
-        K = random_weakly_adapted(rng, n, d, 3)
+        n = 2 + draws.below(3)
+        d = 1 + draws.below(3)
+        K = random_weakly_adapted(draws, n, d, 3)
         dK = divergence_op(K)
         assert dK.norm() ** 2 == pytest.approx(K.norm() ** 2, rel=1e-10, abs=1e-12)
 

@@ -12,7 +12,7 @@ from helpers import (
     energies,
     exact_root,
     l2_mass,
-    make_rng,
+    open_draws,
     refinement_mass,
     refinement_residual,
     split_integrand,
@@ -81,11 +81,11 @@ def bad_mass(v: VField) -> float:
 
 def test_clark_integrand_equals_projected_gradient_term_by_term():
     # the oracle is the definition: the adapted projection of the gradient
-    rng = make_rng(511)
+    draws = open_draws(511)
     fields = []
     for n in (1, 2, 3, 4):
-        fields.append(random_representable_vfield(rng, n, 2, 3))
-        fields.append(VField(tuple(draw_poly(rng, n, 3, 5) for _ in range(2))))
+        fields.append(random_representable_vfield(draws, n, 2, 3))
+        fields.append(VField(tuple(draw_poly(draws, n, 3, 5) for _ in range(2))))
     # components with a constant term, representable or not
     fields.append(VField((hermite_product(eta(1, 2), eta(2, 2)) + ChaosPoly.constant(2, -0.75),
                           he(2, 2, 2) + eta(1, 2) + ChaosPoly.constant(2, 1.5))))
@@ -108,11 +108,11 @@ def test_reconstruction_is_the_formed_divergence_item_for_item():
     # same keys, coefficient bits and stored order, component by component,
     # under the package's stages and under the pairs
     for table in STAGE_TABLES.values():
-        rng = make_rng(2026)
+        draws = open_draws(2026)
         with stages(table):
             for _ in range(1200):
-                n, d, degree = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
-                v = random_vfield(rng, n, d, degree)
+                n, d, degree = 1 + draws.below(5), 1 + draws.below(3), 1 + draws.below(8)
+                v = random_vfield(draws, n, d, degree)
                 formed = VField.constant(n, v.expectation()).add(divergence_op(clark_integrand(v)))
                 got = reconstruct(v).reconstruction
                 assert [[(k, c.hex()) for k, c in p.packed_terms.items()] for p in got.components] == [
@@ -153,9 +153,9 @@ def test_clark_mixed_functional_partial_residual():
 
 
 def test_reconstruction_mean_is_preserved():
-    rng = make_rng(501)
+    draws = open_draws(501)
     for _ in range(8):
-        v = random_vfield(rng, 3, 2, 3)
+        v = random_vfield(draws, 3, 2, 3)
         res = reconstruct(v)
         for a in range(1, 3):
             assert res.reconstruction.component(a).expectation() == pytest.approx(
@@ -164,11 +164,11 @@ def test_reconstruction_mean_is_preserved():
 
 
 def test_residual_matches_structural_oracle():
-    rng = make_rng(502)
+    draws = open_draws(502)
     for _ in range(12):
-        n = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 3))
-        v = random_vfield(rng, n, d, 3)
+        n = 2 + draws.below(3)
+        d = 1 + draws.below(2)
+        v = random_vfield(draws, n, d, 3)
         res = reconstruct(v)
         assert res.residual_l2 == pytest.approx(bad_mass(v), rel=1e-10, abs=1e-12)
         assert residual_mass_oracle(v) == pytest.approx(bad_mass(v), abs=1e-14)
@@ -186,17 +186,17 @@ def test_residual_mass_oracle_is_exact():
     v = VField((lower(parse_functional("0.769787*h8(x1)"), 1),))
     assert residual_mass_oracle(_refined(v, 8)) == 101.08234343238155
     assert residual_mass_oracle(VField((ChaosPoly.zero(2),))) == 0.0
-    rng = make_rng(510)
+    draws = open_draws(510)
     for _ in range(40):
-        v = random_vfield(rng, int(rng.integers(1, 4)), 2, 5)
+        v = random_vfield(draws, 1 + draws.below(3), 2, 5)
         assert residual_mass_oracle(v) == refinement_residual(v, 1)
 
 
 def test_representable_class_is_exact():
-    rng = make_rng(503)
+    draws = open_draws(503)
     for _ in range(12):
-        n = int(rng.integers(2, 5))
-        v = random_representable_vfield(rng, n, 2, 3)
+        n = 2 + draws.below(3)
+        v = random_representable_vfield(draws, n, 2, 3)
         assert is_representable(v)
         res = reconstruct(v)
         assert res.residual_l2 <= 1e-10
@@ -229,10 +229,10 @@ def test_clark_result_json_shape():
 
 def test_uniqueness_accepts_independent_construction():
     # an independently built integrand that represents v is the projected gradient
-    rng = make_rng(504)
+    draws = open_draws(504)
     for _ in range(8):
-        n = int(rng.integers(2, 5))
-        p = random_representable_poly(rng, n, 3)
+        n = 2 + draws.below(3)
+        p = random_representable_poly(draws, n, 3)
         centered = p - ChaosPoly.constant(n, p.expectation())
         alt = WeaklyAdaptedOperator((PredictableHField(split_integrand(centered).coords),))
         assert (divergence_h(alt.rows[0]) - centered).norm_l2() <= 1e-10
@@ -252,10 +252,10 @@ def test_refinement_residual_closed_form():
 
 
 def test_refinement_residual_non_increasing_random():
-    rng = make_rng(505)
+    draws = open_draws(505)
     for _ in range(6):
-        n = int(rng.integers(1, 3))
-        v = VField((random_poly(rng, n, 3),))
+        n = 1 + draws.below(2)
+        v = VField((random_poly(draws, n, 3),))
         table = refine_and_reconstruct(v, [1, 2, 4, 8])
         residuals = [r for _, r in table]
         for a, b in zip(residuals, residuals[1:]):
@@ -277,8 +277,8 @@ def test_refinement_residual_non_increasing_fourth_order():
 
 
 def test_refinement_residual_matches_refined_oracle():
-    rng = make_rng(506)
-    v = VField((draw_poly(rng, 2, 3, 5),))
+    draws = open_draws(506)
+    v = VField((draw_poly(draws, 2, 3, 5),))
     for m in (2, 4):
         refined = VField(tuple(refine(p, m) for p in v.components))
         res = reconstruct(refined)
@@ -293,8 +293,8 @@ def test_residual_is_the_norm_of_v_minus_its_reconstruction():
     # residual_l2 is the closed form at m = 1; it is checked against the
     # exact rational mass of the dropped terms, and against ||v -
     # reconstruction||, the independent oracle that forms the difference
-    rng = make_rng(508)
-    fields = [v for v in (random_vfield(rng, int(rng.integers(1, 4)), 2, 4) for _ in range(30))
+    draws = open_draws(508)
+    fields = [v for v in (random_vfield(draws, 1 + draws.below(3), 2, 4) for _ in range(30))
               if not is_representable(v)]
     assert len(fields) >= 10
     fields += [_refined(v, m) for v in fields[:4] for m in (2, 3, 4)]
@@ -325,8 +325,8 @@ def test_refinement_residual_of_repeated_coefficients_is_exact():
 
 
 def test_refinement_rows_are_the_residuals_of_the_refined_fields_bit_for_bit():
-    rng = make_rng(509)
-    fields = [random_vfield(rng, int(rng.integers(1, 3)), 2, 4) for _ in range(6)]
+    draws = open_draws(509)
+    fields = [random_vfield(draws, 1 + draws.below(2), 2, 4) for _ in range(6)]
     fields.append(VField((he(2, 1, 1) * 1e154,)))
     for v in fields:
         rows = refine_and_reconstruct(v, [1, 2, 3, 4])
@@ -355,10 +355,10 @@ def test_refinement_table_matches_the_closed_form_residual():
     v = VField((he(8, 1, 1) * 1e-12,))
     [(_, residual)] = refine_and_reconstruct(v, [4])
     assert _within(residual, clark.refinement_residual(v, 4), 1e-12)
-    rng = make_rng(507)
+    draws = open_draws(507)
     for _ in range(20):
-        n = int(rng.integers(1, 4))
-        v = random_vfield(rng, n, 2, 5)
+        n = 1 + draws.below(3)
+        v = random_vfield(draws, n, 2, 5)
         for m, residual in refine_and_reconstruct(v, [1, 2, 3, 4]):
             exact = refinement_residual(v, m)
             assert _within(residual, exact, 1e-12)
@@ -370,11 +370,11 @@ def test_refinement_rows_and_energies_are_correctly_rounded_on_seeded_fields():
     # once, and both energies of every component are the exact sums rounded
     # once; a float sum of the rounded terms put 1317 of these 9000 rows
     # 1 ulp from the exact root
-    rng = make_rng(2026)
+    draws = open_draws(2026)
     for _ in range(3000):
-        n = int(rng.integers(1, 6))
-        d = int(rng.integers(1, 4))
-        v = random_vfield(rng, n, d, int(rng.integers(1, 9)))
+        n = 1 + draws.below(5)
+        d = 1 + draws.below(3)
+        v = random_vfield(draws, n, d, 1 + draws.below(8))
         for m in (1, 2, 4):
             assert clark.refinement_residual(v, m) == refinement_residual(v, m)
         for phi in v.components:
@@ -479,8 +479,8 @@ def test_energy_comparison_first_chaos_coincides():
 def test_coincide_is_pure_first_chaos_of_the_centered_functional():
     # the grade-1 filter written out, as the definition reads: centered phi
     # minus its first-chaos part is zero
-    rng = make_rng(510)
-    phis = [draw_poly(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), 3)
+    draws = open_draws(510)
+    phis = [draw_poly(draws, 1 + draws.below(3), 1 + draws.below(3), 3)
             for _ in range(40)]
     phis += [
         ChaosPoly.constant(2, 3.0),
@@ -499,27 +499,27 @@ def test_coincide_is_pure_first_chaos_of_the_centered_functional():
 
 
 def test_minimal_energy_represents_exactly():
-    rng = make_rng(507)
+    draws = open_draws(507)
     for _ in range(10):
-        n = int(rng.integers(2, 5))
-        phi = random_poly(rng, n, 3)
+        n = 2 + draws.below(3)
+        phi = random_poly(draws, n, 3)
         field = minimal_energy_integrand(phi)
         assert _representation_gap(phi, field) <= 1e-10
 
 
 def test_minimal_energy_beats_divergence_free_perturbations():
-    rng = make_rng(508)
+    draws = open_draws(508)
     for _ in range(6):
-        n = int(rng.integers(2, 5))
-        phi = random_poly(rng, n, 3)
+        n = 2 + draws.below(3)
+        phi = random_poly(draws, n, 3)
         base = minimal_energy_integrand(phi)
         e0 = base.norm() ** 2
         # skew linear fields are divergence-free
-        u0 = skew_symmetric_field(random_skew_matrix(rng, n))
+        u0 = skew_symmetric_field(random_skew_matrix(draws.rng, n))
         assert _representation_gap(phi, base.add(u0)) <= 1e-10
         assert base.add(u0).norm() ** 2 >= e0 - 1e-12
         # generic divergence-free field: u - grad Linv div u
-        u = draw_hfield(rng, n, 3)
+        u = draw_hfield(draws, n, 3)
         correction = gradient_scalar(ou_inverse(divergence_h(u)))
         w0 = u.sub(correction)
         assert divergence_h(w0).norm_l2() <= 1e-10
@@ -531,10 +531,10 @@ def test_minimal_energy_beats_divergence_free_perturbations():
 
 
 def test_minimal_at_most_adapted_on_representable_class():
-    rng = make_rng(509)
+    draws = open_draws(509)
     for _ in range(10):
-        n = int(rng.integers(2, 5))
-        phi = random_representable_poly(rng, n, 3)
+        n = 2 + draws.below(3)
+        phi = random_representable_poly(draws, n, 3)
         cmp = compare_energies(phi)
         assert cmp.exact_energy <= cmp.adapted_energy + 1e-10
 
@@ -550,13 +550,13 @@ def test_energy_order_can_flip_off_the_representable_class():
 
 def _energy_cases():
     """Seeded random scalars, and every component of the README and CI functionals."""
-    rng = make_rng(513)
+    draws = open_draws(513)
     phis = []
     for _ in range(300):
-        n = int(rng.integers(1, 6))
-        degree, n_terms = int(rng.integers(1, DEGREE_CAP + 1)), int(rng.integers(1, 9))
-        phis.append(draw_poly(rng, n, degree, n_terms))
-    phis += [random_representable_poly(rng, int(rng.integers(1, 6)), 3) for _ in range(50)]
+        n = 1 + draws.below(5)
+        degree, n_terms = 1 + draws.below(DEGREE_CAP), 1 + draws.below(8)
+        phis.append(draw_poly(draws, n, degree, n_terms))
+    phis += [random_representable_poly(draws, 1 + draws.below(5), 3) for _ in range(50)]
     for text, n in [
         ("x1", 1),
         ("x1*x2", 2),
@@ -595,33 +595,33 @@ def test_minimal_energy_of_a_cubic_is_exact():
 
 
 def test_divergence_of_gradient_is_number_operator():
-    rng = make_rng(510)
+    draws = open_draws(510)
     for _ in range(10):
-        n = int(rng.integers(1, 4))
-        p = draw_poly(rng, n, 4, 5)
+        n = 1 + draws.below(3)
+        p = draw_poly(draws, n, 4, 5)
         lhs = divergence_h(gradient_scalar(p))
         rhs = ou_apply(p)
         assert (lhs - rhs).is_zero() or (lhs - rhs).norm_l2() <= 1e-12
 
 
 def test_gradients_orthogonal_to_divergence_free():
-    rng = make_rng(511)
+    draws = open_draws(511)
     for _ in range(6):
-        n = int(rng.integers(2, 4))
-        p = draw_poly(rng, n, 3, 3)
+        n = 2 + draws.below(2)
+        p = draw_poly(draws, n, 3, 3)
         g = gradient_scalar(p)
-        u0 = skew_symmetric_field(random_skew_matrix(rng, n))
+        u0 = skew_symmetric_field(random_skew_matrix(draws.rng, n))
         assert g.inner(u0) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_vector_reconstruction_decomposes_into_scalar_problems():
     # component a of the vector reconstruction equals the reconstruction of
     # the scalar problem for that component alone, integrand rows included
-    rng = make_rng(512)
+    draws = open_draws(512)
     for _ in range(8):
-        n = int(rng.integers(2, 5))
-        d = int(rng.integers(2, 4))
-        v = random_vfield(rng, n, d, 3)
+        n = 2 + draws.below(3)
+        d = 2 + draws.below(2)
+        v = random_vfield(draws, n, d, 3)
         whole = reconstruct(v)
         for a in range(1, d + 1):
             part = reconstruct(VField((v.component(a),)))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import make_rng, refinement_residual
+from helpers import open_draws, refinement_residual
 import wienerlab.chaos
 import wienerlab.clark
 import wienerlab.dsl
@@ -217,9 +217,9 @@ def test_represent_residual_is_its_first_refinement_row_bit_for_bit(tmp_path, mo
     assert row == f"1,{residual!r}"
     exact = refinement_residual(lower(parse_functional(functional), 3), 1)
     assert residual == 6.593176017671604 == exact
-    rng = make_rng(2026)
+    draws = open_draws(2026)
     for _ in range(300):
-        v = random_vfield(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9)))
+        v = random_vfield(draws, 1 + draws.below(5), 1 + draws.below(3), 1 + draws.below(8))
         assert wienerlab.clark.reconstruct(v).residual_l2 == wienerlab.clark.refinement_residual(v, 1)
 
 
@@ -485,11 +485,11 @@ def _functional_text(v: VField) -> str:
 
 def test_represent_rows_match_the_refined_pipeline(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rng = make_rng(2101)
+    draws = open_draws(2101)
     factors = list(range(1, 9))
     for _ in range(6):
-        n = int(rng.integers(1, 4))
-        text = _functional_text(random_vfield(rng, n, 2, 4))
+        n = 1 + draws.below(3)
+        text = _functional_text(random_vfield(draws, n, 2, 4))
         code, _, err = run(
             ["represent", "--n", str(n), "--functional", text,
              "--refine", ",".join(map(str, factors)), "--output", "r"],

@@ -10,7 +10,7 @@ store: the same keys, coefficient bits and stored order.
 import numpy as np
 import pytest
 
-from helpers import draw_hfield, draw_poly, make_rng, packed
+from helpers import draw_hfield, draw_poly, make_rng, open_draws, packed
 from wienerlab import chaos, clark, dsl, randgen
 from wienerlab.chaos import (
     DEGREE_CAP,
@@ -49,21 +49,21 @@ def _same_bits(got, want):
 
 def _instances(seed, count=30):
     """Seeded ``randgen`` polynomials and fields over dimensions 1 .. 4."""
-    rng = make_rng(seed)
+    draws = open_draws(seed)
     for _ in range(count):
-        n = int(rng.integers(1, 5))
-        p = draw_poly(rng, n, 4, 8)
-        q = draw_poly(rng, n, 4, 6)
-        u = draw_hfield(rng, n, 4)
-        v = randgen.random_vfield(rng, n, 2, 6)
-        yield rng, n, p, q, u, v
+        n = 1 + draws.below(4)
+        p = draw_poly(draws, n, 4, 8)
+        q = draw_poly(draws, n, 4, 6)
+        u = draw_hfield(draws, n, 4)
+        v = randgen.random_vfield(draws, n, 2, 6)
+        yield draws, n, p, q, u, v
 
 
 @pytest.mark.parametrize("seed", [3, 29, 104729])
 def test_kernel_stores_equal_the_public_gate_over_the_same_pairs(seed):
-    for rng, n, p, q, u, v in _instances(seed):
-        i = int(rng.integers(1, n + 1))
-        a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
+    for draws, n, p, q, u, v in _instances(seed):
+        i = 1 + draws.below(n)
+        a, b = float(draws.rng.uniform(-2, 2)), float(draws.rng.uniform(-2, 2))
         pt, qt = p.packed_terms, q.packed_terms
 
         combined = (
@@ -110,7 +110,7 @@ def test_refine_store_equals_the_public_gate_over_its_monomials(seed):
     # refine(p, m) is c times the refinement of each coarse monomial with
     # coefficient 1.0, concatenated: the gate over those pairs sums nothing,
     # because distinct coarse monomials refine to disjoint fine keys
-    for rng, n, p, _, _, v in _instances(seed, count=12):
+    for _, n, p, _, _, v in _instances(seed, count=12):
         for m in (2, 3, 5):
             if n * m > chaos.DIM_CAP:
                 continue
@@ -127,19 +127,20 @@ def test_refine_store_equals_the_public_gate_over_its_monomials(seed):
 def test_random_polynomials_equal_the_public_gate_over_their_draws(seed):
     for n, degree, coords in ((1, 3, None), (4, 4, None), (6, 8, None), (5, 5, [1, 3, 4])):
         a, b = make_rng(seed), make_rng(seed)
-        p = draw_poly(a, n, degree, 12, coords)
+        with randgen._Draws(a) as draws:
+            p = draw_poly(draws, n, degree, 12, coords)
         with randgen._Draws(b) as draws:
             coords = range(1, n + 1) if coords is None else coords
-            pairs = [(randgen._key(draws, coords, degree), randgen._uniform(b)) for _ in range(12)]
+            pairs = [(randgen._key(draws, coords, degree), draws.uniform()) for _ in range(12)]
         assert _same_bits(_stored(p), _gated(n, pairs))
         assert a.random(2).tolist() == b.random(2).tolist()
 
 
 def test_random_polynomials_refuse_a_bad_dimension():
-    rng = make_rng(1)
+    draws = open_draws(1)
     for n in (0, chaos.DIM_CAP + 1):
         with pytest.raises(AlgebraError, match="ambient dimension"):
-            randgen.random_poly(rng, n, 2)
+            randgen.random_poly(draws, n, 2)
 
 
 # ------------------------------------------------------------ value rules
@@ -212,7 +213,7 @@ def test_degree_cap_error_names_the_first_offending_key_in_arrival_order():
         divergence_h(HField((ChaosPoly.hermite(1, 1, DEGREE_CAP),)))
     assert err.value.degree == DEGREE_CAP + 1
     with pytest.raises(DegreeCapExceeded) as err:
-        draw_poly(make_rng(2), 1, 40, 8)
+        draw_poly(open_draws(2), 1, 40, 8)
     assert err.value.degree > DEGREE_CAP
 
 

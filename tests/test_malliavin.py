@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import draw_hfield, draw_poly, exact_root, l2_mass, make_rng, mc_poly_mean
+from helpers import draw_hfield, draw_poly, exact_root, l2_mass, make_rng, mc_poly_mean, open_draws
 from wienerlab.chaos import (
     DEGREE_CAP,
     AlgebraError,
@@ -138,9 +138,9 @@ def test_divergence_skew_field_is_exactly_zero():
 
 
 def test_divergence_has_zero_mean():
-    rng = make_rng(312)
+    draws = open_draws(312)
     for _ in range(10):
-        u = draw_hfield(rng, 3, 3)
+        u = draw_hfield(draws, 3, 3)
         assert divergence_h(u).expectation() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -169,22 +169,22 @@ def _stored(p):
 
 def test_divergence_of_predictable_fields_is_bit_identical_to_the_sum_form():
     # on a predictable field d_i u_i = 0 and eta_i u_i only raises orders
-    rng = make_rng(331)
+    draws = open_draws(331)
     for n in (1, 2, 3, 5):
         for _ in range(10):
-            u = random_predictable_field(rng, n, 3)
+            u = random_predictable_field(draws, n, 3)
             assert _stored(divergence_h(u)) == _stored(_divergence_ref(u))
-        K = clark_integrand(VField(tuple(draw_poly(rng, n, 4, 6) for _ in range(2))))
+        K = clark_integrand(VField(tuple(draw_poly(draws, n, 4, 6) for _ in range(2))))
         for row in K.rows:
             assert _stored(divergence_h(row)) == _stored(_divergence_ref(row))
 
 
 def test_divergence_matches_the_sum_form_to_roundoff_on_general_fields():
-    rng = make_rng(332)
+    draws = open_draws(332)
     differing = 0
     for _ in range(300):
-        n = int(rng.integers(1, 4))
-        u = HField(tuple(draw_poly(rng, n, 4, 5) for _ in range(n)))
+        n = 1 + draws.below(3)
+        u = HField(tuple(draw_poly(draws, n, 4, 5) for _ in range(n)))
         got, want = divergence_h(u).packed_terms, _divergence_ref(u).packed_terms
         scale = max((abs(c) for ui in u.coords for c in ui.packed_terms.values()), default=0.0)
         gap = max((abs(got.get(k, 0.0) - want.get(k, 0.0)) for k in got.keys() | want.keys()), default=0.0)
@@ -211,8 +211,8 @@ def test_divergence_op_identity_recovers_coordinates():
 
 
 def test_rank_one_divergence_factorizes():
-    rng = make_rng(313)
-    alpha = draw_hfield(rng, 3, 2)
+    draws = open_draws(313)
+    alpha = draw_hfield(draws, 3, 2)
     y = np.array([2.0, -1.0, 0.5])
     K = OperatorField(tuple(_scaled(alpha, v) for v in y))
     d = divergence_op(K)
@@ -225,13 +225,13 @@ def test_rank_one_divergence_factorizes():
 
 
 def test_trace_pairing_matches_pointwise_oracle():
-    rng = make_rng(314)
+    draws = open_draws(314)
     for _ in range(5):
-        K = random_operator(rng, 3, 2, 2)
-        D = random_operator(rng, 3, 2, 2)
+        K = random_operator(draws, 3, 2, 2)
+        D = random_operator(draws, 3, 2, 2)
         p = trace_pairing(K, D)
         for _ in range(4):
-            x = rng.standard_normal(3)
+            x = draws.rng.standard_normal(3)
             direct = sum(
                 _at(K.rows[a - 1].coords[i - 1], x) * _at(D.rows[a - 1].coords[i - 1], x)
                 for a in range(1, 3)
@@ -244,14 +244,14 @@ def test_trace_pairing_matches_pointwise_oracle():
 
 
 def test_dual_pairing_expectation_route():
-    rng = make_rng(315)
-    F = random_vfield(rng, 3, 2, 2)
-    G = random_vfield(rng, 3, 2, 2)
+    draws = open_draws(315)
+    F = random_vfield(draws, 3, 2, 2)
+    G = random_vfield(draws, 3, 2, 2)
     assert dual_pairing_expectation(F, G) == pytest.approx(
         dual_pairing(F, G).expectation(), abs=1e-10
     )
     with pytest.raises(DimensionMismatch):
-        dual_pairing(F, random_vfield(rng, 3, 3, 2))
+        dual_pairing(F, random_vfield(draws, 3, 3, 2))
 
 
 def test_transpose_apply_and_apply_field():
@@ -268,12 +268,12 @@ def test_transpose_apply_and_apply_field():
 
 
 def test_duality_random_instances():
-    rng = make_rng(316)
+    draws = open_draws(316)
     for _ in range(25):
-        n = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 4))
-        K = random_operator(rng, n, d, 3)
-        F = random_vfield(rng, n, d, 3)
+        n = 2 + draws.below(3)
+        d = 1 + draws.below(3)
+        K = random_operator(draws, n, d, 3)
+        F = random_vfield(draws, n, d, 3)
         assert _check_duality(K, F) <= 1e-10
 
 
@@ -289,13 +289,13 @@ def test_duality_hand_example():
 
 
 def test_weakb_random_instances():
-    rng = make_rng(317)
+    draws = open_draws(317)
     for _ in range(15):
-        n = int(rng.integers(2, 4))
-        d = int(rng.integers(1, 3))
-        K = random_operator(rng, n, d, 2)
-        F = random_vfield(rng, n, d, 2)
-        assert _check_weakb(K, F) <= 1e-10
+        n = 2 + draws.below(2)
+        d = 1 + draws.below(2)
+        K = random_operator(draws, n, d, 2)
+        F = random_vfield(draws, n, d, 2)
+        assert _check_weakb(K, F, divergence_op(K)) <= 1e-10
 
 
 def test_weakb_hand_example():
@@ -310,13 +310,13 @@ def test_weakb_hand_example():
 
 
 def test_rowwise_divergence_random():
-    rng = make_rng(318)
+    draws = open_draws(318)
     for _ in range(15):
-        n = int(rng.integers(2, 4))
-        d = int(rng.integers(1, 4))
-        K = random_operator(rng, n, d, 3)
-        y = rng.standard_normal(d)
-        assert _check_rowwise_divergence(K, y) <= 1e-10
+        n = 2 + draws.below(2)
+        d = 1 + draws.below(3)
+        K = random_operator(draws, n, d, 3)
+        y = draws.rng.standard_normal(d)
+        assert _check_rowwise_divergence(K, y, divergence_op(K)) <= 1e-10
 
 
 # ------------------------------------------------------------ uniform bound
@@ -345,8 +345,8 @@ def test_cbound_diagonal_coordinate_operator():
 
 def test_cbound_rank_one_closed_form():
     # K = alpha tensor y: div(K^T l) = <l, y> div(alpha), so C = |y| ||div alpha||
-    rng = make_rng(319)
-    alpha = draw_hfield(rng, 3, 2)
+    draws = open_draws(319)
+    alpha = draw_hfield(draws, 3, 2)
     y = np.array([1.0, -2.0, 2.0])
     K = OperatorField(tuple(_scaled(alpha, v) for v in y))
     expected = np.linalg.norm(y) * divergence_h(alpha).norm_l2()
@@ -355,13 +355,13 @@ def test_cbound_rank_one_closed_form():
 
 def test_cbound_sphere_scan_oracle():
     # C must dominate ||div(K^T l)|| on sampled unit vectors and be attained
-    rng = make_rng(320)
+    draws = open_draws(320)
     for _ in range(5):
-        K = random_operator(rng, 3, 3, 2)
+        K = random_operator(draws, 3, 3, 2)
         C = _check_cbound(K)
         best = 0.0
         for _ in range(200):
-            l = rng.standard_normal(3)
+            l = draws.rng.standard_normal(3)
             l /= np.linalg.norm(l)
             val = divergence_h(K.transpose_apply(l)).norm_l2()
             assert val <= C + 1e-9
@@ -425,11 +425,11 @@ def test_field_norms_scale_an_energy_that_overflows():
 
 
 def test_field_norms_are_the_correctly_rounded_root():
-    rng = make_rng(322)
+    draws = open_draws(322)
     for field in (
-        draw_hfield(rng, 3, 3),
-        random_vfield(rng, 3, 2, 3),
-        random_operator(rng, 3, 2, 3),
+        draw_hfield(draws, 3, 3),
+        random_vfield(draws, 3, 2, 3),
+        random_operator(draws, 3, 2, 3),
         HField((eta(1, 2) * 1e150, eta(2, 2))),
         HField((eta(1, 2) * 1e-200, eta(2, 2) * 1e-160)),
         VField((ChaosPoly.zero(2),)),
@@ -458,9 +458,9 @@ def test_field_arithmetic_rejects_mismatched_shapes(kind, op):
 
 
 def test_operator_energy_sums_row_energies_exactly():
-    rng = make_rng(0)
+    draws = open_draws(0)
     K = OperatorField(
-        tuple(HField(tuple(random_poly(rng, 3, 3) for _ in range(3))) for _ in range(3))
+        tuple(HField(tuple(random_poly(draws, 3, 3) for _ in range(3))) for _ in range(3))
     )
     assert K.norm() == exact_root(sum(l2_mass(row.coords) for row in K.rows))
     # this seed tells the row-by-row float order apart from one flat float

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import draw_poly, make_rng, packed
+from helpers import draw_poly, make_rng, open_draws, packed
 from wienerlab import randgen
 from wienerlab.adapted import PredictableHField
 from wienerlab.chaos import ChaosPoly, MultiIndex
@@ -85,31 +85,31 @@ def _polys(field):
     return list(getattr(field, "coords", None) or field.components)
 
 
-# (generator, reference) over (rng, n, d, degree); each reference returns
-# the polynomials the generator stores, in order
+# (generator, reference) over (reader, n, d, degree) and (rng, n, d, degree);
+# each reference returns the polynomials the generator stores, in order
 FIELD_CASES = {
     "random_vfield": (
-        lambda rng, n, d, degree: randgen.random_vfield(rng, n, d, degree),
+        lambda draws, n, d, degree: randgen.random_vfield(draws, n, d, degree),
         lambda rng, n, d, degree: [_reference_poly(rng, n, degree, 3) for _ in range(d)],
     ),
     "random_operator": (
-        lambda rng, n, d, degree: randgen.random_operator(rng, n, d, degree),
+        lambda draws, n, d, degree: randgen.random_operator(draws, n, d, degree),
         lambda rng, n, d, degree: [
             _reference_poly(rng, n, degree, 2) for _ in range(d) for _ in range(n)
         ],
     ),
     "random_predictable_field": (
-        lambda rng, n, d, degree: randgen.random_predictable_field(rng, n, degree),
+        lambda draws, n, d, degree: randgen.random_predictable_field(draws, n, degree),
         lambda rng, n, d, degree: _polys(_reference_predictable(rng, n, degree)),
     ),
     "random_weakly_adapted": (
-        lambda rng, n, d, degree: randgen.random_weakly_adapted(rng, n, d, degree),
+        lambda draws, n, d, degree: randgen.random_weakly_adapted(draws, n, d, degree),
         lambda rng, n, d, degree: [
             p for _ in range(d) for p in _polys(_reference_predictable(rng, n, degree))
         ],
     ),
     "random_finite_rank_adapted": (
-        lambda rng, n, d, degree: randgen.random_finite_rank_adapted(rng, n, d),
+        lambda draws, n, d, degree: randgen.random_finite_rank_adapted(draws, n, d),
         lambda rng, n, d, degree: [
             p for row in _reference_finite_rank(rng, n, d) for p in row.coords
         ],
@@ -122,11 +122,13 @@ FIELD_CASES = {
 def test_field_generators_match_the_numpy_reference(name, seed):
     # same polynomials, terms in the same stored order with the same
     # coefficient bits, and the stream left where the numpy calls leave it;
-    # the numpy draws between generators read the 32-bit buffer they hand back
+    # the numpy draws between readers read the 32-bit buffer each hands back
     make, reference = FIELD_CASES[name]
     a, b = make_rng(seed), make_rng(seed)
     for n, d, degree in [(1, 1, 2), (2, 3, 1), (4, 2, 3), (5, 1, 4), (3, 2, 0)]:
-        got, want = _polys(make(a, n, d, degree)), reference(b, n, d, degree)
+        with randgen._Draws(a) as draws:
+            got = _polys(make(draws, n, d, degree))
+        want = reference(b, n, d, degree)
         assert [list(p.packed_terms.items()) for p in got] == [
             list(p.packed_terms.items()) for p in want
         ]
@@ -135,11 +137,12 @@ def test_field_generators_match_the_numpy_reference(name, seed):
 
 
 def test_generators_refuse_a_bit_generator_other_than_philox():
+    # the reader every generator draws through refuses to open
     for rng in (np.random.default_rng(5), np.random.Generator(np.random.MT19937(5))):
         with pytest.raises(TypeError, match="Philox"):
-            randgen.random_poly(rng, 3, 2)
+            randgen.random_poly(randgen._Draws(rng), 3, 2)
         with pytest.raises(TypeError, match="Philox"):
-            randgen.random_operator(rng, 3, 2, 2)
+            randgen.random_operator(randgen._Draws(rng), 3, 2, 2)
 
 
 CASES = [(1, 3, None), (3, 2, None), (4, 4, None), (6, 5, [2, 3, 5]), (3, 0, None), (5, 2, [])]
@@ -147,11 +150,12 @@ CASES = [(1, 3, None), (3, 2, None), (4, 4, None), (6, 5, [2, 3, 5]), (3, 0, Non
 
 def _same_draws(make, reference, seed):
     # same terms in the same order, same coefficients, and the stream left
-    # where the reference leaves it
+    # where the reference leaves it, once the reader hands its buffer back
     a, b = make_rng(seed), make_rng(seed)
-    for _ in range(5):
-        p, q = make(a), reference(b)
-        assert list(p.packed_terms.items()) == list(q.packed_terms.items())
+    with randgen._Draws(a) as draws:
+        for _ in range(5):
+            p, q = make(draws), reference(b)
+            assert list(p.packed_terms.items()) == list(q.packed_terms.items())
     assert a.random(4).tolist() == b.random(4).tolist()
 
 
@@ -159,19 +163,19 @@ def _same_draws(make, reference, seed):
 def test_generators_match_the_multiindex_reference(seed):
     for n, degree, coords in CASES:
         _same_draws(
-            lambda rng: draw_poly(rng, n, degree, 8, coords),
+            lambda draws: draw_poly(draws, n, degree, 8, coords),
             lambda rng: _reference_poly(rng, n, degree, n_terms=8, coords=coords),
             seed,
         )
         if coords is None:
             _same_draws(
-                lambda rng: randgen.random_poly(rng, n, degree),
+                lambda draws: randgen.random_poly(draws, n, degree),
                 lambda rng: _reference_poly(rng, n, degree),
                 seed,
             )
         if degree:
             _same_draws(
-                lambda rng: randgen.random_representable_poly(rng, n, degree),
+                lambda draws: randgen.random_representable_poly(draws, n, degree),
                 lambda rng: _reference_representable_poly(rng, n, degree),
                 seed,
             )
@@ -191,14 +195,14 @@ def test_generators_build_no_multiindex(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MultiIndex, "__init__", counting_init)
-    rng = make_rng(5)
-    randgen.random_poly(rng, 4, 4)
-    draw_poly(rng, 4, 3, 4, [1, 2])
-    randgen.random_representable_poly(rng, 4, 3)
-    randgen.random_vfield(rng, 3, 2, 2)
-    randgen.random_operator(rng, 3, 2, 2)
-    randgen.random_predictable_field(rng, 4, 3)
-    randgen.random_weakly_adapted(rng, 4, 2, 3)
-    randgen.random_finite_rank_adapted(rng, 3, 2)
-    randgen.random_representable_vfield(rng, 4, 2, 3)
+    draws = open_draws(5)
+    randgen.random_poly(draws, 4, 4)
+    draw_poly(draws, 4, 3, 4, [1, 2])
+    randgen.random_representable_poly(draws, 4, 3)
+    randgen.random_vfield(draws, 3, 2, 2)
+    randgen.random_operator(draws, 3, 2, 2)
+    randgen.random_predictable_field(draws, 4, 3)
+    randgen.random_weakly_adapted(draws, 4, 2, 3)
+    randgen.random_finite_rank_adapted(draws, 3, 2)
+    randgen.random_representable_vfield(draws, 4, 2, 3)
     assert calls == []

@@ -25,11 +25,63 @@ def test_sample_is_generator_choice_without_replacement():
         assert a.random() == b.random()
 
 
+def _same_stream(a, b):
+    """The two generators' Philox states agree: counter, key, word buffer and 32-bit buffer."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    for field in ("has_uint32", "uinteger", "buffer_pos"):
+        assert sa[field] == sb[field]
+    assert sa["buffer"].tolist() == sb["buffer"].tolist()
+    for field in ("counter", "key"):
+        assert sa["state"][field].tolist() == sb["state"][field].tolist()
+
+
 def test_uniform_is_generator_uniform():
+    # scalar draws and the sized draw random_finite_rank_adapted stands in
+    # for, interleaved with bounded draws that fill the 32-bit buffer, which
+    # a uniform leaves alone
     a, b = make_rng(11), make_rng(11)
-    for _ in range(10_000):
-        assert randgen._uniform(a).hex() == float(b.uniform(-1, 1)).hex()
+    with randgen._Draws(a) as draws:
+        for k in range(10_000):
+            assert draws.uniform().hex() == float(b.uniform(-1, 1)).hex()
+            if k % 7 == 0:
+                assert draws.below(5) == int(b.integers(0, 5))
+            if k % 100 == 0:
+                got = [draws.uniform().hex() for _ in range(3)]
+                assert got == [float(x).hex() for x in b.uniform(-1, 1, size=3)]
+    _same_stream(a, b)
     assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 104729])
+def test_suite_size_draws_are_generator_integers(seed):
+    # low + below(high - low) is int(rng.integers(low, high)) for the
+    # suites' size ranges, one-value ranges included, which draw nothing
+    ranges = [(2, 7), (1, 4), (1, 5), (2, 6), (1, 6), (2, 5), (1, 2), (0, 1), (3, 3 + 2**32)]
+    a, b = make_rng(seed), make_rng(seed)
+    with randgen._Draws(a) as draws:
+        for _ in range(300):
+            for low, high in ranges:
+                assert low + draws.below(high - low) == int(b.integers(low, high))
+    _same_stream(a, b)
+    assert int(a.integers(0, 9)) == int(b.integers(0, 9))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 104729])
+def test_shuffle_is_generator_shuffle(seed):
+    # lists of every length 0..9, the empty and one-item lists drawing
+    # nothing, with a bounded draw between them so that the reader opens
+    # on a buffered half as often as not
+    a, b = make_rng(seed), make_rng(seed)
+    for _ in range(50):
+        with randgen._Draws(a) as draws:
+            for length in range(10):
+                x, y = [3 * j + 1 for j in range(length)], [3 * j + 1 for j in range(length)]
+                draws.shuffle(x)
+                b.shuffle(y)
+                assert x == y
+            assert draws.below(3) == int(b.integers(0, 3))
+        _same_stream(a, b)
+    assert a.random(2).tolist() == b.random(2).tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 104729])
@@ -65,7 +117,4 @@ def test_below_takes_the_buffered_half_and_rejects_as_numpy_does():
         with randgen._Draws(a) as draws:
             got = [draws.below(2**31 + 5) for _ in range(9)]
         assert got == [int(b.integers(0, 2**31 + 5)) for _ in range(9)]
-        sa, sb = a.bit_generator.state, b.bit_generator.state
-        for field in ("has_uint32", "uinteger", "buffer_pos"):
-            assert sa[field] == sb[field]
-        assert sa["state"]["counter"].tolist() == sb["state"]["counter"].tolist()
+        _same_stream(a, b)

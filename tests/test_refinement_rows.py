@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import STAGE_TABLES, draw_poly, make_rng, stages
+from helpers import STAGE_TABLES, draw_poly, open_draws, stages
 from wienerlab import adapted, chaos, clark
 from wienerlab.chaos import DEGREE_CAP, AlgebraError, ChaosPoly, _factorial, refine
 from wienerlab.clark import refine_and_reconstruct, refinement_residual
@@ -33,12 +33,12 @@ def _oracle(v: VField, m: int) -> float:
 
 def _fields():
     """Seeded vector functionals: constant terms, a constant component, degrees 1 .. DEGREE_CAP."""
-    rng = make_rng(3838)
+    draws = open_draws(3838)
     fields = []
     for degree in range(1, DEGREE_CAP + 1):
         for n in (1, 2, 3):
-            c = float(rng.uniform(-2.0, 2.0))
-            polys = [draw_poly(rng, n, degree, 3) + ChaosPoly.constant(n, c) for _ in range(2)]
+            c = float(draws.rng.uniform(-2.0, 2.0))
+            polys = [draw_poly(draws, n, degree, 3) + ChaosPoly.constant(n, c) for _ in range(2)]
             fields.append(VField((*polys, ChaosPoly.constant(n, -c))))
     return fields
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -65,6 +66,64 @@ def test_suites_are_deterministic():
     a = run_suites(["refinement_convergence", "clark_exactness"])
     b = run_suites(["refinement_convergence", "clark_exactness"])
     assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+
+
+def _instance_polys(instance):
+    """A seeded instance's polynomials in stored order, nested rows included."""
+    if isinstance(instance, ChaosPoly):
+        return [instance]
+    for name in ("rows", "coords", "components"):
+        if hasattr(instance, name):
+            return [p for part in getattr(instance, name) for p in _instance_polys(part)]
+    raise TypeError(f"no polynomials in {type(instance).__name__}")
+
+
+#: SHA-256 of every seeded instance the suites draw and of the stream each
+#: suite's generator is left at
+PINNED_INSTANCES = "b8ef47b751323599c28bebed6c52ee9c352b952614dec7df415fe0f49d2850b5"
+
+
+def test_seeded_instances_pinned(monkeypatch):
+    # every instance the suites draw, in draw order: each polynomial's packed
+    # keys and coefficient bits in stored order, each matrix entry's bits,
+    # and each suite generator's Philox state once the suites are done.
+    # Only Python ints, bytes and float.hex feed the digest, so it does not
+    # depend on the host
+    digest = hashlib.sha256()
+    generators = []
+
+    def wrap(name, build):
+        def drawn(*args, **kwargs):
+            instance = build(*args, **kwargs)
+            digest.update(name.encode())
+            if isinstance(instance, np.ndarray):
+                digest.update(repr([float(x).hex() for x in instance.ravel()]).encode())
+            else:
+                for p in _instance_polys(instance):
+                    digest.update(repr((p.dim, [(k, c.hex()) for k, c in p.packed_terms.items()])).encode())
+            return instance
+
+        return drawn
+
+    def make_rng(seed):
+        rng = make(seed)
+        generators.append(rng)
+        return rng
+
+    make = wienerlab.suites.make_rng
+    builders = [name for name in vars(wienerlab.suites) if name.startswith("random_")]
+    for name in builders:
+        monkeypatch.setattr(wienerlab.suites, name, wrap(name, getattr(wienerlab.suites, name)))
+    monkeypatch.setattr(wienerlab.suites, "make_rng", make_rng)
+    assert all(r.passed for r in run_suites())
+    for rng in generators:
+        state = rng.bit_generator.state
+        digest.update(repr((
+            state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"],
+        )).encode())
+    assert len(builders) == 9 and len(generators) == 11
+    assert digest.hexdigest() == PINNED_INSTANCES
 
 
 # each gap helper with the suite that reads it, the value planted in it, and
