@@ -60,6 +60,7 @@ from .space import (
     Check,
     SampleBatch,
     _fill_block,
+    _integer,
     _over_blocks,
     _sampling_args,
     check,
@@ -291,7 +292,7 @@ def build_sequential_isometry(n: int, seed: int, angle_spec: str) -> AdaptedIsom
 
     Any other value raises :class:`RotationError`.
     """
-    n = int(n)
+    n, seed = _integer(n, "n", RotationError), _integer(seed, "seed", RotationError)
     if n < 1:
         raise RotationError(f"need at least one coordinate, got n={n}")
     if angle_spec not in CONSTRUCTIONS:
@@ -307,14 +308,14 @@ def build_sequential_isometry(n: int, seed: int, angle_spec: str) -> AdaptedIsom
         return AdaptedIsometry(n, "sign", _sign_kernel(n))
 
     if angle_spec == "givens":
-        rng = make_rng(int(seed))
+        rng = make_rng(seed)
         weights = {
             c: 0.7 * rng.standard_normal((n - c + 1, c - 1)) for c in range(2, n + 1)
         }
         return AdaptedIsometry(n, "givens", _sequential_kernel(n, weights))
 
     # "constant"
-    M = random_orthogonal(make_rng(int(seed)), n).T.copy()
+    M = random_orthogonal(make_rng(seed), n).T.copy()
     return AdaptedIsometry(
         n, "constant", _constant_kernel(M), operator=WeaklyAdaptedOperator.constant(M)
     )
@@ -346,6 +347,7 @@ def _recombine_outputs(base: AdaptedIsometry, L: np.ndarray, tag: str) -> Adapte
 
 def scale_output(base: AdaptedIsometry, index: int, factor: float) -> AdaptedIsometry:
     """Break the isometry by scaling one output row of the matrix."""
+    index = _integer(index, "output index", RotationError)
     if not 1 <= index <= base.n:
         raise RotationError(f"output index {index} outside 1..{base.n}")
     L = np.eye(base.n)
@@ -355,6 +357,7 @@ def scale_output(base: AdaptedIsometry, index: int, factor: float) -> AdaptedIso
 
 def mix_outputs(base: AdaptedIsometry, a: int, b: int) -> AdaptedIsometry:
     """Break independence by replacing output b with (output a + output b)/sqrt2."""
+    a, b = (_integer(i, "output index", RotationError) for i in (a, b))
     if a == b or not (1 <= a <= base.n and 1 <= b <= base.n):
         raise RotationError(f"need two distinct output indices in 1..{base.n}")
     L = np.eye(base.n)
@@ -446,7 +449,7 @@ def _rotated_sample(R: AdaptedIsometry, N: int, seed: int) -> np.ndarray:
     Each block of samples is drawn and rotated in place, in a buffer of the
     thread that runs it, so the drawn (N, n) array is never built.
     """
-    _, seed = _sampling_args(R.n, N, seed)
+    _, N, seed = _sampling_args(R.n, N, seed)
     return R._blocks(N, seed=seed)[:, :, 0]
 
 

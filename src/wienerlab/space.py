@@ -33,6 +33,7 @@ The module builds on the chaos algebra alone; the field operators of
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -137,7 +138,7 @@ def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
     Blocks of BLOCK_ROWS rows come from independent Philox streams keyed by
     (seed, block index), so any thread can fill any block alone.
     """
-    n, seed = _sampling_args(n, n_samples, seed)
+    n, n_samples, seed = _sampling_args(n, n_samples, seed)
     draws = np.empty((n_samples, n))
 
     def fill(start):
@@ -148,17 +149,26 @@ def sample_batch(n: int, n_samples: int, seed: int) -> SampleBatch:
     return SampleBatch(draws)
 
 
-def _sampling_args(n, n_samples: int, seed) -> tuple[int, int]:
-    """``(n, seed)`` as ints, refusing no coordinate, no sample or a seed past 64 bits."""
-    n = int(n)
+def _integer(value, what: str, error=ValueError) -> int:
+    """``operator.index(value)``; a float, even an integral one, raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
+
+
+def _sampling_args(n, n_samples, seed) -> tuple[int, int, int]:
+    """``(n, n_samples, seed)`` as ints, refusing a non-integer, no coordinate, no sample or a seed past 64 bits."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"need at least one coordinate, got n={n}")
+    n_samples = _integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return n, seed
+    return n, n_samples, seed
 
 
 def _fill_block(seed: int, start: int, out: np.ndarray) -> None:

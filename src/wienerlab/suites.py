@@ -8,14 +8,25 @@ returns one ``Check``: its worst gap against its threshold, with a
 ``details`` line naming what it covered.  The gap of each identity is a
 private helper next to the suite that reads it, so a new suite needs no
 public function.  Random instances come from fixed seeds, so two runs
-produce identical results byte for byte.  A suite that draws instances opens
-one ``randgen`` reader on its seeded generator for its whole loop, and every
-bounded draw of the suite, its own size draws included, goes through it.
+produce identical results byte for byte.
+
+A suite that draws seeded instances is a generator body
+``suite_<name>(draws, seed)`` under the ``_suite(seed, threshold)`` runner,
+which makes it the suite ``suite_<name>(seed)``.  The body yields each gap
+as a real number and each side check as a bool (numpy's included), and
+returns its ``details`` line.  The runner opens one ``randgen`` reader on
+``make_rng(seed)`` for the whole body, so every bounded draw of the suite,
+its own size draws included, goes through it; it folds the gaps into the
+worst one (a NaN gap stays NaN) and ANDs the side checks into the verdict.
+``rotation_invariants`` draws no seeded instance (its rotations and samples
+key their own Philox streams), so it stays a plain function and opens no
+reader.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -77,6 +88,45 @@ def _result(name, gaps, threshold, details, extra_ok=True) -> Check:
     return check(name, np.max(gaps, initial=0.0), threshold, extra_ok, details)
 
 
+def _suite(seed: int, threshold: float):
+    """Make the generator body ``suite_<name>(draws, seed)`` the suite ``suite_<name>(seed)``.
+
+    The suite opens one reader on ``make_rng(seed)`` for the whole body.  A
+    bool the body yields, numpy's included, is a side check ANDed into the
+    verdict, a real number is a gap, and anything else raises
+    ``TypeError``.  The body's return value is the record's ``details``.
+    """
+
+    def runner(body):
+        name = body.__name__.removeprefix("suite_")
+
+        def suite(seed: int = seed) -> Check:
+            gaps, ok = [], True
+            with _Draws(make_rng(seed)) as draws:
+                steps = body(draws, seed)
+                while True:
+                    try:
+                        value = next(steps)
+                    except StopIteration as done:
+                        details = done.value
+                        break
+                    if isinstance(value, (bool, np.bool_)):
+                        ok = ok and bool(value)
+                    elif isinstance(value, (float, Real)):  # float skips the ABC check
+                        gaps.append(value)
+                    else:
+                        raise TypeError(f"suite {name} yielded {value!r}, neither a gap nor a check")
+            return _result(name, gaps, threshold, details, ok)
+
+        # not functools.wraps: inspect.signature follows __wrapped__ and would
+        # show the body's (draws, seed) in place of the seed and its default
+        suite.__name__ = suite.__qualname__ = body.__name__
+        suite.__doc__ = body.__doc__
+        return suite
+
+    return runner
+
+
 def _gram(polys) -> np.ndarray:
     """Gram matrix G_ab = E[p_a p_b]; each pair a <= b is computed once."""
     d = len(polys)
@@ -97,21 +147,18 @@ def _check_duality(K: OperatorField, F: VField) -> float:
     return abs(lhs - rhs)
 
 
-def suite_duality_pairing(seed: int = 1001) -> Check:
+@_suite(1001, 1e-10)
+def suite_duality_pairing(draws, seed):
     """Divergence is adjoint to the gradient under the pairings."""
-    gaps = []
     count = 200
-    with _Draws(make_rng(seed)) as draws:
-        for _ in range(count):
-            n = 2 + draws.below(5)
-            d = 1 + draws.below(3)
-            degree = 1 + draws.below(4)
-            K = random_operator(draws, n, d, degree)
-            F = random_vfield(draws, n, d, min(degree, 3))
-            gaps.append(_check_duality(K, F))
-    return _result(
-        "duality_pairing", gaps, 1e-10, f"{count} random operator/field pairs"
-    )
+    for _ in range(count):
+        n = 2 + draws.below(5)
+        d = 1 + draws.below(3)
+        degree = 1 + draws.below(4)
+        K = random_operator(draws, n, d, degree)
+        F = random_vfield(draws, n, d, min(degree, 3))
+        yield _check_duality(K, F)
+    return f"{count} random operator/field pairs"
 
 
 def _check_weakb(K: OperatorField, F: VField, div_K: VField) -> float:
@@ -132,51 +179,38 @@ def _check_rowwise_divergence(K: OperatorField, y, div_K: VField) -> float:
     return (lhs - rhs).norm_l2()
 
 
-def suite_weak_pairing(seed: int = 1002) -> Check:
+@_suite(1002, 1e-10)
+def suite_weak_pairing(draws, seed):
     """Componentwise and rowwise forms of the duality agree."""
-    gaps = []
     count = 100
-    with _Draws(make_rng(seed)) as draws:
-        for _ in range(count):
-            n = 2 + draws.below(4)
-            d = 1 + draws.below(3)
-            K = random_operator(draws, n, d, 3)
-            F = random_vfield(draws, n, d, 3)
-            div_K = divergence_op(K)
-            gaps.append(_check_weakb(K, F, div_K))
-            y = draws.rng.standard_normal(d)
-            gaps.append(_check_rowwise_divergence(K, y, div_K))
-    return _result(
-        "weak_pairing", gaps, 1e-10, f"{count} instances, both pairing forms"
-    )
+    for _ in range(count):
+        n = 2 + draws.below(4)
+        d = 1 + draws.below(3)
+        K = random_operator(draws, n, d, 3)
+        F = random_vfield(draws, n, d, 3)
+        div_K = divergence_op(K)
+        yield _check_weakb(K, F, div_K)
+        yield _check_rowwise_divergence(K, draws.rng.standard_normal(d), div_K)
+    return f"{count} instances, both pairing forms"
 
 
-def suite_structure_constants(seed: int = 1003) -> Check:
+@_suite(1003, 1e-12)
+def suite_structure_constants(draws, seed):
     """Exact divergence values: skew fields, constants, identity growth."""
-    rng = make_rng(seed)
-    gaps = []
-    ok = True
     for n in range(2, 9):
-        A = random_skew_matrix(rng, n)
-        ok = ok and divergence_h(skew_symmetric_field(A)).is_zero()
-        h = rng.standard_normal(n)
+        yield divergence_h(skew_symmetric_field(random_skew_matrix(draws.rng, n))).is_zero()
+        h = draws.rng.standard_normal(n)
         const = HField(tuple(ChaosPoly.constant(n, h[i]) for i in range(n)))
         expected = sum(
             (ChaosPoly.hermite(n, i + 1, 1, h[i]) for i in range(n)),
             ChaosPoly.zero(n),
         )
-        gaps.append((divergence_h(const) - expected).norm_l2())
+        yield (divergence_h(const) - expected).norm_l2()
     for n in range(1, 9):
         # the identity field u(w) = w: div u = sum_i He_2(eta_i), norm sqrt(2n)
         identity = HField(tuple(ChaosPoly.coordinate(n, i) for i in range(1, n + 1)))
-        gaps.append(abs(divergence_h(identity).norm_l2() - math.sqrt(2.0 * n)))
-    return _result(
-        "structure_constants",
-        gaps,
-        1e-12,
-        "skew fields, constant fields, identity divergence growth, n <= 8",
-        extra_ok=ok,
-    )
+        yield abs(divergence_h(identity).norm_l2() - math.sqrt(2.0 * n))
+    return "skew fields, constant fields, identity divergence growth, n <= 8"
 
 
 def _check_ito_isometry(u: HField, v: HField) -> float:
@@ -193,25 +227,22 @@ def _check_operator_isometry(K: WeaklyAdaptedOperator, D: WeaklyAdaptedOperator)
     return abs(lhs - rhs)
 
 
-def suite_ito_isometry(seed: int = 1004) -> Check:
+@_suite(1004, 1e-10)
+def suite_ito_isometry(draws, seed):
     """Energy identities for predictable fields and adapted operators."""
-    gaps = []
     count = 200
-    with _Draws(make_rng(seed)) as draws:
-        for _ in range(count):
-            n = 2 + draws.below(4)
-            u = random_predictable_field(draws, n, 3)
-            v = random_predictable_field(draws, n, 3)
-            gaps.append(_check_ito_isometry(u, v))
-        for _ in range(count):
-            n = 2 + draws.below(4)
-            d = 1 + draws.below(3)
-            K = random_weakly_adapted(draws, n, d, 3)
-            D = random_finite_rank_adapted(draws, n, d)
-            gaps.append(_check_operator_isometry(K, D))
-    return _result(
-        "ito_isometry", gaps, 1e-10, f"{count} field pairs and {count} operator pairs"
-    )
+    for _ in range(count):
+        n = 2 + draws.below(4)
+        u = random_predictable_field(draws, n, 3)
+        v = random_predictable_field(draws, n, 3)
+        yield _check_ito_isometry(u, v)
+    for _ in range(count):
+        n = 2 + draws.below(4)
+        d = 1 + draws.below(3)
+        K = random_weakly_adapted(draws, n, d, 3)
+        D = random_finite_rank_adapted(draws, n, d)
+        yield _check_operator_isometry(K, D)
+    return f"{count} field pairs and {count} operator pairs"
 
 
 def _check_weak_orthogonality(K: OperatorField, Q: WeaklyAdaptedOperator) -> float:
@@ -220,18 +251,17 @@ def _check_weak_orthogonality(K: OperatorField, Q: WeaklyAdaptedOperator) -> flo
     return abs(lhs - trace_pairing_expectation(project_operator(K), Q))
 
 
-def suite_weak_orthogonality(seed: int = 1005) -> Check:
+@_suite(1005, 1e-10)
+def suite_weak_orthogonality(draws, seed):
     """Anticipating remainders pair to zero against adapted test operators."""
-    gaps = []
     count = 100
-    with _Draws(make_rng(seed)) as draws:
-        for _ in range(count):
-            n = 2 + draws.below(4)
-            d = 1 + draws.below(3)
-            K = random_operator(draws, n, d, 3)
-            Q = random_finite_rank_adapted(draws, n, d)
-            gaps.append(_check_weak_orthogonality(K, Q))
-    return _result("weak_orthogonality", gaps, 1e-10, f"{count} instances")
+    for _ in range(count):
+        n = 2 + draws.below(4)
+        d = 1 + draws.below(3)
+        K = random_operator(draws, n, d, 3)
+        Q = random_finite_rank_adapted(draws, n, d)
+        yield _check_weak_orthogonality(K, Q)
+    return f"{count} instances"
 
 
 def _check_divergence_free_uniqueness(K: WeaklyAdaptedOperator) -> bool:
@@ -245,106 +275,74 @@ def _check_divergence_free_uniqueness(K: WeaklyAdaptedOperator) -> bool:
     return max(p.norm_l2() for row in K.rows for p in row.coords) <= 1e-12
 
 
-def suite_clark_exactness(seed: int = 1006) -> Check:
+@_suite(1006, 1e-10)
+def suite_clark_exactness(draws, seed):
     """The adapted representation, divergence formed, is exact on the representable class."""
-    gaps = []
-    ok = True
     count = 100
-    with _Draws(make_rng(seed)) as draws:
-        for _ in range(count):
-            n = 2 + draws.below(4)
-            d = 1 + draws.below(3)
-            v = random_representable_vfield(draws, n, d, 3)
-            res = reconstruct(v)
-            gaps.append(res.residual_l2)
-            # E[v] + div(K) with the divergence formed, not read off v as reconstruct does
-            rec = VField.constant(n, v.expectation()).add(divergence_op(res.integrand))
-            gaps.append(rec.sub(v).norm())
-        for _ in range(30):
-            n = 2 + draws.below(4)
-            d = 1 + draws.below(3)
-            K = random_weakly_adapted(draws, n, d, 3)
-            ok = ok and _check_divergence_free_uniqueness(K)
-    return _result(
-        "clark_exactness",
-        gaps,
-        1e-10,
-        f"{count} representable fields plus 30 injectivity checks",
-        extra_ok=ok,
-    )
+    for _ in range(count):
+        n = 2 + draws.below(4)
+        d = 1 + draws.below(3)
+        v = random_representable_vfield(draws, n, d, 3)
+        res = reconstruct(v)
+        yield res.residual_l2
+        # E[v] + div(K) with the divergence formed, not read off v as reconstruct does
+        rec = VField.constant(n, v.expectation()).add(divergence_op(res.integrand))
+        yield rec.sub(v).norm()
+    for _ in range(30):
+        n = 2 + draws.below(4)
+        d = 1 + draws.below(3)
+        yield _check_divergence_free_uniqueness(random_weakly_adapted(draws, n, d, 3))
+    return f"{count} representable fields plus 30 injectivity checks"
 
 
-def suite_refinement_convergence(seed: int = 1007) -> Check:
+@_suite(1007, 1e-12)
+def suite_refinement_convergence(draws, seed):
     """Residuals shrink under grid refinement at the predicted rate."""
-    gaps = []
-    ok = True
     he2 = VField((ChaosPoly.hermite(1, 1, 2),))
     for m, residual in refine_and_reconstruct(he2, range(1, 17)):
-        gaps.append(abs(residual - math.sqrt(2.0 / m)))
-    with _Draws(make_rng(seed)) as draws:
-        for _ in range(20):
-            n = 1 + draws.below(3)
-            v = VField((random_poly(draws, n, 3),))
-            table = refine_and_reconstruct(v, [1, 2, 4, 8])
-            residuals = [r for _, r in table]
-            ok = ok and all(
-                residuals[i + 1] <= residuals[i] + 1e-12 for i in range(len(residuals) - 1)
-            )
-            if residuals[0] > 1e-12:
-                ok = ok and residuals[0] ** 2 >= 3.0 * residuals[-1] ** 2
-    return _result(
-        "refinement_convergence",
-        gaps,
-        1e-12,
-        "closed form m=1..16 plus 20 random monotonicity and energy-ratio checks",
-        extra_ok=ok,
-    )
+        yield abs(residual - math.sqrt(2.0 / m))
+    for _ in range(20):
+        n = 1 + draws.below(3)
+        v = VField((random_poly(draws, n, 3),))
+        residuals = [r for _, r in refine_and_reconstruct(v, [1, 2, 4, 8])]
+        yield all(fine <= coarse + 1e-12 for coarse, fine in zip(residuals, residuals[1:]))
+        if residuals[0] > 1e-12:
+            yield residuals[0] ** 2 >= 3.0 * residuals[-1] ** 2
+    return "closed form m=1..16 plus 20 random monotonicity and energy-ratio checks"
 
 
-def suite_minimal_energy(seed: int = 1008) -> Check:
+@_suite(1008, 1e-10)
+def suite_minimal_energy(draws, seed):
     """The gradient-of-inverse-generator field represents every functional."""
-    gaps = []
-    ok = True
     count = 100
-    with _Draws(make_rng(seed)) as draws:
-        for _ in range(count):
-            n = 1 + draws.below(5)
-            p = random_poly(draws, n, 4)
-            centered = p - ChaosPoly.constant(n, p.expectation())
-            bar = minimal_energy_integrand(centered)
-            gaps.append((divergence_h(bar) - centered).norm_l2())
-        for _ in range(40):
-            n = 2 + draws.below(4)
-            phi = random_representable_poly(draws, n, 3)
-            comp = compare_energies(phi)
-            ok = ok and comp.exact_energy <= comp.adapted_energy + 1e-10
+    for _ in range(count):
+        n = 1 + draws.below(5)
+        p = random_poly(draws, n, 4)
+        centered = p - ChaosPoly.constant(n, p.expectation())
+        yield (divergence_h(minimal_energy_integrand(centered)) - centered).norm_l2()
+    for _ in range(40):
+        n = 2 + draws.below(4)
+        comp = compare_energies(random_representable_poly(draws, n, 3))
+        yield comp.exact_energy <= comp.adapted_energy + 1e-10
     # worked product functional: adapted energy 1, exact energy 1/2
-    pair = ChaosPoly.hermite(2, 1, 1) * ChaosPoly.hermite(2, 2, 1)
-    comp = compare_energies(pair)
-    ok = ok and abs(comp.adapted_energy - 1.0) <= 1e-12
-    ok = ok and abs(comp.exact_energy - 0.5) <= 1e-12
-    ok = ok and not comp.coincide
+    comp = compare_energies(ChaosPoly.hermite(2, 1, 1) * ChaosPoly.hermite(2, 2, 1))
+    yield abs(comp.adapted_energy - 1.0) <= 1e-12
+    yield abs(comp.exact_energy - 0.5) <= 1e-12
+    yield not comp.coincide
     first = ChaosPoly.hermite(3, 2, 1, 2.0) + ChaosPoly.hermite(3, 3, 1, -1.0)
-    ok = ok and compare_energies(first).coincide
-    return _result(
-        "minimal_energy",
-        gaps,
-        1e-10,
-        f"{count} centered functionals, 40 energy comparisons, worked pair",
-        extra_ok=ok,
-    )
+    yield compare_energies(first).coincide
+    return f"{count} centered functionals, 40 energy comparisons, worked pair"
 
 
-def suite_number_operator(seed: int = 1009) -> Check:
+@_suite(1009, 1e-10)
+def suite_number_operator(draws, seed):
     """Divergence after gradient acts as grade scaling."""
-    gaps = []
     count = 100
-    with _Draws(make_rng(seed)) as draws:
-        for _ in range(count):
-            n = 1 + draws.below(5)
-            p = random_poly(draws, n, 4)
-            gaps.append((divergence_h(gradient_scalar(p)) - ou_apply(p)).norm_l2())
-    return _result("number_operator", gaps, 1e-10, f"{count} random functionals")
+    for _ in range(count):
+        n = 1 + draws.below(5)
+        p = random_poly(draws, n, 4)
+        yield (divergence_h(gradient_scalar(p)) - ou_apply(p)).norm_l2()
+    return f"{count} random functionals"
 
 
 def _check_cbound(K: OperatorField) -> float:
@@ -358,27 +356,22 @@ def _check_cbound(K: OperatorField) -> float:
     return math.sqrt(max(top, 0.0))
 
 
-def suite_operator_bound(seed: int = 1010) -> Check:
+@_suite(1010, 1e-9)
+def suite_operator_bound(draws, seed):
     """The sharp constant bounds the pairing over the unit sphere."""
-    gaps = []
     count = 40
-    with _Draws(make_rng(seed)) as draws:
-        for _ in range(count):
-            n = 2 + draws.below(3)
-            d = 1 + draws.below(3)
-            K = random_operator(draws, n, d, 2)
-            c = _check_cbound(K)
-            for _ in range(20):
-                y = draws.rng.standard_normal(d)
-                norm = float(np.linalg.norm(y))
-                if norm < 1e-12:
-                    continue
-                y = y / norm
-                value = divergence_h(K.transpose_apply(y)).norm_l2()
-                gaps.append(value - c)
-    return _result(
-        "operator_bound", gaps, 1e-9, f"{count} operators, 20 directions each"
-    )
+    for _ in range(count):
+        n = 2 + draws.below(3)
+        d = 1 + draws.below(3)
+        K = random_operator(draws, n, d, 2)
+        c = _check_cbound(K)
+        for _ in range(20):
+            y = draws.rng.standard_normal(d)
+            norm = float(np.linalg.norm(y))
+            if norm < 1e-12:
+                continue
+            yield divergence_h(K.transpose_apply(y / norm)).norm_l2() - c
+    return f"{count} operators, 20 directions each"
 
 
 def _exact_output_covariance(R: AdaptedIsometry) -> np.ndarray:
@@ -425,24 +418,17 @@ def suite_rotation_invariants(seed: int = 1011) -> Check:
     )
 
 
-def suite_monte_carlo_consistency(seed: int = 1012) -> Check:
+@_suite(1012, 1.0)
+def suite_monte_carlo_consistency(draws, seed):
     """Sampling means agree with algebraic expectations within 4 sigma."""
-    gaps = []
     count = 50
     n = 4
     batch = sample_batch(n, 100_000, seed)
-    with _Draws(make_rng(seed)) as draws:
-        for _ in range(count):
-            p = random_poly(draws, n, 3)
-            est = mc_estimate(p, batch)
-            tolerance = max(4.0 * est.stderr, 1e-12)
-            gaps.append(abs(est.mean - p.expectation()) / tolerance)
-    return _result(
-        "monte_carlo_consistency",
-        gaps,
-        1.0,
-        f"{count} functionals at 100000 samples, gap over 4 sigma",
-    )
+    for _ in range(count):
+        p = random_poly(draws, n, 3)
+        est = mc_estimate(p, batch)
+        yield abs(est.mean - p.expectation()) / max(4.0 * est.stderr, 1e-12)
+    return f"{count} functionals at 100000 samples, gap over 4 sigma"
 
 
 ALL_SUITES = (

@@ -105,6 +105,38 @@ def test_unknown_spec_rejected():
         build_sequential_isometry(0, seed=1, angle_spec="zero")
 
 
+@pytest.mark.parametrize(
+    "n, seed, what", [(2.9, 0, "n 2.9"), (3.0, 0, "n 3.0"), (3, 0.5, "seed 0.5")], ids=["n", "integral_n", "seed"]
+)
+def test_construction_refuses_a_non_integer_size_or_seed(n, seed, what):
+    # nothing is truncated: n = 2.9 builds no 2 x 2 rotation
+    with pytest.raises(RotationError, match=f"^{what} is not an integer$"):
+        build_sequential_isometry(n, seed, "givens")
+
+
+def test_construction_takes_numpy_ints():
+    R = build_sequential_isometry(np.int32(3), np.int64(4), "givens")
+    x = make_rng(5).standard_normal((50, 3))
+    assert R.n == 3
+    assert np.array_equal(R.matrices(x), build_sequential_isometry(3, 4, "givens").matrices(x))
+
+
+def test_planted_defects_refuse_a_non_integer_output_index():
+    base = build_sequential_isometry(3, seed=1, angle_spec="zero")
+    with pytest.raises(RotationError, match="^output index 1.0 is not an integer$"):
+        scale_output(base, 1.0, 2.0)
+    with pytest.raises(RotationError, match="^output index 2.5 is not an integer$"):
+        mix_outputs(base, 1, 2.5)
+    # out of range keeps its message, and numpy ints are indices
+    with pytest.raises(RotationError, match="^output index 4 outside 1..3$"):
+        scale_output(base, 4, 2.0)
+    with pytest.raises(RotationError, match="^need two distinct output indices in 1..3$"):
+        mix_outputs(base, np.int64(2), 2)
+    x = make_rng(6).standard_normal((20, 3))
+    assert np.array_equal(scale_output(base, np.int64(2), 2.0).matrices(x), scale_output(base, 2, 2.0).matrices(x))
+    assert np.array_equal(mix_outputs(base, np.int8(1), np.int64(3)).matrices(x), mix_outputs(base, 1, 3).matrices(x))
+
+
 def test_sequential_construction_is_pathwise_orthogonal():
     for n in (1, 2, 4, 8):
         R = build_sequential_isometry(n, seed=7, angle_spec="givens")

@@ -68,6 +68,23 @@ def test_sample_batch_block_substreams():
         sample_batch(2, 10, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "args, what",
+    [((2.5, 10, 0), "n 2.5"), ((2, 10.5, 0), "n_samples 10.5"), ((2, 10, 1.5), "seed 1.5"), ((2.0, 10, 0), "n 2.0")],
+    ids=["n", "n_samples", "seed", "integral_float"],
+)
+def test_sample_batch_refuses_a_non_integer_size_or_seed(args, what):
+    # nothing is truncated: 2.5 columns are not 2, and seed 1.5 is not seed 1
+    with pytest.raises(ValueError, match=f"^{what} is not an integer$"):
+        sample_batch(*args)
+
+
+def test_sample_batch_takes_numpy_ints():
+    batch = sample_batch(np.int64(2), np.int32(10), np.uint64(3))
+    assert batch.draws.shape == (10, 2)
+    assert np.array_equal(batch.draws, sample_batch(2, 10, 3).draws)
+
+
 @pytest.mark.parametrize("n_samples", THREADED_SIZES)
 def test_threaded_sample_batch_equals_one_worker(monkeypatch, n_samples):
     one = with_workers(monkeypatch, 1, lambda: sample_batch(3, n_samples, 11).draws)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -124,6 +125,107 @@ def test_seeded_instances_pinned(monkeypatch):
         )).encode())
     assert len(builders) == 9 and len(generators) == 11
     assert digest.hexdigest() == PINNED_INSTANCES
+
+
+def _toy(*values, seed=7, details="toy: 3 gaps"):
+    """A toy suite through the runner that yields ``values`` and returns ``details``."""
+
+    def suite_toy(draws, seed):
+        yield from values
+        return details
+
+    return wienerlab.suites._suite(seed, 1e-10)(suite_toy)
+
+
+def test_runner_makes_a_suite_of_its_body():
+    toy = _toy(1e-12, 3e-11, 2e-11, True)
+    assert toy.__name__ == "suite_toy"
+    assert inspect.signature(toy).parameters["seed"].default == 7
+    assert toy() == Check("toy", 3e-11, 1e-10, True, "toy: 3 gaps")
+    # a suite with no gaps reads 0
+    assert _toy(True)() == Check("toy", 0.0, 1e-10, True, "toy: 3 gaps")
+
+
+def test_suites_keep_their_default_seeds():
+    suites = [getattr(wienerlab.suites, f"suite_{name}") for name in suite_names()]
+    defaults = [inspect.signature(fn).parameters["seed"].default for fn in suites]
+    assert defaults == list(range(1001, 1013))
+
+
+def test_runner_nan_gap_fails_the_suite():
+    result = _toy(1e-12, math.nan, 2e-11)()
+    assert math.isnan(result.statistic) and not result.passed
+
+
+@pytest.mark.parametrize(
+    "failed", [False, np.float64(1.0) > 2.0], ids=["python_false", "numpy_false"]
+)
+def test_runner_side_check_fails_the_suite_and_keeps_the_worst_gap(failed):
+    result = _toy(1e-12, failed, 3e-11, np.True_)()
+    assert result == Check("toy", 3e-11, 1e-10, False, "toy: 3 gaps")
+
+
+@pytest.mark.parametrize("value", ["0.0", np.zeros(2), None], ids=["str", "array", "none"])
+def test_runner_refuses_a_value_that_is_neither_gap_nor_check(value):
+    with pytest.raises(TypeError, match="neither a gap nor a check"):
+        _toy(1e-12, value)()
+
+
+def _stream(rng):
+    """The generator's Philox state: counter, key, word buffer and 32-bit buffer."""
+    state = rng.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+        state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"],
+    )
+
+
+def test_runner_leaves_the_stream_of_a_fresh_generator(monkeypatch):
+    # bounded draws on both 32-bit halves and whole-word draws between them;
+    # the last draw leaves a buffered half that the reader must hand back
+    opened = []
+
+    def make_rng(seed):
+        opened.append(make(seed))
+        return opened[-1]
+
+    def suite_draws(draws, seed):
+        yield float(draws.below(5))
+        yield float(draws.rng.standard_normal(3).sum())
+        yield float(draws.below(7) + draws.below(11))
+        return "draws"
+
+    make = wienerlab.suites.make_rng
+    monkeypatch.setattr(wienerlab.suites, "make_rng", make_rng)
+    wienerlab.suites._suite(42, math.inf)(suite_draws)()
+    fresh = make(42)
+    fresh.integers(0, 5), fresh.standard_normal(3), fresh.integers(0, 7), fresh.integers(0, 11)
+    assert len(opened) == 1 and _stream(opened[0]) == _stream(fresh)
+    assert _stream(opened[0]) != _stream(make(42))
+
+
+#: suites whose records take no input from numpy's own draws or from BLAS
+PINNED_SUITES = [
+    "duality_pairing",
+    "ito_isometry",
+    "weak_orthogonality",
+    "clark_exactness",
+    "refinement_convergence",
+    "minimal_energy",
+    "number_operator",
+]
+
+#: SHA-256 of the records of ``PINNED_SUITES``
+PINNED_RECORDS = "96993a06de27acf5c2c0f86ce19de165db19321db7ebd0a7c9eab54fd23ef617"
+
+
+def test_exact_suite_records_pinned():
+    # each record's name, statistic and threshold bits, verdict and details;
+    # only strings, bools and float.hex feed the digest
+    digest = hashlib.sha256()
+    for r in run_suites(PINNED_SUITES):
+        digest.update(repr((r.name, r.statistic.hex(), r.threshold.hex(), r.passed, r.details)).encode())
+    assert digest.hexdigest() == PINNED_RECORDS
 
 
 # each gap helper with the suite that reads it, the value planted in it, and
