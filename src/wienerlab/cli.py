@@ -67,12 +67,17 @@ from .suites import run_suites, suite_names
 # seed must stay below 2**64
 _SEED_MAX = 2**64 - 1 - 17
 
-#: Largest (n_samples, n) float64 block ``rotate`` accepts, in bytes.  A run
-#: peaks at about 1.6 such blocks (the rotated samples and battery
-#: temporaries, as the drawn samples are never built; 1.52 traced and 1.57
-#: in RSS growth at n = 8 with 10**6 samples) plus each worker thread's
-#: block buffers, 200000 samples fit at the dimension cap n = 128, and a
-#: request past the budget exits 2 before anything is allocated.
+#: Largest (n_samples, max(n, 8)) float64 block ``rotate`` accepts, in
+#: bytes.  The drawn samples are never built: a run holds the rotated
+#: (n_samples, n) block and its batteries' vectors of n_samples values
+#: each, plus each worker thread's block buffers.  The vectors weigh most
+#: at small n: the traced peak at 10**6 samples is 4.00 (n_samples, n)
+#: blocks at n = 1 and 2 (the gaussianity and independence batteries),
+#: 2.00 at n = 4 (independence) and 1.40 at n = 8 (the measure battery).
+#: So a sample counts as max(n, 8) values, at least 64 B, and a run peaks
+#: at no more than about 1.4 budgets, at n = 8.  200000 samples fit at the
+#: dimension cap n = 128, and a request past the budget exits 2 before
+#: anything is allocated.
 ROTATE_BLOCK_BUDGET = 256 * 2**20
 
 
@@ -284,9 +289,9 @@ def _cmd_represent(args) -> int:
 
 def _cmd_rotate(args) -> int:
     n, seed, N = args.n, args.seed, args.n_samples
-    if N * n * 8 > ROTATE_BLOCK_BUDGET:
+    if N * max(n, 8) * 8 > ROTATE_BLOCK_BUDGET:
         raise UsageError(
-            f"n_samples * n = {N * n} float64 values exceed the"
+            f"n_samples * max(n, 8) = {N * max(n, 8)} float64 values exceed the"
             f" {ROTATE_BLOCK_BUDGET // 2**20} MiB block budget of rotate"
         )
     R = build_sequential_isometry(n, seed, args.construction)

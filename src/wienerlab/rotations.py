@@ -42,6 +42,14 @@ holds the rotated (N, n) block and its statistics' vectors only.  The
 stack itself is the kernel at U = I; only the isometry and strict-past
 certificates ask for it, and the certificate's hybrids ask for one column
 each.
+
+The batteries' statistics run on the calling thread, but for one split in
+the measure battery: a helper thread (``space._alongside``) takes the pair
+correlations and the covariance's column means while the calling thread
+runs the KS tests.  ``ks_normal`` is an entry point that perfbench's tracer
+wraps, and the tracer keeps one span stack, so no traced call leaves the
+calling thread; the helper runs plain numpy.  Each statistic takes the
+steps it takes alone, so the records have the bits of a serial battery.
 """
 
 from __future__ import annotations
@@ -59,10 +67,12 @@ from .space import (
     BLOCK_ROWS,
     Check,
     SampleBatch,
+    _alongside,
     _fill_block,
     _integer,
     _over_blocks,
     _sampling_args,
+    _seed,
     check,
     ks_normal,
     moment_normality,
@@ -290,9 +300,11 @@ def build_sequential_isometry(n: int, seed: int, angle_spec: str) -> AdaptedIsom
       ``Q = random_orthogonal(make_rng(seed), n)`` acting on the
       Cameron-Martin side, i.e. samples map through Q^T.
 
-    Any other value raises :class:`RotationError`.
+    Any other value raises :class:`RotationError`, and so do a non-integer
+    ``n`` or ``seed`` and a seed outside 0 .. 2**64 - 1, the seeds the
+    batteries can sample with.
     """
-    n, seed = _integer(n, "n", RotationError), _integer(seed, "seed", RotationError)
+    n, seed = _integer(n, "n", RotationError), _seed(seed, RotationError)
     if n < 1:
         raise RotationError(f"need at least one coordinate, got n={n}")
     if angle_spec not in CONSTRUCTIONS:
@@ -437,10 +449,29 @@ def _output_functional(R: AdaptedIsometry, h) -> tuple[np.ndarray, float]:
     return h, norm
 
 
-def _correlation_check(name: str, x: np.ndarray, y: np.ndarray) -> Check:
+def _correlation(x: np.ndarray, y: np.ndarray, pair: np.ndarray) -> np.float64:
+    """``np.corrcoef(x, y)[0, 1]`` by its own steps, in ``pair``, a (2, N) buffer.
+
+    The steps and the layout are numpy's, so the bits are too: x and y are
+    copied to the rows of ``pair``, centred, and the 2 x 2 product is
+    scaled by 1/(N - 1) and by the standard deviations, then clipped to
+    [-1, 1].  A zero-variance vector gives NaN.
+    """
+    pair[0] = x
+    pair[1] = y
+    pair -= pair.mean(axis=1)[:, None]
+    c = np.dot(pair, pair.T.conj())
+    c *= np.true_divide(1, pair.shape[1] - 1)
+    stddev = np.sqrt(np.diag(c))
+    c /= stddev[:, None]
+    c /= stddev[None, :]
+    np.clip(c, -1, 1, out=c)
+    return c[0, 1]
+
+
+def _correlation_check(name: str, x: np.ndarray, y: np.ndarray, pair: np.ndarray) -> Check:
     """Sample correlation of two N-vectors against the 4/sqrt(N) gate."""
-    rho = np.corrcoef(x, y)[0, 1]
-    return check(name, rho, 4.0 / math.sqrt(x.size))
+    return check(name, _correlation(x, y, pair), 4.0 / math.sqrt(x.size))
 
 
 def _rotated_sample(R: AdaptedIsometry, N: int, seed: int) -> np.ndarray:
@@ -453,10 +484,14 @@ def _rotated_sample(R: AdaptedIsometry, N: int, seed: int) -> np.ndarray:
     return R._blocks(N, seed=seed)[:, :, 0]
 
 
-def _covariance_in_place(tw: np.ndarray) -> np.ndarray:
-    """``np.cov(tw.T, ddof=1)`` by its own steps, centering ``tw`` in place."""
+def _covariance_in_place(tw: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
+    """``np.cov(tw.T, ddof=1)`` by its own steps, centering ``tw`` in place.
+
+    ``mean`` is ``tw``'s column means, ``tw.T.mean(axis=1)``, when they are
+    already taken.
+    """
     X = tw.T
-    X -= X.mean(axis=1)[:, None]
+    X -= (X.mean(axis=1) if mean is None else mean)[:, None]
     c = np.dot(X, X.T.conj())
     c *= np.true_divide(1, tw.shape[0] - 1)
     return c
@@ -485,7 +520,7 @@ def independence_battery(R: AdaptedIsometry, h1, h2, N: int, seed: int) -> Rotat
     x = tw @ h1 / norm1
     y = tw @ h2 / norm2
     del tw  # the features below need only x and y
-    tests = [_correlation_check("correlation", x, y)]
+    tests = [_correlation_check("correlation", x, y, np.empty((2, x.size)))]
     feats = {
         "x": lambda v: v,
         "x2m1": lambda v: v * v - 1.0,
@@ -508,18 +543,34 @@ def measure_preservation_battery(R: AdaptedIsometry, N: int, seed: int) -> Rotat
     """Is the law of Tw standard Gaussian on R^n?
 
     Entrywise covariance against the identity, per-coordinate KS tests, and
-    correlation checks on the first ten coordinate pairs.  The covariance
-    is taken last, as it centers the rotated samples in place.
+    correlation checks on the first ten coordinate pairs.
+
+    Once the rotated samples are in, a helper thread (``space._alongside``)
+    takes the pair correlations, in one (2, N) buffer made here, and the
+    covariance's column means, while the calling thread runs the KS tests.
+    ``ks_normal`` stays on the calling thread because perfbench's tracer
+    wraps it and keeps one span stack; the helper calls no traced entry
+    point.  After the join the calling thread centres the samples in place
+    with those means and takes the covariance product.  The records have
+    the bits of a serial battery.
     """
     n = R.n
     tw = _rotated_sample(R, N, seed)
-    ks = [replace(ks_normal(tw[:, a - 1]), name=f"ks_coordinate_{a}") for a in range(1, n + 1)]
-    pairs = [
-        _correlation_check(f"independence_pair_{a}_{b}", tw[:, a - 1], tw[:, b - 1])
-        for a, b in list(combinations(range(1, n + 1), 2))[:10]
-    ]
+    pair = np.empty((2, tw.shape[0])) if n > 1 else None
+
+    def correlations():
+        pairs = [
+            _correlation_check(f"independence_pair_{a}_{b}", tw[:, a - 1], tw[:, b - 1], pair)
+            for a, b in list(combinations(range(1, n + 1), 2))[:10]
+        ]
+        return pairs, tw.T.mean(axis=1)
+
+    def ks_tests():
+        return [replace(ks_normal(tw[:, a - 1]), name=f"ks_coordinate_{a}") for a in range(1, n + 1)]
+
+    (pairs, mean), ks = _alongside(correlations, ks_tests)
     if n > 1:
-        cov = _covariance_in_place(tw)
+        cov = _covariance_in_place(tw, mean)
     else:
         cov = np.array([[float(np.var(tw[:, 0], ddof=1))]])
     cov_err = np.max(np.abs(cov - np.eye(n)))

@@ -32,6 +32,7 @@ The module builds on the chaos algebra alone; the field operators of
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
 import os
@@ -78,6 +79,11 @@ def _over_blocks(n_rows: int, make_work) -> None:
     buffers ``make_work`` allocates come from the caller's heap, whereas
     what a thread frees stays in its own malloc arena.
 
+    Every thread runs in its own copy of the caller's context, so numpy's
+    ``errstate``, which numpy keeps in a context variable, is the caller's
+    on every thread: a block raises, warns or stays silent whichever thread
+    takes it.
+
     Every thread is joined before this returns.  After a block raises, the
     threads take no new block, and the exception of the first failed block
     in block order is raised.  It is the one a serial loop raises: blocks
@@ -100,7 +106,10 @@ def _over_blocks(n_rows: int, make_work) -> None:
             except BaseException as exc:
                 failed[start] = exc
 
-    threads = [threading.Thread(target=run, args=(make_work(),)) for _ in range(n_threads - 1)]
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, make_work()))
+        for _ in range(n_threads - 1)
+    ]
     for t in threads:
         t.start()
     try:
@@ -110,6 +119,36 @@ def _over_blocks(n_rows: int, make_work) -> None:
             t.join()
     if failed:
         raise failed[min(failed)]
+
+
+def _alongside(side, main):
+    """``(side(), main())``, with ``side`` run on one extra thread meanwhile.
+
+    ``side`` runs in a copy of the caller's context, as ``_over_blocks``'
+    threads do, and should allocate nothing large: make its buffers on the
+    calling thread, for the arena reason given there.  The thread is joined
+    before this returns or raises.  When ``main`` raises, its exception is
+    raised, as a serial ``main()`` then ``side()`` would; otherwise an
+    exception of ``side`` is raised on the calling thread.
+    """
+    done = []
+
+    def run():
+        try:
+            done.append((True, side()))
+        except BaseException as exc:
+            done.append((False, exc))
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    thread.start()
+    try:
+        mine = main()
+    finally:
+        thread.join()
+    [(ok, value)] = done
+    if not ok:
+        raise value
+    return value, mine
 
 
 @dataclass(frozen=True)
@@ -165,10 +204,15 @@ def _sampling_args(n, n_samples, seed) -> tuple[int, int, int]:
     n_samples = _integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    seed = _integer(seed, "seed")
+    return n, n_samples, _seed(seed)
+
+
+def _seed(value, error=ValueError) -> int:
+    """``value`` as an int in 0 .. 2**64 - 1, the seeds a sample block's key holds; else ``error``."""
+    seed = _integer(value, "seed", error)
     if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return n, n_samples, seed
+        raise error("seed must fit in an unsigned 64-bit integer")
+    return seed
 
 
 def _fill_block(seed: int, start: int, out: np.ndarray) -> None:

@@ -10,6 +10,7 @@ import pytest
 from helpers import open_draws, refinement_residual
 import wienerlab.chaos
 import wienerlab.clark
+import wienerlab.cli
 import wienerlab.dsl
 import wienerlab.suites
 from wienerlab.clark import refine_and_reconstruct
@@ -708,6 +709,26 @@ def test_rotate_working_set_past_budget_exits_two(tmp_path, monkeypatch, capsys)
     )
     assert out == ""
     assert_input_error(code, err, tmp_path, "block budget")
+
+
+@pytest.mark.parametrize(
+    "n, N, admitted",
+    [(1, 2**22, True), (1, 2**22 + 1, False), (2, 2**22 + 1, False), (2, 2**24, False),
+     (8, 2**22, True), (8, 2**22 + 1, False), (16, 2**21, True), (16, 2**21 + 1, False)],
+)
+def test_rotate_budget_counts_at_least_eight_values_a_sample(tmp_path, monkeypatch, capsys, n, N, admitted):
+    # below n = 8 the batteries' vectors of N values weigh as much as the
+    # rotated block, so a sample counts as max(n, 8) float64 values: n = 2
+    # with 2**24 samples held about 1 GiB against the 256 MiB budget.  An
+    # admitted request stops at the construction, before any sampling
+    def stop(*args):
+        raise wienerlab.cli.UsageError("admitted")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(wienerlab.cli, "build_sequential_isometry", stop)
+    code, out, err = run(["rotate", "--n", str(n), "--n-samples", str(N), "--output", "r.json"], capsys)
+    assert out == ""
+    assert_input_error(code, err, tmp_path, "admitted" if admitted else "block budget")
 
 
 def test_rotate_accepts_the_largest_seed(tmp_path, monkeypatch, capsys):

@@ -94,8 +94,9 @@ def test_ks_statistic_is_kstests_with_a_perturbed_vectorised_exp(monkeypatch, sc
 
 
 def test_lgam_is_scipys_loggamma_at_every_reached_argument():
-    # loggamma(n + 1) for every n <= 2**21, then log-spaced n up to the most
-    # samples rotate takes, and a few past Cephes' last branch edge at 1e8
+    # loggamma(n + 1) for every n <= 2**21, then log-spaced n up to 2**25,
+    # past the most samples rotate takes (2**22), and a few past Cephes'
+    # last branch edge at 1e8
     top = ROTATE_BLOCK_BUDGET // 8
     assert top == 2**25
     every = np.arange(2.0, 2**21 + 2)

@@ -1,7 +1,11 @@
 """Adapted rotations: construction, exact Gaussianity, batteries, recovery."""
 
+import importlib
 import math
+import sys
+import threading
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,12 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import STAGE_TABLES, THREADED_SIZES, make_rng, stages, with_workers
+from test_tracing_names import TRACING, traced_paths
+from wienerlab import cli, rotations
 from wienerlab.chaos import evaluate_batch
 from wienerlab.malliavin import divergence_op
 from wienerlab.randgen import random_orthogonal
 from wienerlab.rotations import (
     AdaptedIsometry,
     RotationError,
+    _correlation,
+    _correlation_check,
     _covariance_in_place,
     _rotated_sample,
     build_sequential_isometry,
@@ -112,6 +120,17 @@ def test_construction_refuses_a_non_integer_size_or_seed(n, seed, what):
     # nothing is truncated: n = 2.9 builds no 2 x 2 rotation
     with pytest.raises(RotationError, match=f"^{what} is not an integer$"):
         build_sequential_isometry(n, seed, "givens")
+
+
+@pytest.mark.parametrize("spec", ["zero", "sign", "givens", "constant"])
+def test_construction_refuses_a_seed_the_batteries_cannot_sample_with(spec):
+    # every construction takes the seeds of sample_batch, 0 .. 2**64 - 1
+    for seed in (-1, 2**64, 2**130):
+        with pytest.raises(RotationError, match="^seed must fit in an unsigned 64-bit integer$"):
+            build_sequential_isometry(3, seed, spec)
+    for seed in (0, 2**64 - 1):
+        R = build_sequential_isometry(3, seed, spec)
+        assert gaussianity_battery(R, np.ones(3), 100, seed).tests[0].name == "ks"
 
 
 def test_construction_takes_numpy_ints():
@@ -332,22 +351,100 @@ def test_streamed_sample_is_the_rotated_batch(monkeypatch, n, N):
             assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes(), R.kind
 
 
-def test_batteries_are_their_statistics_of_the_rotated_batch():
-    # each battery's rows, computed the direct way from the drawn batch
-    n, N, seed = 3, 2 * BLOCK_ROWS + 1, 61
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_batteries_are_their_statistics_of_the_rotated_batch(n):
+    # each battery's rows, computed the direct way from the drawn batch; the
+    # measure battery's statistics run on two threads and keep these bits
+    N, seed = 2 * BLOCK_ROWS + 1, 61
+    pairs = list(combinations(range(1, n + 1), 2))[:10]
+    assert len(pairs) == min(n * (n - 1) // 2, 10)
     for R in _all_rotations(n, 67):
         tw = R.apply_batch(sample_batch(n, N, seed=seed).draws)
-        h = np.array([0.5, -1.0, 0.25])
+        h = np.linspace(0.5, -1.0, n) if n > 1 else np.array([0.5])
         vals = tw @ h / np.linalg.norm(h)
         expected = (ks_normal(vals), *moment_normality(vals))
         assert gaussianity_battery(R, h, N, seed).tests == expected, R.kind
         rep = measure_preservation_battery(R, N, seed)
-        cov_err = np.max(np.abs(np.cov(tw.T, ddof=1) - np.eye(n)))
-        assert by_name(rep, "covariance_identity").statistic == cov_err
+        names = [t.name for t in rep.tests]
+        assert names == ["covariance_identity", *(f"ks_coordinate_{a}" for a in range(1, n + 1)),
+                         *(f"independence_pair_{a}_{b}" for a, b in pairs)]
+        cov = np.cov(tw.T, ddof=1) if n > 1 else np.var(tw[:, 0], ddof=1)
+        cov_err = np.max(np.abs(cov - np.eye(n)))
+        assert _bits(by_name(rep, "covariance_identity").statistic) == _bits(cov_err), R.kind
         for a in range(1, n + 1):
-            assert by_name(rep, f"ks_coordinate_{a}").statistic == ks_normal(tw[:, a - 1]).statistic
-        rho = np.corrcoef(tw[:, 0], tw[:, 2])[0, 1]
-        assert by_name(rep, "independence_pair_1_3").statistic == rho
+            got = by_name(rep, f"ks_coordinate_{a}").statistic
+            assert _bits(got) == _bits(ks_normal(tw[:, a - 1]).statistic), (R.kind, a)
+        for a, b in pairs:
+            rho = np.corrcoef(tw[:, a - 1], tw[:, b - 1])[0, 1]
+            assert _bits(by_name(rep, f"independence_pair_{a}_{b}").statistic) == _bits(rho), (R.kind, a, b)
+
+
+@pytest.mark.parametrize("N, n", [(200_000, 8), (50_000, 6), (20_000, 64), (1000, 2),
+                                  (2, 3), (BLOCK_ROWS + 1, 5)])
+def test_correlation_is_numpy_corrcoef(N, n):
+    tw = sample_batch(n, N, seed=N + n).draws
+    pair = np.empty((2, N))
+    for a, b in [(0, 1), (0, n - 1), (n - 2, n - 1)]:
+        x, y = tw[:, a], tw[:, b]
+        got = _correlation(x, y, pair)
+        assert got.tobytes() == np.corrcoef(x, y)[0, 1].tobytes(), (a, b)
+    # a zero-variance vector gives NaN, as numpy's does, and fails its check
+    flat = np.full(N, 0.25)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(np.corrcoef(tw[:, 0], flat)[0, 1])
+        assert math.isnan(_correlation(tw[:, 0], flat, pair))
+        assert not _correlation_check("flat", flat, tw[:, 0], pair).passed
+
+
+def test_a_failed_correlation_reaches_the_caller_and_no_thread_is_left(monkeypatch):
+    # the pair correlations run on the battery's helper thread
+    R = build_sequential_isometry(4, seed=3, angle_spec="givens")
+    before = threading.active_count()
+
+    def planted(x, y, pair):
+        assert threading.current_thread() is not threading.main_thread()
+        raise ArithmeticError("planted on the helper")
+
+    monkeypatch.setattr(rotations, "_correlation", planted)
+    with pytest.raises(ArithmeticError, match="planted on the helper"):
+        measure_preservation_battery(R, 20_000, 5)
+    assert threading.active_count() == before
+
+
+def test_rotate_calls_every_traced_entry_point_on_the_main_thread(tmp_path, monkeypatch):
+    # perfbench's tracer keeps one span stack, so a traced entry point must
+    # not run on a helper or block thread; the entries are read as the
+    # tracer lists them, without importing it
+    calls = []
+    modules = [m for name, m in sorted(sys.modules.items())
+               if m is not None and (name == "wienerlab" or name.startswith("wienerlab."))]
+    for module, path in traced_paths(TRACING.read_text()):
+        owner = importlib.import_module(f"wienerlab.{module}")
+        *classes, attr = path.split(".")
+        for name in classes:
+            owner = getattr(owner, name)
+        original = vars(owner)[attr]
+
+        def wrapper(*args, _fn=original, _name=f"{module}.{path}", **kwargs):
+            calls.append((_name, threading.current_thread() is threading.main_thread()))
+            return _fn(*args, **kwargs)
+
+        if classes:
+            monkeypatch.setattr(owner, attr, wrapper)
+            continue
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    code = cli.main(["rotate", "--n", "8", "--n-samples", "20000", "--output", str(tmp_path / "r.json")])
+    assert code in (0, 1)
+    assert [name for name, main in calls if not main] == []
+    assert sum(name == "space.ks_normal" for name, _ in calls) == 9
+    assert ("rotations.measure_preservation_battery", True) in calls
 
 
 @pytest.mark.parametrize("N, n", [(200_000, 8), (50_000, 6), (20_000, 64), (1000, 2),

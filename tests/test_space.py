@@ -133,6 +133,64 @@ def test_block_runner_raises_the_first_failed_block_and_joins_its_threads(monkey
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_block_threads_keep_the_callers_errstate(monkeypatch, count):
+    # numpy keeps its errstate in a context variable, which a new thread
+    # starts without: every block must see the caller's, whichever thread
+    # takes it.  Each thread holds its block until all have one, so every
+    # thread takes exactly one block
+    barrier = threading.Barrier(count, timeout=10)
+    records = {}
+
+    def make_work():
+        def work(start):
+            barrier.wait()
+            records[start] = (threading.get_ident(), np.geterr())
+            np.float64(1.0) / np.float64(0.0)
+
+        return work
+
+    with np.errstate(divide="raise", over="ignore", under="warn", invalid="print"):
+        caller = np.geterr()
+        with pytest.raises(FloatingPointError):
+            with_workers(monkeypatch, count, lambda: space._over_blocks(count * BLOCK_ROWS, make_work))
+    assert len({ident for ident, _ in records.values()}) == count
+    assert [err for _, err in records.values()] == [caller] * count
+
+
+def test_alongside_returns_both_results_and_keeps_the_callers_errstate():
+    before = threading.active_count()
+    with np.errstate(divide="raise", invalid="ignore"):
+        caller = np.geterr()
+        (side, side_err), main = space._alongside(
+            lambda: (threading.get_ident(), np.geterr()), lambda: threading.get_ident()
+        )
+    assert main == threading.get_ident() != side
+    assert side_err == caller
+    assert threading.active_count() == before
+
+
+def test_alongside_raises_and_joins_its_thread():
+    before = threading.active_count()
+    ran = []
+
+    def fail(what):
+        raise ValueError(what)
+
+    # the side's exception reaches the caller
+    with pytest.raises(ValueError, match="^side$"):
+        space._alongside(lambda: fail("side"), lambda: ran.append("main"))
+    assert ran == ["main"] and threading.active_count() == before
+    # the main's comes first, as in the serial order, and the side still ran
+    # to its end before the call raised
+    with pytest.raises(ValueError, match="^main$"):
+        space._alongside(lambda: time.sleep(0.05) or ran.append("side"), lambda: fail("main"))
+    assert ran == ["main", "side"] and threading.active_count() == before
+    with pytest.raises(ValueError, match="^main$"):
+        space._alongside(lambda: fail("side"), lambda: fail("main"))
+    assert threading.active_count() == before
+
+
 def test_sample_batch_gaussian_stats():
     batch = sample_batch(4, 100_000, seed=20240812)
     n = batch.n_samples
@@ -271,8 +329,8 @@ def test_ks_statistic_is_scipys_at_battery_size():
         assert ks.statistic == stats.kstest(x, "norm").statistic
         assert ks.threshold == stats.kstwo.ppf(0.99, x.size)
     # the critical value has scipy's type and bits at every N of the exact
-    # small-n branches (n <= 140) and beyond, and at log-spaced N up to the
-    # most samples rotate takes (2**25 at n = 1)
+    # small-n branches (n <= 140) and beyond, and at log-spaced N up to 2**25,
+    # past the most samples rotate takes (2**22, counting 8 values a sample)
     top = ROTATE_BLOCK_BUDGET // 8
     sizes = [*range(1, 301), *np.unique(np.geomspace(301, top, 300).round().astype(int)).tolist()]
     assert sizes[-1] == top == 2**25
