@@ -41,12 +41,9 @@ the same order and with the same floats.
 Two kernels build a table and read it many times.  :func:`refine` reads
 the Hermite expansions of one block average, from their closed form
 ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha! u^alpha He_alpha(eta)`` for a
-unit vector ``u``, as digit matrices with their coefficient and ``alpha!``
-columns (:func:`_block_average_table`), built once per call for each order,
-and shifts their digits for every block.  ``clark``'s refinement rows read
-the same tables as a few groups of equal coefficients, one pair per
-``alpha!`` (:func:`_block_groups`): the groups, not the tables, are held
-for the life of the process, so a repeated refinement builds no table.
+unit vector ``u``, as digit matrices with their coefficient columns
+(:func:`_block_average_table`), built once per call for each order, and
+shifts their digits for every block; no table outlives its call.
 :func:`evaluate_batch` reads the columns ``He_k(eta_i)`` from a
 :class:`HermiteColumns`: a ``space.SampleBatch`` owns one for its draws,
 and a call on a plain array builds its own and drops it; that table does
@@ -646,7 +643,7 @@ def ou_inverse(p: ChaosPoly) -> ChaosPoly:
     return ChaosPoly._of(p._dim, _kept({key: c / len(key) for key, c in p._terms.items() if key}))
 
 
-def _block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``He_k`` of ``(eta_1 + ... + eta_m) / sqrt(m)`` in closed form, as arrays.
 
     For a unit vector ``u``, ``He_k(u . eta) = sum_{|alpha| = k} k!/alpha!
@@ -655,14 +652,14 @@ def _block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     holds one row of ``k`` digits per multiset of ``k`` digits from
     ``1 .. m``, in ``combinations_with_replacement`` order (the ``uint8``
     digit matrix, one sorted key per row), and next to it the coefficient
-    vector: the exact integer ``k!/alpha!`` divided by ``m**(k/2)``, and the
-    int64 ``alpha!`` column of the rows.  That denominator is the exact
-    integer ``m**(k//2)``, times ``math.sqrt(m)`` when ``k`` is odd, and
-    every operation is correctly rounded, so the bits are the same on every
-    IEEE platform.  A coefficient is correctly rounded for even ``k``; for
-    odd ``k`` its three roundings keep it within 3 ulp (at most 1.2 ulp for
-    m <= 16 and 1.55 ulp for m <= 128, against 50 digits).  Each one is
-    finite and at least ``m**(-k/2)``, so none needs the term gate.
+    vector: the exact integer ``k!/alpha!`` divided by ``m**(k/2)``.  That
+    denominator is the exact integer ``m**(k//2)``, times ``math.sqrt(m)``
+    when ``k`` is odd, and every operation is correctly rounded, so the bits
+    are the same on every IEEE platform.  A coefficient is correctly rounded
+    for even ``k``; for odd ``k`` its three roundings keep it within 3 ulp
+    (at most 1.2 ulp for m <= 16 and 1.55 ulp for m <= 128, against 50
+    digits).  Each one is finite and at least ``m**(-k/2)``, so none needs
+    the term gate.  Only :func:`refine` reads the tables.
 
     ``alpha!`` comes from :func:`_row_factorials`; numpy's int64 quotient
     and float division are the exact and correctly rounded ones of Python's
@@ -671,8 +668,8 @@ def _block_average_table(m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     digits = np.frombuffer(bytes(chain.from_iterable(_multisets(range(1, m + 1), k))), np.uint8)
     digits = digits.reshape(math.comb(m + k - 1, k), k)
-    factorials = _row_factorials(digits)
-    return digits, _block_coefficients(m, k, factorials), factorials
+    root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
+    return digits, math.factorial(k) // _row_factorials(digits) / root
 
 
 def _row_factorials(digits: np.ndarray) -> np.ndarray:
@@ -688,73 +685,6 @@ def _row_factorials(digits: np.ndarray) -> np.ndarray:
         run = run * same + 1
         fact = fact * run
     return fact
-
-
-def _block_coefficients(m: int, k: int, factorials: np.ndarray) -> np.ndarray:
-    """``k! // alpha! / m**(k/2)`` for an int64 array of ``alpha!``: a block table's coefficients."""
-    root = m ** (k // 2) * math.sqrt(m) if k % 2 else m ** (k // 2)
-    return math.factorial(k) // factorials / root
-
-
-#: Grouped block tables kept for the life of the process
-#: (:func:`_block_groups`), each of at most 22 pairs.
-_KEPT_GROUPS = 1024
-
-
-@lru_cache(maxsize=_KEPT_GROUPS)
-def _block_groups(m: int, k: int, past: bytes = b"", top: int = 0) -> tuple[tuple[float, int], ...]:
-    """The ``(m, k)`` block table's rows by equal ``alpha!``: one ``(coefficient, weight)`` each.
-
-    A row's coefficient ``k! // alpha! / m**(k/2)`` depends on its
-    ``alpha!`` alone, and distinct ``alpha!`` give distinct coefficients,
-    so one pair per ``alpha!`` holds the table's distinct coefficients: the
-    float of its rows, bit for bit (:func:`_block_coefficients`), and the
-    exact integer weight ``alpha!`` times its row count.  The pairs run by
-    ascending ``alpha!``, so with every row in, the first holds the table's
-    largest coefficient.  A group per partition of ``k <= DEGREE_CAP`` is
-    at most 22 pairs.
-
-    Two rules keep fewer rows.  ``past`` is a local stage table, byte ``b``
-    for digit ``b`` (byte 0 unused): a row is kept when its second largest
-    digit exceeds ``past`` at its largest, for ``k >= 2``.  ``top`` keeps
-    the rows whose largest digit exceeds it.  With neither rule no table is
-    read: the rows of one ``alpha!`` are the multisets whose orders make a
-    partition of ``k`` into at most ``m`` parts, ``m!/(m - r)!`` placements
-    of its ``r`` parts on the digits over the orderings of equal parts.
-    With either, the table is built (:func:`_block_average_table`) and its
-    kept rows are counted by ``alpha!`` (``np.bincount``), with no sort.
-    Every result is held for the life of the process, up to
-    :data:`_KEPT_GROUPS` of them, whatever the size of its table: the one
-    cache of the refinement layer, so a repeated refinement builds no table.
-    """
-    if not (past or top):
-        weights: dict[int, int] = {}
-        for parts in _partitions(k, m):
-            alpha = math.prod(map(math.factorial, parts))
-            orderings = math.prod(math.factorial(parts.count(j)) for j in set(parts))
-            rows = math.perm(m, len(parts)) // orderings
-            weights[alpha] = weights.get(alpha, 0) + alpha * rows
-        alphas = np.array(sorted(weights), np.int64)
-        weights = [weights[alpha] for alpha in alphas.tolist()]
-    else:
-        digits, _, factorials = _block_average_table(m, k)
-        kept = digits[:, -1] > top
-        if past:
-            kept &= digits[:, -2] > np.frombuffer(past, np.uint8)[digits[:, -1]]
-        counts = np.bincount(factorials[kept])
-        alphas = np.flatnonzero(counts)
-        weights = (alphas * counts[alphas]).tolist()
-    return tuple(zip(_block_coefficients(m, k, alphas).tolist(), weights))
-
-
-def _partitions(k: int, parts: int, largest: int = DEGREE_CAP):
-    """The partitions of ``k`` into at most ``parts`` parts of at most ``largest``, descending."""
-    if not k:
-        yield ()
-    elif parts:
-        for first in range(min(k, largest), 0, -1):
-            for rest in _partitions(k - first, parts - 1, first):
-                yield (first, *rest)
 
 
 def _refinement_factor(dim: int, m) -> int:
@@ -794,8 +724,9 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     at least 1, so no byte is lost.  Distinct coarse monomials refine to
     disjoint fine keys, so the terms are stored as they come, with no sums;
     a coefficient that overflows raises and one that underflows to zero is
-    dropped (:func:`_kept`).  ``clark.refine_and_reconstruct`` builds no
-    fine term: its rows read the grouped tables of :func:`_block_groups`.
+    dropped (:func:`_kept`).  No command or suite calls it: the Clark
+    residual after refining, ``clark.refinement_residual``, is a closed form
+    over the coarse terms and builds no fine term.
     """
     m = _refinement_factor(p.dim, m)
     if m == 1:
@@ -806,7 +737,7 @@ def refine(p: ChaosPoly, m: int) -> ChaosPoly:
     for pairs, c in monomials:
         digits, coeffs = np.empty((1, 0), np.uint8), np.ones(1)
         for i, k in pairs:
-            d, w, _ = tables[k]
+            d, w = tables[k]
             # every row so far beside every row of block i
             joined = np.empty((len(digits), len(d), digits.shape[1] + k), np.uint8)
             joined[:, :, :-k], joined[:, :, -k:] = digits[:, None], d + (i - 1) * m

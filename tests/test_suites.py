@@ -265,14 +265,8 @@ def test_nan_gap_fails_the_suite(monkeypatch, helper, suite, value, details):
     assert result.details == details
 
 
-def _planted(kernel, original):
+def _planted(original):
     """The kernel with its output scaled by 1 + 1e-9, without calling a kernel."""
-    if kernel == "_block_groups":
-
-        def planted_groups(*args):
-            return tuple((c * (1 + 1e-9), weight) for c, weight in original(*args))
-
-        return planted_groups
 
     def planted(*args):
         value = original(*args)
@@ -305,23 +299,23 @@ KERNEL_DEFECTS = [
             "rotation_invariants",
         ],
     ),
-    # the grouped block coefficients, which only m > 1 reads: the refinement
-    # rows sum over them, and no other suite refines
-    ("_block_groups", ["refinement_convergence"]),
+    # the closed-form refinement rows; reconstruct reads the same sum at
+    # m = 1, which clark_exactness gates only on representable fields,
+    # whose residual is zero
+    ("refinement_residual", ["refinement_convergence"]),
 ]
 
 
 @pytest.mark.parametrize(
     "kernel, failing", KERNEL_DEFECTS, ids=[row[0] for row in KERNEL_DEFECTS]
 )
-def test_a_planted_kernel_defect_fails_its_suites(request, monkeypatch, capsys, kernel, failing):
-    original = getattr(wienerlab.chaos, kernel, None) or getattr(wienerlab.malliavin, kernel)
-    planted = _planted(kernel, original)
-    # a kernel that keeps its results starts the run with none kept and
-    # leaves none behind it
-    if clear := getattr(original, "cache_clear", None):
-        clear()
-        request.addfinalizer(clear)
+def test_a_planted_kernel_defect_fails_its_suites(monkeypatch, capsys, kernel, failing):
+    original = next(
+        getattr(module, kernel)
+        for module in (wienerlab.chaos, wienerlab.malliavin, wienerlab.clark)
+        if hasattr(module, kernel)
+    )
+    planted = _planted(original)
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "wienerlab"]
     for module in modules:
         if getattr(module, kernel, None) is original:
