@@ -5,15 +5,18 @@ the closed form over the coarse terms that ``represent`` prints, and builds
 no fine term and no block table.  The independent oracle is the refined
 functional itself: ``refine(p, m)`` is built, and the exact mass of its
 terms of last-stage order 2 or more is summed in ``Fraction``s from its
-packed keys, with none of the closed form's code.
+packed keys, with none of the closed form's code.  The built refinement's
+own m = 1 row is checked the same way under each stage table.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import STAGE_TABLES, draw_poly, open_draws, refinement_residual as exact_row, stages
+from helpers import STAGE_TABLES, draw_poly, exact_root, open_draws, refinement_residual as exact_row, stages
 from wienerlab import chaos
 from wienerlab.chaos import DEGREE_CAP, AlgebraError, ChaosPoly, refine
 from wienerlab.clark import refine_and_reconstruct, refinement_residual
@@ -60,21 +63,38 @@ def _oracle_fields():
     return fields
 
 
-def _built_mass(v: VField, m: int) -> Fraction:
-    """Exact ``sum alpha! c**2`` over the terms of ``refine(p, m)`` of last-stage order >= 2.
+def _stage_mass(polys, past: bytes) -> Fraction:
+    """Exact ``sum alpha! c**2`` over the terms of ``polys`` of last-stage order >= 2.
 
-    With one coordinate per stage, a fine key's last-stage order is the
-    count of its largest byte, and ``alpha!`` the product of the factorials
-    of its byte counts.  The ``alpha!`` of each distinct coefficient are
-    summed first, and each coefficient is squared once.
+    ``past[i]`` is the largest coordinate of the stages before coordinate
+    i's, as in a stage table of ``helpers.STAGE_TABLES``, so a key's
+    last-stage order is the count of its bytes past ``past[key[-1]]``, and
+    ``alpha!`` the product of the factorials of its byte counts.  The
+    ``alpha!`` of each distinct coefficient are summed first, and each
+    coefficient is squared once.
     """
     weights: dict[float, int] = {}
-    for p in v.components:
-        for key, c in refine(p, m).packed_terms.items():
-            if key and key.count(key[-1]) >= 2:
+    for p in polys:
+        for key, c in p.packed_terms.items():
+            if key and sum(b > past[key[-1]] for b in key) >= 2:
                 alpha = math.prod(math.factorial(key.count(i)) for i in set(key))
                 weights[c] = weights.get(c, 0) + alpha
     return sum((w * Fraction(c) ** 2 for c, w in weights.items()), Fraction(0))
+
+
+def _built_mass(v: VField, m: int) -> Fraction:
+    """:func:`_stage_mass` of ``refine(p, m)`` for each component, one coordinate per stage."""
+    return _stage_mass((refine(p, m) for p in v.components), STAGE_TABLES["identity"])
+
+
+def _built_row(v: VField, m: int) -> float:
+    """The m = 1 row of the built refinement: ``refinement_residual`` of ``refine(p, m)``."""
+    return refinement_residual(VField(tuple(refine(p, m) for p in v.components)), 1)
+
+
+def _fine_rows(p: ChaosPoly, m: int) -> int:
+    """``refine(p, m)``'s terms before a zero is dropped: prod_i C(m + k_i - 1, k_i) per monomial."""
+    return sum(math.prod(math.comb(m + k - 1, k) for _, k in index.pairs) for index in p.terms)
 
 
 @pytest.mark.parametrize("m", FACTORS)
@@ -165,6 +185,64 @@ def test_tiny_coefficients_keep_their_whole_mass():
     rows = refine_and_reconstruct(v, [1, *FACTORS])
     assert rows == [(m, exact_row(v, m)) for m in (1, *FACTORS)]
     assert all(0 < row < 1e-322 for _, row in rows)
+
+
+@pytest.mark.parametrize("name", list(STAGE_TABLES))
+def test_fine_factorials_are_the_alpha_factorials_of_the_joined_digits(name):
+    # each fine key of the built refinement joins one block-table row per
+    # coarse coordinate: its alpha! is the product of the factorials of its
+    # digit counts, and the m = 1 row of the refined functional weighs each
+    # term of last-stage order >= 2 under the planted table by that alpha!
+    table = STAGE_TABLES[name]
+    with stages(table):
+        for v in _fields():
+            for m in FACTORS:
+                refined = [refine(p, m) for p in v.components]
+                for p in refined:
+                    for key in p.packed_terms:
+                        assert chaos._factorial(key) == math.prod(math.factorial(key.count(i)) for i in set(key))
+                row = refinement_residual(VField(tuple(refined)), 1)
+                assert row == exact_root(_stage_mass(refined, table)), (name, v, m)
+
+
+def test_a_kept_row_across_two_blocks_is_weighed():
+    # under the pairs with m = 3, fine coordinates 3 and 4 share a stage: the
+    # top digit of block 1 and the one digit of an order-1 block 2 make terms
+    # of last-stage order 2, which the built refinement's m = 1 row weighs
+    # and one coordinate per stage never keeps, as the identity's rows do not
+    x1, x2 = ChaosPoly.coordinate(2, 1), ChaosPoly.coordinate(2, 2)
+    for p in (x1 * x2, ChaosPoly.hermite(2, 1, 3) * x2):
+        v = VField((p,))
+        with stages(STAGE_TABLES["identity"]):
+            identity = _built_row(v, 3)
+            rows = refine_and_reconstruct(v, [3])
+        with stages(STAGE_TABLES["pairs"]):
+            pairs = _built_row(v, 3)
+            assert pairs == exact_root(_stage_mass([refine(p, 3)], STAGE_TABLES["pairs"]))
+        assert identity == 0.0 < pairs
+        assert rows == [(3, identity)]
+
+
+def test_underflowed_fine_coefficients_are_dropped_as_refine_drops_them():
+    # at the bottom of the subnormals half the fine coefficients round to
+    # zero: refine drops them with no numpy warning under either stage
+    # table, and the built refinement's row holds the mass of the terms it
+    # kept, rounded as they were
+    tiny = 5e-324
+    v = VField((
+        ChaosPoly.hermite(2, 1, 2) * tiny + ChaosPoly.hermite(2, 2, 3) * 3 * tiny,
+        ChaosPoly.hermite(2, 2, 4) * -tiny + ChaosPoly.coordinate(2, 1) * 0.5,
+    ))
+    for name, table in STAGE_TABLES.items():
+        with stages(table), warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for m in FACTORS:
+                refined = [refine(p, m) for p in v.components]
+                for p, fine in zip(v.components, refined):
+                    assert len(fine.packed_terms) < _fine_rows(p, m)
+                    assert all(fine.packed_terms.values())
+                row = refinement_residual(VField(tuple(refined)), 1)
+                assert row == exact_root(_stage_mass(refined, table)), (name, m)
 
 
 def _no_table(m, k):
