@@ -545,6 +545,11 @@ def measure_preservation_battery(R: AdaptedIsometry, N: int, seed: int) -> Rotat
     Entrywise covariance against the identity, per-coordinate KS tests, and
     correlation checks on the first ten coordinate pairs.
 
+    The n KS tests are one family at level at most 0.01: each coordinate is
+    tested at Šidák's level 1 - 0.99**(1/n).  Under the null the coordinates
+    are independent, so the family fails with probability
+    1 - (1 - a)**n <= 0.01, a being each test's own level, at most Šidák's.
+
     Once the rotated samples are in, a helper thread (``space._alongside``)
     takes the pair correlations, in one (2, N) buffer made here, and the
     covariance's column means, while the calling thread runs the KS tests.
@@ -566,7 +571,12 @@ def measure_preservation_battery(R: AdaptedIsometry, N: int, seed: int) -> Rotat
         return pairs, tw.T.mean(axis=1)
 
     def ks_tests():
-        return [replace(ks_normal(tw[:, a - 1]), name=f"ks_coordinate_{a}") for a in range(1, n + 1)]
+        # 1 - 0.99**(1/n) without the cancellation: exactly 0.01 at n = 1
+        alpha = -math.expm1(math.log1p(-0.01) / n)
+        return [
+            replace(ks_normal(tw[:, a - 1], alpha), name=f"ks_coordinate_{a}")
+            for a in range(1, n + 1)
+        ]
 
     (pairs, mean), ks = _alongside(correlations, ks_tests)
     if n > 1:

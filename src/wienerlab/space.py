@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random import Generator, Philox
 
-from ._kstwo import _libm_exp, ks_critical
+from ._kstwo import _libm_exp
 from ._kstwo import ndtr as _ndtr
 from .chaos import ChaosPoly, DimensionMismatch, HermiteColumns, evaluate_batch
 
@@ -303,8 +303,21 @@ def moment_normality(samples: np.ndarray) -> tuple[Check, ...]:
     )
 
 
-def ks_normal(samples: np.ndarray) -> Check:
-    """Kolmogorov-Smirnov against N(0,1) at level 0.01.
+def ks_critical(n: int, alpha: float) -> float:
+    """The KS critical value sqrt(ln(2/alpha)/(2n)) at level at most alpha.
+
+    Massart's tight Dvoretzky-Kiefer-Wolfowitz inequality bounds
+    Pr(D_n > eps) by 2 exp(-2 n eps**2) for every n and every eps, for the
+    two-sided statistic against a continuous law (P. Massart, "The tight
+    constant in the Dvoretzky-Kiefer-Wolfowitz inequality", Ann. Probab. 18,
+    1990, 1269-1283).  At alpha = 0.01 the exact level of this eps is 0.0088
+    at n = 100 and 0.00998 at n = 200000.
+    """
+    return math.sqrt(math.log(2.0 / alpha) / (2 * n))
+
+
+def ks_normal(samples: np.ndarray, alpha: float = 0.01) -> Check:
+    """Kolmogorov-Smirnov against N(0,1) at level at most ``alpha``.
 
     Computes only the two-sided statistic D = max(D+, D-) of the sorted
     samples x_0 <= ... <= x_(n-1), bit-identical to
@@ -339,9 +352,10 @@ def ks_normal(samples: np.ndarray) -> Check:
     makes the anchor term at n - 1, and D, NaN, which fails the check; an
     empty sample raises ``ValueError``.
 
-    The critical value, the 0.99 quantile of the exact distribution of D
-    for N samples, comes from ``_kstwo.ks_critical(N)``, an in-package port
-    of SciPy's that returns the bits of ``scipy.stats.kstwo.ppf(0.99, N)``.
+    The threshold is ``ks_critical(n, alpha)``, Massart's closed form: its
+    level is at most ``alpha``, not exactly ``alpha``.  D never exceeds 1,
+    so the test cannot reject where that threshold is 1 or more, which at
+    alpha = 0.01 is every sample of n <= 2 points.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
@@ -365,4 +379,4 @@ def ks_normal(samples: np.ndarray) -> Check:
         vector = terms(index, _ndtr(x[index], np.exp))
         near = index[vector >= vector.max() - _KS_MARGIN]
         top = terms(near, _ndtr(x[near], _libm_exp)).max()
-    return check("ks", top, ks_critical(n))
+    return check("ks", top, ks_critical(n, alpha))

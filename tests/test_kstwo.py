@@ -1,7 +1,6 @@
-"""The KS layer's ports of SciPy's special functions, against SciPy itself.
+"""The KS layer's port of SciPy's normal CDF, against SciPy itself.
 
-``_kstwo`` ports Cephes ``ndtr`` and ``lgam`` and stores ``kolmogi`` and the
-``smirnov``-reached critical values; ``space.ks_normal`` takes D from the
+``_kstwo`` ports Cephes ``ndtr``; ``space.ks_normal`` takes D from the
 vectorised CDF and re-evaluates the terms near its maximum with libm's exp.
 """
 
@@ -11,9 +10,8 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from wienerlab import _kstwo, space
-from wienerlab._kstwo import _MAXLOG, _SQRT1_2, LEVEL, _libm_exp, ks_critical, ndtr
-from wienerlab.cli import ROTATE_BLOCK_BUDGET
+from wienerlab import space
+from wienerlab._kstwo import _MAXLOG, _SQRT1_2, _libm_exp, ndtr
 
 # where Cephes changes branch, in a = x sqrt(2): |x| = 1/sqrt(2), 1 and 8,
 # and the underflow edge x**2 = MAXLOG
@@ -91,58 +89,3 @@ def test_ks_statistic_is_kstests_with_a_perturbed_vectorised_exp(monkeypatch, sc
     # with no margin only the perturbed maximum is re-evaluated: some move
     monkeypatch.setattr(space, "_KS_MARGIN", 0.0)
     assert [space.ks_normal(x).statistic for x in samples] != want
-
-
-def test_lgam_is_scipys_loggamma_at_every_reached_argument():
-    # loggamma(n + 1) for every n <= 2**21, then log-spaced n up to 2**25,
-    # past the most samples rotate takes (2**22), and a few past Cephes'
-    # last branch edge at 1e8
-    top = ROTATE_BLOCK_BUDGET // 8
-    assert top == 2**25
-    every = np.arange(2.0, 2**21 + 2)
-    spaced = np.unique(np.geomspace(2**21, top, 20_000).round()) + 1
-    beyond = np.array([1e8, 1e8 + 1, 1e9, 2.0**52])
-    for x in (every, spaced, beyond):
-        got = np.array([_kstwo._lgam(v) for v in x.tolist()])
-        assert got.tobytes() == special.loggamma(x).tobytes()
-
-
-def test_stored_constants_are_scipys():
-    assert _kstwo._LIMIT_QUANTILE.tobytes() == special.kolmogi(1 - LEVEL).tobytes()
-    # kolmogi(0.01) is one ulp away: 1 - 0.99 is not 0.01
-    assert special.kolmogi(0.01) == np.nextafter(_kstwo._LIMIT_QUANTILE, 2.0)
-    assert sorted(_kstwo._SMALL_N_CRITICAL) == list(range(4, 11))
-    for n, value in _kstwo._SMALL_N_CRITICAL.items():
-        assert type(value) is np.float64
-        assert value.tobytes() == stats.kstwo.ppf(LEVEL, n).tobytes()
-
-
-def test_root_search_never_reaches_the_smirnov_branch(monkeypatch):
-    # the bracket ends below 1/2 from n = 11 on, and n <= 3 never searches:
-    # x >= 1/2, SciPy's smirnov branch, is only met at the stored n = 4..10
-    q = _kstwo._LIMIT_QUANTILE
-    assert q / np.sqrt(11) < 0.5 <= q / np.sqrt(10)
-    seen = []
-    kolmogn = _kstwo._kolmogn
-
-    def recorded(n, x):
-        seen.append((n, x))
-        return kolmogn(n, x)
-
-    monkeypatch.setattr(_kstwo, "_kolmogn", recorded)
-    # the uncached search: an n cached by an earlier test would not search
-    for n in [*range(1, 2001), 5000, 20_000, 50_000, 100_000, 200_000, 10**6, 2**25]:
-        ks_critical.__wrapped__(n)
-    searched = {n for n, _ in seen}
-    assert min(searched) == 11 and searched.isdisjoint(_kstwo._SMALL_N_CRITICAL)
-    assert max(x for _, x in seen) < 0.5
-
-
-def test_cached_critical_values_are_fresh_ones():
-    # each size's value is searched once; a cached call returns its bits
-    for n in (3, 7, 11, 140, 2000, 20_000, 200_000, 2**25):
-        first = ks_critical(n)
-        hits = ks_critical.cache_info().hits
-        assert ks_critical(n) is first and ks_critical.cache_info().hits == hits + 1
-        fresh = ks_critical.__wrapped__(n)
-        assert type(fresh) is np.float64 and fresh.tobytes() == first.tobytes()

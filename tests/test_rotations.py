@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from helpers import STAGE_TABLES, THREADED_SIZES, make_rng, stages, with_workers
 from test_tracing_names import TRACING, traced_paths
@@ -34,7 +35,7 @@ from wienerlab.rotations import (
     mix_outputs,
     scale_output,
 )
-from wienerlab.space import BLOCK_ROWS, Check, ks_normal, moment_normality, sample_batch
+from wienerlab.space import BLOCK_ROWS, Check, ks_critical, ks_normal, moment_normality, sample_batch
 from wienerlab.suites import _exact_output_covariance
 
 N_BATTERY = 200_000
@@ -668,6 +669,36 @@ def test_measure_preservation_detects_defects():
     rep = measure_preservation_battery(mix_outputs(base, 1, 4), N_BATTERY, seed=SEED)
     assert not rep.passed
     assert not by_name(rep, "independence_pair_1_4").passed
+    # a 5% scale error on one output fails its coordinate's KS test, at the
+    # Sidak level of the family, about three times over; no other fails
+    rep = measure_preservation_battery(scale_output(base, 3, 1.05), N_BATTERY, seed=SEED)
+    failed = [t for t in rep.tests if t.name.startswith("ks_") and not t.passed]
+    assert [t.name for t in failed] == ["ks_coordinate_3"]
+    assert failed[0].statistic > 2.5 * failed[0].threshold
+
+
+def test_ks_family_fails_at_most_at_its_level_on_null_batches():
+    """The measure battery's per-coordinate KS family holds its level 0.01.
+
+    ``zero`` rotates nothing, so each battery tests the draws of
+    ``sample_batch(8, 2000, seed)``, and the 200 seeds' families fail
+    independently.  At a family level p <= 0.01 the count of failed
+    families is Binomial(200, p), so Pr(count >= 7) <= 0.0043.  Without the
+    Sidak correction each family runs at 1 - 0.99**8 = 7.7%, and
+    Pr(count <= 6) = 0.0045 there: at these seeds 17 families fail
+    uncorrected, and the gate below sees it.
+    """
+    assert stats.binom.sf(6, 200, 0.01) < 0.005 and stats.binom.cdf(6, 200, 1 - 0.99**8) < 0.005
+    R = build_sequential_isometry(8, seed=0, angle_spec="zero")
+    N = 2000
+    sidak = ks_critical(N, -math.expm1(math.log1p(-0.01) / 8))
+    failed = uncorrected = 0
+    for seed in range(200):
+        ks = [t for t in measure_preservation_battery(R, N, seed).tests if t.name.startswith("ks_")]
+        assert len(ks) == 8 and all(t.threshold == sidak for t in ks)
+        failed += not all(t.passed for t in ks)
+        uncorrected += any(t.statistic > ks_critical(N, 0.01) for t in ks)
+    assert failed <= 6 < uncorrected, (failed, uncorrected)
 
 
 def test_isometry_check_deviation_of_scaled_output():

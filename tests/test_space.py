@@ -13,13 +13,14 @@ from scipy import special, stats
 
 from helpers import THREADED_SIZES, ks_full_statistic, with_workers
 from wienerlab import space
-from wienerlab._kstwo import ks_critical, ndtr
+from wienerlab._kstwo import ndtr
 from wienerlab.chaos import ChaosPoly, _pairs_of, evaluate_batch, expectation
 from wienerlab.cli import ROTATE_BLOCK_BUDGET
 from wienerlab.space import (
     BLOCK_ROWS,
     Check,
     check,
+    ks_critical,
     ks_normal,
     mc_estimate,
     moment_normality,
@@ -327,17 +328,28 @@ def test_ks_statistic_is_scipys_at_battery_size():
     for x in (rng.standard_normal(200_000), rng.standard_t(2, 200_000)):
         ks = ks_normal(x)
         assert ks.statistic == stats.kstest(x, "norm").statistic
-        assert ks.threshold == stats.kstwo.ppf(0.99, x.size)
-    # the critical value has scipy's type and bits at every N of the exact
-    # small-n branches (n <= 140) and beyond, and at log-spaced N up to 2**25,
-    # past the most samples rotate takes (2**22, counting 8 values a sample)
+        assert ks.threshold == ks_critical(x.size, 0.01) == math.sqrt(math.log(200.0) / (2 * x.size))
+    # the critical value's exact level is at most its alpha at every N of the
+    # exact small-n branches (n <= 140) and beyond, and at log-spaced N up to
+    # 2**25, past the most samples rotate takes (2**22, counting 8 values a
+    # sample): at 0.01, and at the Sidak levels of the measure battery's
+    # per-coordinate tests for n = 2, 8, 64 and 128.  Between 10**4 and
+    # 1013904 points SciPy's sf sums the exact one-sided series in O(N) steps
+    # (0.2 s at N = 200000, over two minutes for the sweep); there the level
+    # is 1 - cdf, the Pelz-Good series: fast, and within 1e-5 alpha of the
+    # sf where both were run, against a margin of at least 1e-3 alpha
     top = ROTATE_BLOCK_BUDGET // 8
-    sizes = [*range(1, 301), *np.unique(np.geomspace(301, top, 300).round().astype(int)).tolist()]
+    sizes = np.array([*range(1, 301), *np.unique(np.geomspace(301, top, 300).round().astype(int))])
     assert sizes[-1] == top == 2**25
-    for n, want in zip(sizes, stats.kstwo.ppf(0.99, sizes)):
-        got = ks_critical(n)
-        assert type(got) is type(want) is np.float64
-        assert got.tobytes() == want.tobytes(), n
+    slow = (sizes > 10**4) & (sizes <= 1013904)
+    for alpha in (0.01, *(-math.expm1(math.log1p(-0.01) / n) for n in (2, 8, 64, 128))):
+        thresholds = np.array([ks_critical(n, alpha) for n in sizes.tolist()])
+        level = np.empty(sizes.size)
+        level[~slow] = stats.kstwo.sf(thresholds[~slow], sizes[~slow])
+        level[slow] = 1.0 - stats.kstwo.cdf(thresholds[slow], sizes[slow])
+        assert np.all(level <= alpha), (alpha, sizes[level > alpha])
+    # D <= 1, so at 0.01 no sample of one or two points can be rejected
+    assert ks_critical(2, 0.01) >= 1.0 > ks_critical(3, 0.01)
 
 
 def test_ks_nan_sample_fails():
