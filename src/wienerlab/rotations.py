@@ -33,15 +33,18 @@ M(eta) U for a block of samples and a block U of shape (b, n, k), and one
 driver, ``AdaptedIsometry._blocks``, runs it over row blocks of
 ``BLOCK_ROWS`` samples shared out over one thread per usable CPU
 (``space._over_blocks``), so the result has the same bits whatever the CPU
-count.  Rotating samples is the kernel at U = the samples: for ``givens``
-it costs O(N n^2) in reflector work plus O(N n^3 / 6) in the seeded
-feature products, and no (N, n, n) stack is formed.  The batteries rotate
-samples that no array holds: each block is drawn into a buffer of the
-thread that rotates it, by the fill ``sample_batch`` uses, so a battery
-holds the rotated (N, n) block and its statistics' vectors only.  The
-stack itself is the kernel at U = I; only the isometry and strict-past
-certificates ask for it, and the certificate's hybrids ask for one column
-each.
+count.  The driver writes into one coordinate-major store, an (n, k, N)
+C-ordered array returned as its (N, n, k) view: each output coordinate is
+one contiguous row of N values, the row each per-coordinate statistic of
+the batteries reads.  Rotating samples is the kernel at U = the samples:
+for ``givens`` it costs O(N n^2) in reflector work plus O(N n^3 / 6) in
+the seeded feature products, and no (N, n, n) stack is formed.  The
+batteries rotate samples that no array holds: each block is drawn into a
+buffer of the thread that rotates it, by the fill ``sample_batch`` uses, so
+a battery holds the rotated samples, N x n values, and its statistics'
+vectors only.  The stack itself is the kernel at U = I; only the isometry
+and strict-past certificates ask for it, and the certificate's hybrids ask
+for one column each.
 
 The batteries' statistics run on the calling thread, but for one split in
 the measure battery: a helper thread (``space._alongside``) takes the pair
@@ -82,12 +85,17 @@ from .space import (
 #: Pathwise orthonormality contract for constructed isometries.
 ISOMETRY_TOL = 1e-9
 
+#: float64 values per run of ``isometry_check``'s sample-major copy (or one
+#: matrix, if larger): 32 KiB, so the copies and their Gram matrices add no
+#: memory peak.
+_GRAM_VALUES = 2**12
+
 #: The names ``build_sequential_isometry`` accepts, in documentation order.
 CONSTRUCTIONS = ("zero", "sign", "givens", "constant")
 
 
 class RotationError(ValueError):
-    """Unknown construction name, degenerate matrix or malformed rotation input.
+    """Unknown construction name or malformed rotation input.
 
     A failed sampling battery is not an error: it is reported as found.
     """
@@ -116,8 +124,9 @@ class AdaptedIsometry:
     block, so the (N, n, n) stack is stored only when U asks for it.
     ``apply_batch`` is the product at the samples themselves (k = 1), and
     ``matrices`` at the identity, for the certificates that need whole
-    matrices.  Constructions with polynomial entries also expose the exact
-    operator form for chaos-level checks.
+    matrices; both return views of the driver's coordinate-major store.
+    Constructions with polynomial entries also expose the exact operator
+    form for chaos-level checks.
     """
 
     def __init__(self, n, kind, make_kernel, operator=None):
@@ -137,10 +146,14 @@ class AdaptedIsometry:
         blocks are shared out over threads (``space._over_blocks``); each
         thread's kernel and sample buffer are made on the calling thread,
         and a row's result is the same whichever block or thread runs it.
+
+        The result is the (N, n, k) view of one (n, k, N) C-ordered store,
+        so entry (a, j) of all N products is one contiguous row.  Each
+        block's kernel gets the view of its own rows as ``out``.
         """
         n = self.n
         k = 1 if U is None else U.shape[2]
-        out = np.empty((N, n, k))
+        out = np.empty((n, k, N)).transpose(2, 0, 1)
         width = min(N, BLOCK_ROWS)
 
         def make_run():
@@ -170,13 +183,19 @@ class AdaptedIsometry:
         return draws
 
     def matrices(self, draws: np.ndarray) -> np.ndarray:
-        """Row-form matrices, shape (N, n, n), at the given (N, n) samples."""
+        """Row-form matrices, shape (N, n, n), at the given (N, n) samples.
+
+        A view of the coordinate-major store: entry (a, j) is one row.
+        """
         draws = self._draws(draws)
         N = draws.shape[0]
         return self._blocks(N, np.broadcast_to(np.eye(self.n), (N, self.n, self.n)), draws)
 
     def apply_batch(self, draws: np.ndarray) -> np.ndarray:
-        """Rotated samples M(draws) @ draws, shape (N, n)."""
+        """Rotated samples M(draws) @ draws, shape (N, n).
+
+        A view of the coordinate-major store: column a is one contiguous row.
+        """
         draws = self._draws(draws)
         return self._blocks(draws.shape[0], draws=draws)[:, :, 0]
 
@@ -228,7 +247,9 @@ def _sequential_kernel(n: int, weights: dict):
 
     A block is held sample-last: its U is copied to Y of shape (n, k, b)
     and its draws to X of shape (n, b), so every ufunc and contraction runs
-    over b contiguous samples.  Row c of Y holds u_c until stage c
+    over b contiguous samples.  Y has the layout of the driver's
+    coordinate-major store, so the result leaves Y for ``out`` as one
+    contiguous row copy per entry.  Row c of Y holds u_c until stage c
     overwrites rows c..n with y_c, so no stage's complement basis is
     stored.  The kernel's buffers are refilled with ``out=``: contiguous
     arrays of the shapes fresh temporaries would have, so the bits are
@@ -241,6 +262,9 @@ def _sequential_kernel(n: int, weights: dict):
     kernels round the last columns of a product differently, and why a
     block of one sample runs doubled: a single column collapses the
     contractions onto other loops.
+
+    No stage can collapse: g_1 = 2 + arctan(.) lies in (2 - pi/2, 2 + pi/2),
+    so |g| > 0.429 before the normalization.
     """
 
     def make_kernel(width, k):
@@ -262,10 +286,8 @@ def _sequential_kernel(n: int, weights: dict):
                 # weights[c] is (n-c+1, c-1), fixed by the seed
                 g = np.einsum("ij,jb->ib", weights[c], X[: c - 1], out=G[: n - c + 1])
                 np.arctan(g, out=g)
-                g[0] += 2.0  # keeps the first coefficient positive and |g| > 0
+                g[0] += 2.0  # in (2 - pi/2, 2 + pi/2): positive, and |g| > 0.429
                 np.sqrt(np.einsum("ib,ib->b", g, g, out=norms), out=norms)
-                if np.any(norms < 1e-12):
-                    raise RotationError(f"complement collapse at stage {c}")
                 g /= norms
                 y = Y[c - 1 :]
                 if c < n:
@@ -390,14 +412,23 @@ def isometry_check(R: AdaptedIsometry, samples) -> float:
     """Worst pathwise deviation of the matrix Gram from the identity.
 
     Per sample this is the largest absolute eigenvalue of M M^T - I, i.e.
-    the spectral distance of the rows from exact orthonormality.
+    the spectral distance of the rows from exact orthonormality.  The stack
+    is stored coordinate-major, so each run of samples, ``_GRAM_VALUES``
+    entries or one matrix, is copied to sample-major matrices first: the
+    Gram sums then run over contiguous rows, and a sample's gap does not
+    depend on the run it is in.
     """
     draws = _as_draws(samples)
     mats = R.matrices(draws)
-    gram = np.einsum("sij,skj->sik", mats, mats)
-    gram -= np.eye(R.n)
-    eigs = np.linalg.eigvalsh(gram)
-    return float(np.max(np.abs(eigs)))
+    eye = np.eye(R.n)
+    rows = max(_GRAM_VALUES // R.n**2, 1)
+    gaps = []
+    for s in range(0, len(mats), rows):
+        run = np.ascontiguousarray(mats[s : s + rows])
+        gram = np.einsum("sij,skj->sik", run, run)
+        gram -= eye
+        gaps.append(np.max(np.abs(np.linalg.eigvalsh(gram))))
+    return float(np.max(gaps))
 
 
 def check_strict_past_measurability(R: AdaptedIsometry, samples) -> float:
@@ -478,7 +509,9 @@ def _rotated_sample(R: AdaptedIsometry, N: int, seed: int) -> np.ndarray:
     """``R.apply_batch(sample_batch(R.n, N, seed).draws)``, shape (N, n).
 
     Each block of samples is drawn and rotated in place, in a buffer of the
-    thread that runs it, so the drawn (N, n) array is never built.
+    thread that runs it, so the drawn (N, n) array is never built.  Like
+    ``apply_batch``, it is a view of the coordinate-major store, each
+    coordinate one contiguous row.
     """
     _, N, seed = _sampling_args(R.n, N, seed)
     return R._blocks(N, seed=seed)[:, :, 0]
@@ -488,7 +521,8 @@ def _covariance_in_place(tw: np.ndarray, mean: np.ndarray | None = None) -> np.n
     """``np.cov(tw.T, ddof=1)`` by its own steps, centering ``tw`` in place.
 
     ``mean`` is ``tw``'s column means, ``tw.T.mean(axis=1)``, when they are
-    already taken.
+    already taken.  On a rotated sample ``tw.T`` is C-ordered, so the
+    centring and the product run over contiguous rows.
     """
     X = tw.T
     X -= (X.mean(axis=1) if mean is None else mean)[:, None]
@@ -557,7 +591,9 @@ def measure_preservation_battery(R: AdaptedIsometry, N: int, seed: int) -> Rotat
     wraps it and keeps one span stack; the helper calls no traced entry
     point.  After the join the calling thread centres the samples in place
     with those means and takes the covariance product.  The records have
-    the bits of a serial battery.
+    the bits of a serial battery.  Coordinate a is ``tw[:, a - 1]``, one
+    contiguous row of the coordinate-major store, for every statistic: the
+    KS sorts, the pair copies, the means and the centring.
     """
     n = R.n
     tw = _rotated_sample(R, N, seed)

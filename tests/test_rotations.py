@@ -352,6 +352,20 @@ def test_streamed_sample_is_the_rotated_batch(monkeypatch, n, N):
             assert got.shape == oracle.shape and got.tobytes() == oracle.tobytes(), R.kind
 
 
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("N", [1, BLOCK_ROWS + 1])
+def test_rotated_samples_are_stored_coordinate_major(n, N):
+    # one store, (n, k, N) C-ordered, read back as (N, n, k): each output
+    # coordinate is one contiguous row, for the streamed and the given samples
+    x = draws_for(n, count=N, seed=79)
+    for R in _all_rotations(n, 83):
+        for tw in (_rotated_sample(R, N, 89), R.apply_batch(x)):
+            assert tw.shape == (N, n) and tw.T.flags.c_contiguous, R.kind
+            assert all(tw[:, a].flags.c_contiguous for a in range(n)), R.kind
+        mats = R.matrices(x)
+        assert mats.shape == (N, n, n) and mats.transpose(1, 2, 0).flags.c_contiguous, R.kind
+
+
 def _bits(value) -> bytes:
     return np.float64(value).tobytes()
 
@@ -706,6 +720,18 @@ def test_isometry_check_deviation_of_scaled_output():
     bad = scale_output(base, 1, 2.0)
     # Gram eigenvalue |2^2 - 1| = 3 exactly
     assert isometry_check(bad, draws_for(3)) == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, count", [(2, 1000), (8, 1000), (64, 200)])
+def test_isometry_check_is_the_whole_stack_gram(n, count):
+    # the certificate copies the stack in runs; its gap has the bits of the
+    # Gram of the whole sample-major stack, whichever run holds the worst sample
+    x = draws_for(n, count=count, seed=97)
+    for R in _all_rotations(n, 101):
+        mats = np.ascontiguousarray(R.matrices(x))
+        gram = np.einsum("sij,skj->sik", mats, mats) - np.eye(n)
+        expected = np.max(np.abs(np.linalg.eigvalsh(gram)))
+        assert _bits(isometry_check(R, x)) == _bits(expected), R.kind
 
 
 def test_battery_reports_deterministic():
