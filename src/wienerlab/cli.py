@@ -12,9 +12,10 @@ converter, which raises :class:`UsageError` (argparse passes it through
 unwrapped), so a bad value exits 2 before any command runs.  The checks
 that span two settings run first thing in their command: the ``rotate``
 block budget, and the ``represent`` dimension cap on ``n * m``, which
-``clark.refinement_residual`` raises at the first factor past it.
-``represent`` computes every refinement row from that closed form, once
-the functional is read, and never builds a refined polynomial.  ``--n``
+``clark.refine_and_reconstruct`` raises at the first factor past it.
+``represent`` takes its refinement table from that function, whose rows
+are the closed form ``clark.refinement_residual``, once the functional is
+read, and never builds a refined polynomial.  ``--n``
 lies in ``[1, DIM_CAP]``, and ``represent`` reads ``--functional @path``
 from the file ``path`` and takes any other value as the expression itself.
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .chaos import DIM_CAP, AlgebraError
-from .clark import ClarkResult, compare_energies, reconstruct, refinement_residual
+from .clark import ClarkResult, compare_energies, reconstruct, refine_and_reconstruct
 from .dsl import PRODUCT_PAIR_BUDGET, DslError, lower, parse_functional
 from .malliavin import VField
 from .rotations import (
@@ -241,7 +242,7 @@ def _cmd_represent(args) -> int:
         v = lowered if isinstance(lowered, VField) else VField((lowered,))
         # the first factor past the dimension cap fails in refine's words,
         # before the coarse representation is built
-        table = [(m, refinement_residual(v, m)) for m in args.refine]
+        table = refine_and_reconstruct(v, args.refine)
         result = reconstruct(v)
     except AlgebraError as exc:
         raise UsageError(f"functional {source!r}: {exc}") from exc

@@ -144,13 +144,6 @@ class HField(_Field, parts="coords"):
         """E(u, v) = sum_i E[u_i v_i]."""
         return _sum_of_inner(self._matched(other))
 
-    @classmethod
-    def constant(cls, h) -> "HField":
-        """The deterministic field with value h in R^n."""
-        h = np.asarray(h, dtype=float)
-        n = h.size
-        return cls(tuple(ChaosPoly.constant(n, float(v)) for v in h))
-
 
 @dataclass(frozen=True)
 class VField(_Field, parts="components"):
@@ -225,14 +218,6 @@ class OperatorField(_Field, parts="rows"):
                 for column in zip(*(row.coords for row in self.rows))
             )
         )
-
-    @classmethod
-    def constant(cls, matrix) -> "OperatorField":
-        """Deterministic operator from a d x n matrix."""
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError(f"matrix of shape {matrix.shape}")
-        return cls(tuple(HField.constant(row) for row in matrix))
 
 
 def skew_symmetric_field(A) -> HField:

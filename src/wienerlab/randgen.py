@@ -28,14 +28,20 @@ from . import adapted as _adapted
 from .adapted import PredictableHField, WeaklyAdaptedOperator
 from .chaos import DIM_CAP, ChaosPoly, _ambient_dim, _kept, _pack, _sum_pairs
 from .malliavin import HField, OperatorField, VField
+from .space import _seed
 
 #: ``_COORDS[n]`` is the coordinate tuple ``(1, ..., n)``.
 _COORDS = tuple(tuple(range(1, n + 1)) for n in range(DIM_CAP + 1))
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """numpy's ``Generator`` over the Philox stream keyed by ``seed``."""
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    """numpy's ``Generator`` over the Philox stream keyed by ``seed``.
+
+    ``seed`` must be an integer in 0 .. 2**64 - 1, as for sampling
+    (``space._seed``): a float, even an integral one, or a seed outside that
+    range raises ``ValueError`` and is never truncated.
+    """
+    return np.random.Generator(np.random.Philox(key=_seed(seed)))
 
 
 class _Draws:

@@ -15,7 +15,9 @@ predictable field M^T h whose pathwise length |M^T h| = |h| is deterministic,
 and conditioning coordinate by coordinate gives the exact characteristic
 function exp(-|h|^2/2).  So Tw ~ N(0, I) exactly, not asymptotically; the
 sampling batteries here are consistency checks, and they must also catch
-planted defects that break orthogonality.
+planted defects that break orthogonality.  The verification suites compute
+that conditioning for every construction through its kernel
+(``suites._law_gap``).
 
 The classical operator acting on the Cameron-Martin side is the transpose
 M^T (its column i is the predictable integrand of output coordinate i).  The
@@ -64,7 +66,6 @@ from itertools import combinations
 import numpy as np
 
 from . import adapted as _adapted
-from .adapted import WeaklyAdaptedOperator
 from .randgen import make_rng, random_orthogonal
 from .space import (
     BLOCK_ROWS,
@@ -125,15 +126,14 @@ class AdaptedIsometry:
     ``apply_batch`` is the product at the samples themselves (k = 1), and
     ``matrices`` at the identity, for the certificates that need whole
     matrices; both return views of the driver's coordinate-major store.
-    Constructions with polynomial entries also expose the exact operator
-    form for chaos-level checks.
+    The kernel is the construction's one description: every check, exact or
+    sampled, reads the rotation through it.
     """
 
-    def __init__(self, n, kind, make_kernel, operator=None):
+    def __init__(self, n, kind, make_kernel):
         self.n = int(n)
         self.kind = str(kind)
         self._make_kernel = make_kernel
-        self._operator = operator
 
     def _blocks(self, N: int, U=None, draws=None, seed: int = 0) -> np.ndarray:
         """M(samples) @ U, shape (N, n, k), over blocks of ``BLOCK_ROWS`` samples.
@@ -198,10 +198,6 @@ class AdaptedIsometry:
         """
         draws = self._draws(draws)
         return self._blocks(draws.shape[0], draws=draws)[:, :, 0]
-
-    def operator(self) -> WeaklyAdaptedOperator | None:
-        """Exact chaos-polynomial form of the rows, when the entries are polynomial."""
-        return self._operator
 
 
 # ------------------------------------------------------------- constructors
@@ -333,10 +329,7 @@ def build_sequential_isometry(n: int, seed: int, angle_spec: str) -> AdaptedIsom
         raise RotationError(f"unknown angle spec {angle_spec!r}")
 
     if angle_spec == "zero":
-        M = np.eye(n)
-        return AdaptedIsometry(
-            n, "zero", _constant_kernel(M), operator=WeaklyAdaptedOperator.constant(M)
-        )
+        return AdaptedIsometry(n, "zero", _constant_kernel(np.eye(n)))
 
     if angle_spec == "sign":
         return AdaptedIsometry(n, "sign", _sign_kernel(n))
@@ -350,9 +343,7 @@ def build_sequential_isometry(n: int, seed: int, angle_spec: str) -> AdaptedIsom
 
     # "constant"
     M = random_orthogonal(make_rng(seed), n).T.copy()
-    return AdaptedIsometry(
-        n, "constant", _constant_kernel(M), operator=WeaklyAdaptedOperator.constant(M)
-    )
+    return AdaptedIsometry(n, "constant", _constant_kernel(M))
 
 
 # ---------------------------------------------------------- planted defects
@@ -362,7 +353,7 @@ def _recombine_outputs(base: AdaptedIsometry, L: np.ndarray, tag: str) -> Adapte
     """Replace the output rows by ``L @ rows`` for a constant n x n matrix ``L``.
 
     Only the kernel is recombined, block by block through a buffer of the
-    base rows: a planted defect has no operator form.
+    base rows.
     """
 
     def make_kernel(width, k):

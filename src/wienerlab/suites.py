@@ -3,12 +3,13 @@
 Each suite stresses one structural identity of the calculus: adjointness of
 gradient and divergence, isometry of adapted integrals, exactness of the
 adapted representation on its natural class, refinement convergence, the
-minimal-energy representation, and the rotation invariants.  Each suite
-returns one ``Check``: its worst gap against its threshold, with a
-``details`` line naming what it covered.  The gap of each identity is a
-private helper next to the suite that reads it, so a new suite needs no
-public function.  Random instances come from fixed seeds, so two runs
-produce identical results byte for byte.
+minimal-energy representation, and the rotation invariants, among them the
+exact law of every rotation construction, read through its block kernel
+(``_law_gap``).  Each suite returns one ``Check``: its worst gap against
+its threshold, with a ``details`` line naming what it covered.  The gap of
+each identity is a private helper next to the suite that reads it, so a new
+suite needs no public function.  Random instances come from fixed seeds, so
+two runs produce identical results byte for byte.
 
 A suite that draws seeded instances is a generator body
 ``suite_<name>(draws, seed)`` under the ``_suite(seed, threshold)`` runner,
@@ -26,6 +27,7 @@ reader.
 from __future__ import annotations
 
 import math
+from itertools import product
 from numbers import Real
 
 import numpy as np
@@ -71,8 +73,8 @@ from .randgen import (
     random_weakly_adapted,
 )
 from .rotations import (
+    CONSTRUCTIONS,
     AdaptedIsometry,
-    RotationError,
     build_sequential_isometry,
     check_strict_past_measurability,
     gaussianity_battery,
@@ -91,7 +93,8 @@ def _result(name, gaps, threshold, details, extra_ok=True) -> Check:
 def _suite(seed: int, threshold: float):
     """Make the generator body ``suite_<name>(draws, seed)`` the suite ``suite_<name>(seed)``.
 
-    The suite opens one reader on ``make_rng(seed)`` for the whole body.  A
+    The suite opens one reader on ``make_rng(seed)`` for the whole body, so
+    a seed that is not an integer in 0 .. 2**64 - 1 raises ``ValueError``.  A
     bool the body yields, numpy's included, is a side check ANDed into the
     verdict, a real number is a gap, and anything else raises
     ``TypeError``.  The body's return value is the record's ``details``.
@@ -205,7 +208,11 @@ def suite_structure_constants(draws, seed):
             (ChaosPoly.hermite(n, i + 1, 1, h[i]) for i in range(n)),
             ChaosPoly.zero(n),
         )
-        yield (divergence_h(const) - expected).norm_l2()
+        div = divergence_h(const)
+        yield (div - expected).norm_l2()
+        # the Ito isometry of a constant field, E[(div h)^2] = |h|^2, summed
+        # in coordinate order as l2_inner sums div's terms
+        yield abs(l2_inner(div, div) - sum(h[i] * h[i] for i in range(n)))
     for n in range(1, 9):
         # the identity field u(w) = w: div u = sum_i He_2(eta_i), norm sqrt(2n)
         identity = HField(tuple(ChaosPoly.coordinate(n, i) for i in range(1, n + 1)))
@@ -374,20 +381,49 @@ def suite_operator_bound(draws, seed):
     return f"{count} operators, 20 directions each"
 
 
-def _exact_output_covariance(R: AdaptedIsometry) -> np.ndarray:
-    """Chaos-level covariance of the rotated coordinates, computed exactly.
+#: Gauss nodes per integrated coordinate in ``_law_gap``'s tensor rule.
+_LAW_NODES = 16
 
-    Available when the matrix entries are polynomial (the operator form
-    exists); for a true isometry the result is the identity.
+
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The ``_LAW_NODES``-point Gauss rule for the standard normal weight.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    monic Hermite polynomials He_k, whose off-diagonal is sqrt(1) ..
+    sqrt(k - 1), and the weights are the squared first components of the
+    unit eigenvectors, so they sum to one.
     """
-    op = R.operator()
-    if op is None:
-        raise RotationError(f"{R.kind} rotation has no polynomial operator form")
-    return _gram(divergence_op(op).components)
+    off = np.sqrt(np.arange(1.0, _LAW_NODES))
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vectors[0] ** 2
+
+
+def _law_gap(R: AdaptedIsometry) -> float:
+    """Largest |E exp(i h . Tw) - exp(-1/2)| over h = e_1 .. e_n and (1, .., 1)/sqrt(n).
+
+    The conditioning proof of ``rotations``, computed: with a = M^T h,
+    h . Tw = a . eta, and column j of M reads only eta_1 .. eta_{j-1}, so a
+    depends on eta_1 .. eta_{n-1} alone and the eta_n integral is
+    exp(-a_n^2 / 2) in closed form.  The other n - 1 coordinates are
+    integrated by the tensor product of ``_gauss_rule`` (for n = 1 the
+    empty product, one point of weight 1), with M evaluated at all its
+    points, eta_n = 0, by one ``R.matrices`` call.  Every construction is
+    read through its kernel; an exact rotation gives roundoff.
+    """
+    n = R.n
+    nodes, weights = _gauss_rule()
+    cells = np.array(list(product(range(_LAW_NODES), repeat=n - 1)), dtype=int)
+    eta = np.zeros((len(cells), n))
+    eta[:, :-1] = nodes[cells]
+    directions = np.vstack((np.eye(n), np.full(n, 1.0 / math.sqrt(n))))
+    a = np.einsum("pij,di->dpj", R.matrices(eta), directions)
+    phase = np.einsum("dpj,pj->dp", a[:, :, :-1], eta[:, :-1])
+    terms = weights[cells].prod(axis=1) * np.exp(-0.5 * a[:, :, -1] ** 2 + 1j * phase)
+    return float(np.max(np.abs(terms.sum(axis=1) - math.exp(-0.5))))
 
 
 def suite_rotation_invariants(seed: int = 1011) -> Check:
-    """Adapted rotations: pathwise isometry, strict-past certificates, defects."""
+    """Adapted rotations: pathwise isometry, strict-past certificates, exact law, defects."""
     gaps = []
     ok = True
     n = 6
@@ -396,8 +432,9 @@ def suite_rotation_invariants(seed: int = 1011) -> Check:
         R = build_sequential_isometry(n, seed, spec)
         gaps.append(isometry_check(R, probe))
         gaps.append(check_strict_past_measurability(R, probe))
+    for spec in CONSTRUCTIONS:
+        gaps.append(_law_gap(build_sequential_isometry(3, seed, spec)))
     base = build_sequential_isometry(n, seed, "zero")
-    gaps.append(np.max(np.abs(_exact_output_covariance(base) - np.eye(n))))
     scaled = scale_output(base, 1, 2.0)
     ok = ok and abs(isometry_check(scaled, probe) - 3.0) <= 1e-12
     mixed = mix_outputs(build_sequential_isometry(n, seed, "givens"), 1, n)
@@ -413,7 +450,7 @@ def suite_rotation_invariants(seed: int = 1011) -> Check:
         "rotation_invariants",
         gaps,
         1e-9,
-        "three constructions, exact covariance, planted defects, output law",
+        "three constructions, exact law of all four, planted defects, output law",
         extra_ok=ok,
     )
 

@@ -8,6 +8,8 @@ package against these.  ``ks_full_statistic`` is the KS statistic from the
 CDF at every sorted point, the evaluation ``space.ks_normal`` narrows to a
 few brackets.  Only ``open_draws``, ``draw_poly`` and ``draw_hfield`` are
 the package's own: its seeded draws, at sizes its public builders do not take.
+``constant_field`` builds the deterministic field or operator of given
+values.
 ``with_workers`` sets how many CPUs the package's block runner sees, and
 ``stages`` which stage table its filtration decisions read.
 """
@@ -26,7 +28,7 @@ from numpy.polynomial import hermite_e
 from wienerlab import adapted, randgen, space
 from wienerlab._kstwo import _libm_exp
 from wienerlab.chaos import DIM_CAP, ChaosPoly
-from wienerlab.malliavin import HField
+from wienerlab.malliavin import HField, OperatorField
 from wienerlab.space import BLOCK_ROWS
 
 # 12-point Gauss quadrature on the exp(-x^2/2) weight: exact for polynomial
@@ -124,6 +126,14 @@ def draw_poly(draws: randgen._Draws, n: int, degree: int, n_terms: int, coords=N
 def draw_hfield(draws: randgen._Draws, n: int, degree: int) -> HField:
     """A seeded field of two terms per coordinate: the one row of ``random_operator``."""
     return randgen.random_operator(draws, n, 1, degree).rows[0]
+
+
+def constant_field(values):
+    """The deterministic field of ``values``: an HField for a vector, an OperatorField for a matrix."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 2:
+        return OperatorField(tuple(constant_field(row) for row in values))
+    return HField(tuple(ChaosPoly.constant(values.size, float(v)) for v in values))
 
 
 def he_value(k: int, x):

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is read somewhere in it (package,
 tests and benchmark harness alike), the package exports each public name
 it binds exactly once, and neither importing it nor running its commands
-loads any ``scipy`` module."""
+loads any ``scipy`` or ``numpy.polynomial`` module."""
 
 import ast
 import os
@@ -94,15 +94,16 @@ assert main(["represent", "--functional", "h2(x1)*x2", "--n", "2", "--refine", "
 """
 
 
+#: prints the loaded modules of scipy, which only the tests use, and of
+#: numpy.polynomial, whose import costs milliseconds that verify's Gauss
+#: rule (``suites._gauss_rule``) does without
+_LOADED = "print(*[m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')])\n"
+
+
 def test_import_and_commands_load_no_scipy(tmp_path):
     # a fresh interpreter: importing the package, then running its commands,
-    # loads no scipy module at all
-    script = (
-        "import sys\nimport wienerlab\n"
-        "print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
-        + _COMMANDS
-        + "print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
-    )
+    # loads no scipy module at all, and no numpy.polynomial module
+    script = "import sys\nimport wienerlab\n" + _LOADED + _COMMANDS + _LOADED
     lines = _run_fresh(script, tmp_path)
     assert (lines[0], lines[-1]) == ("", "")
 

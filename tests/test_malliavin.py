@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import draw_hfield, draw_poly, exact_root, l2_mass, make_rng, mc_poly_mean, open_draws
+from helpers import (
+    constant_field,
+    draw_hfield,
+    draw_poly,
+    exact_root,
+    l2_mass,
+    make_rng,
+    mc_poly_mean,
+    open_draws,
+)
 from wienerlab.chaos import (
     DEGREE_CAP,
     AlgebraError,
@@ -93,7 +102,7 @@ def test_gradient_vector_stacks_rows():
 
 def test_divergence_constant_field():
     # div of the deterministic field h is the linear functional sum h_i eta_i
-    u = HField.constant([0.5, -2.0])
+    u = constant_field([0.5, -2.0])
     d = divergence_h(u)
     assert d == eta(1, 2) * 0.5 + eta(2, 2) * (-2.0)
 
@@ -206,7 +215,7 @@ def test_divergence_past_the_degree_cap_raises():
 
 
 def test_divergence_op_identity_recovers_coordinates():
-    w = divergence_op(OperatorField.constant(np.eye(3)))
+    w = divergence_op(constant_field(np.eye(3)))
     assert w.components == tuple(eta(i, 3) for i in range(1, 4))
 
 
@@ -255,7 +264,7 @@ def test_dual_pairing_expectation_route():
 
 
 def test_transpose_apply_and_apply_field():
-    K = OperatorField.constant(np.eye(2))
+    K = constant_field(np.eye(2))
     y = np.array([3.0, -1.0])
     u = K.transpose_apply(y)
     assert u.coords == (ChaosPoly.constant(2, 3.0), ChaosPoly.constant(2, -1.0))
@@ -280,7 +289,7 @@ def test_duality_random_instances():
 def test_duality_hand_example():
     # K = identity on R^2, F = (He_2(eta_1), eta_1 eta_2); both sides
     # reduce to expectations of odd-degree terms, hence vanish
-    K = OperatorField.constant(np.eye(2))
+    K = constant_field(np.eye(2))
     F = VField((he(2, 1, 2), hermite_product(eta(1, 2), eta(2, 2))))
     lhs = trace_pairing_expectation(K, gradient_vector(F))
     rhs = dual_pairing_expectation(F, divergence_op(K))
@@ -300,7 +309,7 @@ def test_weakb_random_instances():
 
 def test_weakb_hand_example():
     # identity operator with F = (eta_1, 0): K^T F = (eta_1, 0)
-    K = OperatorField.constant(np.eye(2))
+    K = constant_field(np.eye(2))
     F = VField((eta(1, 2), ChaosPoly.zero(2)))
     lhs = divergence_h(K.apply_field(F))
     rhs = dual_pairing(F, divergence_op(K)) - trace_pairing(K, gradient_vector(F))
@@ -324,7 +333,7 @@ def test_rowwise_divergence_random():
 
 def test_cbound_constant_identity():
     # each row of 1_H diverges to the orthonormal family (eta_a): C = 1
-    assert _check_cbound(OperatorField.constant(np.eye(4))) == pytest.approx(1.0, abs=1e-12)
+    assert _check_cbound(constant_field(np.eye(4))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cbound_diagonal_coordinate_operator():
@@ -396,7 +405,7 @@ def test_vfield_component_refuses_an_index_outside_one_to_d(a):
 
 def test_field_arithmetic_and_energy():
     u = HField((eta(1, 2), he(2, 2, 2)))
-    v = HField.constant([1.0, 0.0])
+    v = constant_field([1.0, 0.0])
     w = u.add(v).sub(v)
     assert w == u
     # energy 1 + 2 and 4 * 3, each root correctly rounded

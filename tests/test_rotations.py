@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import hermite_e
 from scipy import stats
 
-from helpers import STAGE_TABLES, THREADED_SIZES, make_rng, stages, with_workers
+from helpers import STAGE_TABLES, THREADED_SIZES, constant_field, make_rng, stages, with_workers
 from test_tracing_names import TRACING, traced_paths
 from wienerlab import cli, rotations
 from wienerlab.chaos import evaluate_batch
 from wienerlab.malliavin import divergence_op
 from wienerlab.randgen import random_orthogonal
 from wienerlab.rotations import (
+    CONSTRUCTIONS,
     AdaptedIsometry,
     RotationError,
     _correlation,
@@ -36,7 +38,7 @@ from wienerlab.rotations import (
     scale_output,
 )
 from wienerlab.space import BLOCK_ROWS, Check, ks_critical, ks_normal, moment_normality, sample_batch
-from wienerlab.suites import _exact_output_covariance
+from wienerlab.suites import _LAW_NODES, _gauss_rule, _law_gap
 
 N_BATTERY = 200_000
 SEED = 20240815
@@ -512,11 +514,12 @@ def test_batteries_hold_less_than_two_sample_blocks(monkeypatch):
 
 
 def test_pathwise_rotation_matches_divergence():
-    # for polynomial-entry rotations the rotated sample is the evaluated
-    # divergence of the operator rows at every sample
+    # for the constant rotation the rotated sample is the evaluated
+    # divergence of the matrix rows, taken as deterministic fields, at
+    # every sample
     rng = make_rng(43)
     R = build_sequential_isometry(3, seed=2, angle_spec="constant")
-    comps = divergence_op(R.operator()).components
+    comps = divergence_op(constant_field(R.matrices(np.zeros((1, 3)))[0])).components
     for _ in range(20):
         x = rng.standard_normal(3)
         tw = R.apply_batch(x[None])[0]
@@ -524,12 +527,28 @@ def test_pathwise_rotation_matches_divergence():
         assert np.max(np.abs(tw - alg)) <= 1e-10
 
 
-def test_exact_output_covariance_identity():
-    R = build_sequential_isometry(4, seed=3, angle_spec="constant")
-    cov = _exact_output_covariance(R)
-    assert np.max(np.abs(cov - np.eye(4))) <= 1e-12
-    with pytest.raises(RotationError):
-        _exact_output_covariance(build_sequential_isometry(3, seed=3, angle_spec="sign"))
+def test_gauss_rule_matches_hermegauss():
+    nodes, weights = _gauss_rule()
+    want_nodes, want_weights = hermite_e.hermegauss(_LAW_NODES)
+    assert np.max(np.abs(nodes - want_nodes)) <= 1e-14
+    assert np.max(np.abs(weights - want_weights / math.sqrt(2.0 * math.pi))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("spec", CONSTRUCTIONS)
+def test_law_gap_is_roundoff_for_every_construction(n, spec):
+    # the characteristic function by conditioning, through the kernel alone
+    assert _law_gap(build_sequential_isometry(n, seed=1011, angle_spec=spec)) <= 1e-14
+
+
+def test_law_gap_catches_the_planted_defects():
+    # scaling output 1 by 2 takes the e_1 value to exp(-2); mixing output 1
+    # into output 3 correlates them, so the all-ones direction's variance
+    # leaves 1
+    zero = build_sequential_isometry(3, seed=1011, angle_spec="zero")
+    givens = build_sequential_isometry(3, seed=1011, angle_spec="givens")
+    assert _law_gap(scale_output(zero, 1, 2.0)) > 0.05
+    assert _law_gap(mix_outputs(givens, 1, 3)) > 0.05
 
 
 # ----------------------------------------------------------------- batteries

@@ -152,6 +152,14 @@ def test_suites_keep_their_default_seeds():
     assert defaults == list(range(1001, 1013))
 
 
+@pytest.mark.parametrize("seed", [1.5, 2**64], ids=["float", "past_64_bits"])
+@pytest.mark.parametrize("name", suite_names())
+def test_suites_refuse_a_seed_that_is_not_a_64_bit_integer(name, seed):
+    # a float seed is refused, not truncated to the seed below it
+    with pytest.raises(ValueError, match="seed"):
+        getattr(wienerlab.suites, f"suite_{name}")(seed)
+
+
 def test_runner_nan_gap_fails_the_suite():
     result = _toy(1e-12, math.nan, 2e-11)()
     assert math.isnan(result.statistic) and not result.passed
@@ -245,10 +253,10 @@ PLANTED_GAPS = [
     ),
     ("_check_cbound", "operator_bound", math.nan, "40 operators, 20 directions each"),
     (
-        "_exact_output_covariance",
+        "_law_gap",
         "rotation_invariants",
-        np.full((6, 6), math.nan),
-        "three constructions, exact covariance, planted defects, output law",
+        math.nan,
+        "three constructions, exact law of all four, planted defects, output law",
     ),
 ]
 
@@ -283,8 +291,8 @@ KERNEL_DEFECTS = [
     ("ou_inverse", ["minimal_energy"]),
     ("ou_apply", ["number_operator"]),
     ("conditional_expectation", ["weak_orthogonality"]),
-    # only through the Gram matrix of the exact output covariance
-    ("l2_inner", ["rotation_invariants"]),
+    # only through the Ito isometry of the constant fields
+    ("l2_inner", ["structure_constants"]),
     ("partial_derivative", ["duality_pairing", "weak_pairing", "minimal_energy", "number_operator"]),
     (
         "divergence_h",
@@ -296,7 +304,6 @@ KERNEL_DEFECTS = [
             "clark_exactness",
             "minimal_energy",
             "number_operator",
-            "rotation_invariants",
         ],
     ),
     # the closed-form refinement rows; reconstruct reads the same sum at
